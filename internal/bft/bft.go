@@ -14,6 +14,7 @@
 package bft
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"encoding/binary"
 	"errors"
@@ -50,6 +51,21 @@ func (c Committee) Key(id string) (ed25519.PublicKey, bool) {
 		}
 	}
 	return nil, false
+}
+
+// Equal reports whether two committees are the same validator set:
+// epoch, F, and every member's id and key, in order — exactly when their
+// encodings are equal.
+func (c Committee) Equal(o Committee) bool {
+	if c.Epoch != o.Epoch || c.F != o.F || len(c.Members) != len(o.Members) {
+		return false
+	}
+	for i, m := range c.Members {
+		if m.ID != o.Members[i].ID || !bytes.Equal(m.Public, o.Members[i].Public) {
+			return false
+		}
+	}
+	return true
 }
 
 // Encode serializes the committee deterministically, for signing in
@@ -138,6 +154,13 @@ var (
 // every signature valid. verifications, when non-nil, is incremented per
 // signature checked so callers can meter gas the way Figure 6 counts it.
 func (cert Certificate) Verify(c Committee, verifications *int) error {
+	return cert.VerifyWith(nil, c, verifications)
+}
+
+// VerifyWith is Verify with each signature checked through memo (nil
+// verifies plainly). verifications counts every check asked for,
+// memoised or not.
+func (cert Certificate) VerifyWith(memo *sig.Memo, c Committee, verifications *int) error {
 	if cert.Epoch != c.Epoch {
 		return fmt.Errorf("%w: cert=%d committee=%d", ErrWrongEpoch, cert.Epoch, c.Epoch)
 	}
@@ -159,7 +182,7 @@ func (cert Certificate) Verify(c Committee, verifications *int) error {
 		if verifications != nil {
 			*verifications++
 		}
-		if !sig.Verify(pub, cert.Statement, s.Sig) {
+		if !memo.Verify(pub, cert.Statement, s.Sig) {
 			return fmt.Errorf("%w: %s", ErrBadSignature, s.Validator)
 		}
 	}
@@ -190,22 +213,24 @@ var (
 
 // VerifyChain walks a reconfiguration chain starting from the initial
 // committee (the one escrow contracts were told about) and returns the
-// final committee certificates should be checked against. Each handover
-// costs a quorum of signature verifications, so a chain of k reconfigs
-// costs (k+1)(2f+1) verifications in total when the caller also verifies
-// one final certificate — the cost §7.1 derives.
-func VerifyChain(initial Committee, chain []Reconfig, verifications *int) (Committee, error) {
+// final committee certificates should be checked against. verify checks
+// one handover certificate against the committee that issued it — a
+// contract passes its metered, memoised chain.Env.VerifyCertificate.
+// Each handover costs a quorum of signature verifications, so a chain of
+// k reconfigs costs (k+1)(2f+1) verifications in total when the caller
+// also verifies one final certificate — the cost §7.1 derives.
+func VerifyChain(initial Committee, chain []Reconfig, verify func(Certificate, Committee) error) (Committee, error) {
 	cur := initial
 	for i, rc := range chain {
 		if rc.Next.Epoch != cur.Epoch+1 {
 			return Committee{}, fmt.Errorf("%w: step %d has epoch %d after %d",
 				ErrBrokenChain, i, rc.Next.Epoch, cur.Epoch)
 		}
-		if err := rc.Cert.Verify(cur, verifications); err != nil {
+		if err := verify(rc.Cert, cur); err != nil {
 			return Committee{}, fmt.Errorf("reconfig step %d: %w", i, err)
 		}
 		// The certified statement must be the next committee's encoding.
-		if string(rc.Cert.Statement) != string(rc.Next.Encode()) {
+		if !bytes.Equal(rc.Cert.Statement, rc.Next.Encode()) {
 			return Committee{}, fmt.Errorf("%w: step %d statement mismatch", ErrBrokenChain, i)
 		}
 		cur = rc.Next

@@ -1,9 +1,12 @@
 package bft
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"testing/quick"
+
+	"xdeal/internal/sig"
 )
 
 func TestCommitteeShape(t *testing.T) {
@@ -34,6 +37,66 @@ func TestCommitteeDeterministic(t *testing.T) {
 	c, _ := NewCommittee("other", 0, 1)
 	if string(a.Encode()) == string(c.Encode()) {
 		t.Fatal("different-tag committees identical")
+	}
+}
+
+func TestCommitteeEqualAgreesWithEncoding(t *testing.T) {
+	base, _ := NewCommittee("cbc", 0, 1)
+	same, _ := NewCommittee("cbc", 0, 1)
+	otherTag, _ := NewCommittee("evil", 0, 1)
+	bigger, _ := NewCommittee("cbc", 0, 2)
+
+	nextEpoch, fewerFaults, renamed, rekeyed := base, base, base, base
+	nextEpoch.Epoch++
+	fewerFaults.F--
+	renamed.Members = append([]Member(nil), base.Members...)
+	renamed.Members[2].ID = "impostor"
+	rekeyed.Members = append([]Member(nil), base.Members...)
+	rekeyed.Members[2].Public = otherTag.Members[2].Public
+
+	for name, tc := range map[string]struct {
+		other Committee
+		want  bool
+	}{
+		"itself":        {base, true},
+		"rebuilt":       {same, true},
+		"other tag":     {otherTag, false},
+		"more members":  {bigger, false},
+		"next epoch":    {nextEpoch, false},
+		"different f":   {fewerFaults, false},
+		"renamed":       {renamed, false},
+		"rekeyed":       {rekeyed, false},
+		"zero value":    {Committee{}, false},
+		"prefix subset": {Committee{Epoch: base.Epoch, F: base.F, Members: base.Members[:3]}, false},
+	} {
+		if got := base.Equal(tc.other); got != tc.want {
+			t.Errorf("%s: Equal = %t, want %t", name, got, tc.want)
+		}
+		if got := bytes.Equal(base.Encode(), tc.other.Encode()); got != tc.want {
+			t.Errorf("%s: encodings equal = %t, want %t — Equal must mirror Encode", name, got, tc.want)
+		}
+	}
+}
+
+// TestCertificateMemoisedAcrossVerifiers: the same certificate checked by
+// several contracts costs 2f+1 real verifications in total, while each
+// contract still counts (and pays for) its own 2f+1.
+func TestCertificateMemoisedAcrossVerifiers(t *testing.T) {
+	c, signers := NewCommittee("cbc", 0, 2)
+	cert := MakeCertificate([]byte("deal D committed"), 0, signers[:c.Quorum()])
+	memo := sig.NewMemo()
+	var counted int
+	for i := 0; i < 3; i++ {
+		if err := cert.VerifyWith(memo, c, &counted); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if counted != 3*c.Quorum() {
+		t.Fatalf("verifications counted = %d, want 3(2f+1) = %d", counted, 3*c.Quorum())
+	}
+	asked, hits := memo.Stats()
+	if real := asked - hits; real != uint64(c.Quorum()) {
+		t.Fatalf("real verifications = %d, want 2f+1 = %d", real, c.Quorum())
 	}
 }
 
@@ -105,6 +168,12 @@ func TestCertificateForeignSignatureRejected(t *testing.T) {
 	}
 }
 
+// plainVerify is the un-memoised certificate check VerifyChain is given
+// outside a chain.Env, counting into n when non-nil.
+func plainVerify(n *int) func(Certificate, Committee) error {
+	return func(cert Certificate, c Committee) error { return cert.Verify(c, n) }
+}
+
 func TestReconfigChain(t *testing.T) {
 	c0, s0 := NewCommittee("cbc", 0, 1)
 	c1, s1 := NewCommittee("cbc", 1, 1)
@@ -115,7 +184,7 @@ func TestReconfigChain(t *testing.T) {
 		NewReconfig(c2, 1, s1[:3]),
 	}
 	var n int
-	final, err := VerifyChain(c0, chain, &n)
+	final, err := VerifyChain(c0, chain, plainVerify(&n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +200,7 @@ func TestReconfigChain(t *testing.T) {
 
 func TestReconfigChainEmptyIsInitial(t *testing.T) {
 	c0, _ := NewCommittee("cbc", 0, 1)
-	final, err := VerifyChain(c0, nil, nil)
+	final, err := VerifyChain(c0, nil, plainVerify(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +213,7 @@ func TestReconfigChainGapRejected(t *testing.T) {
 	c0, s0 := NewCommittee("cbc", 0, 1)
 	c2, _ := NewCommittee("cbc", 2, 1) // skips epoch 1
 	chain := []Reconfig{NewReconfig(c2, 0, s0[:3])}
-	if _, err := VerifyChain(c0, chain, nil); !errors.Is(err, ErrBrokenChain) {
+	if _, err := VerifyChain(c0, chain, plainVerify(nil)); !errors.Is(err, ErrBrokenChain) {
 		t.Fatalf("err = %v, want ErrBrokenChain", err)
 	}
 }
@@ -155,7 +224,7 @@ func TestReconfigUnderQuorumRejected(t *testing.T) {
 	c0, s0 := NewCommittee("cbc", 0, 1)
 	evil, _ := NewCommittee("evil", 1, 1)
 	chain := []Reconfig{NewReconfig(evil, 0, s0[:2])}
-	if _, err := VerifyChain(c0, chain, nil); err == nil {
+	if _, err := VerifyChain(c0, chain, plainVerify(nil)); err == nil {
 		t.Fatal("under-quorum reconfiguration accepted")
 	}
 }
@@ -168,7 +237,7 @@ func TestReconfigSubstitutedCommitteeRejected(t *testing.T) {
 	evil, _ := NewCommittee("evil", 1, 1)
 	rc := NewReconfig(c1, 0, s0[:3])
 	rc.Next = evil // swap the installed committee, keep the cert
-	if _, err := VerifyChain(c0, []Reconfig{rc}, nil); !errors.Is(err, ErrBrokenChain) {
+	if _, err := VerifyChain(c0, []Reconfig{rc}, plainVerify(nil)); !errors.Is(err, ErrBrokenChain) {
 		t.Fatalf("err = %v, want ErrBrokenChain", err)
 	}
 }
@@ -195,6 +264,12 @@ func TestQuickQuorumThreshold(t *testing.T) {
 func TestQuickTamperedCertificateNeverVerifies(t *testing.T) {
 	c, signers := NewCommittee("q", 0, 1)
 	base := MakeCertificate([]byte("statement"), 0, signers[:3])
+	// A memo that has accepted the genuine certificate must not vouch
+	// for any tampered copy of it.
+	memo := sig.NewMemo()
+	if err := base.VerifyWith(memo, c, nil); err != nil {
+		t.Fatal(err)
+	}
 	prop := func(sigIdx, byteIdx uint16, bit uint8) bool {
 		cert := Certificate{Epoch: base.Epoch, Statement: append([]byte(nil), base.Statement...)}
 		for _, s := range base.Sigs {
@@ -203,7 +278,7 @@ func TestQuickTamperedCertificateNeverVerifies(t *testing.T) {
 		i := int(sigIdx) % len(cert.Sigs)
 		j := int(byteIdx) % len(cert.Sigs[i].Sig)
 		cert.Sigs[i].Sig[j] ^= 1 << (bit % 8)
-		return cert.Verify(c, nil) != nil
+		return cert.Verify(c, nil) != nil && cert.VerifyWith(memo, c, nil) != nil
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

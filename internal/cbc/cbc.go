@@ -32,6 +32,7 @@ import (
 	"xdeal/internal/chain"
 	"xdeal/internal/escrow"
 	"xdeal/internal/gas"
+	"xdeal/internal/obs"
 	"xdeal/internal/sig"
 	"xdeal/internal/sim"
 )
@@ -99,11 +100,20 @@ type Block struct {
 	Hash     [32]byte
 	Time     sim.Time
 	Entries  []Entry
-	// Cert is the committee's quorum certificate over the block hash.
-	Cert bft.Certificate
 	// Reconfig, when non-nil, installs a new committee effective from
 	// the next block.
 	Reconfig *bft.Reconfig
+
+	// cert is the producing committee's quorum certificate over the
+	// block hash. Only a BlockProof ever shows it to a verifier, so the
+	// quorum signs when a proof first carries the block (CBC.certify),
+	// not at production: epoch and quorum are the producing
+	// committee's, whatever reconfigurations happened since, and
+	// signatures are deterministic, so the bytes are those an eager
+	// signing would have produced. quorum is nil once cert is built.
+	cert   bft.Certificate
+	epoch  int
+	quorum []bft.Signer
 }
 
 // digest computes the block hash over parent, height and entries.
@@ -129,6 +139,12 @@ type DealState struct {
 	// StartHeight/StartIndex locate the definitive startDeal entry.
 	StartHeight uint64
 	StartIndex  int
+
+	// statusCert is the validators' certificate over the decided status,
+	// signed on the first StatusProofFor and again only under a new
+	// committee: a decision is final and signatures are deterministic,
+	// so every claimant of one epoch is handed the same bytes.
+	statusCert *bft.Certificate
 }
 
 // StartHash computes the definitive hash of a startDeal entry from its
@@ -180,6 +196,8 @@ type CBC struct {
 	deals    map[string]*DealState
 	subs     map[int]func(*Block)
 	nextSub  int
+
+	certsSigned uint64 // quorum certificates signed (see RegisterMetrics)
 }
 
 // New creates a CBC with a fresh epoch-0 committee.
@@ -215,6 +233,17 @@ func (c *CBC) Committee() bft.Committee { return c.committee }
 
 // Meter returns the CBC's own gas meter (vote recording costs).
 func (c *CBC) Meter() *gas.Meter { return c.meter }
+
+// RegisterMetrics folds the service's signing work into a registry:
+// quorum certificates signed — status certificates, handovers, and the
+// block certificates a proof actually carried. Derived from simulation
+// state, so registering is side-effect free.
+func (c *CBC) RegisterMetrics(reg *obs.Registry) {
+	if reg == nil || c == nil {
+		return
+	}
+	reg.Counter("cbc.certificates_signed").Add(c.certsSigned)
+}
 
 // Height returns the number of blocks produced.
 func (c *CBC) Height() uint64 { return uint64(len(c.blocks)) }
@@ -281,15 +310,14 @@ func (c *CBC) produceBlock() {
 	if len(c.blocks) > 0 {
 		prev = c.blocks[len(c.blocks)-1].Hash
 	}
-	hash := blockDigest(height, prev, accepted)
-	quorum := c.signers[:c.committee.Quorum()]
 	b := &Block{
 		Height:   height,
 		PrevHash: prev,
-		Hash:     hash,
+		Hash:     blockDigest(height, prev, accepted),
 		Time:     c.sched.Now(),
 		Entries:  accepted,
-		Cert:     bft.MakeCertificate(hash[:], c.committee.Epoch, quorum),
+		epoch:    c.committee.Epoch,
+		quorum:   c.quorum(),
 	}
 	c.blocks = append(c.blocks, b)
 	c.meter.Charge(LabelCBC, gas.OpWrite, uint64(len(accepted)))
@@ -376,7 +404,8 @@ func (c *CBC) StartHash(id string) ([32]byte, bool) {
 // afterwards must walk the reconfiguration chain.
 func (c *CBC) Reconfigure() {
 	next, signers := bft.NewCommittee(c.cfg.Tag, c.committee.Epoch+1, c.cfg.F)
-	rc := bft.NewReconfig(next, c.committee.Epoch, c.signers[:c.committee.Quorum()])
+	rc := bft.NewReconfig(next, c.committee.Epoch, c.quorum())
+	c.certsSigned++
 	c.reconfigs = append(c.reconfigs, rc)
 	c.committee = next
 	c.signers = signers
@@ -414,15 +443,34 @@ func (c *CBC) StatusProofFor(id string) (StatusProof, error) {
 	if st.Status == escrow.StatusActive {
 		return StatusProof{}, fmt.Errorf("%w: %s", ErrUndecided, id)
 	}
-	stmt := StatementBytes(id, st.StartHash, st.Status)
+	if st.statusCert == nil || st.statusCert.Epoch != c.committee.Epoch {
+		cert := bft.MakeCertificate(StatementBytes(id, st.StartHash, st.Status), c.committee.Epoch, c.quorum())
+		c.certsSigned++
+		st.statusCert = &cert
+	}
 	return StatusProof{
 		Deal:      id,
 		StartHash: st.StartHash,
 		Status:    st.Status,
 		Reconfigs: append([]bft.Reconfig(nil), c.reconfigs...),
-		Cert:      bft.MakeCertificate(stmt, c.committee.Epoch, c.signers[:c.committee.Quorum()]),
+		Cert:      *st.statusCert,
 	}, nil
 }
+
+// certify has b's producing quorum sign it, the first time a proof
+// carries the block.
+func (c *CBC) certify(b *Block) {
+	if b.quorum == nil {
+		return
+	}
+	b.cert = bft.MakeCertificate(b.Hash[:], b.epoch, b.quorum)
+	b.quorum = nil
+	c.certsSigned++
+}
+
+// quorum returns the 2f+1 signers of the current committee that certify
+// on its behalf.
+func (c *CBC) quorum() []bft.Signer { return c.signers[:c.committee.Quorum()] }
 
 // BlockProof is the straightforward block-subsequence proof: every block
 // from the deal's start through the decisive vote, each certified.
@@ -456,6 +504,7 @@ func (c *CBC) BlockProofFor(id string) (BlockProof, error) {
 			}
 		}
 		if started {
+			c.certify(b)
 			span = append(span, b)
 		}
 		if b.Height == st.DecidedAt {

@@ -9,6 +9,7 @@ import (
 	"xdeal/internal/deal"
 	"xdeal/internal/escrow"
 	"xdeal/internal/gas"
+	"xdeal/internal/sig"
 	"xdeal/internal/sim"
 	"xdeal/internal/token"
 )
@@ -27,19 +28,27 @@ func newWorld(t *testing.T, f int) *world {
 	t.Helper()
 	sched := sim.NewScheduler()
 	rng := sim.NewRNG(11)
-	w := &world{
-		sched: sched,
-		cbc: New(Config{
-			Tag: "cbc", F: f, BlockInterval: 10,
-			Delays:   chain.SyncPolicy{Min: 1, Max: 3},
-			Schedule: gas.DefaultSchedule(),
-		}, sched, rng),
-		coin: token.NewFungible("coin", "bank"),
-	}
-	w.c = chain.New(chain.Config{
-		ID: "coinchain", BlockInterval: 10,
+	service := New(Config{
+		Tag: "cbc", F: f, BlockInterval: 10,
 		Delays:   chain.SyncPolicy{Min: 1, Max: 3},
 		Schedule: gas.DefaultSchedule(),
+	}, sched, rng)
+	return newWorldOn(sched, rng, service, "coinchain", nil)
+}
+
+// newWorldOn hosts one more asset chain, with its own coin and CBC
+// escrow manager, beside an existing CBC service.
+func newWorldOn(sched *sim.Scheduler, rng *sim.RNG, service *CBC, id chain.ID, memo *sig.Memo) *world {
+	w := &world{
+		sched: sched,
+		cbc:   service,
+		coin:  token.NewFungible("coin", "bank"),
+	}
+	w.c = chain.New(chain.Config{
+		ID: id, BlockInterval: 10,
+		Delays:     chain.SyncPolicy{Min: 1, Max: 3},
+		Schedule:   gas.DefaultSchedule(),
+		VerifyMemo: memo,
 	}, sched, rng)
 	w.mgr = NewManager(escrow.NewBook("coin", deal.Fungible))
 	w.c.MustDeploy("coin", w.coin)

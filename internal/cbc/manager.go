@@ -1,6 +1,7 @@
 package cbc
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -134,19 +135,14 @@ func verifyStatusProof(env *chain.Env, dealID string, info Info, p StatusProof, 
 	if p.Status != want {
 		return fmt.Errorf("%w: proof claims %s", ErrReplayConflict, p.Status)
 	}
-	var verifs int
-	final, err := bft.VerifyChain(info.Committee, p.Reconfigs, &verifs)
-	if err != nil {
-		env.MeterSigVerifications(verifs)
-		return err
-	}
-	err = p.Cert.Verify(final, &verifs)
-	env.MeterSigVerifications(verifs)
+	final, err := bft.VerifyChain(info.Committee, p.Reconfigs, env.VerifyCertificate)
 	if err != nil {
 		return err
 	}
-	wantStmt := StatementBytes(dealID, info.StartHash, want)
-	if string(p.Cert.Statement) != string(wantStmt) {
+	if err := env.VerifyCertificate(p.Cert, final); err != nil {
+		return err
+	}
+	if !bytes.Equal(p.Cert.Statement, StatementBytes(dealID, info.StartHash, want)) {
 		return fmt.Errorf("%w: certified statement mismatch", ErrBadProof)
 	}
 	return nil
@@ -170,20 +166,16 @@ func VerifyBlockProof(env *chain.Env, dealID string, info Info, p BlockProof, es
 	}
 
 	// Establish the committees available along the proof's span.
-	var verifs int
 	committees := map[int]bft.Committee{info.Committee.Epoch: info.Committee}
 	cur := info.Committee
 	for i, rc := range p.Reconfigs {
 		if rc.Next.Epoch != cur.Epoch+1 {
-			env.MeterSigVerifications(verifs)
 			return escrow.StatusUnknown, "", fmt.Errorf("%w: reconfig step %d", bft.ErrBrokenChain, i)
 		}
-		if err := rc.Cert.Verify(cur, &verifs); err != nil {
-			env.MeterSigVerifications(verifs)
+		if err := env.VerifyCertificate(rc.Cert, cur); err != nil {
 			return escrow.StatusUnknown, "", err
 		}
-		if string(rc.Cert.Statement) != string(rc.Next.Encode()) {
-			env.MeterSigVerifications(verifs)
+		if !bytes.Equal(rc.Cert.Statement, rc.Next.Encode()) {
 			return escrow.StatusUnknown, "", fmt.Errorf("%w: reconfig statement", bft.ErrBrokenChain)
 		}
 		committees[rc.Next.Epoch] = rc.Next
@@ -194,31 +186,25 @@ func VerifyBlockProof(env *chain.Env, dealID string, info Info, p BlockProof, es
 	// and hash-chain contiguity.
 	for i, b := range p.Blocks {
 		if blockDigest(b.Height, b.PrevHash, b.Entries) != b.Hash {
-			env.MeterSigVerifications(verifs)
 			return escrow.StatusUnknown, "", fmt.Errorf("%w: block %d digest", ErrBrokenBlocks, b.Height)
 		}
-		comm, ok := committees[b.Cert.Epoch]
+		comm, ok := committees[b.cert.Epoch]
 		if !ok {
-			env.MeterSigVerifications(verifs)
-			return escrow.StatusUnknown, "", fmt.Errorf("%w: block %d epoch %d unknown", ErrBrokenBlocks, b.Height, b.Cert.Epoch)
+			return escrow.StatusUnknown, "", fmt.Errorf("%w: block %d epoch %d unknown", ErrBrokenBlocks, b.Height, b.cert.Epoch)
 		}
-		if err := b.Cert.Verify(comm, &verifs); err != nil {
-			env.MeterSigVerifications(verifs)
+		if err := env.VerifyCertificate(b.cert, comm); err != nil {
 			return escrow.StatusUnknown, "", fmt.Errorf("block %d: %w", b.Height, err)
 		}
-		if string(b.Cert.Statement) != string(b.Hash[:]) {
-			env.MeterSigVerifications(verifs)
+		if !bytes.Equal(b.cert.Statement, b.Hash[:]) {
 			return escrow.StatusUnknown, "", fmt.Errorf("%w: block %d certifies wrong hash", ErrBrokenBlocks, b.Height)
 		}
 		if i > 0 {
 			prev := p.Blocks[i-1]
 			if b.Height != prev.Height+1 || b.PrevHash != prev.Hash {
-				env.MeterSigVerifications(verifs)
 				return escrow.StatusUnknown, "", fmt.Errorf("%w: gap before block %d", ErrBrokenBlocks, b.Height)
 			}
 		}
 	}
-	env.MeterSigVerifications(verifs)
 
 	// Locate the definitive startDeal: the first startDeal for this deal
 	// in the span whose position hash matches the registered one. (A

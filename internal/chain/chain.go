@@ -25,6 +25,7 @@ import (
 	"sort"
 	"sync"
 
+	"xdeal/internal/bft"
 	"xdeal/internal/feemarket"
 	"xdeal/internal/gas"
 	"xdeal/internal/sig"
@@ -184,6 +185,12 @@ type Config struct {
 	// Keys is the public keyring: every party's public key is known to
 	// all (§3), including to contracts, which need them to verify votes.
 	Keys map[string]ed25519.PublicKey
+	// VerifyMemo remembers the signatures contracts on this chain have
+	// already accepted, so a certificate or path prefix shown to many
+	// escrows is checked cryptographically once (see sig.Memo). Gas is
+	// still charged per verification. The engine shares one memo among
+	// all chains of a substrate; nil verifies every signature in full.
+	VerifyMemo *sig.Memo
 	// OutageFrom/OutageUntil model a denial-of-service window during
 	// which the chain produces no blocks (§5.3, §9): transactions queue
 	// in the mempool and execute once the outage lifts. Zero means no
@@ -856,18 +863,32 @@ func (e *Env) Read(n int) { e.meter.Charge(e.label, gas.OpRead, uint64(n)) }
 // Arith charges for n units of arithmetic / transient memory.
 func (e *Env) Arith(n int) { e.meter.Charge(e.label, gas.OpArith, uint64(n)) }
 
-// VerifySig verifies one signature, charging gas for it.
+// VerifySig verifies one signature, charging gas for it. Gas prices the
+// on-chain work (§7.1), so a verification the chain's memo answers costs
+// the same as one it computes.
 func (e *Env) VerifySig(pub ed25519.PublicKey, msg, s []byte) bool {
 	e.meter.Charge(e.label, gas.OpSigVerify, 1)
-	return sig.Verify(pub, msg, s)
+	return e.chain.cfg.VerifyMemo.Verify(pub, msg, s)
 }
 
 // VerifyPath verifies a path signature against the chain's keyring,
 // charging gas per signature verification performed.
 func (e *Env) VerifyPath(p sig.PathSig) error {
 	var n int
-	err := p.Verify(e.chain.cfg.Keys, &n)
+	err := p.VerifyWith(e.chain.cfg.VerifyMemo, e.chain.cfg.Keys, &n)
 	e.meter.Charge(e.label, gas.OpSigVerify, uint64(n))
+	return err
+}
+
+// VerifyCertificate verifies a quorum certificate against a committee,
+// charging gas per signature verification performed — up to and
+// including the one that fails, if any.
+func (e *Env) VerifyCertificate(cert bft.Certificate, committee bft.Committee) error {
+	var n int
+	err := cert.VerifyWith(e.chain.cfg.VerifyMemo, committee, &n)
+	if n > 0 { // a certificate rejected before any signature check costs none
+		e.meter.Charge(e.label, gas.OpSigVerify, uint64(n))
+	}
 	return err
 }
 
@@ -965,14 +986,5 @@ func (c *Chain) TestEnv(self Addr) *Env {
 		self:   self,
 		now:    c.sched.Now(),
 		height: c.height,
-	}
-}
-
-// MeterSigVerifications charges gas for n signature verifications that
-// were performed outside the Env helpers (e.g. BFT certificate checks
-// done by library code on the contract's behalf).
-func (e *Env) MeterSigVerifications(n int) {
-	if n > 0 {
-		e.meter.Charge(e.label, gas.OpSigVerify, uint64(n))
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"xdeal/internal/bft"
 	"xdeal/internal/feemarket"
 	"xdeal/internal/gas"
 	"xdeal/internal/sig"
@@ -319,6 +320,96 @@ func (p *pathVerifier) Invoke(env *Env, method string, args any) (any, error) {
 	}
 	p.ok = true
 	return nil, nil
+}
+
+// TestSharedVerifyMemoChargesEveryCheck: a depth-4 path signature shown
+// to three escrows on three chains that share a memo costs four real
+// verifications, and each escrow is still charged its own four.
+func TestSharedVerifyMemoChargesEveryCheck(t *testing.T) {
+	sched := sim.NewScheduler()
+	rng := sim.NewRNG(1)
+	names := []string{"alice", "bob", "carol", "dave"}
+	keys := make(map[string]ed25519.PublicKey)
+	pairs := make(map[string]sig.KeyPair)
+	for _, n := range names {
+		pairs[n] = sig.GenerateKeyPair(n)
+		keys[n] = pairs[n].Public
+	}
+	vote := sig.NewVote("D", "alice", pairs["alice"])
+	for _, n := range names[1:] {
+		vote = vote.Forward(n, pairs[n])
+	}
+
+	memo := sig.NewMemo()
+	var chains []*Chain
+	for _, id := range []ID{"c0", "c1", "c2"} {
+		c := New(Config{ID: id, Schedule: gas.DefaultSchedule(), Keys: keys, VerifyMemo: memo}, sched, rng)
+		verif := &pathVerifier{}
+		c.MustDeploy("escrow", verif)
+		c.Submit(&Tx{Sender: "x", Contract: "escrow", Method: "check", Args: vote, Label: "commit"})
+		chains = append(chains, c)
+	}
+	sched.Run()
+	var charged uint64
+	for _, c := range chains {
+		if got := c.Meter().CountByLabel("commit", gas.OpSigVerify); got != 4 {
+			t.Fatalf("chain %s charged %d verifications, want 4", c.ID(), got)
+		}
+		charged += c.Meter().Count(gas.OpSigVerify)
+	}
+	asked, hits := memo.Stats()
+	if charged != 12 || asked != 12 || asked-hits != 4 {
+		t.Fatalf("charged %d, asked %d, real %d; want 12, 12, 4", charged, asked, asked-hits)
+	}
+}
+
+type certVerifier struct {
+	committee bft.Committee
+}
+
+func (v *certVerifier) Invoke(env *Env, method string, args any) (any, error) {
+	return nil, env.VerifyCertificate(args.(bft.Certificate), v.committee)
+}
+
+// TestVerifyCertificateChargesChecksPerformed: gas covers exactly the
+// signature checks made — all 2f+1 of a valid certificate, those up to
+// and including the first bad signature, none for a certificate turned
+// away before any check — with or without a memo that has seen the
+// certificate before.
+func TestVerifyCertificateChargesChecksPerformed(t *testing.T) {
+	committee, signers := bft.NewCommittee("cbc", 0, 1)
+	valid := bft.MakeCertificate([]byte("stmt"), 0, signers[:3])
+	badSecond := bft.MakeCertificate([]byte("stmt"), 0, signers[:3])
+	badSecond.Sigs[1].Sig = signers[1].Sign([]byte("other"))
+	underQuorum := bft.MakeCertificate([]byte("stmt"), 0, signers[:2])
+
+	for _, memo := range []*sig.Memo{nil, sig.NewMemo()} {
+		sched := sim.NewScheduler()
+		c := New(Config{ID: "c", Schedule: gas.DefaultSchedule(), VerifyMemo: memo}, sched, sim.NewRNG(1))
+		c.MustDeploy("v", &certVerifier{committee: committee})
+		for _, tc := range []struct {
+			label string
+			cert  bft.Certificate
+			want  uint64
+			ok    bool
+		}{
+			{"valid", valid, 3, true},
+			{"valid-again", valid, 3, true},
+			{"bad-second", badSecond, 2, false},
+			{"under-quorum", underQuorum, 0, false},
+		} {
+			var rcpt *Receipt
+			c.Submit(&Tx{Sender: "x", Contract: "v", Method: "check", Args: tc.cert, Label: tc.label,
+				OnReceipt: func(r *Receipt) { rcpt = r }})
+			sched.Run()
+			if (rcpt.Err == nil) != tc.ok {
+				t.Fatalf("memo=%t %s: err = %v", memo != nil, tc.label, rcpt.Err)
+			}
+			if got := c.Meter().CountByLabel(tc.label, gas.OpSigVerify); got != tc.want {
+				t.Fatalf("memo=%t %s: charged %d verifications, want %d", memo != nil, tc.label, got, tc.want)
+			}
+		}
+	}
 }
 
 func TestGSTPolicyBoundsDelaysAfterGST(t *testing.T) {

@@ -129,9 +129,17 @@ type Substrate struct {
 	Sched  *sim.Scheduler
 	Chains map[chain.ID]*chain.Chain
 
-	cfg       SubstrateConfig
-	rng       *sim.RNG
-	pubs      map[string]ed25519.PublicKey
+	cfg  SubstrateConfig
+	rng  *sim.RNG
+	pubs map[string]ed25519.PublicKey
+	// memo is shared by every chain of the substrate, so a signature
+	// shown to many escrows of a deal (or of an arena) is checked
+	// cryptographically once; it lives and dies with this world. It is
+	// deliberately not process-wide: the generator reuses deal ids and
+	// party names across a population, and a global memo would score
+	// cross-deal hits a real deployment (deal id = nonce, §5) never sees.
+	memo      *sig.Memo
+	cbcs      []*cbc.CBC // every deal's CBC service, in build order
 	fungibles map[string]*token.Fungible
 	nfts      map[string]*token.NFT
 	managers  map[string]EscrowInspector
@@ -165,6 +173,10 @@ type SubstrateConfig struct {
 	Shards int
 }
 
+// newVerifyMemo makes each substrate's memo. It is a variable only so the
+// differential test can run whole populations without one (export_test.go).
+var newVerifyMemo = sig.NewMemo
+
 // NewSubstrate creates an empty shared world.
 func NewSubstrate(cfg SubstrateConfig) *Substrate {
 	if cfg.BlockInterval <= 0 {
@@ -179,6 +191,7 @@ func NewSubstrate(cfg SubstrateConfig) *Substrate {
 		cfg:       cfg,
 		rng:       sim.NewRNG(cfg.Seed ^ 0x9e3779b9),
 		pubs:      make(map[string]ed25519.PublicKey),
+		memo:      newVerifyMemo(),
 		fungibles: make(map[string]*token.Fungible),
 		nfts:      make(map[string]*token.NFT),
 		managers:  make(map[string]EscrowInspector),
@@ -207,6 +220,7 @@ type World struct {
 
 	opts Options
 	keys map[string]sig.KeyPair
+	memo *sig.Memo // the substrate's verified-signature memo
 
 	// outageBeyondDelta is the longest configured DoS window on any of
 	// this deal's chains that exceeds the spec's Δ — the condition under
@@ -284,6 +298,7 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 		Hedges:          make(map[string]*hedge.Manager),
 		opts:            opts,
 		keys:            make(map[string]sig.KeyPair),
+		memo:            s.memo,
 		initialFungible: make(map[chain.Addr]map[string]uint64),
 		initialTokens:   make(map[string]map[string]chain.Addr),
 		escrowedAt:      make(map[string]sim.Time),
@@ -322,6 +337,7 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 				Delays:        s.cfg.Delays,
 				Schedule:      gas.DefaultSchedule(),
 				Keys:          s.pubs,
+				VerifyMemo:    s.memo,
 				OutageFrom:    outage.From,
 				OutageUntil:   outage.Until,
 				MaxBlockTxs:   s.cfg.MaxBlockTxs,
@@ -450,6 +466,7 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 			OutageFrom:    opts.CBCOutage.From,
 			OutageUntil:   opts.CBCOutage.Until,
 		}, sched, s.rng)
+		s.cbcs = append(s.cbcs, w.CBC)
 	}
 
 	// Fund parties: each receives exactly its escrow obligations.

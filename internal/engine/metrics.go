@@ -6,19 +6,22 @@ import (
 	"xdeal/internal/chain"
 	"xdeal/internal/hedge"
 	"xdeal/internal/obs"
+	"xdeal/internal/sig"
 )
 
 // RegisterMetrics folds a world's substrate-level counters — chains,
-// fee markets, hedging pools — into a registry, walking components in
-// sorted-key order so the traversal itself is deterministic. Used for
-// isolated worlds; shared substrates register once through
-// Substrate.RegisterMetrics instead.
+// fee markets, hedging pools, signature work — into a registry, walking
+// components in sorted-key order so the traversal itself is
+// deterministic. Used for isolated worlds; shared substrates register
+// once through Substrate.RegisterMetrics instead.
 func (w *World) RegisterMetrics(reg *obs.Registry) {
 	if reg == nil || w == nil {
 		return
 	}
 	registerChains(reg, w.Chains)
 	registerHedges(reg, w.Hedges)
+	registerSigWork(reg, w.memo)
+	w.CBC.RegisterMetrics(reg)
 }
 
 // RegisterMetrics folds the shared substrate's counters into a
@@ -30,6 +33,19 @@ func (s *Substrate) RegisterMetrics(reg *obs.Registry) {
 	}
 	registerChains(reg, s.Chains)
 	registerHedges(reg, s.hedges)
+	registerSigWork(reg, s.memo)
+	for _, c := range s.cbcs {
+		c.RegisterMetrics(reg)
+	}
+}
+
+// registerSigWork reports what the deals' signature checks cost: how
+// many verifications contracts asked for (each charged as gas) and how
+// many of them the substrate's memo answered without running ed25519.
+func registerSigWork(reg *obs.Registry, memo *sig.Memo) {
+	verifications, hits := memo.Stats()
+	reg.Counter("sig.verifications").Add(verifications)
+	reg.Counter("sig.verify_memo_hits").Add(hits)
 }
 
 func registerChains(reg *obs.Registry, chains map[chain.ID]*chain.Chain) {

@@ -90,13 +90,25 @@ func TestObsDoesNotChangeReport(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			bare := renderedReport(t, tc.opts())
 			instrumented := tc.opts()
+			reg := obs.NewRegistry()
 			instrumented.Obs = &ObsOptions{
-				Metrics: obs.NewRegistry(),
+				Metrics: reg,
 				Flight:  obs.NewRecorder(0),
 				Stages:  obs.NewStageTimer(),
 			}
 			if got := renderedReport(t, instrumented); got != bare {
 				t.Fatalf("observability changed the report:\n--- bare ---\n%s\n--- instrumented ---\n%s", bare, got)
+			}
+			// The signature-work counters ride the same passive path:
+			// what the deals' checks cost, and how much of it the
+			// substrate memo and the CBC's sign-once caches absorbed.
+			asked := reg.Counter("sig.verifications").Value()
+			hits := reg.Counter("sig.verify_memo_hits").Value()
+			if asked == 0 || hits == 0 || hits >= asked {
+				t.Fatalf("sig.verifications = %d, sig.verify_memo_hits = %d; want 0 < hits < verifications", asked, hits)
+			}
+			if reg.Counter("cbc.certificates_signed").Value() == 0 {
+				t.Fatal("a mixed-protocol sweep reports no cbc.certificates_signed")
 			}
 		})
 	}

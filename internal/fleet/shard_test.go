@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"xdeal/internal/engine"
+	"xdeal/internal/obs"
 )
 
 // sweepJSON runs one sweep and renders its report as JSON bytes.
@@ -26,7 +27,9 @@ func sweepJSON(t *testing.T, opts Options) []byte {
 // contract: the shard count changes only which goroutine executes a
 // transaction, never any observable outcome, so arena sweep reports are
 // byte-for-byte identical at -shards 1, 4, and 16. Run under -race this
-// also exercises the parallel execute phase for data races.
+// also exercises the parallel execute phase for data races — including
+// the substrate's verify memo, which shards of one block consult
+// concurrently and whose counters must not depend on who got there first.
 func TestShardedArenaReportsByteIdentical(t *testing.T) {
 	base := Options{
 		Deals:   30,
@@ -34,17 +37,25 @@ func TestShardedArenaReportsByteIdentical(t *testing.T) {
 		Gen:     GenOptions{Seed: 7, Fees: &FeeOptions{}},
 	}
 	var want []byte
+	var wantAsked, wantHits uint64
 	for _, shards := range []int{1, 4, 16} {
 		opts := base
 		opts.Arena = &ArenaOptions{DealsPerArena: 15, Chains: 3, Shards: shards}
+		reg := obs.NewRegistry()
+		opts.Obs = &ObsOptions{Metrics: reg}
 		got := sweepJSON(t, opts)
+		asked, hits := reg.Counter("sig.verifications").Value(), reg.Counter("sig.verify_memo_hits").Value()
 		if want == nil {
-			want = got
+			want, wantAsked, wantHits = got, asked, hits
 			continue
 		}
 		if !bytes.Equal(want, got) {
 			t.Fatalf("arena report at shards=%d differs from shards=1 (%d vs %d bytes)",
 				shards, len(got), len(want))
+		}
+		if asked != wantAsked || hits != wantHits {
+			t.Fatalf("signature work at shards=%d is (%d asked, %d memo hits), at shards=1 (%d, %d)",
+				shards, asked, hits, wantAsked, wantHits)
 		}
 	}
 }

@@ -109,8 +109,7 @@ func (p *Party) cbcInfoOK(info any) bool {
 	if st == nil || !st.started || ci.StartHash != st.startHash {
 		return false
 	}
-	want := p.cfg.CBCHooks.CBC.InitialCommittee().Encode()
-	return string(ci.Committee.Encode()) == string(want)
+	return ci.Committee.Equal(p.cfg.CBCHooks.CBC.InitialCommittee())
 }
 
 // sendCBCVote publishes the party's vote on the CBC. Deviations: an

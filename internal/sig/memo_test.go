@@ -1,0 +1,199 @@
+package sig
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"sync"
+	"testing"
+)
+
+// realVerifications is how many of the checks asked of m ran ed25519.
+func realVerifications(m *Memo) uint64 {
+	verifications, hits := m.Stats()
+	return verifications - hits
+}
+
+func flipBit(b []byte) []byte {
+	out := append([]byte(nil), b...)
+	out[len(out)/2] ^= 0x10
+	return out
+}
+
+func TestMemoNeverAcceptsWhatVerifyRejects(t *testing.T) {
+	kp := GenerateKeyPair("alice")
+	other := GenerateKeyPair("bob")
+	msg := []byte("the certified statement")
+	s := kp.Sign(msg)
+
+	m := NewMemo()
+	for i := 0; i < 2; i++ {
+		if !m.Verify(kp.Public, msg, s) {
+			t.Fatalf("valid signature rejected on check %d", i)
+		}
+	}
+	if v, hits := m.Stats(); v != 2 || hits != 1 {
+		t.Fatalf("stats after two checks of one triple = (%d, %d), want (2, 1)", v, hits)
+	}
+
+	// One accepted triple must not vouch for any neighbour of it, and a
+	// rejection must not be remembered: each is re-checked, and rejected,
+	// every time.
+	for name, triple := range map[string][3][]byte{
+		"flipped signature bit": {kp.Public, msg, flipBit(s)},
+		"flipped message bit":   {kp.Public, flipBit(msg), s},
+		"another key":           {other.Public, msg, s},
+		"short key":             {kp.Public[:10], msg, s},
+	} {
+		for i := 0; i < 2; i++ {
+			if m.Verify(triple[0], triple[1], triple[2]) {
+				t.Fatalf("%s accepted on check %d", name, i)
+			}
+		}
+	}
+	if len(m.accepted) != 1 {
+		t.Fatalf("memo holds %d triples, want only the accepted one", len(m.accepted))
+	}
+	if v, hits := m.Stats(); v != 10 || hits != 1 {
+		t.Fatalf("stats = (%d, %d), want (10, 1): rejections are never hits", v, hits)
+	}
+}
+
+// TestHashMatchesStreamedEncoding pins Hash's input format — 8-byte
+// big-endian length, then the part — on inputs that fit its stack buffer
+// and on one that does not.
+func TestHashMatchesStreamedEncoding(t *testing.T) {
+	for _, parts := range [][][]byte{
+		{},
+		{nil, []byte("a")},
+		{bytes.Repeat([]byte{1}, 32), []byte("statement"), bytes.Repeat([]byte{2}, 64)},
+		{[]byte("short"), bytes.Repeat([]byte{7}, 1000)},
+	} {
+		h := sha256.New()
+		for _, p := range parts {
+			var n [8]byte
+			binary.BigEndian.PutUint64(n[:], uint64(len(p)))
+			h.Write(n[:])
+			h.Write(p)
+		}
+		if got := Hash(parts...); !bytes.Equal(got[:], h.Sum(nil)) {
+			t.Fatalf("Hash of %d parts differs from the streamed encoding", len(parts))
+		}
+	}
+}
+
+func TestNilMemoVerifiesPlainly(t *testing.T) {
+	kp := GenerateKeyPair("alice")
+	s := kp.Sign([]byte("m"))
+	var m *Memo
+	if !m.Verify(kp.Public, []byte("m"), s) || m.Verify(kp.Public, []byte("n"), s) {
+		t.Fatal("nil memo does not behave like Verify")
+	}
+	if v, hits := m.Stats(); v != 0 || hits != 0 {
+		t.Fatalf("nil memo stats = (%d, %d), want zeros", v, hits)
+	}
+}
+
+// TestMemoVerifiesPathPrefixOnce: a vote forwarded hop by hop is shown
+// to a contract as p, p·q, p·q·r, …; with a memo each signature is
+// checked cryptographically once while every check is still counted.
+func TestMemoVerifiesPathPrefixOnce(t *testing.T) {
+	kps, pubs := keyring("a", "b", "c", "d")
+	m := NewMemo()
+	vote := NewVote("D", "a", kps["a"])
+	asked := 0
+	for _, hop := range []string{"", "b", "c", "d"} {
+		if hop != "" {
+			vote = vote.Forward(hop, kps[hop])
+		}
+		if err := vote.VerifyWith(m, pubs, &asked); err != nil {
+			t.Fatalf("path of length %d: %v", vote.Len(), err)
+		}
+	}
+	if asked != 1+2+3+4 {
+		t.Fatalf("verifications counted = %d, want 10", asked)
+	}
+	if got := realVerifications(m); got != 4 {
+		t.Fatalf("real verifications = %d, want one per distinct signature = 4", got)
+	}
+
+	// A forged last hop is still caught behind a fully memoised prefix.
+	forged := vote.Clone()
+	forged.Sigs[3] = flipBit(forged.Sigs[3])
+	if err := forged.VerifyWith(m, pubs, nil); err == nil {
+		t.Fatal("forged hop accepted behind a memoised prefix")
+	}
+}
+
+// TestMemoConcurrentUse hammers one memo from 16 goroutines (run under
+// -race) and checks the counters come out as if the checks had been made
+// one at a time: every repeat of an accepted triple is a hit.
+func TestMemoConcurrentUse(t *testing.T) {
+	const goroutines, distinct, rounds = 16, 8, 4
+	kp := GenerateKeyPair("alice")
+	msgs := make([][]byte, distinct)
+	sigs := make([][]byte, distinct)
+	for i := range msgs {
+		msgs[i] = []byte(fmt.Sprintf("statement %d", i))
+		sigs[i] = kp.Sign(msgs[i])
+	}
+	m := NewMemo()
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for i := range msgs {
+					if !m.Verify(kp.Public, msgs[i], sigs[i]) {
+						t.Error("valid signature rejected")
+					}
+					if m.Verify(kp.Public, msgs[i], sigs[(i+1)%distinct]) {
+						t.Error("mismatched signature accepted")
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	valid := uint64(goroutines * rounds * distinct)
+	if v, hits := m.Stats(); v != 2*valid || hits != valid-distinct {
+		t.Fatalf("stats = (%d, %d), want (%d, %d)", v, hits, 2*valid, valid-distinct)
+	}
+}
+
+func TestGenerateKeyPairConcurrent(t *testing.T) {
+	const goroutines = 16
+	seeds := []string{"race/a", "race/b", "race/c"}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, seed := range seeds {
+				if got := GenerateKeyPair(seed); !bytes.Equal(got.Public, deriveKeyPair(seed).Public) {
+					t.Errorf("GenerateKeyPair(%q) differs from a fresh derivation", seed)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+func TestKeyTableStopsAdmittingWhenFull(t *testing.T) {
+	tab := newKeyTable(2)
+	for _, seed := range []string{"a", "b", "c", "d", "c"} {
+		got, want := tab.get(seed), deriveKeyPair(seed)
+		if !bytes.Equal(got.Public, want.Public) {
+			t.Fatalf("seed %q: key differs from a fresh derivation", seed)
+		}
+		msg := []byte("m")
+		if !Verify(want.Public, msg, got.Sign(msg)) {
+			t.Fatalf("seed %q: private half does not match", seed)
+		}
+	}
+	if len(tab.pairs) != 2 {
+		t.Fatalf("table holds %d entries, want it capped at 2", len(tab.pairs))
+	}
+}

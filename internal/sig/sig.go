@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // KeyPair holds an Ed25519 key pair for a party or validator.
@@ -27,14 +28,55 @@ type KeyPair struct {
 
 // GenerateKeyPair derives a key pair deterministically from a seed string.
 // Deterministic keys keep simulations reproducible; the seed plays the
-// role of the party's identity secret.
-func GenerateKeyPair(seed string) KeyPair {
+// role of the party's identity secret. Being a pure function of the seed,
+// each identity is derived once per process and served from a table
+// afterwards; the returned key material is shared and must not be
+// modified.
+func GenerateKeyPair(seed string) KeyPair { return keyPairs.get(seed) }
+
+func deriveKeyPair(seed string) KeyPair {
 	h := sha256.Sum256([]byte("xdeal/keyseed/" + seed))
 	priv := ed25519.NewKeyFromSeed(h[:])
 	return KeyPair{
 		Public:  priv.Public().(ed25519.PublicKey),
 		private: priv,
 	}
+}
+
+// keyTableCap bounds the key-pair table: a population sweep reuses a few
+// hundred party and validator identities, and a stream of fresh ones
+// must not grow the process.
+const keyTableCap = 4096
+
+var keyPairs = newKeyTable(keyTableCap)
+
+// keyTable remembers derived key pairs by seed, for any number of
+// goroutines. Once it holds max entries it admits no more and later
+// seeds are derived on every call.
+type keyTable struct {
+	mu    sync.Mutex
+	max   int
+	pairs map[string]KeyPair
+}
+
+func newKeyTable(max int) *keyTable {
+	return &keyTable{max: max, pairs: make(map[string]KeyPair)}
+}
+
+func (t *keyTable) get(seed string) KeyPair {
+	t.mu.Lock()
+	kp, ok := t.pairs[seed]
+	t.mu.Unlock()
+	if ok {
+		return kp
+	}
+	kp = deriveKeyPair(seed)
+	t.mu.Lock()
+	if len(t.pairs) < t.max {
+		t.pairs[seed] = kp
+	}
+	t.mu.Unlock()
+	return kp
 }
 
 // Sign signs msg with the private key.
@@ -50,19 +92,84 @@ func Verify(pub ed25519.PublicKey, msg, sig []byte) bool {
 	return ed25519.Verify(pub, msg, sig)
 }
 
+// Memo remembers the (key, message, signature) triples Verify has
+// accepted, so one world checks each distinct signature
+// cryptographically once however many contracts are shown it: the same
+// 2f+1 certificate at every escrow of a deal, the prefix p of a path
+// signature p·q at every hop. Only acceptances are recorded — a rejected
+// or tampered triple is verified for real every time — so a memo never
+// accepts what Verify would reject. Triples are kept as
+// Hash(pub, msg, sig), whose length prefixes keep distinct triples
+// distinct. It is safe for concurrent use, and a nil *Memo verifies
+// plainly.
+type Memo struct {
+	mu            sync.Mutex
+	accepted      map[[32]byte]struct{}
+	verifications uint64
+	hits          uint64
+}
+
+// NewMemo returns an empty memo.
+func NewMemo() *Memo {
+	return &Memo{accepted: make(map[[32]byte]struct{})}
+}
+
+// Verify reports whether sig is a valid signature of msg under pub,
+// running the signature scheme only for triples not accepted before.
+func (m *Memo) Verify(pub ed25519.PublicKey, msg, sig []byte) bool {
+	if m == nil {
+		return Verify(pub, msg, sig)
+	}
+	key := Hash(pub, msg, sig)
+	m.mu.Lock()
+	m.verifications++
+	_, hit := m.accepted[key]
+	if hit {
+		m.hits++
+	}
+	m.mu.Unlock()
+	if hit {
+		return true
+	}
+	if !Verify(pub, msg, sig) {
+		return false
+	}
+	m.mu.Lock()
+	if _, raced := m.accepted[key]; raced {
+		// Another goroutine accepted the same triple meanwhile. Count
+		// it as the hit it would have been one at a time, so the
+		// counters do not depend on goroutine timing.
+		m.hits++
+	} else {
+		m.accepted[key] = struct{}{}
+	}
+	m.mu.Unlock()
+	return true
+}
+
+// Stats returns how many verifications were asked of the memo and how
+// many of them it answered without running the signature scheme.
+func (m *Memo) Stats() (verifications, hits uint64) {
+	if m == nil {
+		return 0, 0
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.verifications, m.hits
+}
+
 // Hash returns the SHA-256 hash of the concatenation of parts, with
 // length-prefixing so distinct part boundaries produce distinct inputs.
 func Hash(parts ...[]byte) [32]byte {
-	h := sha256.New()
-	var lenBuf [8]byte
+	// Most inputs — a key, a digest and a signature; a handful of short
+	// strings — encode into a stack buffer and hash without allocating.
+	var stack [256]byte
+	buf := stack[:0]
 	for _, p := range parts {
-		binary.BigEndian.PutUint64(lenBuf[:], uint64(len(p)))
-		h.Write(lenBuf[:])
-		h.Write(p)
+		buf = binary.BigEndian.AppendUint64(buf, uint64(len(p)))
+		buf = append(buf, p...)
 	}
-	var out [32]byte
-	copy(out[:], h.Sum(nil))
-	return out
+	return sha256.Sum256(buf)
 }
 
 // HashStrings is Hash over string parts.
@@ -138,6 +245,13 @@ var (
 // per signature verification performed, letting callers meter gas the way
 // §7.1 counts cost.
 func (p PathSig) Verify(keys map[string]ed25519.PublicKey, verifications *int) error {
+	return p.VerifyWith(nil, keys, verifications)
+}
+
+// VerifyWith is Verify with each signature checked through memo (nil
+// verifies plainly). verifications counts every check the contract asked
+// for, memoised or not.
+func (p PathSig) VerifyWith(memo *Memo, keys map[string]ed25519.PublicKey, verifications *int) error {
 	if len(p.Signers) == 0 {
 		return ErrEmptyPath
 	}
@@ -163,7 +277,7 @@ func (p PathSig) Verify(keys map[string]ed25519.PublicKey, verifications *int) e
 		if verifications != nil {
 			*verifications++
 		}
-		if !Verify(pub, msg, p.Sigs[i]) {
+		if !memo.Verify(pub, msg, p.Sigs[i]) {
 			return fmt.Errorf("%w: position %d (%s)", ErrInvalidSignature, i, signer)
 		}
 		msg = p.Sigs[i] // next signature covers this one
