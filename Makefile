@@ -20,14 +20,11 @@ vet:
 
 # Refresh the committed throughput snapshot for the given PR number
 # (make bench-snapshot PR=10 writes BENCH_pr10.json). Wall-clock,
-# stage, and allocation fields vary by machine, worker count, and shard
-# count; the latency/gas percentiles are seed-deterministic. SHARDS
-# parallelizes block execution (reports stay byte-identical; speedups
-# need real cores).
+# stage, and allocation fields vary by machine and worker count; the
+# latency/gas percentiles are seed-deterministic.
 PR ?= 10
-SHARDS ?= 4
 bench-snapshot:
-	$(GO) run ./cmd/dealsweep -deals 512 -workers 0 -shards $(SHARDS) -seed 7 -bench-json > BENCH_pr$(PR).json
+	$(GO) run ./cmd/dealsweep -deals 512 -workers 0 -seed 7 -bench-json > BENCH_pr$(PR).json
 	@cat BENCH_pr$(PR).json
 
 # CI's allocation-budget gate: fail if the block-production hot path

@@ -521,41 +521,10 @@ func BenchmarkMicroSchedulerWheelVsHeap(b *testing.B) {
 	}
 }
 
-// Sharded arena throughput: the same population at -shards 1/4/16.
-// Reports stay byte-identical (TestShardedArenaReportsByteIdentical);
-// this measures what the parallel execute phase buys. On a single-CPU
-// runner the sharded rows mostly price the goroutine fan-out overhead;
-// speedups need real cores.
-func BenchmarkArenaThroughputSharded(b *testing.B) {
-	for _, shards := range []int{1, 4, 16} {
-		shards := shards
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			const deals = 48
-			for i := 0; i < b.N; i++ {
-				rep, err := xdeal.Sweep(xdeal.SweepOptions{
-					Deals:   deals,
-					Workers: 4,
-					Gen: xdeal.GenOptions{
-						Seed: 7, Protocol: "timelock", AdversaryRate: 0.3,
-					},
-					Arena: &xdeal.ArenaOptions{
-						DealsPerArena: 24, Chains: 4, Shards: shards,
-					},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				_ = rep
-			}
-			b.ReportMetric(float64(deals*b.N)/b.Elapsed().Seconds(), "deals/s")
-		})
-	}
-}
-
 // Allocation profile of the block-production hot path, measured through
-// a whole isolated sweep so mempool recycling, receipt slabs, and the
-// string-free digest all show up. bytes/deal is the number the CI
-// allocation-budget gate holds a ceiling over.
+// a whole isolated sweep so mempool recycling and receipt slabs show
+// up. bytes/deal is the number the CI allocation-budget gate holds a
+// ceiling over.
 func BenchmarkSweepAllocs(b *testing.B) {
 	const deals = 64
 	b.ReportAllocs()

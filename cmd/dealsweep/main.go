@@ -111,7 +111,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	dosRate := fs.Float64("dos-rate", 0.15, "probability a run includes a DoS outage window [0, 1] (isolated mode)")
 	maxParties := fs.Int("max-parties", 6, "largest generated deal size")
 	serializeRounds := fs.Bool("serialize-rounds", false, "gate each party's rounds strictly (escrow confirm before transfers, transfers before votes) instead of pipelining; same seeds generate the same deals either way")
-	shards := fs.Int("shards", 1, "execute each block's transactions across this many goroutines per chain; reports are byte-identical to -shards 1")
 	jsonOut := fs.Bool("json", false, "emit the report as JSON instead of tables")
 	benchJSON := fs.Bool("bench-json", false, "emit a throughput snapshot (deals/sec, p99 decision latency) as JSON instead of the report")
 	replayIndex := fs.Int("replay", -1, "re-run this deal index from the sweep in full detail")
@@ -162,9 +161,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *deals < 0 {
 		return fail("-deals must be non-negative")
-	}
-	if *shards < 1 {
-		return fail("-shards must be positive, got %d", *shards)
 	}
 	if *jsonOut && *benchJSON {
 		return fail("-json and -bench-json are mutually exclusive")
@@ -227,7 +223,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		DoSRate:         *dosRate,
 		MaxParties:      *maxParties,
 		SerializeRounds: *serializeRounds,
-		Shards:          *shards,
 	}
 	if *feeMarket {
 		gen.Fees = &fleet.FeeOptions{BaseFee: *baseFee, TipBudget: *tipBudget}
@@ -243,7 +238,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Chains:        *chains,
 			Volatility:    *volatility,
 			Baselines:     !*noBaselines,
-			Shards:        *shards,
 		}
 		if *bundleMode {
 			opts.Arena.Bundles = true
@@ -431,14 +425,14 @@ func writeSnapshot(path string, write func(io.Writer) error) error {
 // emits: population shape, wall-clock throughput, the deterministic
 // latency/gas percentiles of the same report the normal modes render,
 // and (schema v2) the wall-clock stage breakdown plus allocation
-// counters; schema v3 adds the shard count. Throughput, stage, and
-// memory fields depend on the machine, worker count, and shard count;
-// every other field depends only on (seed, deals, generator flags).
+// counters; schema v4 drops v3's shard count along with sharded
+// execution. Throughput, stage, and memory fields depend on the machine
+// and worker count; every other field depends only on (seed, deals,
+// generator flags).
 type benchSnapshot struct {
 	Schema           int                `json:"schema"`
 	Deals            int                `json:"deals"`
 	Workers          int                `json:"workers"`
-	Shards           int                `json:"shards"`
 	Seed             uint64             `json:"seed"`
 	Arena            bool               `json:"arena"`
 	ElapsedSec       float64            `json:"elapsed_sec"`
@@ -456,15 +450,10 @@ func writeBenchSnapshot(w io.Writer, rep *fleet.Report, opts fleet.Options, elap
 	if workers == 0 {
 		workers = runtime.NumCPU()
 	}
-	shards := opts.Gen.Shards
-	if shards == 0 {
-		shards = 1
-	}
 	snap := benchSnapshot{
-		Schema:           3,
+		Schema:           4,
 		Deals:            opts.Deals,
 		Workers:          workers,
-		Shards:           shards,
 		Seed:             opts.Gen.Seed,
 		Arena:            opts.Arena != nil,
 		ElapsedSec:       elapsedSec,

@@ -200,17 +200,14 @@ func TestBenchSnapshotJSON(t *testing.T) {
 	if err := json.Unmarshal(stdout.Bytes(), &snap); err != nil {
 		t.Fatalf("snapshot is not valid JSON: %v\n%s", err, stdout.String())
 	}
-	if snap.Schema != 3 {
-		t.Fatalf("snapshot schema = %d, want 3", snap.Schema)
+	if snap.Schema != 4 {
+		t.Fatalf("snapshot schema = %d, want 4", snap.Schema)
 	}
 	if snap.Deals != 16 || snap.Seed != 3 {
 		t.Fatalf("snapshot does not record its flags: %+v", snap)
 	}
 	if snap.Workers <= 0 {
 		t.Fatalf("effective worker count must be positive, got %d", snap.Workers)
-	}
-	if snap.Shards != 1 {
-		t.Fatalf("effective shard count should default to 1, got %d", snap.Shards)
 	}
 	if snap.ElapsedSec <= 0 || snap.DealsPerSec <= 0 {
 		t.Fatalf("throughput fields must be positive: %+v", snap)

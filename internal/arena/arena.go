@@ -98,11 +98,6 @@ type Options struct {
 	// tallies. Collection is post-hoc and purely derived, so attaching
 	// a registry never changes the simulation.
 	Metrics *obs.Registry
-	// Shards > 1 executes each sealed block's transactions in parallel
-	// across that many goroutines per shared chain (see
-	// chain.Config.Shards). Reports are byte-identical to the serial
-	// default of 1 — the knob trades cores for wall-clock only.
-	Shards int
 }
 
 func (o *Options) defaults() error {
@@ -325,7 +320,6 @@ func Run(opts Options, pop []DealSetup) (*Result, error) {
 		FeeMarket:     opts.feeConfig(),
 		Hedge:         opts.hedgeParams(),
 		Bundles:       opts.Bundles,
-		Shards:        opts.Shards,
 	})
 	market := NewMarket(sub.Sched, sim.Mix64(opts.Seed^0xa5a5a5a5), opts.PriceTick, opts.Volatility)
 
@@ -643,7 +637,6 @@ func runBaselines(opts Options, pop []DealSetup, res *Result) {
 			MaxBlockTxs:   opts.MaxBlockTxs,
 			FeeMarket:     opts.feeConfig(),
 			Bundles:       opts.Bundles,
-			Shards:        opts.Shards,
 		})
 		market := NewMarket(sub.Sched, sim.Mix64(opts.Seed^0xa5a5a5a5), opts.PriceTick, opts.Volatility)
 		hooks := &party.AdaptiveHooks{Oracle: market}

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"xdeal/internal/bundle"
-	"xdeal/internal/sig"
 	"xdeal/internal/sim"
 )
 
@@ -313,21 +312,26 @@ func (c *Chain) readyBundles() []*pendingBundle {
 	return ready
 }
 
-// produceAuctionBlock builds one block on a bundled chain: winner
-// determination over the arrived bundles plus the loose mempool
-// (greedy density, arrival-seq tie-break, all-or-nothing, FIFO revenue
-// floor — see internal/bundle), then execution in inclusion order. A
-// winning bundle's transactions execute in submission order and split
-// its aggregate bid across their fee charges (remainder on the first),
-// so the fee ledger's take equals the bid exactly. Deferred bundles
-// stay queued intact, with their loss streaks and deferral counts
-// advanced; deferred loose transactions stay in the mempool.
-func (c *Chain) produceAuctionBlock() {
+// auction carries one block's bundle auction from selection to the
+// bookkeeping seal slots in after execution: the record under
+// construction and the bundles that competed.
+type auction struct {
+	rec   *AuctionRecord
+	ready []*pendingBundle
+}
+
+// selectAuction picks a block on a bundled chain: winner determination
+// over the arrived bundles plus the loose mempool (greedy density,
+// arrival-seq tie-break, all-or-nothing, FIFO revenue floor — see
+// internal/bundle). A winning bundle's transactions are included in
+// submission order and split its aggregate bid across their fee charges
+// (remainder on the first), so the fee ledger's take equals the bid
+// exactly. Deferred bundles stay queued intact with their deferral
+// counts advanced; deferred loose transactions stay in the mempool.
+// Every deferral in an auction block is a displacement by winning bids.
+func (c *Chain) selectAuction() ([]inclusion, *auction) {
 	ready := c.readyBundles()
 	loose := c.mempool
-	if len(ready) == 0 && len(loose) == 0 {
-		return
-	}
 	cands := make([]bundle.Candidate, 0, len(ready)+len(loose))
 	for _, b := range ready {
 		cands = append(cands, bundle.Candidate{
@@ -339,166 +343,123 @@ func (c *Chain) produceAuctionBlock() {
 	}
 	out := bundle.SelectWinners(c.cfg.MaxBlockTxs, cands)
 	if len(out.Winners) == 0 {
-		return // nothing fits (e.g. only in-flight work); retry next block
+		return nil, nil
 	}
 
 	// Assemble the block in inclusion order, with each transaction's
 	// fee charge precomputed (bundle bids split per transaction).
-	c.height++
-	now := c.sched.Now()
-	baseFee := c.fees.BaseFee()
 	rec := &AuctionRecord{
-		Chain: c.cfg.ID, Height: c.height, Time: now,
-		Capacity: c.cfg.MaxBlockTxs,
-		Revenue:  out.Revenue, FIFORevenue: out.FIFORevenue,
+		Chain: c.cfg.ID, Capacity: c.cfg.MaxBlockTxs,
+		Revenue: out.Revenue, FIFORevenue: out.FIFORevenue,
 	}
-	type charge struct {
-		tx  *Tx
-		tip uint64
-	}
-	var block []charge
-	wonBundle := make(map[*pendingBundle]bool)
-	looseIncluded := make(map[*Tx]bool)
+	block := c.blockBuf[:0]
+	looseWon := make([]bool, len(loose))
 	for _, i := range out.Winners {
-		if i < len(ready) {
-			b := ready[i]
-			wonBundle[b] = true
-			txs := append([]*Tx(nil), b.txs...)
-			sort.Slice(txs, func(x, y int) bool { return txs[x].seq < txs[y].seq })
-			bid := b.bid()
-			share := bid / uint64(len(txs))
-			first := bid - share*uint64(len(txs)-1)
-			for j, tx := range txs {
-				tip := share
-				if j == 0 {
-					tip = first
-				}
-				block = append(block, charge{tx: tx, tip: tip})
-			}
-			rec.Winners = append(rec.Winners, c.fate(b))
-		} else {
+		if i >= len(ready) {
 			tx := loose[i-len(ready)]
-			looseIncluded[tx] = true
-			block = append(block, charge{tx: tx, tip: tx.Tip})
+			looseWon[i-len(ready)] = true
+			block = append(block, inclusion{tx: tx, tip: tx.Tip})
 			rec.LooseIncluded++
+			continue
 		}
-	}
-
-	// Advance the bundle queues and deferral counts. Loss streaks move
-	// only after execution: a winning bundle's transactions (a hedge
-	// bind pricing its premium, say) must read the streak the deal
-	// realized *before* this inclusion — the consecutive losses it just
-	// suffered — not the reset this win is about to apply.
-	// Every deferral in an auction block is a displacement by winning
-	// bids; the marginal (last-included) charge names the outbidder for
-	// causal attribution.
-	var marginal Addr
-	if len(block) > 0 {
-		marginal = block[len(block)-1].tx.Sender
-	}
-	inAuction := make(map[string]bool)
-	dealWon := make(map[string]bool)
-	for _, b := range ready {
-		inAuction[b.deal] = true
-		if wonBundle[b] {
-			// The won bundle stays registered as the deal's last open
-			// bundle: the next routed transaction finds it, sees won,
-			// and opens a successor inheriting its standing quote and
-			// deadline — so escalation (a griefer's raise, a deadline
-			// bidder's climb) carries across wins on every path.
-			b.won = true
-			dealWon[b.deal] = true
-		} else {
-			b.defers++
-			for _, tx := range b.txs {
-				tx.deferrals++
-				tx.pricedOut = true
-				tx.outbidBy = marginal
+		// The won bundle stays registered as the deal's last open
+		// bundle: the next routed transaction finds it, sees won, and
+		// opens a successor inheriting its standing quote and deadline —
+		// so escalation (a griefer's raise, a deadline bidder's climb)
+		// carries across wins on every path.
+		b := ready[i]
+		b.won = true
+		sort.Slice(b.txs, func(x, y int) bool { return b.txs[x].seq < b.txs[y].seq })
+		bid := b.bid()
+		share := bid / uint64(len(b.txs))
+		first := bid - share*uint64(len(b.txs)-1)
+		for j, tx := range b.txs {
+			tip := share
+			if j == 0 {
+				tip = first
 			}
-			rec.Deferred = append(rec.Deferred, c.fate(b))
+			block = append(block, inclusion{tx: tx, tip: tip})
 		}
+		rec.Winners = append(rec.Winners, c.fate(b))
 	}
+	c.blockBuf = block[:0]
+
+	// Advance the bundle queue and the deferral counts; the marginal
+	// (last-included) transaction names the outbidder for causal
+	// attribution.
+	marginal := block[len(block)-1].tx.Sender
 	keep := c.bundles[:0]
 	for _, b := range c.bundles {
-		if !b.won {
-			keep = append(keep, b)
+		if b.won {
+			continue
 		}
+		keep = append(keep, b)
+		if len(b.txs) == 0 {
+			continue // nothing arrived yet: not in this auction
+		}
+		b.defers++
+		for _, tx := range b.txs {
+			displace(tx, marginal)
+		}
+		rec.Deferred = append(rec.Deferred, c.fate(b))
 	}
 	c.bundles = keep
-	c.mempool = nil
-	for _, tx := range loose {
-		if !looseIncluded[tx] {
-			tx.deferrals++
-			tx.pricedOut = true
-			tx.outbidBy = marginal
+	c.mempool = c.mpFree[:0]
+	for i, tx := range loose {
+		if !looseWon[i] {
+			displace(tx, marginal)
 			c.mempool = append(c.mempool, tx)
 		}
 	}
+	c.mpFree = loose[:0]
+	return block, &auction{rec: rec, ready: ready}
+}
 
-	// Execution goes through the same includeTx path as the plain
-	// builder, with the bundle's bid share standing in for the tip.
-	var digest []byte
-	var blockEvents []Event
-	included := make([]string, 0, len(block))
-	for _, ch := range block {
-		tx := ch.tx
-		rcpt := c.includeTx(tx, now, baseFee, ch.tip)
-		included = append(included, tx.Label)
-		digest = append(digest, []byte(tx.Contract+"/"+Addr(tx.Method))...)
-		if rcpt.pending != nil {
-			blockEvents = append(blockEvents, rcpt.pending...)
+// displace marks one lost auction on tx: deferred by winning bids, the
+// last of which came from by.
+func displace(tx *Tx, by Addr) {
+	tx.deferrals++
+	tx.pricedOut = true
+	tx.outbidBy = by
+}
+
+// closeAuction runs once the auction's block has executed: it rolls the
+// per-deal loss streaks — a win clears the deal's streak, an auction
+// lost with no win in the same block extends it — and hands the record
+// to the auction observers. Streaks move only now because a winning
+// bundle's transactions (a hedge bind pricing its premium, say) must
+// read the streak the deal realized *before* this inclusion — the
+// consecutive losses it just suffered — not the reset this win applies.
+func (c *Chain) closeAuction(auc *auction, now sim.Time) {
+	rolled := make(map[string]bool, len(auc.ready))
+	for _, b := range auc.ready {
+		if b.won {
+			delete(c.bundleStreak, b.deal)
+			rolled[b.deal] = true
 		}
 	}
-	c.fees.Seal(len(block))
-	c.lastHash = sig.Hash(c.lastHash[:], digest)
-
-	// Now that the block has executed, roll the per-deal loss streaks:
-	// a win clears the deal's streak, an auction lost with no win in
-	// the same block extends it. Deterministic order (sorted deals).
-	streaked := make([]string, 0, len(inAuction))
-	for deal := range inAuction {
-		if dealWon[deal] {
-			delete(c.bundleStreak, deal)
-		} else {
-			streaked = append(streaked, deal)
+	for _, b := range auc.ready {
+		if !rolled[b.deal] { // once per deal, however many bundles it lost with
+			c.bundleStreak[b.deal]++
+			rolled[b.deal] = true
 		}
 	}
-	sort.Strings(streaked)
-	for _, deal := range streaked {
-		c.bundleStreak[deal]++
-	}
-
+	auc.rec.Height, auc.rec.Time = c.height, now
 	for id := 0; id < c.nextAucSub; id++ {
 		if fn, ok := c.aucSubs[id]; ok {
-			fn(rec)
+			fn(auc.rec)
 		}
 	}
-	if len(c.blkSubs) > 0 {
-		deferred := make([]string, 0, len(c.mempool))
-		for _, tx := range c.mempool {
-			deferred = append(deferred, tx.Label)
-		}
-		for _, b := range c.bundles {
-			if len(b.txs) == 0 {
-				continue
-			}
-			for _, tx := range b.txs {
-				deferred = append(deferred, tx.Label)
-			}
-		}
-		c.emitBlockSummary(&BlockSummary{
-			Chain: c.cfg.ID, Height: c.height, Time: now,
-			Included: included, Deferred: deferred,
-		})
-	}
+}
 
-	// Auction outcome notifications to the bundles' owners. The
-	// deferral count is snapshotted: the callback must report this
-	// auction's standing, not whatever later auctions advanced it to.
-	for _, b := range ready {
-		won, defers := wonBundle[b], b.defers
+// notifyBidders schedules the auction outcome notifications to the
+// bundles' owners. The deferral count is snapshotted: the callback must
+// report this auction's standing, not whatever later auctions advanced
+// it to.
+func (c *Chain) notifyBidders(auc *auction, now sim.Time) {
+	for _, b := range auc.ready {
+		won, defers := b.won, b.defers
 		for _, cb := range b.cbs {
-			cb := cb
 			d := c.cfg.Delays.NotifyDelay(now, c.rng)
 			c.sched.After(d, func() { cb(won, defers) })
 		}
@@ -506,11 +467,6 @@ func (c *Chain) produceAuctionBlock() {
 			b.cbs = nil
 		}
 	}
-
-	for _, ev := range blockEvents {
-		c.dispatch(ev)
-	}
-	c.scheduleBlock()
 }
 
 // fate snapshots a bundle's auction outcome.
@@ -521,9 +477,23 @@ func (c *Chain) fate(b *pendingBundle) BundleFate {
 	}
 }
 
-// emitBlockSummary fans a block summary out to block observers,
-// synchronously (measurement apparatus).
-func (c *Chain) emitBlockSummary(bs *BlockSummary) {
+// emitBlockSummary reports the block just sealed to the block observers,
+// synchronously (measurement apparatus): what it included, and everything
+// that had arrived — in the mempool or in a bundle — and is still pending.
+func (c *Chain) emitBlockSummary(block []inclusion, now sim.Time) {
+	bs := &BlockSummary{Chain: c.cfg.ID, Height: c.height, Time: now}
+	bs.Included = make([]string, 0, len(block))
+	for _, in := range block {
+		bs.Included = append(bs.Included, in.tx.Label)
+	}
+	for _, tx := range c.mempool {
+		bs.Deferred = append(bs.Deferred, tx.Label)
+	}
+	for _, b := range c.bundles {
+		for _, tx := range b.txs {
+			bs.Deferred = append(bs.Deferred, tx.Label)
+		}
+	}
 	for id := 0; id < c.nextBlkSub; id++ {
 		if fn, ok := c.blkSubs[id]; ok {
 			fn(bs)

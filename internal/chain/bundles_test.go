@@ -252,18 +252,26 @@ func TestBundledChainFallsBackWithoutFeeMarket(t *testing.T) {
 	}
 }
 
-// TestBlockSummariesUniformAcrossModes: both the plain fee-market
-// builder and the auction builder emit per-block included/deferred
-// label summaries — the shared instrumentation exclusion metrics are
-// computed from.
+// TestBlockSummariesUniformAcrossModes: FIFO, tip-ordered and auction
+// blocks all emit per-block included/deferred label summaries — the
+// shared instrumentation exclusion metrics are computed from.
 func TestBlockSummariesUniformAcrossModes(t *testing.T) {
-	for _, bundled := range []bool{false, true} {
-		t.Run(fmt.Sprintf("bundled=%v", bundled), func(t *testing.T) {
+	fees := &feemarket.Config{Initial: 100}
+	for _, mode := range []struct {
+		name    string
+		fees    *feemarket.Config
+		bundled bool
+	}{
+		{"fifo", nil, false},
+		{"bundled=false", fees, false},
+		{"bundled=true", fees, true},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
 			sched := sim.NewScheduler()
 			c := New(Config{
 				ID: "sum", BlockInterval: 10, Delays: SyncPolicy{Min: 1, Max: 3},
 				Schedule: gas.DefaultSchedule(), MaxBlockTxs: 2,
-				FeeMarket: &feemarket.Config{Initial: 100}, Bundles: bundled,
+				FeeMarket: mode.fees, Bundles: mode.bundled,
 			}, sched, sim.NewRNG(1))
 			c.MustDeploy("ctr", &counter{})
 			var sums []*BlockSummary

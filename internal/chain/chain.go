@@ -217,14 +217,6 @@ type Config struct {
 	// Requires a FeeMarket (bids need a fee ledger); without one the
 	// flag is inert and SubmitBundled falls back to plain Submit.
 	Bundles bool
-	// Shards > 1 executes each sealed block's transactions in parallel
-	// across that many goroutines, partitioned by contract colocation
-	// group (see Colocate). Settlement — fee charges, receipts, observer
-	// notification, the block digest — stays serial in original
-	// transaction order, so receipts, events, gas totals, and the chain
-	// hash are bit-for-bit identical to the serial builder. 0 or 1 keeps
-	// the exact legacy single-threaded path.
-	Shards int
 }
 
 // Chain is a simulated blockchain.
@@ -235,7 +227,6 @@ type Chain struct {
 	meter     *gas.Meter
 	fees      *feemarket.Market // nil without a fee market
 	height    uint64
-	lastHash  [32]byte
 	mempool   []*Tx
 	txSeq     uint64
 	contracts map[Addr]Contract
@@ -249,23 +240,12 @@ type Chain struct {
 	receipts  []*Receipt
 	mpHigh    int // mempool depth high-water, sampled at each arrival
 
-	// Sharded-execution state (see executeSharded): each contract's
-	// colocation-group representative, whether a parallel execute phase
-	// is in flight (arms the Env.Call same-group guard), reusable
-	// shard work lists, and lifetime counters for metrics.
-	groupOf     map[Addr]Addr
-	parallel    bool
-	shardIdx    [][]int
-	shardMeters []*gas.Meter
-	shardBlocks uint64
-	shardTxs    uint64
-
 	// Block-production scratch, reused across blocks so the hot path
-	// stays allocation-free: the digest accumulator and the drained
-	// mempool's backing array (blocks ping-pong between the live slice
-	// and this spare).
-	digestBuf []byte
-	mpFree    []*Tx
+	// stays allocation-free: the drained mempool's backing array (blocks
+	// ping-pong between the live slice and this spare) and the inclusion
+	// list selection hands to seal.
+	mpFree   []*Tx
+	blockBuf []inclusion
 
 	// Bundle-auction state (see bundles.go): the auction queue in
 	// arrival order, each deal's open bundle, per-deal loss streaks,
@@ -321,7 +301,6 @@ func New(cfg Config, sched *sim.Scheduler, rng *sim.RNG) *Chain {
 		rng:          rng.Fork(),
 		meter:        gas.NewMeter(cfg.Schedule),
 		contracts:    make(map[Addr]Contract),
-		groupOf:      make(map[Addr]Addr),
 		subs:         make(map[int]func(Event)),
 		mpSubs:       make(map[int]func(PendingTx)),
 		rcptSubs:     make(map[int]func(*Receipt)),
@@ -365,46 +344,7 @@ func (c *Chain) Deploy(addr Addr, ct Contract) error {
 		return fmt.Errorf("chain %s: address %s already deployed", c.cfg.ID, addr)
 	}
 	c.contracts[addr] = ct
-	if _, ok := c.groupOf[addr]; !ok {
-		c.groupOf[addr] = addr // its own colocation group until bonded
-	}
 	return nil
-}
-
-// Colocate bonds two contracts into one colocation group: under sharded
-// execution (Config.Shards > 1) they are guaranteed to execute on the
-// same shard, so they may call each other through Env.Call. Any pair of
-// contracts that message-call each other must be colocated before the
-// first sharded block; a cross-group Call during a parallel execute
-// phase panics, because it would race another shard's state. Bonding is
-// transitive and commutative — groups merge, keyed by the smallest
-// member address, so the resulting partition is independent of call
-// order. With Shards ≤ 1 colocation is tracked but has no effect.
-func (c *Chain) Colocate(a, b Addr) {
-	ra, rb := c.groupRep(a), c.groupRep(b)
-	if ra == rb {
-		return
-	}
-	if rb < ra {
-		ra, rb = rb, ra
-	}
-	// Rewriting values under the range key is order-independent: every
-	// member of the losing group gets the same new representative.
-	for addr, rep := range c.groupOf {
-		if rep == rb {
-			c.groupOf[addr] = ra
-		}
-	}
-}
-
-// groupRep returns addr's colocation-group representative, enrolling
-// not-yet-deployed addresses as their own group.
-func (c *Chain) groupRep(addr Addr) Addr {
-	if rep, ok := c.groupOf[addr]; ok {
-		return rep
-	}
-	c.groupOf[addr] = addr
-	return addr
 }
 
 // MustDeploy is Deploy that panics on error, for test and example setup.
@@ -537,27 +477,47 @@ func (c *Chain) scheduleBlock() {
 	c.sched.At(next, c.produceBlock)
 }
 
-// produceBlock builds and executes one block, appends it, and notifies
-// subscribers. Without a fee market the builder is FIFO: pending
-// transactions in arrival order, all of them or the first MaxBlockTxs
-// when capacity-limited. With one, the builder orders the whole mempool
-// by priority tip (descending, arrival-sequence tie-break — so equal
-// bids keep the FIFO baseline) before applying the capacity cap, then
-// burns the base fee and collects the tip of every included
-// transaction and moves the base fee with the block's fullness.
-// Overflow transactions stay queued for the next block.
+// inclusion is one slot of a block under construction: a transaction and
+// the priority fee it pays (its own tip, or its share of a bundle's bid).
+type inclusion struct {
+	tx  *Tx
+	tip uint64
+}
+
+// produceBlock builds one block in two steps: select, then seal.
+// Selection decides which pending transactions the block includes, in
+// what order and at what fee, and marks the deferral on everything it
+// leaves behind; it is the only step that differs between the mempool
+// builder (FIFO, or tip-ordered under a fee market) and the bundle
+// auction. Sealing — execution, fees, receipts, observers, events — is
+// one routine for all of them.
 func (c *Chain) produceBlock() {
 	c.blockSet = false
+	var block []inclusion
+	var auc *auction
 	if c.Bundled() {
-		c.produceAuctionBlock()
-		return
+		block, auc = c.selectAuction()
+	} else {
+		block = c.selectMempool()
 	}
+	if len(block) == 0 {
+		return // nothing arrived, or nothing fits; the next arrival retries
+	}
+	c.seal(block, auc)
+}
+
+// selectMempool picks a block from the mempool. Without a fee market the
+// order is arrival order: all pending transactions, or the first
+// MaxBlockTxs when capacity-limited. With one, the whole mempool is
+// ordered by priority tip (descending, arrival-sequence tie-break — so
+// equal bids keep the FIFO baseline) before the capacity cap applies.
+// Overflow transactions stay queued for the next block.
+func (c *Chain) selectMempool() []inclusion {
 	// Drain the mempool into the spare buffer: blocks ping-pong between
 	// the two backing arrays, so steady-state production allocates no
 	// new mempool storage.
 	txs := c.mempool
 	c.mempool = c.mpFree[:0]
-	c.mpFree = nil
 	if c.fees != nil {
 		sort.Slice(txs, func(i, j int) bool {
 			if txs[i].Tip != txs[j].Tip {
@@ -582,143 +542,93 @@ func (c *Chain) produceBlock() {
 			}
 		}
 	}
-	if len(txs) == 0 {
-		c.mpFree = txs[:0]
-		return
+	block := c.blockBuf[:0]
+	for _, tx := range txs {
+		block = append(block, inclusion{tx: tx, tip: tx.Tip})
 	}
+	c.blockBuf = block[:0]
+	c.mpFree = txs[:0]
+	return block
+}
+
+// seal executes the selected transactions as the next block and settles
+// everything that follows from it, in one fixed sequence that every RNG
+// draw, scheduler insertion and synchronous observer call depends on:
+// per transaction, in inclusion order — execute, charge the fee (the
+// transaction pays its tip whether or not it succeeds: it occupied block
+// space either way), log the receipt, call the receipt observers, draw
+// the sender's notification delay — then move the base fee, close the
+// auction if there was one, summarise the block, notify the auction's
+// bidders, publish the events of the transactions that succeeded, and
+// schedule the next block.
+func (c *Chain) seal(block []inclusion, auc *auction) {
 	c.height++
 	now := c.sched.Now()
 	var baseFee uint64
 	if c.fees != nil {
 		baseFee = c.fees.BaseFee()
 	}
-
-	// Execute phase: run every included transaction against its
-	// contract. Receipts for the whole block come from two slab
-	// allocations instead of two per transaction. With Shards > 1 the
-	// execute phase fans out across goroutines by colocation group;
-	// execution touches only contract state and its own receipt slot,
-	// so the serial and sharded phases compute identical outcomes.
-	slab := make([]Receipt, len(txs))
-	ers := make([]execReceipt, len(txs))
-	for i := range ers {
-		ers[i].Receipt = &slab[i]
-	}
-	if shards := c.cfg.Shards; shards > 1 && len(txs) >= shardMinBlockTxs {
-		c.executeSharded(ers, txs, now, shards)
-	} else {
-		for i, tx := range txs {
-			c.execInto(&ers[i], tx, now, c.meter)
-		}
-	}
-
-	// Settle phase, strictly in original inclusion order: fee charges,
-	// the receipt log, observer notification, RNG-drawn sender
-	// notifications, the block digest, and event publication — every
-	// order-sensitive effect. This is the same sequence the serial
-	// builder produced when execution and settlement were interleaved,
-	// because execution never observes settlement state.
-	digest := c.digestBuf[:0]
+	// Receipts for the whole block come from one slab allocation.
+	slab := make([]Receipt, len(block))
 	var blockEvents []Event
-	for i, tx := range txs {
-		c.settleTx(&ers[i], tx, now, baseFee, tx.Tip)
-		digest = append(digest, tx.Contract...)
-		digest = append(digest, '/')
-		digest = append(digest, tx.Method...)
-		if ers[i].pending != nil {
-			blockEvents = append(blockEvents, ers[i].pending...)
+	for i, in := range block {
+		tx, r := in.tx, &slab[i]
+		blockEvents = append(blockEvents, c.execute(r, tx, now)...)
+		r.ArrivedAt = tx.arrivedAt
+		r.SubmittedAt = tx.submittedAt
+		r.Deferrals = tx.deferrals
+		r.PricedOut = tx.pricedOut
+		r.OutbidBy = tx.outbidBy
+		if c.fees != nil {
+			c.fees.Charge(tx.Label, in.tip)
+			r.BaseFee = baseFee
+			r.TipPaid = in.tip
+		}
+		c.receipts = append(c.receipts, r)
+		for id := 0; id < c.nextRcpt; id++ {
+			if fn, ok := c.rcptSubs[id]; ok {
+				fn(r)
+			}
+		}
+		if tx.OnReceipt != nil {
+			d := c.cfg.Delays.NotifyDelay(now, c.rng)
+			c.sched.After(d, func() { tx.OnReceipt(r) })
 		}
 	}
 	if c.fees != nil {
-		c.fees.Seal(len(txs))
+		c.fees.Seal(len(block))
 	}
-	c.lastHash = sig.Hash(c.lastHash[:], digest)
-	c.digestBuf = digest[:0]
+	if auc != nil {
+		c.closeAuction(auc, now)
+	}
 	if len(c.blkSubs) > 0 {
-		bs := &BlockSummary{Chain: c.cfg.ID, Height: c.height, Time: now}
-		bs.Included = make([]string, 0, len(txs))
-		for _, tx := range txs {
-			bs.Included = append(bs.Included, tx.Label)
-		}
-		for _, tx := range c.mempool {
-			bs.Deferred = append(bs.Deferred, tx.Label)
-		}
-		c.emitBlockSummary(bs)
+		c.emitBlockSummary(block, now)
+	}
+	if auc != nil {
+		c.notifyBidders(auc, now)
 	}
 	for _, ev := range blockEvents {
 		c.dispatch(ev)
 	}
-	c.mpFree = txs[:0] // recycle the drained buffer for the next block
-	c.scheduleBlock()  // txs may have arrived while producing
+	c.scheduleBlock() // txs may have arrived while producing
 }
 
-// execReceipt pairs a receipt with the events its transaction emitted,
-// which are only published if the transaction succeeded.
-type execReceipt struct {
-	*Receipt
-	pending []Event
-}
-
-// includeTx runs one included transaction and settles its block-side
-// bookkeeping in one step — the bundle-auction builder includes through
-// here, and the plain builder's split execute/settle phases compose the
-// same two halves, so inclusion semantics can never drift between them.
-func (c *Chain) includeTx(tx *Tx, now sim.Time, baseFee, tip uint64) *execReceipt {
-	rcpt := &execReceipt{Receipt: &Receipt{}}
-	c.execInto(rcpt, tx, now, c.meter)
-	c.settleTx(rcpt, tx, now, baseFee, tip)
-	return rcpt
-}
-
-// settleTx applies one executed transaction's block-side bookkeeping —
-// fee charge (the transaction pays `tip` whether or not it succeeds: it
-// occupied block space either way), the receipt log, synchronous receipt
-// observers, and the delayed sender notification. Settlement must run in
-// original inclusion order: it appends to the receipt log and draws
-// notification delays from the chain's RNG.
-func (c *Chain) settleTx(rcpt *execReceipt, tx *Tx, now sim.Time, baseFee, tip uint64) {
-	rcpt.ArrivedAt = tx.arrivedAt
-	rcpt.SubmittedAt = tx.submittedAt
-	rcpt.Deferrals = tx.deferrals
-	rcpt.PricedOut = tx.pricedOut
-	rcpt.OutbidBy = tx.outbidBy
-	if c.fees != nil {
-		c.fees.Charge(tx.Label, tip)
-		rcpt.BaseFee = baseFee
-		rcpt.TipPaid = tip
-	}
-	c.receipts = append(c.receipts, rcpt.Receipt)
-	for id := 0; id < c.nextRcpt; id++ {
-		if fn, ok := c.rcptSubs[id]; ok {
-			fn(rcpt.Receipt)
-		}
-	}
-	if tx.OnReceipt != nil {
-		r := rcpt.Receipt
-		d := c.cfg.Delays.NotifyDelay(now, c.rng)
-		c.sched.After(d, func() { tx.OnReceipt(r) })
-	}
-}
-
-// execInto runs one transaction against its target contract, writing the
-// outcome into r. Gas goes to m — the chain's own meter on the serial
-// path, a per-shard meter during a parallel execute phase. Execution
-// reads chain-level state that is frozen for the block (contract table,
-// height, keyring) and mutates only contract state and r, which is what
-// makes the sharded fan-out race-free for disjoint colocation groups.
-func (c *Chain) execInto(r *execReceipt, tx *Tx, now sim.Time, m *gas.Meter) {
+// execute runs one transaction against its target contract, writing the
+// outcome into r, and returns the events it emitted — none if it failed:
+// a failed transaction's events are never published.
+func (c *Chain) execute(r *Receipt, tx *Tx, now sim.Time) []Event {
 	r.Tx = tx
 	r.Height = c.height
 	r.Time = now
 	ct, ok := c.contracts[tx.Contract]
 	if !ok {
 		r.Err = fmt.Errorf("chain %s: no contract at %s", c.cfg.ID, tx.Contract)
-		return
+		return nil
 	}
-	m.Charge(tx.Label, gas.OpTxBase, 1)
+	c.meter.Charge(tx.Label, gas.OpTxBase, 1)
 	env := &Env{
 		chain:  c,
-		meter:  m,
+		meter:  c.meter,
 		label:  tx.Label,
 		origin: tx.Sender,
 		sender: tx.Sender,
@@ -726,80 +636,11 @@ func (c *Chain) execInto(r *execReceipt, tx *Tx, now sim.Time, m *gas.Meter) {
 		now:    now,
 		height: c.height,
 	}
-	res, err := ct.Invoke(env, tx.Method, tx.Args)
-	r.Result = res
-	r.Err = err
-	if err == nil {
-		r.pending = env.events
+	r.Result, r.Err = ct.Invoke(env, tx.Method, tx.Args)
+	if r.Err != nil {
+		return nil
 	}
-}
-
-// shardMinBlockTxs is the smallest block worth fanning out: below it the
-// goroutine handoff costs more than the contract calls.
-const shardMinBlockTxs = 4
-
-// executeSharded is the parallel execute phase: transactions partition by
-// colocation group onto cfg.Shards goroutines, each metering gas into its
-// own meter. Two transactions touching the same contract group land on
-// the same shard and execute in original block order relative to each
-// other, so contract state evolves exactly as under serial execution.
-// Shard meters merge into the chain meter in shard-index order; gas
-// totals are commutative sums, so the merged meter is bit-identical to
-// serial metering regardless of goroutine timing.
-func (c *Chain) executeSharded(ers []execReceipt, txs []*Tx, now sim.Time, shards int) {
-	if len(c.shardIdx) < shards {
-		c.shardIdx = make([][]int, shards)
-		c.shardMeters = make([]*gas.Meter, shards)
-	}
-	plan := c.shardIdx[:shards]
-	for s := range plan {
-		plan[s] = plan[s][:0]
-	}
-	for i, tx := range txs {
-		rep, ok := c.groupOf[tx.Contract]
-		if !ok {
-			rep = tx.Contract // undeployed: executes to an error, any shard
-		}
-		s := shardIndex(rep, shards)
-		plan[s] = append(plan[s], i)
-	}
-	c.parallel = true
-	var wg sync.WaitGroup
-	for s := range plan {
-		if len(plan[s]) == 0 {
-			c.shardMeters[s] = nil
-			continue
-		}
-		m := gas.NewMeter(c.cfg.Schedule)
-		c.shardMeters[s] = m
-		wg.Add(1)
-		go func(idx []int, m *gas.Meter) {
-			defer wg.Done()
-			for _, i := range idx {
-				c.execInto(&ers[i], txs[i], now, m)
-			}
-		}(plan[s], m)
-	}
-	wg.Wait()
-	c.parallel = false
-	for s := range plan {
-		if c.shardMeters[s] != nil {
-			c.meter.Merge(c.shardMeters[s])
-			c.shardMeters[s] = nil
-		}
-	}
-	c.shardBlocks++
-	c.shardTxs += uint64(len(txs))
-}
-
-// shardIndex maps a colocation-group representative to a shard via FNV-1a.
-func shardIndex(rep Addr, shards int) int {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(rep); i++ {
-		h ^= uint64(rep[i])
-		h *= 1099511628211
-	}
-	return int(h % uint64(shards))
+	return env.events
 }
 
 // dispatch fans an event out to all subscribers with independent delays.
@@ -915,19 +756,10 @@ func (e *Env) Emit(kind string, data any) {
 // Call invokes a method on another contract on the same chain. The callee
 // sees this contract as the sender, as with Ethereum message calls.
 // Events emitted by the callee are published with the caller's transaction.
-//
-// Under sharded execution the caller and callee must share a colocation
-// group (Chain.Colocate); a cross-group call during a parallel execute
-// phase panics rather than silently racing the other shard's state.
 func (e *Env) Call(target Addr, method string, args any) (any, error) {
 	ct, ok := e.chain.contracts[target]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownContract, target)
-	}
-	if e.chain.parallel && e.chain.groupOf[target] != e.chain.groupOf[e.self] {
-		panic(fmt.Sprintf(
-			"chain %s: sharded execution: %s called %s across colocation groups; bond them with Colocate before enabling shards",
-			e.chain.cfg.ID, e.self, target))
 	}
 	sub := &Env{
 		chain:  e.chain,

@@ -18,10 +18,6 @@ func (c *Chain) RegisterMetrics(reg *obs.Registry) {
 	reg.Counter("chain.blocks_sealed").Add(c.height)
 	reg.Counter("chain.txs_included").Add(uint64(len(c.receipts)))
 	reg.Gauge("chain.mempool_high").Set(int64(c.mpHigh))
-	if c.shardBlocks > 0 {
-		reg.Counter("chain.sharded_blocks").Add(c.shardBlocks)
-		reg.Counter("chain.sharded_txs").Add(c.shardTxs)
-	}
 
 	queue := reg.Histogram("chain.tx_queue_delay_ticks", obs.TickBuckets())
 	interval := reg.Histogram("chain.block_interval_ticks", obs.TickBuckets())

@@ -106,10 +106,6 @@ type Options struct {
 	// priced by a deadline-escalating BundleBidder. Requires FeeMarket;
 	// ignored without one.
 	Bundles bool
-	// Shards > 1 executes each block's transactions in parallel across
-	// that many goroutines per chain (see chain.Config.Shards); results
-	// are byte-identical to the serial default of 1.
-	Shards int
 }
 
 // Outage is a window during which a chain produces no blocks.
@@ -165,12 +161,6 @@ type SubstrateConfig struct {
 	// Bundles enables the combinatorial block-space auction on every
 	// fee-market chain created on the substrate (see chain.Config).
 	Bundles bool
-	// Shards > 1 executes each sealed block's transactions in parallel
-	// across that many goroutines on every chain created on the
-	// substrate, partitioned by contract colocation group; reports stay
-	// byte-identical to the serial builder (see chain.Config.Shards).
-	// 0 or 1 keeps the exact legacy single-threaded path.
-	Shards int
 }
 
 // newVerifyMemo makes each substrate's memo. It is a variable only so the
@@ -260,7 +250,6 @@ func Build(spec *deal.Spec, opts Options) (*World, error) {
 		FeeMarket:     opts.FeeMarket,
 		Hedge:         opts.Hedge,
 		Bundles:       opts.Bundles,
-		Shards:        opts.Shards,
 	})
 	return sub.BuildOn(spec, opts)
 }
@@ -343,7 +332,6 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 				MaxBlockTxs:   s.cfg.MaxBlockTxs,
 				FeeMarket:     s.cfg.FeeMarket,
 				Bundles:       s.cfg.Bundles,
-				Shards:        s.cfg.Shards,
 			}, sched, s.rng)
 			s.Chains[a.Chain] = c
 		}
@@ -401,10 +389,6 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 		if err := c.Deploy(a.Escrow, mgr); err != nil {
 			return nil, err
 		}
-		// The manager message-calls its token contract (deposits,
-		// refunds, claims), so under sharded execution they must share
-		// a shard.
-		c.Colocate(a.Escrow, a.Token)
 	}
 
 	// Hedging contracts: premium-priced sore-loser insurance (see
@@ -438,9 +422,6 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 			if err := c.Deploy(hedge.AddrFor(a.Escrow), hm); err != nil {
 				return nil, err
 			}
-			// The hedge contract message-calls its escrow manager (and
-			// transitively the token) when settling claims.
-			c.Colocate(hedge.AddrFor(a.Escrow), a.Escrow)
 			s.hedges[key] = hm
 			w.Hedges[key] = hm
 		}

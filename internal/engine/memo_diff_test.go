@@ -12,9 +12,9 @@ import (
 // TestVerifyMemoIsInvisibleInReports is the differential check behind
 // "verify once": a memo hit and a real verification return the same
 // boolean and gas is charged either way, so whole seed-7 populations —
-// timelock, CBC, mixed, and a shared-world arena under sharded block
-// execution — must render byte-identical reports with the substrate memo
-// present and with every signature verified in full.
+// timelock, CBC, mixed, and a shared-world arena — must render
+// byte-identical reports with the substrate memo present and with every
+// signature verified in full.
 func TestVerifyMemoIsInvisibleInReports(t *testing.T) {
 	deals := 48
 	if testing.Short() {
@@ -27,7 +27,7 @@ func TestVerifyMemoIsInvisibleInReports(t *testing.T) {
 	}
 	arena := adversarial("mixed")
 	arena.Gen.DoSRate = 0
-	arena.Arena = &fleet.ArenaOptions{DealsPerArena: deals / 2, Chains: 2, Shards: 4}
+	arena.Arena = &fleet.ArenaOptions{DealsPerArena: deals / 2, Chains: 2}
 
 	for name, opts := range map[string]fleet.Options{
 		"timelock": adversarial("timelock"),

@@ -51,11 +51,6 @@ type ArenaOptions struct {
 	// PremiumVolWindow is the realized base-fee volatility window (in
 	// sealed blocks) premiums are priced over (default 32).
 	PremiumVolWindow int
-	// Shards > 1 executes each sealed block's transactions in parallel
-	// across that many goroutines per shared chain (see
-	// chain.Config.Shards). Reports stay byte-identical to the serial
-	// default — the knob trades cores for wall-clock only.
-	Shards int
 }
 
 func (o *ArenaOptions) defaults() error {
@@ -70,9 +65,6 @@ func (o *ArenaOptions) defaults() error {
 	}
 	if o.MaxBlockTxs < 0 {
 		return fmt.Errorf("fleet: negative block capacity %d", o.MaxBlockTxs)
-	}
-	if o.Shards < 0 {
-		return fmt.Errorf("fleet: negative shard count %d", o.Shards)
 	}
 	if o.HedgeCollateral < 0 {
 		return fmt.Errorf("fleet: negative hedge collateral %v", o.HedgeCollateral)
@@ -162,7 +154,6 @@ func arenaRunOptions(gen GenOptions, ao ArenaOptions, arenaIdx int) (arena.Optio
 		Hedge:            ao.Hedge,
 		HedgeCollateral:  ao.HedgeCollateral,
 		PremiumVolWindow: ao.PremiumVolWindow,
-		Shards:           ao.Shards,
 	}
 	if f := gen.Fees; f != nil {
 		o.FeeMarket = true

@@ -48,12 +48,6 @@ type GenOptions struct {
 	// path consumes randomness only for the extra catalog entry, so a
 	// fee-market population's deals keep their FIFO twins' shapes.
 	Fees *FeeOptions
-	// Shards > 1 executes each block's transactions in parallel across
-	// that many goroutines per chain in every generated world (see
-	// chain.Config.Shards). The knob consumes no randomness and results
-	// are byte-identical to the serial default, so sharded populations
-	// are exact seed twins of unsharded ones.
-	Shards int
 }
 
 // Job is one fully specified deal execution: a spec plus engine options,
@@ -106,9 +100,6 @@ func NewGenerator(opts GenOptions) (*Generator, error) {
 	if opts.DoSRate < 0 || opts.DoSRate > 1 {
 		return nil, fmt.Errorf("fleet: DoS rate %v outside [0, 1]", opts.DoSRate)
 	}
-	if opts.Shards < 0 {
-		return nil, fmt.Errorf("fleet: negative shard count %d", opts.Shards)
-	}
 	if opts.MaxParties <= 0 {
 		opts.MaxParties = 6
 	}
@@ -147,7 +138,7 @@ func (g *Generator) Job(i int) Job {
 			proto = "cbc"
 		}
 	}
-	opts := engine.Options{Seed: rng.Uint64(), SerializeRounds: g.opts.SerializeRounds, Shards: g.opts.Shards}
+	opts := engine.Options{Seed: rng.Uint64(), SerializeRounds: g.opts.SerializeRounds}
 	if proto == "cbc" {
 		opts.Protocol = party.ProtoCBC
 		opts.F = 1 + rng.Intn(3)
