@@ -230,8 +230,8 @@ type Chain struct {
 	mempool   []*Tx
 	txSeq     uint64
 	contracts map[Addr]Contract
-	subs      map[int]func(Event)
-	nextSub   int
+	subs      []subscription // by subscription id; fn nil once unsubscribed
+	readEnv   *Env           // the one Env every Query reads through
 	mpSubs    map[int]func(PendingTx)
 	nextMpSub int
 	rcptSubs  map[int]func(*Receipt)
@@ -301,7 +301,6 @@ func New(cfg Config, sched *sim.Scheduler, rng *sim.RNG) *Chain {
 		rng:          rng.Fork(),
 		meter:        gas.NewMeter(cfg.Schedule),
 		contracts:    make(map[Addr]Contract),
-		subs:         make(map[int]func(Event)),
 		mpSubs:       make(map[int]func(PendingTx)),
 		rcptSubs:     make(map[int]func(*Receipt)),
 		openBundles:  make(map[string]*pendingBundle),
@@ -313,6 +312,10 @@ func New(cfg Config, sched *sim.Scheduler, rng *sim.RNG) *Chain {
 	if cfg.FeeMarket != nil {
 		c.fees = feemarket.New(*cfg.FeeMarket, cfg.MaxBlockTxs)
 	}
+	// Public reads are free ("blockchains are publicly readable", §3;
+	// party-side validation "incurs no gas cost", §7.1): whatever a read
+	// charges goes to a meter nothing ever reports.
+	c.readEnv = &Env{chain: c, meter: gas.NewMeter(cfg.Schedule), label: "read"}
 	return c
 }
 
@@ -357,13 +360,31 @@ func (c *Chain) MustDeploy(addr Addr, ct Contract) {
 // Contract returns the contract at addr, or nil.
 func (c *Chain) Contract(addr Addr) Contract { return c.contracts[addr] }
 
-// Subscribe registers an observer for this chain's events. The returned
-// function unsubscribes. Events arrive after the chain's notify delay.
+// subscription is one event observer: fn receives, after the observer's
+// own notify delay, every event its interest predicate accepts.
+type subscription struct {
+	wants func(Event) bool // nil accepts every event
+	fn    func(Event)
+}
+
+// Subscribe registers an observer for all of this chain's events. The
+// returned function unsubscribes. Events arrive after the chain's notify
+// delay.
 func (c *Chain) Subscribe(fn func(Event)) func() {
-	id := c.nextSub
-	c.nextSub++
-	c.subs[id] = fn
-	return func() { delete(c.subs, id) }
+	return c.SubscribeFiltered(nil, fn)
+}
+
+// SubscribeFiltered registers an observer for the events wants accepts —
+// a party monitors a chain for the changes that concern it (§3), not for
+// every log entry. wants runs synchronously as each event is published,
+// not when it is delivered, so it may depend only on the event and on
+// state fixed before subscribing. An event it rejects still draws the
+// observer's notify delay (the chain's delay stream is shared, so every
+// draw keeps its place) but nothing is scheduled for it.
+func (c *Chain) SubscribeFiltered(wants func(Event) bool, fn func(Event)) func() {
+	id := len(c.subs)
+	c.subs = append(c.subs, subscription{wants: wants, fn: fn})
+	return func() { c.subs[id] = subscription{} }
 }
 
 // Submit publishes a transaction. It reaches the mempool after the submit
@@ -643,15 +664,24 @@ func (c *Chain) execute(r *Receipt, tx *Tx, now sim.Time) []Event {
 	return env.events
 }
 
-// dispatch fans an event out to all subscribers with independent delays.
+// dispatch fans an event out to the subscribers it concerns, in
+// subscription order with independent delays. Every live subscriber
+// draws its delay whether or not it wants the event; only wanted
+// deliveries reach the scheduler, which orders by (time, insertion), so
+// leaving the others out keeps the relative order of all that remain.
 func (c *Chain) dispatch(ev Event) {
-	for id := 0; id < c.nextSub; id++ {
-		fn, ok := c.subs[id]
-		if !ok {
+	now := c.sched.Now()
+	shared := &ev // one copy of the event for all of its deliveries
+	for _, s := range c.subs {
+		fn := s.fn
+		if fn == nil {
 			continue
 		}
-		d := c.cfg.Delays.NotifyDelay(c.sched.Now(), c.rng)
-		c.sched.After(d, func() { fn(ev) })
+		d := c.cfg.Delays.NotifyDelay(now, c.rng)
+		if s.wants != nil && !s.wants(ev) {
+			continue
+		}
+		c.sched.After(d, func() { fn(*shared) })
 	}
 }
 
@@ -778,29 +808,17 @@ func (e *Env) Call(target Addr, method string, args any) (any, error) {
 	return res, err
 }
 
-// ReadEnv returns an Env suitable for gas-free public reads of contract
-// state ("blockchains are publicly readable", §3). Charges made through it
-// go to a discarded meter, so reads cost nothing — matching §7.1, where
-// party-side validation "incurs no gas cost".
-func (c *Chain) ReadEnv() *Env {
-	return &Env{
-		chain:  c,
-		meter:  gas.NewMeter(c.cfg.Schedule),
-		label:  "read",
-		now:    c.sched.Now(),
-		height: c.height,
-	}
-}
-
 // Query performs a gas-free read-only call on a contract. The contract's
-// read methods must not mutate state.
+// read methods must not mutate state. All queries on a chain read through
+// one Env, re-aimed per call; the simulation is single-threaded and no
+// contract can reach Query, so reads never nest.
 func (c *Chain) Query(target Addr, method string, args any) (any, error) {
 	ct, ok := c.contracts[target]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownContract, target)
 	}
-	env := c.ReadEnv()
-	env.self = target
+	env := c.readEnv
+	env.self, env.now, env.height, env.events = target, c.sched.Now(), c.height, nil
 	return ct.Invoke(env, method, args)
 }
 

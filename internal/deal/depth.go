@@ -29,7 +29,10 @@ func (s *Spec) VoteDepth() int {
 	if n <= 2 {
 		return n
 	}
-	escrows := s.Escrows()
+	var keys []string
+	for _, e := range s.Escrows() {
+		keys = append(keys, e.Key())
+	}
 	incoming := make(map[chain.Addr]map[string]bool, n)
 	touches := make(map[chain.Addr]map[string]bool, n)
 	for _, p := range s.Parties {
@@ -55,8 +58,7 @@ func (s *Spec) VoteDepth() int {
 			if u == w {
 				continue
 			}
-			for _, e := range escrows {
-				key := e.Key()
+			for _, key := range keys {
 				if incoming[u][key] && touches[w][key] {
 					adj[u] = append(adj[u], w)
 					break

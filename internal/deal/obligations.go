@@ -13,6 +13,7 @@ import (
 // them.
 type Obligation struct {
 	Asset  AssetRef // identifies the escrow contract (amount/id fields unset)
+	Key    string   // Asset.Key()
 	Amount uint64   // fungible: max(0, outgoing − incoming) at this escrow
 	Tokens []string // non-fungible: tokens this party sends but never receives
 }
@@ -77,7 +78,7 @@ func (s *Spec) EscrowObligations(p chain.Addr) []Obligation {
 		ref.ID = ""
 		if e.fungible {
 			if e.out > e.in {
-				out = append(out, Obligation{Asset: ref, Amount: e.out - e.in})
+				out = append(out, Obligation{Asset: ref, Key: k, Amount: e.out - e.in})
 			}
 			continue
 		}
@@ -89,7 +90,7 @@ func (s *Spec) EscrowObligations(p chain.Addr) []Obligation {
 		}
 		if len(toks) > 0 {
 			sort.Strings(toks)
-			out = append(out, Obligation{Asset: ref, Tokens: toks})
+			out = append(out, Obligation{Asset: ref, Key: k, Tokens: toks})
 		}
 	}
 	return out

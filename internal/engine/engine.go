@@ -209,6 +209,9 @@ type World struct {
 	Hedges map[string]*hedge.Manager
 
 	opts Options
+	// plan indexes Spec per party once, for the parties' event loops and
+	// for evaluation.
+	plan *deal.Plan
 	keys map[string]sig.KeyPair
 	memo *sig.Memo // the substrate's verified-signature memo
 
@@ -286,6 +289,7 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 		Managers:        make(map[string]EscrowInspector),
 		Hedges:          make(map[string]*hedge.Manager),
 		opts:            opts,
+		plan:            deal.NewPlan(spec),
 		keys:            make(map[string]sig.KeyPair),
 		memo:            s.memo,
 		initialFungible: make(map[chain.Addr]map[string]uint64),
@@ -517,6 +521,7 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 		addr := addr
 		cfg := party.Config{
 			Spec:            spec,
+			Plan:            w.plan,
 			Protocol:        opts.Protocol,
 			Chains:          w.Chains,
 			Sched:           sched,
@@ -549,7 +554,7 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 func (w *World) fund() {
 	label := w.opts.LabelPrefix + LabelSetup
 	for _, p := range w.Spec.Parties {
-		for _, ob := range p2obligations(w.Spec, p) {
+		for _, ob := range w.plan.For(p).Obligations {
 			a := ob.Asset
 			c := w.Chains[a.Chain]
 			if a.Kind == deal.Fungible {
@@ -633,10 +638,6 @@ func (w *World) DealGas() uint64 {
 	return g
 }
 
-func p2obligations(s *deal.Spec, p chain.Addr) []deal.Obligation {
-	return s.EscrowObligations(p)
-}
-
 // DealFees returns the fee-market spend (base fees burned plus tips
 // paid) attributable to this deal, mirroring DealGas: every chain's
 // whole fee ledger on a private substrate, the deal's label-prefixed
@@ -712,14 +713,19 @@ func CollectFees(chains map[chain.ID]*chain.Chain) *FeeSummary {
 	return sum
 }
 
-// observe records protocol milestones from chain events.
+// observe records protocol milestones from chain events. It is the one
+// subscriber left unfiltered: BuildOn drains the scheduler until earlier
+// worlds' observers have received a new deal's set-up events, so what it
+// is delivered fixes a shared substrate's time base. On such a substrate
+// nearly every event is another deal's, so nothing is built before the
+// deal id matches.
 func (w *World) observe(ev chain.Event) {
-	key := string(ev.Chain) + "/" + string(ev.Contract)
+	key := func() string { return string(ev.Chain) + "/" + string(ev.Contract) }
 	switch ev.Kind {
 	case escrow.EventEscrowed:
 		d := ev.Data.(escrow.EscrowedEvent)
 		if d.Deal == w.Spec.ID {
-			w.escrowedAt[key+"/"+string(d.Party)] = ev.Time
+			w.escrowedAt[key()+"/"+string(d.Party)] = ev.Time
 		}
 	case escrow.EventTransferred:
 		d := ev.Data.(escrow.TransferredEvent)
@@ -729,8 +735,9 @@ func (w *World) observe(ev chain.Event) {
 	case escrow.EventCommitted, escrow.EventAborted:
 		d := ev.Data.(escrow.OutcomeEvent)
 		if d.Deal == w.Spec.ID {
-			if _, seen := w.outcomeAt[key]; !seen {
-				w.outcomeAt[key] = ev.Time
+			k := key()
+			if _, seen := w.outcomeAt[k]; !seen {
+				w.outcomeAt[k] = ev.Time
 			}
 		}
 	}

@@ -222,9 +222,8 @@ func (w *World) paidSomething(r *Result, p chain.Addr) bool {
 // missedIncoming reports whether any escrow delivering assets to p failed
 // to commit.
 func (w *World) missedIncoming(r *Result, p chain.Addr) bool {
-	incoming, _ := w.Spec.EscrowsTouching(p)
-	for _, a := range incoming {
-		if r.Outcomes[a.Key()] != escrow.StatusCommitted {
+	for _, in := range w.plan.For(p).Incoming {
+		if r.Outcomes[in.Key] != escrow.StatusCommitted {
 			return true
 		}
 	}
@@ -241,8 +240,8 @@ func (w *World) checkLiveness(r *Result) {
 		if !r.Compliant[p] {
 			continue
 		}
-		for _, ob := range w.Spec.EscrowObligations(p) {
-			key := ob.Asset.Key()
+		for _, ob := range w.plan.For(p).Obligations {
+			key := ob.Key
 			if st := r.Outcomes[key]; st != escrow.StatusActive {
 				continue
 			}

@@ -390,54 +390,58 @@ func (b *Book) activeState(id string) (*State, error) {
 	return st, nil
 }
 
-// View is a read-only snapshot of a deal's escrow state, returned by the
-// "status" query for party-side validation (§4.1: each party checks that
-// its incoming assets are properly escrowed).
-type View struct {
-	Exists      bool
-	Status      Status
-	Parties     []chain.Addr
-	Deposited   map[chain.Addr]uint64
-	OnCommit    map[chain.Addr]uint64
-	AbortOwner  map[string]chain.Addr
-	CommitOwner map[string]chain.Addr
-	DepositedAt map[chain.Addr]sim.Time
-	FinalizedAt sim.Time
-	Info        any
+// View is a read-only handle on a deal's state at one escrow contract,
+// returned by the "status" query for party-side validation (§4.1: each
+// party checks that its incoming assets are properly escrowed) and read
+// by contracts on the same chain (the hedging contract settles against
+// it). It copies nothing and answers from the live state, as of the
+// instant it is asked; it hands out values only, never a map or slice
+// of the contract's, so nothing a caller does with a View can alter the
+// contract. The zero View is a deal the contract never saw, and answers
+// zero values. A View is one pointer wide, so it crosses Invoke's any
+// without allocating.
+type View struct{ st *State }
+
+// unregistered backs the zero View; nothing ever writes to it.
+var unregistered State
+
+// ViewOf returns the handle for a deal id.
+func (b *Book) ViewOf(id string) View { return View{b.deals[id]} }
+
+func (v View) state() *State {
+	if v.st == nil {
+		return &unregistered
+	}
+	return v.st
 }
 
-// ViewOf snapshots the deal's state.
-func (b *Book) ViewOf(id string) View {
-	st, ok := b.deals[id]
-	if !ok {
-		return View{}
-	}
-	v := View{
-		Exists:      true,
-		Status:      st.Status,
-		Parties:     append([]chain.Addr(nil), st.Parties...),
-		Deposited:   make(map[chain.Addr]uint64, len(st.Deposited)),
-		OnCommit:    make(map[chain.Addr]uint64, len(st.OnCommit)),
-		AbortOwner:  make(map[string]chain.Addr, len(st.AbortOwner)),
-		CommitOwner: make(map[string]chain.Addr, len(st.CommitOwner)),
-		DepositedAt: make(map[chain.Addr]sim.Time, len(st.DepositedAt)),
-		FinalizedAt: st.FinalizedAt,
-		Info:        st.Info,
-	}
-	for k, x := range st.Deposited {
-		v.Deposited[k] = x
-	}
-	for k, x := range st.OnCommit {
-		v.OnCommit[k] = x
-	}
-	for k, x := range st.AbortOwner {
-		v.AbortOwner[k] = x
-	}
-	for k, x := range st.CommitOwner {
-		v.CommitOwner[k] = x
-	}
-	for k, x := range st.DepositedAt {
-		v.DepositedAt[k] = x
-	}
-	return v
+// Exists reports whether the deal is registered at the contract.
+func (v View) Exists() bool { return v.st != nil }
+
+// Status is the deal's lifecycle state at this contract.
+func (v View) Status() Status { return v.state().Status }
+
+// Info is the Dinfo supplied at first escrow.
+func (v View) Info() any { return v.state().Info }
+
+// FinalizedAt is when the deal committed or aborted here (zero while
+// active).
+func (v View) FinalizedAt() sim.Time { return v.state().FinalizedAt }
+
+// PartiesEqual reports whether the registered party list is exactly ps.
+func (v View) PartiesEqual(ps []chain.Addr) bool { return equalAddrs(v.state().Parties, ps) }
+
+// DepositedOf is p's entry in the A map: its refund on abort.
+func (v View) DepositedOf(p chain.Addr) uint64 { return v.state().Deposited[p] }
+
+// OnCommitOf is p's entry in the C map: its payout on commit.
+func (v View) OnCommitOf(p chain.Addr) uint64 { return v.state().OnCommit[p] }
+
+// CommitOwnerOf is who receives token id on commit ("" if not escrowed).
+func (v View) CommitOwnerOf(id string) chain.Addr { return v.state().CommitOwner[id] }
+
+// DepositedAtOf is when p's first deposit locked, and whether it made one.
+func (v View) DepositedAtOf(p chain.Addr) (at sim.Time, ok bool) {
+	at, ok = v.state().DepositedAt[p]
+	return at, ok
 }

@@ -2,6 +2,7 @@ package escrow
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -403,21 +404,76 @@ func TestStatusView(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := res.(View)
-	if !v.Exists || v.Status != StatusActive {
-		t.Fatalf("view = %+v", v)
+	if !v.Exists() || v.Status() != StatusActive || v.Info() != "info" {
+		t.Fatalf("view = %v/%v/%v", v.Exists(), v.Status(), v.Info())
 	}
-	if v.Deposited["alice"] != 70 || v.OnCommit["alice"] != 70 {
-		t.Fatalf("view maps = %v / %v", v.Deposited, v.OnCommit)
+	if v.DepositedOf("alice") != 70 || v.OnCommitOf("alice") != 70 {
+		t.Fatalf("view A/C = %d / %d", v.DepositedOf("alice"), v.OnCommitOf("alice"))
 	}
-	// The view is a copy: mutating it must not affect the contract.
-	v.OnCommit["alice"] = 0
-	if w.coinEs.Deal("D").OnCommit["alice"] != 70 {
-		t.Fatal("View aliases contract state")
+	if !v.PartiesEqual(parties) || v.PartiesEqual(parties[:1]) {
+		t.Fatal("PartiesEqual does not compare the whole plist")
 	}
-	// Unknown deal yields a zero view.
+	// The view reads the contract, it does not hold a copy of it: it
+	// answers for the moment it is asked...
+	w.call("alice", "coin-escrow", MethodTransfer, TransferArgs{Deal: "D", To: "bob", Amount: 30})
+	if v.OnCommitOf("alice") != 40 || v.OnCommitOf("bob") != 30 || v.DepositedOf("alice") != 70 {
+		t.Fatalf("view after transfer: alice %d, bob %d on commit", v.OnCommitOf("alice"), v.OnCommitOf("bob"))
+	}
+	// ...and a caller still cannot alter the contract through it.
+	assertViewReadOnly(t)
+	// Unknown deal yields a zero view, which answers zero values.
 	res, _ = w.c.Query("coin-escrow", MethodStatus, "nope")
-	if res.(View).Exists {
+	if z := res.(View); z.Exists() || z.Status() != StatusUnknown || z.OnCommitOf("alice") != 0 || z.Info() != nil {
 		t.Fatal("unknown deal reported existing")
+	}
+}
+
+// TestStatusQueryAllocatesNothing guards the read path parties poll on
+// every event: a status query builds no meter, no Env and no snapshot,
+// and the View crosses Invoke's any without boxing.
+func TestStatusQueryAllocatesNothing(t *testing.T) {
+	w := newWorld(t)
+	w.fund("alice", 100)
+	w.call("alice", "coin-escrow", MethodEscrow, escrowCoins("D", 70))
+	var id any = "D" // parties box their deal id once, too
+	var v View
+	allocs := testing.AllocsPerRun(100, func() {
+		res, err := w.c.Query("coin-escrow", MethodStatus, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v = res.(View)
+	})
+	if allocs != 0 || v.OnCommitOf("alice") != 70 {
+		t.Fatalf("status query: %v allocs/op (want 0), alice on commit %d", allocs, v.OnCommitOf("alice"))
+	}
+}
+
+// assertViewReadOnly checks the property the old deep-copying View gave
+// by construction of a snapshot: nothing a caller can reach from a View
+// lets it write contract state. A View has no exported field, and every
+// accessor returns a plain value — never a map, slice, pointer, channel
+// or function of the contract's. (Info returns the Dinfo as registered,
+// an interface holding a value.)
+func assertViewReadOnly(t *testing.T) {
+	t.Helper()
+	typ := reflect.TypeOf(View{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.IsExported() {
+			t.Errorf("View exports field %s: contract state reachable from a view", f.Name)
+		}
+	}
+	if typ.NumMethod() == 0 {
+		t.Fatal("View has no accessors to check")
+	}
+	for i := 0; i < typ.NumMethod(); i++ {
+		m := typ.Method(i)
+		for j := 0; j < m.Type.NumOut(); j++ {
+			switch out := m.Type.Out(j); out.Kind() {
+			case reflect.Map, reflect.Slice, reflect.Pointer, reflect.Chan, reflect.Func, reflect.UnsafePointer:
+				t.Errorf("View.%s returns %s: contract state reachable from a view", m.Name, out)
+			}
+		}
 	}
 }
 
@@ -617,14 +673,14 @@ func TestDepositAndFinalizeTimesRecorded(t *testing.T) {
 		t.Fatalf("FinalizedAt = %d, want a time at or after the first deposit %d", st.FinalizedAt, aliceAt)
 	}
 	view := w.coinEs.ViewOf("D")
-	if view.FinalizedAt != st.FinalizedAt {
-		t.Fatalf("view FinalizedAt = %d, state has %d", view.FinalizedAt, st.FinalizedAt)
+	if view.FinalizedAt() != st.FinalizedAt || view.Status() != StatusAborted {
+		t.Fatalf("view FinalizedAt = %d (%s), state has %d", view.FinalizedAt(), view.Status(), st.FinalizedAt)
 	}
-	if view.DepositedAt["alice"] != aliceAt {
-		t.Fatalf("view DepositedAt[alice] = %d, want %d", view.DepositedAt["alice"], aliceAt)
+	if at, ok := view.DepositedAtOf("alice"); !ok || at != aliceAt {
+		t.Fatalf("view DepositedAtOf(alice) = %d, %t, want %d", at, ok, aliceAt)
 	}
-	view.DepositedAt["alice"] = 999 // the view must be a snapshot
-	if st.DepositedAt["alice"] != aliceAt {
-		t.Fatal("mutating the view changed contract state")
+	if at, ok := view.DepositedAtOf("carol"); ok || at != 0 {
+		t.Fatalf("view reports a deposit time %d for carol, who never deposited", at)
 	}
+	assertViewReadOnly(t) // the timestamps cannot be rewritten through the view
 }

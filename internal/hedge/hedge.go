@@ -396,20 +396,20 @@ func (m *Manager) handleClaim(env *chain.Env, a ClaimArgs) (any, error) {
 		return nil, err
 	}
 	view, ok := res.(escrow.View)
-	if !ok || !view.Exists {
+	if !ok || !view.Exists() {
 		return nil, fmt.Errorf("%w: deal %s unknown at %s", ErrNotFinalized, a.Deal, m.Escrow)
 	}
-	if view.Status == escrow.StatusActive {
+	if view.Status() == escrow.StatusActive {
 		return nil, fmt.Errorf("%w: deal %s still active", ErrNotFinalized, a.Deal)
 	}
 	env.Read(2)
 	pos.Settled = true
 	m.totals.Settled++
 	out := ClaimResult{}
-	lockedAt, deposited := view.DepositedAt[pos.Insured]
-	if view.Status == escrow.StatusAborted && deposited &&
-		view.Deposited[pos.Insured] > 0 &&
-		view.FinalizedAt >= lockedAt+sim.Time(pos.MinLock) {
+	lockedAt, deposited := view.DepositedAtOf(pos.Insured)
+	if view.Status() == escrow.StatusAborted && deposited &&
+		view.DepositedOf(pos.Insured) > 0 &&
+		view.FinalizedAt() >= lockedAt+sim.Time(pos.MinLock) {
 		// The sore-loser case: the insured's capital was locked past the
 		// trigger and the deal still died. The bond pays; the pool keeps
 		// the premium.

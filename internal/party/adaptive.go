@@ -88,7 +88,7 @@ func (p *Party) armSoreLoser() {
 	p.basePrices = make(map[chain.Addr]float64)
 	oracle := p.cfg.Adaptive.Oracle
 	var toks []chain.Addr // sorted watch list: deterministic trigger order
-	for _, ob := range spec.EscrowObligations(p.Addr) {
+	for _, ob := range p.mine.Obligations {
 		tok := ob.Asset.Token
 		if _, seen := p.basePrices[tok]; !seen {
 			p.basePrices[tok] = oracle.Price(tok)
@@ -170,7 +170,7 @@ func (p *Party) adaptiveOnEscrowEvent(ev chain.Event) {
 // incoming escrows (timelock) or claiming the decided outcome itself
 // (CBC) — without waiting for the transaction to land and be observed.
 func (p *Party) armFrontRunner() {
-	for _, id := range p.relevantChains() {
+	for _, id := range p.mine.Chains {
 		c, ok := p.cfg.Chains[id]
 		if !ok {
 			continue
@@ -213,10 +213,7 @@ func (p *Party) raceVote(vote sig.PathSig, victimTip uint64) {
 	if vote.Contains(string(p.Addr)) {
 		return // our own signature is already on the path
 	}
-	incoming, _ := p.cfg.Spec.EscrowsTouching(p.Addr)
-	for _, a := range incoming {
-		p.forwardVote(a, vote, true, victimTip)
-	}
+	p.forwardVote(vote, "", true, victimTip)
 }
 
 // raceClaim presents the CBC's decision to the party's escrow contracts

@@ -100,7 +100,7 @@ func (p *Party) armBundleGriefer() {
 	}
 	own := p.cfg.Spec.ID
 	hooks := p.cfg.Adaptive
-	for _, id := range p.relevantChains() {
+	for _, id := range p.mine.Chains {
 		c, ok := p.cfg.Chains[id]
 		if !ok || !c.Bundled() {
 			continue

@@ -197,50 +197,31 @@ func (p *Party) scheduleGiveUp() {
 func (p *Party) claimOutcome(status escrow.Status, raced bool, victimTip uint64) {
 	st := p.cbcState
 	spec := p.cfg.Spec
-	method := cbc.MethodCommitProof
-	var refs []deal.AssetRef
+	method, label := cbc.MethodCommitProof, LabelCommit
 	if status == escrow.StatusAborted {
-		method = cbc.MethodAbortProof
-		for _, ob := range spec.EscrowObligations(p.Addr) {
-			refs = append(refs, ob.Asset)
-		}
-	} else {
-		incoming, _ := spec.EscrowsTouching(p.Addr)
-		refs = incoming
-		for _, ob := range spec.EscrowObligations(p.Addr) {
-			refs = append(refs, ob.Asset)
-		}
+		method, label = cbc.MethodAbortProof, LabelAbort
 	}
-	for _, a := range refs {
-		a := a
-		key := a.Key()
+	claim := func(a deal.AssetRef, key string) {
 		if st.claimed[key] {
-			continue
+			return
 		}
 		c, ok := p.cfg.Chains[a.Chain]
 		if !ok {
-			continue
+			return
 		}
-		st.claimed[key] = true
 		args := cbc.ProofArgs{Deal: spec.ID}
 		if p.cfg.CBCHooks.ProofFormat == ProofBlocks {
 			proof, err := p.cfg.CBCHooks.CBC.BlockProofFor(spec.ID)
 			if err != nil {
-				st.claimed[key] = false
-				continue
+				return
 			}
 			args.Blocks = &proof
 		} else {
 			proof, err := p.cfg.CBCHooks.CBC.StatusProofFor(spec.ID)
 			if err != nil {
-				st.claimed[key] = false
-				continue
+				return
 			}
 			args.Status = &proof
-		}
-		label := LabelCommit
-		if status == escrow.StatusAborted {
-			label = LabelAbort
 		}
 		// Price the race only once the proof is in hand, so a failed
 		// proof fetch cannot leak fee budget on a never-submitted claim.
@@ -250,10 +231,10 @@ func (p *Party) claimOutcome(status escrow.Status, raced bool, victimTip uint64)
 			var race bool
 			tip, bid, race = p.raceTip(c, label, victimTip)
 			if !race {
-				st.claimed[key] = false
-				continue // fee budget exhausted: decline the race
+				return // fee budget exhausted: decline the race
 			}
 		}
+		st.claimed[key] = true
 		hooks := p.cfg.Adaptive
 		p.submitTx(c, a.Escrow, method, label, args, tip, func(r *chain.Receipt) {
 			if raced && hooks != nil && hooks.OnFrontRun != nil {
@@ -261,6 +242,14 @@ func (p *Party) claimOutcome(status escrow.Status, raced bool, victimTip uint64)
 			}
 			// On error, someone else finalized first; that is fine.
 		})
+	}
+	if status != escrow.StatusAborted {
+		for _, in := range p.mine.Incoming {
+			claim(in.Asset, in.Key)
+		}
+	}
+	for _, ob := range p.mine.Obligations {
+		claim(ob.Asset, ob.Key)
 	}
 }
 

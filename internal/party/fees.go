@@ -65,7 +65,7 @@ func (f DeadlineFee) Tip(_ uint64, _ string, urgency float64) uint64 {
 // deadline reported to auctions measure against this one horizon.
 func (p *Party) timelockHorizon() sim.Time {
 	spec := p.cfg.Spec
-	return spec.T0 + sim.Time(p.dealDepth()+1)*spec.Delta
+	return spec.T0 + sim.Time(p.cfg.Plan.Depth+1)*spec.Delta
 }
 
 // urgency is the party's deadline pressure: how far it is through the

@@ -46,7 +46,7 @@ func (p *Party) hedgeReady(ob deal.Obligation, info any) bool {
 		// escrow returns the exact token, not depreciated cash.
 		return true
 	}
-	key := ob.Asset.Key()
+	key := ob.Key
 	if p.hedgeBound[key] {
 		return true
 	}
@@ -108,17 +108,15 @@ func (p *Party) hedgeOnOutcome(ev chain.Event) {
 	if !p.hedging() || !p.active() {
 		return
 	}
-	key := string(ev.Chain) + "/" + string(ev.Contract)
-	for _, ob := range p.cfg.Spec.EscrowObligations(p.Addr) {
-		if ob.Asset.Key() == key {
-			p.claimHedge(ob.Asset)
+	for _, ob := range p.mine.Obligations {
+		if ob.Asset.Chain == ev.Chain && ob.Asset.Escrow == ev.Contract {
+			p.claimHedge(ob.Asset, ob.Key)
 		}
 	}
 }
 
 // claimHedge settles the party's position at one escrow, once.
-func (p *Party) claimHedge(a deal.AssetRef) {
-	key := a.Key()
+func (p *Party) claimHedge(a deal.AssetRef, key string) {
 	if !p.hedgeBound[key] || p.hedgeSettled[key] || p.hedgeClaiming[key] {
 		return
 	}

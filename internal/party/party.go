@@ -11,13 +11,14 @@ package party
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"xdeal/internal/chain"
 	"xdeal/internal/deal"
 	"xdeal/internal/escrow"
 	"xdeal/internal/sig"
 	"xdeal/internal/sim"
+	"xdeal/internal/timelock"
 )
 
 // Protocol selects the commit protocol a party runs.
@@ -158,7 +159,11 @@ func (b Behavior) Compliant() bool {
 
 // Config wires a party to its environment.
 type Config struct {
-	Spec     *deal.Spec
+	Spec *deal.Spec
+	// Plan is the deal's index (deal.NewPlan(Spec)), computed once by
+	// whoever builds the deal's parties and shared by all of them; nil
+	// makes New derive a private one.
+	Plan     *deal.Plan
 	Protocol Protocol
 	Chains   map[chain.ID]*chain.Chain
 	Sched    *sim.Scheduler
@@ -211,6 +216,10 @@ type Config struct {
 type Party struct {
 	Addr chain.Addr
 	cfg  Config
+	mine *deal.PartyPlan // cfg.Plan.For(Addr)
+	// dealArg is the deal id boxed once, so status queries do not
+	// allocate a fresh interface value per poll.
+	dealArg any
 
 	// BumpMisses counts lost bundle auctions where re-quoting could
 	// not raise the standing bid (bundle gone, or already at the
@@ -228,8 +237,6 @@ type Party struct {
 	// redriveArmed dedups the failure-driven retry timer (see
 	// scheduleRedrive): at most one pending re-drive at a time.
 	redriveArmed bool
-	// voteDepth memoizes Spec.VoteDepth (0 = not yet computed).
-	voteDepth int
 
 	// Outgoing transfer tracking: index into Spec.Transfers.
 	submitted map[int]bool // submitted and not known failed
@@ -273,9 +280,14 @@ type Party struct {
 // New creates a party. Call Start when the clearing phase delivers the
 // deal (the engine does this).
 func New(addr chain.Addr, cfg Config) *Party {
+	if cfg.Plan == nil {
+		cfg.Plan = deal.NewPlan(cfg.Spec)
+	}
 	return &Party{
 		Addr:            addr,
 		cfg:             cfg,
+		mine:            cfg.Plan.For(addr),
+		dealArg:         cfg.Spec.ID,
 		submitted:       make(map[int]bool),
 		confirmed:       make(map[int]bool),
 		escrowSubmitted: make(map[string]bool),
@@ -362,36 +374,42 @@ func (p *Party) active() bool {
 	return true
 }
 
-// relevantChains lists the chains hosting escrows the party touches.
-func (p *Party) relevantChains() []chain.ID {
-	seen := make(map[chain.ID]bool)
-	in, out := p.cfg.Spec.EscrowsTouching(p.Addr)
-	for _, a := range append(in, out...) {
-		seen[a.Chain] = true
-	}
-	ids := make([]chain.ID, 0, len(seen))
-	for id := range seen {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
 // subscribeChains attaches the party's event handler to every chain it
-// is motivated to monitor.
+// is motivated to monitor, for the events that concern it.
 func (p *Party) subscribeChains() {
-	for _, id := range p.relevantChains() {
+	for _, id := range p.mine.Chains {
 		c, ok := p.cfg.Chains[id]
 		if !ok {
 			continue
 		}
-		p.unsubs = append(p.unsubs, c.Subscribe(func(ev chain.Event) {
+		p.unsubs = append(p.unsubs, c.SubscribeFiltered(p.wants, func(ev chain.Event) {
 			if !p.active() {
 				return
 			}
 			p.onChainEvent(ev)
 		}))
 	}
+}
+
+// wants is the party's delivery filter: the events onChainEvent can act
+// on — an escrow, transfer, outcome or (under the timelock protocol)
+// accepted vote of its own deal. The chain evaluates it when the event is
+// published, so it reads only the event and the party's fixed
+// configuration; anything that changes as the party runs (active,
+// backedOut) is checked at delivery. onChainEvent ignores every event
+// wants rejects — TestFilterRejectsOnlyIgnoredEvents holds the two in
+// step.
+func (p *Party) wants(ev chain.Event) bool {
+	switch ev.Kind {
+	case escrow.EventEscrowed, escrow.EventTransferred, escrow.EventCommitted, escrow.EventAborted:
+	case timelock.EventVoteAccepted:
+		if p.cfg.Protocol != ProtoTimelock {
+			return false
+		}
+	default:
+		return false
+	}
+	return dealOf(ev) == p.cfg.Spec.ID
 }
 
 // onChainEvent reacts to escrow contract events.
@@ -416,7 +434,7 @@ func (p *Party) onChainEvent(ev chain.Event) {
 	}
 }
 
-// dealOf extracts the deal id from an escrow event payload.
+// dealOf extracts the deal id from an escrow or vote event payload.
 func dealOf(ev chain.Event) string {
 	switch d := ev.Data.(type) {
 	case escrow.EscrowedEvent:
@@ -424,6 +442,8 @@ func dealOf(ev chain.Event) string {
 	case escrow.TransferredEvent:
 		return d.Deal
 	case escrow.OutcomeEvent:
+		return d.Deal
+	case timelock.VoteEvent:
 		return d.Deal
 	default:
 		return ""
@@ -436,7 +456,7 @@ func (p *Party) escrowView(a deal.AssetRef) (escrow.View, bool) {
 	if !ok {
 		return escrow.View{}, false
 	}
-	res, err := c.Query(a.Escrow, escrow.MethodStatus, p.cfg.Spec.ID)
+	res, err := c.Query(a.Escrow, escrow.MethodStatus, p.dealArg)
 	if err != nil {
 		return escrow.View{}, false
 	}
@@ -489,7 +509,7 @@ func (p *Party) performEscrows(info any) {
 	if p.cfg.Behavior.CorruptInfo {
 		info = corruptInfo(info)
 	}
-	for _, ob := range p.cfg.Spec.EscrowObligations(p.Addr) {
+	for _, ob := range p.mine.Obligations {
 		ob := ob
 		if s := p.cfg.Behavior.EscrowShortfall; s > 0 {
 			if ob.Amount > 0 {
@@ -505,7 +525,7 @@ func (p *Party) performEscrows(info any) {
 				}
 			}
 		}
-		key := ob.Asset.Key()
+		key := ob.Key
 		if p.escrowSubmitted[key] {
 			continue
 		}
@@ -551,44 +571,43 @@ func (p *Party) tryTransfers() {
 		return
 	}
 	spec := p.cfg.Spec
-	// Group views per escrow and track how much we are about to spend so
-	// one event does not double-submit competing transfers.
+	// Track how much we are about to spend per escrow so one event does
+	// not double-submit competing transfers.
 	reserved := make(map[string]uint64)
-	for i, t := range spec.Transfers {
-		if t.From != p.Addr || p.submitted[i] {
+	for _, i := range p.mine.Sends {
+		if p.submitted[i] {
 			continue
 		}
-		i, t := i, t
-		key := t.Asset.Key()
+		t, key := spec.Transfers[i], p.cfg.Plan.TransferKeys[i]
 		// The pipelined window: the party's own deposit at this escrow is
 		// published but unconfirmed. Its tentative holdings count toward
 		// affordability — if the in-flight deposit is rejected the
 		// transfer fails with an error receipt and the re-drive retries
-		// both, so optimism costs a retry, never safety.
-		pendingEscrow := !p.cfg.SerializeRounds &&
-			p.escrowSubmitted[key] && !p.escrowConfirmed[key]
-		view, ok := p.escrowView(t.Asset)
-		if !ok {
-			continue
+		// both, so optimism costs a retry, never safety. A shortfall
+		// deviant's actual deposit may be smaller than the obligation
+		// credited here; the over-estimate only makes it submit transfers
+		// the contract then rejects, bounded by the retry horizon.
+		var pending *deal.Obligation
+		if !p.cfg.SerializeRounds && p.escrowSubmitted[key] && !p.escrowConfirmed[key] {
+			pending = p.mine.Obligation(key)
 		}
-		if !view.Exists && !pendingEscrow {
+		view, ok := p.escrowView(t.Asset)
+		if !ok || (!view.Exists() && pending == nil) {
 			continue
 		}
 		affordable := false
 		if t.Asset.Kind == deal.Fungible {
-			have := view.OnCommit[p.Addr]
-			if pendingEscrow {
-				have += p.pendingEscrowAmount(key)
+			have := view.OnCommitOf(p.Addr)
+			if pending != nil {
+				have += pending.Amount
 			}
 			if have >= reserved[key]+t.Asset.Amount {
 				affordable = true
 				reserved[key] += t.Asset.Amount
 			}
 		} else {
-			if view.CommitOwner[t.Asset.ID] == p.Addr ||
-				(pendingEscrow && p.pendingEscrowToken(key, t.Asset.ID)) {
-				affordable = true
-			}
+			affordable = view.CommitOwnerOf(t.Asset.ID) == p.Addr ||
+				(pending != nil && slices.Contains(pending.Tokens, t.Asset.ID))
 		}
 		if !affordable {
 			continue
@@ -628,46 +647,16 @@ func (p *Party) tryTransfers() {
 	}
 }
 
-// pendingEscrowAmount is the fungible credit the party's own in-flight
-// escrow submission will add at this escrow once it lands. A shortfall
-// deviant's actual deposit may be smaller; the over-estimate only makes
-// it submit transfers the contract then rejects, bounded by the retry
-// horizon.
-func (p *Party) pendingEscrowAmount(key string) uint64 {
-	for _, ob := range p.cfg.Spec.EscrowObligations(p.Addr) {
-		if ob.Asset.Key() == key {
-			return ob.Amount
-		}
-	}
-	return 0
-}
-
-// pendingEscrowToken reports whether the party's in-flight escrow
-// submission at this escrow carries the given token.
-func (p *Party) pendingEscrowToken(key, id string) bool {
-	for _, ob := range p.cfg.Spec.EscrowObligations(p.Addr) {
-		if ob.Asset.Key() != key {
-			continue
-		}
-		for _, tok := range ob.Tokens {
-			if tok == id {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // outgoingDone reports whether all of the party's outgoing duties are
 // confirmed on chain.
 func (p *Party) outgoingDone() bool {
-	for _, ob := range p.cfg.Spec.EscrowObligations(p.Addr) {
-		if !p.escrowConfirmed[ob.Asset.Key()] {
+	for i := range p.mine.Obligations {
+		if !p.escrowConfirmed[p.mine.Obligations[i].Key] {
 			return false
 		}
 	}
-	for i, t := range p.cfg.Spec.Transfers {
-		if t.From == p.Addr && !p.confirmed[i] {
+	for _, i := range p.mine.Sends {
+		if !p.confirmed[i] {
 			return false
 		}
 	}
@@ -686,27 +675,17 @@ func (p *Party) checkValidation() {
 	if p.validated || !p.active() || p.backedOut() {
 		return
 	}
-	if p.cfg.Behavior.SkipEscrow || p.cfg.Behavior.SkipTransfers {
-		// A party shirking its duties cannot honestly validate, but a
-		// deviating one may still vote; modeled under SkipVoting=false.
-		_ = 0
-	}
 	if p.cfg.SerializeRounds && !p.outgoingDone() &&
 		!p.cfg.Behavior.SkipEscrow && !p.cfg.Behavior.SkipTransfers {
 		return
 	}
-	spec := p.cfg.Spec
-	incoming, _ := spec.EscrowsTouching(p.Addr)
-	for _, a := range incoming {
-		view, ok := p.escrowView(a)
-		if !ok || !view.Exists {
+	for i := range p.mine.Incoming {
+		in := &p.mine.Incoming[i]
+		view, ok := p.escrowView(in.Asset)
+		if !ok || !view.Exists() || !p.infoSatisfactory(view) {
 			return
 		}
-		if !p.infoSatisfactory(view) {
-			return
-		}
-		key := a.Key()
-		if a.Kind == deal.Fungible {
+		if in.Asset.Kind == deal.Fungible {
 			// The contract state is cumulative, so recover the incoming
 			// total conservatively: the party's tentative balance, minus
 			// its own recorded deposit, plus the outgoing it has locally
@@ -714,18 +693,18 @@ func (p *Party) checkValidation() {
 			// confirmed outgoing, so this bound trails the true arrived
 			// amount and can never overstate it; once every outgoing
 			// receipt is in it equals the strict post-transfer check.
-			arrived := int64(view.OnCommit[p.Addr]) -
-				int64(view.Deposited[p.Addr]) +
-				int64(p.confirmedOutgoingAmount(key))
-			if arrived < int64(spec.FungibleIncoming(p.Addr, key)) {
+			arrived := int64(view.OnCommitOf(p.Addr)) -
+				int64(view.DepositedOf(p.Addr)) +
+				int64(p.confirmedOutgoingAmount(in.Key))
+			if arrived < int64(in.FungibleIn) {
 				return
 			}
 		} else {
-			for _, id := range spec.IncomingTokens(p.Addr, key) {
-				if view.CommitOwner[id] == p.Addr {
+			for _, id := range in.TokensIn {
+				if view.CommitOwnerOf(id) == p.Addr {
 					continue
 				}
-				if p.passedOnToken(key, id) {
+				if p.passedOnToken(in.Key, id) {
 					// Received and passed on; the confirmed onward
 					// transfer certifies the token arrived here first.
 					continue
@@ -745,8 +724,8 @@ func (p *Party) checkValidation() {
 // outgoing transfers at one escrow whose receipts have confirmed.
 func (p *Party) confirmedOutgoingAmount(key string) uint64 {
 	var total uint64
-	for i, t := range p.cfg.Spec.Transfers {
-		if t.From == p.Addr && t.Asset.Key() == key &&
+	for _, i := range p.mine.Sends {
+		if t := &p.cfg.Spec.Transfers[i]; p.cfg.Plan.TransferKeys[i] == key &&
 			t.Asset.Kind == deal.Fungible && p.confirmed[i] {
 			total += t.Asset.Amount
 		}
@@ -759,8 +738,8 @@ func (p *Party) confirmedOutgoingAmount(key string) uint64 {
 // contract only applies a transfer by the current tentative owner, so
 // the confirmation proves the token arrived here before moving on.
 func (p *Party) passedOnToken(key, id string) bool {
-	for i, t := range p.cfg.Spec.Transfers {
-		if t.From == p.Addr && t.Asset.Key() == key &&
+	for _, i := range p.mine.Sends {
+		if t := &p.cfg.Spec.Transfers[i]; p.cfg.Plan.TransferKeys[i] == key &&
 			t.Asset.Kind == deal.NonFungible && t.Asset.ID == id && p.confirmed[i] {
 			return true
 		}
@@ -834,31 +813,17 @@ func (p *Party) retryLive() bool {
 	return false
 }
 
-// dealDepth memoizes the deal digraph's relay depth (Spec.VoteDepth):
-// the timeout-ladder height this deal actually needs.
-func (p *Party) dealDepth() int {
-	if p.voteDepth == 0 {
-		p.voteDepth = p.cfg.Spec.VoteDepth()
-	}
-	return p.voteDepth
-}
-
 // infoSatisfactory checks the Dinfo and plist recorded at the escrow
 // contract against what the clearing phase announced.
 func (p *Party) infoSatisfactory(v escrow.View) bool {
-	if len(v.Parties) != len(p.cfg.Spec.Parties) {
+	if !v.PartiesEqual(p.cfg.Spec.Parties) {
 		return false
-	}
-	for i := range v.Parties {
-		if v.Parties[i] != p.cfg.Spec.Parties[i] {
-			return false
-		}
 	}
 	switch p.cfg.Protocol {
 	case ProtoTimelock:
-		return p.timelockInfoOK(v.Info)
+		return p.timelockInfoOK(v.Info())
 	case ProtoCBC:
-		return p.cbcInfoOK(v.Info)
+		return p.cbcInfoOK(v.Info())
 	default:
 		return false
 	}

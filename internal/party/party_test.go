@@ -51,10 +51,10 @@ func TestProtocolString(t *testing.T) {
 func TestRelevantChainsCoverInAndOut(t *testing.T) {
 	spec := deal.BrokerSpec(2000, 1000)
 	p := New("bob", Config{Spec: spec, Protocol: ProtoTimelock})
-	got := p.relevantChains()
+	got := p.mine.Chains
 	// Bob sends tickets (ticketchain) and receives coins (coinchain).
 	if len(got) != 2 || got[0] != "coinchain" || got[1] != "ticketchain" {
-		t.Fatalf("relevantChains = %v, want [coinchain ticketchain] sorted", got)
+		t.Fatalf("monitored chains = %v, want [coinchain ticketchain] sorted", got)
 	}
 }
 
@@ -97,6 +97,7 @@ func TestDealOfExtractsIDs(t *testing.T) {
 		{escrow.EscrowedEvent{Deal: "D1"}, "D1"},
 		{escrow.TransferredEvent{Deal: "D2"}, "D2"},
 		{escrow.OutcomeEvent{Deal: "D3"}, "D3"},
+		{timelock.VoteEvent{Deal: "D4"}, "D4"},
 		{"something else", ""},
 	}
 	for _, c := range cases {
@@ -123,16 +124,20 @@ func TestTimelockInfoValidation(t *testing.T) {
 func TestInfoSatisfactoryChecksPlist(t *testing.T) {
 	spec := deal.BrokerSpec(2000, 1000)
 	p := New("alice", Config{Spec: spec, Protocol: ProtoTimelock})
-	good := escrow.View{
-		Parties: spec.Parties,
-		Info:    timelock.Info{T0: 2000, Delta: 1000},
+	// A view only comes from a contract: register the deal at a book.
+	c := chain.New(chain.Config{ID: "coinchain"}, sim.NewScheduler(), sim.NewRNG(1))
+	book := escrow.NewBook("coin", deal.Fungible)
+	same := func(a, b any) bool { return a == b }
+	info := timelock.Info{T0: 2000, Delta: 1000}
+	for id, plist := range map[string][]chain.Addr{"good": spec.Parties, "bad": {"alice", "bob"}} {
+		if _, err := book.Register(c.TestEnv("coin-escrow"), id, plist, info, same); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !p.infoSatisfactory(good) {
+	if !p.infoSatisfactory(book.ViewOf("good")) {
 		t.Fatal("correct view rejected")
 	}
-	bad := good
-	bad.Parties = []chain.Addr{"alice", "bob"}
-	if p.infoSatisfactory(bad) {
+	if p.infoSatisfactory(book.ViewOf("bad")) {
 		t.Fatal("truncated plist accepted")
 	}
 }

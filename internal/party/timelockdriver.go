@@ -16,7 +16,7 @@ func (p *Party) startTimelock() {
 	info := timelock.Info{
 		T0:    p.cfg.Spec.T0,
 		Delta: p.cfg.Spec.Delta,
-		Depth: p.dealDepth(),
+		Depth: p.cfg.Plan.Depth,
 	}
 	p.performEscrows(info)
 
@@ -38,7 +38,7 @@ func (p *Party) timelockInfoOK(info any) bool {
 	// the looser N-party refund floor, which can only delay refunds,
 	// never misdirect assets. Any explicit depth must match the value
 	// this party derives from the spec itself.
-	return ti.Depth == 0 || ti.Depth == p.dealDepth()
+	return ti.Depth == 0 || ti.Depth == p.cfg.Plan.Depth
 }
 
 // sendTimelockVotes sends the party's own commit vote to the escrow
@@ -46,20 +46,21 @@ func (p *Party) timelockInfoOK(info any) bool {
 // minimum. An altruistic party sends it everywhere, collapsing the
 // commit phase to one Δ (Figure 7's footnote).
 func (p *Party) sendTimelockVotes() {
-	var targets []deal.AssetRef
-	if p.cfg.Behavior.Altruistic {
-		targets = p.cfg.Spec.Escrows()
-	} else {
-		targets, _ = p.cfg.Spec.EscrowsTouching(p.Addr)
-	}
 	vote := sig.NewVote(p.cfg.Spec.ID, string(p.Addr), p.cfg.Keys)
-	for _, a := range targets {
-		a := a
-		key := a.Key()
+	send := func(a deal.AssetRef, key string) {
 		p.markAccepted(key, p.Addr) // optimistic; failures are harmless
 		p.submit(a, timelock.MethodCommit, LabelCommit, timelock.CommitArgs{
 			Deal: p.cfg.Spec.ID, Vote: vote,
 		}, nil)
+	}
+	if p.cfg.Behavior.Altruistic {
+		for _, a := range p.cfg.Spec.Escrows() {
+			send(a, a.Key())
+		}
+		return
+	}
+	for _, in := range p.mine.Incoming {
+		send(in.Asset, in.Key)
 	}
 }
 
@@ -76,10 +77,10 @@ func (p *Party) onTimelockEvent(ev chain.Event) {
 	if !ok || data.Deal != p.cfg.Spec.ID {
 		return
 	}
-	seenAt := string(ev.Chain) + "/" + string(ev.Contract)
-	incoming, _ := p.cfg.Spec.EscrowsTouching(p.Addr)
-	for _, a := range incoming {
-		if a.Key() == seenAt {
+	seenAt := "" // the incoming escrow the vote was accepted at, if one of ours
+	for i := range p.mine.Incoming {
+		if in := &p.mine.Incoming[i]; in.Asset.Chain == ev.Chain && in.Asset.Escrow == ev.Contract {
+			seenAt = in.Key
 			p.markAccepted(seenAt, data.Voter)
 		}
 	}
@@ -91,56 +92,60 @@ func (p *Party) onTimelockEvent(ev chain.Event) {
 		// vote): we have already pushed this vote as far as we can.
 		return
 	}
-	for _, a := range incoming {
-		if a.Key() == seenAt {
-			continue
-		}
-		p.forwardVote(a, data.Vote, false, 0)
-	}
+	p.forwardVote(data.Vote, seenAt, false, 0)
 }
 
 // forwardVote extends the vote with the party's signature and submits
-// it to incoming escrow a, unless that contract already accepted (or
-// was already sent) the voter's vote. Both the compliant forwarding
-// path (reacting to accepted-vote events) and the front-runner
-// (reacting to mempool gossip) go through here; raced marks races,
-// whose receipts are reported through the adaptive hooks — success
-// means the racer's copy beat the transaction it reacted to. victimTip
-// is the raced transaction's gossiped tip, which a fee bidder outbids.
-func (p *Party) forwardVote(a deal.AssetRef, vote sig.PathSig, raced bool, victimTip uint64) {
+// it to every incoming escrow except seenAt (where it was just
+// accepted; "" skips none) that has not already accepted, or been
+// sent, the voter's vote. The extension is signed once and the same
+// call data goes to every target. Both the compliant forwarding path
+// (reacting to accepted-vote events) and the front-runner (reacting to
+// mempool gossip) go through here; raced marks races, whose receipts
+// are reported through the adaptive hooks — success means the racer's
+// copy beat the transaction it reacted to. victimTip is the raced
+// transaction's gossiped tip, which a fee bidder outbids.
+func (p *Party) forwardVote(vote sig.PathSig, seenAt string, raced bool, victimTip uint64) {
 	voter := chain.Addr(vote.Voter)
-	key := a.Key()
-	if p.acceptedAt[key][voter] || p.forwarded[key][voter] {
-		return
-	}
-	c, ok := p.cfg.Chains[a.Chain]
-	if !ok {
-		return
-	}
-	tip := p.tipFor(c, LabelCommit)
-	var onReceipt func(*chain.Receipt)
-	if raced {
-		raceTip, bid, race := p.raceTip(c, LabelCommit, victimTip)
-		if !race {
-			return // fee budget exhausted: decline rather than underbid
+	var args any // timelock.CommitArgs carrying the extended vote
+	for i := range p.mine.Incoming {
+		in := &p.mine.Incoming[i]
+		key := in.Key
+		if key == seenAt || p.acceptedAt[key][voter] || p.forwarded[key][voter] {
+			continue
 		}
-		tip = raceTip
-		hooks := p.cfg.Adaptive
-		onReceipt = func(r *chain.Receipt) {
-			if hooks != nil && hooks.OnFrontRun != nil {
-				hooks.OnFrontRun(p.Addr, timelock.MethodCommit, bid, r.Err == nil)
+		c, ok := p.cfg.Chains[in.Asset.Chain]
+		if !ok {
+			continue
+		}
+		tip := p.tipFor(c, LabelCommit)
+		var onReceipt func(*chain.Receipt)
+		if raced {
+			raceTip, bid, race := p.raceTip(c, LabelCommit, victimTip)
+			if !race {
+				continue // fee budget exhausted: decline rather than underbid
+			}
+			tip = raceTip
+			hooks := p.cfg.Adaptive
+			onReceipt = func(r *chain.Receipt) {
+				if hooks != nil && hooks.OnFrontRun != nil {
+					hooks.OnFrontRun(p.Addr, timelock.MethodCommit, bid, r.Err == nil)
+				}
 			}
 		}
+		fw := p.forwarded[key]
+		if fw == nil {
+			fw = make(map[chain.Addr]bool)
+			p.forwarded[key] = fw
+		}
+		fw[voter] = true
+		if args == nil {
+			args = timelock.CommitArgs{
+				Deal: p.cfg.Spec.ID, Vote: vote.Forward(string(p.Addr), p.cfg.Keys),
+			}
+		}
+		p.submitTx(c, in.Asset.Escrow, timelock.MethodCommit, LabelCommit, args, tip, onReceipt)
 	}
-	fw := p.forwarded[key]
-	if fw == nil {
-		fw = make(map[chain.Addr]bool)
-		p.forwarded[key] = fw
-	}
-	fw[voter] = true
-	p.submitTx(c, a.Escrow, timelock.MethodCommit, LabelCommit, timelock.CommitArgs{
-		Deal: p.cfg.Spec.ID, Vote: vote.Forward(string(p.Addr), p.cfg.Keys),
-	}, tip, onReceipt)
 }
 
 // markAccepted records that an escrow contract has accepted a vote.
@@ -165,19 +170,19 @@ func (p *Party) pokeRefunds() {
 		return
 	}
 	pending := false
-	for _, ob := range p.cfg.Spec.EscrowObligations(p.Addr) {
-		key := ob.Asset.Key()
+	for _, ob := range p.mine.Obligations {
+		key := ob.Key
 		view, ok := p.escrowView(ob.Asset)
 		if !ok {
 			continue
 		}
-		if !view.Exists {
+		if !view.Exists() {
 			if p.escrowSubmitted[key] && !p.escrowConfirmed[key] {
 				pending = true // own deposit still in flight; check again
 			}
 			continue
 		}
-		if view.Status != escrow.StatusActive {
+		if view.Status() != escrow.StatusActive {
 			continue
 		}
 		p.submit(ob.Asset, timelock.MethodRefund, LabelAbort,

@@ -407,12 +407,12 @@ func TestEscrowStillWorksThroughEmbedding(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := res.(escrow.View)
-	if v.Deposited["alice"] != 100 {
-		t.Fatalf("view = %+v", v)
+	if v.DepositedOf("alice") != 100 {
+		t.Fatalf("view: alice deposited %d", v.DepositedOf("alice"))
 	}
-	info, ok := v.Info.(Info)
+	info, ok := v.Info().(Info)
 	if !ok || info.T0 != t0 || info.Delta != delta {
-		t.Fatalf("info = %+v", v.Info)
+		t.Fatalf("info = %+v", v.Info())
 	}
 }
 

@@ -157,7 +157,7 @@ func (t *Tower) pokeRefunds() {
 		if err != nil {
 			continue
 		}
-		if v, ok := res.(escrow.View); !ok || !v.Exists || v.Status != escrow.StatusActive {
+		if v, ok := res.(escrow.View); !ok || v.Status() != escrow.StatusActive {
 			continue
 		}
 		t.Pokes++
