@@ -9,12 +9,14 @@ import (
 // maxBytesPerDeal is the allocation-budget ceiling the CI gate holds
 // over the block-production hot path, measured through a whole isolated
 // sweep (generation + worlds + aggregation). The sweep below measures
-// 150,892 bytes/deal (go1.24, linux/amd64, the same on repeated runs;
-// 264,246 before event delivery was filtered, deal plans were computed
-// once and escrow reads stopped copying). The rule: ceiling = last
-// measurement + 15 %, rounded up to the next thousand, and a PR that
-// lowers the measurement ratchets the ceiling down with it.
-const maxBytesPerDeal = 174_000
+// 140,987 bytes/deal (go1.24, linux/amd64, the same on repeated runs;
+// 150,371 before the gas meter went flat, After stopped returning a
+// Cancel and mempool gossip was filtered; 264,246 before event delivery
+// was filtered, deal plans were computed once and escrow reads stopped
+// copying). The rule: ceiling = last measurement + 15 %, rounded up to
+// the next thousand, and a PR that lowers the measurement ratchets the
+// ceiling down with it.
+const maxBytesPerDeal = 163_000
 
 // TestAllocationBudgetPerDeal is the CI allocation gate: it meters a
 // fixed-seed sweep with the benchmark machinery and fails if bytes/deal

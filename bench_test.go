@@ -505,7 +505,7 @@ func BenchmarkMicroSchedulerWheelVsHeap(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cancel := s.After(sim.Duration(5+i%128), func() {})
+				cancel := s.At(s.Now()+sim.Time(5+i%128), func() {})
 				cancel()
 			}
 		})

@@ -283,7 +283,7 @@ func (c *CBC) scheduleBlock() {
 	if c.cfg.OutageUntil > 0 && next >= c.cfg.OutageFrom && next < c.cfg.OutageUntil {
 		next = (c.cfg.OutageUntil/c.cfg.BlockInterval + 1) * c.cfg.BlockInterval
 	}
-	c.sched.At(next, c.produceBlock)
+	c.sched.After(next-now, c.produceBlock)
 }
 
 func (c *CBC) produceBlock() {

@@ -230,10 +230,9 @@ type Chain struct {
 	mempool   []*Tx
 	txSeq     uint64
 	contracts map[Addr]Contract
-	subs      []subscription // by subscription id; fn nil once unsubscribed
-	readEnv   *Env           // the one Env every Query reads through
-	mpSubs    map[int]func(PendingTx)
-	nextMpSub int
+	subs      []subscription[Event]     // by subscription id; fn nil once unsubscribed
+	mpSubs    []subscription[PendingTx] // likewise, for mempool gossip
+	readEnv   *Env                      // the one Env every Query reads through
 	rcptSubs  map[int]func(*Receipt)
 	nextRcpt  int
 	blockSet  bool // a block production event is scheduled
@@ -301,7 +300,6 @@ func New(cfg Config, sched *sim.Scheduler, rng *sim.RNG) *Chain {
 		rng:          rng.Fork(),
 		meter:        gas.NewMeter(cfg.Schedule),
 		contracts:    make(map[Addr]Contract),
-		mpSubs:       make(map[int]func(PendingTx)),
 		rcptSubs:     make(map[int]func(*Receipt)),
 		openBundles:  make(map[string]*pendingBundle),
 		bundleStreak: make(map[string]int),
@@ -360,11 +358,12 @@ func (c *Chain) MustDeploy(addr Addr, ct Contract) {
 // Contract returns the contract at addr, or nil.
 func (c *Chain) Contract(addr Addr) Contract { return c.contracts[addr] }
 
-// subscription is one event observer: fn receives, after the observer's
-// own notify delay, every event its interest predicate accepts.
-type subscription struct {
-	wants func(Event) bool // nil accepts every event
-	fn    func(Event)
+// subscription is one observer of events or of mempool gossip: fn
+// receives, after the observer's own notify delay, every item its
+// interest predicate accepts.
+type subscription[T any] struct {
+	wants func(T) bool // nil accepts every item
+	fn    func(T)
 }
 
 // Subscribe registers an observer for all of this chain's events. The
@@ -383,8 +382,8 @@ func (c *Chain) Subscribe(fn func(Event)) func() {
 // draw keeps its place) but nothing is scheduled for it.
 func (c *Chain) SubscribeFiltered(wants func(Event) bool, fn func(Event)) func() {
 	id := len(c.subs)
-	c.subs = append(c.subs, subscription{wants: wants, fn: fn})
-	return func() { c.subs[id] = subscription{} }
+	c.subs = append(c.subs, subscription[Event]{wants: wants, fn: fn})
+	return func() { c.subs[id] = subscription[Event]{} }
 }
 
 // Submit publishes a transaction. It reaches the mempool after the submit
@@ -416,8 +415,9 @@ func (c *Chain) Submit(tx *Tx) {
 	c.submitMu.Unlock()
 }
 
-// gossipTx fans a published transaction out to mempool observers, each
-// after its own notification delay.
+// gossipTx fans a published transaction out to the mempool observers it
+// concerns, each after its own notification delay. Like dispatch, every
+// live observer draws its delay and only wanted deliveries are scheduled.
 func (c *Chain) gossipTx(tx *Tx) {
 	if len(c.mpSubs) == 0 {
 		return
@@ -431,25 +431,31 @@ func (c *Chain) gossipTx(tx *Tx) {
 		Args:     tx.Args,
 		Tip:      tx.Tip,
 	}
-	for id := 0; id < c.nextMpSub; id++ {
-		fn, ok := c.mpSubs[id]
-		if !ok {
+	for _, s := range c.mpSubs {
+		fn := s.fn
+		if fn == nil {
 			continue
 		}
 		nd := c.cfg.Delays.NotifyDelay(c.sched.Now(), c.rng)
+		if s.wants != nil && !s.wants(ptx) {
+			continue
+		}
 		c.sched.After(nd, func() { fn(ptx) })
 	}
 }
 
 // SubscribeMempool registers a mempool observer: fn receives every
-// subsequently published transaction after the observer's notification
-// delay. The returned function unsubscribes. Observation is free (public
-// gossip); reacting costs a transaction like anything else.
-func (c *Chain) SubscribeMempool(fn func(PendingTx)) func() {
-	id := c.nextMpSub
-	c.nextMpSub++
-	c.mpSubs[id] = fn
-	return func() { delete(c.mpSubs, id) }
+// subsequently published transaction wants accepts (nil accepts all),
+// after the observer's notification delay. wants runs as the transaction
+// is published, so, as for SubscribeFiltered, it may depend only on the
+// transaction and on state fixed before subscribing; a rejected
+// transaction still draws the observer's delay. The returned function
+// unsubscribes. Observation is free (public gossip); reacting costs a
+// transaction like anything else.
+func (c *Chain) SubscribeMempool(wants func(PendingTx) bool, fn func(PendingTx)) func() {
+	id := len(c.mpSubs)
+	c.mpSubs = append(c.mpSubs, subscription[PendingTx]{wants: wants, fn: fn})
+	return func() { c.mpSubs[id] = subscription[PendingTx]{} }
 }
 
 // SubscribeReceipts registers an omniscient receipt observer: fn is
@@ -495,7 +501,7 @@ func (c *Chain) scheduleBlock() {
 	if c.cfg.OutageUntil > 0 && next >= c.cfg.OutageFrom && next < c.cfg.OutageUntil {
 		next = (c.cfg.OutageUntil/c.cfg.BlockInterval + 1) * c.cfg.BlockInterval
 	}
-	c.sched.At(next, c.produceBlock)
+	c.sched.After(next-now, c.produceBlock)
 }
 
 // inclusion is one slot of a block under construction: a transaction and

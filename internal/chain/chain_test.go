@@ -524,7 +524,7 @@ func TestMempoolObserversSeePendingTxs(t *testing.T) {
 	c.MustDeploy("counter", &counter{})
 	var seen []PendingTx
 	var seenAt []sim.Time
-	unsub := c.SubscribeMempool(func(p PendingTx) {
+	unsub := c.SubscribeMempool(nil, func(p PendingTx) {
 		seen = append(seen, p)
 		seenAt = append(seenAt, sched.Now())
 	})
@@ -763,7 +763,7 @@ func TestMempoolGossipCarriesTip(t *testing.T) {
 	c, sched := testChain(t)
 	c.MustDeploy("ctr", &counter{})
 	var tips []uint64
-	c.SubscribeMempool(func(p PendingTx) { tips = append(tips, p.Tip) })
+	c.SubscribeMempool(nil, func(p PendingTx) { tips = append(tips, p.Tip) })
 	c.Submit(&Tx{Sender: "a", Contract: "ctr", Method: "inc", Label: "t", Tip: 9})
 	sched.Run()
 	if len(tips) != 1 || tips[0] != 9 {

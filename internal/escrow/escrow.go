@@ -18,6 +18,7 @@ package escrow
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"xdeal/internal/chain"
 	"xdeal/internal/deal"
@@ -429,7 +430,7 @@ func (v View) Info() any { return v.state().Info }
 func (v View) FinalizedAt() sim.Time { return v.state().FinalizedAt }
 
 // PartiesEqual reports whether the registered party list is exactly ps.
-func (v View) PartiesEqual(ps []chain.Addr) bool { return equalAddrs(v.state().Parties, ps) }
+func (v View) PartiesEqual(ps []chain.Addr) bool { return slices.Equal(v.state().Parties, ps) }
 
 // DepositedOf is p's entry in the A map: its refund on abort.
 func (v View) DepositedOf(p chain.Addr) uint64 { return v.state().Deposited[p] }

@@ -2,6 +2,7 @@ package escrow
 
 import (
 	"reflect"
+	"slices"
 
 	"xdeal/internal/chain"
 	"xdeal/internal/deal"
@@ -122,7 +123,7 @@ func (m *Manager) HandleEscrow(env *chain.Env, a EscrowArgs) error {
 	if err != nil {
 		return err
 	}
-	if !equalAddrs(st.Parties, a.Parties) {
+	if !slices.Equal(st.Parties, a.Parties) {
 		return ErrInfoMismatch
 	}
 	if m.Kind == deal.Fungible {
@@ -154,16 +155,4 @@ func (m *Manager) HandleTransfer(env *chain.Env, a TransferArgs) error {
 		Deal: a.Deal, From: env.Sender(), To: a.To, Amount: a.Amount, Tokens: a.Tokens,
 	})
 	return nil
-}
-
-func equalAddrs(a, b []chain.Addr) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -11,6 +11,7 @@ package gas
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -72,56 +73,82 @@ func (s Schedule) Cost(op Op) uint64 {
 	}
 }
 
+// ops lists the operation classes in the order a usage record counts
+// them.
+var ops = [...]Op{OpWrite, OpRead, OpSigVerify, OpArith, OpEvent, OpTxBase}
+
+// opIndex is op's position in ops, or -1 for an unknown class.
+func opIndex(op Op) int {
+	for i, o := range ops {
+		if o == op {
+			return i
+		}
+	}
+	return -1
+}
+
+// usage is the gas used and the operations counted under one label, or
+// in total. It is a flat value, so a map of them copies as one block.
+type usage struct {
+	used   uint64
+	counts [len(ops)]uint64
+}
+
+func (u *usage) add(o usage) {
+	u.used += o.used
+	for i, n := range o.counts {
+		u.counts[i] += n
+	}
+}
+
+func (u usage) count(op Op) uint64 {
+	if i := opIndex(op); i >= 0 {
+		return u.counts[i]
+	}
+	return 0
+}
+
 // Meter accumulates gas usage, broken down by operation class and by
 // caller-supplied label (the harness labels transactions with their deal
-// phase so Figure 4's per-phase rows can be reproduced).
+// phase so Figure 4's per-phase rows can be reproduced). Operations of a
+// class outside ops cost nothing and are not counted.
 type Meter struct {
 	schedule Schedule
-	used     uint64
-	counts   map[Op]uint64
-	byLabel  map[string]uint64
-	countsBy map[string]map[Op]uint64
+	total    usage
+	byLabel  map[string]usage // nil until the first charge or merge
 }
 
 // NewMeter returns an empty meter using the given schedule.
-func NewMeter(s Schedule) *Meter {
-	return &Meter{
-		schedule: s,
-		counts:   make(map[Op]uint64),
-		byLabel:  make(map[string]uint64),
-		countsBy: make(map[string]map[Op]uint64),
-	}
-}
+func NewMeter(s Schedule) *Meter { return &Meter{schedule: s} }
 
 // Charge records n operations of class op under label.
 func (m *Meter) Charge(label string, op Op, n uint64) {
-	cost := m.schedule.Cost(op) * n
-	m.used += cost
-	m.counts[op] += n
-	m.byLabel[label] += cost
-	lc, ok := m.countsBy[label]
-	if !ok {
-		lc = make(map[Op]uint64)
-		m.countsBy[label] = lc
+	if m.byLabel == nil {
+		m.byLabel = make(map[string]usage)
 	}
-	lc[op] += n
+	cost := m.schedule.Cost(op) * n
+	lu := m.byLabel[label]
+	lu.used += cost
+	m.total.used += cost
+	if i := opIndex(op); i >= 0 {
+		lu.counts[i] += n
+		m.total.counts[i] += n
+	}
+	m.byLabel[label] = lu
 }
 
 // Used returns the total gas consumed.
-func (m *Meter) Used() uint64 { return m.used }
+func (m *Meter) Used() uint64 { return m.total.used }
 
 // Count returns the number of operations of class op recorded.
-func (m *Meter) Count(op Op) uint64 { return m.counts[op] }
+func (m *Meter) Count(op Op) uint64 { return m.total.count(op) }
 
 // UsedByLabel returns the gas consumed under label.
-func (m *Meter) UsedByLabel(label string) uint64 { return m.byLabel[label] }
+func (m *Meter) UsedByLabel(label string) uint64 { return m.byLabel[label].used }
 
 // CountByLabel returns the number of op operations recorded under label.
 func (m *Meter) CountByLabel(label string, op Op) uint64 {
-	if lc, ok := m.countsBy[label]; ok {
-		return lc[op]
-	}
-	return 0
+	return m.byLabel[label].count(op)
 }
 
 // Labels returns all labels seen, sorted.
@@ -136,33 +163,20 @@ func (m *Meter) Labels() []string {
 
 // Merge adds the contents of other into m. Useful for aggregating the
 // meters of many chains into one global view (Figure 4 reports global
-// costs across all m asset chains).
+// costs across all m asset chains). Each label keeps the gas its own
+// meter charged, so meters with different schedules merge exactly.
+// Merging into a meter with no labels yet copies other's table whole.
 func (m *Meter) Merge(other *Meter) {
-	m.used += other.used
-	for op, n := range other.counts {
-		m.counts[op] += n
+	m.total.add(other.total)
+	if len(m.byLabel) == 0 {
+		m.byLabel = maps.Clone(other.byLabel)
+		return
 	}
-	for l, g := range other.byLabel {
-		m.byLabel[l] += g
+	for l, ou := range other.byLabel {
+		lu := m.byLabel[l]
+		lu.add(ou)
+		m.byLabel[l] = lu
 	}
-	for l, lc := range other.countsBy {
-		dst, ok := m.countsBy[l]
-		if !ok {
-			dst = make(map[Op]uint64)
-			m.countsBy[l] = dst
-		}
-		for op, n := range lc {
-			dst[op] += n
-		}
-	}
-}
-
-// Reset clears all recorded usage but keeps the schedule.
-func (m *Meter) Reset() {
-	m.used = 0
-	m.counts = make(map[Op]uint64)
-	m.byLabel = make(map[string]uint64)
-	m.countsBy = make(map[string]map[Op]uint64)
 }
 
 // Snapshot returns an immutable summary of the meter, suitable for
@@ -172,13 +186,16 @@ type Snapshot struct {
 	Counts map[Op]uint64
 }
 
-// Snapshot captures current totals.
+// Snapshot captures current totals. Counts holds every class with a
+// non-zero count.
 func (m *Meter) Snapshot() Snapshot {
-	c := make(map[Op]uint64, len(m.counts))
-	for op, n := range m.counts {
-		c[op] = n
+	c := make(map[Op]uint64, len(ops))
+	for i, n := range m.total.counts {
+		if n > 0 {
+			c[ops[i]] = n
+		}
 	}
-	return Snapshot{Used: m.used, Counts: c}
+	return Snapshot{Used: m.total.used, Counts: c}
 }
 
 // Sub returns the operation deltas between two snapshots (m - prev).

@@ -1,6 +1,11 @@
 package gas
 
 import (
+	"fmt"
+	"maps"
+	"math/rand/v2"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -96,20 +101,6 @@ func TestMeterMerge(t *testing.T) {
 	}
 }
 
-func TestMeterReset(t *testing.T) {
-	m := NewMeter(DefaultSchedule())
-	m.Charge("x", OpWrite, 10)
-	m.Reset()
-	if m.Used() != 0 || m.Count(OpWrite) != 0 || len(m.Labels()) != 0 {
-		t.Fatal("Reset did not clear meter")
-	}
-	// Meter still usable after reset.
-	m.Charge("x", OpWrite, 1)
-	if m.Used() != 5000 {
-		t.Fatalf("post-reset Used() = %d, want 5000", m.Used())
-	}
-}
-
 func TestSnapshotSub(t *testing.T) {
 	m := NewMeter(DefaultSchedule())
 	m.Charge("x", OpWrite, 2)
@@ -169,5 +160,167 @@ func TestQuickMeterTotalEqualsSumOfLabels(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refMeter is a nested-map meter: one map per total and per label, and
+// an inner map of counts for every label. It is the oracle the flat
+// layout must agree with.
+type refMeter struct {
+	schedule Schedule
+	used     uint64
+	counts   map[Op]uint64
+	byLabel  map[string]uint64
+	countsBy map[string]map[Op]uint64
+}
+
+func newRefMeter(s Schedule) *refMeter {
+	return &refMeter{
+		schedule: s,
+		counts:   make(map[Op]uint64),
+		byLabel:  make(map[string]uint64),
+		countsBy: make(map[string]map[Op]uint64),
+	}
+}
+
+func (m *refMeter) Charge(label string, op Op, n uint64) {
+	cost := m.schedule.Cost(op) * n
+	m.used += cost
+	m.counts[op] += n
+	m.byLabel[label] += cost
+	lc, ok := m.countsBy[label]
+	if !ok {
+		lc = make(map[Op]uint64)
+		m.countsBy[label] = lc
+	}
+	lc[op] += n
+}
+
+func (m *refMeter) Merge(other *refMeter) {
+	m.used += other.used
+	for op, n := range other.counts {
+		m.counts[op] += n
+	}
+	for l, g := range other.byLabel {
+		m.byLabel[l] += g
+	}
+	for l, lc := range other.countsBy {
+		dst, ok := m.countsBy[l]
+		if !ok {
+			dst = make(map[Op]uint64)
+			m.countsBy[l] = dst
+		}
+		for op, n := range lc {
+			dst[op] += n
+		}
+	}
+}
+
+// agree reports the first accessor on which m and ref differ, or "".
+func agree(m *Meter, ref *refMeter) string {
+	if m.Used() != ref.used {
+		return fmt.Sprintf("Used %d, reference %d", m.Used(), ref.used)
+	}
+	labels := slices.Sorted(maps.Keys(ref.byLabel))
+	if got := m.Labels(); !slices.Equal(got, labels) {
+		return fmt.Sprintf("Labels %v, reference %v", got, labels)
+	}
+	probe := append(labels, "never-charged")
+	for _, op := range ops {
+		if m.Count(op) != ref.counts[op] {
+			return fmt.Sprintf("Count(%s) %d, reference %d", op, m.Count(op), ref.counts[op])
+		}
+		for _, l := range probe {
+			if m.CountByLabel(l, op) != ref.countsBy[l][op] {
+				return fmt.Sprintf("CountByLabel(%s, %s) %d, reference %d", l, op, m.CountByLabel(l, op), ref.countsBy[l][op])
+			}
+		}
+	}
+	for _, l := range probe {
+		if m.UsedByLabel(l) != ref.byLabel[l] {
+			return fmt.Sprintf("UsedByLabel(%s) %d, reference %d", l, m.UsedByLabel(l), ref.byLabel[l])
+		}
+	}
+	// The reference keeps a class it was charged zero operations of; a
+	// snapshot lists the classes that were counted.
+	want := Snapshot{Used: ref.used, Counts: make(map[Op]uint64)}
+	for op, n := range ref.counts {
+		if n > 0 {
+			want.Counts[op] = n
+		}
+	}
+	if got := m.Snapshot(); !reflect.DeepEqual(got, want) || got.String() != want.String() {
+		return fmt.Sprintf("Snapshot %v, reference %v", got, want)
+	}
+	return ""
+}
+
+// TestMeterMatchesNestedMapReference drives the flat meter and the
+// reference through the same random Charge and Merge sequences — over
+// meters with different schedules, merges into fresh and into populated
+// meters, and zero-operation charges — and checks every accessor after
+// every step.
+func TestMeterMatchesNestedMapReference(t *testing.T) {
+	cheap := Schedule{Write: 7, Read: 3, SigVerify: 11, Arith: 1, Event: 2, TxBase: 13}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for trial := 0; trial < 200; trial++ {
+		schedules := []Schedule{DefaultSchedule(), cheap, DefaultSchedule()}
+		ms := make([]*Meter, len(schedules))
+		refs := make([]*refMeter, len(schedules))
+		for i, s := range schedules {
+			ms[i], refs[i] = NewMeter(s), newRefMeter(s)
+		}
+		for step := 0; step < 40; step++ {
+			i := rng.IntN(len(ms))
+			switch rng.IntN(4) {
+			case 0: // merge into a fresh meter, as GasMerged starts
+				ms[i], refs[i] = NewMeter(schedules[i]), newRefMeter(schedules[i])
+				fallthrough
+			case 1:
+				j := rng.IntN(len(ms))
+				if j == i {
+					continue
+				}
+				ms[i].Merge(ms[j])
+				refs[i].Merge(refs[j])
+			default:
+				label := fmt.Sprintf("deal%d/phase%d", rng.IntN(6), rng.IntN(3))
+				op, n := ops[rng.IntN(len(ops))], uint64(rng.IntN(4))
+				ms[i].Charge(label, op, n)
+				refs[i].Charge(label, op, n)
+			}
+			for k := range ms {
+				if diff := agree(ms[k], refs[k]); diff != "" {
+					t.Fatalf("trial %d step %d, meter %d: %s", trial, step, k, diff)
+				}
+			}
+		}
+	}
+}
+
+var meterSink *Meter
+
+// TestMergeIntoEmptyCopiesTableOnce: merging a 300-label meter into a
+// fresh one — what GasMerged does per deal on a shared substrate — costs
+// the meter and one copy of the label table, not an inner map per label.
+func TestMergeIntoEmptyCopiesTableOnce(t *testing.T) {
+	src, ref := NewMeter(DefaultSchedule()), newRefMeter(DefaultSchedule())
+	for i := 0; i < 300; i++ {
+		label := fmt.Sprintf("deal%d/escrow", i)
+		src.Charge(label, OpSigVerify, 2)
+		ref.Charge(label, OpSigVerify, 2)
+	}
+	merge := testing.AllocsPerRun(20, func() {
+		meterSink = NewMeter(DefaultSchedule())
+		meterSink.Merge(src)
+	})
+	table := testing.AllocsPerRun(20, func() { meterSink.byLabel = maps.Clone(src.byLabel) })
+	if merge > table+1 {
+		t.Fatalf("a 300-label Merge into an empty meter allocates %v times, want ≤ %v (the meter and one table copy)",
+			merge, table+1)
+	}
+	t.Logf("300-label merge into an empty meter: %v allocations (%v copying the table)", merge, table)
+	if diff := agree(meterSink, ref); diff != "" {
+		t.Fatal(diff)
 	}
 }

@@ -175,28 +175,39 @@ func (p *Party) armFrontRunner() {
 		if !ok {
 			continue
 		}
-		p.unsubs = append(p.unsubs, c.SubscribeMempool(func(ptx chain.PendingTx) {
-			if !p.active() || p.backedOut() || ptx.Sender == p.Addr {
-				return
-			}
-			p.race(ptx)
-		}))
+		p.unsubs = append(p.unsubs, c.SubscribeMempool(p.wantsGossip, p.race))
 	}
 }
 
-// race reacts to one observed pending transaction. The gossip carries
-// the victim's tip, which is what a fee bidder outbids.
-func (p *Party) race(ptx chain.PendingTx) {
+// wantsGossip is the front-runner's mempool filter: another party's
+// commit vote (timelock) or decision proof (CBC) for its own deal — the
+// only gossip race acts on. Like wants, it reads only the transaction and
+// the party's fixed configuration; whether the party is active or has
+// backed out is decided at delivery.
+func (p *Party) wantsGossip(ptx chain.PendingTx) bool {
+	if ptx.Sender == p.Addr {
+		return false
+	}
 	switch args := ptx.Args.(type) {
 	case timelock.CommitArgs:
-		if p.cfg.Protocol != ProtoTimelock || args.Deal != p.cfg.Spec.ID {
-			return
-		}
+		return p.cfg.Protocol == ProtoTimelock && args.Deal == p.cfg.Spec.ID
+	case cbc.ProofArgs:
+		return p.cfg.Protocol == ProtoCBC && args.Deal == p.cfg.Spec.ID
+	}
+	return false
+}
+
+// race reacts to one observed pending transaction, and ignores any that
+// wantsGossip rejects. The gossip carries the victim's tip, which is
+// what a fee bidder outbids.
+func (p *Party) race(ptx chain.PendingTx) {
+	if !p.active() || p.backedOut() || !p.wantsGossip(ptx) {
+		return
+	}
+	switch args := ptx.Args.(type) {
+	case timelock.CommitArgs:
 		p.raceVote(args.Vote, ptx.Tip)
 	case cbc.ProofArgs:
-		if p.cfg.Protocol != ProtoCBC || args.Deal != p.cfg.Spec.ID {
-			return
-		}
 		status := escrow.StatusCommitted
 		if ptx.Method == cbc.MethodAbortProof {
 			status = escrow.StatusAborted

@@ -1,6 +1,8 @@
 package party
 
 import (
+	"slices"
+
 	"xdeal/internal/cbc"
 	"xdeal/internal/chain"
 	"xdeal/internal/deal"
@@ -73,7 +75,7 @@ func (p *Party) onCBCBlock(b *cbc.Block) {
 			if e.Kind != cbc.EntryStartDeal || e.Deal != p.cfg.Spec.ID {
 				continue
 			}
-			if !sameParties(e.Parties, p.cfg.Spec.Parties) {
+			if !slices.Equal(e.Parties, p.cfg.Spec.Parties) {
 				// The recorded plist differs from what clearing
 				// announced; a prudent party refuses to take part.
 				return
@@ -251,18 +253,6 @@ func (p *Party) claimOutcome(status escrow.Status, raced bool, victimTip uint64)
 	for _, ob := range p.mine.Obligations {
 		claim(ob.Asset, ob.Key)
 	}
-}
-
-func sameParties(a, b []chain.Addr) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // corruptInfo distorts the Dinfo a deviating party registers (the

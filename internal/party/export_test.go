@@ -17,6 +17,12 @@ func (p *Party) Wants(ev chain.Event) bool { return p.wants(ev) }
 // OnChainEvent is the party's event handler, as the chain would call it.
 func (p *Party) OnChainEvent(ev chain.Event) { p.onChainEvent(ev) }
 
+// WantsGossip is the front-runner's mempool filter.
+func (p *Party) WantsGossip(ptx chain.PendingTx) bool { return p.wantsGossip(ptx) }
+
+// OnGossip is the front-runner's mempool handler, as the chain would call it.
+func (p *Party) OnGossip(ptx chain.PendingTx) { p.race(ptx) }
+
 // Repoll runs the two polling loops every escrow event drives, with the
 // validation verdict cleared so the whole scan runs again.
 func (p *Party) Repoll() {

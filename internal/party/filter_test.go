@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"xdeal/internal/cbc"
 	"xdeal/internal/chain"
 	"xdeal/internal/deal"
 	"xdeal/internal/engine"
@@ -56,13 +57,39 @@ func everyEvent(own string, at deal.AssetRef, voter chain.Addr, keys sig.KeyPair
 	return evs
 }
 
+// everyGossip lists pending transactions of every kind a deal's parties
+// publish, from the party itself and from a counterparty, for the party's
+// own deal and a foreign one, plus payloads no handler reads.
+func everyGossip(own string, at deal.AssetRef, self, voter chain.Addr, keys sig.KeyPair) []chain.PendingTx {
+	var txs []chain.PendingTx
+	for _, sender := range []chain.Addr{self, voter} {
+		add := func(method string, args any) {
+			txs = append(txs, chain.PendingTx{
+				Chain: at.Chain, Sender: sender, Contract: at.Escrow, Method: method, Args: args, Tip: 3,
+			})
+		}
+		for _, id := range []string{own, "someone-else's-deal"} {
+			add(timelock.MethodCommit, timelock.CommitArgs{Deal: id, Vote: sig.NewVote(id, string(voter), keys)})
+			add(cbc.MethodCommitProof, cbc.ProofArgs{Deal: id})
+			add(cbc.MethodAbortProof, cbc.ProofArgs{Deal: id})
+			add(timelock.MethodRefund, timelock.RefundArgs{Deal: id})
+			add(escrow.MethodEscrow, escrow.EscrowArgs{Deal: id, Amount: 5})
+		}
+		add(timelock.MethodCommit, nil)
+		add(cbc.MethodCommitProof, own) // the deal id itself is not a payload
+	}
+	return txs
+}
+
 // TestFilterRejectsOnlyIgnoredEvents checks the condition that makes
-// filtering at dispatch sound: whatever the party's filter rejects, its
-// handler would have ignored — it submits nothing, schedules nothing and
-// changes no field of the party. It is checked against the handler, not
-// assumed from it, after every step of a live run of each protocol: a
-// handler that learns to react to a new kind without the filter letting
-// that kind through fails here instead of silently never being called.
+// filtering at dispatch and at gossip sound: whatever one of the party's
+// filters rejects — a chain event, or a pending transaction its
+// front-runner handler would see — that handler would have ignored: it
+// submits nothing, schedules nothing and changes no field of the party.
+// It is checked against the handlers, not assumed from them, after every
+// step of a live run of each protocol: a handler that learns to react to
+// a new kind without its filter letting that kind through fails here
+// instead of silently never being called.
 func TestFilterRejectsOnlyIgnoredEvents(t *testing.T) {
 	for _, proto := range []party.Protocol{party.ProtoTimelock, party.ProtoCBC} {
 		spec := deal.BrokerSpec(3000, 1000)
@@ -71,7 +98,7 @@ func TestFilterRejectsOnlyIgnoredEvents(t *testing.T) {
 			t.Fatal(err)
 		}
 		w.Start()
-		wanted, rejected := 0, 0
+		var events, gossip struct{ wanted, rejected int }
 		// Probe after every scheduler step: the windows that matter are
 		// the few ticks between a block changing contract state and the
 		// party's own notification of it, when an extra poll would act
@@ -84,28 +111,41 @@ func TestFilterRejectsOnlyIgnoredEvents(t *testing.T) {
 					voter = spec.Parties[1]
 				}
 				state, pending := p.State(), w.Sched.Pending()
+				// ignored hands a rejected item to its handler and checks
+				// that nothing happened.
+				ignored := func(item any, handle func()) {
+					handle()
+					if got := p.State(); got != state {
+						t.Fatalf("%s %s at t=%d: handler changed the party on filtered %T %+v:\nbefore:\n%s\nafter:\n%s",
+							proto, addr, w.Sched.Now(), item, item, state, got)
+					}
+					if got := w.Sched.Pending(); got != pending {
+						t.Fatalf("%s %s at t=%d: handler scheduled %d events on filtered %T %+v",
+							proto, addr, w.Sched.Now(), got-pending, item, item)
+					}
+				}
 				for _, at := range spec.Escrows() {
 					for _, ev := range everyEvent(spec.ID, at, voter, w.Keys(voter)) {
 						if p.Wants(ev) {
-							wanted++
+							events.wanted++
 							continue
 						}
-						rejected++
-						p.OnChainEvent(ev)
-						if got := p.State(); got != state {
-							t.Fatalf("%s %s at t=%d: handler changed the party on a filtered %q event (%T):\nbefore:\n%s\nafter:\n%s",
-								proto, addr, w.Sched.Now(), ev.Kind, ev.Data, state, got)
+						events.rejected++
+						ignored(ev, func() { p.OnChainEvent(ev) })
+					}
+					for _, ptx := range everyGossip(spec.ID, at, addr, voter, w.Keys(voter)) {
+						if p.WantsGossip(ptx) {
+							gossip.wanted++
+							continue
 						}
-						if got := w.Sched.Pending(); got != pending {
-							t.Fatalf("%s %s at t=%d: handler scheduled %d events on a filtered %q event (%T)",
-								proto, addr, w.Sched.Now(), got-pending, ev.Kind, ev.Data)
-						}
+						gossip.rejected++
+						ignored(ptx, func() { p.OnGossip(ptx) })
 					}
 				}
 			}
 		}
-		if wanted == 0 || rejected == 0 {
-			t.Fatalf("%s: table does not exercise both sides: %d wanted, %d rejected", proto, wanted, rejected)
+		if events.wanted == 0 || events.rejected == 0 || gossip.wanted == 0 || gossip.rejected == 0 {
+			t.Fatalf("%s: tables do not exercise both sides: events %+v, gossip %+v", proto, events, gossip)
 		}
 		// The filter lets through what the protocol runs on: the run the
 		// probing interleaved with still ends in a commit.
@@ -184,7 +224,7 @@ func TestForwardedVoteSignedOncePerObservation(t *testing.T) {
 	// (accepted elsewhere) may sign afresh.
 	relays, distinct := 0, make(map[*byte]bool)
 	for _, c := range w.Chains {
-		c.SubscribeMempool(func(ptx chain.PendingTx) {
+		c.SubscribeMempool(nil, func(ptx chain.PendingTx) {
 			if args, ok := ptx.Args.(timelock.CommitArgs); ok && args.Vote.Len() >= 2 {
 				relays++
 				distinct[&args.Vote.Sigs[args.Vote.Len()-1][0]] = true

@@ -170,28 +170,31 @@ func (s *Scheduler) Steps() uint64 { return s.steps }
 // events are unlinked immediately and never counted.
 func (s *Scheduler) Pending() int { return s.q.len() }
 
-// Cancel is returned by At/After and cancels the event if it has not run.
+// Cancel is returned by At and cancels the event if it has not run.
 // Canceling an executed or already-canceled event is a no-op.
 type Cancel func()
 
 // At schedules fn to run at time t. Scheduling in the past (t < Now) runs
 // the event at the current time instead, preserving causal order.
 func (s *Scheduler) At(t Time, fn func()) Cancel {
+	e := s.schedule(t, fn)
+	return func() { s.q.remove(e) }
+}
+
+// After schedules fn to run d ticks from now (now, if d < 0). Unlike At
+// it returns no Cancel, so scheduling costs the event alone.
+func (s *Scheduler) After(d Duration, fn func()) {
+	s.schedule(s.now+d, fn)
+}
+
+func (s *Scheduler) schedule(t Time, fn func()) *event {
 	if t < s.now {
 		t = s.now
 	}
 	e := &event{at: t, seq: s.seq, fn: fn}
 	s.seq++
 	s.q.schedule(e)
-	return func() { s.q.remove(e) }
-}
-
-// After schedules fn to run d ticks from now.
-func (s *Scheduler) After(d Duration, fn func()) Cancel {
-	if d < 0 {
-		d = 0
-	}
-	return s.At(s.now+d, fn)
+	return e
 }
 
 // Step executes the next pending event, advancing the clock to its time.

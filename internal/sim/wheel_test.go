@@ -69,6 +69,32 @@ func TestDoubleCancelIsNoop(t *testing.T) {
 	}
 }
 
+// TestAfterAllocatesOnlyTheEvent pins what scheduling costs: After with a
+// prebuilt fn allocates the event and nothing else, while At still hands
+// back a Cancel that unlinks the event.
+func TestAfterAllocatesOnlyTheEvent(t *testing.T) {
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) {
+			s := b.mk()
+			ran := 0
+			fn := func() { ran++ }
+			const runs = 100
+			if allocs := testing.AllocsPerRun(runs, func() { s.After(3, fn) }); allocs != 1 {
+				t.Fatalf("After allocates %v times per event, want 1", allocs)
+			}
+			cancel := s.At(2, func() { t.Error("canceled event ran") })
+			cancel()
+			if got := s.Pending(); got != runs+1 {
+				t.Fatalf("Pending() = %d after canceling, want %d", got, runs+1)
+			}
+			s.Run()
+			if ran != runs+1 {
+				t.Fatalf("%d events ran, want %d", ran, runs+1)
+			}
+		})
+	}
+}
+
 func TestChurnKeepsQueueBounded(t *testing.T) {
 	// A schedule/cancel churn loop must not grow the queue: canceled
 	// events are unlinked immediately, and the far heap's backing array
@@ -77,7 +103,7 @@ func TestChurnKeepsQueueBounded(t *testing.T) {
 		t.Run(b.name, func(t *testing.T) {
 			s := b.mk()
 			for i := 0; i < 100000; i++ {
-				c := s.After(Duration(wheelSlots+1+i%997), func() {})
+				c := s.At(s.Now()+Time(wheelSlots+1+i%997), func() {})
 				c()
 			}
 			if s.Pending() != 0 {
