@@ -27,8 +27,8 @@ bench-snapshot:
 	$(GO) run ./cmd/dealsweep -deals 512 -workers 0 -seed 7 -bench-json > BENCH_pr$(PR).json
 	@cat BENCH_pr$(PR).json
 
-# CI's allocation-budget gate: fail if the block-production hot path
-# allocates more than the bytes/deal ceiling in allocbudget_test.go.
+# CI's allocation-budget gate: fail if the isolated or the arena sweep in
+# allocbudget_test.go allocates more bytes/deal than its ceiling.
 .PHONY: alloc-gate
 alloc-gate:
 	$(GO) test -run TestAllocationBudgetPerDeal -v .

@@ -254,50 +254,33 @@ func (c *Chain) BundleLossStreak(deal string) int { return c.bundleStreak[deal] 
 // every subsequently published or raised bundle bid after the
 // observer's notification delay. The returned function unsubscribes.
 func (c *Chain) SubscribeBundleBids(fn func(BundleGossip)) func() {
-	id := c.nextBbSub
-	c.nextBbSub++
-	c.bbSubs[id] = fn
-	return func() { delete(c.bbSubs, id) }
+	return register(&c.bbSubs, subscription[BundleGossip]{fn: fn})
 }
 
 // SubscribeAuctions registers a synchronous auction observer
 // (measurement apparatus; see AuctionRecord). The returned function
 // unsubscribes.
 func (c *Chain) SubscribeAuctions(fn func(*AuctionRecord)) func() {
-	id := c.nextAucSub
-	c.nextAucSub++
-	c.aucSubs[id] = fn
-	return func() { delete(c.aucSubs, id) }
+	return register(&c.aucSubs, fn)
 }
 
 // SubscribeBlocks registers a synchronous per-block observer
 // (measurement apparatus; see BlockSummary). The returned function
 // unsubscribes.
 func (c *Chain) SubscribeBlocks(fn func(*BlockSummary)) func() {
-	id := c.nextBlkSub
-	c.nextBlkSub++
-	c.blkSubs[id] = fn
-	return func() { delete(c.blkSubs, id) }
+	return register(&c.blkSubs, fn)
 }
 
 // gossipBundle fans a bundle's current bid out to bundle-bid
-// observers, each after its own notification delay.
+// observers, each after its own notification delay (see fanOut).
 func (c *Chain) gossipBundle(b *pendingBundle) {
 	if len(c.bbSubs) == 0 {
 		return
 	}
-	g := BundleGossip{
+	fanBids(c, c.bbSubs, BundleGossip{
 		Chain: c.cfg.ID, Deal: b.deal, Slots: b.routed,
 		PerSlot: b.perSlot, Bid: satMul(b.perSlot, uint64(b.routed)),
-	}
-	for id := 0; id < c.nextBbSub; id++ {
-		fn, ok := c.bbSubs[id]
-		if !ok {
-			continue
-		}
-		nd := c.cfg.Delays.NotifyDelay(c.sched.Now(), c.rng)
-		c.sched.After(nd, func() { fn(g) })
-	}
+	})
 }
 
 // readyBundles returns the bundles with at least one arrived
@@ -445,11 +428,7 @@ func (c *Chain) closeAuction(auc *auction, now sim.Time) {
 		}
 	}
 	auc.rec.Height, auc.rec.Time = c.height, now
-	for id := 0; id < c.nextAucSub; id++ {
-		if fn, ok := c.aucSubs[id]; ok {
-			fn(auc.rec)
-		}
-	}
+	notify(&c.aucSubs, auc.rec)
 }
 
 // notifyBidders schedules the auction outcome notifications to the
@@ -494,9 +473,5 @@ func (c *Chain) emitBlockSummary(block []inclusion, now sim.Time) {
 			bs.Deferred = append(bs.Deferred, tx.Label)
 		}
 	}
-	for id := 0; id < c.nextBlkSub; id++ {
-		if fn, ok := c.blkSubs[id]; ok {
-			fn(bs)
-		}
-	}
+	notify(&c.blkSubs, bs)
 }

@@ -22,6 +22,7 @@ import (
 	"crypto/ed25519"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -233,11 +234,11 @@ type Chain struct {
 	subs      []subscription[Event]     // by subscription id; fn nil once unsubscribed
 	mpSubs    []subscription[PendingTx] // likewise, for mempool gossip
 	readEnv   *Env                      // the one Env every Query reads through
-	rcptSubs  map[int]func(*Receipt)
-	nextRcpt  int
-	blockSet  bool // a block production event is scheduled
+	rcptSubs  []func(*Receipt)          // by subscription id; nil once unsubscribed
+	blockSet  bool                      // a block production event is scheduled
 	receipts  []*Receipt
-	mpHigh    int // mempool depth high-water, sampled at each arrival
+	mpHigh    int            // mempool depth high-water, sampled at each arrival
+	fanDelays []sim.Duration // fanOut's per-subscriber draws, reused across fan-outs
 
 	// Block-production scratch, reused across blocks so the hot path
 	// stays allocation-free: the drained mempool's backing array (blocks
@@ -252,12 +253,9 @@ type Chain struct {
 	bundles      []*pendingBundle
 	openBundles  map[string]*pendingBundle
 	bundleStreak map[string]int
-	bbSubs       map[int]func(BundleGossip)
-	nextBbSub    int
-	aucSubs      map[int]func(*AuctionRecord)
-	nextAucSub   int
-	blkSubs      map[int]func(*BlockSummary)
-	nextBlkSub   int
+	bbSubs       []subscription[BundleGossip]
+	aucSubs      []func(*AuctionRecord)
+	blkSubs      []func(*BlockSummary)
 
 	// submitMu serializes Submit so transaction ingestion is safe from
 	// multiple goroutines while the scheduler is idle (fleets feed
@@ -300,12 +298,8 @@ func New(cfg Config, sched *sim.Scheduler, rng *sim.RNG) *Chain {
 		rng:          rng.Fork(),
 		meter:        gas.NewMeter(cfg.Schedule),
 		contracts:    make(map[Addr]Contract),
-		rcptSubs:     make(map[int]func(*Receipt)),
 		openBundles:  make(map[string]*pendingBundle),
 		bundleStreak: make(map[string]int),
-		bbSubs:       make(map[int]func(BundleGossip)),
-		aucSubs:      make(map[int]func(*AuctionRecord)),
-		blkSubs:      make(map[int]func(*BlockSummary)),
 	}
 	if cfg.FeeMarket != nil {
 		c.fees = feemarket.New(*cfg.FeeMarket, cfg.MaxBlockTxs)
@@ -366,6 +360,104 @@ type subscription[T any] struct {
 	fn    func(T)
 }
 
+// register appends an observer to list and returns the function that
+// unsubscribes it by zeroing its slot. Slots are never reused, so
+// observers keep their subscription order, and a zero slot is skipped.
+func register[S any](list *[]S, s S) func() {
+	id := len(*list)
+	*list = append(*list, s)
+	return func() {
+		var zero S
+		(*list)[id] = zero
+	}
+}
+
+// notify calls every live synchronous observer in subscription order. It
+// re-reads the list at each step, so an observer added or removed by an
+// earlier one's call is seen at once.
+func notify[T any](list *[]func(T), v T) {
+	for i := 0; i < len(*list); i++ {
+		if fn := (*list)[i]; fn != nil {
+			fn(v)
+		}
+	}
+}
+
+// fanOut delivers item to every live subscriber in subs that wants it,
+// each after its own notify delay. Every live subscriber draws its delay,
+// in subscription order, whether or not it wants the item: the chain's
+// delay stream is shared, so every draw keeps its place. The wanted
+// deliveries are then scheduled as one event per distinct delay, which
+// calls its subscribers in subscription order with one shared copy of the
+// item; a delay with a single delivery gets a plain one-call event.
+//
+// Grouping is exact. One fan-out schedules its deliveries back to back,
+// so one event per delivery would hold consecutive sequence numbers: no
+// other event could run between two deliveries of the same tick, and
+// anything a handler schedules runs after all of them in both schemes.
+// Only Scheduler.Steps sees the difference. This holds because wants and
+// NotifyDelay never schedule anything; they must not start to. A
+// delivery, once scheduled, is not withdrawn by a later unsubscription.
+func fanOut[T any](c *Chain, subs []subscription[T], item T) {
+	now := c.sched.Now()
+	delays := c.fanDelays[:0] // per subscriber; -1 = no delivery
+	wanted := false
+	for _, s := range subs {
+		d := sim.Duration(-1)
+		if s.fn != nil {
+			// After treats a negative delay as zero; so does the grouping.
+			d = max(c.cfg.Delays.NotifyDelay(now, c.rng), 0)
+			if s.wants != nil && !s.wants(item) {
+				d = -1
+			}
+		}
+		wanted = wanted || d >= 0
+		delays = append(delays, d)
+	}
+	c.fanDelays = delays
+	if !wanted {
+		return
+	}
+	shared := new(T) // one heap copy for every delivery
+	*shared = item
+	for i, d := range delays {
+		if d < 0 {
+			continue
+		}
+		n := 1
+		for _, e := range delays[i+1:] {
+			if e == d {
+				n++
+			}
+		}
+		if n == 1 {
+			fn := subs[i].fn
+			c.sched.After(d, func() { fn(*shared) })
+			continue
+		}
+		fns := make([]func(T), 0, n)
+		for j := i; j < len(delays); j++ {
+			if delays[j] == d {
+				fns = append(fns, subs[j].fn)
+				delays[j] = -1
+			}
+		}
+		c.sched.After(d, func() {
+			for _, fn := range fns {
+				fn(*shared)
+			}
+		})
+	}
+}
+
+// The fan-outs of the three delivery paths: events, mempool gossip and
+// bundle bids. Tests swap in a one-event-per-delivery reference.
+var (
+	fanEvents = fanOut[Event]
+	fanGossip = fanOut[PendingTx]
+	fanBids   = fanOut[BundleGossip]
+)
+
 // Subscribe registers an observer for all of this chain's events. The
 // returned function unsubscribes. Events arrive after the chain's notify
 // delay.
@@ -377,13 +469,12 @@ func (c *Chain) Subscribe(fn func(Event)) func() {
 // a party monitors a chain for the changes that concern it (§3), not for
 // every log entry. wants runs synchronously as each event is published,
 // not when it is delivered, so it may depend only on the event and on
-// state fixed before subscribing. An event it rejects still draws the
-// observer's notify delay (the chain's delay stream is shared, so every
-// draw keeps its place) but nothing is scheduled for it.
+// state fixed before subscribing, and it must not schedule anything. An
+// event it rejects still draws the observer's notify delay (the chain's
+// delay stream is shared, so every draw keeps its place) but nothing is
+// scheduled for it.
 func (c *Chain) SubscribeFiltered(wants func(Event) bool, fn func(Event)) func() {
-	id := len(c.subs)
-	c.subs = append(c.subs, subscription[Event]{wants: wants, fn: fn})
-	return func() { c.subs[id] = subscription[Event]{} }
+	return register(&c.subs, subscription[Event]{wants: wants, fn: fn})
 }
 
 // Submit publishes a transaction. It reaches the mempool after the submit
@@ -416,13 +507,12 @@ func (c *Chain) Submit(tx *Tx) {
 }
 
 // gossipTx fans a published transaction out to the mempool observers it
-// concerns, each after its own notification delay. Like dispatch, every
-// live observer draws its delay and only wanted deliveries are scheduled.
+// concerns, each after its own notification delay (see fanOut).
 func (c *Chain) gossipTx(tx *Tx) {
 	if len(c.mpSubs) == 0 {
 		return
 	}
-	ptx := PendingTx{
+	fanGossip(c, c.mpSubs, PendingTx{
 		Chain:    c.cfg.ID,
 		Sender:   tx.Sender,
 		Contract: tx.Contract,
@@ -430,32 +520,19 @@ func (c *Chain) gossipTx(tx *Tx) {
 		Label:    tx.Label,
 		Args:     tx.Args,
 		Tip:      tx.Tip,
-	}
-	for _, s := range c.mpSubs {
-		fn := s.fn
-		if fn == nil {
-			continue
-		}
-		nd := c.cfg.Delays.NotifyDelay(c.sched.Now(), c.rng)
-		if s.wants != nil && !s.wants(ptx) {
-			continue
-		}
-		c.sched.After(nd, func() { fn(ptx) })
-	}
+	})
 }
 
 // SubscribeMempool registers a mempool observer: fn receives every
 // subsequently published transaction wants accepts (nil accepts all),
 // after the observer's notification delay. wants runs as the transaction
 // is published, so, as for SubscribeFiltered, it may depend only on the
-// transaction and on state fixed before subscribing; a rejected
-// transaction still draws the observer's delay. The returned function
-// unsubscribes. Observation is free (public gossip); reacting costs a
-// transaction like anything else.
+// transaction and on state fixed before subscribing, and it must not
+// schedule anything; a rejected transaction still draws the observer's
+// delay. The returned function unsubscribes. Observation is free (public
+// gossip); reacting costs a transaction like anything else.
 func (c *Chain) SubscribeMempool(wants func(PendingTx) bool, fn func(PendingTx)) func() {
-	id := len(c.mpSubs)
-	c.mpSubs = append(c.mpSubs, subscription[PendingTx]{wants: wants, fn: fn})
-	return func() { c.mpSubs[id] = subscription[PendingTx]{} }
+	return register(&c.mpSubs, subscription[PendingTx]{wants: wants, fn: fn})
 }
 
 // SubscribeReceipts registers an omniscient receipt observer: fn is
@@ -464,10 +541,7 @@ func (c *Chain) SubscribeMempool(wants func(PendingTx) bool, fn func(PendingTx))
 // parties may react through — parties observe via Subscribe/OnReceipt,
 // which model latency. The returned function unsubscribes.
 func (c *Chain) SubscribeReceipts(fn func(*Receipt)) func() {
-	id := c.nextRcpt
-	c.nextRcpt++
-	c.rcptSubs[id] = fn
-	return func() { delete(c.rcptSubs, id) }
+	return register(&c.rcptSubs, fn)
 }
 
 // SubmitAfter publishes a transaction after an additional sender-side
@@ -612,11 +686,7 @@ func (c *Chain) seal(block []inclusion, auc *auction) {
 			r.TipPaid = in.tip
 		}
 		c.receipts = append(c.receipts, r)
-		for id := 0; id < c.nextRcpt; id++ {
-			if fn, ok := c.rcptSubs[id]; ok {
-				fn(r)
-			}
-		}
+		notify(&c.rcptSubs, r)
 		if tx.OnReceipt != nil {
 			d := c.cfg.Delays.NotifyDelay(now, c.rng)
 			c.sched.After(d, func() { tx.OnReceipt(r) })
@@ -628,7 +698,7 @@ func (c *Chain) seal(block []inclusion, auc *auction) {
 	if auc != nil {
 		c.closeAuction(auc, now)
 	}
-	if len(c.blkSubs) > 0 {
+	if slices.ContainsFunc(c.blkSubs, func(fn func(*BlockSummary)) bool { return fn != nil }) {
 		c.emitBlockSummary(block, now)
 	}
 	if auc != nil {
@@ -671,25 +741,10 @@ func (c *Chain) execute(r *Receipt, tx *Tx, now sim.Time) []Event {
 }
 
 // dispatch fans an event out to the subscribers it concerns, in
-// subscription order with independent delays. Every live subscriber
-// draws its delay whether or not it wants the event; only wanted
+// subscription order with independent delays (see fanOut). Only wanted
 // deliveries reach the scheduler, which orders by (time, insertion), so
 // leaving the others out keeps the relative order of all that remain.
-func (c *Chain) dispatch(ev Event) {
-	now := c.sched.Now()
-	shared := &ev // one copy of the event for all of its deliveries
-	for _, s := range c.subs {
-		fn := s.fn
-		if fn == nil {
-			continue
-		}
-		d := c.cfg.Delays.NotifyDelay(now, c.rng)
-		if s.wants != nil && !s.wants(ev) {
-			continue
-		}
-		c.sched.After(d, func() { fn(*shared) })
-	}
-}
+func (c *Chain) dispatch(ev Event) { fanEvents(c, c.subs, ev) }
 
 // Env is the execution environment visible to contract code. All side
 // effects — storage charges, signature verification, events, cross-contract

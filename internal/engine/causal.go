@@ -237,11 +237,22 @@ func outcomeWord(r *Result) string {
 }
 
 // attribute computes the always-on latency attribution for the result;
-// nil when the deal never reached a decision.
+// nil when the deal never reached a decision. It equals Attribute over
+// DealSpans, but builds only what Attribute reads: each receipt's submit
+// and queued spans with their kind, interval and bucket. Names, details,
+// parents and the phase milestones (which carry no bucket) are left out.
 func (w *World) attribute(r *Result) *trace.Attribution {
 	if r.Phases.DecisionEnd <= r.Phases.Start {
 		return nil
 	}
-	a := trace.Attribute(w.DealSpans(r), r.Phases.Start, r.Phases.DecisionEnd)
+	recs := w.dealReceipts()
+	spans := make([]trace.Span, 0, 2*len(recs))
+	for _, dr := range recs {
+		rc := dr.r
+		spans = append(spans,
+			trace.Span{Kind: trace.KindSubmit, Start: rc.SubmittedAt, End: rc.ArrivedAt, Bucket: trace.BucketProtocolWait},
+			trace.Span{Kind: trace.KindQueued, Start: rc.ArrivedAt, End: rc.Time, Bucket: w.queueBucket(rc)})
+	}
+	a := trace.Attribute(spans, r.Phases.Start, r.Phases.DecisionEnd)
 	return &a
 }

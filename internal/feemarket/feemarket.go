@@ -29,7 +29,7 @@ package feemarket
 
 import (
 	"math/bits"
-	"sort"
+	"strings"
 )
 
 // Config parameterizes a chain's fee market.
@@ -284,19 +284,13 @@ func (m *Market) LabelTotals(label string) Totals {
 
 // PrefixTotals sums the fees of every label sharing a prefix — how
 // engine.DealFees attributes fees per deal on substrates shared by many
-// deals, whose labels are "dealID/phase". Iteration is over sorted
-// labels, so the fold order (and any float consumer downstream) is
-// deterministic.
+// deals, whose labels are "dealID/phase".
 func (m *Market) PrefixTotals(prefix string) Totals {
-	labels := make([]string, 0, len(m.byLabel))
-	for l := range m.byLabel {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
 	var out Totals
-	for _, l := range labels {
-		if len(l) >= len(prefix) && l[:len(prefix)] == prefix {
-			out.Add(*m.byLabel[l])
+	//xdeal:unordered the fold only adds uint64 counters, and integer sums commute, so visit order cannot reach the result
+	for l, t := range m.byLabel {
+		if strings.HasPrefix(l, prefix) {
+			out.Add(*t)
 		}
 	}
 	return out

@@ -30,13 +30,14 @@ const (
 // heap, so cancellation truly unlinks it from either structure in O(1)
 // (wheel) or O(log n) (heap) instead of leaving a dead tombstone.
 type event struct {
-	at   Time
-	seq  uint64 // FIFO tie-break for events at the same instant
-	fn   func()
-	loc  int8
-	prev *event // wheel slot list links
-	next *event
-	hIdx int // far-future heap index
+	at     Time
+	seq    uint64 // FIFO tie-break for events at the same instant
+	fn     func()
+	loc    int8
+	pooled bool   // scheduled by After: no Cancel reaches it, so Step recycles it
+	prev   *event // wheel slot list links
+	next   *event // also links the scheduler's free list
+	hIdx   int    // far-future heap index
 }
 
 // eventQueue is the pluggable priority structure under a Scheduler. Both
@@ -144,6 +145,7 @@ type Scheduler struct {
 	seq   uint64
 	q     eventQueue
 	steps uint64
+	free  *event // executed After nodes, linked through next
 }
 
 // NewScheduler returns a scheduler with the clock at zero and no events,
@@ -177,24 +179,34 @@ type Cancel func()
 // At schedules fn to run at time t. Scheduling in the past (t < Now) runs
 // the event at the current time instead, preserving causal order.
 func (s *Scheduler) At(t Time, fn func()) Cancel {
-	e := s.schedule(t, fn)
+	// A fresh node: the Cancel may be kept, and called, long after the
+	// event has run, so this node is never recycled.
+	e := &event{}
+	s.schedule(e, t, fn)
 	return func() { s.q.remove(e) }
 }
 
 // After schedules fn to run d ticks from now (now, if d < 0). Unlike At
-// it returns no Cancel, so scheduling costs the event alone.
+// it returns no Cancel, so nothing can reach the event once it has run:
+// its node goes back to the scheduler's free list, and scheduling with a
+// prebuilt fn allocates nothing in steady state.
 func (s *Scheduler) After(d Duration, fn func()) {
-	s.schedule(s.now+d, fn)
+	e := s.free
+	if e != nil {
+		s.free, e.next = e.next, nil
+	} else {
+		e = &event{pooled: true}
+	}
+	s.schedule(e, s.now+d, fn)
 }
 
-func (s *Scheduler) schedule(t Time, fn func()) *event {
+func (s *Scheduler) schedule(e *event, t Time, fn func()) {
 	if t < s.now {
 		t = s.now
 	}
-	e := &event{at: t, seq: s.seq, fn: fn}
+	e.at, e.seq, e.fn = t, s.seq, fn
 	s.seq++
 	s.q.schedule(e)
-	return e
 }
 
 // Step executes the next pending event, advancing the clock to its time.
@@ -207,7 +219,12 @@ func (s *Scheduler) Step() bool {
 	s.now = e.at
 	s.q.advance(s.now)
 	s.steps++
-	e.fn()
+	fn := e.fn
+	if e.pooled {
+		// Free before running, so whatever fn schedules can reuse it.
+		e.fn, e.next, s.free = nil, s.free, e
+	}
+	fn()
 	return true
 }
 

@@ -69,9 +69,9 @@ func TestDoubleCancelIsNoop(t *testing.T) {
 	}
 }
 
-// TestAfterAllocatesOnlyTheEvent pins what scheduling costs: After with a
-// prebuilt fn allocates the event and nothing else, while At still hands
-// back a Cancel that unlinks the event.
+// TestAfterAllocatesOnlyTheEvent pins what scheduling costs before any
+// event has run: After with a prebuilt fn allocates the event and nothing
+// else, while At still hands back a Cancel that unlinks the event.
 func TestAfterAllocatesOnlyTheEvent(t *testing.T) {
 	for _, b := range backends {
 		t.Run(b.name, func(t *testing.T) {
@@ -90,6 +90,54 @@ func TestAfterAllocatesOnlyTheEvent(t *testing.T) {
 			s.Run()
 			if ran != runs+1 {
 				t.Fatalf("%d events ran, want %d", ran, runs+1)
+			}
+		})
+	}
+}
+
+// TestAfterReusesExecutedEvents pins the steady state: once an After
+// event has run, its node serves the next After, so scheduling and
+// firing with a prebuilt fn allocates nothing.
+func TestAfterReusesExecutedEvents(t *testing.T) {
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) {
+			s := b.mk()
+			ran := 0
+			fn := func() { ran++ }
+			s.After(3, fn)
+			s.Step()
+			const runs = 100
+			if allocs := testing.AllocsPerRun(runs, func() { s.After(3, fn); s.Step() }); allocs != 0 {
+				t.Fatalf("After + Step allocates %v times per event in steady state, want 0", allocs)
+			}
+			if ran != runs+2 { // AllocsPerRun adds one warm-up run
+				t.Fatalf("%d events ran, want %d", ran, runs+2)
+			}
+		})
+	}
+}
+
+// TestStaleCancelSparesReusedEvents: a Cancel kept from an At event that
+// has already run must stay a no-op, whatever After events have since
+// been scheduled (At nodes are never reused, so it cannot reach one).
+func TestStaleCancelSparesReusedEvents(t *testing.T) {
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) {
+			s := b.mk()
+			s.After(1, func() {})
+			cancel := s.At(2, func() {})
+			s.Run()
+			ran := 0
+			for i := 0; i < 3; i++ {
+				s.After(Time(i), func() { ran++ })
+			}
+			cancel()
+			if s.Pending() != 3 {
+				t.Fatalf("Pending() = %d after a stale cancel, want 3", s.Pending())
+			}
+			s.Run()
+			if ran != 3 {
+				t.Fatalf("%d of 3 After events ran after a stale cancel", ran)
 			}
 		})
 	}
@@ -200,29 +248,36 @@ type twinOp struct {
 	delay  Time // schedule: offset from now; RunUntil: offset from now
 	cancel int  // cancel: index into the handles issued so far
 	nest   bool // schedule: the event schedules a follow-up when it runs
+	after  bool // schedule: through After (no handle; its node is reused)
 }
 
 // runTwinScript drives one scheduler through a script and returns the
-// executed event trace as (event id, firing time) pairs.
+// executed event trace as (event id, firing time) pairs. Cancels may hit
+// At events that have already run while After reuses executed nodes.
 func runTwinScript(s *Scheduler, script []twinOp) []string {
 	var trace []string
 	var handles []Cancel
 	nextID := 0
-	var schedule func(at Time, nest bool)
-	schedule = func(at Time, nest bool) {
+	var schedule func(delay Time, nest, after bool)
+	schedule = func(delay Time, nest, after bool) {
 		id := nextID
 		nextID++
-		handles = append(handles, s.At(at, func() {
+		fn := func() {
 			trace = append(trace, fmt.Sprintf("%d@%d", id, s.Now()))
 			if nest {
-				schedule(s.Now()+Time(id%211), false)
+				schedule(Time(id%211), false, !after)
 			}
-		}))
+		}
+		if after {
+			s.After(delay, fn)
+			return
+		}
+		handles = append(handles, s.At(s.Now()+delay, fn))
 	}
 	for _, op := range script {
 		switch op.kind {
 		case 0:
-			schedule(s.Now()+op.delay, op.nest)
+			schedule(op.delay, op.nest, op.after)
 		case 1:
 			if len(handles) > 0 {
 				handles[op.cancel%len(handles)]()
@@ -241,7 +296,8 @@ func TestSchedulerTwinEquivalence(t *testing.T) {
 	// The heap and time-wheel backends must execute an identical
 	// randomized schedule/cancel/RunUntil script in the identical
 	// (time, seq) order. Delays span slot reuse (multiples of the wheel
-	// size) and the far-future heap, and cancels hit both structures.
+	// size) and the far-future heap, cancels hit both structures, and
+	// half the events go through After, whose nodes are reused.
 	for seed := uint64(1); seed <= 8; seed++ {
 		rng := NewRNG(seed)
 		script := make([]twinOp, 4000)
@@ -261,6 +317,7 @@ func TestSchedulerTwinEquivalence(t *testing.T) {
 					op.delay = Time(rng.Intn(20 * wheelSlots))
 				}
 				op.nest = rng.Bool(0.2)
+				op.after = rng.Bool(0.5)
 			case k < 8:
 				op.kind = 1
 				op.cancel = rng.Intn(1 << 20)
