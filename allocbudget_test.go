@@ -18,17 +18,22 @@ var allocBudgets = []struct {
 	ceiling int64
 	opts    xdeal.SweepOptions
 }{
-	// Isolated worlds: 119,617 bytes/deal (140,989 before notify
-	// deliveries were grouped per delay, executed After events reused
-	// and the always-on attribution stopped building the span DAG;
-	// 150,371 before the gas meter went flat, After stopped returning a
-	// Cancel and mempool gossip was filtered).
-	{"isolated", 64, 138_000, xdeal.SweepOptions{Gen: xdeal.GenOptions{
+	// Isolated worlds: 109,543 bytes/deal (119,617 before DealGas stopped
+	// merging a second meter and attribution went to compact intervals
+	// read off a receipt index; 140,989 before notify deliveries were
+	// grouped per delay, executed After events reused and the always-on
+	// attribution stopped building the span DAG; 150,371 before the gas
+	// meter went flat, After stopped returning a Cancel and mempool
+	// gossip was filtered).
+	{"isolated", 64, 126_000, xdeal.SweepOptions{Gen: xdeal.GenOptions{
 		Seed: 7, Protocol: "mixed", AdversaryRate: 0.3, DoSRate: 0.15,
 	}}},
 	// Shared arenas of 50 deals on 2 chains with fees, bundle auctions
-	// and hedging: 182,583 bytes/deal (323,133 before the same changes).
-	{"arena", 200, 210_000, xdeal.SweepOptions{
+	// and hedging: 130,889 bytes/deal (182,583 before each deal's meter
+	// became a layer over one chain-gas union per chain set and its
+	// receipts came from the index; 323,133 before the notify grouping,
+	// the reused After events and the span-free attribution).
+	{"arena", 200, 151_000, xdeal.SweepOptions{
 		Gen: xdeal.GenOptions{Seed: 7, Protocol: "mixed", AdversaryRate: 0.3, Fees: &xdeal.FeeOptions{}},
 		Arena: &xdeal.ArenaOptions{
 			DealsPerArena: 50, Chains: 2, Bundles: true, Hedge: true,

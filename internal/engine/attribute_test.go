@@ -83,13 +83,20 @@ func checkAttribution(t *testing.T, runs []dealRun) {
 	t.Logf("%d decided deals, %d queueing and %d displaced ticks", decided, queueing, displaced)
 }
 
-// bundledHedgedArena builds n seed-7 arena deals onto one shared 2-chain
-// substrate with the fee market, bundle auctions and hedging on, the way
-// arena.Run does, and returns each deal's world and evaluated result.
+// bundledHedgedArena builds n seed-7 timelock arena deals onto one shared
+// 2-chain substrate with the fee market, bundle auctions and hedging on,
+// the way arena.Run does, and returns each deal's world and evaluated
+// result.
 func bundledHedgedArena(t *testing.T, n int) []dealRun {
 	t.Helper()
+	return sharedArena(t, n, party.ProtoTimelock)
+}
+
+// sharedArena is bundledHedgedArena for deals of the given protocol.
+func sharedArena(t *testing.T, n int, proto party.Protocol) []dealRun {
+	t.Helper()
 	gen, err := fleet.NewGenerator(fleet.GenOptions{
-		Seed: 7, Protocol: "timelock", AdversaryRate: 0.3, Fees: &fleet.FeeOptions{},
+		Seed: 7, Protocol: proto.String(), AdversaryRate: 0.3, Fees: &fleet.FeeOptions{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -106,11 +113,15 @@ func bundledHedgedArena(t *testing.T, n int) []dealRun {
 	worlds := make([]*engine.World, len(pop))
 	for k, setup := range pop {
 		spec := *setup.Spec
-		w, err := sub.BuildOn(&spec, engine.Options{
+		opts := engine.Options{
 			Seed: setup.Seed, Behaviors: setup.Behaviors, MaxBlockTxs: 8,
 			LabelPrefix: spec.ID + "/", Adaptive: hooks, Hedge: params, Bundles: true,
-			Protocol: party.ProtoTimelock,
-		})
+			Protocol: proto,
+		}
+		if proto == party.ProtoCBC {
+			opts.F, opts.Patience = 1, 30*spec.Delta
+		}
+		w, err := sub.BuildOn(&spec, opts)
 		if err != nil {
 			t.Fatalf("deal %d: %v", k, err)
 		}

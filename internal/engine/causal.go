@@ -1,15 +1,16 @@
 // Post-hoc causal tracing: the deal's happens-before span DAG, built
-// entirely from state the simulator already retains — the chains' receipt
-// logs and the engine's milestone maps. Nothing here subscribes to
-// anything or draws from any RNG, so building (or not building) the DAG
-// cannot perturb a run: a sweep, a replay, and an explained replay of the
-// same seed execute identically. That is the property that lets the
-// CriticalPath report block be always-on while reports stay byte-stable.
+// entirely from state the simulator already retains — the substrate's
+// receipt index and the engine's milestone maps. The index's receipt
+// observer, like everything here, draws no RNG and schedules nothing, so
+// building (or not building) the DAG cannot perturb a run: a sweep, a
+// replay, and an explained replay of the same seed execute identically.
+// That lets the CriticalPath report block be always-on, reports byte-stable.
 package engine
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"xdeal/internal/chain"
@@ -26,48 +27,30 @@ var causalLabels = []string{
 	party.LabelAbort, party.LabelHedge,
 }
 
-// dealReceipt pairs a receipt with its chain for deterministic ordering.
+// dealReceipt is a receipt-index entry: a receipt and where it executed.
 type dealReceipt struct {
 	chain chain.ID
 	idx   int // position in the chain's execution-ordered receipt log
 	r     *chain.Receipt
 }
 
-// dealReceipts returns this deal's receipts across all chains, filtered
-// by the world's label prefix, in a deterministic order (submit time,
+// dealReceipts returns this deal's receipts across its chains, read from
+// the substrate's receipt index, in a deterministic order (submit time,
 // then inclusion time, then chain id, then execution index).
 func (w *World) dealReceipts() []dealReceipt {
-	ids := make([]string, 0, len(w.Chains))
-	for id := range w.Chains {
-		ids = append(ids, string(id))
-	}
-	sort.Strings(ids)
-
-	want := make(map[string]bool, len(causalLabels))
-	for _, l := range causalLabels {
-		want[w.opts.LabelPrefix+l] = true
-	}
 	var out []dealReceipt
-	for _, id := range ids {
-		c := w.Chains[chain.ID(id)]
-		for i, r := range c.Receipts() {
-			if want[r.Tx.Label] {
-				out = append(out, dealReceipt{chain: chain.ID(id), idx: i, r: r})
-			}
+	for _, dr := range w.sub.receipts[w.opts.LabelPrefix] {
+		// Deals sharing a prefix share an entry; keep this deal's chains.
+		if w.Chains[dr.chain] != nil {
+			out = append(out, dr)
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.r.SubmittedAt != b.r.SubmittedAt {
-			return a.r.SubmittedAt < b.r.SubmittedAt
-		}
-		if a.r.Time != b.r.Time {
-			return a.r.Time < b.r.Time
-		}
-		if a.chain != b.chain {
-			return a.chain < b.chain
-		}
-		return a.idx < b.idx
+	slices.SortFunc(out, func(a, b dealReceipt) int {
+		return cmp.Or(
+			cmp.Compare(a.r.SubmittedAt, b.r.SubmittedAt),
+			cmp.Compare(a.r.Time, b.r.Time),
+			cmp.Compare(a.chain, b.chain),
+			cmp.Compare(a.idx, b.idx))
 	})
 	return out
 }
@@ -238,21 +221,24 @@ func outcomeWord(r *Result) string {
 
 // attribute computes the always-on latency attribution for the result;
 // nil when the deal never reached a decision. It equals Attribute over
-// DealSpans, but builds only what Attribute reads: each receipt's submit
-// and queued spans with their kind, interval and bucket. Names, details,
-// parents and the phase milestones (which carry no bucket) are left out.
+// DealSpans, but builds only what Attribute reads, unsorted: each
+// receipt's submit and queued intervals with their bucket. Names,
+// details, parents and the (bucketless) phase milestones are left out.
 func (w *World) attribute(r *Result) *trace.Attribution {
 	if r.Phases.DecisionEnd <= r.Phases.Start {
 		return nil
 	}
-	recs := w.dealReceipts()
-	spans := make([]trace.Span, 0, 2*len(recs))
+	recs := w.sub.receipts[w.opts.LabelPrefix]
+	ivs := make([]trace.Interval, 0, 2*len(recs))
 	for _, dr := range recs {
+		if w.Chains[dr.chain] == nil {
+			continue // another deal's, as in dealReceipts
+		}
 		rc := dr.r
-		spans = append(spans,
-			trace.Span{Kind: trace.KindSubmit, Start: rc.SubmittedAt, End: rc.ArrivedAt, Bucket: trace.BucketProtocolWait},
-			trace.Span{Kind: trace.KindQueued, Start: rc.ArrivedAt, End: rc.Time, Bucket: w.queueBucket(rc)})
+		ivs = append(ivs,
+			trace.Interval{Start: rc.SubmittedAt, End: rc.ArrivedAt, Bucket: trace.BucketProtocolWait},
+			trace.Interval{Queued: true, Start: rc.ArrivedAt, End: rc.Time, Bucket: w.queueBucket(rc)})
 	}
-	a := trace.Attribute(spans, r.Phases.Start, r.Phases.DecisionEnd)
+	a := trace.AttributeIntervals(ivs, r.Phases.Start, r.Phases.DecisionEnd)
 	return &a
 }

@@ -18,7 +18,9 @@ package engine
 import (
 	"crypto/ed25519"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"xdeal/internal/cbc"
 	"xdeal/internal/chain"
@@ -141,6 +143,14 @@ type Substrate struct {
 	managers  map[string]EscrowInspector
 	protocols map[string]party.Protocol // escrow key -> manager's protocol
 	hedges    map[string]*hedge.Manager // escrow key -> hedging contract
+	unions    []chainUnion              // merged chain meters per chain set (see chainGas)
+	receipts  map[string][]dealReceipt  // causal receipts by label prefix (see fileReceipt)
+}
+
+// chainUnion is the merge of the meters of the chains ids names.
+type chainUnion struct {
+	ids []chain.ID
+	*gas.Union
 }
 
 // SubstrateConfig parameterizes the shared fabric. Chains are created
@@ -187,6 +197,35 @@ func NewSubstrate(cfg SubstrateConfig) *Substrate {
 		managers:  make(map[string]EscrowInspector),
 		protocols: make(map[string]party.Protocol),
 		hedges:    make(map[string]*hedge.Manager),
+		receipts:  make(map[string][]dealReceipt),
+	}
+}
+
+// chainGas returns the merge of the meters of the chains ids names, shared
+// by every deal on those chains and merged again only once one changes.
+func (s *Substrate) chainGas(ids []chain.ID) *gas.Meter {
+	for _, u := range s.unions {
+		if slices.Equal(u.ids, ids) {
+			return u.Meter()
+		}
+	}
+	meters := make([]*gas.Meter, len(ids))
+	for i, id := range ids {
+		meters[i] = s.Chains[id].Meter()
+	}
+	u := chainUnion{ids, gas.NewUnion(gas.DefaultSchedule(), meters...)}
+	s.unions = append(s.unions, u)
+	return u.Meter()
+}
+
+// fileReceipt indexes r, just executed on c, under the prefix before its
+// causal label, if any (no causal label ends another, so it is unique).
+func (s *Substrate) fileReceipt(c *chain.Chain, r *chain.Receipt) {
+	for _, l := range causalLabels {
+		if prefix, ok := strings.CutSuffix(r.Tx.Label, l); ok {
+			s.receipts[prefix] = append(s.receipts[prefix], dealReceipt{chain: c.ID(), idx: len(c.Receipts()) - 1, r: r})
+			return
+		}
 	}
 }
 
@@ -208,6 +247,7 @@ type World struct {
 	// Options.Hedge, and only at fungible escrows).
 	Hedges map[string]*hedge.Manager
 
+	sub  *Substrate
 	opts Options
 	// plan indexes Spec per party once, for the parties' event loops and
 	// for evaluation.
@@ -288,6 +328,7 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 		NFTs:            make(map[string]*token.NFT),
 		Managers:        make(map[string]EscrowInspector),
 		Hedges:          make(map[string]*hedge.Manager),
+		sub:             s,
 		opts:            opts,
 		plan:            deal.NewPlan(spec),
 		keys:            make(map[string]sig.KeyPair),
@@ -337,6 +378,7 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 				FeeMarket:     s.cfg.FeeMarket,
 				Bundles:       s.cfg.Bundles,
 			}, sched, s.rng)
+			c.SubscribeReceipts(func(r *chain.Receipt) { s.fileReceipt(c, r) })
 			s.Chains[a.Chain] = c
 		}
 		w.Chains[a.Chain] = c
@@ -617,17 +659,13 @@ func volSource(c *chain.Chain, window int) func() float64 {
 // matching the isolated-mode convention that CBCGas is a breakdown of
 // the total, not an addition to it.
 func (w *World) DealGas() uint64 {
-	if w.opts.LabelPrefix == "" {
-		return w.GasMerged().Used()
-	}
 	var g uint64
-	ids := make([]string, 0, len(w.Chains))
-	for id := range w.Chains {
-		ids = append(ids, string(id))
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		m := w.Chains[chain.ID(id)].Meter()
+	for _, id := range sortedChainIDs(w.Chains) {
+		m := w.Chains[id].Meter()
+		if w.opts.LabelPrefix == "" {
+			g += m.Used()
+			continue
+		}
 		for _, label := range dealLabels {
 			g += m.UsedByLabel(w.opts.LabelPrefix + label)
 		}
@@ -644,13 +682,8 @@ func (w *World) DealGas() uint64 {
 // share on a shared one. Zero without a fee market.
 func (w *World) DealFees() uint64 {
 	var total feemarket.Totals
-	ids := make([]string, 0, len(w.Chains))
-	for id := range w.Chains {
-		ids = append(ids, string(id))
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		fm := w.Chains[chain.ID(id)].FeeMarket()
+	for _, id := range sortedChainIDs(w.Chains) {
+		fm := w.Chains[id].FeeMarket()
 		if fm == nil {
 			continue
 		}
@@ -688,14 +721,9 @@ type FeeSummary struct {
 // CollectFees summarizes fee-market activity over chains (a world's or
 // a whole substrate's). Returns nil when no chain runs a fee market.
 func CollectFees(chains map[chain.ID]*chain.Chain) *FeeSummary {
-	ids := make([]string, 0, len(chains))
-	for id := range chains {
-		ids = append(ids, string(id))
-	}
-	sort.Strings(ids)
 	var sum *FeeSummary
-	for _, id := range ids {
-		c := chains[chain.ID(id)]
+	for _, id := range sortedChainIDs(chains) {
+		c := chains[id]
 		fm := c.FeeMarket()
 		if fm == nil {
 			continue
@@ -789,21 +817,26 @@ func (w *World) Run() *Result {
 	return w.evaluate()
 }
 
-// GasMerged returns the union of all chains' meters (plus the CBC's).
+// GasMerged returns the union of all chains' meters (plus the CBC's) as a
+// meter of the deal's own: a layer, holding the CBC's meter and whatever
+// the caller charges, over its chains' shared merge (see chainGas).
 func (w *World) GasMerged() *gas.Meter {
-	m := gas.NewMeter(gas.DefaultSchedule())
-	ids := make([]string, 0, len(w.Chains))
-	for id := range w.Chains {
-		ids = append(ids, string(id))
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		m.Merge(w.Chains[chain.ID(id)].Meter())
-	}
+	m := gas.Layered(w.sub.chainGas(sortedChainIDs(w.Chains)))
 	if w.CBC != nil {
 		m.Merge(w.CBC.Meter())
 	}
 	return m
+}
+
+// sortedChainIDs returns the ids of chains in ascending order, the order
+// every per-chain loop of the engine visits them in.
+func sortedChainIDs(chains map[chain.ID]*chain.Chain) []chain.ID {
+	ids := make([]chain.ID, 0, len(chains))
+	for id := range chains {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // Keys exposes a party's keypair (tests and watchtowers).
@@ -817,13 +850,8 @@ func (w *World) String() string {
 
 // attachTrace records all chain and CBC activity into the trace log.
 func (w *World) attachTrace(log *trace.Log) {
-	ids := make([]string, 0, len(w.Chains))
-	for id := range w.Chains {
-		ids = append(ids, string(id))
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		c := w.Chains[chain.ID(id)]
+	for _, id := range sortedChainIDs(w.Chains) {
+		c := w.Chains[id]
 		src := string(c.ID())
 		c.Subscribe(func(ev chain.Event) {
 			log.Addf(ev.Time, src, ev.Kind, "%s by %s: %s",

@@ -12,6 +12,7 @@ package gas
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -114,15 +115,46 @@ func (u usage) count(op Op) uint64 {
 // class outside ops cost nothing and are not counted.
 type Meter struct {
 	schedule Schedule
-	total    usage
-	byLabel  map[string]usage // nil until the first charge or merge
+	total    usage            // this layer's; reads add the base's
+	byLabel  map[string]usage // this layer's; nil until the first charge or merge
+	base     *Meter           // read-only layer beneath (see Layered); nil for a plain meter
+	changes  uint64           // charges and merges into this layer (see Union)
 }
 
 // NewMeter returns an empty meter using the given schedule.
 func NewMeter(s Schedule) *Meter { return &Meter{schedule: s} }
 
+// Layered returns an empty meter over base: it reads as base plus what is
+// charged or merged into it, and never writes base, so layers can share it.
+func Layered(base *Meter) *Meter { return &Meter{schedule: base.schedule, base: base} }
+
+// sum is the meter's usage across its layers.
+func (m *Meter) sum() (u usage) {
+	for ; m != nil; m = m.base {
+		u.add(m.total)
+	}
+	return u
+}
+
+// label is the usage recorded under l across the meter's layers.
+func (m *Meter) label(l string) (u usage) {
+	for ; m != nil; m = m.base {
+		u.add(m.byLabel[l])
+	}
+	return u
+}
+
+// changeCount counts writes to every layer of m; it only ever grows.
+func (m *Meter) changeCount() (n uint64) {
+	for ; m != nil; m = m.base {
+		n += m.changes
+	}
+	return n
+}
+
 // Charge records n operations of class op under label.
 func (m *Meter) Charge(label string, op Op, n uint64) {
+	m.changes++
 	if m.byLabel == nil {
 		m.byLabel = make(map[string]usage)
 	}
@@ -138,35 +170,39 @@ func (m *Meter) Charge(label string, op Op, n uint64) {
 }
 
 // Used returns the total gas consumed.
-func (m *Meter) Used() uint64 { return m.total.used }
+func (m *Meter) Used() uint64 { return m.sum().used }
 
 // Count returns the number of operations of class op recorded.
-func (m *Meter) Count(op Op) uint64 { return m.total.count(op) }
+func (m *Meter) Count(op Op) uint64 { return m.sum().count(op) }
 
 // UsedByLabel returns the gas consumed under label.
-func (m *Meter) UsedByLabel(label string) uint64 { return m.byLabel[label].used }
+func (m *Meter) UsedByLabel(label string) uint64 { return m.label(label).used }
 
 // CountByLabel returns the number of op operations recorded under label.
 func (m *Meter) CountByLabel(label string, op Op) uint64 {
-	return m.byLabel[label].count(op)
+	return m.label(label).count(op)
 }
 
 // Labels returns all labels seen, sorted.
 func (m *Meter) Labels() []string {
-	out := make([]string, 0, len(m.byLabel))
-	for l := range m.byLabel {
-		out = append(out, l)
+	out := slices.Collect(maps.Keys(m.byLabel))
+	if m.base != nil {
+		out = append(out, m.base.Labels()...)
 	}
-	sort.Strings(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
-// Merge adds the contents of other into m. Useful for aggregating the
-// meters of many chains into one global view (Figure 4 reports global
-// costs across all m asset chains). Each label keeps the gas its own
-// meter charged, so meters with different schedules merge exactly.
-// Merging into a meter with no labels yet copies other's table whole.
+// Merge adds the contents of other, all its layers, into m's own layer.
+// Useful for aggregating the meters of many chains into one global view
+// (Figure 4 reports global costs across all m asset chains). Each label
+// keeps the gas its own meter charged, so meters with different schedules
+// merge exactly. Merging into an empty layer copies other's table whole.
 func (m *Meter) Merge(other *Meter) {
+	if other.base != nil {
+		m.Merge(other.base)
+	}
+	m.changes++
 	m.total.add(other.total)
 	if len(m.byLabel) == 0 {
 		m.byLabel = maps.Clone(other.byLabel)
@@ -179,6 +215,35 @@ func (m *Meter) Merge(other *Meter) {
 	}
 }
 
+// Union is the merge of a fixed list of meters. It merges them into a new
+// meter again only once one has been charged or merged into, so a merge
+// it returned never changes; callers layer their charges over it (see
+// Layered) and never write to it.
+type Union struct {
+	schedule Schedule
+	parts    []*Meter
+	changes  uint64 // the parts' summed change counts at the last merge
+	merged   *Meter
+}
+
+// NewUnion returns the union of parts, merged under schedule s.
+func NewUnion(s Schedule, parts ...*Meter) *Union { return &Union{schedule: s, parts: parts} }
+
+// Meter returns the merge of the union's parts.
+func (u *Union) Meter() *Meter {
+	var changes uint64
+	for _, p := range u.parts {
+		changes += p.changeCount()
+	}
+	if u.merged == nil || changes != u.changes {
+		u.merged, u.changes = NewMeter(u.schedule), changes
+		for _, p := range u.parts {
+			u.merged.Merge(p)
+		}
+	}
+	return u.merged
+}
+
 // Snapshot returns an immutable summary of the meter, suitable for
 // diffing before/after a protocol phase.
 type Snapshot struct {
@@ -189,13 +254,14 @@ type Snapshot struct {
 // Snapshot captures current totals. Counts holds every class with a
 // non-zero count.
 func (m *Meter) Snapshot() Snapshot {
+	total := m.sum()
 	c := make(map[Op]uint64, len(ops))
-	for i, n := range m.total.counts {
+	for i, n := range total.counts {
 		if n > 0 {
 			c[ops[i]] = n
 		}
 	}
-	return Snapshot{Used: m.total.used, Counts: c}
+	return Snapshot{Used: total.used, Counts: c}
 }
 
 // Sub returns the operation deltas between two snapshots (m - prev).

@@ -273,7 +273,7 @@ func TestMeterMatchesNestedMapReference(t *testing.T) {
 		for step := 0; step < 40; step++ {
 			i := rng.IntN(len(ms))
 			switch rng.IntN(4) {
-			case 0: // merge into a fresh meter, as GasMerged starts
+			case 0: // merge into a fresh meter, as a Union starts
 				ms[i], refs[i] = NewMeter(schedules[i]), newRefMeter(schedules[i])
 				fallthrough
 			case 1:
@@ -301,8 +301,9 @@ func TestMeterMatchesNestedMapReference(t *testing.T) {
 var meterSink *Meter
 
 // TestMergeIntoEmptyCopiesTableOnce: merging a 300-label meter into a
-// fresh one — what GasMerged does per deal on a shared substrate — costs
-// the meter and one copy of the label table, not an inner map per label.
+// fresh one — what a Union does per chain set of a shared substrate —
+// costs the meter and one copy of the label table, not an inner map per
+// label.
 func TestMergeIntoEmptyCopiesTableOnce(t *testing.T) {
 	src, ref := NewMeter(DefaultSchedule()), newRefMeter(DefaultSchedule())
 	for i := 0; i < 300; i++ {
@@ -322,5 +323,135 @@ func TestMergeIntoEmptyCopiesTableOnce(t *testing.T) {
 	t.Logf("300-label merge into an empty meter: %v allocations (%v copying the table)", merge, table)
 	if diff := agree(meterSink, ref); diff != "" {
 		t.Fatal(diff)
+	}
+}
+
+// TestLayeredMeterMatchesReference drives layered meters over a shared
+// base, and a plain meter, through random charges and merges, checking
+// every accessor against a nested-map reference that holds the base's
+// usage plus the meter's own. Merges run in both directions — a layered
+// meter into an empty and into a populated meter, and anything into a
+// layered one — and labels land in both layers. The base is never
+// written.
+func TestLayeredMeterMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	randomCharge := func(m *Meter, ref *refMeter) {
+		label := fmt.Sprintf("deal%d/phase%d", rng.IntN(6), rng.IntN(3))
+		op, n := ops[rng.IntN(len(ops))], uint64(rng.IntN(4))
+		m.Charge(label, op, n)
+		ref.Charge(label, op, n)
+	}
+	fresh := func(base *Meter, baseRef *refMeter, layered bool) (*Meter, *refMeter) {
+		ref := newRefMeter(DefaultSchedule())
+		if !layered {
+			return NewMeter(DefaultSchedule()), ref
+		}
+		ref.Merge(baseRef)
+		return Layered(base), ref
+	}
+	covered := make(map[string]int)
+	for trial := 0; trial < 200; trial++ {
+		base, baseRef := NewMeter(DefaultSchedule()), newRefMeter(DefaultSchedule())
+		for i := rng.IntN(24); i > 0; i-- {
+			randomCharge(base, baseRef)
+		}
+		ms := make([]*Meter, 3)
+		refs := make([]*refMeter, 3)
+		for i := range ms {
+			ms[i], refs[i] = fresh(base, baseRef, i < 2)
+		}
+		for step := 0; step < 40; step++ {
+			i, j := rng.IntN(len(ms)), rng.IntN(len(ms))
+			switch rng.IntN(4) {
+			case 0: // merge into an empty meter, layered or plain
+				ms[i], refs[i] = fresh(base, baseRef, rng.IntN(2) == 0)
+				fallthrough
+			case 1:
+				if i == j {
+					continue
+				}
+				if ms[j].base != nil {
+					covered[fmt.Sprintf("layered into empty=%v layered=%v", len(ms[i].byLabel) == 0, ms[i].base != nil)]++
+				}
+				ms[i].Merge(ms[j])
+				refs[i].Merge(refs[j])
+			default:
+				randomCharge(ms[i], refs[i])
+			}
+			for k := range ms {
+				if diff := agree(ms[k], refs[k]); diff != "" {
+					t.Fatalf("trial %d step %d, meter %d: %s", trial, step, k, diff)
+				}
+			}
+		}
+		if diff := agree(base, baseRef); diff != "" {
+			t.Fatalf("trial %d: the base was written: %s", trial, diff)
+		}
+	}
+	for _, into := range []string{"empty=true layered=false", "empty=false layered=false", "empty=true layered=true", "empty=false layered=true"} {
+		if covered["layered into "+into] == 0 {
+			t.Fatalf("no layered meter was merged into a meter with %s: %v", into, covered)
+		}
+	}
+}
+
+// TestLayeredAllocatesOnce: a layered meter is one allocation, however
+// large its base.
+func TestLayeredAllocatesOnce(t *testing.T) {
+	base := NewMeter(DefaultSchedule())
+	for i := 0; i < 300; i++ {
+		base.Charge(fmt.Sprintf("deal%d/escrow", i), OpSigVerify, 2)
+	}
+	if n := testing.AllocsPerRun(100, func() { meterSink = Layered(base) }); n != 1 {
+		t.Fatalf("Layered allocates %v times, want 1", n)
+	}
+}
+
+// TestUnionMergesAgainOnlyAfterAChange: a union hands out one merge until
+// a part is charged or merged into — directly, or beneath a layer — and a
+// merge it handed out never changes afterwards.
+func TestUnionMergesAgainOnlyAfterAChange(t *testing.T) {
+	ms := []*Meter{NewMeter(DefaultSchedule()), NewMeter(DefaultSchedule())}
+	refs := []*refMeter{newRefMeter(DefaultSchedule()), newRefMeter(DefaultSchedule())}
+	union := func() *refMeter {
+		u := newRefMeter(DefaultSchedule())
+		u.Merge(refs[0])
+		u.Merge(refs[1])
+		return u
+	}
+	ms[0].Charge("x", OpWrite, 2)
+	refs[0].Charge("x", OpWrite, 2)
+	u := NewUnion(DefaultSchedule(), ms...)
+	first, firstRef := u.Meter(), union()
+	if u.Meter() != first {
+		t.Fatal("an unchanged union merged again")
+	}
+	// Each change moves the reads; the zero-count charge moves only Labels.
+	for _, change := range []struct {
+		name string
+		do   func(*Meter, *refMeter)
+	}{
+		{"charge", func(m *Meter, r *refMeter) { m.Charge("y", OpRead, 1); r.Charge("y", OpRead, 1) }},
+		{"zero-count charge", func(m *Meter, r *refMeter) { m.Charge("z", OpWrite, 0); r.Charge("z", OpWrite, 0) }},
+		{"merge", func(m *Meter, r *refMeter) { m.Merge(ms[0]); r.Merge(refs[0]) }},
+	} {
+		before := u.Meter()
+		change.do(ms[1], refs[1])
+		after := u.Meter()
+		if after == before {
+			t.Fatalf("%s: the union kept its stale merge", change.name)
+		}
+		if diff := agree(after, union()); diff != "" {
+			t.Fatalf("%s: %s", change.name, diff)
+		}
+	}
+	if diff := agree(first, firstRef); diff != "" {
+		t.Fatalf("a merge handed out earlier changed: %s", diff)
+	}
+	u = NewUnion(DefaultSchedule(), Layered(ms[1]))
+	before := u.Meter()
+	ms[1].Charge("w", OpArith, 1)
+	if u.Meter() == before {
+		t.Fatal("a change beneath a layered part went unnoticed")
 	}
 }

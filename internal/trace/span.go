@@ -20,7 +20,7 @@ package trace
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"xdeal/internal/sim"
 )
@@ -168,6 +168,23 @@ func bucketRank(b Bucket) int {
 // Spans with BucketNone (milestones) do not participate. The result is
 // exact: the buckets partition the interval, so Sum() == Total.
 func Attribute(spans []Span, start, decision sim.Time) Attribution {
+	ivs := make([]Interval, len(spans))
+	for i, s := range spans {
+		ivs[i] = Interval{Queued: s.Kind == KindQueued, Start: s.Start, End: s.End, Bucket: s.Bucket}
+	}
+	return AttributeIntervals(ivs, start, decision)
+}
+
+// Interval is what Attribute reads of a span: whether it is a queued span
+// (whose end is an on-chain inclusion), its interval and its bucket.
+type Interval struct {
+	Queued     bool
+	Start, End sim.Time
+	Bucket     Bucket
+}
+
+// AttributeIntervals is Attribute over the spans' intervals, in any order.
+func AttributeIntervals(ivs []Interval, start, decision sim.Time) Attribution {
 	if decision <= start {
 		return Attribution{}
 	}
@@ -177,30 +194,22 @@ func Attribute(spans []Span, start, decision sim.Time) Attribution {
 	// slack region: past it, nothing was pending — the residual wait is
 	// pure observation scheduling.
 	lastIncl := start
-	for _, s := range spans {
-		if s.Kind == KindQueued && s.End > lastIncl && s.End <= decision {
-			lastIncl = s.End
+	for _, iv := range ivs {
+		if iv.Queued && iv.End > lastIncl && iv.End <= decision {
+			lastIncl = iv.End
 		}
 	}
 
-	// Boundary sweep over elementary intervals.
-	cuts := []sim.Time{start, decision, lastIncl}
-	active := make([]Span, 0, len(spans))
-	for _, s := range spans {
-		if s.Bucket == BucketNone || s.End <= start || s.Start >= decision || s.End <= s.Start {
+	// Boundary sweep over elementary intervals, all inside [start, decision]:
+	// covering one needs no clipping, and an interval taking no part covers none.
+	cuts := append(make([]sim.Time, 0, 3+2*len(ivs)), start, decision, lastIncl)
+	for _, iv := range ivs {
+		if iv.Bucket == BucketNone || iv.End <= start || iv.Start >= decision || iv.End <= iv.Start {
 			continue
 		}
-		c := s
-		if c.Start < start {
-			c.Start = start
-		}
-		if c.End > decision {
-			c.End = decision
-		}
-		active = append(active, c)
-		cuts = append(cuts, c.Start, c.End)
+		cuts = append(cuts, max(iv.Start, start), min(iv.End, decision))
 	}
-	sort.Slice(cuts, func(i, j int) bool { return cuts[i] < cuts[j] })
+	slices.Sort(cuts)
 
 	for i := 0; i+1 < len(cuts); i++ {
 		lo, hi := cuts[i], cuts[i+1]
@@ -208,9 +217,9 @@ func Attribute(spans []Span, start, decision sim.Time) Attribution {
 			continue
 		}
 		best := BucketNone
-		for _, s := range active {
-			if s.Start <= lo && s.End >= hi && bucketRank(s.Bucket) > bucketRank(best) {
-				best = s.Bucket
+		for _, iv := range ivs {
+			if iv.Start <= lo && iv.End >= hi && bucketRank(iv.Bucket) > bucketRank(best) {
+				best = iv.Bucket
 			}
 		}
 		if best == BucketNone {

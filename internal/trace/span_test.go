@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"math/rand/v2"
+	"sort"
 	"strings"
 	"testing"
 
@@ -207,5 +209,98 @@ func TestSpanDuration(t *testing.T) {
 	s := Span{Start: 10, End: 25}
 	if s.Duration() != sim.Duration(15) {
 		t.Fatalf("duration = %d", s.Duration())
+	}
+}
+
+// spanSweep is the reference attribution: the sweep over clipped copies
+// of the participating spans, which the interval form must agree with.
+func spanSweep(spans []Span, start, decision sim.Time) Attribution {
+	if decision <= start {
+		return Attribution{}
+	}
+	a := Attribution{Total: sim.Duration(decision - start)}
+	lastIncl := start
+	for _, s := range spans {
+		if s.Kind == KindQueued && s.End > lastIncl && s.End <= decision {
+			lastIncl = s.End
+		}
+	}
+	cuts := []sim.Time{start, decision, lastIncl}
+	var active []Span
+	for _, s := range spans {
+		if s.Bucket == BucketNone || s.End <= start || s.Start >= decision || s.End <= s.Start {
+			continue
+		}
+		s.Start, s.End = max(s.Start, start), min(s.End, decision)
+		active = append(active, s)
+		cuts = append(cuts, s.Start, s.End)
+	}
+	sort.Slice(cuts, func(i, j int) bool { return cuts[i] < cuts[j] })
+	for i := 0; i+1 < len(cuts); i++ {
+		lo, hi := cuts[i], cuts[i+1]
+		if hi <= lo {
+			continue
+		}
+		best := BucketNone
+		for _, s := range active {
+			if s.Start <= lo && s.End >= hi && bucketRank(s.Bucket) > bucketRank(best) {
+				best = s.Bucket
+			}
+		}
+		if best == BucketNone {
+			best = BucketSlack
+			if lo < lastIncl {
+				best = BucketProtocolWait
+			}
+		}
+		switch d := sim.Duration(hi - lo); best {
+		case BucketProtocolWait:
+			a.ProtocolWait += d
+		case BucketBlockQueueing:
+			a.BlockQueueing += d
+		case BucketPricedOut:
+			a.PricedOut += d
+		case BucketAdversary:
+			a.Adversary += d
+		case BucketSlack:
+			a.Slack += d
+		}
+	}
+	return a
+}
+
+// TestAttributeIntervalsMatchesSpanSweep: over random span sets — phase
+// milestones with no bucket, spans crossing start or the decision,
+// zero-length and inverted spans, and windows with decision ≤ start —
+// Attribute and AttributeIntervals over the spans' intervals, in any
+// order, equal the span sweep they replace.
+func TestAttributeIntervalsMatchesSpanSweep(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 6))
+	kinds := []string{KindSubmit, KindQueued, KindPhase}
+	buckets := append([]Bucket{BucketNone}, Buckets...)
+	for trial := 0; trial < 5000; trial++ {
+		start, decision := sim.Time(rng.IntN(40)), sim.Time(rng.IntN(120))
+		spans := make([]Span, rng.IntN(12))
+		for i := range spans {
+			// Endpoints range from before start to past the decision, and
+			// End < Start (inverted) or End == Start (zero-length) occurs.
+			s := sim.Time(rng.IntN(160)) - 20
+			spans[i] = Span{
+				Kind: kinds[rng.IntN(len(kinds))], Bucket: buckets[rng.IntN(len(buckets))],
+				Start: s, End: s + sim.Time(rng.IntN(80)) - 10,
+			}
+		}
+		want := spanSweep(spans, start, decision)
+		if got := Attribute(spans, start, decision); got != want {
+			t.Fatalf("trial %d: Attribute %+v, span sweep %+v over %+v in [%d, %d]", trial, got, want, spans, start, decision)
+		}
+		ivs := make([]Interval, len(spans))
+		for i, s := range spans {
+			ivs[i] = Interval{Queued: s.Kind == KindQueued, Start: s.Start, End: s.End, Bucket: s.Bucket}
+		}
+		rng.Shuffle(len(ivs), func(i, j int) { ivs[i], ivs[j] = ivs[j], ivs[i] })
+		if got := AttributeIntervals(ivs, start, decision); got != want {
+			t.Fatalf("trial %d: AttributeIntervals %+v, span sweep %+v over %+v in [%d, %d]", trial, got, want, ivs, start, decision)
+		}
 	}
 }
