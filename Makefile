@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench-snapshot
+.PHONY: build test race vet bench
 
 build:
 	$(GO) build ./...
@@ -18,14 +18,13 @@ vet:
 	$(GO) build -o bin/xdealvet ./cmd/xdealvet
 	$(GO) vet -vettool=$(CURDIR)/bin/xdealvet ./...
 
-# Refresh the committed throughput snapshot for the given PR number
-# (make bench-snapshot PR=10 writes BENCH_pr10.json). Wall-clock,
-# stage, and allocation fields vary by machine and worker count; the
-# latency/gas percentiles are seed-deterministic.
-PR ?= 10
-bench-snapshot:
-	$(GO) run ./cmd/dealsweep -deals 512 -workers 0 -seed 7 -bench-json > BENCH_pr$(PR).json
-	@cat BENCH_pr$(PR).json
+# The benchmark BENCHMARK.json declares, every workload at full size with
+# its correctness gate; the first failing workload fails the target.
+# Results land in bench/out/<workload>.json (see bench/README.md).
+bench:
+	for w in timelock-adversarial cbc-adversarial compliant-wide arena-congested; do \
+		bash bench/run.sh --workload "$$w" --seconds 8 || exit 1; \
+	done
 
 # CI's allocation-budget gate: fail if the isolated or the arena sweep in
 # allocbudget_test.go allocates more bytes/deal than its ceiling.

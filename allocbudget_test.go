@@ -65,7 +65,7 @@ func TestAllocationBudgetPerDeal(t *testing.T) {
 			t.Logf("allocation budget: %d bytes/deal (ceiling %d)", perDeal, budget.ceiling)
 			if perDeal > budget.ceiling {
 				t.Fatalf("sweep allocates %d bytes/deal, over the %d ceiling; "+
-					"run BenchmarkSweepAllocs with -memprofile to find the regression",
+					"run go test -run TestAllocationBudgetPerDeal -memprofile mem.out . to find the regression",
 					perDeal, budget.ceiling)
 			}
 		})

@@ -6,7 +6,13 @@
 //	BenchmarkPoWAttack      §6.2 PoW fake-proof attack probabilities
 //	BenchmarkProofAblation  §6.2 certificate vs block-subsequence proofs
 //	BenchmarkSwapBaseline   §8 deal protocol vs HTLC swap
-//	BenchmarkMicro*         substrate micro-benchmarks
+//
+// Two more families measure what the benchmark module (bench/, declared
+// in BENCHMARK.json) does not: worker scaling, because it runs one
+// worker (BenchmarkFleetSweepParallelVsSerial, BenchmarkHarnessSweepPooled),
+// and two substrate operations no probe of it covers
+// (BenchmarkMicroWellFormedCheck, BenchmarkMicroGasMeter). Throughput,
+// bytes per deal and every other per-layer cost are measured there.
 //
 // Custom metrics carry the reproduced quantities: gas/op, sigver/op
 // (signature verifications), delta-units (phase duration in Δ), and
@@ -15,22 +21,16 @@
 package xdeal_test
 
 import (
-	"crypto/ed25519"
 	"fmt"
 	"testing"
 
 	"xdeal"
-	"xdeal/internal/bft"
-	"xdeal/internal/chain"
 	"xdeal/internal/deal"
 	"xdeal/internal/engine"
-	"xdeal/internal/feemarket"
-	"xdeal/internal/fleet"
 	"xdeal/internal/gas"
 	"xdeal/internal/harness"
 	"xdeal/internal/party"
 	"xdeal/internal/pow"
-	"xdeal/internal/sig"
 	"xdeal/internal/sim"
 )
 
@@ -251,38 +251,6 @@ func BenchmarkFleetSweepParallelVsSerial(b *testing.B) {
 	}
 }
 
-// Arena benchmarks: throughput of shared-world populations as the
-// number of shared chains varies. Fewer chains concentrate the same
-// deal traffic onto fewer mempools with capped blocks, so deals/s and
-// per-deal latency both degrade — the contention the arena exists to
-// measure. Baselines are off: this benchmark times the shared world
-// itself, not the inflation-metric replays.
-func BenchmarkArenaThroughput(b *testing.B) {
-	for _, chains := range []int{1, 2, 4, 8} {
-		chains := chains
-		b.Run(fmt.Sprintf("chains=%d", chains), func(b *testing.B) {
-			const deals = 48
-			var decisionP99 float64
-			for i := 0; i < b.N; i++ {
-				rep, err := xdeal.Sweep(xdeal.SweepOptions{
-					Deals:   deals,
-					Workers: 4,
-					Gen: xdeal.GenOptions{
-						Seed: 7, Protocol: "timelock", AdversaryRate: 0.3,
-					},
-					Arena: &xdeal.ArenaOptions{DealsPerArena: 24, Chains: chains},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				decisionP99 = rep.DeltaTime.P99
-			}
-			b.ReportMetric(float64(deals*b.N)/b.Elapsed().Seconds(), "deals/s")
-			b.ReportMetric(decisionP99, "p99-decision-delta")
-		})
-	}
-}
-
 // The harness experiment sweeps on the same pool: serial (Workers=1)
 // vs one worker per CPU (Workers=0), over the Figure 4 commit-gas
 // n-sweep.
@@ -307,131 +275,7 @@ func BenchmarkHarnessSweepPooled(b *testing.B) {
 	}
 }
 
-// Fee-market benchmarks: raw block-builder throughput, FIFO vs
-// tip-ordered. The tip-ordered builder sorts the mempool at every block
-// (O(n log n) against FIFO's O(n) slice split), so this measures what
-// the ordering game costs the simulator per transaction.
-func BenchmarkBlockBuilderFIFOvsTipOrdered(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		fees *feemarket.Config
-	}{{"fifo", nil}, {"tip-ordered", &feemarket.Config{Initial: 100}}} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			const txs = 2048
-			rng := sim.NewRNG(7)
-			tips := make([]uint64, txs)
-			for i := range tips {
-				tips[i] = uint64(rng.Intn(32))
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sched := sim.NewScheduler()
-				c := chain.New(chain.Config{
-					ID:            "bench",
-					BlockInterval: 10,
-					Delays:        chain.SyncPolicy{Min: 1, Max: 1},
-					Schedule:      gas.DefaultSchedule(),
-					MaxBlockTxs:   64,
-					FeeMarket:     mode.fees,
-				}, sched, sim.NewRNG(1))
-				c.MustDeploy("sink", benchSink{})
-				for j := 0; j < txs; j++ {
-					c.Submit(&chain.Tx{Sender: "a", Contract: "sink", Method: "x", Label: "t", Tip: tips[j]})
-				}
-				sched.Run()
-				if len(c.Receipts()) != txs {
-					b.Fatalf("executed %d of %d", len(c.Receipts()), txs)
-				}
-			}
-			b.ReportMetric(float64(txs*b.N)/b.Elapsed().Seconds(), "txs/s")
-		})
-	}
-}
-
-// benchSink is a no-op contract for builder throughput benchmarks.
-type benchSink struct{}
-
-func (benchSink) Invoke(*chain.Env, string, any) (any, error) { return nil, nil }
-
-// Fee-market sweep benchmark: ordering-game arenas end to end, the
-// fee-bid win rate reported alongside throughput.
-func BenchmarkFeeMarketArenaSweep(b *testing.B) {
-	const deals = 48
-	var og *fleet.OrderingGames
-	for i := 0; i < b.N; i++ {
-		rep, err := xdeal.Sweep(xdeal.SweepOptions{
-			Deals:   deals,
-			Workers: 4,
-			Gen: xdeal.GenOptions{
-				Seed: 7, Protocol: "timelock", AdversaryRate: 0.3,
-				Fees: &xdeal.FeeOptions{BaseFee: 100, TipBudget: 400},
-			},
-			Arena: &xdeal.ArenaOptions{DealsPerArena: 24, Chains: 2},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		og = rep.OrderingGames
-	}
-	b.ReportMetric(float64(deals*b.N)/b.Elapsed().Seconds(), "deals/s")
-	b.ReportMetric(og.FeeBidWinRate(), "fee-bid-win-rate")
-	b.ReportMetric(og.FeePerCommit, "fee-per-commit")
-}
-
 // Substrate micro-benchmarks.
-
-func BenchmarkMicroPathSigVerify(b *testing.B) {
-	for _, hops := range []int{1, 4, 8} {
-		hops := hops
-		b.Run(fmt.Sprintf("hops=%d", hops), func(b *testing.B) {
-			keys := make(map[string]sig.KeyPair)
-			keyring := make(map[string]ed25519.PublicKey)
-			names := make([]string, hops)
-			for i := range names {
-				names[i] = fmt.Sprintf("p%d", i)
-				kp := sig.GenerateKeyPair(names[i])
-				keys[names[i]] = kp
-				keyring[names[i]] = kp.Public
-			}
-			vote := sig.NewVote("D", names[0], keys[names[0]])
-			for i := 1; i < hops; i++ {
-				vote = vote.Forward(names[i], keys[names[i]])
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := vote.Verify(keyring, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkMicroCertificateVerify(b *testing.B) {
-	for _, f := range []int{1, 4, 10} {
-		f := f
-		b.Run(fmt.Sprintf("f=%d", f), func(b *testing.B) {
-			committee, signers := bft.NewCommittee("bench", 0, f)
-			cert := bft.MakeCertificate([]byte("statement"), 0, signers[:committee.Quorum()])
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := cert.Verify(committee, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkMicroSchedulerThroughput(b *testing.B) {
-	s := sim.NewScheduler()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.At(sim.Time(i), func() {})
-		s.Step()
-	}
-}
 
 func BenchmarkMicroWellFormedCheck(b *testing.B) {
 	spec := deal.RingSpec(50, 1, 1)
@@ -468,78 +312,5 @@ func BenchmarkFig7TransferDepth(b *testing.B) {
 			b.ReportMetric(rows[0].RingTransfer, "ring-transfer-delta")
 			b.ReportMetric(rows[0].PathTransfer, "path-transfer-delta")
 		})
-	}
-}
-
-// Scheduler backend duel: the PR-10 time-wheel vs the legacy binary
-// heap on the workloads that diverge asymptotically. "dense" is the
-// near-future steady state every chain world lives in (delays well
-// under one wheel rotation); "churn" schedules and immediately cancels
-// — O(1) unlink on the wheel vs O(log n) heap fixup; "farspread"
-// forces overflow-heap migration every rotation.
-func BenchmarkMicroSchedulerWheelVsHeap(b *testing.B) {
-	backends := []struct {
-		name string
-		mk   func() *sim.Scheduler
-	}{
-		{"wheel", sim.NewScheduler},
-		{"heap", sim.NewHeapScheduler},
-	}
-	for _, be := range backends {
-		be := be
-		b.Run(be.name+"/dense", func(b *testing.B) {
-			s := be.mk()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.After(sim.Duration(1+i%64), func() {})
-				s.Step()
-			}
-		})
-		b.Run(be.name+"/churn", func(b *testing.B) {
-			s := be.mk()
-			// A standing population keeps the heap's cancel cost honest.
-			for i := 0; i < 4096; i++ {
-				s.After(sim.Duration(10+i), func() {})
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cancel := s.At(s.Now()+sim.Time(5+i%128), func() {})
-				cancel()
-			}
-		})
-		b.Run(be.name+"/farspread", func(b *testing.B) {
-			s := be.mk()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.After(sim.Duration(1+i%8192), func() {})
-				s.Step()
-			}
-		})
-	}
-}
-
-// Allocation profile of the block-production hot path, measured through
-// a whole isolated sweep so mempool recycling and receipt slabs show
-// up. bytes/deal is the number the CI allocation-budget gate holds a
-// ceiling over.
-func BenchmarkSweepAllocs(b *testing.B) {
-	const deals = 64
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rep, err := xdeal.Sweep(xdeal.SweepOptions{
-			Deals:   deals,
-			Workers: 1,
-			Gen: xdeal.GenOptions{
-				Seed: 7, Protocol: "mixed",
-				AdversaryRate: 0.3, DoSRate: 0.15,
-			},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = rep
 	}
 }

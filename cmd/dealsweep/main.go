@@ -78,12 +78,10 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 
 	"xdeal/internal/engine"
@@ -112,7 +110,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	maxParties := fs.Int("max-parties", 6, "largest generated deal size")
 	serializeRounds := fs.Bool("serialize-rounds", false, "gate each party's rounds strictly (escrow confirm before transfers, transfers before votes) instead of pipelining; same seeds generate the same deals either way")
 	jsonOut := fs.Bool("json", false, "emit the report as JSON instead of tables")
-	benchJSON := fs.Bool("bench-json", false, "emit a throughput snapshot (deals/sec, p99 decision latency) as JSON instead of the report")
 	replayIndex := fs.Int("replay", -1, "re-run this deal index from the sweep in full detail")
 	explain := fs.Bool("explain", false, "with -replay: print the replayed deal's critical path and latency attribution as an annotated timeline")
 	chromeTrace := fs.String("chrome-trace", "", "with -replay: write the replayed deal's causal trace as Chrome trace-event JSON to this path (opens in ui.perfetto.dev)")
@@ -161,9 +158,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *deals < 0 {
 		return fail("-deals must be non-negative")
-	}
-	if *jsonOut && *benchJSON {
-		return fail("-json and -bench-json are mutually exclusive")
 	}
 	// Reject degenerate knobs outright instead of silently substituting
 	// defaults: a sweep gated in CI must mean what its flags say.
@@ -257,11 +251,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return replay(stdout, stderr, gen, *replayIndex, *explain, *chromeTrace)
 	}
 
-	// The observability layer. Stage timing is always on (nil-safe,
-	// near-zero, feeds only the bench snapshot); the registry and flight
-	// recorder exist only when their flags ask for output. None of it
-	// can reach the report: obs instruments are passive by contract.
-	ob := &fleet.ObsOptions{Stages: obs.NewStageTimer()}
+	// The observability layer. The registry and flight recorder exist
+	// only when their flags ask for output. None of it can reach the
+	// report: obs instruments are passive by contract.
+	ob := &fleet.ObsOptions{}
 	if *metricsJSON != "" || *metricsCSV != "" {
 		ob.Metrics = obs.NewRegistry()
 	}
@@ -283,9 +276,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	start := obs.Now()
 	rep, err := fleet.Sweep(opts)
-	elapsedSec := obs.Since(start)
 	if stopProf != nil {
 		if perr := stopProf(); perr != nil {
 			fmt.Fprintf(stderr, "dealsweep: profile: %v\n", perr)
@@ -297,12 +288,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	rep.ReplayCommand = replayCommand(opts)
 
-	if *benchJSON {
-		if err := writeBenchSnapshot(stdout, rep, opts, elapsedSec, ob.Stages); err != nil {
-			fmt.Fprintf(stderr, "dealsweep: %v\n", err)
-			return 1
-		}
-	} else if *jsonOut {
+	if *jsonOut {
 		if err := rep.WriteJSON(stdout); err != nil {
 			fmt.Fprintf(stderr, "dealsweep: %v\n", err)
 			return 1
@@ -419,55 +405,6 @@ func writeSnapshot(path string, write func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-// benchSnapshot is the machine-readable throughput record -bench-json
-// emits: population shape, wall-clock throughput, the deterministic
-// latency/gas percentiles of the same report the normal modes render,
-// and (schema v2) the wall-clock stage breakdown plus allocation
-// counters; schema v4 drops v3's shard count along with sharded
-// execution. Throughput, stage, and memory fields depend on the machine
-// and worker count; every other field depends only on (seed, deals,
-// generator flags).
-type benchSnapshot struct {
-	Schema           int                `json:"schema"`
-	Deals            int                `json:"deals"`
-	Workers          int                `json:"workers"`
-	Seed             uint64             `json:"seed"`
-	Arena            bool               `json:"arena"`
-	ElapsedSec       float64            `json:"elapsed_sec"`
-	DealsPerSec      float64            `json:"deals_per_sec"`
-	P50DecisionDelta float64            `json:"p50_decision_latency_delta"`
-	P99DecisionDelta float64            `json:"p99_decision_latency_delta"`
-	P99Gas           float64            `json:"p99_gas"`
-	Violations       int                `json:"violations"`
-	Stages           []obs.StageSeconds `json:"stages,omitempty"`
-	Mem              obs.MemStats       `json:"mem"`
-}
-
-func writeBenchSnapshot(w io.Writer, rep *fleet.Report, opts fleet.Options, elapsedSec float64, stages *obs.StageTimer) error {
-	workers := opts.Workers
-	if workers == 0 {
-		workers = runtime.NumCPU()
-	}
-	snap := benchSnapshot{
-		Schema:           4,
-		Deals:            opts.Deals,
-		Workers:          workers,
-		Seed:             opts.Gen.Seed,
-		Arena:            opts.Arena != nil,
-		ElapsedSec:       elapsedSec,
-		DealsPerSec:      float64(opts.Deals) / elapsedSec,
-		P50DecisionDelta: rep.DeltaTime.P50,
-		P99DecisionDelta: rep.DeltaTime.P99,
-		P99Gas:           rep.Gas.P99,
-		Violations:       len(rep.Violations),
-		Stages:           stages.Stages(),
-		Mem:              obs.ReadMemStats(),
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(snap)
 }
 
 // replay re-executes one generated scenario in full detail: the deal

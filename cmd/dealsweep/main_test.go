@@ -187,60 +187,6 @@ func TestResidualLossBudgetGate(t *testing.T) {
 	}
 }
 
-// TestBenchSnapshotJSON: -bench-json emits the throughput snapshot with
-// positive wall-clock fields and the same deterministic percentiles the
-// report carries, and refuses to combine with -json.
-func TestBenchSnapshotJSON(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-deals", "16", "-seed", "3", "-bench-json"}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("run = %d, want 0\nstderr: %s", code, stderr.String())
-	}
-	var snap benchSnapshot
-	if err := json.Unmarshal(stdout.Bytes(), &snap); err != nil {
-		t.Fatalf("snapshot is not valid JSON: %v\n%s", err, stdout.String())
-	}
-	if snap.Schema != 4 {
-		t.Fatalf("snapshot schema = %d, want 4", snap.Schema)
-	}
-	if snap.Deals != 16 || snap.Seed != 3 {
-		t.Fatalf("snapshot does not record its flags: %+v", snap)
-	}
-	if snap.Workers <= 0 {
-		t.Fatalf("effective worker count must be positive, got %d", snap.Workers)
-	}
-	if snap.ElapsedSec <= 0 || snap.DealsPerSec <= 0 {
-		t.Fatalf("throughput fields must be positive: %+v", snap)
-	}
-	if snap.P99DecisionDelta <= 0 || snap.P99Gas <= 0 {
-		t.Fatalf("percentile fields must be positive: %+v", snap)
-	}
-	stageNames := make(map[string]bool)
-	for _, s := range snap.Stages {
-		if s.Seconds < 0 {
-			t.Fatalf("negative stage time: %+v", s)
-		}
-		stageNames[s.Stage] = true
-	}
-	for _, want := range []string{"generate", "run", "aggregate"} {
-		if !stageNames[want] {
-			t.Fatalf("stage breakdown is missing %q: %+v", want, snap.Stages)
-		}
-	}
-	if snap.Mem.TotalAllocBytes == 0 || snap.Mem.Mallocs == 0 {
-		t.Fatalf("allocation counters must be positive: %+v", snap.Mem)
-	}
-
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-json", "-bench-json"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("-json -bench-json = %d, want exit 2", code)
-	}
-	if !strings.Contains(stderr.String(), "mutually exclusive") {
-		t.Fatalf("stderr %q does not explain the rejection", stderr.String())
-	}
-}
-
 // TestMetricsSnapshotFiles: -metrics-json and -metrics-csv write
 // non-empty registry snapshots, and the JSON one carries the core
 // chain counters the sweep promises (blocks sealed, mempool

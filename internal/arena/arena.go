@@ -602,17 +602,14 @@ func strandedDeposits(w *engine.World, r *engine.Result) uint64 {
 }
 
 // engineOptions assembles one deal's engine options for the shared
-// world.
+// world. World settings (block interval and capacity, fee market,
+// hedging, bundles) belong to the substrate's SubstrateConfig.
 func engineOptions(opts Options, setup DealSetup, hooks *party.AdaptiveHooks) engine.Options {
 	eo := engine.Options{
-		Seed:          setup.Seed,
-		Behaviors:     setup.Behaviors,
-		BlockInterval: opts.BlockInterval,
-		MaxBlockTxs:   opts.MaxBlockTxs,
-		LabelPrefix:   setup.Spec.ID + "/",
-		Adaptive:      hooks,
-		Hedge:         opts.hedgeParams(),
-		Bundles:       opts.Bundles,
+		Seed:        setup.Seed,
+		Behaviors:   setup.Behaviors,
+		LabelPrefix: setup.Spec.ID + "/",
+		Adaptive:    hooks,
 	}
 	if opts.Protocol == "cbc" {
 		eo.Protocol = party.ProtoCBC
@@ -636,6 +633,7 @@ func runBaselines(opts Options, pop []DealSetup, res *Result) {
 			BlockInterval: opts.BlockInterval,
 			MaxBlockTxs:   opts.MaxBlockTxs,
 			FeeMarket:     opts.feeConfig(),
+			Hedge:         opts.hedgeParams(),
 			Bundles:       opts.Bundles,
 		})
 		market := NewMarket(sub.Sched, sim.Mix64(opts.Seed^0xa5a5a5a5), opts.PriceTick, opts.Volatility)

@@ -105,18 +105,17 @@ func sharedArena(t *testing.T, n int, proto party.Protocol) []dealRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := &hedge.Params{Collateral: 1, VolWindow: 32}
 	sub := engine.NewSubstrate(engine.SubstrateConfig{
-		Seed: 7, MaxBlockTxs: 8, FeeMarket: &feemarket.Config{Initial: 100}, Hedge: params, Bundles: true,
+		Seed: 7, MaxBlockTxs: 8, FeeMarket: &feemarket.Config{Initial: 100},
+		Hedge: &hedge.Params{Collateral: 1, VolWindow: 32}, Bundles: true,
 	})
 	hooks := &party.AdaptiveHooks{Oracle: arena.NewMarket(sub.Sched, 7, 100, 0.02)}
 	worlds := make([]*engine.World, len(pop))
 	for k, setup := range pop {
 		spec := *setup.Spec
 		opts := engine.Options{
-			Seed: setup.Seed, Behaviors: setup.Behaviors, MaxBlockTxs: 8,
-			LabelPrefix: spec.ID + "/", Adaptive: hooks, Hedge: params, Bundles: true,
-			Protocol: proto,
+			Seed: setup.Seed, Behaviors: setup.Behaviors,
+			LabelPrefix: spec.ID + "/", Adaptive: hooks, Protocol: proto,
 		}
 		if proto == party.ProtoCBC {
 			opts.F, opts.Patience = 1, 30*spec.Delta

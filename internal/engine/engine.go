@@ -39,6 +39,12 @@ import (
 )
 
 // Options configures a world build.
+//
+// BlockInterval, Delays, MaxBlockTxs, Outages, FeeMarket, Hedge and
+// Bundles are world settings: Build copies them into the SubstrateConfig
+// of the private substrate it creates. BuildOn ignores them and reads the
+// substrate's own configuration, so every deal on a shared substrate
+// sees one world.
 type Options struct {
 	Seed     uint64
 	Protocol party.Protocol
@@ -314,9 +320,6 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 			return nil, err
 		}
 	}
-	if opts.BlockInterval <= 0 {
-		opts.BlockInterval = s.cfg.BlockInterval
-	}
 	sched := s.Sched
 
 	w := &World{
@@ -344,9 +347,6 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 	// the synchrony-assumption breach checkSafety annotates (§5).
 	for _, a := range spec.Escrows() {
 		if o, ok := s.cfg.Outages[a.Chain]; ok && o.Until-o.From > spec.Delta && o.Until-o.From > w.outageBeyondDelta {
-			w.outageBeyondDelta = o.Until - o.From
-		}
-		if o, ok := opts.Outages[a.Chain]; ok && o.Until-o.From > spec.Delta && o.Until-o.From > w.outageBeyondDelta {
 			w.outageBeyondDelta = o.Until - o.From
 		}
 	}
@@ -443,10 +443,7 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 	// managers themselves. Premiums are priced off the hosting chain's
 	// realized base-fee volatility, so insurance on a congested chain
 	// costs more.
-	hp := opts.Hedge
-	if hp == nil {
-		hp = s.cfg.Hedge
-	}
+	hp := s.cfg.Hedge
 	if hp != nil {
 		resolved := hp.WithDefaults()
 		for _, a := range spec.Escrows() {
@@ -486,7 +483,7 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 		}
 		w.CBC = cbc.New(cbc.Config{
 			Tag: "cbc/" + spec.ID, F: f,
-			BlockInterval: opts.BlockInterval,
+			BlockInterval: s.cfg.BlockInterval,
 			Delays:        cbcDelays,
 			Schedule:      gas.DefaultSchedule(),
 			Censor:        opts.Censor,
@@ -539,7 +536,7 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 		fees = party.DeadlineFee{Start: 1, Max: 16}
 	}
 	var bundleCfg *party.BundleConfig
-	if (opts.Bundles || s.cfg.Bundles) && s.cfg.FeeMarket != nil {
+	if s.cfg.Bundles && s.cfg.FeeMarket != nil {
 		// The compliant bundle strategy mirrors the DeadlineFee default
 		// at bundle granularity: the deal's per-slot bid escalates as
 		// the timelock deadline approaches, and re-escalates on every
@@ -795,7 +792,7 @@ func (w *World) Start() {
 	if w.opts.Reconfigurations > 0 && w.CBC != nil {
 		// Reconfigure mid-deal, spaced across the early protocol.
 		for i := 1; i <= w.opts.Reconfigurations; i++ {
-			w.Sched.After(sim.Duration(i)*w.opts.BlockInterval*3, w.CBC.Reconfigure)
+			w.Sched.After(sim.Duration(i)*w.sub.cfg.BlockInterval*3, w.CBC.Reconfigure)
 		}
 	}
 }

@@ -243,9 +243,9 @@ func TestFlightRecorderCapturesViolations(t *testing.T) {
 	}
 }
 
-// TestStageTimingCoversSweep: a swept StageTimer reports the three
-// pipeline stages with non-negative wall time (wall-clock readings
-// stay inside obs and never reach the report).
+// TestStageTimingCoversSweep: a swept StageTimer accumulates wall time
+// in each of the three pipeline stages (wall-clock readings stay inside
+// obs and never reach the report).
 func TestStageTimingCoversSweep(t *testing.T) {
 	opts := sweepOpts(40, 4)
 	stages := obs.NewStageTimer()
@@ -253,16 +253,9 @@ func TestStageTimingCoversSweep(t *testing.T) {
 	if _, err := Sweep(opts); err != nil {
 		t.Fatal(err)
 	}
-	got := make(map[string]bool)
-	for _, s := range stages.Stages() {
-		if s.Seconds < 0 {
-			t.Fatalf("negative stage time: %+v", s)
-		}
-		got[s.Stage] = true
-	}
-	for _, want := range []string{"generate", "run", "aggregate"} {
-		if !got[want] {
-			t.Fatalf("stage breakdown is missing %q: %+v", want, stages.Stages())
+	for _, stage := range []string{"generate", "run", "aggregate"} {
+		if stages.Seconds(stage) <= 0 {
+			t.Fatalf("stage %q accumulated %v s, want > 0", stage, stages.Seconds(stage))
 		}
 	}
 }

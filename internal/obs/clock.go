@@ -2,13 +2,12 @@ package obs
 
 // Wall-clock and Go-runtime reads live in this file (and prof.go) only.
 // internal/obs is a sanctioned wrapper under the noclock analyzer, like
-// internal/sim: the readings below feed machine-local throughput
-// snapshots (BENCH_*.json, stage breakdowns), never the deterministic
-// reports, so replay stays exact.
+// internal/sim: the readings below feed machine-local measurements (the
+// sweep's stage timing, the benchmark's allocation counters), never the
+// deterministic reports, so replay stays exact.
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 )
@@ -51,37 +50,7 @@ func (t *StageTimer) Seconds(stage string) float64 {
 	return t.seconds[stage]
 }
 
-// StageSeconds is one stage's accumulated wall time, for the extended
-// bench snapshot.
-type StageSeconds struct {
-	Stage   string  `json:"stage"`
-	Seconds float64 `json:"seconds"`
-}
-
-// Stages returns every stage's total, sorted by stage name.
-func (t *StageTimer) Stages() []StageSeconds {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]StageSeconds, 0, len(t.seconds))
-	for stage, sec := range t.seconds {
-		out = append(out, StageSeconds{Stage: stage, Seconds: sec})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Stage < out[j].Stage })
-	return out
-}
-
-// Now returns the current wall-clock time. It exists so callers outside
-// internal/obs (dealsweep's bench snapshot) never import time directly
-// for wall reads.
-func Now() time.Time { return time.Now() }
-
-// Since returns wall-clock seconds elapsed since start.
-func Since(start time.Time) float64 { return time.Since(start).Seconds() }
-
-// MemStats is the allocation summary folded into BENCH_*.json: total
+// MemStats is a sample of the allocator's cumulative counters: total
 // bytes ever allocated, cumulative heap objects, and GC cycles.
 type MemStats struct {
 	TotalAllocBytes uint64 `json:"total_alloc_bytes"`

@@ -11,8 +11,8 @@
 // ambient sources — the wall clock (StageTimer), the Go runtime
 // (ReadMemStats, Profiles) — live only here: internal/obs is a
 // sanctioned wrapper under the noclock analyzer, like internal/sim, and
-// their readings feed machine-local throughput snapshots (BENCH_*.json),
-// never the deterministic reports.
+// their readings feed machine-local measurements (stage timing, the
+// benchmark's allocation counters), never the deterministic reports.
 //
 // Every constructor accepts being skipped: methods on nil receivers are
 // no-ops, so instrumented packages write `reg.Counter("x").Inc()`

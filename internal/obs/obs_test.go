@@ -40,7 +40,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 
 	var st *StageTimer
 	st.Start("run")()
-	if st.Seconds("run") != 0 || st.Stages() != nil {
+	if st.Seconds("run") != 0 {
 		t.Fatal("nil stage timer is not a no-op")
 	}
 }
@@ -217,17 +217,13 @@ func TestStageTimer(t *testing.T) {
 	stop := st.Start("run")
 	stop()
 	st.Start("run")()
-	stages := st.Stages()
-	if len(stages) != 2 {
-		t.Fatalf("stages = %+v", stages)
-	}
-	if stages[0].Stage != "generate" || stages[1].Stage != "run" {
-		t.Fatalf("stages not sorted: %+v", stages)
-	}
-	for _, s := range stages {
-		if s.Seconds < 0 {
-			t.Fatalf("negative stage time: %+v", s)
+	for _, stage := range []string{"generate", "run"} {
+		if st.Seconds(stage) <= 0 {
+			t.Fatalf("stage %q accumulated %v s, want > 0", stage, st.Seconds(stage))
 		}
+	}
+	if st.Seconds("aggregate") != 0 {
+		t.Fatalf("untimed stage reads %v s, want 0", st.Seconds("aggregate"))
 	}
 }
 

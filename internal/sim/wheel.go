@@ -26,8 +26,8 @@ import "container/heap"
 //
 // Together these give the same total (at, seq) execution order as a
 // single binary heap, bit for bit — the twin-equivalence test in
-// sim_test.go drives both backends with one randomized script and
-// asserts identical sequences.
+// wheel_test.go drives the wheel and the heap oracle (heap_test.go) with
+// one randomized script and asserts identical sequences.
 const (
 	wheelBits  = 10
 	wheelSlots = 1 << wheelBits

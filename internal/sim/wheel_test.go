@@ -12,7 +12,7 @@ var backends = []struct {
 	mk   func() *Scheduler
 }{
 	{"wheel", NewScheduler},
-	{"heap", NewHeapScheduler},
+	{"heap", newHeapScheduler},
 }
 
 func TestPendingAfterCancelIsZero(t *testing.T) {
@@ -331,7 +331,7 @@ func TestSchedulerTwinEquivalence(t *testing.T) {
 		}
 
 		wheelTrace := runTwinScript(NewScheduler(), script)
-		heapTrace := runTwinScript(NewHeapScheduler(), script)
+		heapTrace := runTwinScript(newHeapScheduler(), script)
 		if len(wheelTrace) != len(heapTrace) {
 			t.Fatalf("seed %d: trace lengths differ: wheel %d, heap %d",
 				seed, len(wheelTrace), len(heapTrace))
