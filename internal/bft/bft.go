@@ -133,9 +133,15 @@ type Certificate struct {
 // MakeCertificate signs the statement with the given signers. It does not
 // check quorum: attacks deliberately construct under-quorum certificates.
 func MakeCertificate(statement []byte, epoch int, signers []Signer) Certificate {
+	return MakeCertificateWith(nil, statement, epoch, signers)
+}
+
+// MakeCertificateWith is MakeCertificate with each signature made
+// through memo (nil signs plainly).
+func MakeCertificateWith(memo *sig.Memo, statement []byte, epoch int, signers []Signer) Certificate {
 	cert := Certificate{Epoch: epoch, Statement: append([]byte(nil), statement...)}
 	for _, s := range signers {
-		cert.Sigs = append(cert.Sigs, Signature{Validator: s.ID, Sig: s.Sign(statement)})
+		cert.Sigs = append(cert.Sigs, Signature{Validator: s.ID, Sig: memo.Sign(s.key, statement)})
 	}
 	return cert
 }
@@ -200,9 +206,15 @@ type Reconfig struct {
 // committee's signers (at least a quorum must be supplied for the result
 // to verify).
 func NewReconfig(next Committee, prevEpoch int, prevSigners []Signer) Reconfig {
+	return NewReconfigWith(nil, next, prevEpoch, prevSigners)
+}
+
+// NewReconfigWith is NewReconfig with the handover certificate signed
+// through memo (nil signs plainly).
+func NewReconfigWith(memo *sig.Memo, next Committee, prevEpoch int, prevSigners []Signer) Reconfig {
 	return Reconfig{
 		Next: next,
-		Cert: MakeCertificate(next.Encode(), prevEpoch, prevSigners),
+		Cert: MakeCertificateWith(memo, next.Encode(), prevEpoch, prevSigners),
 	}
 }
 

@@ -3,6 +3,7 @@ package bft
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -79,7 +80,7 @@ func TestCommitteeEqualAgreesWithEncoding(t *testing.T) {
 }
 
 // TestCertificateMemoisedAcrossVerifiers: the same certificate checked by
-// several contracts costs 2f+1 real verifications in total, while each
+// several contracts misses the memo 2f+1 times in total, while each
 // contract still counts (and pays for) its own 2f+1.
 func TestCertificateMemoisedAcrossVerifiers(t *testing.T) {
 	c, signers := NewCommittee("cbc", 0, 2)
@@ -95,8 +96,8 @@ func TestCertificateMemoisedAcrossVerifiers(t *testing.T) {
 		t.Fatalf("verifications counted = %d, want 3(2f+1) = %d", counted, 3*c.Quorum())
 	}
 	asked, hits := memo.Stats()
-	if real := asked - hits; real != uint64(c.Quorum()) {
-		t.Fatalf("real verifications = %d, want 2f+1 = %d", real, c.Quorum())
+	if misses := asked - hits; misses != uint64(c.Quorum()) {
+		t.Fatalf("memo misses = %d, want 2f+1 = %d", misses, c.Quorum())
 	}
 }
 
@@ -195,6 +196,25 @@ func TestReconfigChain(t *testing.T) {
 	// status certificate adds 3 more, giving (k+1)(2f+1) = 9 total.
 	if n != 6 {
 		t.Fatalf("verifications = %d, want 6", n)
+	}
+}
+
+// TestReconfigChainMemoisedMatchesPlain: handovers signed through memos
+// — the first filling the answer table, the second served from it — are
+// byte-identical to plainly signed ones and verify the same way.
+func TestReconfigChainMemoisedMatchesPlain(t *testing.T) {
+	c0, s0 := NewCommittee("cbc/memo-twin", 0, 1)
+	c1, s1 := NewCommittee("cbc/memo-twin", 1, 1)
+	c2, _ := NewCommittee("cbc/memo-twin", 2, 1)
+	plain := []Reconfig{NewReconfig(c1, 0, s0[:3]), NewReconfig(c2, 1, s1[:3])}
+	for i, memo := range []*sig.Memo{sig.NewMemo(), sig.NewMemo()} {
+		memoised := []Reconfig{NewReconfigWith(memo, c1, 0, s0[:3]), NewReconfigWith(memo, c2, 1, s1[:3])}
+		if !reflect.DeepEqual(memoised, plain) {
+			t.Fatalf("memo %d: handovers differ from the plainly signed ones", i)
+		}
+		if final, err := VerifyChain(c0, memoised, plainVerify(nil)); err != nil || final.Epoch != 2 {
+			t.Fatalf("memo %d: VerifyChain = (epoch %d, %v), want epoch 2", i, final.Epoch, err)
+		}
 	}
 }
 

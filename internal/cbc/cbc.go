@@ -173,6 +173,9 @@ type Config struct {
 	// every active deal's assets for its duration.
 	OutageFrom  sim.Time
 	OutageUntil sim.Time
+	// Memo signs the validators' certificates through the world's
+	// signature memo (see sig.Memo.Sign); nil signs plainly.
+	Memo *sig.Memo
 }
 
 // CBC is the certified blockchain: a BFT-replicated vote log. The
@@ -404,7 +407,7 @@ func (c *CBC) StartHash(id string) ([32]byte, bool) {
 // afterwards must walk the reconfiguration chain.
 func (c *CBC) Reconfigure() {
 	next, signers := bft.NewCommittee(c.cfg.Tag, c.committee.Epoch+1, c.cfg.F)
-	rc := bft.NewReconfig(next, c.committee.Epoch, c.quorum())
+	rc := bft.NewReconfigWith(c.cfg.Memo, next, c.committee.Epoch, c.quorum())
 	c.certsSigned++
 	c.reconfigs = append(c.reconfigs, rc)
 	c.committee = next
@@ -444,7 +447,7 @@ func (c *CBC) StatusProofFor(id string) (StatusProof, error) {
 		return StatusProof{}, fmt.Errorf("%w: %s", ErrUndecided, id)
 	}
 	if st.statusCert == nil || st.statusCert.Epoch != c.committee.Epoch {
-		cert := bft.MakeCertificate(StatementBytes(id, st.StartHash, st.Status), c.committee.Epoch, c.quorum())
+		cert := bft.MakeCertificateWith(c.cfg.Memo, StatementBytes(id, st.StartHash, st.Status), c.committee.Epoch, c.quorum())
 		c.certsSigned++
 		st.statusCert = &cert
 	}
@@ -463,7 +466,7 @@ func (c *CBC) certify(b *Block) {
 	if b.quorum == nil {
 		return
 	}
-	b.cert = bft.MakeCertificate(b.Hash[:], b.epoch, b.quorum)
+	b.cert = bft.MakeCertificateWith(c.cfg.Memo, b.Hash[:], b.epoch, b.quorum)
 	b.quorum = nil
 	c.certsSigned++
 }

@@ -188,7 +188,7 @@ type Config struct {
 	Keys map[string]ed25519.PublicKey
 	// VerifyMemo remembers the signatures contracts on this chain have
 	// already accepted, so a certificate or path prefix shown to many
-	// escrows is checked cryptographically once (see sig.Memo). Gas is
+	// escrows is checked once per world (see sig.Memo). Gas is
 	// still charged per verification. The engine shares one memo among
 	// all chains of a substrate; nil verifies every signature in full.
 	VerifyMemo *sig.Memo

@@ -136,12 +136,14 @@ type Substrate struct {
 	cfg  SubstrateConfig
 	rng  *sim.RNG
 	pubs map[string]ed25519.PublicKey
-	// memo is shared by every chain of the substrate, so a signature
-	// shown to many escrows of a deal (or of an arena) is checked
-	// cryptographically once; it lives and dies with this world. It is
-	// deliberately not process-wide: the generator reuses deal ids and
-	// party names across a population, and a global memo would score
+	// memo is shared by every chain, party and CBC of the substrate, so
+	// a signature shown to many escrows of a deal (or of an arena) is
+	// checked once; it lives and dies with this world. Its counted hits
+	// are deliberately per world: the generator reuses deal ids and party
+	// names across a population, and a global count would score
 	// cross-deal hits a real deployment (deal id = nonce, §5) never sees.
+	// Beneath it, sig's uncounted process-wide answer table saves
+	// re-running ed25519 on inputs an earlier world already computed.
 	memo      *sig.Memo
 	cbcs      []*cbc.CBC // every deal's CBC service, in build order
 	fungibles map[string]*token.Fungible
@@ -489,6 +491,7 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 			Censor:        opts.Censor,
 			OutageFrom:    opts.CBCOutage.From,
 			OutageUntil:   opts.CBCOutage.Until,
+			Memo:          s.memo,
 		}, sched, s.rng)
 		s.cbcs = append(s.cbcs, w.CBC)
 	}
@@ -565,6 +568,7 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 			Chains:          w.Chains,
 			Sched:           sched,
 			Keys:            w.keys[string(addr)],
+			Memo:            w.memo,
 			Behavior:        opts.Behaviors[addr],
 			Patience:        patience,
 			SerializeRounds: opts.SerializeRounds,

@@ -10,11 +10,13 @@ import (
 )
 
 // TestVerifyMemoIsInvisibleInReports is the differential check behind
-// "verify once": a memo hit and a real verification return the same
-// boolean and gas is charged either way, so whole seed-7 populations —
-// timelock, CBC, mixed, and a shared-world arena — must render
-// byte-identical reports with the substrate memo present and with every
-// signature verified in full.
+// "verify once, sign once": a memo hit and a real verification return
+// the same boolean, a signature served from the answer table is the
+// bytes signing again makes, and gas is charged either way, so whole
+// seed-7 populations — timelock, CBC, mixed, and a shared-world arena —
+// must render byte-identical reports with the substrate memo present and
+// with every signature made and verified in full. Run twice in one
+// process (-count=2), the second run meets a warm answer table.
 func TestVerifyMemoIsInvisibleInReports(t *testing.T) {
 	deals := 48
 	if testing.Short() {

@@ -41,7 +41,7 @@ func (s *Substrate) RegisterMetrics(reg *obs.Registry) {
 
 // registerSigWork reports what the deals' signature checks cost: how
 // many verifications contracts asked for (each charged as gas) and how
-// many of them the substrate's memo answered without running ed25519.
+// many of them repeated a check made earlier in the same substrate.
 func registerSigWork(reg *obs.Registry, memo *sig.Memo) {
 	verifications, hits := memo.Stats()
 	reg.Counter("sig.verifications").Add(verifications)

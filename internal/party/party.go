@@ -168,6 +168,9 @@ type Config struct {
 	Chains   map[chain.ID]*chain.Chain
 	Sched    *sim.Scheduler
 	Keys     sig.KeyPair
+	// Memo signs the party's votes through the world's signature memo
+	// (see sig.Memo.Sign); nil signs plainly.
+	Memo     *sig.Memo
 	Behavior Behavior
 	// Patience is how long a CBC party waits for a decision after voting
 	// commit before rescinding with an abort vote. Compliance requires

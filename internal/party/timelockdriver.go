@@ -46,7 +46,7 @@ func (p *Party) timelockInfoOK(info any) bool {
 // minimum. An altruistic party sends it everywhere, collapsing the
 // commit phase to one Δ (Figure 7's footnote).
 func (p *Party) sendTimelockVotes() {
-	vote := sig.NewVote(p.cfg.Spec.ID, string(p.Addr), p.cfg.Keys)
+	vote := sig.NewVoteWith(p.cfg.Memo, p.cfg.Spec.ID, string(p.Addr), p.cfg.Keys)
 	send := func(a deal.AssetRef, key string) {
 		p.markAccepted(key, p.Addr) // optimistic; failures are harmless
 		p.submit(a, timelock.MethodCommit, LabelCommit, timelock.CommitArgs{
@@ -141,7 +141,7 @@ func (p *Party) forwardVote(vote sig.PathSig, seenAt string, raced bool, victimT
 		fw[voter] = true
 		if args == nil {
 			args = timelock.CommitArgs{
-				Deal: p.cfg.Spec.ID, Vote: vote.Forward(string(p.Addr), p.cfg.Keys),
+				Deal: p.cfg.Spec.ID, Vote: vote.ForwardWith(p.cfg.Memo, string(p.Addr), p.cfg.Keys),
 			}
 		}
 		p.submitTx(c, in.Asset.Escrow, timelock.MethodCommit, LabelCommit, args, tip, onReceipt)

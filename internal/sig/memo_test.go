@@ -9,7 +9,9 @@ import (
 	"testing"
 )
 
-// realVerifications is how many of the checks asked of m ran ed25519.
+// realVerifications is how many of the checks asked of m missed its own
+// earlier acceptances: each ran ed25519 unless the process-wide answer
+// table already held the triple.
 func realVerifications(m *Memo) uint64 {
 	verifications, hits := m.Stats()
 	return verifications - hits
@@ -40,12 +42,13 @@ func TestMemoNeverAcceptsWhatVerifyRejects(t *testing.T) {
 	// One accepted triple must not vouch for any neighbour of it, and a
 	// rejection must not be remembered: each is re-checked, and rejected,
 	// every time.
-	for name, triple := range map[string][3][]byte{
+	forgeries := map[string][3][]byte{
 		"flipped signature bit": {kp.Public, msg, flipBit(s)},
 		"flipped message bit":   {kp.Public, flipBit(msg), s},
 		"another key":           {other.Public, msg, s},
 		"short key":             {kp.Public[:10], msg, s},
-	} {
+	}
+	for name, triple := range forgeries {
 		for i := 0; i < 2; i++ {
 			if m.Verify(triple[0], triple[1], triple[2]) {
 				t.Fatalf("%s accepted on check %d", name, i)
@@ -58,6 +61,30 @@ func TestMemoNeverAcceptsWhatVerifyRejects(t *testing.T) {
 	if v, hits := m.Stats(); v != 10 || hits != 1 {
 		t.Fatalf("stats = (%d, %d), want (10, 1): rejections are never hits", v, hits)
 	}
+
+	// The valid twin is now in the process-wide answer table, yet a fresh
+	// memo still rejects every forgery, and none of them enters the table.
+	fresh := NewMemo()
+	for name, triple := range forgeries {
+		if fresh.Verify(triple[0], triple[1], triple[2]) {
+			t.Fatalf("%s accepted through a fresh memo", name)
+		}
+		if answersHold(Hash(triple[0], triple[1], triple[2])) {
+			t.Fatalf("%s entered the answer table", name)
+		}
+	}
+	if !answersHold(Hash(kp.Public, msg, s)) {
+		t.Fatal("the accepted triple is not in the answer table")
+	}
+}
+
+// answersHold reports whether the process-wide table holds an accepted
+// triple under key.
+func answersHold(key [32]byte) bool {
+	answers.mu.Lock()
+	defer answers.mu.Unlock()
+	_, ok := answers.accepted.get(key)
+	return ok
 }
 
 // TestHashMatchesStreamedEncoding pins Hash's input format — 8-byte
@@ -195,5 +222,132 @@ func TestKeyTableStopsAdmittingWhenFull(t *testing.T) {
 	}
 	if len(tab.pairs) != 2 {
 		t.Fatalf("table holds %d entries, want it capped at 2", len(tab.pairs))
+	}
+}
+
+// TestMemoSignMatchesKeyPairSign: a signature made through a memo is the
+// one KeyPair.Sign makes, whether it is signed (memo A) or served from
+// the answer table (memo B), and every caller gets its own copy.
+func TestMemoSignMatchesKeyPairSign(t *testing.T) {
+	kp := GenerateKeyPair("alice")
+	msg := []byte("memo-sign statement")
+	want := kp.Sign(msg)
+	a, b := NewMemo(), NewMemo()
+
+	got := a.Sign(kp, msg)
+	if !bytes.Equal(got, want) {
+		t.Fatal("memo A's signature differs from KeyPair.Sign")
+	}
+	answers.mu.Lock()
+	stored, ok := answers.signed.get(Hash(kp.Public, msg))
+	answers.mu.Unlock()
+	if !ok || !bytes.Equal(stored[:], want) {
+		t.Fatal("memo A's signature is not in the answer table")
+	}
+	got[0] ^= 0xff // a caller mutating a signed result
+	served := b.Sign(kp, msg)
+	if !bytes.Equal(served, want) {
+		t.Fatal("memo B's signature differs from KeyPair.Sign after A's result was mutated")
+	}
+	served[1] ^= 0xff // a caller mutating a served result
+	if !bytes.Equal(a.Sign(kp, msg), want) || !bytes.Equal(b.Sign(kp, msg), want) {
+		t.Fatal("mutating a returned signature changed later results")
+	}
+	var plain *Memo
+	if !bytes.Equal(plain.Sign(kp, msg), want) {
+		t.Fatal("nil memo does not sign like KeyPair.Sign")
+	}
+}
+
+// TestSharedTableDropsOldestGeneration: a table of capacity 2 keeps at
+// most two generations of two entries, drops the oldest when the newest
+// fills, keeps an entry in use by moving it forward, and answers every
+// call correctly whatever it has dropped.
+func TestSharedTableDropsOldestGeneration(t *testing.T) {
+	tab := newSharedTable(2)
+	kp := GenerateKeyPair("alice")
+	msgs := make([][]byte, 5)
+	keys := make([][32]byte, len(msgs))
+	for i := range msgs {
+		msgs[i] = []byte(fmt.Sprintf("generation statement %d", i))
+		s := tab.sign(kp, msgs[i])
+		if !bytes.Equal(s, kp.Sign(msgs[i])) {
+			t.Fatalf("message %d: table signature differs from KeyPair.Sign", i)
+		}
+		keys[i] = Hash(kp.Public, msgs[i], s)
+		if !tab.verify(keys[i], kp.Public, msgs[i], s) {
+			t.Fatalf("message %d: valid signature rejected", i)
+		}
+		if i == 2 {
+			// Entry 1 sits in the older generation; using it moves it
+			// into the newer one, so the next turnover keeps it.
+			if _, ok := tab.accepted.get(keys[1]); !ok {
+				t.Fatal("entry 1 dropped after one turnover")
+			}
+		}
+	}
+	for name, g := range map[string]int{
+		"accepted": len(tab.accepted.cur) + len(tab.accepted.old),
+		"signed":   len(tab.signed.cur) + len(tab.signed.old),
+	} {
+		if g > 4 {
+			t.Fatalf("%s holds %d entries, want at most two generations of 2", name, g)
+		}
+	}
+	// Entries 0 and 1 aged together; the second turnover dropped entry 0
+	// but not entry 1, which was used in between.
+	for i, want := range []bool{false, true, true, true, true} {
+		_, inCur := tab.accepted.cur[keys[i]]
+		_, inOld := tab.accepted.old[keys[i]]
+		if held := inCur || inOld; held != want {
+			t.Fatalf("entry %d held = %t, want %t", i, held, want)
+		}
+	}
+	// Dropped entries are recomputed, not lost.
+	if !bytes.Equal(tab.sign(kp, msgs[0]), kp.Sign(msgs[0])) {
+		t.Fatal("re-signing a dropped entry differs from KeyPair.Sign")
+	}
+}
+
+// TestMemoSignAndVerifyConcurrent signs and verifies from 16 goroutines
+// through two memos sharing the answer table (run under -race): every
+// result matches the plain primitives, and each memo's counters come out
+// as if its checks had been made one at a time.
+func TestMemoSignAndVerifyConcurrent(t *testing.T) {
+	const goroutines, distinct = 16, 8
+	kp := GenerateKeyPair("carol")
+	msgs := make([][]byte, distinct)
+	want := make([][]byte, distinct)
+	for i := range msgs {
+		msgs[i] = []byte(fmt.Sprintf("concurrent statement %d", i))
+		want[i] = kp.Sign(msgs[i])
+	}
+	memos := [2]*Memo{NewMemo(), NewMemo()}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(m *Memo) {
+			defer wg.Done()
+			for i := range msgs {
+				s := m.Sign(kp, msgs[i])
+				if !bytes.Equal(s, want[i]) {
+					t.Error("memo signature differs from KeyPair.Sign")
+				}
+				if !m.Verify(kp.Public, msgs[i], s) {
+					t.Error("valid signature rejected")
+				}
+				s[0] ^= 0xff
+				if m.Verify(kp.Public, msgs[i], s) {
+					t.Error("tampered signature accepted")
+				}
+			}
+		}(memos[g%2])
+	}
+	wg.Wait()
+	for i, m := range memos {
+		valid := uint64(goroutines / 2 * distinct)
+		if v, hits := m.Stats(); v != 2*valid || hits != valid-distinct {
+			t.Fatalf("memo %d stats = (%d, %d), want (%d, %d)", i, v, hits, 2*valid, valid-distinct)
+		}
 	}
 }

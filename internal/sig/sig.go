@@ -93,15 +93,18 @@ func Verify(pub ed25519.PublicKey, msg, sig []byte) bool {
 }
 
 // Memo remembers the (key, message, signature) triples Verify has
-// accepted, so one world checks each distinct signature
-// cryptographically once however many contracts are shown it: the same
-// 2f+1 certificate at every escrow of a deal, the prefix p of a path
-// signature p·q at every hop. Only acceptances are recorded — a rejected
-// or tampered triple is verified for real every time — so a memo never
+// accepted, so one world checks each distinct signature once however
+// many contracts are shown it: the same 2f+1 certificate at every escrow
+// of a deal, the prefix p of a path signature p·q at every hop. Its
+// counters score only those repeats within the world. A triple it has
+// not seen is answered by the process-wide answer table (see answers),
+// which runs ed25519 only for triples no world has had accepted yet.
+// Only acceptances are recorded at either level — a rejected or
+// tampered triple is verified for real every time — so a memo never
 // accepts what Verify would reject. Triples are kept as
 // Hash(pub, msg, sig), whose length prefixes keep distinct triples
-// distinct. It is safe for concurrent use, and a nil *Memo verifies
-// plainly.
+// distinct. It is safe for concurrent use, and a nil *Memo verifies and
+// signs plainly.
 type Memo struct {
 	mu            sync.Mutex
 	accepted      map[[32]byte]struct{}
@@ -131,7 +134,7 @@ func (m *Memo) Verify(pub ed25519.PublicKey, msg, sig []byte) bool {
 	if hit {
 		return true
 	}
-	if !Verify(pub, msg, sig) {
+	if !answers.verify(key, pub, msg, sig) {
 		return false
 	}
 	m.mu.Lock()
@@ -148,7 +151,9 @@ func (m *Memo) Verify(pub ed25519.PublicKey, msg, sig []byte) bool {
 }
 
 // Stats returns how many verifications were asked of the memo and how
-// many of them it answered without running the signature scheme.
+// many of them repeated a triple the memo had already accepted. Misses
+// the answer table serves still count as misses, so both figures are
+// the same whatever other worlds the process has run.
 func (m *Memo) Stats() (verifications, hits uint64) {
 	if m == nil {
 		return 0, 0
@@ -156,6 +161,114 @@ func (m *Memo) Stats() (verifications, hits uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.verifications, m.hits
+}
+
+// Sign returns key's signature of msg, the bytes key.Sign returns. Under
+// a non-nil memo the signature comes from the process-wide answer table
+// when any world has asked for it before: ed25519 signing is
+// deterministic (RFC 8032), so the stored bytes are exactly what signing
+// again would produce. Every call returns a fresh slice the caller may
+// modify.
+func (m *Memo) Sign(key KeyPair, msg []byte) []byte {
+	if m == nil {
+		return key.Sign(msg)
+	}
+	return answers.sign(key, msg)
+}
+
+// answerTableCap bounds each generation of the answer table: a
+// population sweep reuses a few thousand distinct signatures, and a
+// stream of fresh ones must not grow the process.
+const answerTableCap = 32768
+
+// answers is the process-wide answer table under every memo. Unlike a
+// memo it counts nothing, so it can be shared by every world without
+// letting one world's work show in another's metrics: it only saves
+// re-running ed25519 on inputs whose answer some world already computed.
+var answers = newSharedTable(answerTableCap)
+
+// sharedTable holds what ed25519 computed for earlier inputs — accepted
+// (pub, msg, sig) triples and (pub, msg) signatures — for any number of
+// goroutines.
+type sharedTable struct {
+	mu       sync.Mutex
+	accepted generations[struct{}]
+	signed   generations[[ed25519.SignatureSize]byte]
+}
+
+func newSharedTable(max int) *sharedTable {
+	return &sharedTable{
+		accepted: newGenerations[struct{}](max),
+		signed:   newGenerations[[ed25519.SignatureSize]byte](max),
+	}
+}
+
+// verify is Verify for the triple that key hashes, run only if no
+// earlier call accepted it. Rejections are not recorded.
+func (t *sharedTable) verify(key [32]byte, pub ed25519.PublicKey, msg, sig []byte) bool {
+	t.mu.Lock()
+	_, ok := t.accepted.get(key)
+	t.mu.Unlock()
+	if ok {
+		return true
+	}
+	if !Verify(pub, msg, sig) {
+		return false
+	}
+	t.mu.Lock()
+	t.accepted.put(key, struct{}{})
+	t.mu.Unlock()
+	return true
+}
+
+// sign is key.Sign(msg), signed only if no earlier call signed msg
+// under key, and always returned as a fresh slice.
+func (t *sharedTable) sign(key KeyPair, msg []byte) []byte {
+	h := Hash(key.Public, msg)
+	t.mu.Lock()
+	s, ok := t.signed.get(h)
+	t.mu.Unlock()
+	if ok {
+		return append([]byte(nil), s[:]...)
+	}
+	out := key.Sign(msg)
+	copy(s[:], out)
+	t.mu.Lock()
+	t.signed.put(h, s)
+	t.mu.Unlock()
+	return out
+}
+
+// generations is a map bounded to two generations of at most max
+// entries each: when the newer one fills, the older one is dropped and
+// a fresh one begins. An entry found in the older generation moves to
+// the newer one, so entries in use survive the turnover. The caller
+// synchronises access.
+type generations[V any] struct {
+	max      int
+	cur, old map[[32]byte]V
+}
+
+func newGenerations[V any](max int) generations[V] {
+	return generations[V]{max: max, cur: make(map[[32]byte]V)}
+}
+
+func (g *generations[V]) get(k [32]byte) (V, bool) {
+	if v, ok := g.cur[k]; ok {
+		return v, true
+	}
+	v, ok := g.old[k]
+	if ok {
+		g.put(k, v)
+	}
+	return v, ok
+}
+
+func (g *generations[V]) put(k [32]byte, v V) {
+	if len(g.cur) >= g.max {
+		g.old, g.cur = g.cur, make(map[[32]byte]V)
+	}
+	g.cur[k] = v
 }
 
 // Hash returns the SHA-256 hash of the concatenation of parts, with
@@ -203,24 +316,36 @@ type PathSig struct {
 
 // NewVote creates a direct (path length 1) commit vote by voter on deal.
 func NewVote(deal, voter string, key KeyPair) PathSig {
+	return NewVoteWith(nil, deal, voter, key)
+}
+
+// NewVoteWith is NewVote with the signature made through memo (nil
+// signs plainly).
+func NewVoteWith(memo *Memo, deal, voter string, key KeyPair) PathSig {
 	return PathSig{
 		Deal:    deal,
 		Voter:   voter,
 		Signers: []string{voter},
-		Sigs:    [][]byte{key.Sign(voteMessage(deal, voter))},
+		Sigs:    [][]byte{memo.Sign(key, voteMessage(deal, voter))},
 	}
 }
 
 // Forward returns a copy of the vote extended with forwarder's signature.
 // The receiver is not modified.
 func (p PathSig) Forward(forwarder string, key KeyPair) PathSig {
+	return p.ForwardWith(nil, forwarder, key)
+}
+
+// ForwardWith is Forward with the signature made through memo (nil
+// signs plainly).
+func (p PathSig) ForwardWith(memo *Memo, forwarder string, key KeyPair) PathSig {
 	signers := make([]string, len(p.Signers)+1)
 	copy(signers, p.Signers)
 	signers[len(p.Signers)] = forwarder
 
 	sigs := make([][]byte, len(p.Sigs)+1)
 	copy(sigs, p.Sigs)
-	sigs[len(p.Sigs)] = key.Sign(p.Sigs[len(p.Sigs)-1])
+	sigs[len(p.Sigs)] = memo.Sign(key, p.Sigs[len(p.Sigs)-1])
 
 	return PathSig{Deal: p.Deal, Voter: p.Voter, Signers: signers, Sigs: sigs}
 }
