@@ -76,6 +76,27 @@ func TestMemoNeverAcceptsWhatVerifyRejects(t *testing.T) {
 	if !answersHold(Hash(kp.Public, msg, s)) {
 		t.Fatal("the accepted triple is not in the answer table")
 	}
+
+	// A triple signed through a memo enters the table without ever being
+	// verified, and vouches for none of its neighbours either.
+	signedMsg := []byte("the memo-signed statement")
+	signed := NewMemo().Sign(kp, signedMsg)
+	if !answersHold(Hash(kp.Public, signedMsg, signed)) {
+		t.Fatal("the memo-signed triple is not in the answer table")
+	}
+	for name, triple := range map[string][3][]byte{
+		"flipped signature bit": {kp.Public, signedMsg, flipBit(signed)},
+		"flipped message bit":   {kp.Public, flipBit(signedMsg), signed},
+		"another key":           {other.Public, signedMsg, signed},
+		"short key":             {kp.Public[:10], signedMsg, signed},
+	} {
+		if NewMemo().Verify(triple[0], triple[1], triple[2]) {
+			t.Fatalf("%s of a memo-signed triple accepted through a fresh memo", name)
+		}
+		if answersHold(Hash(triple[0], triple[1], triple[2])) {
+			t.Fatalf("%s of a memo-signed triple entered the answer table", name)
+		}
+	}
 }
 
 // answersHold reports whether the process-wide table holds an accepted
@@ -257,6 +278,54 @@ func TestMemoSignMatchesKeyPairSign(t *testing.T) {
 	if !bytes.Equal(plain.Sign(kp, msg), want) {
 		t.Fatal("nil memo does not sign like KeyPair.Sign")
 	}
+}
+
+// TestMemoSignIgnoresReassignedPublic: KeyPair.Public is an exported
+// field, so a caller can give key b a's public key. The answer table
+// knows each key by its private half, so it never serves b a's
+// signature, and it vouches for b's signature only under b's real key.
+func TestMemoSignIgnoresReassignedPublic(t *testing.T) {
+	a, b := GenerateKeyPair("reassigned/a"), GenerateKeyPair("reassigned/b")
+	bPub := b.Public
+	b.Public = a.Public
+	msg := []byte("reassigned-key statement")
+	m := NewMemo()
+	if !bytes.Equal(m.Sign(a, msg), a.Sign(msg)) {
+		t.Fatal("memo signature for a differs from a.Sign")
+	}
+	got := m.Sign(b, msg)
+	if !bytes.Equal(got, b.Sign(msg)) {
+		t.Fatal("memo served another key's signature for b")
+	}
+	if NewMemo().Verify(b.Public, msg, got) {
+		t.Fatal("b's signature accepted under the reassigned b.Public")
+	}
+	if !NewMemo().Verify(bPub, msg, got) {
+		t.Fatal("b's signature rejected under b's own public key")
+	}
+}
+
+// FuzzMemoSignVerifies: for any key seed and message, a signature made
+// through a memo is KeyPair.Sign's, verifies plainly, and with one bit
+// flipped is rejected through a fresh memo.
+func FuzzMemoSignVerifies(f *testing.F) {
+	digest := sha256.Sum256([]byte("xdeal/fuzz"))
+	f.Add("alice", []byte{})
+	f.Add("bob", bytes.Repeat([]byte{0xa5}, 1024))
+	f.Add("validator/v0", digest[:])
+	f.Fuzz(func(t *testing.T, seed string, msg []byte) {
+		kp := GenerateKeyPair(seed)
+		s := NewMemo().Sign(kp, msg)
+		if !bytes.Equal(s, kp.Sign(msg)) {
+			t.Fatal("memo signature differs from KeyPair.Sign")
+		}
+		if !Verify(kp.Public, msg, s) {
+			t.Fatal("memo signature rejected by Verify")
+		}
+		if NewMemo().Verify(kp.Public, msg, flipBit(s)) {
+			t.Fatal("bit-flipped memo signature accepted through a fresh memo")
+		}
+	})
 }
 
 // TestSharedTableDropsOldestGeneration: a table of capacity 2 keeps at

@@ -98,10 +98,10 @@ func Verify(pub ed25519.PublicKey, msg, sig []byte) bool {
 // of a deal, the prefix p of a path signature p·q at every hop. Its
 // counters score only those repeats within the world. A triple it has
 // not seen is answered by the process-wide answer table (see answers),
-// which runs ed25519 only for triples no world has had accepted yet.
-// Only acceptances are recorded at either level — a rejected or
-// tampered triple is verified for real every time — so a memo never
-// accepts what Verify would reject. Triples are kept as
+// which runs ed25519 only for triples no world has had accepted or
+// signed yet. Only acceptances, and the table's own signatures, are
+// recorded — a rejected or tampered triple is verified for real every
+// time — so a memo never accepts what Verify would reject. Triples are kept as
 // Hash(pub, msg, sig), whose length prefixes keep distinct triples
 // distinct. It is safe for concurrent use, and a nil *Memo verifies and
 // signs plainly.
@@ -167,8 +167,9 @@ func (m *Memo) Stats() (verifications, hits uint64) {
 // a non-nil memo the signature comes from the process-wide answer table
 // when any world has asked for it before: ed25519 signing is
 // deterministic (RFC 8032), so the stored bytes are exactly what signing
-// again would produce. Every call returns a fresh slice the caller may
-// modify.
+// again would produce. The table knows the signing key by its private
+// half, so reassigning key.Public cannot make it serve another key's
+// signature. Every call returns a fresh slice the caller may modify.
 func (m *Memo) Sign(key KeyPair, msg []byte) []byte {
 	if m == nil {
 		return key.Sign(msg)
@@ -182,18 +183,26 @@ func (m *Memo) Sign(key KeyPair, msg []byte) []byte {
 const answerTableCap = 32768
 
 // answers is the process-wide answer table under every memo. Unlike a
-// memo it counts nothing, so it can be shared by every world without
-// letting one world's work show in another's metrics: it only saves
-// re-running ed25519 on inputs whose answer some world already computed.
+// memo it counts nothing that reaches a metric, so it can be shared by
+// every world without letting one world's work show in another's: it
+// only saves re-running ed25519 on inputs whose answer some world already
+// computed. A triple is answered without ed25519 once any world has had
+// it accepted or signed it.
 var answers = newSharedTable(answerTableCap)
 
 // sharedTable holds what ed25519 computed for earlier inputs — accepted
 // (pub, msg, sig) triples and (pub, msg) signatures — for any number of
-// goroutines.
+// goroutines. A signature it makes is also recorded as accepted under
+// the signing key's own public half: ed25519 signatures always verify
+// under the key pair that made them, so the table still holds nothing
+// Verify would reject.
 type sharedTable struct {
 	mu       sync.Mutex
 	accepted generations[struct{}]
 	signed   generations[[ed25519.SignatureSize]byte]
+	// verifyRuns and signRuns count the table's calls to Verify and
+	// KeyPair.Sign, for tests; no metric reads them.
+	verifyRuns, signRuns uint64
 }
 
 func newSharedTable(max int) *sharedTable {
@@ -212,19 +221,23 @@ func (t *sharedTable) verify(key [32]byte, pub ed25519.PublicKey, msg, sig []byt
 	if ok {
 		return true
 	}
-	if !Verify(pub, msg, sig) {
-		return false
-	}
+	valid := Verify(pub, msg, sig)
 	t.mu.Lock()
-	t.accepted.put(key, struct{}{})
+	t.verifyRuns++
+	if valid {
+		t.accepted.put(key, struct{}{})
+	}
 	t.mu.Unlock()
-	return true
+	return valid
 }
 
 // sign is key.Sign(msg), signed only if no earlier call signed msg
-// under key, and always returned as a fresh slice.
+// under key, and always returned as a fresh slice. Both the signature
+// and the acceptance it implies are keyed by the public half of key's
+// private key, not by key.Public, which a caller may have reassigned.
 func (t *sharedTable) sign(key KeyPair, msg []byte) []byte {
-	h := Hash(key.Public, msg)
+	pub := key.private[ed25519.SeedSize:]
+	h := Hash(pub, msg)
 	t.mu.Lock()
 	s, ok := t.signed.get(h)
 	t.mu.Unlock()
@@ -234,7 +247,9 @@ func (t *sharedTable) sign(key KeyPair, msg []byte) []byte {
 	out := key.Sign(msg)
 	copy(s[:], out)
 	t.mu.Lock()
+	t.signRuns++
 	t.signed.put(h, s)
+	t.accepted.put(Hash(pub, msg, out), struct{}{})
 	t.mu.Unlock()
 	return out
 }
