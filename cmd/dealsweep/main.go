@@ -84,8 +84,11 @@ import (
 	"os"
 	"strings"
 
+	"xdeal/internal/arena"
 	"xdeal/internal/engine"
+	"xdeal/internal/feemarket"
 	"xdeal/internal/fleet"
+	"xdeal/internal/hedge"
 	"xdeal/internal/obs"
 	"xdeal/internal/trace"
 )
@@ -115,21 +118,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	chromeTrace := fs.String("chrome-trace", "", "with -replay: write the replayed deal's causal trace as Chrome trace-event JSON to this path (opens in ui.perfetto.dev)")
 
 	feeMarket := fs.Bool("feemarket", false, "enable per-chain fee markets: tip-ordered blocks, EIP-1559 base fee, fee-bidding front-runners")
-	baseFee := fs.Uint64("base-fee", 100, "initial base fee (feemarket mode)")
-	tipBudget := fs.Uint64("tip-budget", 400, "fee-bidding front-runner tip budget (feemarket mode)")
+	baseFee := fs.Uint64("base-fee", feemarket.DefaultBaseFee, "initial base fee (feemarket mode)")
+	tipBudget := fs.Uint64("tip-budget", arena.DefaultTipBudget, "fee-bidding front-runner tip budget (feemarket mode)")
 
 	arenaMode := fs.Bool("arena", false, "arena mode: deals share worlds and contend for chains")
 	arenaDeals := fs.Int("arena-deals", 25, "deals per shared world (arena mode)")
-	chains := fs.Int("chains", 4, "shared chains per arena (arena mode)")
-	volatility := fs.Float64("volatility", 0.02, "market price volatility per tick (arena mode)")
+	chains := fs.Int("chains", arena.DefaultChains, "shared chains per arena (arena mode)")
+	volatility := fs.Float64("volatility", arena.DefaultVolatility, "market price volatility per tick (arena mode)")
 	noBaselines := fs.Bool("no-baselines", false, "skip isolated baselines; drops the latency-inflation metric (arena mode)")
 
 	bundleMode := fs.Bool("bundles", false, "combinatorial block-space auctions: deals bid for blocks as all-or-nothing bundles, front-runners grief whole bundles (arena + feemarket mode)")
-	bundleBudget := fs.Uint64("bundle-budget", 400, "bundle griefer per-slot bid increment budget (bundles mode)")
+	bundleBudget := fs.Uint64("bundle-budget", arena.DefaultBundleBudget, "bundle griefer per-slot bid increment budget (bundles mode)")
 
 	hedgeMode := fs.Bool("hedge", false, "arm the sore-loser defense: premium-priced deposit insurance for compliant parties (arena mode)")
-	hedgeCollateral := fs.Float64("hedge-collateral", 1.0, "collateral bond as a multiple of the insured deposit (hedge mode)")
-	premiumVolWindow := fs.Int("premium-vol-window", 32, "base-fee volatility window, in blocks, premiums are priced over (hedge mode)")
+	hedgeCollateral := fs.Float64("hedge-collateral", hedge.DefaultCollateral, "collateral bond as a multiple of the insured deposit (hedge mode)")
+	premiumVolWindow := fs.Int("premium-vol-window", hedge.DefaultVolWindow, "base-fee volatility window, in blocks, premiums are priced over (hedge mode)")
 
 	metricsJSON := fs.String("metrics-json", "", "write the sweep's metrics-registry snapshot (blocks sealed, mempool high-water, queue delays, fee/hedge ledgers) to this file as JSON")
 	metricsCSV := fs.String("metrics-csv", "", "write the metrics-registry snapshot to this file as CSV")

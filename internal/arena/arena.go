@@ -30,7 +30,26 @@ import (
 	"xdeal/internal/sim"
 )
 
-// Options configures the shared world.
+// Defaults of the arena knobs that fleet and cmd/dealsweep also expose.
+// They are written here once; WithDefaults and PopOptions resolve zero
+// values to them, and the sweep flags reference them.
+const (
+	// DefaultVolatility is the market's per-tick fractional price move.
+	DefaultVolatility = 0.02
+	// DefaultMaxBlockTxs is the block capacity of the shared chains, and
+	// of each isolated world in a fee-market sweep.
+	DefaultMaxBlockTxs = 8
+	// DefaultChains is the number of shared chains a population uses.
+	DefaultChains = 4
+	// DefaultTipBudget is each fee bidder's total tip spend cap.
+	DefaultTipBudget = 400
+	// DefaultBundleBudget is each bundle griefer's total per-slot bid
+	// increment cap, in the tip-budget denomination.
+	DefaultBundleBudget = 400
+)
+
+// Options configures the shared world, and the adversary-mix upgrades
+// NewPopulation applies for it.
 type Options struct {
 	// Seed drives everything the population seed does not: chain network
 	// delays and the market price process.
@@ -40,16 +59,14 @@ type Options struct {
 	// the commit machinery.
 	Protocol string
 	// Volatility is the per-tick fractional price move of the market
-	// (default 0.02); this is what arms sore losers.
+	// (default DefaultVolatility); this is what arms sore losers.
 	Volatility float64
 	// PriceTick is the market step interval (default 100 ticks).
 	PriceTick sim.Duration
-	// MaxBlockTxs caps block capacity on the shared chains (default 8).
-	// Capacity is the contention mechanism: without it, deals sharing a
-	// chain would never slow each other down.
+	// MaxBlockTxs caps block capacity on the shared chains (default
+	// DefaultMaxBlockTxs). Capacity is the contention mechanism: without
+	// it, deals sharing a chain would never slow each other down.
 	MaxBlockTxs int
-	// BlockInterval for the shared chains; defaults to 10 ticks.
-	BlockInterval sim.Duration
 	// Baselines re-runs each deal alone in an isolated world (same
 	// seed, same adversaries, private market) to measure contention-
 	// induced decision-latency inflation. Costs one extra run per deal.
@@ -60,10 +77,11 @@ type Options struct {
 	// front-running adversaries become fee bidders that outbid their
 	// victims (see Options.TipBudget). The result gains a Fees summary.
 	FeeMarket bool
-	// BaseFee is the fee market's initial base fee (default 100).
+	// BaseFee is the fee market's initial base fee (0 leaves
+	// feemarket.DefaultBaseFee).
 	BaseFee uint64
 	// TipBudget caps each fee-bidding front-runner's total tip spend
-	// (default 400).
+	// (default DefaultTipBudget).
 	TipBudget uint64
 	// Bundles turns the ordering game deal-granular: every fee-market
 	// chain runs a per-block combinatorial auction (see internal/bundle)
@@ -75,7 +93,7 @@ type Options struct {
 	// (see Options.BundleBudget). Requires FeeMarket.
 	Bundles bool
 	// BundleBudget caps each bundle griefer's total per-slot bid
-	// increments (default 400, the tip-budget denomination).
+	// increments (default DefaultBundleBudget).
 	BundleBudget uint64
 	// Hedge arms the sore-loser defense: every fungible escrow gains a
 	// premium-priced insurance contract (see internal/hedge), and the
@@ -87,10 +105,11 @@ type Options struct {
 	// fee market's congestion signals.
 	Hedge bool
 	// HedgeCollateral is the bond size as a multiple of the insured
-	// deposit (default 1.0).
+	// deposit (default hedge.DefaultCollateral).
 	HedgeCollateral float64
 	// PremiumVolWindow is the realized base-fee volatility window (in
-	// sealed blocks) premiums are priced over (default 32).
+	// sealed blocks) premiums are priced over (default
+	// hedge.DefaultVolWindow).
 	PremiumVolWindow int
 	// Metrics, when non-nil, receives the arena's observability
 	// registrations after the run: substrate counters (blocks sealed,
@@ -100,74 +119,68 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-func (o *Options) defaults() error {
+// WithDefaults validates the options and resolves their zero values to
+// the defaults. It is the one place the arena's defaults are resolved:
+// Run and NewPopulation call it, and fleet echoes the budgets,
+// collateral and window it resolves into its report.
+func (o Options) WithDefaults() (Options, error) {
 	switch o.Protocol {
 	case "":
 		o.Protocol = "timelock"
 	case "timelock", "cbc":
 	default:
-		return fmt.Errorf("arena: unknown protocol %q (want timelock or cbc)", o.Protocol)
-	}
-	if o.Volatility == 0 {
-		o.Volatility = 0.02
+		return o, fmt.Errorf("arena: unknown protocol %q (want timelock or cbc)", o.Protocol)
 	}
 	if o.Volatility < 0 {
-		return fmt.Errorf("arena: negative volatility %v", o.Volatility)
+		return o, fmt.Errorf("arena: negative volatility %v", o.Volatility)
+	}
+	if o.MaxBlockTxs < 0 {
+		return o, fmt.Errorf("arena: negative block capacity %d", o.MaxBlockTxs)
+	}
+	if o.HedgeCollateral < 0 {
+		return o, fmt.Errorf("arena: negative hedge collateral %v", o.HedgeCollateral)
+	}
+	if o.PremiumVolWindow < 0 {
+		return o, fmt.Errorf("arena: negative premium volatility window %d", o.PremiumVolWindow)
+	}
+	if o.Bundles && !o.FeeMarket {
+		return o, fmt.Errorf("arena: bundles require the fee market (an aggregate bid needs a fee ledger)")
+	}
+	if o.Volatility == 0 {
+		o.Volatility = DefaultVolatility
 	}
 	if o.PriceTick <= 0 {
 		o.PriceTick = 100
 	}
 	if o.MaxBlockTxs == 0 {
-		o.MaxBlockTxs = 8
-	}
-	if o.BlockInterval <= 0 {
-		o.BlockInterval = 10
-	}
-	if o.BaseFee == 0 {
-		o.BaseFee = 100
+		o.MaxBlockTxs = DefaultMaxBlockTxs
 	}
 	if o.TipBudget == 0 {
-		o.TipBudget = 400
-	}
-	if o.Bundles && !o.FeeMarket {
-		return fmt.Errorf("arena: bundles require the fee market (an aggregate bid needs a fee ledger)")
+		o.TipBudget = DefaultTipBudget
 	}
 	if o.BundleBudget == 0 {
-		o.BundleBudget = 400
-	}
-	if o.HedgeCollateral < 0 {
-		return fmt.Errorf("arena: negative hedge collateral %v", o.HedgeCollateral)
-	}
-	if o.PremiumVolWindow < 0 {
-		return fmt.Errorf("arena: negative premium volatility window %d", o.PremiumVolWindow)
+		o.BundleBudget = DefaultBundleBudget
 	}
 	if o.HedgeCollateral == 0 {
-		o.HedgeCollateral = 1.0
+		o.HedgeCollateral = hedge.DefaultCollateral
 	}
 	if o.PremiumVolWindow == 0 {
-		o.PremiumVolWindow = 32
+		o.PremiumVolWindow = hedge.DefaultVolWindow
 	}
-	return nil
+	return o, nil
 }
 
-// hedgeParams resolves the hedging configuration, or nil when off.
-func (o Options) hedgeParams() *hedge.Params {
-	if !o.Hedge {
-		return nil
+// world is the substrate configuration the arena's deals share; each
+// isolated baseline gets its own copy.
+func (o Options) world() engine.SubstrateConfig {
+	cfg := engine.SubstrateConfig{MaxBlockTxs: o.MaxBlockTxs, Bundles: o.Bundles}
+	if o.FeeMarket {
+		cfg.FeeMarket = &feemarket.Config{Initial: o.BaseFee}
 	}
-	return &hedge.Params{
-		Collateral: o.HedgeCollateral,
-		VolWindow:  o.PremiumVolWindow,
+	if o.Hedge {
+		cfg.Hedge = &hedge.Params{Collateral: o.HedgeCollateral, VolWindow: o.PremiumVolWindow}
 	}
-}
-
-// feeConfig returns the shared chains' fee-market configuration, or nil
-// when the fee market is off.
-func (o Options) feeConfig() *feemarket.Config {
-	if !o.FeeMarket {
-		return nil
-	}
-	return &feemarket.Config{Initial: o.BaseFee}
+	return cfg
 }
 
 // DealOutcome is one deal's result inside the arena, with the
@@ -305,7 +318,8 @@ type Result struct {
 // deterministic: the same (opts, pop) always produces the identical
 // result, bit for bit.
 func Run(opts Options, pop []DealSetup) (*Result, error) {
-	if err := opts.defaults(); err != nil {
+	opts, err := opts.WithDefaults()
+	if err != nil {
 		return nil, err
 	}
 	res := &Result{Outcomes: make([]DealOutcome, len(pop))}
@@ -313,14 +327,7 @@ func Run(opts Options, pop []DealSetup) (*Result, error) {
 		return res, nil
 	}
 
-	sub := engine.NewSubstrate(engine.SubstrateConfig{
-		Seed:          opts.Seed,
-		BlockInterval: opts.BlockInterval,
-		MaxBlockTxs:   opts.MaxBlockTxs,
-		FeeMarket:     opts.feeConfig(),
-		Hedge:         opts.hedgeParams(),
-		Bundles:       opts.Bundles,
-	})
+	sub := engine.NewSubstrate(opts.Seed, opts.world())
 	market := NewMarket(sub.Sched, sim.Mix64(opts.Seed^0xa5a5a5a5), opts.PriceTick, opts.Volatility)
 
 	// Party -> deal index, for routing adaptive-trigger callbacks, and
@@ -602,8 +609,8 @@ func strandedDeposits(w *engine.World, r *engine.Result) uint64 {
 }
 
 // engineOptions assembles one deal's engine options for the shared
-// world. World settings (block interval and capacity, fee market,
-// hedging, bundles) belong to the substrate's SubstrateConfig.
+// world. World settings (block capacity, fee market, hedging, bundles)
+// are the substrate's, from Options.world.
 func engineOptions(opts Options, setup DealSetup, hooks *party.AdaptiveHooks) engine.Options {
 	eo := engine.Options{
 		Seed:        setup.Seed,
@@ -628,14 +635,7 @@ func engineOptions(opts Options, setup DealSetup, hooks *party.AdaptiveHooks) en
 func runBaselines(opts Options, pop []DealSetup, res *Result) {
 	for k, setup := range pop {
 		out := &res.Outcomes[k]
-		sub := engine.NewSubstrate(engine.SubstrateConfig{
-			Seed:          setup.Seed,
-			BlockInterval: opts.BlockInterval,
-			MaxBlockTxs:   opts.MaxBlockTxs,
-			FeeMarket:     opts.feeConfig(),
-			Hedge:         opts.hedgeParams(),
-			Bundles:       opts.Bundles,
-		})
+		sub := engine.NewSubstrate(setup.Seed, opts.world())
 		market := NewMarket(sub.Sched, sim.Mix64(opts.Seed^0xa5a5a5a5), opts.PriceTick, opts.Volatility)
 		hooks := &party.AdaptiveHooks{Oracle: market}
 		w, err := sub.BuildOn(setup.Spec, engineOptions(opts, setup, hooks))

@@ -2,6 +2,7 @@ package arena
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"xdeal/internal/chain"
@@ -10,9 +11,9 @@ import (
 
 func testPop(t *testing.T, deals int, advRate float64) []DealSetup {
 	t.Helper()
-	pop, err := NewPopulation(PopOptions{
-		Seed: 7, Deals: deals, Chains: 4, AdversaryRate: advRate,
-	})
+	pop, err := NewPopulation(7, PopOptions{
+		Deals: deals, Chains: 4, AdversaryRate: advRate,
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,10 +129,9 @@ func feeFingerprint(res *Result) string {
 // to no more than the world totals (setup transactions burn the rest).
 func TestFeeMarketArenaDeterministicAndAccounted(t *testing.T) {
 	mk := func() []DealSetup {
-		pop, err := NewPopulation(PopOptions{
-			Seed: 7, Deals: 30, Chains: 4, AdversaryRate: 0.3,
-			FeeMarket: true, TipBudget: 400,
-		})
+		pop, err := NewPopulation(7, PopOptions{
+			Deals: 30, Chains: 4, AdversaryRate: 0.3,
+		}, Options{FeeMarket: true, TipBudget: 400})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,10 +177,9 @@ func TestFeeMarketArenaDeterministicAndAccounted(t *testing.T) {
 // honor the bid.
 func TestFeeBidderBeatsPlainRacerOnSameSeeds(t *testing.T) {
 	mk := func(fees bool) []DealSetup {
-		pop, err := NewPopulation(PopOptions{
-			Seed: 7, Deals: 40, Chains: 3, AdversaryRate: 0.35,
-			FeeMarket: fees,
-		})
+		pop, err := NewPopulation(7, PopOptions{
+			Deals: 40, Chains: 3, AdversaryRate: 0.35,
+		}, Options{FeeMarket: fees})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +220,7 @@ func TestFeeBidderBeatsPlainRacerOnSameSeeds(t *testing.T) {
 func TestSoreLoserAbortNeverViolatesSafety(t *testing.T) {
 	for _, protocol := range []string{"timelock", "cbc"} {
 		t.Run(protocol, func(t *testing.T) {
-			pop, err := NewPopulation(PopOptions{Seed: 11, Deals: 8, Chains: 3, AdversaryRate: 0})
+			pop, err := NewPopulation(11, PopOptions{Deals: 8, Chains: 3, AdversaryRate: 0}, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -278,6 +277,44 @@ func TestSoreLoserAbortNeverViolatesSafety(t *testing.T) {
 			if res.Interference.SoreLoserDeals != aborted {
 				t.Fatalf("SoreLoserDeals = %d, counted %d aborted sore-loser deals",
 					res.Interference.SoreLoserDeals, aborted)
+			}
+		})
+	}
+}
+
+// TestOptionsWithDefaults: WithDefaults resolves every zero knob to its
+// default and rejects every out-of-range one, and Run rejects what it
+// rejects rather than running a world its options do not describe.
+func TestOptionsWithDefaults(t *testing.T) {
+	got, err := Options{}.WithDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Options{
+		Protocol: "timelock", Volatility: 0.02, PriceTick: 100, MaxBlockTxs: 8,
+		TipBudget: 400, BundleBudget: 400, HedgeCollateral: 1.0, PremiumVolWindow: 32,
+	}
+	if got != want {
+		t.Fatalf("zero options resolved to %+v, want %+v", got, want)
+	}
+	for _, tc := range []struct {
+		name string
+		opts Options
+		err  string
+	}{
+		{"unknown-protocol", Options{Protocol: "pow"}, `arena: unknown protocol "pow"`},
+		{"negative-volatility", Options{Volatility: -0.1}, "arena: negative volatility -0.1"},
+		{"negative-block-capacity", Options{MaxBlockTxs: -1}, "arena: negative block capacity -1"},
+		{"negative-hedge-collateral", Options{Hedge: true, HedgeCollateral: -1}, "arena: negative hedge collateral -1"},
+		{"negative-premium-window", Options{Hedge: true, PremiumVolWindow: -4}, "arena: negative premium volatility window -4"},
+		{"bundles-without-fee-market", Options{Bundles: true}, "arena: bundles require the fee market"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := tc.opts.WithDefaults(); err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Fatalf("WithDefaults error %v, want %q", err, tc.err)
+			}
+			if _, err := Run(tc.opts, testPop(t, 2, 0)); err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Fatalf("Run error %v, want %q", err, tc.err)
 			}
 		})
 	}

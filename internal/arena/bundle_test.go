@@ -36,15 +36,14 @@ func bundleOptions(seed uint64, bundles bool) Options {
 // sequenceable deals — all-or-nothing inclusion must not starve
 // compliant deals out of their timelock windows.
 func TestBundleArenaAuctionsRunAndDealsStillCommit(t *testing.T) {
-	pop, err := NewPopulation(PopOptions{
-		Seed: 11, Deals: 12, Chains: 2, AdversaryRate: 0,
-		StartGap: 25, FeeMarket: true, Bundles: true,
-	})
+	opts := bundleOptions(11, true)
+	opts.MaxBlockTxs = 4 // tight blocks: bundles must actually contend
+	pop, err := NewPopulation(11, PopOptions{
+		Deals: 12, Chains: 2, AdversaryRate: 0, StartGap: 25,
+	}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := bundleOptions(11, true)
-	opts.MaxBlockTxs = 4 // tight blocks: bundles must actually contend
 	res, err := Run(opts, pop)
 	if err != nil {
 		t.Fatal(err)
@@ -74,18 +73,17 @@ func TestBundleArenaAuctionsRunAndDealsStillCommit(t *testing.T) {
 // TestBundleArenaDeterministic: a bundled fee-market arena remains a
 // pure function of its options, auction ledgers included.
 func TestBundleArenaDeterministic(t *testing.T) {
+	opts := bundleOptions(7, true)
+	opts.Hedge = true
 	mk := func() []DealSetup {
-		pop, err := NewPopulation(PopOptions{
-			Seed: 7, Deals: 18, Chains: 2, AdversaryRate: 0.35,
-			FeeMarket: true, Bundles: true, Hedged: true,
-		})
+		pop, err := NewPopulation(7, PopOptions{
+			Deals: 18, Chains: 2, AdversaryRate: 0.35,
+		}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return pop
 	}
-	opts := bundleOptions(7, true)
-	opts.Hedge = true
 	a, err := Run(opts, mk())
 	if err != nil {
 		t.Fatal(err)
@@ -108,14 +106,13 @@ func TestBundleArenaDeterministic(t *testing.T) {
 // only in the front-runner slot's granularity upgrade (fee bidder ->
 // bundle griefer).
 func TestBundlePopulationIsSeedTwin(t *testing.T) {
-	base := PopOptions{Seed: 13, Deals: 24, Chains: 4, AdversaryRate: 0.4, FeeMarket: true}
-	txLevel, err := NewPopulation(base)
+	const seed = 13
+	base := PopOptions{Deals: 24, Chains: 4, AdversaryRate: 0.4}
+	txLevel, err := NewPopulation(seed, base, bundleOptions(0, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bundleOpts := base
-	bundleOpts.Bundles = true
-	bundled, err := NewPopulation(bundleOpts)
+	bundled, err := NewPopulation(seed, base, bundleOptions(0, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,15 +160,14 @@ func TestBundlePopulationIsSeedTwin(t *testing.T) {
 // slot footprint at once.
 func TestBundleGrieferExcludesMoreThanFeeBidder(t *testing.T) {
 	run := func(bundles bool) *Result {
-		pop, err := NewPopulation(PopOptions{
-			Seed: 7, Deals: 20, Chains: 2, AdversaryRate: 0.4,
-			FeeMarket: true, Bundles: bundles,
-		})
+		opts := bundleOptions(7, bundles)
+		opts.MaxBlockTxs = 4
+		pop, err := NewPopulation(7, PopOptions{
+			Deals: 20, Chains: 2, AdversaryRate: 0.4,
+		}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := bundleOptions(7, bundles)
-		opts.MaxBlockTxs = 4
 		res, err := Run(opts, pop)
 		if err != nil {
 			t.Fatal(err)
@@ -207,16 +203,15 @@ func TestBundleGrieferExcludesMoreThanFeeBidder(t *testing.T) {
 // actually produces streaked binds and prices them higher than their
 // zero-streak floor.
 func TestBundleLossStreakSurchargesPremiums(t *testing.T) {
-	pop, err := NewPopulation(PopOptions{
-		Seed: 5, Deals: 16, Chains: 2, AdversaryRate: 0.35,
-		StartGap: 25, FeeMarket: true, Bundles: true, Hedged: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	opts := bundleOptions(5, true)
 	opts.Hedge = true
 	opts.MaxBlockTxs = 4
+	pop, err := NewPopulation(5, PopOptions{
+		Deals: 16, Chains: 2, AdversaryRate: 0.35, StartGap: 25,
+	}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := Run(opts, pop)
 	if err != nil {
 		t.Fatal(err)

@@ -22,12 +22,10 @@ const (
 
 // PopOptions configures arena population synthesis.
 type PopOptions struct {
-	// Seed fully determines the population.
-	Seed uint64
 	// Deals is the number of deals sharing the world.
 	Deals int
 	// Chains is the number of shared chains the deals' assets are
-	// remapped onto; defaults to 4.
+	// remapped onto; defaults to DefaultChains.
 	Chains int
 	// MaxParties caps per-deal size; defaults to 5, minimum 3.
 	MaxParties int
@@ -38,37 +36,6 @@ type PopOptions struct {
 	// StartGap staggers deal starts: deal k starts about k·StartGap
 	// after the arena opens. Defaults to 50 ticks.
 	StartGap sim.Duration
-	// FeeMarket upgrades the adversary mix for fee-market worlds: the
-	// front-runner slot of the mix becomes a fee bidder with TipBudget
-	// to spend on outbidding victims. The flag consumes no randomness,
-	// so a population differs from its FIFO twin only in that upgrade —
-	// the same parties race, bidding instead of merely reacting, which
-	// is what makes the two strategies' win rates comparable seed for
-	// seed.
-	FeeMarket bool
-	// TipBudget is each fee bidder's total tip spend cap (default 400).
-	TipBudget uint64
-	// Bundles upgrades the adversary mix for bundled worlds: the
-	// front-runner slot becomes a bundle-griefing adversary (with
-	// BundleBudget to spend on outbidding victims' whole bundles)
-	// instead of a single-tx fee bidder. Like FeeMarket and Hedged,
-	// the flag consumes no randomness, so a bundle population is the
-	// field-by-field seed-twin of its tx-level run — the same parties
-	// grief, at bundle granularity instead of tx granularity, which is
-	// what makes the two exclusion rates comparable seed for seed.
-	Bundles bool
-	// BundleBudget is each bundle griefer's total per-slot bid
-	// increment cap (default 400).
-	BundleBudget uint64
-	// Hedged upgrades the compliant mix slots to hedged parties: every
-	// party the adversary draw leaves compliant insures its deposits
-	// (Behavior.Hedged) instead of locking them bare. Like FeeMarket,
-	// the flag consumes no randomness, so a hedged population is the
-	// seed-twin of its unhedged run — the same sore losers attack the
-	// same deals, and the only difference is whether the victims carry
-	// cover. That twin-ness is what makes hedged-vs-unhedged residual
-	// loss comparable seed for seed.
-	Hedged bool
 }
 
 // DealSetup is one fully specified deal of an arena population. Spec.T0
@@ -93,7 +60,7 @@ func (o *PopOptions) defaults() error {
 		return fmt.Errorf("arena: adversary rate %v outside [0, 1]", o.AdversaryRate)
 	}
 	if o.Chains <= 0 {
-		o.Chains = 4
+		o.Chains = DefaultChains
 	}
 	if o.MaxParties <= 0 {
 		o.MaxParties = 5
@@ -104,40 +71,32 @@ func (o *PopOptions) defaults() error {
 	if o.StartGap <= 0 {
 		o.StartGap = 50
 	}
-	if o.TipBudget == 0 {
-		o.TipBudget = 400
-	}
-	if o.BundleBudget == 0 {
-		o.BundleBudget = 400
-	}
 	return nil
 }
 
 // NewPopulation synthesizes a population of deals sharing opts.Chains
-// chains. It is a pure function of opts: the same options always yield
-// the identical population, which is what makes flagged arena deals
-// replayable from (seed, index) alone.
-func NewPopulation(opts PopOptions) ([]DealSetup, error) {
+// chains, for the world Run will host it in: world's FeeMarket, Bundles
+// and Hedge upgrade the adversary mix, with its tip and bundle budgets.
+// seed determines every random draw. The population is a pure function
+// of the arguments, which is what makes flagged arena deals replayable
+// from (seed, index) alone.
+func NewPopulation(seed uint64, opts PopOptions, world Options) ([]DealSetup, error) {
 	if err := opts.defaults(); err != nil {
+		return nil, err
+	}
+	world, err := world.WithDefaults()
+	if err != nil {
 		return nil, err
 	}
 	pop := make([]DealSetup, opts.Deals)
 	for k := range pop {
-		pop[k] = synthDeal(opts, k)
+		pop[k] = synthDeal(seed, opts, world, k)
 	}
 	return pop, nil
 }
 
-// SynthDeal regenerates deal k of the population (replay path).
-func SynthDeal(opts PopOptions, k int) (DealSetup, error) {
-	if err := opts.defaults(); err != nil {
-		return DealSetup{}, err
-	}
-	return synthDeal(opts, k), nil
-}
-
-func synthDeal(opts PopOptions, k int) DealSetup {
-	seed := sim.Mix64(opts.Seed ^ sim.Mix64(uint64(k)+0x9e3779b97f4a7c15))
+func synthDeal(popSeed uint64, opts PopOptions, world Options, k int) DealSetup {
+	seed := sim.Mix64(popSeed ^ sim.Mix64(uint64(k)+0x9e3779b97f4a7c15))
 	rng := sim.NewRNG(seed)
 	setup := DealSetup{Index: k, Seed: seed}
 
@@ -195,9 +154,13 @@ func synthDeal(opts PopOptions, k int) DealSetup {
 	setup.Behaviors = make(map[chain.Addr]party.Behavior)
 	for _, p := range setup.Spec.Parties {
 		if !rng.Bool(opts.AdversaryRate) {
-			if opts.Hedged {
-				// The compliant slot hedges its deposits. Consumes no
-				// randomness and does not count as an adversary.
+			if world.Hedge {
+				// The compliant slot hedges its deposits and does not
+				// count as an adversary. This consumes no randomness,
+				// so a hedged population is the seed twin of its
+				// unhedged run: the same sore losers attack the same
+				// deals, and only the victims' cover differs, which is
+				// what makes residual loss comparable seed for seed.
 				setup.Behaviors[p] = party.Behavior{Hedged: true}
 			}
 			continue
@@ -208,16 +171,20 @@ func synthDeal(opts PopOptions, k int) DealSetup {
 			b = party.Behavior{SoreLoserThreshold: 0.02 + 0.10*rng.Float64()}
 		case q < 0.60:
 			b = party.Behavior{FrontRun: true}
-			if opts.FeeMarket {
-				if opts.Bundles {
-					// Bundled worlds swap the ordering-game granularity:
-					// the same slot griefs whole bundles instead of
-					// outbidding single transactions.
+			// The fee-market and bundle upgrades of this slot consume
+			// no randomness, so the populations of a FIFO, a fee-market
+			// and a bundled world are seed twins: the same parties race,
+			// merely reacting, outbidding single transactions, or
+			// griefing whole bundles. That is what makes the three
+			// strategies' win and exclusion rates comparable seed for
+			// seed.
+			if world.FeeMarket {
+				if world.Bundles {
 					b.BundleGrief = true
-					b.BundleBudget = opts.BundleBudget
+					b.BundleBudget = world.BundleBudget
 				} else {
 					b.FeeBid = true
-					b.FeeBudget = opts.TipBudget
+					b.FeeBudget = world.TipBudget
 				}
 			}
 		case q < 0.80:

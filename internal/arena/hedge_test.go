@@ -14,7 +14,7 @@ import (
 // the twin differs only in the cover, never in the attack.
 func soreLoserPop(t *testing.T, deals int, hedged bool) []DealSetup {
 	t.Helper()
-	pop, err := NewPopulation(PopOptions{Seed: 11, Deals: deals, Chains: 3, AdversaryRate: 0})
+	pop, err := NewPopulation(11, PopOptions{Deals: deals, Chains: 3, AdversaryRate: 0}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,17 +173,16 @@ func hedgeFingerprint(res *Result) string {
 // TestHedgedArenaDeterministic: a hedged fee-market arena remains a
 // pure function of its options, bit for bit, hedge ledgers included.
 func TestHedgedArenaDeterministic(t *testing.T) {
+	opts := Options{Seed: 7, FeeMarket: true, Hedge: true, Volatility: 0.05, PriceTick: 25}
 	mk := func() []DealSetup {
-		pop, err := NewPopulation(PopOptions{
-			Seed: 7, Deals: 24, Chains: 3, AdversaryRate: 0.35,
-			FeeMarket: true, Hedged: true,
-		})
+		pop, err := NewPopulation(7, PopOptions{
+			Deals: 24, Chains: 3, AdversaryRate: 0.35,
+		}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return pop
 	}
-	opts := Options{Seed: 7, FeeMarket: true, Hedge: true, Volatility: 0.05, PriceTick: 25}
 	a, err := Run(opts, mk())
 	if err != nil {
 		t.Fatal(err)
@@ -204,19 +203,18 @@ func TestHedgedArenaDeterministic(t *testing.T) {
 	}
 }
 
-// TestHedgedPopulationIsSeedTwin: the Hedged flag must not consume
+// TestHedgedPopulationIsSeedTwin: the Hedge option must not consume
 // randomness — the hedged population's shapes, specs, adversaries, and
 // start offsets are identical to its unhedged twin's, differing only in
 // Behavior.Hedged on the compliant slots.
 func TestHedgedPopulationIsSeedTwin(t *testing.T) {
-	base := PopOptions{Seed: 13, Deals: 20, Chains: 4, AdversaryRate: 0.4}
-	bare, err := NewPopulation(base)
+	const seed = 13
+	base := PopOptions{Deals: 20, Chains: 4, AdversaryRate: 0.4}
+	bare, err := NewPopulation(seed, base, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hedgedOpts := base
-	hedgedOpts.Hedged = true
-	covered, err := NewPopulation(hedgedOpts)
+	covered, err := NewPopulation(seed, base, Options{Hedge: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -230,7 +230,7 @@ func TestQuickRandomDealsRandomAdversaries(t *testing.T) {
 			from := sim.Time(rng.Intn(2000))
 			until := from + sim.Time(500+rng.Intn(6000))
 			victim := spec.Escrows()[rng.Intn(len(spec.Escrows()))].Chain
-			opts.Outages = map[chain.ID]Outage{victim: {From: from, Until: until}}
+			opts.World.Outages = map[chain.ID]Outage{victim: {From: from, Until: until}}
 		}
 		if proto == party.ProtoCBC && rng.Bool(0.2) {
 			from := sim.Time(rng.Intn(1000))
@@ -322,8 +322,10 @@ func TestCBCSurvivesPreGSTAsynchrony(t *testing.T) {
 			Seed:     seed,
 			Protocol: party.ProtoCBC,
 			F:        1,
-			Delays: chain.GSTPolicy{
-				GST: 5000, Min: 1, PreMax: 4000, PostMax: 5,
+			World: SubstrateConfig{
+				Delays: chain.GSTPolicy{
+					GST: 5000, Min: 1, PreMax: 4000, PostMax: 5,
+				},
 			},
 			CBCDelays: chain.GSTPolicy{
 				GST: 5000, Min: 1, PreMax: 4000, PostMax: 5,
@@ -359,8 +361,10 @@ func TestTimelockBreaksUnderUnboundedAsynchrony(t *testing.T) {
 			w, err := Build(spec, Options{
 				Seed:     seed,
 				Protocol: party.ProtoTimelock,
-				Delays: chain.GSTPolicy{
-					GST: 1 << 40, Min: 1, PreMax: preMax, PostMax: 5,
+				World: SubstrateConfig{
+					Delays: chain.GSTPolicy{
+						GST: 1 << 40, Min: 1, PreMax: preMax, PostMax: 5,
+					},
 				},
 			})
 			if err != nil {

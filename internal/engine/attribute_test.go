@@ -105,8 +105,8 @@ func sharedArena(t *testing.T, n int, proto party.Protocol) []dealRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := engine.NewSubstrate(engine.SubstrateConfig{
-		Seed: 7, MaxBlockTxs: 8, FeeMarket: &feemarket.Config{Initial: 100},
+	sub := engine.NewSubstrate(7, engine.SubstrateConfig{
+		MaxBlockTxs: 8, FeeMarket: &feemarket.Config{Initial: 100},
 		Hedge: &hedge.Params{Collateral: 1, VolWindow: 32}, Bundles: true,
 	})
 	hooks := &party.AdaptiveHooks{Oracle: arena.NewMarket(sub.Sched, 7, 100, 0.02)}

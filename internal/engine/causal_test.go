@@ -52,9 +52,9 @@ func TestAttributionConservationCBC(t *testing.T) {
 // exercises the queueing buckets and still conserves exactly.
 func TestAttributionConservationUnderFeeMarket(t *testing.T) {
 	w, err := Build(deal.RingSpec(4, 5000, 1000), Options{
-		Seed:      21,
-		Protocol:  party.ProtoTimelock,
-		FeeMarket: &feemarket.Config{Initial: 100},
+		Seed:     21,
+		Protocol: party.ProtoTimelock,
+		World:    SubstrateConfig{FeeMarket: &feemarket.Config{Initial: 100}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,7 @@ func TestTimelockToleratesShortOutage(t *testing.T) {
 		// The ticket chain is down from the start until t=800: escrows,
 		// transfers and votes queue, but deadlines (t0+|p|Δ ≥ 3000) are
 		// far away.
-		Outages: map[chain.ID]Outage{"ticketchain": {From: 5, Until: 800}},
+		World: SubstrateConfig{Outages: map[chain.ID]Outage{"ticketchain": {From: 5, Until: 800}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +46,7 @@ func TestTimelockOutageSpanningDeadlinesAborts(t *testing.T) {
 		Seed:     92,
 		Protocol: party.ProtoTimelock,
 		// Down from the start until past every deadline (t0 + N·Δ = 5000).
-		Outages: map[chain.ID]Outage{"ticketchain": {From: 5, Until: 5600}},
+		World: SubstrateConfig{Outages: map[chain.ID]Outage{"ticketchain": {From: 5, Until: 5600}}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -38,13 +38,11 @@ import (
 	"xdeal/internal/trace"
 )
 
-// Options configures a world build.
-//
-// BlockInterval, Delays, MaxBlockTxs, Outages, FeeMarket, Hedge and
-// Bundles are world settings: Build copies them into the SubstrateConfig
-// of the private substrate it creates. BuildOn ignores them and reads the
-// substrate's own configuration, so every deal on a shared substrate
-// sees one world.
+// Options configures one deal's build. The world it runs in (chains,
+// network, capacity, fee market, hedging, bundles) is a SubstrateConfig:
+// Build creates a private substrate from World, while BuildOn ignores
+// World and reads the substrate's own configuration, so every deal on a
+// shared substrate sees one world.
 type Options struct {
 	Seed     uint64
 	Protocol party.Protocol
@@ -56,9 +54,8 @@ type Options struct {
 	ProofFormat party.ProofFormat
 	// FixedTimeout enables the broken naive timelock rule (ablation).
 	FixedTimeout bool
-	// Delays overrides the asset chains' network model.
-	Delays chain.DelayPolicy
-	// CBCDelays overrides the CBC's network model.
+	// CBCDelays overrides the CBC's network model; nil uses the asset
+	// chains' (SubstrateConfig.Delays).
 	CBCDelays chain.DelayPolicy
 	// Censor lists parties whose CBC votes validators drop.
 	Censor map[chain.Addr]bool
@@ -69,8 +66,6 @@ type Options struct {
 	// presentation; the pre-pipelining behavior). Default off: parties
 	// pipeline their submissions and let receipts arbitrate.
 	SerializeRounds bool
-	// BlockInterval for all chains; defaults to 10 ticks.
-	BlockInterval sim.Duration
 	// RunLimit caps simulated time; 0 runs to quiescence.
 	RunLimit sim.Time
 	// Reconfigure the CBC committee this many times mid-deal (ablation).
@@ -78,42 +73,24 @@ type Options struct {
 	// Trace, when non-nil, receives a chronological record of every
 	// protocol-relevant event across all chains and the CBC.
 	Trace *trace.Log
-	// Outages maps chains to denial-of-service windows during which they
-	// produce no blocks (§5.3/§9 DoS analysis).
-	Outages map[chain.ID]Outage
 	// CBCOutage is a DoS window against the CBC itself (§9).
 	CBCOutage Outage
-	// MaxBlockTxs caps per-block transaction capacity on every chain
-	// (0 = unlimited). Capacity is what makes shared chains contend.
-	MaxBlockTxs int
 	// LabelPrefix prefixes every transaction label this deal emits
 	// (setup and party phases), keeping gas attributable per deal when
 	// many deals share one substrate's chains. Empty outside arenas.
 	LabelPrefix string
-	// FeeMarket, when non-nil, attaches an EIP-1559-style fee market to
-	// every chain (see internal/feemarket): tip-ordered blocks, a base
-	// fee that tracks block fullness, and per-label fee accounting.
-	FeeMarket *feemarket.Config
-	// Fees is the tip strategy installed on every party; nil with
-	// FeeMarket set defaults to a DeadlineFee that escalates tips as
-	// the timelock deadline approaches. Ignored without a fee market.
+	// Fees is the tip strategy installed on every party; nil under a fee
+	// market (SubstrateConfig.FeeMarket) defaults to a DeadlineFee that
+	// escalates tips as the timelock deadline approaches. Ignored without
+	// a fee market.
 	Fees party.FeeEstimator
 	// Adaptive wires reactive adversary strategies (sore-loser,
 	// front-runner) to arena-level observable state: a market price
 	// oracle and metric callbacks. Nil outside arena runs.
 	Adaptive *party.AdaptiveHooks
-	// Hedge, when non-nil, deploys a premium-priced sore-loser
-	// insurance contract (see internal/hedge) next to every fungible
-	// escrow manager, priced off each chain's realized base-fee
-	// volatility, and wires Behavior.Hedged parties to it.
-	Hedge *hedge.Params
-	// Bundles enables combinatorial block-space auctions (see
-	// internal/bundle): every fee-market chain runs per-block winner
-	// determination over all-or-nothing deal bundles, and every party
-	// routes its protocol transactions through its deal's bundle,
-	// priced by a deadline-escalating BundleBidder. Requires FeeMarket;
-	// ignored without one.
-	Bundles bool
+	// World configures the private substrate Build creates for this
+	// deal alone; BuildOn ignores it.
+	World SubstrateConfig
 }
 
 // Outage is a window during which a chain produces no blocks.
@@ -161,23 +138,36 @@ type chainUnion struct {
 	*gas.Union
 }
 
-// SubstrateConfig parameterizes the shared fabric. Chains are created
-// lazily as deals reference them, all with this configuration.
+// SubstrateConfig holds the world settings every deal on a substrate
+// shares. Chains are created lazily as deals reference them, all with
+// this configuration.
 type SubstrateConfig struct {
-	Seed          uint64
+	// BlockInterval for all chains; defaults to 10 ticks.
 	BlockInterval sim.Duration
-	Delays        chain.DelayPolicy
-	MaxBlockTxs   int
-	Outages       map[chain.ID]Outage
-	// FeeMarket attaches a fee market to every chain created on the
-	// substrate; nil keeps FIFO inclusion.
+	// Delays is the asset chains' network model; defaults to
+	// SyncPolicy{1, 5}.
+	Delays chain.DelayPolicy
+	// MaxBlockTxs caps per-block transaction capacity on every chain
+	// (0 = unlimited). Capacity is what makes shared chains contend.
+	MaxBlockTxs int
+	// Outages maps chains to denial-of-service windows during which they
+	// produce no blocks (§5.3/§9 DoS analysis).
+	Outages map[chain.ID]Outage
+	// FeeMarket, when non-nil, attaches an EIP-1559-style fee market to
+	// every chain (see internal/feemarket): tip-ordered blocks, a base
+	// fee that tracks block fullness, and per-label fee accounting.
 	FeeMarket *feemarket.Config
-	// Hedge deploys a sore-loser insurance contract next to every
-	// fungible escrow manager created on the substrate; nil disables
-	// hedging.
+	// Hedge, when non-nil, deploys a premium-priced sore-loser
+	// insurance contract (see internal/hedge) next to every fungible
+	// escrow manager, priced off each chain's realized base-fee
+	// volatility, and wires Behavior.Hedged parties to it.
 	Hedge *hedge.Params
-	// Bundles enables the combinatorial block-space auction on every
-	// fee-market chain created on the substrate (see chain.Config).
+	// Bundles enables combinatorial block-space auctions (see
+	// internal/bundle): every fee-market chain runs per-block winner
+	// determination over all-or-nothing deal bundles, and every party
+	// routes its protocol transactions through its deal's bundle,
+	// priced by a deadline-escalating BundleBidder. Requires FeeMarket;
+	// ignored without one.
 	Bundles bool
 }
 
@@ -185,8 +175,9 @@ type SubstrateConfig struct {
 // differential test can run whole populations without one (export_test.go).
 var newVerifyMemo = sig.NewMemo
 
-// NewSubstrate creates an empty shared world.
-func NewSubstrate(cfg SubstrateConfig) *Substrate {
+// NewSubstrate creates an empty shared world; seed drives its network
+// delays.
+func NewSubstrate(seed uint64, cfg SubstrateConfig) *Substrate {
 	if cfg.BlockInterval <= 0 {
 		cfg.BlockInterval = 10
 	}
@@ -197,7 +188,7 @@ func NewSubstrate(cfg SubstrateConfig) *Substrate {
 		Sched:     sim.NewScheduler(),
 		Chains:    make(map[chain.ID]*chain.Chain),
 		cfg:       cfg,
-		rng:       sim.NewRNG(cfg.Seed ^ 0x9e3779b9),
+		rng:       sim.NewRNG(seed ^ 0x9e3779b9),
 		pubs:      make(map[string]ed25519.PublicKey),
 		memo:      newVerifyMemo(),
 		fungibles: make(map[string]*token.Fungible),
@@ -252,7 +243,7 @@ type World struct {
 	// Managers indexes escrow managers by escrow key.
 	Managers map[string]EscrowInspector
 	// Hedges indexes hedging contracts by escrow key (only under
-	// Options.Hedge, and only at fungible escrows).
+	// SubstrateConfig.Hedge, and only at fungible escrows).
 	Hedges map[string]*hedge.Manager
 
 	sub  *Substrate
@@ -292,17 +283,7 @@ type EscrowInspector interface {
 // substrate inhabited by this deal alone. The returned world is
 // quiescent: tokens minted, approvals granted, nothing started.
 func Build(spec *deal.Spec, opts Options) (*World, error) {
-	sub := NewSubstrate(SubstrateConfig{
-		Seed:          opts.Seed,
-		BlockInterval: opts.BlockInterval,
-		Delays:        opts.Delays,
-		MaxBlockTxs:   opts.MaxBlockTxs,
-		Outages:       opts.Outages,
-		FeeMarket:     opts.FeeMarket,
-		Hedge:         opts.Hedge,
-		Bundles:       opts.Bundles,
-	})
-	return sub.BuildOn(spec, opts)
+	return NewSubstrate(opts.Seed, opts.World).BuildOn(spec, opts)
 }
 
 // BuildOn constructs the world for a deal spec on this substrate,

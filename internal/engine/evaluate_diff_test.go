@@ -119,7 +119,7 @@ func TestEvaluationMatchesCloneAndScan(t *testing.T) {
 		// Two deals without a label prefix share one index entry and a
 		// substrate, on disjoint chains.
 		"unprefixed-pair": func() []dealRun {
-			sub := engine.NewSubstrate(engine.SubstrateConfig{Seed: 7})
+			sub := engine.NewSubstrate(7, engine.SubstrateConfig{})
 			var runs []dealRun
 			for _, spec := range []*deal.Spec{deal.SwapSpec(2000, 1000), deal.RingSpec(3, 2000, 1000)} {
 				w, err := sub.BuildOn(spec, engine.Options{Seed: 7, Protocol: party.ProtoTimelock})

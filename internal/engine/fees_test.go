@@ -17,9 +17,9 @@ import (
 func TestFeeMarketWorldCommitsAndAccountsFees(t *testing.T) {
 	spec := deal.RingSpec(4, 5000, 1000)
 	w, err := Build(spec, Options{
-		Seed:      21,
-		Protocol:  party.ProtoTimelock,
-		FeeMarket: &feemarket.Config{Initial: 100},
+		Seed:     21,
+		Protocol: party.ProtoTimelock,
+		World:    SubstrateConfig{FeeMarket: &feemarket.Config{Initial: 100}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -65,10 +65,10 @@ func TestTraceRecordsActualInclusionUnderCapacity(t *testing.T) {
 	spec := deal.RingSpec(4, 9000, 1000)
 	log := trace.New()
 	w, err := Build(spec, Options{
-		Seed:        33,
-		Protocol:    party.ProtoTimelock,
-		MaxBlockTxs: 1, // brutal capacity: every block defers the rest
-		Trace:       log,
+		Seed:     33,
+		Protocol: party.ProtoTimelock,
+		World:    SubstrateConfig{MaxBlockTxs: 1}, // brutal capacity: every block defers the rest
+		Trace:    log,
 	})
 	if err != nil {
 		t.Fatal(err)

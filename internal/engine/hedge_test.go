@@ -22,9 +22,8 @@ func TestHedgedDealPaysOutOnSoreLoserishAbort(t *testing.T) {
 	var premiums, payouts uint64
 	binds, settles := 0, 0
 	opts := Options{
-		Seed:      42,
-		FeeMarket: &feemarket.Config{Initial: 100},
-		Hedge:     &hedge.Params{},
+		Seed:  42,
+		World: SubstrateConfig{FeeMarket: &feemarket.Config{Initial: 100}, Hedge: &hedge.Params{}},
 		Behaviors: map[chain.Addr]party.Behavior{
 			spec.Parties[0]: {Hedged: true},
 			spec.Parties[1]: {Hedged: true},
@@ -113,7 +112,7 @@ func TestHedgedCommitRefundsAndStaysCorrect(t *testing.T) {
 	refunds, payouts := 0, 0
 	opts := Options{
 		Seed:      7,
-		Hedge:     &hedge.Params{},
+		World:     SubstrateConfig{Hedge: &hedge.Params{}},
 		Behaviors: behaviors,
 		Adaptive: &party.AdaptiveHooks{
 			OnHedgeSettled: func(_ chain.Addr, payout bool, _ uint64) {

@@ -348,20 +348,6 @@ func (r *Result) Summary() string {
 	return b.String()
 }
 
-// PhaseGas extracts the operation counts for one phase label.
-func (r *Result) PhaseGas(label string) gas.Snapshot {
-	return gas.Snapshot{
-		Used: r.Gas.UsedByLabel(label),
-		Counts: map[gas.Op]uint64{
-			gas.OpWrite:     r.Gas.CountByLabel(label, gas.OpWrite),
-			gas.OpSigVerify: r.Gas.CountByLabel(label, gas.OpSigVerify),
-			gas.OpRead:      r.Gas.CountByLabel(label, gas.OpRead),
-			gas.OpEvent:     r.Gas.CountByLabel(label, gas.OpEvent),
-			gas.OpTxBase:    r.Gas.CountByLabel(label, gas.OpTxBase),
-		},
-	}
-}
-
 // Atomic reports whether the finalized escrows agree: no escrow committed
 // while another aborted. Escrows never finalized (unknown or still
 // active) do not count — an unclaimed refund is a liveness matter, not an

@@ -79,11 +79,10 @@ func TestPhaseGasExtractsLabels(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := w.Run()
-	snap := r.PhaseGas(party.LabelEscrow)
-	if snap.Counts[gas.OpWrite] == 0 {
+	if r.Gas.CountByLabel(party.LabelEscrow, gas.OpWrite) == 0 {
 		t.Fatal("escrow phase recorded no writes")
 	}
-	if snap.Used == 0 {
+	if r.Gas.UsedByLabel(party.LabelEscrow) == 0 {
 		t.Fatal("escrow phase recorded no gas")
 	}
 }

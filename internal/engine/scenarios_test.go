@@ -88,7 +88,7 @@ func TestCBCBlockProofsUnderAsynchrony(t *testing.T) {
 			Protocol:    party.ProtoCBC,
 			F:           1,
 			ProofFormat: party.ProofBlocks,
-			Delays:      chain.GSTPolicy{GST: 4000, Min: 1, PreMax: 3000, PostMax: 5},
+			World:       SubstrateConfig{Delays: chain.GSTPolicy{GST: 4000, Min: 1, PreMax: 3000, PostMax: 5}},
 			CBCDelays:   chain.GSTPolicy{GST: 4000, Min: 1, PreMax: 3000, PostMax: 5},
 			Patience:    20000,
 		})
@@ -267,7 +267,7 @@ func TestDifferentSeedsDifferentSchedules(t *testing.T) {
 		w, err := Build(spec, Options{
 			Seed:     seed,
 			Protocol: party.ProtoTimelock,
-			Delays:   chain.SyncPolicy{Min: 50, Max: 450},
+			World:    SubstrateConfig{Delays: chain.SyncPolicy{Min: 50, Max: 450}},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -32,9 +32,14 @@ import (
 	"strings"
 )
 
+// DefaultBaseFee is the base fee of a market's first block when its
+// Config leaves Initial zero.
+const DefaultBaseFee = 100
+
 // Config parameterizes a chain's fee market.
 type Config struct {
-	// Initial is the base fee of the first block (default 100).
+	// Initial is the base fee of the first block (default
+	// DefaultBaseFee).
 	Initial uint64
 	// Min is the floor the base fee decays toward (default 1).
 	Min uint64
@@ -51,7 +56,7 @@ type Config struct {
 // withDefaults resolves zero fields against the chain's block capacity.
 func (c Config) withDefaults(maxBlockTxs int) Config {
 	if c.Initial == 0 {
-		c.Initial = 100
+		c.Initial = DefaultBaseFee
 	}
 	if c.Min == 0 {
 		c.Min = 1

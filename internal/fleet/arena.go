@@ -16,13 +16,19 @@ type ArenaOptions struct {
 	// DealsPerArena is the number of deals sharing one world; defaults
 	// to 25. Bigger arenas mean more contention per chain.
 	DealsPerArena int
-	// Chains is the number of shared chains per arena; defaults to 4.
+	// Chains is the number of shared chains per arena; defaults to
+	// arena.DefaultChains.
 	Chains int
-	// Volatility is the market's per-tick fractional price move
-	// (default 0.02); it arms the sore-loser adversaries.
+	// Volatility, MaxBlockTxs, Bundles, BundleBudget, Hedge,
+	// HedgeCollateral and PremiumVolWindow are the arena.Options fields
+	// of the same names: arena.Options documents them and resolves
+	// their defaults.
+	//
+	// Volatility is the market's per-tick fractional price move; it
+	// arms the sore-loser adversaries.
 	Volatility float64
-	// MaxBlockTxs caps per-block capacity on the shared chains
-	// (default 8) — the contention mechanism.
+	// MaxBlockTxs caps per-block capacity on the shared chains — the
+	// contention mechanism.
 	MaxBlockTxs int
 	// Baselines re-runs each deal alone to measure contention-induced
 	// decision-latency inflation (one extra isolated run per deal).
@@ -37,7 +43,7 @@ type ArenaOptions struct {
 	// fee market (GenOptions.Fees).
 	Bundles bool
 	// BundleBudget caps each bundle griefer's total per-slot bid
-	// increments (default 400).
+	// increments.
 	BundleBudget uint64
 	// Hedge arms the sore-loser defense across the sweep: compliant
 	// mix slots insure their deposits at premium-priced hedging
@@ -46,13 +52,15 @@ type ArenaOptions struct {
 	// volatility decile).
 	Hedge bool
 	// HedgeCollateral is the bond size as a multiple of the insured
-	// deposit (default 1.0).
+	// deposit.
 	HedgeCollateral float64
 	// PremiumVolWindow is the realized base-fee volatility window (in
-	// sealed blocks) premiums are priced over (default 32).
+	// sealed blocks) premiums are priced over.
 	PremiumVolWindow int
 }
 
+// defaults resolves the two knobs fleet owns; arena.Options.WithDefaults
+// validates and resolves the rest.
 func (o *ArenaOptions) defaults() error {
 	if o.DealsPerArena < 0 {
 		return fmt.Errorf("fleet: negative deals-per-arena %d", o.DealsPerArena)
@@ -60,32 +68,11 @@ func (o *ArenaOptions) defaults() error {
 	if o.Chains < 0 {
 		return fmt.Errorf("fleet: negative chain count %d", o.Chains)
 	}
-	if o.Volatility < 0 {
-		return fmt.Errorf("fleet: negative volatility %v", o.Volatility)
-	}
-	if o.MaxBlockTxs < 0 {
-		return fmt.Errorf("fleet: negative block capacity %d", o.MaxBlockTxs)
-	}
-	if o.HedgeCollateral < 0 {
-		return fmt.Errorf("fleet: negative hedge collateral %v", o.HedgeCollateral)
-	}
-	if o.PremiumVolWindow < 0 {
-		return fmt.Errorf("fleet: negative premium volatility window %d", o.PremiumVolWindow)
-	}
 	if o.DealsPerArena == 0 {
 		o.DealsPerArena = 25
 	}
 	if o.Chains == 0 {
-		o.Chains = 4
-	}
-	if o.BundleBudget == 0 {
-		o.BundleBudget = 400
-	}
-	if o.HedgeCollateral == 0 {
-		o.HedgeCollateral = 1.0
-	}
-	if o.PremiumVolWindow == 0 {
-		o.PremiumVolWindow = 32
+		o.Chains = arena.DefaultChains
 	}
 	return nil
 }
@@ -116,28 +103,21 @@ func (g *Generator) ArenaPopulation(a, count int, ao ArenaOptions) ([]arena.Deal
 	if err := ao.defaults(); err != nil {
 		return nil, err
 	}
-	return arena.NewPopulation(g.arenaPopOptions(a, count, ao))
-}
-
-func (g *Generator) arenaPopOptions(a, count int, ao ArenaOptions) arena.PopOptions {
-	po := arena.PopOptions{
-		Seed:          sim.Mix64(g.opts.Seed ^ sim.Mix64(uint64(a)+0x51ed270b941a9e37)),
+	world, err := arenaRunOptions(g.opts, ao, a)
+	if err != nil {
+		return nil, err
+	}
+	seed := sim.Mix64(g.opts.Seed ^ sim.Mix64(uint64(a)+0x51ed270b941a9e37))
+	return arena.NewPopulation(seed, arena.PopOptions{
 		Deals:         count,
 		Chains:        ao.Chains,
 		MaxParties:    g.opts.MaxParties,
 		AdversaryRate: g.opts.AdversaryRate,
-	}
-	if f := g.opts.Fees; f != nil {
-		po.FeeMarket = true
-		po.TipBudget = f.TipBudget
-	}
-	po.Bundles = ao.Bundles
-	po.BundleBudget = ao.BundleBudget
-	po.Hedged = ao.Hedge
-	return po
+	}, world)
 }
 
-// arenaRunOptions assembles one arena's world options.
+// arenaRunOptions maps a sweep's options onto the world of arena
+// arenaIdx, which both synthesizes its population and runs it.
 func arenaRunOptions(gen GenOptions, ao ArenaOptions, arenaIdx int) (arena.Options, error) {
 	proto, err := arenaProtocol(gen.Protocol, arenaIdx)
 	if err != nil {
@@ -167,7 +147,7 @@ func arenaRunOptions(gen GenOptions, ao ArenaOptions, arenaIdx int) (arena.Optio
 // Both the sweep and the replay path go through here, so a flagged deal
 // is guaranteed to replay inside the identical world. A non-nil metrics
 // registry receives the arena's substrate and interference counters.
-func runArena(gen *Generator, genOpts GenOptions, ao ArenaOptions, a, totalDeals int, metrics *obs.Registry) (*arena.Result, error) {
+func runArena(gen *Generator, ao ArenaOptions, a, totalDeals int, metrics *obs.Registry) (*arena.Result, error) {
 	count := ao.DealsPerArena
 	if rest := totalDeals - a*ao.DealsPerArena; rest < count {
 		count = rest
@@ -176,7 +156,7 @@ func runArena(gen *Generator, genOpts GenOptions, ao ArenaOptions, a, totalDeals
 	if err != nil {
 		return nil, err
 	}
-	ropts, err := arenaRunOptions(genOpts, ao, a)
+	ropts, err := arenaRunOptions(gen.opts, ao, a)
 	if err != nil {
 		return nil, err
 	}
@@ -197,7 +177,13 @@ func sweepArenas(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := arenaProtocol(opts.Gen.Protocol, 0); err != nil {
+	// Every arena resolves the same defaults; arena 0's are the ones the
+	// report echoes.
+	world, err := arenaRunOptions(gen.opts, ao, 0)
+	if err != nil {
+		return nil, err
+	}
+	if world, err = world.WithDefaults(); err != nil {
 		return nil, err
 	}
 	nArenas := (opts.Deals + ao.DealsPerArena - 1) / ao.DealsPerArena
@@ -216,7 +202,7 @@ func sweepArenas(opts Options) (*Report, error) {
 		if shards != nil {
 			reg = shards[a]
 		}
-		res, err := runArena(gen, opts.Gen, ao, a, opts.Deals, reg)
+		res, err := runArena(gen, ao, a, opts.Deals, reg)
 		if err != nil {
 			return err
 		}
@@ -238,11 +224,11 @@ func sweepArenas(opts Options) (*Report, error) {
 	if f := gen.opts.Fees; f != nil {
 		agg.EnableFees(f.BaseFee, f.TipBudget)
 	}
-	if ao.Hedge {
-		agg.EnableHedging(ao.HedgeCollateral, ao.PremiumVolWindow)
+	if world.Hedge {
+		agg.EnableHedging(world.HedgeCollateral, world.PremiumVolWindow)
 	}
-	if ao.Bundles {
-		agg.EnableBundles(ao.BundleBudget)
+	if world.Bundles {
+		agg.EnableBundles(world.BundleBudget)
 	}
 	agg.EnableObs(opts.Obs.metrics(), opts.Obs.flight())
 	inter := &Interference{Arenas: nArenas, Chains: ao.Chains}
@@ -293,7 +279,7 @@ func ReplayArenaDeal(opts Options, index int) (*arena.DealOutcome, error) {
 		return nil, err
 	}
 	a := index / ao.DealsPerArena
-	res, err := runArena(gen, opts.Gen, ao, a, opts.Deals, nil)
+	res, err := runArena(gen, ao, a, opts.Deals, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"xdeal/internal/arena"
 	"xdeal/internal/sim"
 )
 
@@ -218,5 +219,82 @@ func TestReportReplayCommandRendered(t *testing.T) {
 	want := "replay: dealsweep -seed 9 -deals 50 -replay 3"
 	if !strings.Contains(buf.String(), want) {
 		t.Fatalf("report missing %q:\n%s", want, buf.String())
+	}
+}
+
+// TestZeroValuedArenaSweepEchoesResolvedDefaults: a sweep shaped like the
+// arena-congested benchmark workload leaves every fee, bundle and hedge
+// knob zero. Its report echoes the values arena.Options resolves them
+// to, its population carries the resolved bundle budget, and its deal 0
+// replays exactly as deal 0 of an arena run with those values written
+// out.
+func TestZeroValuedArenaSweepEchoesResolvedDefaults(t *testing.T) {
+	opts := Options{
+		Deals:   50,
+		Workers: 2,
+		Gen:     GenOptions{Seed: 7, Protocol: "mixed", AdversaryRate: 0.3, Fees: &FeeOptions{}},
+		Arena:   &ArenaOptions{DealsPerArena: 50, Chains: 2, Bundles: true, Hedge: true},
+	}
+	rep, err := Sweep(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if og := rep.OrderingGames; og == nil || og.BaseFee != 100 || og.TipBudget != 400 {
+		t.Fatalf("ordering games %+v, want base fee 100 and tip budget 400", og)
+	}
+	if h := rep.Hedging; h == nil || h.Collateral != 1.0 || h.VolWindow != 32 {
+		t.Fatalf("hedging %+v, want collateral 1.0 and window 32", h)
+	}
+	if b := rep.BundleAuctions; b == nil || b.Budget != 400 {
+		t.Fatalf("bundle auctions %+v, want budget 400", b)
+	}
+
+	gen, err := NewGenerator(opts.Gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pop, err := gen.ArenaPopulation(0, opts.Deals, *opts.Arena)
+	if err != nil {
+		t.Fatal(err)
+	}
+	griefers := 0
+	for _, setup := range pop {
+		for _, b := range setup.Behaviors {
+			if b.BundleGrief {
+				griefers++
+				if b.BundleBudget != 400 {
+					t.Fatalf("deal %d: bundle griefer budget %d, want 400", setup.Index, b.BundleBudget)
+				}
+			}
+		}
+	}
+	if griefers == 0 {
+		t.Fatal("population drew no bundle griefer; pick another seed")
+	}
+	zero, err := arenaRunOptions(gen.opts, *opts.Arena, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	explicit, err := arena.Run(arena.Options{
+		Seed: zero.Seed, Protocol: "timelock", Volatility: 0.02, MaxBlockTxs: 8,
+		FeeMarket: true, BaseFee: 100, TipBudget: 400,
+		Bundles: true, BundleBudget: 400,
+		Hedge: true, HedgeCollateral: 1.0, PremiumVolWindow: 32,
+	}, pop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := ReplayArenaDeal(opts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(out *arena.DealOutcome) string {
+		return fmt.Sprintf("%s seed=%d adv=%d sore=%d races=%d bwins=%d bdefers=%d fees=%d stranded=%d premiums=%d payouts=%d gas=%d delta=%v\n%s",
+			out.Spec.ID, out.Seed, out.Adversaries, out.SoreLosers, out.FrontRuns,
+			out.BundleWins, out.BundleDefers, out.Fees, out.Stranded, out.Premiums, out.Payouts,
+			out.Result.DealGas, out.ArenaDelta, out.Result.Summary())
+	}
+	if got, want := render(replayed), render(&explicit.Outcomes[0]); got != want {
+		t.Fatalf("replayed deal 0 differs from the explicit-default arena:\n--- replay ---\n%s\n--- explicit ---\n%s", got, want)
 	}
 }

@@ -3,7 +3,9 @@ package fleet
 import (
 	"fmt"
 
+	"xdeal/internal/arena"
 	"xdeal/internal/engine"
+	"xdeal/internal/feemarket"
 	"xdeal/internal/obs"
 )
 
@@ -14,18 +16,21 @@ import (
 // upgrades to a fee bidder that outbids its victims from TipBudget.
 // The report gains an ordering-games block.
 type FeeOptions struct {
-	// BaseFee is each chain's initial base fee (default 100).
+	// BaseFee is each chain's initial base fee (default
+	// feemarket.DefaultBaseFee).
 	BaseFee uint64
-	// TipBudget caps each fee bidder's total tip spend (default 400).
+	// TipBudget caps each fee bidder's total tip spend (default
+	// arena.DefaultTipBudget).
 	TipBudget uint64
 }
 
+// defaults resolves the zero values the report echoes.
 func (f *FeeOptions) defaults() {
 	if f.BaseFee == 0 {
-		f.BaseFee = 100
+		f.BaseFee = feemarket.DefaultBaseFee
 	}
 	if f.TipBudget == 0 {
-		f.TipBudget = 400
+		f.TipBudget = arena.DefaultTipBudget
 	}
 }
 
@@ -234,19 +239,14 @@ func Sweep(opts Options) (*Report, error) {
 	return agg.Report(), nil
 }
 
-// Stream synthesizes and executes jobs 0..n-1 from the generator in
+// stream synthesizes and executes jobs 0..n-1 from the generator in
 // bounded chunks across the worker pool, folding each record into agg
-// in index order — the streaming sibling of Jobs+RunJobs for callers
-// that never need the record slice. Memory is constant in n (one chunk
-// of jobs and records at a time); the fold is identical to
-// Aggregate(RunJobs(gen.Jobs(n), workers)) at any worker count.
-func Stream(gen *Generator, n, workers int, agg *Aggregator) {
-	stream(gen, n, workers, agg, nil)
-}
-
-// stream is Stream with the observability layer attached: per-chunk
-// wall time is split into generate / run / aggregate stages, and each
-// world's metrics merge into the registry in index order.
+// in index order. Memory is constant in n (one chunk of jobs and
+// records at a time); the fold is identical to
+// Aggregate(RunJobs(gen.Jobs(n), workers)) at any worker count. With
+// the observability layer attached, per-chunk wall time is split into
+// generate / run / aggregate stages, and each world's metrics merge
+// into the registry in index order.
 func stream(gen *Generator, n, workers int, agg *Aggregator, ob *ObsOptions) {
 	stages := ob.stages()
 	chunk := Pool{Workers: workers}.Size(n) * 8

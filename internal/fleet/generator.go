@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 
+	"xdeal/internal/arena"
 	"xdeal/internal/chain"
 	"xdeal/internal/deal"
 	"xdeal/internal/engine"
@@ -155,19 +156,17 @@ func (g *Generator) Job(i int) Job {
 	switch rng.Intn(3) {
 	case 0: // engine default, SyncPolicy{1, 5}
 	case 1:
-		opts.Delays = chain.SyncPolicy{Min: 1, Max: 1 + sim.Duration(rng.Intn(50))}
+		opts.World.Delays = chain.SyncPolicy{Min: 1, Max: 1 + sim.Duration(rng.Intn(50))}
 	case 2:
-		opts.Delays = chain.SyncPolicy{Min: delta / 20, Max: delta/20 + sim.Duration(rng.Intn(int(delta)/5))}
+		opts.World.Delays = chain.SyncPolicy{Min: delta / 20, Max: delta/20 + sim.Duration(rng.Intn(int(delta)/5))}
 	}
 
 	// Fee market: tip-ordered capped blocks, so queue position is won by
 	// bidding rather than arrival; the job meters its races for the
 	// ordering-games report.
 	if f := g.opts.Fees; f != nil {
-		opts.FeeMarket = &feemarket.Config{Initial: f.BaseFee}
-		if opts.MaxBlockTxs == 0 {
-			opts.MaxBlockTxs = 8
-		}
+		opts.World.FeeMarket = &feemarket.Config{Initial: f.BaseFee}
+		opts.World.MaxBlockTxs = arena.DefaultMaxBlockTxs
 		tally := &raceTally{}
 		job.races = tally
 		opts.Adaptive = &party.AdaptiveHooks{
@@ -202,7 +201,7 @@ func (g *Generator) Job(i int) Job {
 		escrows := job.Spec.Escrows()
 		victim := escrows[rng.Intn(len(escrows))].Chain
 		from := sim.Time(rng.Intn(2000))
-		opts.Outages = map[chain.ID]engine.Outage{
+		opts.World.Outages = map[chain.ID]engine.Outage{
 			victim: {From: from, Until: from + sim.Time(500+rng.Intn(6500))},
 		}
 		job.Outage = true

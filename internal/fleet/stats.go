@@ -25,41 +25,6 @@ type Dist struct {
 	Max   float64 `json:"max"`
 }
 
-// NewDist computes a Dist over the samples (order irrelevant).
-func NewDist(samples []float64) Dist {
-	d := Dist{Count: len(samples)}
-	if d.Count == 0 {
-		return d
-	}
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	sum := 0.0
-	for _, v := range s {
-		sum += v
-	}
-	d.Min, d.Max = s[0], s[len(s)-1]
-	d.Mean = sum / float64(len(s))
-	d.P50 = percentile(s, 0.50)
-	d.P90 = percentile(s, 0.90)
-	d.P99 = percentile(s, 0.99)
-	return d
-}
-
-// percentile returns the nearest-rank percentile of sorted samples.
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
-}
-
 // sketchGamma is the Sketch's log-bucket base: values within the same
 // bucket differ by at most 2%, which bounds the percentile error.
 const sketchGamma = 1.02
@@ -181,14 +146,6 @@ func (c Counts) CommitRate() float64 {
 		return 0
 	}
 	return float64(c.Committed) / float64(c.Runs)
-}
-
-// AbortRate returns aborted / runs (0 for an empty slice).
-func (c Counts) AbortRate() float64 {
-	if c.Runs == 0 {
-		return 0
-	}
-	return float64(c.Aborted) / float64(c.Runs)
 }
 
 // Report aggregates a fleet sweep into population statistics. It is a

@@ -199,14 +199,14 @@ type TimeRow struct {
 func RunTime(spec *deal.Spec, opts engine.Options, mode string) (TimeRow, error) {
 	delta := spec.Delta
 	// Hop latency close to Δ/2 so per-hop costs register on the Δ scale.
-	if opts.Delays == nil {
-		opts.Delays = chain.SyncPolicy{Min: delta / 3, Max: delta / 2}
+	if opts.World.Delays == nil {
+		opts.World.Delays = chain.SyncPolicy{Min: delta / 3, Max: delta / 2}
 	}
 	if opts.CBCDelays == nil {
-		opts.CBCDelays = opts.Delays
+		opts.CBCDelays = opts.World.Delays
 	}
-	if opts.BlockInterval <= 0 {
-		opts.BlockInterval = delta / 10
+	if opts.World.BlockInterval <= 0 {
+		opts.World.BlockInterval = delta / 10
 	}
 	w, err := engine.Build(spec, opts)
 	if err != nil {

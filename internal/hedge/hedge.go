@@ -67,14 +67,24 @@ var (
 	ErrNotFinalized   = errors.New("hedge: escrow not finalized yet")
 )
 
+// Defaults of the two Params fields that sweeps also expose.
+const (
+	// DefaultCollateral is the bond size as a multiple of the insured
+	// deposit: the bond fully replaces a stranded deposit.
+	DefaultCollateral = 1.0
+	// DefaultVolWindow is the realized base-fee volatility window, in
+	// sealed blocks.
+	DefaultVolWindow = 32
+)
+
 // Params configures the hedging subsystem. The zero value of each field
 // resolves to the documented default.
 type Params struct {
 	// Collateral is the bond size as a multiple of the insured deposit
-	// (default 1.0: the bond fully replaces a stranded deposit).
+	// (default DefaultCollateral).
 	Collateral float64
 	// VolWindow is the realized base-fee volatility window, in sealed
-	// blocks (default 32).
+	// blocks (default DefaultVolWindow).
 	VolWindow int
 	// TriggerDeltas is the sore-loser trigger: an abort pays out only
 	// when the deposit had been locked at least this many Δ when the
@@ -109,10 +119,10 @@ type Params struct {
 // implementation-defined — a cross-platform determinism hazard.
 func (p Params) WithDefaults() Params {
 	if p.Collateral <= 0 {
-		p.Collateral = 1.0
+		p.Collateral = DefaultCollateral
 	}
 	if p.VolWindow <= 0 {
-		p.VolWindow = 32
+		p.VolWindow = DefaultVolWindow
 	}
 	if p.TriggerDeltas <= 0 {
 		p.TriggerDeltas = 1

@@ -152,8 +152,8 @@ type (
 	FeeOptions = fleet.FeeOptions
 	// OrderingGames is the fee-market block of a sweep report.
 	OrderingGames = fleet.OrderingGames
-	// HedgeParams configures the sore-loser defense (Options.Hedge and
-	// ArenaOptions.Hedge): premium-priced deposit insurance in the
+	// HedgeParams configures the sore-loser defense (Options.World.Hedge
+	// and ArenaOptions.Hedge): premium-priced deposit insurance in the
 	// spirit of Xue & Herlihy, layered on the escrow managers, with
 	// premiums priced off each chain's realized base-fee volatility.
 	HedgeParams = hedge.Params
