@@ -197,8 +197,7 @@ type CBC struct {
 	pending  []Entry
 	blockSet bool
 	deals    map[string]*DealState
-	subs     map[int]func(*Block)
-	nextSub  int
+	subs     []func(*Block) // by subscription id; nil once unsubscribed
 
 	certsSigned uint64 // quorum certificates signed (see RegisterMetrics)
 }
@@ -221,7 +220,6 @@ func New(cfg Config, sched *sim.Scheduler, rng *sim.RNG) *CBC {
 		signers:   signers,
 		initial:   committee,
 		deals:     make(map[string]*DealState),
-		subs:      make(map[int]func(*Block)),
 	}
 }
 
@@ -257,17 +255,20 @@ func (c *CBC) Deal(id string) *DealState { return c.deals[id] }
 // Subscribe registers a block observer; delivery is delayed by the
 // notification latency. Returns an unsubscribe function.
 func (c *CBC) Subscribe(fn func(*Block)) func() {
-	id := c.nextSub
-	c.nextSub++
-	c.subs[id] = fn
-	return func() { delete(c.subs, id) }
+	id := len(c.subs)
+	c.subs = append(c.subs, fn)
+	return func() { c.subs[id] = nil }
+}
+
+// delay draws one submit or notify delay from the service's delay stream.
+func (c *CBC) delay() sim.Duration {
+	return c.rng.Duration(c.cfg.Delays.Bounds(c.sched.Now()))
 }
 
 // Publish submits an entry to the CBC; it is included in the next block
 // after the submit delay, unless its sender is censored.
 func (c *CBC) Publish(e Entry) {
-	d := c.cfg.Delays.SubmitDelay(c.sched.Now(), c.rng)
-	c.sched.After(d, func() {
+	c.sched.After(c.delay(), func() {
 		if c.cfg.Censor[e.Party] {
 			return // validators silently ignore censored parties
 		}
@@ -325,13 +326,10 @@ func (c *CBC) produceBlock() {
 	c.blocks = append(c.blocks, b)
 	c.meter.Charge(LabelCBC, gas.OpWrite, uint64(len(accepted)))
 
-	for id := 0; id < c.nextSub; id++ {
-		fn, ok := c.subs[id]
-		if !ok {
-			continue
+	for _, fn := range c.subs {
+		if fn != nil {
+			c.sched.After(c.delay(), func() { fn(b) })
 		}
-		d := c.cfg.Delays.NotifyDelay(c.sched.Now(), c.rng)
-		c.sched.After(d, func() { fn(b) })
 	}
 	c.scheduleBlock()
 }

@@ -35,6 +35,10 @@ type ProofArgs struct {
 	Blocks *BlockProof
 }
 
+// Topic names the deal, so mempool observers can watch one deal's proofs
+// (see chain.PendingTx.Topic).
+func (a ProofArgs) Topic() string { return a.Deal }
+
 // Errors returned by proof verification.
 var (
 	ErrBadProof       = errors.New("cbc: proof does not establish the claimed outcome")

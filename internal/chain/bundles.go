@@ -185,9 +185,8 @@ func (c *Chain) SubmitBundled(bt BundleTx) {
 		// capacity and let the next routing open a successor.
 		b.full = true
 	}
-	d := c.cfg.Delays.SubmitDelay(c.sched.Now(), c.rng)
 	cb := bt.OnAuction
-	c.sched.After(d, func() { c.arriveBundled(b, tx, cb) })
+	c.sched.After(c.delay(), func() { c.arriveBundled(b, tx, cb) })
 	c.gossipTx(tx)
 	c.gossipBundle(b)
 	c.submitMu.Unlock()
@@ -254,7 +253,7 @@ func (c *Chain) BundleLossStreak(deal string) int { return c.bundleStreak[deal] 
 // every subsequently published or raised bundle bid after the
 // observer's notification delay. The returned function unsubscribes.
 func (c *Chain) SubscribeBundleBids(fn func(BundleGossip)) func() {
-	return register(&c.bbSubs, subscription[BundleGossip]{fn: fn})
+	return c.bbSubs.add("", subscription[BundleGossip]{fn: fn})
 }
 
 // SubscribeAuctions registers a synchronous auction observer
@@ -274,10 +273,10 @@ func (c *Chain) SubscribeBlocks(fn func(*BlockSummary)) func() {
 // gossipBundle fans a bundle's current bid out to bundle-bid
 // observers, each after its own notification delay (see fanOut).
 func (c *Chain) gossipBundle(b *pendingBundle) {
-	if len(c.bbSubs) == 0 {
+	if c.bbSubs.live() == 0 {
 		return
 	}
-	fanBids(c, c.bbSubs, BundleGossip{
+	fanBids(c, &c.bbSubs, "", BundleGossip{
 		Chain: c.cfg.ID, Deal: b.deal, Slots: b.routed,
 		PerSlot: b.perSlot, Bid: satMul(b.perSlot, uint64(b.routed)),
 	})
@@ -435,12 +434,11 @@ func (c *Chain) closeAuction(auc *auction, now sim.Time) {
 // bundles' owners. The deferral count is snapshotted: the callback must
 // report this auction's standing, not whatever later auctions advanced
 // it to.
-func (c *Chain) notifyBidders(auc *auction, now sim.Time) {
+func (c *Chain) notifyBidders(auc *auction) {
 	for _, b := range auc.ready {
 		won, defers := b.won, b.defers
 		for _, cb := range b.cbs {
-			d := c.cfg.Delays.NotifyDelay(now, c.rng)
-			c.sched.After(d, func() { cb(won, defers) })
+			c.sched.After(c.delay(), func() { cb(won, defers) })
 		}
 		if won {
 			b.cbs = nil

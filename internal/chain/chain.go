@@ -115,6 +115,20 @@ type Event struct {
 	Kind     string
 	Data     any
 	Sender   Addr // transaction origin
+	// Topic is what the event is about, as its payload names it through a
+	// Topic() string method (escrow and vote events name their deal); ""
+	// when the payload names none. Topic subscribers see only their
+	// topic's events (see SubscribeTopic).
+	Topic string
+}
+
+// topicOf is the topic a payload names through a Topic() string method,
+// or "" if it has none.
+func topicOf(v any) string {
+	if t, ok := v.(interface{ Topic() string }); ok {
+		return t.Topic()
+	}
+	return ""
 }
 
 // Contract is a blockchain-resident program. Implementations must be
@@ -123,14 +137,14 @@ type Contract interface {
 	Invoke(env *Env, method string, args any) (any, error)
 }
 
-// DelayPolicy models network latency between parties and the chain.
+// DelayPolicy models network latency between parties and the chain: the
+// latency from publishing a transaction to its arrival in the mempool,
+// and from a block being produced to an observer seeing it. Both are
+// drawn uniformly from the chain's delay stream.
 type DelayPolicy interface {
-	// SubmitDelay is the latency from publishing a transaction to its
-	// arrival in the mempool.
-	SubmitDelay(now sim.Time, rng *sim.RNG) sim.Duration
-	// NotifyDelay is the latency from a block being produced to an
-	// observer seeing it.
-	NotifyDelay(now sim.Time, rng *sim.RNG) sim.Duration
+	// Bounds is the range [min, max] a delay starting at now is drawn
+	// from. When min == max the delay is fixed and draws nothing.
+	Bounds(now sim.Time) (min, max sim.Duration)
 }
 
 // SyncPolicy is the synchronous model: delays are uniform in [Min, Max],
@@ -139,15 +153,8 @@ type SyncPolicy struct {
 	Min, Max sim.Duration
 }
 
-// SubmitDelay implements DelayPolicy.
-func (p SyncPolicy) SubmitDelay(_ sim.Time, rng *sim.RNG) sim.Duration {
-	return rng.Duration(p.Min, p.Max)
-}
-
-// NotifyDelay implements DelayPolicy.
-func (p SyncPolicy) NotifyDelay(_ sim.Time, rng *sim.RNG) sim.Duration {
-	return rng.Duration(p.Min, p.Max)
-}
+// Bounds implements DelayPolicy.
+func (p SyncPolicy) Bounds(sim.Time) (min, max sim.Duration) { return p.Min, p.Max }
 
 // GSTPolicy is the eventually-synchronous model of §6: before the global
 // stabilization time delays are drawn from [Min, PreMax] (unbounded in
@@ -160,21 +167,12 @@ type GSTPolicy struct {
 	PostMax sim.Duration
 }
 
-// SubmitDelay implements DelayPolicy.
-func (p GSTPolicy) SubmitDelay(now sim.Time, rng *sim.RNG) sim.Duration {
-	return p.delay(now, rng)
-}
-
-// NotifyDelay implements DelayPolicy.
-func (p GSTPolicy) NotifyDelay(now sim.Time, rng *sim.RNG) sim.Duration {
-	return p.delay(now, rng)
-}
-
-func (p GSTPolicy) delay(now sim.Time, rng *sim.RNG) sim.Duration {
+// Bounds implements DelayPolicy.
+func (p GSTPolicy) Bounds(now sim.Time) (min, max sim.Duration) {
 	if now < p.GST {
-		return rng.Duration(p.Min, p.PreMax)
+		return p.Min, p.PreMax
 	}
-	return rng.Duration(p.Min, p.PostMax)
+	return p.Min, p.PostMax
 }
 
 // Config parameterizes a chain.
@@ -231,21 +229,29 @@ type Chain struct {
 	mempool   []*Tx
 	txSeq     uint64
 	contracts map[Addr]Contract
-	subs      []subscription[Event]     // by subscription id; fn nil once unsubscribed
-	mpSubs    []subscription[PendingTx] // likewise, for mempool gossip
-	readEnv   *Env                      // the one Env every Query reads through
-	rcptSubs  []func(*Receipt)          // by subscription id; nil once unsubscribed
-	blockSet  bool                      // a block production event is scheduled
+	subs      subscribers[Event]     // contract-event observers
+	mpSubs    subscribers[PendingTx] // mempool-gossip observers
+	readEnv   *Env                   // the one Env every Query reads through
+	rcptSubs  []func(*Receipt)       // by subscription id; nil once unsubscribed
+	blockSet  bool                   // a block production event is scheduled
 	receipts  []*Receipt
-	mpHigh    int            // mempool depth high-water, sampled at each arrival
-	fanDelays []sim.Duration // fanOut's per-subscriber draws, reused across fan-outs
+	mpHigh    int // mempool depth high-water, sampled at each arrival
+
+	// fanOut's wanted deliveries — subscription ids and their delays —
+	// reused across fan-outs.
+	fanIDs    []int32
+	fanDelays []sim.Duration
 
 	// Block-production scratch, reused across blocks so the hot path
 	// stays allocation-free: the drained mempool's backing array (blocks
-	// ping-pong between the live slice and this spare) and the inclusion
-	// list selection hands to seal.
+	// ping-pong between the live slice and this spare), the inclusion
+	// list selection hands to seal, and the block's events.
 	mpFree   []*Tx
 	blockBuf []inclusion
+	// The events of the block being sealed, in emission order; contracts
+	// emit into it directly, and a failed call or transaction truncates
+	// its own events away.
+	blockEvents []Event
 
 	// Bundle-auction state (see bundles.go): the auction queue in
 	// arrival order, each deal's open bundle, per-deal loss streaks,
@@ -253,7 +259,7 @@ type Chain struct {
 	bundles      []*pendingBundle
 	openBundles  map[string]*pendingBundle
 	bundleStreak map[string]int
-	bbSubs       []subscription[BundleGossip]
+	bbSubs       subscribers[BundleGossip]
 	aucSubs      []func(*AuctionRecord)
 	blkSubs      []func(*BlockSummary)
 
@@ -278,6 +284,7 @@ type PendingTx struct {
 	Label    string
 	Args     any
 	Tip      uint64
+	Topic    string // what Args names through a Topic() method, as for Event
 }
 
 // New creates a chain attached to the scheduler. The RNG is forked from
@@ -360,6 +367,51 @@ type subscription[T any] struct {
 	fn    func(T)
 }
 
+// subscribers is one delivery channel's observers. A subscription's id is
+// its place in subscription order, kept for life; its slot is zeroed when
+// it unsubscribes, and ids are never reused. Each id is also listed once,
+// under its topic or among the untopiced, so a fan-out visits only the
+// subscriptions that may see its item.
+type subscribers[T any] struct {
+	all    []subscription[T]  // by id; fn nil once unsubscribed
+	open   []int32            // ids of the untopiced subscriptions, ascending
+	topics map[string][]int32 // ids of each topic's subscriptions, ascending
+	gone   []int32            // ids no longer live, ascending
+}
+
+// add registers s under topic ("" for none) and returns the function that
+// unsubscribes it.
+func (l *subscribers[T]) add(topic string, s subscription[T]) func() {
+	id := int32(len(l.all))
+	l.all = append(l.all, s)
+	if topic == "" {
+		l.open = append(l.open, id)
+	} else {
+		if l.topics == nil {
+			l.topics = make(map[string][]int32)
+		}
+		l.topics[topic] = append(l.topics[topic], id)
+	}
+	return func() {
+		if l.all[id].fn == nil {
+			return
+		}
+		l.all[id] = subscription[T]{}
+		at, _ := slices.BinarySearch(l.gone, id)
+		l.gone = slices.Insert(l.gone, at, id)
+	}
+}
+
+// live is the number of live subscriptions.
+func (l *subscribers[T]) live() int { return len(l.all) - len(l.gone) }
+
+// rank is a live subscription's position among the live ones, in
+// subscription order: the number of live subscriptions before it.
+func (l *subscribers[T]) rank(id int32) int {
+	before, _ := slices.BinarySearch(l.gone, id)
+	return int(id) - before
+}
+
 // register appends an observer to list and returns the function that
 // unsubscribes it by zeroing its slot. Slots are never reused, so
 // observers keep their subscription order, and a zero slot is skipped.
@@ -383,46 +435,69 @@ func notify[T any](list *[]func(T), v T) {
 	}
 }
 
-// fanOut delivers item to every live subscriber in subs that wants it,
-// each after its own notify delay. Every live subscriber draws its delay,
-// in subscription order, whether or not it wants the item: the chain's
-// delay stream is shared, so every draw keeps its place. The wanted
-// deliveries are then scheduled as one event per distinct delay, which
-// calls its subscribers in subscription order with one shared copy of the
-// item; a delay with a single delivery gets a plain one-call event.
+// fanOut delivers item to every live subscriber in l that may see it —
+// the untopiced ones and those of item's topic — and wants it, each after
+// its own notify delay. Every live subscriber, seeing the item or not,
+// owns one draw of the chain's delay stream per fan-out, addressed by its
+// rank among the live subscribers: the subscriber at rank r is delayed by
+// the r-th upcoming draw, read in place (sim.RNG.DurationAt), and the
+// stream then skips past all of them. So the delays, and the stream's
+// state afterwards, are exactly those of drawing once per live subscriber
+// in subscription order, while the work is proportional to the
+// subscribers visited. The wanted deliveries are then scheduled as one
+// event per distinct delay, which calls its subscribers in subscription
+// order with one shared copy of the item; a delay with a single delivery
+// gets a plain one-call event. Grouping costs the wanted deliveries times
+// the distinct delays among them.
 //
 // Grouping is exact. One fan-out schedules its deliveries back to back,
 // so one event per delivery would hold consecutive sequence numbers: no
 // other event could run between two deliveries of the same tick, and
 // anything a handler schedules runs after all of them in both schemes.
 // Only Scheduler.Steps sees the difference. This holds because wants and
-// NotifyDelay never schedule anything; they must not start to. A
-// delivery, once scheduled, is not withdrawn by a later unsubscription.
-func fanOut[T any](c *Chain, subs []subscription[T], item T) {
-	now := c.sched.Now()
-	delays := c.fanDelays[:0] // per subscriber; -1 = no delivery
-	wanted := false
-	for _, s := range subs {
-		d := sim.Duration(-1)
-		if s.fn != nil {
-			// After treats a negative delay as zero; so does the grouping.
-			d = max(c.cfg.Delays.NotifyDelay(now, c.rng), 0)
-			if s.wants != nil && !s.wants(item) {
-				d = -1
-			}
-		}
-		wanted = wanted || d >= 0
-		delays = append(delays, d)
+// Bounds never schedule anything; they must not start to. A delivery,
+// once scheduled, is not withdrawn by a later unsubscription.
+func fanOut[T any](c *Chain, l *subscribers[T], topic string, item T) {
+	live := l.live()
+	if live == 0 {
+		return
 	}
-	c.fanDelays = delays
-	if !wanted {
+	lo, hi := c.cfg.Delays.Bounds(c.sched.Now())
+	var topical []int32
+	if topic != "" {
+		topical = l.topics[topic]
+	}
+	// Visit the untopiced and the topic's subscribers merged into
+	// subscription order, keeping the wanted ones with their delays.
+	ids, delays := c.fanIDs[:0], c.fanDelays[:0]
+	open := l.open
+	for len(open) > 0 || len(topical) > 0 {
+		var id int32
+		if len(topical) == 0 || len(open) > 0 && open[0] < topical[0] {
+			id, open = open[0], open[1:]
+		} else {
+			id, topical = topical[0], topical[1:]
+		}
+		s := l.all[id]
+		if s.fn == nil || s.wants != nil && !s.wants(item) {
+			continue
+		}
+		ids = append(ids, id)
+		// After treats a negative delay as zero; so does the grouping.
+		delays = append(delays, max(c.rng.DurationAt(l.rank(id), lo, hi), 0))
+	}
+	if lo != hi {
+		c.rng.Skip(live)
+	}
+	c.fanIDs, c.fanDelays = ids, delays
+	if len(ids) == 0 {
 		return
 	}
 	shared := new(T) // one heap copy for every delivery
 	*shared = item
 	for i, d := range delays {
 		if d < 0 {
-			continue
+			continue // already scheduled with an earlier delivery
 		}
 		n := 1
 		for _, e := range delays[i+1:] {
@@ -431,14 +506,14 @@ func fanOut[T any](c *Chain, subs []subscription[T], item T) {
 			}
 		}
 		if n == 1 {
-			fn := subs[i].fn
+			fn := l.all[ids[i]].fn
 			c.sched.After(d, func() { fn(*shared) })
 			continue
 		}
 		fns := make([]func(T), 0, n)
 		for j := i; j < len(delays); j++ {
 			if delays[j] == d {
-				fns = append(fns, subs[j].fn)
+				fns = append(fns, l.all[ids[j]].fn)
 				delays[j] = -1
 			}
 		}
@@ -458,6 +533,11 @@ var (
 	fanBids   = fanOut[BundleGossip]
 )
 
+// delay draws one submit or notify delay from the chain's delay stream.
+func (c *Chain) delay() sim.Duration {
+	return c.rng.Duration(c.cfg.Delays.Bounds(c.sched.Now()))
+}
+
 // Subscribe registers an observer for all of this chain's events. The
 // returned function unsubscribes. Events arrive after the chain's notify
 // delay.
@@ -469,12 +549,23 @@ func (c *Chain) Subscribe(fn func(Event)) func() {
 // a party monitors a chain for the changes that concern it (§3), not for
 // every log entry. wants runs synchronously as each event is published,
 // not when it is delivered, so it may depend only on the event and on
-// state fixed before subscribing, and it must not schedule anything. An
-// event it rejects still draws the observer's notify delay (the chain's
-// delay stream is shared, so every draw keeps its place) but nothing is
-// scheduled for it.
+// state fixed before subscribing, and it must not schedule anything. The
+// observer owns one position in the chain's delay stream for every event
+// published while it is live, whether or not it wants that event (the
+// stream is shared, so every position keeps its place); a rejected event
+// leaves its draw unread and schedules nothing.
 func (c *Chain) SubscribeFiltered(wants func(Event) bool, fn func(Event)) func() {
-	return register(&c.subs, subscription[Event]{wants: wants, fn: fn})
+	return c.subs.add("", subscription[Event]{wants: wants, fn: fn})
+}
+
+// SubscribeTopic is SubscribeFiltered for the events of one topic (see
+// Event.Topic): the chain offers the observer only events whose Topic is
+// topic, and, among those, delivers the ones wants accepts (nil accepts
+// all). It costs nothing per event of other topics, yet, like every
+// observer, it owns one position in the delay stream per event. An empty
+// topic is no topic: the observer is offered every event.
+func (c *Chain) SubscribeTopic(topic string, wants func(Event) bool, fn func(Event)) func() {
+	return c.subs.add(topic, subscription[Event]{wants: wants, fn: fn})
 }
 
 // Submit publishes a transaction. It reaches the mempool after the submit
@@ -493,8 +584,7 @@ func (c *Chain) Submit(tx *Tx) {
 	tx.seq = c.txSeq
 	c.txSeq++
 	tx.submittedAt = c.sched.Now()
-	d := c.cfg.Delays.SubmitDelay(c.sched.Now(), c.rng)
-	c.sched.After(d, func() {
+	c.sched.After(c.delay(), func() {
 		tx.arrivedAt = c.sched.Now()
 		c.mempool = append(c.mempool, tx)
 		if len(c.mempool) > c.mpHigh {
@@ -509,10 +599,11 @@ func (c *Chain) Submit(tx *Tx) {
 // gossipTx fans a published transaction out to the mempool observers it
 // concerns, each after its own notification delay (see fanOut).
 func (c *Chain) gossipTx(tx *Tx) {
-	if len(c.mpSubs) == 0 {
+	if c.mpSubs.live() == 0 {
 		return
 	}
-	fanGossip(c, c.mpSubs, PendingTx{
+	topic := topicOf(tx.Args)
+	fanGossip(c, &c.mpSubs, topic, PendingTx{
 		Chain:    c.cfg.ID,
 		Sender:   tx.Sender,
 		Contract: tx.Contract,
@@ -520,19 +611,22 @@ func (c *Chain) gossipTx(tx *Tx) {
 		Label:    tx.Label,
 		Args:     tx.Args,
 		Tip:      tx.Tip,
+		Topic:    topic,
 	})
 }
 
 // SubscribeMempool registers a mempool observer: fn receives every
-// subsequently published transaction wants accepts (nil accepts all),
-// after the observer's notification delay. wants runs as the transaction
-// is published, so, as for SubscribeFiltered, it may depend only on the
-// transaction and on state fixed before subscribing, and it must not
-// schedule anything; a rejected transaction still draws the observer's
-// delay. The returned function unsubscribes. Observation is free (public
-// gossip); reacting costs a transaction like anything else.
-func (c *Chain) SubscribeMempool(wants func(PendingTx) bool, fn func(PendingTx)) func() {
-	return register(&c.mpSubs, subscription[PendingTx]{wants: wants, fn: fn})
+// subsequently published transaction of topic ("" for every transaction)
+// that wants accepts (nil accepts all), after the observer's notification
+// delay. wants runs as the transaction is published, so, as for
+// SubscribeFiltered, it may depend only on the transaction and on state
+// fixed before subscribing, and it must not schedule anything; like an
+// event observer, the mempool observer owns one position in the delay
+// stream per published transaction, seen or not. The returned function
+// unsubscribes. Observation is free (public gossip); reacting costs a
+// transaction like anything else.
+func (c *Chain) SubscribeMempool(topic string, wants func(PendingTx) bool, fn func(PendingTx)) func() {
+	return c.mpSubs.add(topic, subscription[PendingTx]{wants: wants, fn: fn})
 }
 
 // SubscribeReceipts registers an omniscient receipt observer: fn is
@@ -671,10 +765,9 @@ func (c *Chain) seal(block []inclusion, auc *auction) {
 	}
 	// Receipts for the whole block come from one slab allocation.
 	slab := make([]Receipt, len(block))
-	var blockEvents []Event
 	for i, in := range block {
 		tx, r := in.tx, &slab[i]
-		blockEvents = append(blockEvents, c.execute(r, tx, now)...)
+		c.execute(r, tx, now)
 		r.ArrivedAt = tx.arrivedAt
 		r.SubmittedAt = tx.submittedAt
 		r.Deferrals = tx.deferrals
@@ -688,8 +781,7 @@ func (c *Chain) seal(block []inclusion, auc *auction) {
 		c.receipts = append(c.receipts, r)
 		notify(&c.rcptSubs, r)
 		if tx.OnReceipt != nil {
-			d := c.cfg.Delays.NotifyDelay(now, c.rng)
-			c.sched.After(d, func() { tx.OnReceipt(r) })
+			c.sched.After(c.delay(), func() { tx.OnReceipt(r) })
 		}
 	}
 	if c.fees != nil {
@@ -702,25 +794,27 @@ func (c *Chain) seal(block []inclusion, auc *auction) {
 		c.emitBlockSummary(block, now)
 	}
 	if auc != nil {
-		c.notifyBidders(auc, now)
+		c.notifyBidders(auc)
 	}
-	for _, ev := range blockEvents {
+	for _, ev := range c.blockEvents {
 		c.dispatch(ev)
 	}
+	clear(c.blockEvents) // drop the payloads; the storage is reused
+	c.blockEvents = c.blockEvents[:0]
 	c.scheduleBlock() // txs may have arrived while producing
 }
 
 // execute runs one transaction against its target contract, writing the
-// outcome into r, and returns the events it emitted — none if it failed:
-// a failed transaction's events are never published.
-func (c *Chain) execute(r *Receipt, tx *Tx, now sim.Time) []Event {
+// outcome into r and appending the events it emitted to the block's —
+// none if it failed: a failed transaction's events are never published.
+func (c *Chain) execute(r *Receipt, tx *Tx, now sim.Time) {
 	r.Tx = tx
 	r.Height = c.height
 	r.Time = now
 	ct, ok := c.contracts[tx.Contract]
 	if !ok {
 		r.Err = fmt.Errorf("chain %s: no contract at %s", c.cfg.ID, tx.Contract)
-		return nil
+		return
 	}
 	c.meter.Charge(tx.Label, gas.OpTxBase, 1)
 	env := &Env{
@@ -732,19 +826,20 @@ func (c *Chain) execute(r *Receipt, tx *Tx, now sim.Time) []Event {
 		self:   tx.Contract,
 		now:    now,
 		height: c.height,
+		events: &c.blockEvents,
 	}
+	mark := len(c.blockEvents)
 	r.Result, r.Err = ct.Invoke(env, tx.Method, tx.Args)
 	if r.Err != nil {
-		return nil
+		c.blockEvents = c.blockEvents[:mark]
 	}
-	return env.events
 }
 
 // dispatch fans an event out to the subscribers it concerns, in
 // subscription order with independent delays (see fanOut). Only wanted
 // deliveries reach the scheduler, which orders by (time, insertion), so
 // leaving the others out keeps the relative order of all that remain.
-func (c *Chain) dispatch(ev Event) { fanEvents(c, c.subs, ev) }
+func (c *Chain) dispatch(ev Event) { fanEvents(c, &c.subs, ev.Topic, ev) }
 
 // Env is the execution environment visible to contract code. All side
 // effects — storage charges, signature verification, events, cross-contract
@@ -758,7 +853,7 @@ type Env struct {
 	self   Addr // executing contract
 	now    sim.Time
 	height uint64
-	events []Event
+	events *[]Event // where Emit publishes; nil discards (reads, test envs)
 }
 
 // Errors shared by contracts.
@@ -833,7 +928,10 @@ func (e *Env) Key(party string) (ed25519.PublicKey, bool) {
 // Emit buffers an event; it is published only if the transaction succeeds.
 func (e *Env) Emit(kind string, data any) {
 	e.meter.Charge(e.label, gas.OpEvent, 1)
-	e.events = append(e.events, Event{
+	if e.events == nil {
+		return
+	}
+	*e.events = append(*e.events, Event{
 		Chain:    e.chain.cfg.ID,
 		Height:   e.height,
 		Time:     e.now,
@@ -841,6 +939,7 @@ func (e *Env) Emit(kind string, data any) {
 		Kind:     kind,
 		Data:     data,
 		Sender:   e.origin,
+		Topic:    topicOf(data),
 	})
 }
 
@@ -861,10 +960,15 @@ func (e *Env) Call(target Addr, method string, args any) (any, error) {
 		self:   target,
 		now:    e.now,
 		height: e.height,
+		events: e.events,
+	}
+	var mark int
+	if e.events != nil {
+		mark = len(*e.events)
 	}
 	res, err := ct.Invoke(sub, method, args)
-	if err == nil {
-		e.events = append(e.events, sub.events...)
+	if err != nil && e.events != nil {
+		*e.events = (*e.events)[:mark] // a failed call's events are never published
 	}
 	return res, err
 }
@@ -879,7 +983,7 @@ func (c *Chain) Query(target Addr, method string, args any) (any, error) {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownContract, target)
 	}
 	env := c.readEnv
-	env.self, env.now, env.height, env.events = target, c.sched.Now(), c.height, nil
+	env.self, env.now, env.height = target, c.sched.Now(), c.height
 	return ct.Invoke(env, method, args)
 }
 

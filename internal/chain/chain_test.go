@@ -417,7 +417,7 @@ func TestGSTPolicyBoundsDelaysAfterGST(t *testing.T) {
 	p := GSTPolicy{GST: 1000, Min: 1, PreMax: 5000, PostMax: 50}
 	sawLargePre := false
 	for i := 0; i < 200; i++ {
-		d := p.SubmitDelay(10, rng)
+		d := rng.Duration(p.Bounds(10))
 		if d > 5000 {
 			t.Fatalf("pre-GST delay %d exceeds PreMax", d)
 		}
@@ -429,7 +429,7 @@ func TestGSTPolicyBoundsDelaysAfterGST(t *testing.T) {
 		t.Fatal("pre-GST delays never exceeded post-GST bound; asynchrony not modeled")
 	}
 	for i := 0; i < 200; i++ {
-		if d := p.NotifyDelay(2000, rng); d > 50 {
+		if d := rng.Duration(p.Bounds(2000)); d > 50 {
 			t.Fatalf("post-GST delay %d exceeds PostMax", d)
 		}
 	}
@@ -524,7 +524,7 @@ func TestMempoolObserversSeePendingTxs(t *testing.T) {
 	c.MustDeploy("counter", &counter{})
 	var seen []PendingTx
 	var seenAt []sim.Time
-	unsub := c.SubscribeMempool(nil, func(p PendingTx) {
+	unsub := c.SubscribeMempool("", nil, func(p PendingTx) {
 		seen = append(seen, p)
 		seenAt = append(seenAt, sched.Now())
 	})
@@ -763,7 +763,7 @@ func TestMempoolGossipCarriesTip(t *testing.T) {
 	c, sched := testChain(t)
 	c.MustDeploy("ctr", &counter{})
 	var tips []uint64
-	c.SubscribeMempool(nil, func(p PendingTx) { tips = append(tips, p.Tip) })
+	c.SubscribeMempool("", nil, func(p PendingTx) { tips = append(tips, p.Tip) })
 	c.Submit(&Tx{Sender: "a", Contract: "ctr", Method: "inc", Label: "t", Tip: 9})
 	sched.Run()
 	if len(tips) != 1 || tips[0] != 9 {

@@ -501,7 +501,7 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 	// Engine-side observation: outcome and phase timing events.
 	//xdeal:unordered each chain gains exactly one subscriber here, and chains are independent — subscription order across chains cannot reach any report
 	for _, c := range w.Chains {
-		c.Subscribe(w.observe)
+		c.SubscribeFiltered(w.wantsEvent, w.observe)
 	}
 	if opts.Trace != nil {
 		w.attachTrace(opts.Trace)
@@ -723,12 +723,20 @@ func CollectFees(chains map[chain.ID]*chain.Chain) *FeeSummary {
 	return sum
 }
 
-// observe records protocol milestones from chain events. It is the one
-// subscriber left unfiltered: BuildOn drains the scheduler until earlier
-// worlds' observers have received a new deal's set-up events, so what it
-// is delivered fixes a shared substrate's time base. On such a substrate
-// nearly every event is another deal's, so nothing is built before the
-// deal id matches.
+// wantsEvent is the observer's filter: its own deal's events and every
+// event that names no deal (see chain.Event.Topic), such as the token
+// mints that fund a later deal on a shared substrate. observe ignores
+// those, but each delivery is a scheduler event: BuildOn drains the
+// scheduler until earlier worlds' observers have received a new deal's
+// set-up events, so what they are delivered fixes a shared substrate's
+// time base. Other deals' events are never delivered.
+func (w *World) wantsEvent(ev chain.Event) bool {
+	return ev.Topic == "" || ev.Topic == w.Spec.ID
+}
+
+// observe records protocol milestones from chain events. Nothing is built
+// before the deal id matches: the untopiced events wantsEvent admits are
+// never the deal's own.
 func (w *World) observe(ev chain.Event) {
 	key := func() string { return string(ev.Chain) + "/" + string(ev.Contract) }
 	switch ev.Kind {

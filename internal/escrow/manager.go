@@ -67,6 +67,18 @@ type OutcomeEvent struct {
 	Status Status
 }
 
+// The escrow events are about their deal: a chain publishes each under
+// the deal's id as its topic (see chain.Event.Topic).
+
+// Topic names the event's deal.
+func (e EscrowedEvent) Topic() string { return e.Deal }
+
+// Topic names the event's deal.
+func (e TransferredEvent) Topic() string { return e.Deal }
+
+// Topic names the event's deal.
+func (e OutcomeEvent) Topic() string { return e.Deal }
+
 // Manager is the deployable EscrowManager contract of Figure 3, handling
 // the escrow and transfer phases. It has no commit machinery of its own;
 // the timelock and CBC managers embed it and add theirs.

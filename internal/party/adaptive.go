@@ -164,18 +164,19 @@ func (p *Party) adaptiveOnEscrowEvent(ev chain.Event) {
 	p.griefed = true
 }
 
-// armFrontRunner subscribes to the mempools of every chain the party
-// touches. On seeing another party's pending protocol transaction for
-// its deal it races it: forwarding the gossiped vote to its own
-// incoming escrows (timelock) or claiming the decided outcome itself
-// (CBC) — without waiting for the transaction to land and be observed.
+// armFrontRunner subscribes to its deal's gossip in the mempools of every
+// chain the party touches. On seeing another party's pending protocol
+// transaction for its deal it races it: forwarding the gossiped vote to
+// its own incoming escrows (timelock) or claiming the decided outcome
+// itself (CBC) — without waiting for the transaction to land and be
+// observed.
 func (p *Party) armFrontRunner() {
 	for _, id := range p.mine.Chains {
 		c, ok := p.cfg.Chains[id]
 		if !ok {
 			continue
 		}
-		p.unsubs = append(p.unsubs, c.SubscribeMempool(p.wantsGossip, p.race))
+		p.unsubs = append(p.unsubs, c.SubscribeMempool(p.cfg.Spec.ID, p.wantsGossip, p.race))
 	}
 }
 
@@ -185,14 +186,14 @@ func (p *Party) armFrontRunner() {
 // the party's fixed configuration; whether the party is active or has
 // backed out is decided at delivery.
 func (p *Party) wantsGossip(ptx chain.PendingTx) bool {
-	if ptx.Sender == p.Addr {
+	if ptx.Sender == p.Addr || ptx.Topic != p.cfg.Spec.ID {
 		return false
 	}
-	switch args := ptx.Args.(type) {
+	switch ptx.Args.(type) {
 	case timelock.CommitArgs:
-		return p.cfg.Protocol == ProtoTimelock && args.Deal == p.cfg.Spec.ID
+		return p.cfg.Protocol == ProtoTimelock
 	case cbc.ProofArgs:
-		return p.cfg.Protocol == ProtoCBC && args.Deal == p.cfg.Spec.ID
+		return p.cfg.Protocol == ProtoCBC
 	}
 	return false
 }

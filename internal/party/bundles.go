@@ -133,7 +133,3 @@ func (p *Party) armBundleGriefer() {
 		}))
 	}
 }
-
-// BundleGriefSpent reports the per-slot bid increments the griefer has
-// committed so far.
-func (p *Party) BundleGriefSpent() uint64 { return p.griefSpent }

@@ -23,6 +23,9 @@ func (p *Party) WantsGossip(ptx chain.PendingTx) bool { return p.wantsGossip(ptx
 // OnGossip is the front-runner's mempool handler, as the chain would call it.
 func (p *Party) OnGossip(ptx chain.PendingTx) { p.race(ptx) }
 
+// Validated reports whether the party completed validation.
+func (p *Party) Validated() bool { return p.validated }
+
 // Repoll runs the two polling loops every escrow event drives, with the
 // validation verdict cleared so the whole scan runs again.
 func (p *Party) Repoll() {

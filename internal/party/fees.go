@@ -123,6 +123,3 @@ func (p *Party) raceTip(c *chain.Chain, label string, victimTip uint64) (tip, bi
 	p.feeSpent += bid
 	return bid, bid, true
 }
-
-// FeeSpent reports the tips the party has committed to races so far.
-func (p *Party) FeeSpent() uint64 { return p.feeSpent }

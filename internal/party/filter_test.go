@@ -17,15 +17,25 @@ import (
 	"xdeal/internal/token"
 )
 
+// topicOf is the topic a chain publishes a payload under.
+func topicOf(v any) string {
+	if t, ok := v.(interface{ Topic() string }); ok {
+		return t.Topic()
+	}
+	return ""
+}
+
 // everyEvent lists, for every event kind any contract in the tree emits,
 // payloads naming the party's own deal and a foreign one, plus payloads
-// of the wrong type for the kind. voter signs the vote events, so a
-// timelock party shown one could really forward it.
+// of the wrong type for the kind, each under the topic a chain would
+// publish it with. voter signs the vote events, so a timelock party shown
+// one could really forward it.
 func everyEvent(own string, at deal.AssetRef, voter chain.Addr, keys sig.KeyPair) []chain.Event {
 	var evs []chain.Event
 	add := func(kind string, data any) {
 		evs = append(evs, chain.Event{
 			Chain: at.Chain, Contract: at.Escrow, Kind: kind, Data: data, Sender: voter, Height: 1, Time: 1,
+			Topic: topicOf(data),
 		})
 	}
 	for _, id := range []string{own, "someone-else's-deal"} {
@@ -59,13 +69,15 @@ func everyEvent(own string, at deal.AssetRef, voter chain.Addr, keys sig.KeyPair
 
 // everyGossip lists pending transactions of every kind a deal's parties
 // publish, from the party itself and from a counterparty, for the party's
-// own deal and a foreign one, plus payloads no handler reads.
+// own deal and a foreign one, plus payloads no handler reads, each under
+// the topic a chain would gossip it with.
 func everyGossip(own string, at deal.AssetRef, self, voter chain.Addr, keys sig.KeyPair) []chain.PendingTx {
 	var txs []chain.PendingTx
 	for _, sender := range []chain.Addr{self, voter} {
 		add := func(method string, args any) {
 			txs = append(txs, chain.PendingTx{
 				Chain: at.Chain, Sender: sender, Contract: at.Escrow, Method: method, Args: args, Tip: 3,
+				Topic: topicOf(args),
 			})
 		}
 		for _, id := range []string{own, "someone-else's-deal"} {
@@ -224,7 +236,7 @@ func TestForwardedVoteSignedOncePerObservation(t *testing.T) {
 	// (accepted elsewhere) may sign afresh.
 	relays, distinct := 0, make(map[*byte]bool)
 	for _, c := range w.Chains {
-		c.SubscribeMempool(nil, func(ptx chain.PendingTx) {
+		c.SubscribeMempool("", nil, func(ptx chain.PendingTx) {
 			if args, ok := ptx.Args.(timelock.CommitArgs); ok && args.Vote.Len() >= 2 {
 				relays++
 				distinct[&args.Vote.Sigs[args.Vote.Len()-1][0]] = true

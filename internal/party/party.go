@@ -310,9 +310,6 @@ func (p *Party) Behavior() Behavior { return p.cfg.Behavior }
 // Compliant reports whether this party follows the protocol.
 func (p *Party) Compliant() bool { return p.cfg.Behavior.Compliant() }
 
-// Validated reports whether the party completed validation.
-func (p *Party) Validated() bool { return p.validated }
-
 // Start begins protocol execution: the market-clearing service has
 // broadcast the deal and the party decides to participate.
 func (p *Party) Start() {
@@ -378,14 +375,14 @@ func (p *Party) active() bool {
 }
 
 // subscribeChains attaches the party's event handler to every chain it
-// is motivated to monitor, for the events that concern it.
+// is motivated to monitor, for the events of its deal that concern it.
 func (p *Party) subscribeChains() {
 	for _, id := range p.mine.Chains {
 		c, ok := p.cfg.Chains[id]
 		if !ok {
 			continue
 		}
-		p.unsubs = append(p.unsubs, c.SubscribeFiltered(p.wants, func(ev chain.Event) {
+		p.unsubs = append(p.unsubs, c.SubscribeTopic(p.cfg.Spec.ID, p.wants, func(ev chain.Event) {
 			if !p.active() {
 				return
 			}
@@ -396,8 +393,10 @@ func (p *Party) subscribeChains() {
 
 // wants is the party's delivery filter: the events onChainEvent can act
 // on — an escrow, transfer, outcome or (under the timelock protocol)
-// accepted vote of its own deal. The chain evaluates it when the event is
-// published, so it reads only the event and the party's fixed
+// accepted vote of its own deal. The chain offers it only events whose
+// topic is the deal (see subscribeChains); it checks the topic anyway, so
+// it is the whole filter on its own. The chain evaluates it when the
+// event is published, so it reads only the event and the party's fixed
 // configuration; anything that changes as the party runs (active,
 // backedOut) is checked at delivery. onChainEvent ignores every event
 // wants rejects — TestFilterRejectsOnlyIgnoredEvents holds the two in
@@ -412,21 +411,21 @@ func (p *Party) wants(ev chain.Event) bool {
 	default:
 		return false
 	}
-	return dealOf(ev) == p.cfg.Spec.ID
+	return ev.Topic == p.cfg.Spec.ID
 }
 
 // onChainEvent reacts to escrow contract events.
 func (p *Party) onChainEvent(ev chain.Event) {
 	switch ev.Kind {
 	case escrow.EventEscrowed, escrow.EventTransferred:
-		if dealOf(ev) != p.cfg.Spec.ID {
+		if ev.Topic != p.cfg.Spec.ID {
 			return
 		}
 		p.adaptiveOnEscrowEvent(ev)
 		p.tryTransfers()
 		p.checkValidation()
 	case escrow.EventCommitted, escrow.EventAborted:
-		if dealOf(ev) != p.cfg.Spec.ID {
+		if ev.Topic != p.cfg.Spec.ID {
 			return
 		}
 		p.hedgeOnOutcome(ev)
@@ -434,22 +433,6 @@ func (p *Party) onChainEvent(ev chain.Event) {
 		if p.cfg.Protocol == ProtoTimelock {
 			p.onTimelockEvent(ev)
 		}
-	}
-}
-
-// dealOf extracts the deal id from an escrow or vote event payload.
-func dealOf(ev chain.Event) string {
-	switch d := ev.Data.(type) {
-	case escrow.EscrowedEvent:
-		return d.Deal
-	case escrow.TransferredEvent:
-		return d.Deal
-	case escrow.OutcomeEvent:
-		return d.Deal
-	case timelock.VoteEvent:
-		return d.Deal
-	default:
-		return ""
 	}
 }
 

@@ -89,7 +89,18 @@ func TestActiveRespectsCrashAndOffline(t *testing.T) {
 	}
 }
 
-func TestDealOfExtractsIDs(t *testing.T) {
+// emitter publishes the payload its call carries as an event.
+type emitter struct{}
+
+func (emitter) Invoke(env *chain.Env, method string, args any) (any, error) {
+	env.Emit(method, args)
+	return nil, nil
+}
+
+// TestTopicExtractsIDs: a chain publishes escrow and vote events, and
+// gossips commit votes and CBC proofs, under their deal's id as topic —
+// the topic parties subscribe by — and anything else under none.
+func TestTopicExtractsIDs(t *testing.T) {
 	cases := []struct {
 		data any
 		want string
@@ -98,11 +109,27 @@ func TestDealOfExtractsIDs(t *testing.T) {
 		{escrow.TransferredEvent{Deal: "D2"}, "D2"},
 		{escrow.OutcomeEvent{Deal: "D3"}, "D3"},
 		{timelock.VoteEvent{Deal: "D4"}, "D4"},
+		{timelock.CommitArgs{Deal: "D5"}, "D5"},
+		{cbc.ProofArgs{Deal: "D6"}, "D6"},
+		{escrow.EscrowArgs{Deal: "D7"}, ""},
 		{"something else", ""},
 	}
-	for _, c := range cases {
-		if got := dealOf(chain.Event{Data: c.data}); got != c.want {
-			t.Errorf("dealOf(%T) = %q, want %q", c.data, got, c.want)
+	sched := sim.NewScheduler()
+	c := chain.New(chain.Config{ID: "c"}, sched, sim.NewRNG(1))
+	c.MustDeploy("emit", emitter{})
+	var events, gossip []string
+	c.Subscribe(func(ev chain.Event) { events = append(events, ev.Topic) })
+	c.SubscribeMempool("", nil, func(ptx chain.PendingTx) { gossip = append(gossip, ptx.Topic) })
+	for i, tc := range cases {
+		c.SubmitAfter(sim.Duration(100*i), &chain.Tx{Sender: "p", Contract: "emit", Method: "m", Args: tc.data})
+	}
+	sched.Run()
+	if len(events) != len(cases) || len(gossip) != len(cases) {
+		t.Fatalf("%d events and %d gossip deliveries for %d transactions", len(events), len(gossip), len(cases))
+	}
+	for i, tc := range cases {
+		if events[i] != tc.want || gossip[i] != tc.want {
+			t.Errorf("%T: event topic %q, gossip topic %q, want %q", tc.data, events[i], gossip[i], tc.want)
 		}
 	}
 }

@@ -22,13 +22,14 @@ func Mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// golden is SplitMix64's state increment: the generator is a counter, and
+// its k-th draw is Mix64 of the state advanced k increments.
+const golden = 0x9e3779b97f4a7c15
+
 // Uint64 returns the next 64-bit value.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	r.state += golden
+	return Mix64(r.state)
 }
 
 // Intn returns a value in [0, n). It panics if n <= 0.
@@ -58,22 +59,28 @@ func (r *RNG) Duration(min, max Duration) Duration {
 	return min + Duration(r.Int63n(int64(max-min)+1))
 }
 
+// DurationAt returns the Duration in [min, max] that the draw k places
+// ahead (k = 0 is the next) would return, without advancing: because the
+// generator is a counter, any upcoming draw can be read by position. Like
+// Duration it panics if max < min and, when max == min, returns min and
+// stands for no draw at all.
+func (r *RNG) DurationAt(k int, min, max Duration) Duration {
+	if max < min {
+		panic("sim: DurationAt with max < min")
+	}
+	if max == min {
+		return min
+	}
+	return min + Duration(Mix64(r.state+uint64(k+1)*golden)%uint64(int64(max-min)+1))
+}
+
+// Skip advances the generator past k draws, leaving it where k calls of
+// Uint64 would.
+func (r *RNG) Skip(k int) { r.state += uint64(k) * golden }
+
 // Float64 returns a value in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }
 
 // Bool returns true with probability p.

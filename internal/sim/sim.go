@@ -196,6 +196,3 @@ func (s *Scheduler) RunUntil(t Time) {
 		s.q.advance(t)
 	}
 }
-
-// RunFor executes events for d ticks from the current time.
-func (s *Scheduler) RunFor(d Duration) { s.RunUntil(s.now + d) }

@@ -224,6 +224,39 @@ func TestRNGDurationRange(t *testing.T) {
 	}
 }
 
+// TestDurationAtAndSkipMatchSequentialDraws: reading draw k by position
+// gives what the k-th of k+1 sequential draws returns, reading leaves the
+// stream where it was, and Skip(k) leaves it where k draws would — over
+// ranges that include a single value (no draw) and a huge one.
+func TestDurationAtAndSkipMatchSequentialDraws(t *testing.T) {
+	ranges := [][2]Duration{{1, 5}, {0, 3}, {-2, 2}, {1, 5000}, {0, 1 << 40}, {7, 7}}
+	for _, seed := range []uint64{0, 1, 42, ^uint64(0)} {
+		for _, rg := range ranges {
+			lo, hi := rg[0], rg[1]
+			for k := 0; k < 40; k++ {
+				ahead := NewRNG(seed)
+				want := NewRNG(seed)
+				var last Duration
+				for i := 0; i <= k; i++ {
+					last = want.Duration(lo, hi)
+				}
+				if got := ahead.DurationAt(k, lo, hi); got != last {
+					t.Fatalf("seed %d [%d,%d]: DurationAt(%d) = %d, draw %d = %d", seed, lo, hi, k, got, k, last)
+				}
+				if ahead.state != seed {
+					t.Fatalf("seed %d: DurationAt advanced the stream", seed)
+				}
+				if lo != hi {
+					ahead.Skip(k + 1)
+				}
+				if ahead.Uint64() != want.Uint64() {
+					t.Fatalf("seed %d [%d,%d]: Skip(%d) left the stream elsewhere than %d draws", seed, lo, hi, k+1, k+1)
+				}
+			}
+		}
+	}
+}
+
 func TestRNGPermIsPermutation(t *testing.T) {
 	r := NewRNG(3)
 	p := r.Perm(20)

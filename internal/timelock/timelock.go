@@ -62,6 +62,10 @@ type CommitArgs struct {
 	Vote sig.PathSig
 }
 
+// Topic names the deal, so mempool observers can watch one deal's votes
+// (see chain.PendingTx.Topic).
+func (a CommitArgs) Topic() string { return a.Deal }
+
 // RefundArgs is the argument to MethodRefund.
 type RefundArgs struct {
 	Deal string
@@ -73,6 +77,9 @@ type VoteEvent struct {
 	Voter chain.Addr
 	Vote  sig.PathSig // full path signature, so observers can forward it
 }
+
+// Topic names the vote's deal (see chain.Event.Topic).
+func (e VoteEvent) Topic() string { return e.Deal }
 
 // Errors specific to the timelock manager.
 var (
