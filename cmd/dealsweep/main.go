@@ -1,151 +1,188 @@
-// Command dealsweep executes a fleet of randomized cross-chain deals
-// concurrently and reports population statistics: commit/abort rates by
-// scenario shape and protocol, gas and decision-latency percentiles,
-// and every safety/liveness property violation flagged with the seed
-// that replays it.
+// Command dealsweep runs one scenario — a fleet of randomized
+// cross-chain deals, or a single deal — and reports it: for a fleet,
+// commit/abort rates by shape and protocol, gas and decision-latency
+// percentiles, and every safety/liveness property violation flagged
+// with the command that replays it; for one deal, its matrix and
+// settlement summary.
 //
 //	dealsweep -deals 1000 -workers 8
-//	dealsweep -deals 500 -protocol cbc -adversary-rate 0.5 -dos-rate 0.3
-//	dealsweep -deals 200 -seed 7 -json
+//	dealsweep -scenario scenarios/ci-arena.json
+//	dealsweep -scenario scenarios/broker-timelock.json -trace -explain
 //	dealsweep -seed 7 -replay 131        # re-run flagged deal 131 in full
 //
-// Arena mode runs the population in *shared worlds* instead of isolated
-// ones: -arena-deals deals per world contend for -chains chains with
-// capped block capacity, against adaptive adversaries (sore losers
-// reacting to a -volatility price process, mempool front-runners,
-// griefing depositors). The report gains interference metrics:
-// contention-induced decision-latency inflation, sore-loser losses, and
-// front-run counts.
+// A scenario file is the JSON encoding of fleet.Options, decoded
+// strictly (an unknown field is an error): Deals, Workers, Gen (Seed,
+// Protocol, AdversaryRate, DoSRate, MaxParties, SerializeRounds, and
+// Fees, which turns on per-chain fee markets) and Arena (shared worlds
+// in which deals contend for chains: DealsPerArena, Chains, Volatility,
+// MaxBlockTxs, Baselines, and the Bundles and Hedge modes with their
+// budgets). The library documents each field. An omitted field keeps the
+// default scenario's value — 100 deals, seed 1, mixed protocols,
+// adversary rate 0.3, DoS rate 0.15, up to 6 parties — and inside
+// Gen.Fees and Arena the library resolves zero values to its defaults,
+// which the report echoes. Two more blocks belong to this command:
 //
-//	dealsweep -arena -deals 200 -seed 7
-//	dealsweep -arena -deals 200 -chains 2 -volatility 0.05
-//	dealsweep -arena -deals 200 -seed 7 -replay 42
+//   - Budgets turn the sweep into a CI gate. P99Delta and P99Gas bound
+//     the population's p99 decision latency (in Δ) and per-deal gas,
+//     FeePerCommit the fee spend per committed deal (needs Gen.Fees),
+//     ResidualLoss the sore-loser loss a hedged sweep leaves unabsorbed
+//     (needs Arena.Hedge), and BundleDefer the bundle defer rate (needs
+//     Arena.Bundles). 0 is off; a breach exits 1.
+//   - Deal runs one deal instead of a population: a named Shape (broker,
+//     ring, swap, auction or dense, with N parties and M escrows) or an
+//     inline Spec, under Protocol (timelock or cbc) with CBC fault
+//     tolerance F and Seed, per-party deviations in Behaviors (party
+//     name → party.Behavior) and the parties whose CBC votes validators
+//     drop in Censor. A Deal scenario has no population fields.
 //
-// Fee-market mode (-feemarket, isolated or arena) replaces FIFO block
-// inclusion with tip-ordered blocks under an EIP-1559-style base fee:
-// compliant parties escalate tips as timelock deadlines approach, the
-// front-runner slot of the adversary mix becomes a fee bidder that
-// outbids the transactions it races (capped by -tip-budget), and the
-// report gains an ordering-games block (fees burned/tipped, fee spend
-// per committed deal, plain vs fee-bid race win rates, inclusion delay
-// by tip decile).
+// The flags only select and override: -seed and -deals override the
+// scenario's, -workers sizes the pool, -replay I re-runs deal I of the
+// sweep in full, and the rest name outputs. The report depends only on
+// the scenario and those overrides — never on the worker count — and a
+// violation flagged at index i replays with the command the report
+// prints next to it. -trace, -explain and -chrome-trace show one deal's
+// run: a Deal scenario's, or an isolated replay's.
 //
-//	dealsweep -deals 200 -seed 7 -feemarket
-//	dealsweep -arena -deals 200 -seed 7 -feemarket -base-fee 50 -tip-budget 800
-//
-// Bundle mode (-bundles, arena + feemarket) turns the ordering game
-// deal-granular: every shared chain runs a per-block combinatorial
-// auction in which each deal's pending transactions compete as one
-// all-or-nothing bundle with an aggregate bid (greedy winner
-// determination by bid-per-slot density, FIFO revenue floor), compliant
-// parties escalate their deal's per-slot bid toward the timelock
-// deadline, the front-runner slot of the adversary mix griefs whole
-// bundles from a -bundle-budget, and the report gains a bundle-auctions
-// block (win/defer rates, exclusion attempts/successes, deadline slack
-// by bid decile). -budget-bundle-defer gates the population's bundle
-// defer rate.
-//
-//	dealsweep -arena -deals 200 -seed 7 -feemarket -bundles
-//	dealsweep -arena -deals 200 -seed 7 -feemarket -bundles -bundle-budget 800
-//
-// Hedge mode (-hedge, arena only) arms the sore-loser defense of Xue &
-// Herlihy: every fungible escrow gains a premium-priced insurance
-// contract, the compliant mix slots refuse to lock unhedged deposits
-// (collateral = deposit × -hedge-collateral, premiums priced off each
-// chain's realized base-fee volatility over -premium-vol-window
-// blocks), and the report gains a hedging block — premiums, payouts,
-// gross vs residual sore-loser loss, and premium cost by base-fee-
-// volatility decile.
-//
-//	dealsweep -arena -deals 200 -seed 7 -feemarket -hedge
-//	dealsweep -arena -deals 200 -seed 7 -feemarket -hedge -hedge-collateral 1.5
-//
-// Budgets turn the sweep into a CI gate: -budget-p99-delta and
-// -budget-p99-gas fail the run (exit 1) when the population's p99
-// decision latency (in Δ units) or p99 per-deal gas exceeds the budget,
-// -budget-fee-per-commit gates the fee-market cost of a committed deal,
-// and -budget-residual-loss gates the residual sore-loser loss a hedged
-// sweep may leave unabsorbed — so performance and defense regressions
-// fail CI alongside property violations.
-//
-// The report depends only on (-seed, -deals, generator flags) — never
-// on -workers — so sweeps are reproducible; a violation flagged at
-// index i replays with -replay i under the same flags (table mode
-// prints the exact command next to each violation).
-// Exit status: 0 for a clean population within budget, 1 when any
-// property violation, run error, or budget breach was observed, 2 for
-// bad usage.
+// Exit status: 0 for a clean run within budget, 1 when a property
+// violation, run error or budget breach was observed, 2 for bad usage
+// or a bad scenario.
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strings"
 
-	"xdeal/internal/arena"
+	"xdeal/internal/chain"
+	"xdeal/internal/deal"
 	"xdeal/internal/engine"
-	"xdeal/internal/feemarket"
 	"xdeal/internal/fleet"
-	"xdeal/internal/hedge"
 	"xdeal/internal/obs"
+	"xdeal/internal/party"
+	"xdeal/internal/sim"
 	"xdeal/internal/trace"
 )
+
+// scenario is one run as a file: a fleet sweep and the budgets that
+// gate its report, or, with Deal set, a single deal.
+type scenario struct {
+	fleet.Options
+	Budgets budgets
+	// Deal is decoded on its own, onto oneDeal's defaults.
+	Deal json.RawMessage
+}
+
+// budgets fail a sweep whose report exceeds them; 0 is off.
+type budgets struct {
+	P99Delta, P99Gas, FeePerCommit, ResidualLoss, BundleDefer float64
+}
+
+// oneDeal is a scenario's single deal and the engine options it runs
+// under.
+type oneDeal struct {
+	Shape     string          // broker | ring | swap | auction | dense
+	N, M      int             // parties (ring, dense) and escrows (dense)
+	Spec      json.RawMessage // an inline deal spec; overrides Shape
+	Protocol  string          // timelock | cbc
+	F         int             // CBC fault tolerance
+	Seed      uint64
+	Behaviors map[chain.Addr]party.Behavior
+	Censor    []chain.Addr
+}
+
+// defaultScenario is what a scenario's omitted fields, or an omitted
+// -scenario, mean.
+func defaultScenario() scenario {
+	return scenario{Options: fleet.Options{Deals: 100, Gen: fleet.GenOptions{
+		Seed: 1, Protocol: "mixed", AdversaryRate: 0.3, DoSRate: 0.15, MaxParties: 6,
+	}}}
+}
+
+// loadScenario reads and strictly decodes a scenario file ("" is the
+// default scenario). The returned deal is non-nil for a Deal scenario.
+func loadScenario(path string) (scenario, *oneDeal, error) {
+	sc := defaultScenario()
+	if path == "" {
+		return sc, nil, nil
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return sc, nil, err
+	}
+	if err := decodeStrict(raw, &sc); err != nil {
+		return sc, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if sc.Deal == nil {
+		return sc, nil, nil
+	}
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &top); err != nil {
+		return sc, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	var population []string
+	for field := range top {
+		if !strings.EqualFold(field, "Deal") {
+			population = append(population, field)
+		}
+	}
+	if len(population) > 0 {
+		sort.Strings(population)
+		return sc, nil, fmt.Errorf("%s: Deal runs one deal; drop the population fields %s", path, strings.Join(population, ", "))
+	}
+	d := &oneDeal{Shape: "broker", Protocol: "timelock", N: 4, M: 3, F: 1, Seed: 1}
+	if err := decodeStrict(sc.Deal, d); err != nil {
+		return sc, nil, fmt.Errorf("%s: Deal: %w", path, err)
+	}
+	return sc, d, nil
+}
+
+// decodeStrict decodes exactly one JSON value into v, rejecting unknown
+// fields and trailing data.
+func decodeStrict(raw []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the scenario")
+	}
+	return nil
+}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // run is the whole command, factored so tests can drive flag parsing,
-// validation, and report rendering in-process (the -json golden file
-// depends on that).
+// validation, and report rendering in-process (the -json golden files
+// depend on that).
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dealsweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 
-	deals := fs.Int("deals", 100, "population size")
-	workers := fs.Int("workers", 0, "worker pool size (0 = one per CPU)")
-	seed := fs.Uint64("seed", 1, "master seed; fully determines the population")
-	protocol := fs.String("protocol", "mixed", "protocol: timelock | cbc | mixed")
-	adversaryRate := fs.Float64("adversary-rate", 0.3, "probability each party deviates [0, 1]")
-	dosRate := fs.Float64("dos-rate", 0.15, "probability a run includes a DoS outage window [0, 1] (isolated mode)")
-	maxParties := fs.Int("max-parties", 6, "largest generated deal size")
-	serializeRounds := fs.Bool("serialize-rounds", false, "gate each party's rounds strictly (escrow confirm before transfers, transfers before votes) instead of pipelining; same seeds generate the same deals either way")
-	jsonOut := fs.Bool("json", false, "emit the report as JSON instead of tables")
+	scenarioPath := fs.String("scenario", "", "JSON scenario file: fleet options plus Budgets, or one Deal (default: the default sweep)")
+	seed := fs.Uint64("seed", 0, "override the scenario's seed (Gen.Seed, or Deal.Seed)")
+	deals := fs.Int("deals", 0, "override the scenario's population size (Deals)")
+	workers := fs.Int("workers", 0, "override the scenario's worker pool size (0 = one per CPU)")
 	replayIndex := fs.Int("replay", -1, "re-run this deal index from the sweep in full detail")
-	explain := fs.Bool("explain", false, "with -replay: print the replayed deal's critical path and latency attribution as an annotated timeline")
-	chromeTrace := fs.String("chrome-trace", "", "with -replay: write the replayed deal's causal trace as Chrome trace-event JSON to this path (opens in ui.perfetto.dev)")
 
-	feeMarket := fs.Bool("feemarket", false, "enable per-chain fee markets: tip-ordered blocks, EIP-1559 base fee, fee-bidding front-runners")
-	baseFee := fs.Uint64("base-fee", feemarket.DefaultBaseFee, "initial base fee (feemarket mode)")
-	tipBudget := fs.Uint64("tip-budget", arena.DefaultTipBudget, "fee-bidding front-runner tip budget (feemarket mode)")
-
-	arenaMode := fs.Bool("arena", false, "arena mode: deals share worlds and contend for chains")
-	arenaDeals := fs.Int("arena-deals", 25, "deals per shared world (arena mode)")
-	chains := fs.Int("chains", arena.DefaultChains, "shared chains per arena (arena mode)")
-	volatility := fs.Float64("volatility", arena.DefaultVolatility, "market price volatility per tick (arena mode)")
-	noBaselines := fs.Bool("no-baselines", false, "skip isolated baselines; drops the latency-inflation metric (arena mode)")
-
-	bundleMode := fs.Bool("bundles", false, "combinatorial block-space auctions: deals bid for blocks as all-or-nothing bundles, front-runners grief whole bundles (arena + feemarket mode)")
-	bundleBudget := fs.Uint64("bundle-budget", arena.DefaultBundleBudget, "bundle griefer per-slot bid increment budget (bundles mode)")
-
-	hedgeMode := fs.Bool("hedge", false, "arm the sore-loser defense: premium-priced deposit insurance for compliant parties (arena mode)")
-	hedgeCollateral := fs.Float64("hedge-collateral", hedge.DefaultCollateral, "collateral bond as a multiple of the insured deposit (hedge mode)")
-	premiumVolWindow := fs.Int("premium-vol-window", hedge.DefaultVolWindow, "base-fee volatility window, in blocks, premiums are priced over (hedge mode)")
-
+	jsonOut := fs.Bool("json", false, "emit the sweep report as JSON instead of tables")
+	showTrace := fs.Bool("trace", false, "print the chronological protocol trace of one deal or an isolated replay")
+	explain := fs.Bool("explain", false, "print the critical path and latency attribution of one deal or an isolated replay")
+	chromeTrace := fs.String("chrome-trace", "", "write the causal trace of one deal or an isolated replay as Chrome trace-event JSON to this path (opens in ui.perfetto.dev)")
 	metricsJSON := fs.String("metrics-json", "", "write the sweep's metrics-registry snapshot (blocks sealed, mempool high-water, queue delays, fee/hedge ledgers) to this file as JSON")
 	metricsCSV := fs.String("metrics-csv", "", "write the metrics-registry snapshot to this file as CSV")
 	flightRecord := fs.String("flight-record", "", "write a JSONL flight-record evidence file to this path when the sweep fails (property violation, run error, or budget breach)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file at sweep end")
 	mutexProfile := fs.String("mutexprofile", "", "write a mutex-contention profile to this file at sweep end")
-
-	budgetP99Delta := fs.Float64("budget-p99-delta", 0, "fail (exit 1) when p99 decision latency exceeds this many Δ (0 = off)")
-	budgetP99Gas := fs.Float64("budget-p99-gas", 0, "fail (exit 1) when p99 per-deal gas exceeds this (0 = off)")
-	budgetFeePerCommit := fs.Float64("budget-fee-per-commit", 0, "fail (exit 1) when mean fee spend per committed deal exceeds this (feemarket mode, 0 = off)")
-	budgetResidualLoss := fs.Float64("budget-residual-loss", 0, "fail (exit 1) when residual sore-loser loss exceeds this (hedge mode, 0 = off)")
-	budgetBundleDefer := fs.Float64("budget-bundle-defer", 0, "fail (exit 1) when the bundle defer rate exceeds this fraction (bundles mode, 0 = off)")
 
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -159,100 +196,61 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if *deals < 0 {
-		return fail("-deals must be non-negative")
+	set := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	sc, one, err := loadScenario(*scenarioPath)
+	if err != nil {
+		return fail("scenario: %v", err)
 	}
-	// Reject degenerate knobs outright instead of silently substituting
-	// defaults: a sweep gated in CI must mean what its flags say.
-	if *feeMarket && *tipBudget == 0 {
-		return fail("-tip-budget must be positive (a zero-budget fee bidder is a plain racer in disguise)")
-	}
-	if *arenaMode && *arenaDeals <= 0 {
-		return fail("-arena-deals must be positive, got %d", *arenaDeals)
-	}
-	if *hedgeMode {
-		if !*arenaMode {
-			return fail("-hedge needs -arena (hedged populations are arena populations)")
+
+	if one != nil {
+		for _, name := range []string{"deals", "workers", "replay", "json", "metrics-json", "metrics-csv",
+			"flight-record", "cpuprofile", "memprofile", "mutexprofile"} {
+			if set[name] {
+				return fail("-%s applies to a sweep; scenario %s runs one Deal", name, *scenarioPath)
+			}
 		}
-		if *hedgeCollateral <= 0 {
-			return fail("-hedge-collateral must be positive, got %v", *hedgeCollateral)
+		if set["seed"] {
+			one.Seed = *seed
 		}
-		if *premiumVolWindow <= 0 {
-			return fail("-premium-vol-window must be positive, got %d", *premiumVolWindow)
+		return runDeal(stdout, stderr, one, *showTrace, *explain, *chromeTrace)
+	}
+
+	if set["seed"] {
+		sc.Gen.Seed = *seed
+	}
+	if set["deals"] {
+		sc.Deals = *deals
+	}
+	if set["workers"] {
+		sc.Workers = *workers
+	}
+	if err := sc.Budgets.check(sc.Options); err != nil {
+		return fail("scenario: %v", err)
+	}
+	for _, name := range []string{"trace", "explain", "chrome-trace"} {
+		if !set[name] {
+			continue
 		}
-	}
-	if *bundleMode {
-		if !*feeMarket {
-			return fail("-bundles needs -feemarket (an all-or-nothing bundle bids into the fee market's ledger)")
+		if *replayIndex < 0 {
+			return fail("-%s needs -replay or a Deal scenario (it shows one deal's run)", name)
 		}
-		if !*arenaMode {
-			return fail("-bundles needs -arena (bundles compete against other deals' bundles for shared blocks)")
-		}
-		if *bundleBudget == 0 {
-			// Behavior.BundleBudget treats 0 as unlimited, but sweep
-			// options default 0 away — at the CLI the two readings are
-			// indistinguishable, so demand an explicit cap.
-			return fail("-bundle-budget must be positive (0 is ambiguous: unlimited at the Behavior level, defaulted in sweeps — pick an explicit cap)")
-		}
-	}
-	if *budgetFeePerCommit > 0 && !*feeMarket {
-		return fail("-budget-fee-per-commit needs -feemarket")
-	}
-	if *budgetResidualLoss > 0 && !*hedgeMode {
-		return fail("-budget-residual-loss needs -hedge")
-	}
-	if *budgetBundleDefer > 0 && !*bundleMode {
-		return fail("-budget-bundle-defer needs -bundles")
-	}
-	if *explain && *replayIndex < 0 {
-		return fail("-explain needs -replay (a critical path is a property of one replayed deal)")
-	}
-	if *chromeTrace != "" && *replayIndex < 0 {
-		return fail("-chrome-trace needs -replay (the exporter serializes one replayed deal's causal trace)")
-	}
-	if (*explain || *chromeTrace != "") && *arenaMode {
-		return fail("-explain and -chrome-trace need an isolated replay (arena chains interleave many deals; drop -arena to trace one)")
-	}
-	gen := fleet.GenOptions{
-		Seed:            *seed,
-		Protocol:        *protocol,
-		AdversaryRate:   *adversaryRate,
-		DoSRate:         *dosRate,
-		MaxParties:      *maxParties,
-		SerializeRounds: *serializeRounds,
-	}
-	if *feeMarket {
-		gen.Fees = &fleet.FeeOptions{BaseFee: *baseFee, TipBudget: *tipBudget}
-	}
-	opts := fleet.Options{
-		Deals:   *deals,
-		Workers: *workers,
-		Gen:     gen,
-	}
-	if *arenaMode {
-		opts.Arena = &fleet.ArenaOptions{
-			DealsPerArena: *arenaDeals,
-			Chains:        *chains,
-			Volatility:    *volatility,
-			Baselines:     !*noBaselines,
-		}
-		if *bundleMode {
-			opts.Arena.Bundles = true
-			opts.Arena.BundleBudget = *bundleBudget
-		}
-		if *hedgeMode {
-			opts.Arena.Hedge = true
-			opts.Arena.HedgeCollateral = *hedgeCollateral
-			opts.Arena.PremiumVolWindow = *premiumVolWindow
+		if sc.Arena != nil {
+			return fail("-%s needs an isolated replay (arena chains interleave many deals; drop Arena to trace one)", name)
 		}
 	}
 
 	if *replayIndex >= 0 {
-		if *arenaMode {
-			return replayArena(stdout, stderr, opts, *replayIndex)
+		if *replayIndex >= sc.Deals {
+			return fail("-replay %d is outside the population [0, %d) of Deals", *replayIndex, sc.Deals)
 		}
-		return replay(stdout, stderr, gen, *replayIndex, *explain, *chromeTrace)
+		if sc.Arena != nil {
+			return replayArena(stdout, stderr, sc.Options, *replayIndex)
+		}
+		return replay(stdout, stderr, sc.Gen, *replayIndex, *showTrace, *explain, *chromeTrace)
 	}
+	opts := sc.Options
+	replayCmd := replayCommand(*scenarioPath, opts)
 
 	// The observability layer. The registry and flight recorder exist
 	// only when their flags ask for output. None of it can reach the
@@ -265,7 +263,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ob.Flight = obs.NewRecorder(0)
 		ob.Flight.Record(-1, "dealsweep", "config",
 			fmt.Sprintf("seed=%d deals=%d workers=%d arena=%t replay=%q",
-				*seed, *deals, *workers, *arenaMode, replayCommand(opts)))
+				opts.Gen.Seed, opts.Deals, opts.Workers, opts.Arena != nil, replayCmd))
 	}
 	opts.Obs = ob
 
@@ -289,7 +287,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "dealsweep: %v\n", err)
 		return 2
 	}
-	rep.ReplayCommand = replayCommand(opts)
+	rep.ReplayCommand = replayCmd
 
 	if *jsonOut {
 		if err := rep.WriteJSON(stdout); err != nil {
@@ -319,28 +317,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ob.Flight.Record(-1, "dealsweep", "budget-breach", msg)
 		failed = true
 	}
-	if *budgetP99Delta > 0 && rep.DeltaTime.P99 > *budgetP99Delta {
-		breach("p99 decision latency %.2fΔ exceeds budget %.2fΔ",
-			rep.DeltaTime.P99, *budgetP99Delta)
+	b := sc.Budgets
+	if b.P99Delta > 0 && rep.DeltaTime.P99 > b.P99Delta {
+		breach("p99 decision latency %.2fΔ exceeds budget %.2fΔ", rep.DeltaTime.P99, b.P99Delta)
 	}
-	if *budgetP99Gas > 0 && rep.Gas.P99 > *budgetP99Gas {
-		breach("p99 gas %.0f exceeds budget %.0f", rep.Gas.P99, *budgetP99Gas)
+	if b.P99Gas > 0 && rep.Gas.P99 > b.P99Gas {
+		breach("p99 gas %.0f exceeds budget %.0f", rep.Gas.P99, b.P99Gas)
 	}
-	if *budgetFeePerCommit > 0 && rep.OrderingGames != nil &&
-		rep.OrderingGames.FeePerCommit > *budgetFeePerCommit {
+	if b.FeePerCommit > 0 && rep.OrderingGames != nil &&
+		rep.OrderingGames.FeePerCommit > b.FeePerCommit {
 		breach("fee per committed deal %.1f exceeds budget %.1f",
-			rep.OrderingGames.FeePerCommit, *budgetFeePerCommit)
+			rep.OrderingGames.FeePerCommit, b.FeePerCommit)
 	}
-	if *budgetBundleDefer > 0 && rep.BundleAuctions != nil &&
-		rep.BundleAuctions.DeferRate() > *budgetBundleDefer {
+	if b.BundleDefer > 0 && rep.BundleAuctions != nil &&
+		rep.BundleAuctions.DeferRate() > b.BundleDefer {
 		breach("bundle defer rate %.3f exceeds budget %.3f (%d won / %d deferred)",
-			rep.BundleAuctions.DeferRate(), *budgetBundleDefer,
+			rep.BundleAuctions.DeferRate(), b.BundleDefer,
 			rep.BundleAuctions.Wins, rep.BundleAuctions.Defers)
 	}
-	if *budgetResidualLoss > 0 && rep.Hedging != nil &&
-		float64(rep.Hedging.ResidualSoreLoserLoss) > *budgetResidualLoss {
+	if b.ResidualLoss > 0 && rep.Hedging != nil &&
+		float64(rep.Hedging.ResidualSoreLoserLoss) > b.ResidualLoss {
 		breach("residual sore-loser loss %d exceeds budget %g (gross %d, payouts %d)",
-			rep.Hedging.ResidualSoreLoserLoss, *budgetResidualLoss,
+			rep.Hedging.ResidualSoreLoserLoss, b.ResidualLoss,
 			rep.Hedging.GrossSoreLoserLoss, rep.Hedging.PayoutsClaimed)
 	}
 	if failed {
@@ -351,8 +349,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stderr, "dealsweep: flight record (%d events, %d evicted) written to %s\n",
 					ob.Flight.Len(), ob.Flight.Dropped(), *flightRecord)
 			}
-			if !*arenaMode {
-				writeViolationTrace(stderr, gen, rep, *flightRecord)
+			if opts.Arena == nil {
+				writeViolationTrace(stderr, opts.Gen, rep, *flightRecord)
 			}
 		}
 		return 1
@@ -360,11 +358,35 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// check rejects a negative budget, and a budget on a report block the
+// sweep does not produce: such a gate could never trip.
+func (b budgets) check(opts fleet.Options) error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"P99Delta", b.P99Delta}, {"P99Gas", b.P99Gas}, {"FeePerCommit", b.FeePerCommit},
+		{"ResidualLoss", b.ResidualLoss}, {"BundleDefer", b.BundleDefer}} {
+		if f.v < 0 {
+			return fmt.Errorf("budget Budgets.%s is negative (%v); 0 turns a gate off", f.name, f.v)
+		}
+	}
+	a := opts.Arena
+	switch {
+	case b.FeePerCommit > 0 && opts.Gen.Fees == nil:
+		return errors.New("a Budgets.FeePerCommit gate needs Gen.Fees (without a fee market there is no fee to gate)")
+	case b.ResidualLoss > 0 && (a == nil || !a.Hedge):
+		return errors.New("a Budgets.ResidualLoss gate needs Arena.Hedge (only a hedged sweep reports residual loss)")
+	case b.BundleDefer > 0 && (a == nil || !a.Bundles):
+		return errors.New("a Budgets.BundleDefer gate needs Arena.Bundles (only bundle auctions defer)")
+	}
+	return nil
+}
+
 // writeViolationTrace dumps the first flagged deal's causal trace as
 // Chrome trace-event JSON next to the flight record, so the evidence a
 // failed sweep ships includes the deal's happens-before timeline, not
 // just the violation text. Isolated sweeps only: the deal is a pure
-// function of (generator flags, index), so the re-run here is
+// function of (generator options, index), so the re-run here is
 // bit-identical to the one the sweep flagged.
 func writeViolationTrace(stderr io.Writer, gen fleet.GenOptions, rep *fleet.Report, flightPath string) {
 	if len(rep.Violations) == 0 || flightPath == "" {
@@ -410,32 +432,37 @@ func writeSnapshot(path string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
-// replay re-executes one generated scenario in full detail: the deal
-// matrix, the settlement summary, and any property violations. This is
-// the debugging path for a violation the sweep flagged. With explain it
-// appends the deal's critical path and latency attribution; with a
-// chromePath it writes the causal trace as Chrome trace-event JSON.
-// Both views are post-hoc reads of retained state, so the replayed
-// outcome is bit-identical to the sweep's either way.
-func replay(stdout, stderr io.Writer, gen fleet.GenOptions, index int, explain bool, chromePath string) int {
-	g, err := fleet.NewGenerator(gen)
-	if err != nil {
-		fmt.Fprintf(stderr, "dealsweep: %v\n", err)
-		return 2
+// dealView is one finished deal run as the command prints it.
+type dealView struct {
+	header string // the first line: which deal this is
+	spec   *deal.Spec
+	world  *engine.World // nil for an arena replay, which cannot be explained
+	log    *trace.Log    // the protocol trace, when -trace asked for it
+	result *engine.Result
+	notes  string // lines the mode adds after the summary
+	p3     bool   // the run broke Property 3
+}
+
+// print writes the run — header, matrix, trace, summary, notes and
+// critical path — and the Chrome trace file, and returns the exit
+// status: 1 when the run violated a property, else 0. The views are
+// post-hoc reads of retained state, so they never change the outcome.
+func (v dealView) print(stdout, stderr io.Writer, explain bool, chromePath string) int {
+	r := v.result
+	fmt.Fprintf(stdout, "%s\n\n", v.header)
+	fmt.Fprintln(stdout, v.spec.Matrix())
+	if v.log != nil {
+		fmt.Fprintln(stdout, "--- trace ---")
+		if err := v.log.Fprint(stdout); err != nil {
+			fmt.Fprintf(stderr, "dealsweep: trace: %v\n", err)
+			return 1
+		}
+		fmt.Fprintln(stdout)
 	}
-	job := g.Job(index)
-	fmt.Fprintf(stdout, "replay deal %d (seed %d): %s — shape %s, protocol %s, %d adversaries, outage %v\n\n",
-		job.Index, job.Seed, job.Spec.ID, job.Shape, job.Opts.Protocol, job.Adversaries, job.Outage)
-	fmt.Fprintln(stdout, job.Spec.Matrix())
-	w, err := engine.Build(job.Spec, job.Opts)
-	if err != nil {
-		fmt.Fprintf(stderr, "dealsweep: build: %v\n", err)
-		return 1
-	}
-	r := w.Run()
 	fmt.Fprint(stdout, r.Summary())
+	fmt.Fprint(stdout, v.notes)
 	if explain {
-		out, err := w.ExplainDeal(r)
+		out, err := v.world.ExplainDeal(r)
 		if err != nil {
 			fmt.Fprintf(stderr, "dealsweep: explain: %v\n", err)
 			return 1
@@ -443,7 +470,7 @@ func replay(stdout, stderr io.Writer, gen fleet.GenOptions, index int, explain b
 		fmt.Fprintf(stdout, "\n%s", out)
 	}
 	if chromePath != "" {
-		spans := w.DealSpans(r)
+		spans := v.world.DealSpans(r)
 		if err := writeSnapshot(chromePath, func(out io.Writer) error {
 			return trace.WriteChromeTrace(out, spans)
 		}); err != nil {
@@ -454,9 +481,7 @@ func replay(stdout, stderr io.Writer, gen fleet.GenOptions, index int, explain b
 			len(spans), chromePath)
 	}
 	violations := len(r.SafetyViolations) + len(r.LivenessViolations)
-	// Apply the same Property 3 predicate the sweep aggregation uses,
-	// so a deal the sweep flagged also fails its replay.
-	if job.Adversaries == 0 && !job.Outage && job.Sequenceable && !r.AllCommitted {
+	if v.p3 {
 		fmt.Fprintln(stdout, "  STRONG LIVENESS VIOLATION: all parties compliant yet the deal did not commit (Property 3)")
 		violations++
 	}
@@ -466,58 +491,147 @@ func replay(stdout, stderr io.Writer, gen fleet.GenOptions, index int, explain b
 	return 0
 }
 
+// replay re-executes one generated deal of an isolated sweep in full
+// detail; it is the debugging path for a violation the sweep flagged,
+// and applies the sweep's Property 3 rule so that such a deal also
+// fails its replay.
+func replay(stdout, stderr io.Writer, gen fleet.GenOptions, index int, showTrace, explain bool, chromePath string) int {
+	g, err := fleet.NewGenerator(gen)
+	if err != nil {
+		fmt.Fprintf(stderr, "dealsweep: %v\n", err)
+		return 2
+	}
+	job := g.Job(index)
+	if showTrace {
+		job.Opts.Trace = trace.New()
+	}
+	w, err := engine.Build(job.Spec, job.Opts)
+	if err != nil {
+		fmt.Fprintf(stderr, "dealsweep: build: %v\n", err)
+		return 1
+	}
+	r := w.Run()
+	return dealView{
+		header: fmt.Sprintf("replay deal %d (seed %d): %s — shape %s, protocol %s, %d adversaries, outage %v",
+			job.Index, job.Seed, job.Spec.ID, job.Shape, job.Opts.Protocol, job.Adversaries, job.Outage),
+		spec: job.Spec, world: w, log: job.Opts.Trace, result: r,
+		p3: fleet.StrongLivenessViolated(job.Adversaries, job.Outage, job.Sequenceable, r.AllCommitted),
+	}.print(stdout, stderr, explain, chromePath)
+}
+
 // replayArena re-runs the shared world containing the flagged deal and
 // prints that deal's outcome — bit-identical to the sweep, since an
-// arena is a pure function of (flags, arena index).
+// arena is a pure function of (options, arena index).
 func replayArena(stdout, stderr io.Writer, opts fleet.Options, index int) int {
 	out, err := fleet.ReplayArenaDeal(opts, index)
 	if err != nil {
 		fmt.Fprintf(stderr, "dealsweep: %v\n", err)
 		return 2
 	}
-	fmt.Fprintf(stdout, "replay arena deal %d (seed %d): %s — shape %s, %d adversaries, %d sore-loser triggers, %d races\n\n",
-		index, out.Seed, out.Spec.ID, out.Shape, out.Adversaries, out.SoreLosers, out.FrontRuns)
-	fmt.Fprintln(stdout, out.Spec.Matrix())
-	r := out.Result
-	fmt.Fprint(stdout, r.Summary())
-	fmt.Fprintf(stdout, "  decision latency %.2fΔ in the arena\n", out.ArenaDelta)
-	violations := len(r.SafetyViolations) + len(r.LivenessViolations)
-	if out.Adversaries == 0 && out.Sequenceable && !r.AllCommitted {
-		fmt.Fprintln(stdout, "  STRONG LIVENESS VIOLATION: all parties compliant yet the deal did not commit (Property 3)")
-		violations++
-	}
-	if violations > 0 {
-		return 1
-	}
-	return 0
+	return dealView{
+		header: fmt.Sprintf("replay arena deal %d (seed %d): %s — shape %s, %d adversaries, %d sore-loser triggers, %d races",
+			index, out.Seed, out.Spec.ID, out.Shape, out.Adversaries, out.SoreLosers, out.FrontRuns),
+		spec: out.Spec, result: out.Result,
+		notes: fmt.Sprintf("  decision latency %.2fΔ in the arena\n", out.ArenaDelta),
+		p3:    fleet.StrongLivenessViolated(out.Adversaries, false, out.Sequenceable, out.Result.AllCommitted),
+	}.print(stdout, stderr, false, "")
 }
 
-// replayCommand renders the exact command that replays one deal of this
+// runDeal runs a Deal scenario end to end. Its exit status counts only
+// the run's safety and liveness violations: a hand-written deal makes
+// no Property 3 premise.
+func runDeal(stdout, stderr io.Writer, d *oneDeal, showTrace, explain bool, chromePath string) int {
+	spec, opts, err := d.build()
+	if err != nil {
+		fmt.Fprintf(stderr, "dealsweep: scenario: %v\n", err)
+		return 2
+	}
+	if showTrace {
+		opts.Trace = trace.New()
+	}
+	w, err := engine.Build(spec, opts)
+	if err != nil {
+		fmt.Fprintf(stderr, "dealsweep: %v\n", err)
+		return 1
+	}
+	r := w.Run()
+	return dealView{
+		header: fmt.Sprintf("deal %s (%d parties, %d escrow contracts, %d transfers)",
+			spec.ID, len(spec.Parties), len(spec.Escrows()), len(spec.Transfers)),
+		spec: spec, world: w, log: opts.Trace, result: r,
+		notes: fmt.Sprintf("\nphases (Δ=%d): escrow end t=%d, transfers end t=%d, validation end t=%d, decision t=%d\n"+
+			"gas: total=%d  escrow=%d  transfer=%d  commit=%d  abort=%d\n",
+			spec.Delta, r.Phases.EscrowEnd, r.Phases.TransferEnd, r.Phases.ValidationEnd, r.Phases.DecisionEnd,
+			r.Gas.Used(), r.Gas.UsedByLabel(party.LabelEscrow), r.Gas.UsedByLabel(party.LabelTransfer),
+			r.Gas.UsedByLabel(party.LabelCommit), r.Gas.UsedByLabel(party.LabelAbort)),
+	}.print(stdout, stderr, explain, chromePath)
+}
+
+// build resolves the deal's spec and engine options, rejecting an
+// unknown shape or protocol and a deviant or censored party the deal
+// does not have (the engine would silently ignore it).
+func (d *oneDeal) build() (*deal.Spec, engine.Options, error) {
+	opts := engine.Options{Seed: d.Seed, F: d.F}
+	var spec *deal.Spec
+	t0 := sim.Time(3000 + 500*d.N)
+	switch {
+	case d.Spec != nil:
+		s, err := deal.UnmarshalJSONSpec(d.Spec)
+		if err != nil {
+			return nil, opts, fmt.Errorf("invalid Deal.Spec: %w", err)
+		}
+		spec = s
+	case d.Shape == "broker":
+		spec = deal.BrokerSpec(2000, 1000)
+	case d.Shape == "ring":
+		spec = deal.RingSpec(d.N, t0, 1000)
+	case d.Shape == "swap":
+		spec = deal.SwapSpec(2000, 1000)
+	case d.Shape == "auction":
+		spec = deal.AuctionSpec(2000, 1000, 120, 80)
+	case d.Shape == "dense":
+		spec = deal.DenseSpec(d.N, d.M, t0, 1000)
+	default:
+		return nil, opts, fmt.Errorf("unknown Deal.Shape %q (want broker, ring, swap, auction or dense)", d.Shape)
+	}
+	switch d.Protocol {
+	case "timelock":
+		opts.Protocol = party.ProtoTimelock
+	case "cbc":
+		opts.Protocol = party.ProtoCBC
+	default:
+		return nil, opts, fmt.Errorf("unknown Deal.Protocol %q (want timelock or cbc)", d.Protocol)
+	}
+	deviants := make([]chain.Addr, 0, len(d.Behaviors))
+	for p := range d.Behaviors {
+		deviants = append(deviants, p)
+	}
+	sort.Slice(deviants, func(i, j int) bool { return deviants[i] < deviants[j] })
+	for _, p := range deviants {
+		if !spec.HasParty(p) {
+			return nil, opts, fmt.Errorf("party %q in Deal.Behaviors is not in deal %s", p, spec.ID)
+		}
+	}
+	opts.Behaviors = d.Behaviors
+	if len(d.Censor) > 0 {
+		opts.Censor = make(map[chain.Addr]bool, len(d.Censor))
+	}
+	for _, p := range d.Censor {
+		if !spec.HasParty(p) {
+			return nil, opts, fmt.Errorf("party %q in Deal.Censor is not in deal %s", p, spec.ID)
+		}
+		opts.Censor[p] = true
+	}
+	return spec, opts, nil
+}
+
+// replayCommand renders the command that replays one deal of this
 // sweep, with a %d placeholder for the index; the report prints it next
 // to each flagged violation so nothing needs reconstructing by hand.
-func replayCommand(opts fleet.Options) string {
-	g := opts.Gen
-	cmd := fmt.Sprintf("dealsweep -seed %d -deals %d -protocol %s -adversary-rate %v -dos-rate %v -max-parties %d",
-		g.Seed, opts.Deals, g.Protocol, g.AdversaryRate, g.DoSRate, g.MaxParties)
-	if g.SerializeRounds {
-		cmd += " -serialize-rounds"
+func replayCommand(path string, opts fleet.Options) string {
+	cmd := "dealsweep"
+	if path != "" {
+		cmd += " -scenario " + strings.ReplaceAll(path, "%", "%%")
 	}
-	if f := g.Fees; f != nil {
-		cmd += fmt.Sprintf(" -feemarket -base-fee %d -tip-budget %d", f.BaseFee, f.TipBudget)
-	}
-	if a := opts.Arena; a != nil {
-		cmd += fmt.Sprintf(" -arena -arena-deals %d -chains %d -volatility %v",
-			a.DealsPerArena, a.Chains, a.Volatility)
-		if !a.Baselines {
-			cmd += " -no-baselines"
-		}
-		if a.Bundles {
-			cmd += fmt.Sprintf(" -bundles -bundle-budget %d", a.BundleBudget)
-		}
-		if a.Hedge {
-			cmd += fmt.Sprintf(" -hedge -hedge-collateral %v -premium-vol-window %d",
-				a.HedgeCollateral, a.PremiumVolWindow)
-		}
-	}
-	return cmd + " -replay %d"
+	return fmt.Sprintf("%s -seed %d -deals %d -replay %%d", cmd, opts.Gen.Seed, opts.Deals)
 }

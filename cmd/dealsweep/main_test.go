@@ -4,53 +4,81 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"xdeal/internal/deal"
 	"xdeal/internal/fleet"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden report fixtures")
 
-// TestFlagValidationRejectsDegenerateSweeps: knobs that would silently
-// produce a degenerate sweep (or a meaningless CI gate) must be
-// rejected with exit 2 and a pointed message, not defaulted away.
+// scenarioFile writes a scenario body to a fresh file and returns its
+// path.
+func scenarioFile(t *testing.T, body string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "scenario.json")
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestFlagValidationRejectsDegenerateSweeps: scenarios and flags that
+// would silently produce a degenerate run (or a meaningless CI gate)
+// must be rejected with exit 2 and a message naming the field, not
+// defaulted away.
 func TestFlagValidationRejectsDegenerateSweeps(t *testing.T) {
 	cases := []struct {
-		name string
-		args []string
-		want string // substring of the stderr complaint
+		name     string
+		scenario string // "" runs the default scenario
+		args     []string
+		want     string // substring of the stderr complaint
 	}{
-		{"negative-deals", []string{"-deals", "-1"}, "-deals must be non-negative"},
-		{"zero-tip-budget", []string{"-feemarket", "-tip-budget", "0"}, "-tip-budget must be positive"},
-		{"zero-arena-deals", []string{"-arena", "-arena-deals", "0"}, "-arena-deals must be positive"},
-		{"negative-arena-deals", []string{"-arena", "-arena-deals", "-5"}, "-arena-deals must be positive"},
-		{"zero-hedge-collateral", []string{"-arena", "-hedge", "-hedge-collateral", "0"}, "-hedge-collateral must be positive"},
-		{"negative-hedge-collateral", []string{"-arena", "-hedge", "-hedge-collateral", "-0.5"}, "-hedge-collateral must be positive"},
-		{"hedge-without-arena", []string{"-hedge"}, "-hedge needs -arena"},
-		{"zero-vol-window", []string{"-arena", "-hedge", "-premium-vol-window", "0"}, "-premium-vol-window must be positive"},
-		{"residual-budget-without-hedge", []string{"-budget-residual-loss", "5"}, "-budget-residual-loss needs -hedge"},
-		{"fee-budget-without-feemarket", []string{"-budget-fee-per-commit", "5"}, "-budget-fee-per-commit needs -feemarket"},
-		{"bundles-without-feemarket", []string{"-arena", "-bundles"}, "-bundles needs -feemarket"},
-		{"bundles-without-arena", []string{"-feemarket", "-bundles"}, "-bundles needs -arena"},
-		{"zero-bundle-budget", []string{"-arena", "-feemarket", "-bundles", "-bundle-budget", "0"}, "-bundle-budget must be positive"},
-		{"negative-bundle-budget", []string{"-arena", "-feemarket", "-bundles", "-bundle-budget", "-3"}, "invalid value"},
-		{"defer-budget-without-bundles", []string{"-budget-bundle-defer", "0.5"}, "-budget-bundle-defer needs -bundles"},
-		{"stray-argument", []string{"extra"}, "unexpected argument"},
-		{"unknown-flag", []string{"-no-such-flag"}, "flag provided but not defined"},
-		{"explain-without-replay", []string{"-explain"}, "-explain needs -replay"},
-		{"chrome-trace-without-replay", []string{"-chrome-trace", "t.json"}, "-chrome-trace needs -replay"},
-		{"explain-with-arena", []string{"-arena", "-replay", "3", "-explain"}, "need an isolated replay"},
-		{"chrome-trace-with-arena", []string{"-arena", "-replay", "3", "-chrome-trace", "t.json"}, "need an isolated replay"},
+		{"negative-deals", "", []string{"-deals", "-1"}, "negative deal count -1"},
+		{"negative-arena-deals", `{"Arena": {"DealsPerArena": -5}}`, nil, "negative deals-per-arena -5"},
+		{"negative-hedge-collateral", `{"Arena": {"Hedge": true, "HedgeCollateral": -0.5}}`, nil, "hedge collateral -0.5 is negative"},
+		{"hedge-without-arena", `{"Hedge": true}`, nil, `unknown field "Hedge"`},
+		{"residual-budget-without-hedge", `{"Budgets": {"ResidualLoss": 5}}`, nil, "Budgets.ResidualLoss gate needs Arena.Hedge"},
+		{"fee-budget-without-feemarket", `{"Budgets": {"FeePerCommit": 5}}`, nil, "Budgets.FeePerCommit gate needs Gen.Fees"},
+		{"bundles-without-feemarket", `{"Arena": {"Bundles": true}}`, nil, "bundles require the fee market"},
+		{"bundles-without-arena", `{"Gen": {"Fees": {}}, "Bundles": true}`, nil, `unknown field "Bundles"`},
+		{"negative-bundle-budget", `{"Gen": {"Fees": {}}, "Arena": {"Bundles": true, "BundleBudget": -3}}`, nil, "BundleBudget"},
+		{"defer-budget-without-bundles", `{"Budgets": {"BundleDefer": 0.5}}`, nil, "Budgets.BundleDefer gate needs Arena.Bundles"},
+		{"negative-budget", `{"Budgets": {"P99Delta": -1}}`, nil, "Budgets.P99Delta is negative"},
+		{"unknown-protocol", `{"Gen": {"Protocol": "htlc"}}`, nil, `unknown protocol "htlc"`},
+		{"unknown-scenario-field", `{"Gen": {"Sed": 3}}`, nil, `unknown field "Sed"`},
+		{"instruments-in-scenario", `{"Obs": {}}`, nil, `unknown field "Obs"`},
+		{"trailing-scenario-data", `{"Deals": 3} {"Deals": 4}`, nil, "trailing data"},
+		{"deal-with-population-fields", `{"Deals": 3, "Budgets": {}, "Deal": {}}`, nil, "drop the population fields Budgets, Deals"},
+		{"deal-with-sweep-flag", `{"Deal": {}}`, []string{"-replay", "1"}, "-replay applies to a sweep"},
+		{"unknown-behaviors-party", `{"Deal": {"Behaviors": {"mallory": {"SkipVoting": true}}}}`, nil, `party "mallory" in Deal.Behaviors is not in deal broker`},
+		{"unknown-censor-party", `{"Deal": {"Protocol": "cbc", "Censor": ["mallory"]}}`, nil, `party "mallory" in Deal.Censor is not in deal broker`},
+		{"unknown-deal-shape", `{"Deal": {"Shape": "pentagon"}}`, nil, `unknown Deal.Shape "pentagon"`},
+		{"unknown-deal-protocol", `{"Deal": {"Protocol": "htlc"}}`, nil, `unknown Deal.Protocol "htlc"`},
+		{"invalid-deal-spec", `{"Deal": {"Spec": {"ID": "empty"}}}`, nil, "invalid Deal.Spec"},
+		{"stray-argument", "", []string{"extra"}, "unexpected argument"},
+		{"unknown-flag", "", []string{"-no-such-flag"}, "flag provided but not defined"},
+		{"explain-without-replay", "", []string{"-explain"}, "-explain needs -replay"},
+		{"chrome-trace-without-replay", "", []string{"-chrome-trace", "t.json"}, "-chrome-trace needs -replay"},
+		{"explain-with-arena", `{"Arena": {}}`, []string{"-replay", "3", "-explain"}, "needs an isolated replay"},
+		{"chrome-trace-with-arena", `{"Arena": {}}`, []string{"-replay", "3", "-chrome-trace", "t.json"}, "needs an isolated replay"},
+		{"out-of-range-isolated-replay", "", []string{"-deals", "20", "-seed", "5", "-replay", "5000"}, "-replay 5000 is outside the population [0, 20)"},
+		{"out-of-range-arena-replay", `{"Arena": {}}`, []string{"-deals", "20", "-replay", "20"}, "-replay 20 is outside the population [0, 20)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			args := tc.args
+			if tc.scenario != "" {
+				args = append([]string{"-scenario", scenarioFile(t, tc.scenario)}, args...)
+			}
 			var stdout, stderr bytes.Buffer
-			code := run(tc.args, &stdout, &stderr)
+			code := run(args, &stdout, &stderr)
 			if code != 2 {
-				t.Fatalf("run(%v) = %d, want exit 2\nstderr: %s", tc.args, code, stderr.String())
+				t.Fatalf("run(%v) = %d, want exit 2\nstderr: %s", args, code, stderr.String())
 			}
 			if !strings.Contains(stderr.String(), tc.want) {
 				t.Fatalf("stderr %q does not explain the rejection (want %q)", stderr.String(), tc.want)
@@ -60,22 +88,54 @@ func TestFlagValidationRejectsDegenerateSweeps(t *testing.T) {
 			}
 		})
 	}
+
+	// A scenario that cannot be read is bad usage too.
+	var stdout, stderr bytes.Buffer
+	missing := filepath.Join(t.TempDir(), "missing.json")
+	if code := run([]string{"-scenario", missing}, &stdout, &stderr); code != 2 || !strings.Contains(stderr.String(), "missing.json") {
+		t.Fatalf("unreadable scenario: exit %d, stderr %q; want exit 2 naming the file", code, stderr.String())
+	}
 }
 
-// goldenCheck runs the command and compares its stdout byte-for-byte
-// against the committed fixture (regenerate with `go test -update`).
-func goldenCheck(t *testing.T, fixture string, wantCode int, args ...string) {
-	t.Helper()
-	var stdout, stderr bytes.Buffer
-	code := run(args, &stdout, &stderr)
-	if code != wantCode {
-		t.Fatalf("run(%v) = %d, want %d\nstderr: %s", args, code, wantCode, stderr.String())
+// TestScenarioFilesDecodeStrictly: every committed scenario — the CI
+// gates and examples under scenarios/, and the golden scenarios — decodes
+// strictly, and every golden scenario has its expected report beside it.
+func TestScenarioFilesDecodeStrictly(t *testing.T) {
+	examples, err := filepath.Glob("../../scenarios/*.json")
+	if err != nil {
+		t.Fatal(err)
 	}
-	path := filepath.Join("testdata", fixture)
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
+	goldens, err := filepath.Glob("testdata/*.scenario.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(examples) == 0 || len(goldens) == 0 {
+		t.Fatalf("found %d scenarios under scenarios/ and %d under testdata/", len(examples), len(goldens))
+	}
+	for _, path := range append(examples, goldens...) {
+		if _, _, err := loadScenario(path); err != nil {
+			t.Errorf("%v", err)
 		}
+	}
+	for _, path := range goldens {
+		if _, err := os.Stat(strings.TrimSuffix(path, ".scenario.json") + ".json"); err != nil {
+			t.Errorf("golden scenario %s has no expected report: %v", path, err)
+		}
+	}
+}
+
+// goldenCheck runs testdata/<name>.scenario.json and compares its -json
+// report byte-for-byte against testdata/<name>.json (regenerate with
+// `go test -update`).
+func goldenCheck(t *testing.T, name string) {
+	t.Helper()
+	args := []string{"-scenario", filepath.Join("testdata", name+".scenario.json"), "-json"}
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("run(%v) = %d, want 0\nstderr: %s", args, code, stderr.String())
+	}
+	path := filepath.Join("testdata", name+".json")
+	if *update {
 		if err := os.WriteFile(path, stdout.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -96,50 +156,46 @@ func goldenCheck(t *testing.T, fixture string, wantCode int, args ...string) {
 // default isolated sweep: a refactor that renames, drops, or reorders a
 // field breaks this byte-identical fixture instead of silently changing
 // the CI-gated JSON contract.
-func TestGoldenJSONReportIsolated(t *testing.T) {
-	goldenCheck(t, "golden_isolated.json", 0,
-		"-deals", "30", "-seed", "5", "-workers", "4", "-json")
-}
+func TestGoldenJSONReportIsolated(t *testing.T) { goldenCheck(t, "golden_isolated") }
 
 // TestGoldenJSONReportHedgedArena pins the full arena schema — the
 // interference, ordering-games, and hedging blocks together.
-func TestGoldenJSONReportHedgedArena(t *testing.T) {
-	goldenCheck(t, "golden_hedged_arena.json", 0,
-		"-arena", "-deals", "24", "-arena-deals", "12", "-chains", "2",
-		"-seed", "7", "-feemarket", "-hedge", "-volatility", "0.05",
-		"-no-baselines", "-workers", "4", "-json")
-}
+func TestGoldenJSONReportHedgedArena(t *testing.T) { goldenCheck(t, "golden_hedged_arena") }
 
 // TestGoldenJSONReportBundleArena pins the bundled arena schema — the
 // bundle-auctions block (win/defer rates, exclusion counters, deadline
 // slack by bid decile) alongside the interference and ordering-games
 // blocks it rides with.
-func TestGoldenJSONReportBundleArena(t *testing.T) {
-	goldenCheck(t, "golden_bundle_arena.json", 0,
-		"-arena", "-deals", "24", "-arena-deals", "12", "-chains", "2",
-		"-seed", "7", "-feemarket", "-bundles", "-volatility", "0.05",
-		"-no-baselines", "-workers", "4", "-json")
+func TestGoldenJSONReportBundleArena(t *testing.T) { goldenCheck(t, "golden_bundle_arena") }
+
+// budgetGate runs an arena scenario twice, once under a tight budget
+// that must trip (exit 1, naming the breach) and once under a generous
+// one that must pass.
+func budgetGate(t *testing.T, sweep, budget, tight, generous, breach string) {
+	t.Helper()
+	for _, tc := range []struct {
+		limit string
+		want  int
+	}{{tight, 1}, {generous, 0}} {
+		body := strings.TrimSuffix(sweep, "}") + fmt.Sprintf(`, "Budgets": {%q: %s}}`, budget, tc.limit)
+		var stdout, stderr bytes.Buffer
+		code := run([]string{"-scenario", scenarioFile(t, body), "-json"}, &stdout, &stderr)
+		if code != tc.want {
+			t.Fatalf("%s budget %s exited %d, want %d\nstderr: %s", budget, tc.limit, code, tc.want, stderr.String())
+		}
+		if tc.want == 1 && !strings.Contains(stderr.String(), breach) {
+			t.Fatalf("no breach message: %s", stderr.String())
+		}
+	}
 }
 
 // TestBundleDeferBudgetGate: an absurdly tight defer-rate budget must
 // trip the gate (exit 1) with a breach message; a generous one passes.
 func TestBundleDeferBudgetGate(t *testing.T) {
-	base := []string{
-		"-arena", "-deals", "40", "-arena-deals", "20", "-chains", "2",
-		"-seed", "7", "-adversary-rate", "0.4", "-feemarket", "-bundles",
-		"-no-baselines", "-workers", "4", "-json"}
-	var stdout, stderr bytes.Buffer
-	if code := run(append(base, "-budget-bundle-defer", "0.0001"), &stdout, &stderr); code != 1 {
-		t.Fatalf("tight defer budget exited %d, want 1\nstderr: %s", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "bundle defer rate") {
-		t.Fatalf("no breach message: %s", stderr.String())
-	}
-	stdout.Reset()
-	stderr.Reset()
-	if code := run(append(base, "-budget-bundle-defer", "0.99"), &stdout, &stderr); code != 0 {
-		t.Fatalf("generous defer budget exited %d, want 0\nstderr: %s", code, stderr.String())
-	}
+	budgetGate(t, `{"Deals": 40, "Workers": 4,
+		"Gen": {"Seed": 7, "AdversaryRate": 0.4, "Fees": {}},
+		"Arena": {"DealsPerArena": 20, "Chains": 2, "Bundles": true}}`,
+		"BundleDefer", "0.0001", "0.99", "bundle defer rate")
 }
 
 // TestReportIndependentOfWorkerCount: the golden runs again at a
@@ -148,10 +204,8 @@ func TestBundleDeferBudgetGate(t *testing.T) {
 func TestReportIndependentOfWorkerCount(t *testing.T) {
 	render := func(workers string) string {
 		var stdout, stderr bytes.Buffer
-		code := run([]string{
-			"-arena", "-deals", "24", "-arena-deals", "12", "-chains", "2",
-			"-seed", "7", "-feemarket", "-hedge", "-volatility", "0.05",
-			"-no-baselines", "-workers", workers, "-json"}, &stdout, &stderr)
+		code := run([]string{"-scenario", "testdata/golden_hedged_arena.scenario.json",
+			"-workers", workers, "-json"}, &stdout, &stderr)
 		if code != 0 {
 			t.Fatalf("workers=%s exited %d: %s", workers, code, stderr.String())
 		}
@@ -168,23 +222,10 @@ func TestReportIndependentOfWorkerCount(t *testing.T) {
 // every stranded deposit and a residual is guaranteed wherever sore
 // losers kill deals (seed 7 at 35% adversaries strands plenty).
 func TestResidualLossBudgetGate(t *testing.T) {
-	base := []string{
-		"-arena", "-deals", "60", "-arena-deals", "20", "-chains", "3",
-		"-seed", "7", "-adversary-rate", "0.35", "-feemarket", "-hedge",
-		"-hedge-collateral", "0.5", "-volatility", "0.05",
-		"-no-baselines", "-workers", "4", "-json"}
-	var stdout, stderr bytes.Buffer
-	if code := run(append(base, "-budget-residual-loss", "0.5"), &stdout, &stderr); code != 1 {
-		t.Fatalf("tight residual budget exited %d, want 1\nstderr: %s", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "residual sore-loser loss") {
-		t.Fatalf("no breach message: %s", stderr.String())
-	}
-	stdout.Reset()
-	stderr.Reset()
-	if code := run(append(base, "-budget-residual-loss", "1e12"), &stdout, &stderr); code != 0 {
-		t.Fatalf("generous residual budget exited %d, want 0\nstderr: %s", code, stderr.String())
-	}
+	budgetGate(t, `{"Deals": 60, "Workers": 4,
+		"Gen": {"Seed": 7, "AdversaryRate": 0.35, "Fees": {}},
+		"Arena": {"DealsPerArena": 20, "Chains": 3, "Volatility": 0.05, "Hedge": true, "HedgeCollateral": 0.5}}`,
+		"ResidualLoss", "0.5", "1e12", "residual sore-loser loss")
 }
 
 // TestMetricsSnapshotFiles: -metrics-json and -metrics-csv write
@@ -249,12 +290,11 @@ func TestMetricsSnapshotFiles(t *testing.T) {
 func TestFlightRecordOnBudgetBreach(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "flight.jsonl")
-	base := []string{"-deals", "20", "-seed", "5", "-workers", "4", "-json",
-		"-flight-record", path}
 	var stdout, stderr bytes.Buffer
 
 	// An absurdly tight latency budget forces the failure path.
-	code := run(append(base, "-budget-p99-delta", "0.0001"), &stdout, &stderr)
+	tight := scenarioFile(t, `{"Deals": 20, "Workers": 4, "Gen": {"Seed": 5}, "Budgets": {"P99Delta": 0.0001}}`)
+	code := run([]string{"-scenario", tight, "-json", "-flight-record", path}, &stdout, &stderr)
 	if code != 1 {
 		t.Fatalf("tight budget exited %d, want 1\nstderr: %s", code, stderr.String())
 	}
@@ -339,10 +379,7 @@ func TestObsFlagsDoNotChangeReport(t *testing.T) {
 	dir := t.TempDir()
 	render := func(extra ...string) string {
 		var stdout, stderr bytes.Buffer
-		args := append([]string{
-			"-arena", "-deals", "24", "-arena-deals", "12", "-chains", "2",
-			"-seed", "7", "-feemarket", "-hedge", "-volatility", "0.05",
-			"-no-baselines", "-workers", "4", "-json"}, extra...)
+		args := append([]string{"-scenario", "testdata/golden_hedged_arena.scenario.json", "-json"}, extra...)
 		if code := run(args, &stdout, &stderr); code != 0 {
 			t.Fatalf("run(%v) = %d: %s", args, code, stderr.String())
 		}
@@ -369,11 +406,8 @@ func TestMetricsSnapshotIndependentOfWorkerCount(t *testing.T) {
 	snapshot := func(workers string) string {
 		path := filepath.Join(dir, "m"+workers+".json")
 		var stdout, stderr bytes.Buffer
-		code := run([]string{
-			"-arena", "-deals", "24", "-arena-deals", "12", "-chains", "2",
-			"-seed", "7", "-feemarket", "-bundles", "-volatility", "0.05",
-			"-no-baselines", "-workers", workers, "-json",
-			"-metrics-json", path}, &stdout, &stderr)
+		code := run([]string{"-scenario", "testdata/golden_bundle_arena.scenario.json",
+			"-workers", workers, "-json", "-metrics-json", path}, &stdout, &stderr)
 		if code != 0 {
 			t.Fatalf("workers=%s exited %d: %s", workers, code, stderr.String())
 		}
@@ -490,24 +524,107 @@ func TestWriteViolationTrace(t *testing.T) {
 	}
 }
 
-// TestSerializeRoundsFlagRoundTrips: the round-gating ablation flag
-// must parse, run clean, and survive into the replay command, so a
-// violation flagged under -serialize-rounds replays under it too.
+// TestSerializeRoundsFlagRoundTrips: the replay line a sweep prints next
+// to a flagged deal, run as given, reproduces that deal's record. The
+// round-gating ablation travels in the scenario file, so the replay runs
+// under it too: serialized, seed 3 flags deal 41 (a DoS outage longer
+// than Δ breaks the timelock's synchrony assumption).
 func TestSerializeRoundsFlagRoundTrips(t *testing.T) {
+	path := scenarioFile(t, `{"Deals": 42, "Gen": {"Seed": 3, "SerializeRounds": true}}`)
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-deals", "2", "-seed", "5", "-serialize-rounds", "-json"}, &stdout, &stderr)
+	if code := run([]string{"-scenario", path, "-json"}, &stdout, &stderr); code != 1 {
+		t.Fatalf("sweep exited %d, want 1 (a flagged deal)\nstderr: %s", code, stderr.String())
+	}
+	var rep fleet.Report
+	if err := json.Unmarshal(stdout.Bytes(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Violations) != 1 {
+		t.Fatalf("sweep flagged %d deals, want 1: %+v", len(rep.Violations), rep.Violations)
+	}
+	flagged := rep.Violations[0]
+
+	stdout.Reset()
+	run([]string{"-scenario", path}, &stdout, &stderr)
+	var line string
+	for _, l := range strings.Split(stdout.String(), "\n") {
+		if cmd, ok := strings.CutPrefix(strings.TrimSpace(l), "replay: "); ok {
+			line = cmd
+		}
+	}
+	want := fmt.Sprintf("dealsweep -scenario %s -seed 3 -deals 42 -replay %d", path, flagged.Index)
+	if line != want {
+		t.Fatalf("replay line %q, want %q", line, want)
+	}
+
+	stdout.Reset()
+	stderr.Reset()
+	if code := run(strings.Fields(line)[1:], &stdout, &stderr); code != 1 {
+		t.Fatalf("%s exited %d, want 1\nstderr: %s", line, code, stderr.String())
+	}
+	out := stdout.String()
+	for _, want := range []string{
+		fmt.Sprintf("replay deal %d (seed %d): %s", flagged.Index, flagged.Seed, flagged.SpecID),
+		"protocol " + flagged.Protocol,
+		flagged.Detail,
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("replay output lacks %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestOneDealExitContract: a Deal scenario prints the deal's matrix,
+// summary, phases and gas, and exits 0 on a clean run and 1 when the
+// run violates a property; -trace and -explain extend the output.
+func TestOneDealExitContract(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-scenario", "../../scenarios/broker-bob-skips-voting.json", "-trace", "-explain"}, &stdout, &stderr)
 	if code != 0 {
-		t.Fatalf("exit %d\nstderr: %s", code, stderr.String())
+		t.Fatalf("exit %d, want 0\nstderr: %s", code, stderr.String())
 	}
-	gated := fleet.Options{Deals: 2, Gen: fleet.GenOptions{
-		Seed: 5, Protocol: "mixed", AdversaryRate: 0.3, DoSRate: 0.15,
-		MaxParties: 6, SerializeRounds: true,
-	}}
-	if cmd := replayCommand(gated); !strings.Contains(cmd, "-serialize-rounds") {
-		t.Fatalf("replay command %q drops -serialize-rounds", cmd)
+	out := stdout.String()
+	for _, want := range []string{
+		"deal broker (3 parties, 2 escrow contracts, 4 transfers)",
+		"--- trace ---",
+		"party bob        DEVIATING",
+		"phases (Δ=1000):",
+		"gas: total=",
+		"critical path (",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("output lacks %q:\n%s", want, out)
+		}
 	}
-	gated.Gen.SerializeRounds = false
-	if cmd := replayCommand(gated); strings.Contains(cmd, "-serialize-rounds") {
-		t.Fatalf("default (pipelined) replay command %q claims -serialize-rounds", cmd)
+
+	// A timelock ring whose Δ is shorter than the network's delays
+	// breaks the synchrony the protocol assumes, and a compliant party
+	// loses assets: the run exits 1.
+	spec, err := deal.MarshalJSONSpec(deal.RingSpec(4, 40, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := scenarioFile(t, fmt.Sprintf(`{"Deal": {"Spec": %s, "Protocol": "timelock", "Seed": 1}}`, spec))
+	stdout.Reset()
+	stderr.Reset()
+	if code := run([]string{"-scenario", path}, &stdout, &stderr); code != 1 {
+		t.Fatalf("synchrony-broken ring exited %d, want 1\nstderr: %s", code, stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "Property 1") {
+		t.Fatalf("no Property 1 violation in the output:\n%s", stdout.String())
+	}
+
+	// -seed 2 runs the deal exactly as a scenario with Seed 2 does.
+	render := func(args ...string) string {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("run(%v) exited %d\nstderr: %s", args, code, stderr.String())
+		}
+		return stdout.String()
+	}
+	ring := "../../scenarios/ring5-cbc.json"
+	seed2 := scenarioFile(t, `{"Deal": {"Shape": "ring", "N": 5, "Protocol": "cbc", "F": 2, "Seed": 2}}`)
+	if overridden := render("-scenario", ring, "-seed", "2"); overridden != render("-scenario", seed2) || overridden == render("-scenario", ring) {
+		t.Fatal("-seed 2 does not run the deal as Seed 2 does")
 	}
 }

@@ -17,6 +17,7 @@ package arena
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -131,14 +132,15 @@ func (o Options) WithDefaults() (Options, error) {
 	default:
 		return o, fmt.Errorf("arena: unknown protocol %q (want timelock or cbc)", o.Protocol)
 	}
-	if o.Volatility < 0 {
-		return o, fmt.Errorf("arena: negative volatility %v", o.Volatility)
+	// The float bounds are written so that NaN and +Inf fail them too.
+	if !(o.Volatility >= 0 && o.Volatility <= math.MaxFloat64) {
+		return o, fmt.Errorf("arena: volatility %v is negative or not finite", o.Volatility)
 	}
 	if o.MaxBlockTxs < 0 {
 		return o, fmt.Errorf("arena: negative block capacity %d", o.MaxBlockTxs)
 	}
-	if o.HedgeCollateral < 0 {
-		return o, fmt.Errorf("arena: negative hedge collateral %v", o.HedgeCollateral)
+	if !(o.HedgeCollateral >= 0 && o.HedgeCollateral <= math.MaxFloat64) {
+		return o, fmt.Errorf("arena: hedge collateral %v is negative or not finite", o.HedgeCollateral)
 	}
 	if o.PremiumVolWindow < 0 {
 		return o, fmt.Errorf("arena: negative premium volatility window %d", o.PremiumVolWindow)

@@ -2,6 +2,7 @@ package arena
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -303,9 +304,13 @@ func TestOptionsWithDefaults(t *testing.T) {
 		err  string
 	}{
 		{"unknown-protocol", Options{Protocol: "pow"}, `arena: unknown protocol "pow"`},
-		{"negative-volatility", Options{Volatility: -0.1}, "arena: negative volatility -0.1"},
+		{"negative-volatility", Options{Volatility: -0.1}, "arena: volatility -0.1 is negative or not finite"},
+		{"nan-volatility", Options{Volatility: math.NaN()}, "arena: volatility NaN is negative or not finite"},
+		{"infinite-volatility", Options{Volatility: math.Inf(1)}, "arena: volatility +Inf is negative or not finite"},
 		{"negative-block-capacity", Options{MaxBlockTxs: -1}, "arena: negative block capacity -1"},
-		{"negative-hedge-collateral", Options{Hedge: true, HedgeCollateral: -1}, "arena: negative hedge collateral -1"},
+		{"negative-hedge-collateral", Options{Hedge: true, HedgeCollateral: -1}, "arena: hedge collateral -1 is negative or not finite"},
+		{"nan-hedge-collateral", Options{Hedge: true, HedgeCollateral: math.NaN()}, "arena: hedge collateral NaN is negative or not finite"},
+		{"infinite-hedge-collateral", Options{Hedge: true, HedgeCollateral: math.Inf(1)}, "arena: hedge collateral +Inf is negative or not finite"},
 		{"negative-premium-window", Options{Hedge: true, PremiumVolWindow: -4}, "arena: negative premium volatility window -4"},
 		{"bundles-without-fee-market", Options{Bundles: true}, "arena: bundles require the fee market"},
 	} {

@@ -26,7 +26,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 
 	"xdeal/internal/bft"
 	"xdeal/internal/chain"
@@ -535,12 +534,4 @@ func encodeAddrs(as []chain.Addr) []byte {
 		b = append(b, 0)
 	}
 	return b
-}
-
-// SortedParties returns a deal's parties sorted (for deterministic
-// iteration in reports).
-func (d *DealState) SortedParties() []chain.Addr {
-	out := append([]chain.Addr(nil), d.Parties...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

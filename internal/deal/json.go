@@ -7,10 +7,10 @@ import (
 )
 
 // This file provides JSON encoding for deal specifications, so deals can
-// be authored as files and fed to tools (dealsim -spec deal.json). The
-// encoding is the natural one — Spec's exported fields — plus validation
-// on decode, since a spec from disk is as untrusted as one from a
-// clearing service.
+// be authored as files and fed to tools (a dealsweep scenario carries one
+// as Deal.Spec). The encoding is the natural one — Spec's exported
+// fields — plus validation on decode, since a spec from disk is as
+// untrusted as one from a clearing service.
 
 // MarshalJSONSpec encodes a spec as indented JSON.
 func MarshalJSONSpec(s *Spec) ([]byte, error) {

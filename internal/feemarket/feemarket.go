@@ -225,15 +225,6 @@ func (m *Market) at(i int) uint64 {
 	return m.history[(m.head+i)%len(m.history)]
 }
 
-// History returns the base fees charged by the last sealed blocks
-// (oldest first, bounded at maxHistory entries).
-func (m *Market) History() []uint64 {
-	out := make([]uint64, 0, len(m.history))
-	out = append(out, m.history[m.head:]...)
-	out = append(out, m.history[:m.head]...)
-	return out
-}
-
 // Blocks returns how many blocks the market has sealed in total.
 func (m *Market) Blocks() int { return m.sealed }
 

@@ -53,8 +53,8 @@ type FeeRecord struct {
 	Samples []engine.FeeSample `json:"-"`
 }
 
-// Options configures a randomized fleet sweep (cmd/dealsweep mirrors
-// these as flags).
+// Options configures a randomized fleet sweep. cmd/dealsweep reads it
+// from a scenario file, which is its JSON encoding.
 type Options struct {
 	// Deals is the population size.
 	Deals int
@@ -69,8 +69,9 @@ type Options struct {
 	Arena *ArenaOptions
 	// Obs, when non-nil, attaches the observability layer (metrics
 	// registry, flight recorder, stage timer). Strictly passive: the
-	// Report is byte-identical with Obs set or nil.
-	Obs *ObsOptions
+	// Report is byte-identical with Obs set or nil. A scenario file
+	// cannot set it: instruments are output destinations, not knobs.
+	Obs *ObsOptions `json:"-"`
 }
 
 // Record is the trimmed, aggregation-ready outcome of one deal run.

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -104,6 +105,20 @@ func TestNegativeDealCountRejected(t *testing.T) {
 	}
 	if _, err := Sweep(Options{Deals: 1, Gen: GenOptions{AdversaryRate: 1.5}}); err == nil {
 		t.Fatal("out-of-range adversary rate accepted")
+	}
+}
+
+// TestGeneratorRejectsNonFiniteRates: a NaN or infinite rate is outside
+// [0, 1] like any other, not a population without adversaries or
+// outages.
+func TestGeneratorRejectsNonFiniteRates(t *testing.T) {
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewGenerator(GenOptions{AdversaryRate: x}); err == nil || !strings.Contains(err.Error(), "adversary rate") {
+			t.Errorf("adversary rate %v: error %v, want a rejection", x, err)
+		}
+		if _, err := NewGenerator(GenOptions{DoSRate: x}); err == nil || !strings.Contains(err.Error(), "DoS rate") {
+			t.Errorf("DoS rate %v: error %v, want a rejection", x, err)
+		}
 	}
 }
 

@@ -95,10 +95,11 @@ func NewGenerator(opts GenOptions) (*Generator, error) {
 	if opts.Protocol == "" {
 		opts.Protocol = "mixed"
 	}
-	if opts.AdversaryRate < 0 || opts.AdversaryRate > 1 {
+	// Each bound is written so that NaN fails it too.
+	if !(opts.AdversaryRate >= 0 && opts.AdversaryRate <= 1) {
 		return nil, fmt.Errorf("fleet: adversary rate %v outside [0, 1]", opts.AdversaryRate)
 	}
-	if opts.DoSRate < 0 || opts.DoSRate > 1 {
+	if !(opts.DoSRate >= 0 && opts.DoSRate <= 1) {
 		return nil, fmt.Errorf("fleet: DoS rate %v outside [0, 1]", opts.DoSRate)
 	}
 	if opts.MaxParties <= 0 {

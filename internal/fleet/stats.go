@@ -768,6 +768,13 @@ func NewAggregator() *Aggregator {
 	}}
 }
 
+// StrongLivenessViolated is Property 3's test of one run: every party
+// compliant, no outage, a deal whose transfers can be sequenced, and
+// still no commit. The sweep and both replays flag a run by it.
+func StrongLivenessViolated(adversaries int, outage, sequenceable, committed bool) bool {
+	return adversaries == 0 && !outage && sequenceable && !committed
+}
+
 // Add folds one record into the aggregate.
 func (a *Aggregator) Add(r Record) {
 	rep := a.rep
@@ -818,7 +825,7 @@ func (a *Aggregator) Add(r Record) {
 	for _, v := range r.LivenessViolations {
 		rep.flag(r, "liveness (P2)", v)
 	}
-	p3 := r.Err == "" && r.Adversaries == 0 && !r.Outage && r.Sequenceable && !r.Committed
+	p3 := r.Err == "" && StrongLivenessViolated(r.Adversaries, r.Outage, r.Sequenceable, r.Committed)
 	if p3 {
 		rep.flag(r, "strong liveness (P3)", "all parties compliant yet the deal did not commit")
 	}

@@ -137,9 +137,6 @@ func NewSwap(cfg SwapConfig) (*Swap, error) {
 	return s, nil
 }
 
-// Leader returns the secret-generating party.
-func (s *Swap) Leader() chain.Addr { return s.leader }
-
 // lockID names the lock for transfer index i.
 func (s *Swap) lockID(i int) string {
 	return fmt.Sprintf("%s/lock%d", s.cfg.Spec.ID, i)

@@ -69,16 +69,6 @@ func NewChain() *Chain {
 	return c
 }
 
-// Genesis returns the genesis block.
-func (c *Chain) Genesis() *Block {
-	for _, b := range c.all {
-		if b.Height == 0 {
-			return b
-		}
-	}
-	return nil
-}
-
 // Extend adds a block; its parent must exist.
 func (c *Chain) Extend(b *Block) error {
 	if _, ok := c.all[b.PrevHash]; !ok && b.Height != 0 {

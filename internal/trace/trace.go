@@ -1,7 +1,7 @@
 // Package trace provides a chronological, human-readable record of a deal
 // execution across all its chains: escrows, tentative transfers, votes,
-// proofs, outcomes. The engine feeds it when tracing is enabled; dealsim
-// prints it with -trace.
+// proofs, outcomes. The engine feeds it when tracing is enabled;
+// dealsweep prints it with -trace for one deal or an isolated replay.
 //
 // Traces exist for the humans running experiments — the protocols never
 // read them — so the format optimizes for reading a multi-chain

@@ -177,7 +177,8 @@ type (
 func Sweep(opts SweepOptions) (*SweepReport, error) { return fleet.Sweep(opts) }
 
 // ReadSpec decodes and validates a JSON deal specification, so deals can
-// be authored as files (see cmd/dealsim's -spec flag for the CLI route).
+// be authored as files (a dealsweep scenario's Deal.Spec carries one
+// inline for the CLI route).
 func ReadSpec(r io.Reader) (*Spec, error) { return deal.ReadSpec(r) }
 
 // WriteSpec encodes a deal specification as indented JSON.
