@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench
+.PHONY: build test race vet bench profile
 
 build:
 	$(GO) build ./...
@@ -31,3 +31,18 @@ bench:
 .PHONY: alloc-gate
 alloc-gate:
 	$(GO) test -run TestAllocationBudgetPerDeal -v .
+
+# Profile one scenario's sweep: make profile S=scenarios/profile-timelock.json
+# writes prof/<name>.cpu.pprof and prof/<name>.mem.pprof (read alloc_space
+# with go tool pprof -sample_index=alloc_space) and the report beside them.
+# Exit 1 from dealsweep only flags violations in the population, so it
+# does not fail the target.
+PROF ?= prof
+profile:
+	@test -n "$(S)" || { echo "usage: make profile S=<scenario.json>"; exit 2; }
+	@mkdir -p bin $(PROF)
+	$(GO) build -o bin/dealsweep ./cmd/dealsweep
+	@n=$$(basename $(S) .json); \
+	./bin/dealsweep -scenario $(S) -cpuprofile $(PROF)/$$n.cpu.pprof -memprofile $(PROF)/$$n.mem.pprof \
+		> $(PROF)/$$n.txt; rc=$$?; test $$rc -le 1 || exit $$rc; \
+	echo "wrote $(PROF)/$$n.cpu.pprof, $(PROF)/$$n.mem.pprof and $(PROF)/$$n.txt"

@@ -56,6 +56,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -608,7 +609,7 @@ func (d *oneDeal) build() (*deal.Spec, engine.Options, error) {
 	}
 	sort.Slice(deviants, func(i, j int) bool { return deviants[i] < deviants[j] })
 	for _, p := range deviants {
-		if !spec.HasParty(p) {
+		if !slices.Contains(spec.Parties, p) {
 			return nil, opts, fmt.Errorf("party %q in Deal.Behaviors is not in deal %s", p, spec.ID)
 		}
 	}
@@ -617,7 +618,7 @@ func (d *oneDeal) build() (*deal.Spec, engine.Options, error) {
 		opts.Censor = make(map[chain.Addr]bool, len(d.Censor))
 	}
 	for _, p := range d.Censor {
-		if !spec.HasParty(p) {
+		if !slices.Contains(spec.Parties, p) {
 			return nil, opts, fmt.Errorf("party %q in Deal.Censor is not in deal %s", p, spec.ID)
 		}
 		opts.Censor[p] = true

@@ -149,38 +149,6 @@ func (s *Spec) ValidateTimelock() error {
 	return nil
 }
 
-// HasParty reports whether p participates in the deal.
-func (s *Spec) HasParty(p chain.Addr) bool {
-	for _, q := range s.Parties {
-		if q == p {
-			return true
-		}
-	}
-	return false
-}
-
-// Outgoing returns the transfers p relinquishes (p's row in Figure 1).
-func (s *Spec) Outgoing(p chain.Addr) []Transfer {
-	var out []Transfer
-	for _, t := range s.Transfers {
-		if t.From == p {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// Incoming returns the transfers p acquires (p's column in Figure 1).
-func (s *Spec) Incoming(p chain.Addr) []Transfer {
-	var in []Transfer
-	for _, t := range s.Transfers {
-		if t.To == p {
-			in = append(in, t)
-		}
-	}
-	return in
-}
-
 // Escrows returns the distinct escrow contracts the deal touches, as
 // (chain, escrow address) pairs sorted for determinism. This is the m of
 // the paper's cost analysis.
@@ -202,27 +170,6 @@ func (s *Spec) Escrows() []AssetRef {
 		out[i] = seen[k]
 	}
 	return out
-}
-
-// EscrowsTouching returns the escrow contracts managing p's incoming or
-// outgoing assets. A compliant party interacts only with these (§5.1:
-// "there is no single blockchain that must be accessed by all compliant
-// parties").
-func (s *Spec) EscrowsTouching(p chain.Addr) (incoming, outgoing []AssetRef) {
-	inSeen := make(map[string]bool)
-	outSeen := make(map[string]bool)
-	for _, t := range s.Transfers {
-		key := t.Asset.Key()
-		if t.To == p && !inSeen[key] {
-			inSeen[key] = true
-			incoming = append(incoming, t.Asset)
-		}
-		if t.From == p && !outSeen[key] {
-			outSeen[key] = true
-			outgoing = append(outgoing, t.Asset)
-		}
-	}
-	return incoming, outgoing
 }
 
 // Digraph returns the deal's directed graph (Figure 2): an arc from each

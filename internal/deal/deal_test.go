@@ -2,6 +2,7 @@ package deal
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -129,25 +130,23 @@ func TestEscrowsDeduplicated(t *testing.T) {
 
 func TestEscrowsTouching(t *testing.T) {
 	s := brokerSpec()
-	in, out := s.EscrowsTouching("bob")
+	pl := NewPlan(s)
+	bob := pl.For("bob")
 	// Bob receives coins and sends tickets: one incoming escrow (coins),
 	// one outgoing (tickets).
-	if len(in) != 1 || in[0].Chain != "coinchain" {
+	if in := bob.Incoming; len(in) != 1 || in[0].Asset.Chain != "coinchain" {
 		t.Fatalf("bob incoming escrows = %v", in)
 	}
-	if len(out) != 1 || out[0].Chain != "ticketchain" {
+	if out := bob.Outgoing; len(out) != 1 || out[0].Asset.Chain != "ticketchain" {
 		t.Fatalf("bob outgoing escrows = %v", out)
 	}
 	// Decentralization (§5.1): no single escrow appears for every party.
 	counts := make(map[string]int)
 	for _, p := range s.Parties {
-		in, out := s.EscrowsTouching(p)
+		pp := pl.For(p)
 		seen := map[string]bool{}
-		for _, a := range in {
-			seen[a.Key()] = true
-		}
-		for _, a := range out {
-			seen[a.Key()] = true
+		for _, leg := range append(pp.Incoming, pp.Outgoing...) {
+			seen[leg.Key] = true
 		}
 		for k := range seen {
 			counts[k]++
@@ -178,11 +177,8 @@ func TestDecentralizationWithIntermediary(t *testing.T) {
 	if !s.WellFormed() {
 		t.Fatal("ring deal should be well-formed")
 	}
-	in, out := s.EscrowsTouching("bob")
-	for _, a := range append(in, out...) {
-		if a.Chain == "altchain" {
-			t.Fatal("bob forced to touch the altcoin chain")
-		}
+	if bob := NewPlan(s).For("bob"); slices.Contains(bob.Chains, "altchain") {
+		t.Fatal("bob forced to touch the altcoin chain")
 	}
 }
 

@@ -12,18 +12,18 @@ func TestBrokerEscrowObligations(t *testing.T) {
 	// Alice brokers: outgoing 100 coins covered by incoming 101, outgoing
 	// tickets covered by incoming tickets — she escrows nothing (§1.1:
 	// "Alice enters the deal with no assets to swap").
-	if obs := s.EscrowObligations("alice"); len(obs) != 0 {
+	if obs := NewPlan(s).For("alice").Obligations; len(obs) != 0 {
 		t.Fatalf("alice obligations = %v, want none", obs)
 	}
 
 	// Bob escrows the tickets.
-	obs := s.EscrowObligations("bob")
+	obs := NewPlan(s).For("bob").Obligations
 	if len(obs) != 1 || len(obs[0].Tokens) != 1 || obs[0].Tokens[0] != "seat-1A" {
 		t.Fatalf("bob obligations = %v, want the tickets", obs)
 	}
 
 	// Carol escrows her 101 coins.
-	obs = s.EscrowObligations("carol")
+	obs = NewPlan(s).For("carol").Obligations
 	if len(obs) != 1 || obs[0].Amount != 101 {
 		t.Fatalf("carol obligations = %v, want 101 coins", obs)
 	}
@@ -46,7 +46,7 @@ func TestPartialCoverObligation(t *testing.T) {
 		},
 		T0: 1, Delta: 1,
 	}
-	obs := s.EscrowObligations("a")
+	obs := NewPlan(s).For("a").Obligations
 	if len(obs) != 1 || obs[0].Amount != 20 {
 		t.Fatalf("a obligations = %v, want shortfall of 20", obs)
 	}
@@ -65,34 +65,35 @@ func TestInitialOwner(t *testing.T) {
 
 func TestFungibleInOutSums(t *testing.T) {
 	s := brokerSpec()
+	pl := NewPlan(s)
 	coinKey := s.Transfers[0].Asset.Key()
-	if got := s.FungibleIncoming("alice", coinKey); got != 101 {
-		t.Fatalf("alice incoming coins = %d, want 101", got)
+	if in, out := pl.For("alice").Flow(coinKey); in != 101 || out != 100 {
+		t.Fatalf("alice coins in/out = %d/%d, want 101/100", in, out)
 	}
-	if got := s.FungibleOutgoing("alice", coinKey); got != 100 {
-		t.Fatalf("alice outgoing coins = %d, want 100", got)
-	}
-	if got := s.FungibleIncoming("bob", coinKey); got != 100 {
-		t.Fatalf("bob incoming coins = %d, want 100", got)
+	if in, _ := pl.For("bob").Flow(coinKey); in != 100 {
+		t.Fatalf("bob incoming coins = %d, want 100", in)
 	}
 }
 
 func TestIncomingTokens(t *testing.T) {
 	s := brokerSpec()
+	pl := NewPlan(s)
 	tixKey := s.Transfers[1].Asset.Key()
-	got := s.IncomingTokens("carol", tixKey)
-	if len(got) != 1 || got[0] != "seat-1A" {
-		t.Fatalf("carol incoming tokens = %v", got)
+	in := pl.For("carol").Incoming
+	if len(in) != 1 || in[0].Key != tixKey || len(in[0].TokensIn) != 1 || in[0].TokensIn[0] != "seat-1A" {
+		t.Fatalf("carol incoming legs = %+v, want the tickets", in)
 	}
-	if got := s.IncomingTokens("bob", tixKey); len(got) != 0 {
-		t.Fatalf("bob incoming tokens = %v, want none", got)
+	for _, leg := range pl.For("bob").Incoming {
+		if leg.Key == tixKey {
+			t.Fatalf("bob receives tokens %v, want none", leg.TokensIn)
+		}
 	}
 }
 
 func TestObligationsDeterministicOrder(t *testing.T) {
 	s := brokerSpec()
-	a := s.EscrowObligations("carol")
-	b := s.EscrowObligations("carol")
+	a := NewPlan(s).For("carol").Obligations
+	b := NewPlan(s).For("carol").Obligations
 	if len(a) != len(b) {
 		t.Fatal("nondeterministic obligations")
 	}

@@ -304,6 +304,7 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 		}
 	}
 	sched := s.Sched
+	plan := deal.NewPlan(spec)
 
 	w := &World{
 		Spec:            spec,
@@ -316,7 +317,7 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 		Hedges:          make(map[string]*hedge.Manager),
 		sub:             s,
 		opts:            opts,
-		plan:            deal.NewPlan(spec),
+		plan:            plan,
 		keys:            make(map[string]sig.KeyPair),
 		memo:            s.memo,
 		initialFungible: make(map[chain.Addr]map[string]uint64),
@@ -328,7 +329,7 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 
 	// Record whether any DoS window on this deal's chains outlasts Δ —
 	// the synchrony-assumption breach checkSafety annotates (§5).
-	for _, a := range spec.Escrows() {
+	for _, a := range plan.Escrows {
 		if o, ok := s.cfg.Outages[a.Chain]; ok && o.Until-o.From > spec.Delta && o.Until-o.From > w.outageBeyondDelta {
 			w.outageBeyondDelta = o.Until - o.From
 		}
@@ -344,7 +345,7 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 	}
 
 	// Chains and asset/escrow contracts, created or reused.
-	for _, a := range spec.Escrows() {
+	for j, a := range plan.Escrows {
 		c, ok := s.Chains[a.Chain]
 		if !ok {
 			outage := s.cfg.Outages[a.Chain]
@@ -365,7 +366,7 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 			s.Chains[a.Chain] = c
 		}
 		w.Chains[a.Chain] = c
-		key := a.Key()
+		key := plan.EscrowKeys[j]
 		if a.Kind == deal.Fungible {
 			f := s.fungibles[key]
 			if f == nil {
@@ -429,11 +430,11 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 	hp := s.cfg.Hedge
 	if hp != nil {
 		resolved := hp.WithDefaults()
-		for _, a := range spec.Escrows() {
+		for j, a := range plan.Escrows {
 			if a.Kind != deal.Fungible {
 				continue
 			}
-			key := a.Key()
+			key := plan.EscrowKeys[j]
 			if hm := s.hedges[key]; hm != nil {
 				w.Hedges[key] = hm
 				continue
@@ -490,8 +491,8 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 	}
 	for key, n := range w.NFTs {
 		owners := make(map[string]chain.Addr)
-		for _, t := range spec.Transfers {
-			if t.Asset.Key() == key && t.Asset.Kind == deal.NonFungible {
+		for i, t := range spec.Transfers {
+			if plan.TransferKeys[i] == key && t.Asset.Kind == deal.NonFungible {
 				owners[t.Asset.ID] = n.OwnerOf(t.Asset.ID)
 			}
 		}

@@ -73,7 +73,7 @@ func TestHedgedDealPaysOutOnSoreLoserishAbort(t *testing.T) {
 	}
 	var want uint64
 	for p := range victims {
-		for _, ob := range spec.EscrowObligations(p) {
+		for _, ob := range deal.NewPlan(spec).For(p).Obligations {
 			want += ob.Amount
 		}
 	}

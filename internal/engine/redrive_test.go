@@ -67,7 +67,7 @@ func TestEscrowShortfallShortsEachLeg(t *testing.T) {
 	// at esc1 and 6 at esc2; record them to prove the deviation adjusts a
 	// copy rather than the Spec's own accounting.
 	before := map[string]uint64{}
-	for _, ob := range spec.EscrowObligations("alice") {
+	for _, ob := range deal.NewPlan(spec).For("alice").Obligations {
 		before[ob.Asset.Key()] = ob.Amount
 	}
 	w, err := Build(spec, Options{Seed: 12, Protocol: party.ProtoTimelock,
@@ -98,7 +98,7 @@ func TestEscrowShortfallShortsEachLeg(t *testing.T) {
 			t.Errorf("spec transfer %d amount = %d, want %d (spec mutated)", i, got, wantAmt)
 		}
 	}
-	for _, ob := range spec.EscrowObligations("alice") {
+	for _, ob := range deal.NewPlan(spec).For("alice").Obligations {
 		if ob.Amount != before[ob.Asset.Key()] {
 			t.Errorf("alice obligation %s = %d, want %d (spec mutated)",
 				ob.Asset.Key(), ob.Amount, before[ob.Asset.Key()])

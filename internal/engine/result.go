@@ -176,7 +176,8 @@ func (w *World) checkSafety(r *Result) {
 				continue
 			}
 			for _, key := range sortedKeys(w.Fungibles) {
-				want := int64(spec.FungibleIncoming(p, key)) - int64(spec.FungibleOutgoing(p, key))
+				in, out := w.plan.For(p).Flow(key)
+				want := int64(in) - int64(out)
 				if got := r.FungibleDelta[p][key]; got != want {
 					r.SafetyViolations = append(r.SafetyViolations, fmt.Sprintf(
 						"party %s: balance delta %+d at %s, expected %+d after commit", p, got, key, want))
@@ -206,7 +207,7 @@ func (w *World) paidSomething(r *Result, p chain.Addr) bool {
 		if status != escrow.StatusCommitted {
 			continue
 		}
-		if w.Spec.FungibleOutgoing(p, key) > 0 && r.FungibleDelta[p][key] < 0 {
+		if _, out := w.plan.For(p).Flow(key); out > 0 && r.FungibleDelta[p][key] < 0 {
 			return true
 		}
 		// Non-fungible: a token p initially owned now belongs to another.

@@ -397,7 +397,7 @@ func TestBrokerChainSpecShape(t *testing.T) {
 		// Brokers must have zero escrow obligations: their outgoing
 		// value is funded by their incoming value, like Alice (§1.1).
 		for _, p := range spec.Parties[1 : k+1] {
-			for _, ob := range spec.EscrowObligations(p) {
+			for _, ob := range deal.NewPlan(spec).For(p).Obligations {
 				if ob.Amount != 0 || len(ob.Tokens) != 0 {
 					t.Fatalf("k=%d: broker %s has obligation %+v", k, p, ob)
 				}

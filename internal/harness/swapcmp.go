@@ -59,9 +59,9 @@ func buildHTLCWorld(spec *deal.Spec, seed uint64) *htlcWorld {
 				r.Tx.Contract, r.Tx.Method, r.Err))
 		}
 	}
+	plan := deal.NewPlan(spec)
 	for _, p := range spec.Parties {
-		for _, ob := range spec.EscrowObligations(p) {
-			key := ob.Asset.Key()
+		for _, ob := range plan.For(p).Obligations {
 			c := w.chains[ob.Asset.Chain]
 			c.Submit(&chain.Tx{Sender: "bank", Contract: ob.Asset.Token,
 				Method: token.MethodMint, Label: engine.LabelSetup,
@@ -69,7 +69,7 @@ func buildHTLCWorld(spec *deal.Spec, seed uint64) *htlcWorld {
 				OnReceipt: mustLand})
 			c.Submit(&chain.Tx{Sender: p, Contract: ob.Asset.Token,
 				Method: token.MethodApprove, Label: engine.LabelSetup,
-				Args:      token.ApproveArgs{Operator: w.managers[key], Allowed: true},
+				Args:      token.ApproveArgs{Operator: w.managers[ob.Key], Allowed: true},
 				OnReceipt: mustLand})
 		}
 	}

@@ -62,7 +62,7 @@ func buildWorld(t *testing.T, spec *deal.Spec, seed uint64) *world {
 	}
 	// Fund and approve.
 	for _, p := range spec.Parties {
-		for _, ob := range spec.EscrowObligations(p) {
+		for _, ob := range deal.NewPlan(spec).For(p).Obligations {
 			key := ob.Asset.Key()
 			c := w.chains[ob.Asset.Chain]
 			if ob.Asset.Kind == deal.Fungible {

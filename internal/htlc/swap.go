@@ -2,6 +2,7 @@ package htlc
 
 import (
 	"fmt"
+	"slices"
 
 	"xdeal/internal/chain"
 	"xdeal/internal/deal"
@@ -17,48 +18,26 @@ import (
 // this check, which is the paper's central motivating example (§1.1, §8:
 // "Alice starts with nothing to swap").
 func Supports(spec *deal.Spec) error {
+	plan := deal.NewPlan(spec)
 	for _, p := range spec.Parties {
-		needed := make(map[string]uint64)
-		tokens := make(map[string]map[string]bool)
-		for _, t := range spec.Transfers {
-			if t.From != p {
+		pp := plan.For(p)
+		for _, leg := range pp.Outgoing {
+			var covered uint64
+			if ob := pp.Obligation(leg.Key); ob != nil {
+				covered = ob.Amount
+			}
+			if covered < leg.FungibleOut {
+				return fmt.Errorf("htlc: party %s funds %d of %d at %s from incoming transfers; not swap-shaped",
+					p, leg.FungibleOut-covered, leg.FungibleOut, leg.Key)
+			}
+		}
+		for _, i := range pp.Sends {
+			t, key := spec.Transfers[i], plan.TransferKeys[i]
+			if t.Asset.Kind != deal.NonFungible {
 				continue
 			}
-			key := t.Asset.Key()
-			if t.Asset.Kind == deal.Fungible {
-				needed[key] += t.Asset.Amount
-			} else {
-				if tokens[key] == nil {
-					tokens[key] = make(map[string]bool)
-				}
-				tokens[key][t.Asset.ID] = true
-			}
-		}
-		covered := make(map[string]uint64)
-		coveredTokens := make(map[string]map[string]bool)
-		for _, ob := range spec.EscrowObligations(p) {
-			key := ob.Asset.Key()
-			covered[key] += ob.Amount
-			if len(ob.Tokens) > 0 {
-				if coveredTokens[key] == nil {
-					coveredTokens[key] = make(map[string]bool)
-				}
-				for _, id := range ob.Tokens {
-					coveredTokens[key][id] = true
-				}
-			}
-		}
-		for key, amt := range needed {
-			if covered[key] < amt {
-				return fmt.Errorf("htlc: party %s funds %d of %d at %s from incoming transfers; not swap-shaped",
-					p, amt-covered[key], amt, key)
-			}
-		}
-		for key, ids := range tokens {
-			for id := range ids {
-				if !coveredTokens[key][id] {
-					return fmt.Errorf("htlc: party %s passes token %s through at %s; not swap-shaped", p, id, key)
-				}
+			if ob := pp.Obligation(key); ob == nil || !slices.Contains(ob.Tokens, t.Asset.ID) {
+				return fmt.Errorf("htlc: party %s passes token %s through at %s; not swap-shaped", p, t.Asset.ID, key)
 			}
 		}
 	}

@@ -54,8 +54,8 @@ func (p *Party) sendTimelockVotes() {
 		}, nil)
 	}
 	if p.cfg.Behavior.Altruistic {
-		for _, a := range p.cfg.Spec.Escrows() {
-			send(a, a.Key())
+		for j, a := range p.cfg.Plan.Escrows {
+			send(a, p.cfg.Plan.EscrowKeys[j])
 		}
 		return
 	}

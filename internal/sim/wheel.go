@@ -3,12 +3,16 @@ package sim
 import "container/heap"
 
 // wheelQueue is a two-level timer structure: a near-future wheel of
-// wheelSlots doubly-linked buckets covering [now, now+wheelSlots), and a
-// far-future overflow heap for everything beyond the window. Most
-// simulation events (block boundaries, Δ-bounded network delays) land a
-// few hundred ticks out, so scheduling, firing, and canceling them is
-// O(1) list surgery; only long timelock ladders and GST horizons pay the
-// heap's O(log n).
+// wheelSlots (256) doubly-linked buckets covering [now, now+wheelSlots),
+// and a far-future overflow heap for everything beyond the window. The
+// window is sized to the traffic: measured over the benchmark's seed-7
+// populations, 95.6–96.5 % of scheduled events land under 256 ticks out
+// on isolated deals (notify delays, block boundaries; 73–77 % under 64),
+// 0.9–1.3 % in [256, 1024) and 2.6–3.1 % at 1024 or beyond (timelock
+// ladders, GST horizons); shared arenas put 98.2 % under 256. Those
+// events are O(1) list surgery; the rest pay the heap's O(log n). Every
+// isolated deal builds its own scheduler, so the window is also 2 KB of
+// zeroed memory per deal.
 //
 // Invariants, maintained by every operation:
 //
@@ -29,17 +33,16 @@ import "container/heap"
 // wheel_test.go drives the wheel and the heap oracle (heap_test.go) with
 // one randomized script and asserts identical sequences.
 const (
-	wheelBits  = 10
+	wheelBits  = 8
 	wheelSlots = 1 << wheelBits
 	wheelMask  = wheelSlots - 1
 )
 
-type wheelSlot struct {
-	head, tail *event
-}
-
 type wheelQueue struct {
-	slots   [wheelSlots]wheelSlot
+	// slots[i] heads the doubly-linked list of events at the timestamp
+	// ≡ i mod wheelSlots; the head's prev is the tail, so a slot is one
+	// pointer and the wheel 2 KB.
+	slots   [wheelSlots]*event
 	wheelN  int  // live events currently on the wheel
 	live    int  // live events total (wheel + far heap)
 	cursor  Time // lower bound for the earliest wheel timestamp
@@ -65,15 +68,14 @@ func (q *wheelQueue) schedule(e *event) {
 // seq-ascending for its timestamp.
 func (q *wheelQueue) pushSlot(e *event) {
 	e.loc = locWheel
-	s := &q.slots[int(uint64(e.at))&wheelMask]
-	e.prev = s.tail
 	e.next = nil
-	if s.tail != nil {
-		s.tail.next = e
+	if head := &q.slots[int(uint64(e.at))&wheelMask]; *head == nil {
+		e.prev = e
+		*head = e
 	} else {
-		s.head = e
+		tail := (*head).prev
+		tail.next, e.prev, (*head).prev = e, tail, e
 	}
-	s.tail = e
 	q.wheelN++
 	if e.at < q.cursor {
 		q.cursor = e.at
@@ -81,16 +83,18 @@ func (q *wheelQueue) pushSlot(e *event) {
 }
 
 func (q *wheelQueue) unlinkSlot(e *event) {
-	s := &q.slots[int(uint64(e.at))&wheelMask]
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		s.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		s.tail = e.prev
+	head := &q.slots[int(uint64(e.at))&wheelMask]
+	switch {
+	case e == *head:
+		if e.next != nil {
+			e.next.prev = e.prev // the tail
+		}
+		*head = e.next
+	case e.next == nil: // the tail
+		e.prev.next = nil
+		(*head).prev = e.prev
+	default:
+		e.prev.next, e.next.prev = e.next, e.prev
 	}
 	e.prev, e.next = nil, nil
 	q.wheelN--
@@ -119,8 +123,8 @@ func (q *wheelQueue) peek() *event {
 		return q.far[0]
 	}
 	for {
-		if s := &q.slots[int(uint64(q.cursor))&wheelMask]; s.head != nil {
-			return s.head
+		if head := q.slots[int(uint64(q.cursor))&wheelMask]; head != nil {
+			return head
 		}
 		q.cursor++
 	}

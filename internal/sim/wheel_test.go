@@ -297,7 +297,9 @@ func TestSchedulerTwinEquivalence(t *testing.T) {
 	// randomized schedule/cancel/RunUntil script in the identical
 	// (time, seq) order. Delays span slot reuse (multiples of the wheel
 	// size) and the far-future heap, cancels hit both structures, and
-	// half the events go through After, whose nodes are reused.
+	// half the events go through After, whose nodes are reused. Two
+	// classes follow the simulator's own traffic rather than the wheel's
+	// size: 1–250-tick notify delays and k·Δ timelock ladders (Δ = 1000).
 	for seed := uint64(1); seed <= 8; seed++ {
 		rng := NewRNG(seed)
 		script := make([]twinOp, 4000)
@@ -306,15 +308,19 @@ func TestSchedulerTwinEquivalence(t *testing.T) {
 			switch k := rng.Intn(10); {
 			case k < 6:
 				op.kind = 0
-				switch rng.Intn(4) {
+				switch rng.Intn(6) {
 				case 0:
 					op.delay = Time(rng.Intn(64)) // same-slot collisions
 				case 1:
 					op.delay = Time(rng.Intn(wheelSlots))
 				case 2:
 					op.delay = Time(wheelSlots * (1 + rng.Intn(4)))
-				default:
+				case 3:
 					op.delay = Time(rng.Intn(20 * wheelSlots))
+				case 4:
+					op.delay = Time(1 + rng.Intn(250)) // notify delays, the bulk of real traffic
+				default:
+					op.delay = Time(1000 * (1 + rng.Intn(8))) // timelock ladders: k·Δ with Δ = 1000
 				}
 				op.nest = rng.Bool(0.2)
 				op.after = rng.Bool(0.5)

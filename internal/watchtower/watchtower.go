@@ -19,8 +19,6 @@
 package watchtower
 
 import (
-	"sort"
-
 	"xdeal/internal/chain"
 	"xdeal/internal/deal"
 	"xdeal/internal/escrow"
@@ -45,6 +43,7 @@ type Config struct {
 // Tower monitors escrow contracts on behalf of one client.
 type Tower struct {
 	cfg        Config
+	mine       *deal.PartyPlan // the client's share of the deal
 	acceptedAt map[string]map[chain.Addr]bool
 	forwarded  map[string]map[chain.Addr]bool
 	unsubs     []func()
@@ -63,6 +62,7 @@ type Tower struct {
 func New(cfg Config) *Tower {
 	return &Tower{
 		cfg:        cfg,
+		mine:       deal.NewPlan(cfg.Spec).For(cfg.Client),
 		acceptedAt: make(map[string]map[chain.Addr]bool),
 		forwarded:  make(map[string]map[chain.Addr]bool),
 	}
@@ -71,17 +71,7 @@ func New(cfg Config) *Tower {
 // Start subscribes to the client's relevant chains and schedules the
 // refund poke.
 func (t *Tower) Start() {
-	seen := make(map[chain.ID]bool)
-	in, out := t.cfg.Spec.EscrowsTouching(t.cfg.Client)
-	for _, a := range append(in, out...) {
-		seen[a.Chain] = true
-	}
-	ids := make([]chain.ID, 0, len(seen))
-	for id := range seen {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range t.mine.Chains {
 		c, ok := t.cfg.Chains[id]
 		if !ok {
 			continue
@@ -111,18 +101,18 @@ func (t *Tower) onEvent(ev chain.Event) {
 	if !ok || data.Deal != t.cfg.Spec.ID {
 		return
 	}
-	seenAt := string(ev.Chain) + "/" + string(ev.Contract)
-	incoming, _ := t.cfg.Spec.EscrowsTouching(t.cfg.Client)
-	for _, a := range incoming {
-		if a.Key() == seenAt {
+	seenAt := ""
+	for _, in := range t.mine.Incoming {
+		if in.Asset.Chain == ev.Chain && in.Asset.Escrow == ev.Contract {
+			seenAt = in.Key
 			t.mark(t.acceptedAt, seenAt, data.Voter)
 		}
 	}
 	if data.Vote.Contains(string(t.cfg.Client)) {
 		return
 	}
-	for _, a := range incoming {
-		key := a.Key()
+	for _, in := range t.mine.Incoming {
+		a, key := in.Asset, in.Key
 		if key == seenAt || t.acceptedAt[key][data.Voter] || t.forwarded[key][data.Voter] {
 			continue
 		}
@@ -148,7 +138,7 @@ func (t *Tower) onEvent(ev chain.Event) {
 
 // pokeRefunds reclaims the client's deposits after the deal timeout.
 func (t *Tower) pokeRefunds() {
-	for _, ob := range t.cfg.Spec.EscrowObligations(t.cfg.Client) {
+	for _, ob := range t.mine.Obligations {
 		c, ok := t.cfg.Chains[ob.Asset.Chain]
 		if !ok {
 			continue
