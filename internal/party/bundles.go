@@ -29,16 +29,7 @@ type BundleBidder struct {
 // PerSlot returns the per-slot quote at the given deadline pressure
 // (urgency in [0, 1]).
 func (b BundleBidder) PerSlot(urgency float64) uint64 {
-	if b.Max <= b.Start {
-		return b.Start
-	}
-	if urgency < 0 {
-		urgency = 0
-	}
-	if urgency > 1 {
-		urgency = 1
-	}
-	return b.Start + uint64(float64(b.Max-b.Start)*urgency+0.5)
+	return escalate(b.Start, b.Max, urgency)
 }
 
 // BundleConfig wires a party to the world's bundle auctions; the
@@ -84,51 +75,21 @@ func (p *Party) submitViaBundle(c *chain.Chain, tx *chain.Tx) {
 	})
 }
 
-// armBundleGriefer subscribes the bundle-griefing adversary to the
-// bundle-bid gossip of every chain it touches. On seeing a rival
-// deal's bundle quote, it raises its own deal's per-slot bid one above
-// the victim's — out-densifying the victim so the greedy builder
-// orders the griefer's bundle first and, in a capacity-constrained
-// block, defers the victim's bundle whole. Each raise spends the
-// increment from Behavior.BundleBudget (per-slot denominated, like
-// the fee bidder's tip budget); when the budget cannot cover an
-// overbid the griefer declines, since an underbid loses by
-// construction.
-func (p *Party) armBundleGriefer() {
+// watchBundleBids feeds the bundle bids of rival deals, gossiped on the
+// bundled chains the party touches, to its strategies (the bundle
+// griefer's trigger).
+func (p *Party) watchBundleBids() {
 	if p.cfg.Bundle == nil {
 		return
 	}
-	own := p.cfg.Spec.ID
-	hooks := p.cfg.Adaptive
 	for _, id := range p.mine.Chains {
 		c, ok := p.cfg.Chains[id]
 		if !ok || !c.Bundled() {
 			continue
 		}
-		chainID := id
 		p.unsubs = append(p.unsubs, c.SubscribeBundleBids(func(g chain.BundleGossip) {
-			if g.Deal == own || !p.active() || p.backedOut() {
-				return
-			}
-			quote := g.PerSlot + 1
-			current := p.griefQuote[chainID]
-			if quote <= current {
-				return // already bidding above this rival
-			}
-			cost := quote - current
-			if budget := p.cfg.Behavior.BundleBudget; budget > 0 && p.griefSpent+cost > budget {
-				return // cannot cover the overbid: decline the exclusion
-			}
-			if !c.BumpBundleBid(own, quote) {
-				return // no pending bundle to carry the bid: nothing staked
-			}
-			if p.griefQuote == nil {
-				p.griefQuote = make(map[chain.ID]uint64)
-			}
-			p.griefQuote[chainID] = quote
-			p.griefSpent += cost
-			if hooks != nil && hooks.OnBundleGrief != nil {
-				hooks.OnBundleGrief(p.Addr, chainID, g.Deal, quote)
+			if g.Deal != p.cfg.Spec.ID {
+				p.observe(g)
 			}
 		}))
 	}

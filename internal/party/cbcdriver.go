@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"xdeal/internal/cbc"
-	"xdeal/internal/chain"
 	"xdeal/internal/deal"
 	"xdeal/internal/escrow"
 	"xdeal/internal/sim"
@@ -93,9 +92,14 @@ func (p *Party) onCBCBlock(b *cbc.Block) {
 			return
 		}
 	}
-	// Public readability: the party checks the deal's decision state.
+	p.claimDecided()
+}
+
+// claimDecided claims the CBC's decision, if it has decided: the deal's
+// state there is public (§6).
+func (p *Party) claimDecided() {
 	if d := p.cfg.CBCHooks.CBC.Deal(p.cfg.Spec.ID); d != nil && d.Status != escrow.StatusActive {
-		p.claimOutcome(d.Status, false, 0)
+		p.claimOutcome(d.Status)
 	}
 }
 
@@ -114,37 +118,43 @@ func (p *Party) cbcInfoOK(info any) bool {
 	return ci.Committee.Equal(p.cfg.CBCHooks.CBC.InitialCommittee())
 }
 
-// sendCBCVote publishes the party's vote on the CBC. Deviations: an
-// AbortImmediately party votes abort instead; CommitThenAbort rescinds
-// soon after committing (violating the wait-Δ rule when small).
-func (p *Party) sendCBCVote(commit bool) {
+// sendCBCVote publishes the party's vote on the CBC: commit, unless the
+// vote was rewritten to an abort. A rescinding vote (rescind > 0) votes
+// abort that soon after committing, violating the wait-Δ rule when small.
+func (p *Party) sendCBCVote(vote action) {
 	st := p.cbcState
 	if st == nil || !st.started {
 		return
 	}
-	b := p.cfg.Behavior
-	if b.AbortImmediately {
-		commit = false
-	}
-	kind := cbc.EntryCommit
-	if !commit {
-		kind = cbc.EntryAbort
+	if vote.abort {
 		st.votedAbort = true
+		p.publishVote(cbc.EntryAbort)
+		return
 	}
+	p.publishVote(cbc.EntryCommit)
+	st.votedCommit = true
+	st.votedCommitAt = p.cfg.Sched.Now()
+	if vote.rescind > 0 {
+		p.cfg.Sched.After(vote.rescind, func() { p.publishVote(cbc.EntryAbort) })
+	}
+}
+
+// publishVote records one of the party's votes on the CBC.
+func (p *Party) publishVote(kind cbc.EntryKind) {
 	p.cfg.CBCHooks.CBC.Publish(cbc.Entry{
-		Kind: kind, Deal: p.cfg.Spec.ID, Party: p.Addr, Hash: st.startHash,
+		Kind: kind, Deal: p.cfg.Spec.ID, Party: p.Addr, Hash: p.cbcState.startHash,
 	})
-	if commit {
-		st.votedCommit = true
-		st.votedCommitAt = p.cfg.Sched.Now()
-		if b.CommitThenAbort > 0 {
-			p.cfg.Sched.After(b.CommitThenAbort, func() {
-				p.cfg.CBCHooks.CBC.Publish(cbc.Entry{
-					Kind: cbc.EntryAbort, Deal: p.cfg.Spec.ID,
-					Party: p.Addr, Hash: st.startHash,
-				})
-			})
-		}
+}
+
+// rescind votes abort on the CBC, once, if the party has started the
+// deal there: a party that backs out makes the deal die fast (it wants
+// its own deposit back promptly too). On the timelock protocol,
+// withholding the commit vote suffices — the contracts refund everyone
+// at the horizon, and the refund poke is armed.
+func (p *Party) rescind() {
+	if st := p.cbcState; st != nil && st.started && !st.votedAbort {
+		st.votedAbort = true
+		p.publishVote(cbc.EntryAbort)
 	}
 }
 
@@ -176,10 +186,7 @@ func (p *Party) scheduleGiveUp() {
 		}
 		st.gaveUp = true
 		st.votedAbort = true
-		p.cfg.CBCHooks.CBC.Publish(cbc.Entry{
-			Kind: cbc.EntryAbort, Deal: p.cfg.Spec.ID,
-			Party: p.Addr, Hash: st.startHash,
-		})
+		p.publishVote(cbc.EntryAbort)
 	}
 	p.cfg.Sched.After(patience, fire)
 }
@@ -191,23 +198,19 @@ func (p *Party) scheduleGiveUp() {
 // assets cannot stay locked when the counterparty crashes before
 // claiming — weak liveness must not depend on the recipient's
 // diligence); abort proofs go to the contracts holding its deposits (it
-// wants its refund). raced marks claims made to front-run an observed
-// pending proof transaction; their receipts are reported as race
-// outcomes (success = this claim finalized the escrow first), and
-// victimTip is the raced transaction's gossiped tip for fee bidders to
-// outbid.
-func (p *Party) claimOutcome(status escrow.Status, raced bool, victimTip uint64) {
+// wants its refund). A front-runner claims here too (see race).
+func (p *Party) claimOutcome(status escrow.Status) {
 	st := p.cbcState
 	spec := p.cfg.Spec
 	method, label := cbc.MethodCommitProof, LabelCommit
 	if status == escrow.StatusAborted {
 		method, label = cbc.MethodAbortProof, LabelAbort
 	}
-	claim := func(a deal.AssetRef, key string) {
+	claim := func(asset deal.AssetRef, key string) {
 		if st.claimed[key] {
 			return
 		}
-		c, ok := p.cfg.Chains[a.Chain]
+		c, ok := p.cfg.Chains[asset.Chain]
 		if !ok {
 			return
 		}
@@ -225,25 +228,16 @@ func (p *Party) claimOutcome(status escrow.Status, raced bool, victimTip uint64)
 			}
 			args.Status = &proof
 		}
-		// Price the race only once the proof is in hand, so a failed
-		// proof fetch cannot leak fee budget on a never-submitted claim.
-		tip := p.tipFor(c, label)
-		var bid uint64
-		if raced {
-			var race bool
-			tip, bid, race = p.raceTip(c, label, victimTip)
-			if !race {
-				return // fee budget exhausted: decline the race
-			}
+		// Take the claim through the seam only once the proof is in
+		// hand, so a failed proof fetch cannot leak a fee bidder's budget
+		// on a never-submitted claim.
+		a, ok := p.act(action{kind: actClaim, on: c, tip: p.tipFor(c, label)})
+		if !ok {
+			return
 		}
 		st.claimed[key] = true
-		hooks := p.cfg.Adaptive
-		p.submitTx(c, a.Escrow, method, label, args, tip, func(r *chain.Receipt) {
-			if raced && hooks != nil && hooks.OnFrontRun != nil {
-				hooks.OnFrontRun(p.Addr, method, bid, r.Err == nil)
-			}
-			// On error, someone else finalized first; that is fine.
-		})
+		// An error receipt means someone else finalized first; that is fine.
+		p.submitTx(c, asset.Escrow, method, label, args, a.tip, a.done)
 	}
 	if status != escrow.StatusAborted {
 		for _, in := range p.mine.Incoming {
@@ -252,19 +246,5 @@ func (p *Party) claimOutcome(status escrow.Status, raced bool, victimTip uint64)
 	}
 	for _, ob := range p.mine.Obligations {
 		claim(ob.Asset, ob.Key)
-	}
-}
-
-// corruptInfo distorts the Dinfo a deviating party registers (the
-// CorruptInfo behavior): wrong timing parameters for the timelock
-// protocol, a wrong start hash for the CBC. Compliant counterparties
-// detect the mismatch during validation and refuse to vote.
-func corruptInfo(info any) any {
-	switch i := info.(type) {
-	case cbc.Info:
-		i.StartHash[0] ^= 0xff
-		return i
-	default:
-		return corruptTimelockInfo(info)
 	}
 }

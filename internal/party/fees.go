@@ -26,14 +26,6 @@ type FeeEstimator interface {
 	Tip(baseFee uint64, label string, urgency float64) uint64
 }
 
-// FlatFee tips a constant amount on every transaction.
-type FlatFee struct {
-	Amount uint64
-}
-
-// Tip implements FeeEstimator.
-func (f FlatFee) Tip(_ uint64, _ string, _ float64) uint64 { return f.Amount }
-
 // DeadlineFee escalates tips linearly with deadline pressure: Start at
 // deal start, Max as the timelock deadline arrives. This is the
 // compliant strategy — a party's vote is worth more than its tip the
@@ -45,16 +37,16 @@ type DeadlineFee struct {
 
 // Tip implements FeeEstimator.
 func (f DeadlineFee) Tip(_ uint64, _ string, urgency float64) uint64 {
-	if f.Max <= f.Start {
-		return f.Start
+	return escalate(f.Start, f.Max, urgency)
+}
+
+// escalate interpolates linearly from lo to hi as urgency runs from 0 to
+// 1 (clamped), rounding to the nearest unit.
+func escalate(lo, hi uint64, urgency float64) uint64 {
+	if hi <= lo {
+		return lo
 	}
-	if urgency < 0 {
-		urgency = 0
-	}
-	if urgency > 1 {
-		urgency = 1
-	}
-	return f.Start + uint64(float64(f.Max-f.Start)*urgency+0.5)
+	return lo + uint64(float64(hi-lo)*min(max(urgency, 0), 1)+0.5)
 }
 
 // timelockHorizon is the deal's overall timelock deadline t0 + (D+1)·Δ,
@@ -99,27 +91,4 @@ func (p *Party) tipFor(c *chain.Chain, label string) uint64 {
 		return 0
 	}
 	return p.cfg.Fees.Tip(base, label, p.urgency())
-}
-
-// raceTip prices one raced submission. A plain front-runner races at
-// its ordinary policy tip (bid 0: it is not playing the bidding game,
-// whatever its tip happens to be). A fee bidder (Behavior.FeeBid, on a
-// chain with a fee market) outbids the observed victim transaction by
-// one, so the block builder orders its race first; each bid spends from
-// FeeBudget, and a bidder whose budget cannot cover the overbid
-// declines the race — an underbid sorts behind the victim and loses by
-// construction, so the rational move is to keep the budget for a race
-// it can win. Returns the tip to attach, the bid to report through the
-// adaptive hooks (0 for plain races, so metering classifies by
-// strategy rather than by incidental tip), and whether to race at all.
-func (p *Party) raceTip(c *chain.Chain, label string, victimTip uint64) (tip, bid uint64, ok bool) {
-	if !p.cfg.Behavior.FeeBid || c.FeeMarket() == nil {
-		return p.tipFor(c, label), 0, true
-	}
-	bid = victimTip + 1
-	if budget := p.cfg.Behavior.FeeBudget; budget > 0 && p.feeSpent+bid > budget {
-		return 0, 0, false
-	}
-	p.feeSpent += bid
-	return bid, bid, true
 }

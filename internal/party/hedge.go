@@ -31,7 +31,7 @@ type HedgeConfig struct {
 
 // hedging reports whether the hedge driver is armed.
 func (p *Party) hedging() bool {
-	return p.cfg.Behavior.Hedged && p.cfg.Hedge != nil
+	return p.hedged && p.cfg.Hedge != nil
 }
 
 // hedgeReady gates one escrow obligation on its cover: true means the
@@ -39,7 +39,7 @@ func (p *Party) hedging() bool {
 // is still in flight and the escrow must wait. On confirmation the bind
 // receipt re-enters performEscrows, so a gated deposit locks as soon as
 // its cover exists.
-func (p *Party) hedgeReady(ob deal.Obligation, info any) bool {
+func (p *Party) hedgeReady(ob deal.Obligation) bool {
 	if !p.hedging() || ob.Amount == 0 {
 		// Non-fungible legs are not hedged: sore-loser loss is the
 		// fungible capital timelocked for nothing, and an aborted NFT
@@ -55,13 +55,13 @@ func (p *Party) hedgeReady(ob deal.Obligation, info any) bool {
 		return true // no hedging contract at this escrow: lock unhedged
 	}
 	if !p.hedgeSubmitted[key] {
-		p.bindHedge(key, haddr, ob, info)
+		p.bindHedge(key, haddr, ob)
 	}
 	return false
 }
 
 // bindHedge publishes the bind transaction for one obligation.
-func (p *Party) bindHedge(key string, haddr chain.Addr, ob deal.Obligation, info any) {
+func (p *Party) bindHedge(key string, haddr chain.Addr, ob deal.Obligation) {
 	c, ok := p.cfg.Chains[ob.Asset.Chain]
 	if !ok {
 		return
@@ -91,10 +91,7 @@ func (p *Party) bindHedge(key string, haddr chain.Addr, ob deal.Obligation, info
 		if br, ok := r.Result.(hedge.BindResult); ok && hooks != nil && hooks.OnHedgeBound != nil {
 			hooks.OnHedgeBound(p.Addr, collateral, br.Premium, br.Vol, br.Streak)
 		}
-		if p.active() {
-			// The cover exists: release the deposit it was gating.
-			p.performEscrows(info)
-		}
+		p.performEscrows(p.escrowInfo) // the cover exists: release the deposit it gated
 	})
 }
 
@@ -142,20 +139,4 @@ func (p *Party) claimHedge(a deal.AssetRef, key string) {
 			hooks.OnHedgeSettled(p.Addr, cr.Payout, cr.Amount)
 		}
 	})
-}
-
-// HedgePositions reports the party's settled and bound hedge counts
-// (tests and inspection).
-func (p *Party) HedgePositions() (bound, settled int) {
-	for key := range p.hedgeBound {
-		if p.hedgeBound[key] {
-			bound++
-		}
-	}
-	for key := range p.hedgeSettled {
-		if p.hedgeSettled[key] {
-			settled++
-		}
-	}
-	return
 }

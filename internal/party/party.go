@@ -2,11 +2,15 @@
 // autonomous parties that publish entries on blockchains, monitor them
 // for changes, and follow (or deviate from) a deal protocol.
 //
-// The compliant behavior is one code path with explicit deviation
-// injection points (Behavior). This mirrors the paper's adversary model:
-// a deviating party is not a different kind of machine, it is a party
-// that skips or distorts protocol steps wherever it pleases. Property
-// tests randomize Behavior to search for safety violations.
+// The compliant behavior is the only code path. Every protocol action it
+// takes passes through one seam (act) and every adaptive trigger it sees
+// through another (observe); a party's deviations are a short list of
+// strategies, built from its Behavior (strategy.go), that drop, delay,
+// rewrite or add to what crosses those seams. This mirrors the paper's
+// adversary model: a deviating party is not a different kind of machine,
+// it is a party that skips or distorts protocol steps wherever it
+// pleases. Property tests randomize Behavior to search for safety
+// violations.
 package party
 
 import (
@@ -50,112 +54,6 @@ const (
 	LabelAbort    = "abort"
 	LabelHedge    = "hedge"
 )
-
-// Behavior encodes deviations from the protocol. The zero value is fully
-// compliant.
-type Behavior struct {
-	// Shared deviations.
-	SkipEscrow     bool         // never escrow outgoing assets
-	SkipTransfers  bool         // never perform tentative transfers
-	SkipVoting     bool         // never vote commit
-	SkipRefundPoke bool         // never reclaim timed-out escrows
-	CrashAt        sim.Time     // >0: cease all activity at this time
-	OfflineFrom    sim.Time     // >0: drop all observations in window
-	OfflineUntil   sim.Time     //     [OfflineFrom, OfflineUntil)
-	VoteDelay      sim.Duration // delay own commit votes
-	// CorruptInfo registers the deal at escrow contracts with wrong
-	// Dinfo, trying to poison the contract state other parties validate.
-	CorruptInfo bool
-	// EscrowShortfall makes the party under-escrow. Semantics are per
-	// leg, not a per-deal total: every fungible obligation is shorted by
-	// this amount independently (a party owing at two escrows shorts
-	// both), and a leg no larger than the shortfall is withheld
-	// entirely. Non-fungible obligations withhold one token per escrow
-	// instead. The ranged obligation is copied before adjustment, so the
-	// Spec's own obligation accounting is never mutated.
-	EscrowShortfall uint64
-
-	// Timelock-specific deviations.
-	NoForwarding bool // observe others' votes but never forward them
-	Altruistic   bool // send own vote to every escrow contract directly
-
-	// CBC-specific deviations.
-	AbortImmediately bool         // vote abort instead of commit
-	CommitThenAbort  sim.Duration // >0: rescind this soon after committing
-
-	// Adaptive deviations: strategies that react to observed market and
-	// mempool state rather than deviating on a fixed schedule. The
-	// sore loser needs a price feed, so it acts only when
-	// Config.Adaptive supplies an Oracle; front-running and griefing
-	// observe ordinary chain state and work in any world. Their metric
-	// callbacks fire only when Config.Adaptive provides them.
-
-	// SoreLoserThreshold > 0 makes the party a sore loser (Xue &
-	// Herlihy): it watches the market price of the assets it is paying
-	// out, and once one drifts up by this fraction from its price at
-	// deal start — the deal is now a bad trade for it — it backs out:
-	// no further transfers, no commit vote, an abort vote on the CBC.
-	SoreLoserThreshold float64
-	// FrontRun makes the party race observed pending transactions: it
-	// watches the mempools of its chains and, on seeing another party's
-	// protocol transaction for its deal, immediately forwards the vote
-	// or claims the outcome itself instead of waiting to observe the
-	// transaction land. Front-running keeps every protocol duty, so it
-	// stays compliant — but it perturbs who pays gas and when deals
-	// finalize, which is why the arena counts it as an adversary.
-	FrontRun bool
-	// FeeBid upgrades a front-runner to fee bidding (needs FrontRun and
-	// a chain fee market to matter): instead of merely reacting faster,
-	// it attaches a tip one above the observed victim transaction's, so
-	// the block builder orders its race ahead of the transaction it is
-	// racing. Each bid spends from FeeBudget; when the budget cannot
-	// cover an overbid the party declines the race.
-	FeeBid bool
-	// FeeBudget caps a fee bidder's total tip spend; 0 means unlimited.
-	FeeBudget uint64
-	// Grief makes the party a griefing depositor: it escrows normally,
-	// then ceases all further participation the moment it observes a
-	// counterparty's deposit — maximizing how long others' assets stay
-	// locked while keeping its own refund poke.
-	Grief bool
-	// BundleGrief makes the party a bundle-griefing adversary (needs a
-	// bundled world to matter, see bundles.go): it watches rival deal
-	// bundles in the bundle-bid gossip and raises its own deal's
-	// per-slot bid one above a victim's, so a capacity-constrained
-	// block defers the victim's whole bundle. Griefing at bundle
-	// granularity is what makes exclusion expensive to resist: the
-	// victim must outbid the attack across its entire bundle, not one
-	// transaction. Like front-running, the griefer keeps every
-	// protocol duty, so it stays compliant; the arena still counts it
-	// as an adversary.
-	BundleGrief bool
-	// BundleBudget caps the bundle griefer's total per-slot bid
-	// increments (the same denomination as the fee bidder's tip
-	// budget); 0 means unlimited.
-	BundleBudget uint64
-
-	// Hedged arms the sore-loser defense (Xue & Herlihy): the party
-	// refuses to lock an unhedged fungible deposit — it first binds
-	// premium-priced cover at the hedging contract paired with the
-	// escrow (see internal/hedge and Config.Hedge) — and settles its
-	// positions when escrows finalize, claiming the collateral payout
-	// when a deal aborted after its capital was locked past the
-	// sore-loser trigger. Hedging is a defense, not a deviation: a
-	// hedged party keeps every protocol duty and stays compliant.
-	Hedged bool
-}
-
-// Compliant reports whether the behavior deviates in any way that can
-// hurt other parties' liveness or safety accounting. Altruistic voting
-// and refund-poke skipping by a party with nothing escrowed remain
-// compliant; everything else is a deviation.
-func (b Behavior) Compliant() bool {
-	return !b.SkipEscrow && !b.SkipTransfers && !b.SkipVoting &&
-		b.CrashAt == 0 && b.OfflineFrom == 0 &&
-		!b.NoForwarding && !b.AbortImmediately && b.CommitThenAbort == 0 &&
-		!b.SkipRefundPoke && !b.CorruptInfo && b.EscrowShortfall == 0 &&
-		b.SoreLoserThreshold == 0 && !b.Grief
-}
 
 // Config wires a party to its environment.
 type Config struct {
@@ -230,9 +128,17 @@ type Party struct {
 	// escalation path ran dry (observability).
 	BumpMisses int
 
-	crashed   bool
 	validated bool
 	voted     bool
+
+	// strategies are the party's deviations (nil when compliant);
+	// shirks and hedged are fixed with them (see adopt). The strategies
+	// take the party down (halted, or asleep in [sleepFrom,
+	// sleepUntil)) or back it out (quit).
+	strategies            []strategy
+	shirks, hedged        bool
+	halted, quit          bool
+	sleepFrom, sleepUntil sim.Time
 
 	// escrowInfo is the (uncorrupted) Dinfo the party registers with,
 	// retained so a failure-driven re-drive can resubmit escrows.
@@ -257,25 +163,13 @@ type Party struct {
 	// CBC driver state (nil for timelock parties).
 	cbcState *cbcState
 
-	// Adaptive strategy state (see adaptive.go).
-	soreLoser  bool // sore-loser trigger fired: back out
-	griefed    bool // griefer trigger fired: cease duties
-	basePrices map[chain.Addr]float64
-
 	// Hedge driver state (see hedge.go), keyed by escrow key.
 	hedgeSubmitted map[string]bool // bind published, receipt pending
 	hedgeBound     map[string]bool // cover confirmed on chain
 	hedgeClaiming  map[string]bool // claim published, receipt pending
 	hedgeSettled   map[string]bool // position settled
 
-	// Fee strategy state (see fees.go).
-	startedAt sim.Time // deal start, anchors deadline urgency
-	feeSpent  uint64   // tips committed by the fee bidder so far
-
-	// Bundle griefer state (see bundles.go): the standing per-slot
-	// quote per chain and the budget spent raising it.
-	griefQuote map[chain.ID]uint64
-	griefSpent uint64
+	startedAt sim.Time // deal start, anchors deadline urgency (fees.go)
 
 	unsubs []func()
 }
@@ -286,7 +180,7 @@ func New(addr chain.Addr, cfg Config) *Party {
 	if cfg.Plan == nil {
 		cfg.Plan = deal.NewPlan(cfg.Spec)
 	}
-	return &Party{
+	p := &Party{
 		Addr:            addr,
 		cfg:             cfg,
 		mine:            cfg.Plan.For(addr),
@@ -302,31 +196,29 @@ func New(addr chain.Addr, cfg Config) *Party {
 		hedgeClaiming:   make(map[string]bool),
 		hedgeSettled:    make(map[string]bool),
 	}
+	p.adopt(cfg.Behavior)
+	return p
 }
 
-// Behavior returns the party's deviation configuration.
-func (p *Party) Behavior() Behavior { return p.cfg.Behavior }
+// Compliant reports whether this party follows the protocol (see
+// Behavior.Compliant).
+func (p *Party) Compliant() bool { return compliant(p.strategies) }
 
-// Compliant reports whether this party follows the protocol.
-func (p *Party) Compliant() bool { return p.cfg.Behavior.Compliant() }
+// Adversary reports whether the party runs any deviation strategy,
+// including those that keep every protocol duty (late voting, front-
+// running, fee and bundle bidding). Hedging is a defense, not one.
+func (p *Party) Adversary() bool { return len(p.strategies) > 0 }
 
 // Start begins protocol execution: the market-clearing service has
 // broadcast the deal and the party decides to participate.
 func (p *Party) Start() {
 	p.startedAt = p.cfg.Sched.Now()
-	if p.cfg.Behavior.CrashAt > 0 {
-		p.cfg.Sched.At(p.cfg.Behavior.CrashAt, func() { p.crashed = true })
-	}
-	if p.cfg.Behavior.OfflineUntil > p.cfg.Behavior.OfflineFrom && p.cfg.Behavior.OfflineFrom > 0 {
-		// A party coming back online re-reads the public chain state it
-		// missed. It cannot recover the vote *events* it slept through
-		// (that is the §5.3 offline risk watchtowers exist for), but it
-		// can resume its own duties: pending transfers, validation, and
-		// claiming decided outcomes.
-		p.cfg.Sched.At(p.cfg.Behavior.OfflineUntil, func() { p.wake() })
+	for i := range p.strategies {
+		if start := p.strategies[i].start; start != nil {
+			start(p)
+		}
 	}
 	p.subscribeChains()
-	p.startAdaptive()
 	switch p.cfg.Protocol {
 	case ProtoTimelock:
 		p.startTimelock()
@@ -335,7 +227,11 @@ func (p *Party) Start() {
 	}
 }
 
-// wake resumes duties after an offline window.
+// wake resumes duties after an offline window: the party re-reads the
+// public chain state it missed. It cannot recover the vote *events* it
+// slept through (that is the §5.3 offline risk watchtowers exist for),
+// but it can resume its own duties: pending transfers, validation, and
+// claiming decided outcomes.
 func (p *Party) wake() {
 	if !p.active() {
 		return
@@ -343,10 +239,8 @@ func (p *Party) wake() {
 	p.tryTransfers()
 	p.checkValidation()
 	p.maybeVote()
-	if p.cfg.Protocol == ProtoCBC && p.cbcState != nil && p.cbcState.started {
-		if d := p.cfg.CBCHooks.CBC.Deal(p.cfg.Spec.ID); d != nil && d.Status != escrow.StatusActive {
-			p.claimOutcome(d.Status, false, 0)
-		}
+	if st := p.cbcState; st != nil && st.started {
+		p.claimDecided()
 	}
 }
 
@@ -358,20 +252,55 @@ func (p *Party) Stop() {
 	p.unsubs = nil
 }
 
-// active reports whether the party is currently acting (not crashed, not
-// in its offline window).
+// active reports whether the party is currently acting: not crashed,
+// and not inside its offline window.
 func (p *Party) active() bool {
-	if p.crashed {
-		return false
+	if p.sleepUntil == 0 {
+		return !p.halted
 	}
-	b := p.cfg.Behavior
-	if b.OfflineFrom > 0 {
-		now := p.cfg.Sched.Now()
-		if now >= b.OfflineFrom && now < b.OfflineUntil {
-			return false
+	now := p.cfg.Sched.Now()
+	return !p.halted && (now < p.sleepFrom || now >= p.sleepUntil)
+}
+
+// backedOut reports whether an adaptive strategy has made the party
+// renounce the deal (sore loser) or go passive (griefer). Either way it
+// keeps forwarding, claiming and its refund poke — backing out is
+// self-interested, not suicidal.
+func (p *Party) backedOut() bool { return p.quit }
+
+// act is the action seam: every protocol action the driver proposes
+// passes through it, and the party takes the returned action only if ok.
+// A party that is not active takes none (arming the refund poke aside:
+// the poke checks for itself when it fires), one that has backed out
+// takes no duty, and each strategy may then drop or rewrite the action.
+func (p *Party) act(a action) (_ action, ok bool) {
+	if a.kind != actRefund && !p.active() || a.kind <= actVote && p.backedOut() {
+		return a, false
+	}
+	for i := range p.strategies {
+		if hook := p.strategies[i].act; hook != nil {
+			if a, ok = hook(p, a); !ok {
+				return a, false
+			}
 		}
 	}
-	return true
+	return a, true
+}
+
+// observe is the observation seam: every adaptive trigger the party sees
+// reaches its strategies through it, while the party is active and has
+// not backed out. o is an escrow event's payload (escrow.EscrowedEvent
+// or escrow.TransferredEvent), a chain.PendingTx or chain.BundleGossip
+// gossiped on a chain the party watches, or a priceDrift.
+func (p *Party) observe(o any) {
+	if !p.active() || p.backedOut() {
+		return
+	}
+	for i := range p.strategies {
+		if hook := p.strategies[i].observe; hook != nil {
+			hook(p, o)
+		}
+	}
 }
 
 // subscribeChains attaches the party's event handler to every chain it
@@ -416,18 +345,15 @@ func (p *Party) wants(ev chain.Event) bool {
 
 // onChainEvent reacts to escrow contract events.
 func (p *Party) onChainEvent(ev chain.Event) {
+	if ev.Topic != p.cfg.Spec.ID {
+		return
+	}
 	switch ev.Kind {
 	case escrow.EventEscrowed, escrow.EventTransferred:
-		if ev.Topic != p.cfg.Spec.ID {
-			return
-		}
-		p.adaptiveOnEscrowEvent(ev)
+		p.observe(ev.Data)
 		p.tryTransfers()
 		p.checkValidation()
 	case escrow.EventCommitted, escrow.EventAborted:
-		if ev.Topic != p.cfg.Spec.ID {
-			return
-		}
 		p.hedgeOnOutcome(ev)
 	default:
 		if p.cfg.Protocol == ProtoTimelock {
@@ -486,31 +412,20 @@ func (p *Party) submitTx(c *chain.Chain, contract chain.Addr, method, label stri
 	c.Submit(tx)
 }
 
-// performEscrows places the party's outgoing assets in escrow.
+// performEscrows places the party's outgoing assets in escrow,
+// registering the deal with Dinfo info.
 func (p *Party) performEscrows(info any) {
-	if p.cfg.Behavior.SkipEscrow || !p.active() || p.backedOut() {
+	round, ok := p.act(action{kind: actEscrow, info: info})
+	if !ok {
 		return
 	}
-	p.escrowInfo = info // pre-corruption, so a re-drive re-corrupts identically
-	if p.cfg.Behavior.CorruptInfo {
-		info = corruptInfo(info)
-	}
+	p.escrowInfo = info // as proposed, so a re-drive passes the seam afresh
 	for _, ob := range p.mine.Obligations {
-		ob := ob
-		if s := p.cfg.Behavior.EscrowShortfall; s > 0 {
-			if ob.Amount > 0 {
-				if s >= ob.Amount {
-					ob.Amount = 0
-					continue // withholds the entire leg
-				}
-				ob.Amount -= s
-			} else if len(ob.Tokens) > 0 {
-				ob.Tokens = ob.Tokens[:len(ob.Tokens)-1]
-				if len(ob.Tokens) == 0 {
-					continue
-				}
-			}
+		leg, ok := p.act(action{kind: actDeposit, leg: ob})
+		if !ok {
+			continue
 		}
+		ob := leg.leg
 		key := ob.Key
 		if p.escrowSubmitted[key] {
 			continue
@@ -518,14 +433,14 @@ func (p *Party) performEscrows(info any) {
 		// A hedged party refuses to lock an unhedged fungible deposit:
 		// hedgeReady binds cover first and re-enters performEscrows once
 		// the position is confirmed.
-		if !p.hedgeReady(ob, info) {
+		if !p.hedgeReady(ob) {
 			continue
 		}
 		p.escrowSubmitted[key] = true
 		p.submit(ob.Asset, escrow.MethodEscrow, LabelEscrow, escrow.EscrowArgs{
 			Deal:    p.cfg.Spec.ID,
 			Parties: p.cfg.Spec.Parties,
-			Info:    info,
+			Info:    round.info,
 			Amount:  ob.Amount,
 			Tokens:  ob.Tokens,
 		}, func(r *chain.Receipt) {
@@ -535,11 +450,9 @@ func (p *Party) performEscrows(info any) {
 				return
 			}
 			p.escrowConfirmed[key] = true
-			if p.active() {
-				p.tryTransfers()
-				p.checkValidation()
-				p.maybeVote()
-			}
+			p.tryTransfers()
+			p.checkValidation()
+			p.maybeVote()
 		})
 	}
 	if !p.cfg.SerializeRounds {
@@ -553,7 +466,7 @@ func (p *Party) performEscrows(info any) {
 // tryTransfers submits any outgoing transfer whose tentative holdings are
 // in place. Spec order; failures re-enable retry on the next event.
 func (p *Party) tryTransfers() {
-	if p.cfg.Behavior.SkipTransfers || !p.active() || p.backedOut() {
+	if _, ok := p.act(action{kind: actTransfer}); !ok {
 		return
 	}
 	spec := p.cfg.Spec
@@ -618,24 +531,26 @@ func (p *Party) tryTransfers() {
 				// permanently rejected transfer must not resubmit every
 				// block forever and keep the scheduler alive past the point
 				// where the protocol could still use it.
-				if p.active() && p.retryLive() {
+				if p.retryLive() {
 					p.tryTransfers()
 				}
 				p.scheduleRedrive()
 				return
 			}
 			p.confirmed[i] = true
-			if p.active() {
-				p.checkValidation()
-				p.maybeVote()
-			}
+			p.checkValidation()
+			p.maybeVote()
 		})
 	}
 }
 
 // outgoingDone reports whether all of the party's outgoing duties are
-// confirmed on chain.
+// confirmed on chain — or whether it shirks one of them for good
+// (SkipEscrow, SkipTransfers), and so waits on none.
 func (p *Party) outgoingDone() bool {
+	if p.shirks {
+		return true
+	}
 	for i := range p.mine.Obligations {
 		if !p.escrowConfirmed[p.mine.Obligations[i].Key] {
 			return false
@@ -661,8 +576,7 @@ func (p *Party) checkValidation() {
 	if p.validated || !p.active() || p.backedOut() {
 		return
 	}
-	if p.cfg.SerializeRounds && !p.outgoingDone() &&
-		!p.cfg.Behavior.SkipEscrow && !p.cfg.Behavior.SkipTransfers {
+	if p.cfg.SerializeRounds && !p.outgoingDone() {
 		return
 	}
 	for i := range p.mine.Incoming {
@@ -736,18 +650,12 @@ func (p *Party) passedOnToken(key, id string) bool {
 // maybeVote casts the party's commit votes once both halves of the
 // pipelined round have landed: the validation verdict and the last
 // outgoing receipt. Whichever lands second triggers the vote. Parties
-// shirking their outgoing duties (SkipEscrow/SkipTransfers deviants)
-// are not gated on duties they will never complete — they may still
-// vote, as before.
+// shirking their outgoing duties are not gated on duties they will never
+// complete (see outgoingDone) — they may still vote.
 func (p *Party) maybeVote() {
-	if !p.validated {
-		return
+	if p.validated && p.outgoingDone() {
+		p.castVotes()
 	}
-	b := p.cfg.Behavior
-	if !p.outgoingDone() && !b.SkipEscrow && !b.SkipTransfers {
-		return
-	}
-	p.castVotes()
 }
 
 // scheduleRedrive arms a one-shot, Δ-spaced retry of the party's
@@ -815,30 +723,34 @@ func (p *Party) infoSatisfactory(v escrow.View) bool {
 	}
 }
 
-// castVotes sends the party's commit votes per protocol.
+// castVotes sends the party's commit votes per protocol, once.
 func (p *Party) castVotes() {
-	if p.cfg.Behavior.SkipVoting || p.voted || !p.active() || p.backedOut() {
+	if p.voted {
+		return
+	}
+	vote, ok := p.act(action{kind: actVote})
+	if !ok {
 		return
 	}
 	p.voted = true
-	delay := p.cfg.Behavior.VoteDelay
-	if delay > 0 {
-		p.cfg.Sched.After(delay, func() {
+	if vote.delay > 0 {
+		held := vote // declared here, so only a held vote is captured
+		p.cfg.Sched.After(held.delay, func() {
 			if p.active() && !p.backedOut() {
-				p.sendVotes()
+				p.sendVotes(held)
 			}
 		})
 		return
 	}
-	p.sendVotes()
+	p.sendVotes(vote)
 }
 
 // sendVotes dispatches to the protocol driver.
-func (p *Party) sendVotes() {
+func (p *Party) sendVotes(vote action) {
 	switch p.cfg.Protocol {
 	case ProtoTimelock:
-		p.sendTimelockVotes()
+		p.sendTimelockVotes(vote.wide)
 	case ProtoCBC:
-		p.sendCBCVote(true)
+		p.sendCBCVote(vote)
 	}
 }

@@ -65,6 +65,8 @@ func TestActiveRespectsCrashAndOffline(t *testing.T) {
 		Spec: spec, Protocol: ProtoTimelock, Sched: sched,
 		Behavior: Behavior{OfflineFrom: 100, OfflineUntil: 200},
 	})
+	p.Start()
+	defer p.Stop()
 	if !p.active() {
 		t.Fatal("party inactive before offline window")
 	}

@@ -20,7 +20,7 @@ func (p *Party) startTimelock() {
 	}
 	p.performEscrows(info)
 
-	if !p.cfg.Behavior.SkipRefundPoke {
+	if _, ok := p.act(action{kind: actRefund}); ok {
 		// One Δ past the contract refund floor T0 + D·Δ, where D is the
 		// deal digraph's actual relay depth rather than the static
 		// worst-case party count.
@@ -43,9 +43,9 @@ func (p *Party) timelockInfoOK(info any) bool {
 
 // sendTimelockVotes sends the party's own commit vote to the escrow
 // contracts managing its incoming assets — the incentive-compatible
-// minimum. An altruistic party sends it everywhere, collapsing the
-// commit phase to one Δ (Figure 7's footnote).
-func (p *Party) sendTimelockVotes() {
+// minimum. A wide vote (an altruistic party's) goes everywhere,
+// collapsing the commit phase to one Δ (Figure 7's footnote).
+func (p *Party) sendTimelockVotes(wide bool) {
 	vote := sig.NewVoteWith(p.cfg.Memo, p.cfg.Spec.ID, string(p.Addr), p.cfg.Keys)
 	send := func(a deal.AssetRef, key string) {
 		p.markAccepted(key, p.Addr) // optimistic; failures are harmless
@@ -53,7 +53,7 @@ func (p *Party) sendTimelockVotes() {
 			Deal: p.cfg.Spec.ID, Vote: vote,
 		}, nil)
 	}
-	if p.cfg.Behavior.Altruistic {
+	if wide {
 		for j, a := range p.cfg.Plan.Escrows {
 			send(a, p.cfg.Plan.EscrowKeys[j])
 		}
@@ -84,15 +84,12 @@ func (p *Party) onTimelockEvent(ev chain.Event) {
 			p.markAccepted(seenAt, data.Voter)
 		}
 	}
-	if p.cfg.Behavior.NoForwarding {
-		return
-	}
 	if data.Vote.Contains(string(p.Addr)) {
 		// The path already carries our signature (or it is our own
 		// vote): we have already pushed this vote as far as we can.
 		return
 	}
-	p.forwardVote(data.Vote, seenAt, false, 0)
+	p.forwardVote(data.Vote, seenAt)
 }
 
 // forwardVote extends the vote with the party's signature and submits
@@ -101,11 +98,8 @@ func (p *Party) onTimelockEvent(ev chain.Event) {
 // sent, the voter's vote. The extension is signed once and the same
 // call data goes to every target. Both the compliant forwarding path
 // (reacting to accepted-vote events) and the front-runner (reacting to
-// mempool gossip) go through here; raced marks races, whose receipts
-// are reported through the adaptive hooks — success means the racer's
-// copy beat the transaction it reacted to. victimTip is the raced
-// transaction's gossiped tip, which a fee bidder outbids.
-func (p *Party) forwardVote(vote sig.PathSig, seenAt string, raced bool, victimTip uint64) {
+// mempool gossip, see race) go through here.
+func (p *Party) forwardVote(vote sig.PathSig, seenAt string) {
 	voter := chain.Addr(vote.Voter)
 	var args any // timelock.CommitArgs carrying the extended vote
 	for i := range p.mine.Incoming {
@@ -118,33 +112,22 @@ func (p *Party) forwardVote(vote sig.PathSig, seenAt string, raced bool, victimT
 		if !ok {
 			continue
 		}
-		tip := p.tipFor(c, LabelCommit)
-		var onReceipt func(*chain.Receipt)
-		if raced {
-			raceTip, bid, race := p.raceTip(c, LabelCommit, victimTip)
-			if !race {
-				continue // fee budget exhausted: decline rather than underbid
-			}
-			tip = raceTip
-			hooks := p.cfg.Adaptive
-			onReceipt = func(r *chain.Receipt) {
-				if hooks != nil && hooks.OnFrontRun != nil {
-					hooks.OnFrontRun(p.Addr, timelock.MethodCommit, bid, r.Err == nil)
-				}
-			}
+		fw, ok := p.act(action{kind: actForward, on: c, tip: p.tipFor(c, LabelCommit)})
+		if !ok {
+			continue
 		}
-		fw := p.forwarded[key]
-		if fw == nil {
-			fw = make(map[chain.Addr]bool)
-			p.forwarded[key] = fw
+		sent := p.forwarded[key]
+		if sent == nil {
+			sent = make(map[chain.Addr]bool)
+			p.forwarded[key] = sent
 		}
-		fw[voter] = true
+		sent[voter] = true
 		if args == nil {
 			args = timelock.CommitArgs{
 				Deal: p.cfg.Spec.ID, Vote: vote.ForwardWith(p.cfg.Memo, string(p.Addr), p.cfg.Keys),
 			}
 		}
-		p.submitTx(c, in.Asset.Escrow, timelock.MethodCommit, LabelCommit, args, tip, onReceipt)
+		p.submitTx(c, in.Asset.Escrow, timelock.MethodCommit, LabelCommit, args, fw.tip, fw.done)
 	}
 }
 
@@ -195,14 +178,4 @@ func (p *Party) pokeRefunds() {
 		}
 		p.cfg.Sched.After(spacing, func() { p.pokeRefunds() })
 	}
-}
-
-// corruptTimelockInfo distorts timelock Dinfo for the CorruptInfo
-// behavior.
-func corruptTimelockInfo(info any) any {
-	if ti, ok := info.(timelock.Info); ok {
-		ti.Delta++
-		return ti
-	}
-	return info
 }
