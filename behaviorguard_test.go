@@ -19,7 +19,9 @@ const strategyFile = "strategy.go"
 // than the strategy file selects a field of party.Behavior. Deviations
 // are strategies on the party's action and observation seams, decided
 // in one place; a driver that branches on a Behavior field again would
-// make a second.
+// make a second. It also fails when a non-test file of internal/engine
+// compares a Behavior to a literal — deciding who deviates by a rule of
+// its own instead of asking the party (party.Party.Adversary).
 func TestPartyDriversReadNoBehaviorField(t *testing.T) {
 	fields := structFields(t, "internal/party")["Behavior"]
 	if len(fields) == 0 {
@@ -37,6 +39,37 @@ func TestPartyDriversReadNoBehaviorField(t *testing.T) {
 			return true
 		})
 	}
+	for _, f := range nonTestFiles(t, fset, "internal/engine") {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if cmp, ok := n.(*ast.BinaryExpr); ok && (cmp.Op == token.EQL || cmp.Op == token.NEQ) &&
+				(isBehaviorLiteral(cmp.X) || isBehaviorLiteral(cmp.Y)) {
+				t.Errorf("%s: compares a party.Behavior to a literal", fset.Position(cmp.Pos()))
+			}
+			return true
+		})
+	}
+}
+
+// isBehaviorLiteral reports whether e is a party.Behavior composite
+// literal, parenthesized or not.
+func isBehaviorLiteral(e ast.Expr) bool {
+	for {
+		paren, ok := e.(*ast.ParenExpr)
+		if !ok {
+			break
+		}
+		e = paren.X
+	}
+	lit, ok := e.(*ast.CompositeLit)
+	if !ok {
+		return false
+	}
+	sel, ok := lit.Type.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	pkg, ok := sel.X.(*ast.Ident)
+	return ok && pkg.Name == "party" && sel.Sel.Name == "Behavior"
 }
 
 // nonTestFiles parses the non-test Go files of dir, by file name.

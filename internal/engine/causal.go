@@ -56,12 +56,14 @@ func (w *World) dealReceipts() []dealReceipt {
 }
 
 // queueBucket classifies a receipt's mempool wait: a fee-market
-// displacement by a known deviant is adversary-induced, any other
-// displacement is fee pricing-out, and a plain wait (block boundary,
-// capacity overflow without a fee market) is block queueing.
+// displacement by a party running a deviation strategy — of any deal on
+// the substrate — is adversary-induced, any other displacement (a
+// hedged or compliant bidder's) is fee pricing-out, and a plain wait
+// (block boundary, capacity overflow without a fee market) is block
+// queueing.
 func (w *World) queueBucket(r *chain.Receipt) trace.Bucket {
 	if r.PricedOut {
-		if w.opts.Behaviors[r.OutbidBy] != (party.Behavior{}) {
+		if w.sub.adversaries[r.OutbidBy] {
 			return trace.BucketAdversary
 		}
 		return trace.BucketPricedOut

@@ -130,6 +130,10 @@ type Substrate struct {
 	hedges    map[string]*hedge.Manager // escrow key -> hedging contract
 	unions    []chainUnion              // merged chain meters per chain set (see chainGas)
 	receipts  map[string][]dealReceipt  // causal receipts by label prefix (see fileReceipt)
+	// adversaries records every party built here that runs a deviation
+	// strategy (party.Adversary), whichever deal it belongs to: a fee
+	// displacement by one is adversary-induced (see queueBucket).
+	adversaries map[chain.Addr]bool
 }
 
 // chainUnion is the merge of the meters of the chains ids names.
@@ -570,7 +574,14 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 				PublishStart: i == 0,
 			}
 		}
-		w.Parties[addr] = party.New(addr, cfg)
+		p := party.New(addr, cfg)
+		w.Parties[addr] = p
+		if p.Adversary() {
+			if s.adversaries == nil {
+				s.adversaries = make(map[chain.Addr]bool)
+			}
+			s.adversaries[addr] = true
+		}
 	}
 	return w, nil
 }
