@@ -612,6 +612,9 @@ func (d *oneDeal) build() (*deal.Spec, engine.Options, error) {
 		if !slices.Contains(spec.Parties, p) {
 			return nil, opts, fmt.Errorf("party %q in Deal.Behaviors is not in deal %s", p, spec.ID)
 		}
+		if err := d.Behaviors[p].Validate(); err != nil {
+			return nil, opts, fmt.Errorf("party %q in Deal.Behaviors: %v", p, err)
+		}
 	}
 	opts.Behaviors = d.Behaviors
 	if len(d.Censor) > 0 {

@@ -307,6 +307,11 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 			return nil, err
 		}
 	}
+	for _, p := range spec.Parties {
+		if err := opts.Behaviors[p].Validate(); err != nil {
+			return nil, fmt.Errorf("engine: party %s: %w", p, err)
+		}
+	}
 	sched := s.Sched
 	plan := deal.NewPlan(spec)
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"strings"
 	"testing"
 
 	"xdeal/internal/chain"
@@ -17,6 +18,17 @@ func runBroker(t *testing.T, opts Options) *Result {
 		t.Fatal(err)
 	}
 	return w.Run()
+}
+
+// TestBuildRejectsInertBehavior: a Behavior a party could not act on is
+// a configuration error, not a silently compliant deviant.
+func TestBuildRejectsInertBehavior(t *testing.T) {
+	_, err := Build(deal.BrokerSpec(2000, 1000), Options{
+		Behaviors: map[chain.Addr]party.Behavior{"bob": {OfflineFrom: 1500}},
+	})
+	if err == nil || !strings.Contains(err.Error(), "party bob: OfflineFrom 1500 needs a later OfflineUntil") {
+		t.Fatalf("Build = %v, want the inert offline window rejected", err)
+	}
 }
 
 func TestBrokerDealCommitsTimelock(t *testing.T) {

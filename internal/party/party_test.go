@@ -1,6 +1,7 @@
 package party
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -35,6 +36,47 @@ func TestBehaviorComplianceClassification(t *testing.T) {
 	for _, c := range cases {
 		if got := c.b.Compliant(); got != c.compliant {
 			t.Errorf("%s: Compliant() = %v, want %v", c.name, got, c.compliant)
+		}
+	}
+}
+
+// TestBehaviorValidate: Validate accepts every behavior a party can act
+// on and rejects, naming the field, each value that configures nothing.
+func TestBehaviorValidate(t *testing.T) {
+	valid := []Behavior{
+		{}, {Hedged: true}, {SkipVoting: true}, {CrashAt: 700}, {VoteDelay: 100},
+		{OfflineFrom: 1, OfflineUntil: 2}, {CommitThenAbort: 5}, {SoreLoserThreshold: 0.05},
+		{FrontRun: true}, {FrontRun: true, FeeBid: true}, {FrontRun: true, FeeBid: true, FeeBudget: 400},
+		{BundleGrief: true, BundleBudget: 400},
+	}
+	for _, b := range valid {
+		if err := b.Validate(); err != nil {
+			t.Errorf("%+v: %v", b, err)
+		}
+	}
+	invalid := []struct {
+		b     Behavior
+		field string
+	}{
+		{Behavior{OfflineFrom: 2000}, "OfflineFrom"},
+		{Behavior{OfflineFrom: 2000, OfflineUntil: 2000}, "OfflineFrom"},
+		{Behavior{OfflineUntil: 2000}, "OfflineUntil"},
+		{Behavior{CrashAt: -1}, "CrashAt"},
+		{Behavior{OfflineFrom: -1, OfflineUntil: 5}, "OfflineFrom"},
+		{Behavior{VoteDelay: -1}, "VoteDelay"},
+		{Behavior{CommitThenAbort: -1}, "CommitThenAbort"},
+		{Behavior{SoreLoserThreshold: -0.5}, "SoreLoserThreshold"},
+		{Behavior{SoreLoserThreshold: math.NaN()}, "SoreLoserThreshold"},
+		{Behavior{SoreLoserThreshold: math.Inf(1)}, "SoreLoserThreshold"},
+		{Behavior{SoreLoserThreshold: math.Inf(-1)}, "SoreLoserThreshold"},
+		{Behavior{FeeBid: true}, "FeeBid"},
+		{Behavior{FrontRun: true, FeeBudget: 9}, "FeeBudget"},
+		{Behavior{BundleBudget: 9}, "BundleBudget"},
+	}
+	for _, c := range invalid {
+		err := c.b.Validate()
+		if err == nil || !strings.HasPrefix(err.Error(), c.field+" ") {
+			t.Errorf("%+v: Validate() = %v, want an error naming %s", c.b, err, c.field)
 		}
 	}
 }
