@@ -59,13 +59,6 @@ type AdaptiveHooks struct {
 	OnHedgeSettled func(p chain.Addr, payout bool, amount uint64)
 }
 
-// priceDrift is a price poll: a token the party pays out, and its
-// fractional drift from its price at deal start.
-type priceDrift struct {
-	token chain.Addr
-	drift float64
-}
-
 // pollPrices watches the market price of every asset the party pays
 // out, at Δ/4 cadence until the deal's overall timelock deadline (past
 // it the escrows refund anyway and regret is moot), observing each one's
@@ -78,19 +71,19 @@ func (p *Party) pollPrices() {
 		return
 	}
 	spec, oracle := p.cfg.Spec, hooks.Oracle
-	base := make(map[chain.Addr]float64)
 	var toks []chain.Addr // sorted watch list: deterministic trigger order
 	for _, ob := range p.mine.Obligations {
-		tok := ob.Asset.Token
-		if _, seen := base[tok]; !seen {
-			base[tok] = oracle.Price(tok)
-			toks = append(toks, tok)
-		}
+		toks = append(toks, ob.Asset.Token)
 	}
 	if len(toks) == 0 {
 		return // nothing at stake, nothing to regret
 	}
 	slices.Sort(toks)
+	toks = slices.Compact(toks)
+	base := make([]float64, len(toks))
+	for i, tok := range toks {
+		base[i] = oracle.Price(tok)
+	}
 	cadence := spec.Delta / 4
 	if cadence <= 0 {
 		cadence = 1
@@ -101,9 +94,9 @@ func (p *Party) pollPrices() {
 		if p.backedOut() || p.voted || !p.active() {
 			return
 		}
-		for _, tok := range toks {
-			if b := base[tok]; b > 0 {
-				p.observe(priceDrift{tok, (oracle.Price(tok) - b) / b})
+		for i, tok := range toks {
+			if b := base[i]; b > 0 {
+				p.observe(observation{kind: obsPrice, token: tok, drift: (oracle.Price(tok) - b) / b})
 				if p.backedOut() {
 					return
 				}
@@ -126,7 +119,7 @@ func (p *Party) watchMempools() {
 			continue
 		}
 		p.unsubs = append(p.unsubs, c.SubscribeMempool(p.cfg.Spec.ID, p.wantsGossip, func(ptx chain.PendingTx) {
-			p.observe(ptx)
+			p.observe(observation{kind: obsGossip, gossip: ptx})
 		}))
 	}
 }

@@ -89,7 +89,7 @@ func (p *Party) watchBundleBids() {
 		}
 		p.unsubs = append(p.unsubs, c.SubscribeBundleBids(func(g chain.BundleGossip) {
 			if g.Deal != p.cfg.Spec.ID {
-				p.observe(g)
+				p.observe(observation{kind: obsBid, bid: g})
 			}
 		}))
 	}

@@ -202,7 +202,14 @@ func New(addr chain.Addr, cfg Config) *Party {
 
 // Compliant reports whether this party follows the protocol (see
 // Behavior.Compliant).
-func (p *Party) Compliant() bool { return compliant(p.strategies) }
+func (p *Party) Compliant() bool {
+	for i := range p.strategies {
+		if p.strategies[i].deviant {
+			return false
+		}
+	}
+	return true
+}
 
 // Adversary reports whether the party runs any deviation strategy,
 // including those that keep every protocol duty (late voting, front-
@@ -289,10 +296,8 @@ func (p *Party) act(a action) (_ action, ok bool) {
 
 // observe is the observation seam: every adaptive trigger the party sees
 // reaches its strategies through it, while the party is active and has
-// not backed out. o is an escrow event's payload (escrow.EscrowedEvent
-// or escrow.TransferredEvent), a chain.PendingTx or chain.BundleGossip
-// gossiped on a chain the party watches, or a priceDrift.
-func (p *Party) observe(o any) {
+// not backed out.
+func (p *Party) observe(o observation) {
 	if !p.active() || p.backedOut() {
 		return
 	}
@@ -350,7 +355,7 @@ func (p *Party) onChainEvent(ev chain.Event) {
 	}
 	switch ev.Kind {
 	case escrow.EventEscrowed, escrow.EventTransferred:
-		p.observe(ev.Data)
+		p.observe(observation{kind: obsEscrow, event: ev.Data})
 		p.tryTransfers()
 		p.checkValidation()
 	case escrow.EventCommitted, escrow.EventAborted:

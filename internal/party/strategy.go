@@ -121,7 +121,11 @@ type Behavior struct {
 // hurt other parties' liveness or safety accounting: whether none of its
 // strategies breaks a protocol duty. Altruistic and late voting, front-
 // running and bundle griefing keep every duty and stay compliant.
-func (b Behavior) Compliant() bool { return compliant(b.strategies()) }
+func (b Behavior) Compliant() bool {
+	var p Party
+	p.adopt(b)
+	return p.Compliant()
+}
 
 // Validate rejects a behavior a party could not act on as written — a
 // field that configures nothing on its own, or a value outside its
@@ -186,6 +190,28 @@ type action struct {
 	done func(*chain.Receipt)
 }
 
+// observation is one adaptive trigger, of one of four kinds. It travels
+// by value, so observing allocates nothing.
+type observation struct {
+	kind   observationKind
+	event  any                // obsEscrow: an escrow event's payload
+	gossip chain.PendingTx    // obsGossip: a pending transaction of the deal
+	bid    chain.BundleGossip // obsBid: a rival deal's bundle bid
+	token  chain.Addr         // obsPrice: a token the party pays out,
+	drift  float64            // and its fractional drift since deal start
+}
+
+// observationKind names the adaptive triggers.
+type observationKind uint8
+
+// Observation kinds: what the party watches (see adaptive.go).
+const (
+	obsEscrow observationKind = iota // escrow events of its deal
+	obsGossip                        // its deal's gossip in the mempools
+	obsBid                           // rival bundle bids (bundled worlds)
+	obsPrice                         // market prices (with an oracle)
+)
+
 // strategy is one deviation: hooks on the party's seams, each optional.
 type strategy struct {
 	// deviant marks a strategy that breaks a protocol duty, so the
@@ -196,16 +222,7 @@ type strategy struct {
 	shirks  bool
 	start   func(p *Party)                          // at deal start
 	act     func(p *Party, a action) (action, bool) // false drops a
-	observe func(p *Party, o any)                   // see Party.observe
-}
-
-func compliant(s []strategy) bool {
-	for i := range s {
-		if s[i].deviant {
-			return false
-		}
-	}
-	return true
+	observe func(p *Party, o observation)
 }
 
 // adopt builds the party's strategies from its behavior. A compliant
@@ -302,14 +319,13 @@ func (b Behavior) strategies() []strategy {
 	if b.SoreLoserThreshold > 0 {
 		add(strategy{deviant: true,
 			start: func(p *Party) { p.pollPrices() },
-			observe: func(p *Party, o any) {
-				d, ok := o.(priceDrift)
-				if !ok || d.drift < b.SoreLoserThreshold {
+			observe: func(p *Party, o observation) {
+				if o.kind != obsPrice || o.drift < b.SoreLoserThreshold {
 					return
 				}
 				p.quit = true
 				if cb := p.cfg.Adaptive.OnSoreLoser; cb != nil {
-					cb(p.Addr, d.token, d.drift)
+					cb(p.Addr, o.token, o.drift)
 				}
 				p.rescind()
 			},
@@ -319,8 +335,8 @@ func (b Behavior) strategies() []strategy {
 		add(b.frontRunner())
 	}
 	if b.Grief {
-		add(strategy{deviant: true, observe: func(p *Party, o any) {
-			if d, ok := o.(escrow.EscrowedEvent); ok && d.Party != p.Addr {
+		add(strategy{deviant: true, observe: func(p *Party, o observation) {
+			if d, ok := o.event.(escrow.EscrowedEvent); ok && d.Party != p.Addr {
 				p.quit = true
 			}
 		}})
@@ -341,10 +357,10 @@ func (b Behavior) frontRunner() strategy {
 	racing, spent := false, uint64(0)
 	return strategy{
 		start: func(p *Party) { p.watchMempools() },
-		observe: func(p *Party, o any) {
-			if ptx, ok := o.(chain.PendingTx); ok {
-				victim, racing = ptx, true
-				p.race(ptx)
+		observe: func(p *Party, o observation) {
+			if o.kind == obsGossip {
+				victim, racing = o.gossip, true
+				p.race(o.gossip)
 				racing = false
 			}
 		},
@@ -377,9 +393,9 @@ func (b Behavior) bundleGriefer() strategy {
 	var spent uint64
 	return strategy{
 		start: func(p *Party) { p.watchBundleBids() },
-		observe: func(p *Party, o any) {
-			g, ok := o.(chain.BundleGossip)
-			if !ok {
+		observe: func(p *Party, o observation) {
+			g := o.bid
+			if o.kind != obsBid {
 				return
 			}
 			quote, current := g.PerSlot+1, quotes[g.Chain]

@@ -116,12 +116,7 @@ func (p *Party) forwardVote(vote sig.PathSig, seenAt string) {
 		if !ok {
 			continue
 		}
-		sent := p.forwarded[key]
-		if sent == nil {
-			sent = make(map[chain.Addr]bool)
-			p.forwarded[key] = sent
-		}
-		sent[voter] = true
+		mark(p.forwarded, key, voter)
 		if args == nil {
 			args = timelock.CommitArgs{
 				Deal: p.cfg.Spec.ID, Vote: vote.ForwardWith(p.cfg.Memo, string(p.Addr), p.cfg.Keys),
@@ -133,12 +128,15 @@ func (p *Party) forwardVote(vote sig.PathSig, seenAt string) {
 
 // markAccepted records that an escrow contract has accepted a vote.
 func (p *Party) markAccepted(escrowKey string, voter chain.Addr) {
-	m := p.acceptedAt[escrowKey]
-	if m == nil {
-		m = make(map[chain.Addr]bool)
-		p.acceptedAt[escrowKey] = m
+	mark(p.acceptedAt, escrowKey, voter)
+}
+
+// mark records voter under escrowKey in a per-escrow voter set.
+func mark(sets map[string]map[chain.Addr]bool, escrowKey string, voter chain.Addr) {
+	if sets[escrowKey] == nil {
+		sets[escrowKey] = make(map[chain.Addr]bool)
 	}
-	m[voter] = true
+	sets[escrowKey][voter] = true
 }
 
 // pokeRefunds asks the contracts holding the party's deposits to refund
