@@ -282,12 +282,13 @@ func (g *Generator) buildSpec(shape string, rng *sim.RNG, delta sim.Duration) *d
 }
 
 // deviationCatalog lists the disruptive behaviors the generator
-// samples, time-scaled to the spec's timelock window. All but VoteDelay
-// report Compliant() == false, so adversarial parties never count
-// toward the population's compliant-party property checks; a very late
-// voter stays engine-compliant (path-scaled timeouts tolerate it) but
-// can still abort a deal, so its runs are likewise excluded from the
-// strong-liveness (Property 3) slice via the Adversaries count.
+// samples, time-scaled to the spec's timelock window. All but two report
+// Compliant() == false, so adversarial parties never count toward the
+// population's compliant-party property checks. The two keep every
+// protocol duty and stay engine-compliant: a very late voter (path-
+// scaled timeouts tolerate it) and the fee-bidding front-runner. Either
+// can still abort or slow a deal, so their runs are likewise excluded
+// from the strong-liveness (Property 3) slice via the Adversaries count.
 func deviationCatalog(spec *deal.Spec, fees *FeeOptions) []party.Behavior {
 	t0, delta := spec.T0, spec.Delta
 	catalog := []party.Behavior{
