@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"reflect"
 	"slices"
@@ -76,18 +77,18 @@ func twinJob(t *testing.T, proto string, row, i int) (Job, chain.Addr, party.Beh
 // the run drained and how many scheduler steps it took.
 func twinDigest(w *engine.World, r *engine.Result) string {
 	h := sha256.New()
-	for _, key := range slices.Sorted(mapKeys(r.Outcomes)) {
+	for _, key := range slices.Sorted(maps.Keys(r.Outcomes)) {
 		fmt.Fprintf(h, "outcome %s %v\n", key, r.Outcomes[key])
 	}
 	for _, p := range r.Spec.Parties {
 		d := r.FungibleDelta[p]
-		for _, key := range slices.Sorted(mapKeys(d)) {
+		for _, key := range slices.Sorted(maps.Keys(d)) {
 			fmt.Fprintf(h, "balance %s %s %d\n", p, key, d[key])
 		}
 	}
-	for _, key := range slices.Sorted(mapKeys(r.FinalTokenOwners)) {
+	for _, key := range slices.Sorted(maps.Keys(r.FinalTokenOwners)) {
 		owners := r.FinalTokenOwners[key]
-		for _, id := range slices.Sorted(mapKeys(owners)) {
+		for _, id := range slices.Sorted(maps.Keys(owners)) {
 			fmt.Fprintf(h, "owner %s %s %s\n", key, id, owners[id])
 		}
 	}
@@ -95,28 +96,11 @@ func twinDigest(w *engine.World, r *engine.Result) string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-func mapKeys[V any](m map[string]V) func(func(string) bool) {
-	return func(yield func(string) bool) {
-		for k := range m {
-			if !yield(k) {
-				return
-			}
-		}
-	}
-}
-
 // receiptsBy lists the receipts the deviant's transactions left on the
 // deal's chains, in chain-id then execution order.
 func receiptsBy(w *engine.World, dev chain.Addr) []*chain.Receipt {
 	var out []*chain.Receipt
-	ids := slices.Sorted(func(yield func(chain.ID) bool) {
-		for id := range w.Chains {
-			if !yield(id) {
-				return
-			}
-		}
-	})
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(w.Chains)) {
 		for _, r := range w.Chains[id].Receipts() {
 			if r.Tx.Sender == dev {
 				out = append(out, r)
@@ -144,7 +128,6 @@ func votedCommit(w *engine.World, dev chain.Addr) bool {
 // twinCase is one run of a cell, as the edge-case witnesses see it.
 type twinCase struct {
 	proto string
-	row   int
 	job   Job
 	dev   chain.Addr
 	b     party.Behavior
@@ -312,7 +295,7 @@ func TestDeviationTwins(t *testing.T) {
 				}
 				r := w.Run()
 				got[cell] = append(got[cell], twinDigest(w, r))
-				c := twinCase{proto: proto, row: row, job: job, dev: dev, b: b, w: w, r: r}
+				c := twinCase{proto: proto, job: job, dev: dev, b: b, w: w, r: r}
 				for e, edge := range twinEdges {
 					if edge.witness(t, c) {
 						hits[e]++
@@ -349,7 +332,7 @@ func TestDeviationTwins(t *testing.T) {
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
-	for _, cell := range slices.Sorted(mapKeys(want)) {
+	for _, cell := range slices.Sorted(maps.Keys(want)) {
 		for i, d := range strings.Fields(want[cell]) {
 			if i >= len(got[cell]) || got[cell][i] != d {
 				t.Errorf("%s: deal %d moved", cell, i)

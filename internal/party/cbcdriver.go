@@ -184,6 +184,9 @@ func (p *Party) scheduleGiveUp() {
 				return
 			}
 		}
+		if !p.act(&action{kind: actGiveUp}) {
+			return
+		}
 		st.gaveUp = true
 		st.votedAbort = true
 		p.publishVote(cbc.EntryAbort)
@@ -231,8 +234,8 @@ func (p *Party) claimOutcome(status escrow.Status) {
 		// Take the claim through the seam only once the proof is in
 		// hand, so a failed proof fetch cannot leak a fee bidder's budget
 		// on a never-submitted claim.
-		a, ok := p.act(action{kind: actClaim, on: c, tip: p.tipFor(c, label)})
-		if !ok {
+		a := action{kind: actClaim, on: c, tip: p.tipFor(c, label)}
+		if !p.act(&a) {
 			return
 		}
 		st.claimed[key] = true

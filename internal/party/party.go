@@ -276,22 +276,24 @@ func (p *Party) active() bool {
 func (p *Party) backedOut() bool { return p.quit }
 
 // act is the action seam: every protocol action the driver proposes
-// passes through it, and the party takes the returned action only if ok.
-// A party that is not active takes none (arming the refund poke aside:
-// the poke checks for itself when it fires), one that has backed out
-// takes no duty, and each strategy may then drop or rewrite the action.
-func (p *Party) act(a action) (_ action, ok bool) {
+// passes through it, and the party takes *a, as the strategies leave it,
+// only if act reports true. A party that is not active takes none
+// (arming the refund poke aside: the poke checks for itself when it
+// fires), one that has backed out takes no duty, and each strategy may
+// then drop or rewrite the action.
+func (p *Party) act(a *action) bool {
 	if a.kind != actRefund && !p.active() || a.kind <= actVote && p.backedOut() {
-		return a, false
+		return false
 	}
 	for i := range p.strategies {
 		if hook := p.strategies[i].act; hook != nil {
-			if a, ok = hook(p, a); !ok {
-				return a, false
+			var ok bool
+			if *a, ok = hook(p, *a); !ok {
+				return false
 			}
 		}
 	}
-	return a, true
+	return true
 }
 
 // observe is the observation seam: every adaptive trigger the party sees
@@ -355,7 +357,9 @@ func (p *Party) onChainEvent(ev chain.Event) {
 	}
 	switch ev.Kind {
 	case escrow.EventEscrowed, escrow.EventTransferred:
-		p.observe(observation{kind: obsEscrow, event: ev.Data})
+		if p.strategies != nil { // only a strategy watches these
+			p.observe(observation{kind: obsEscrow, event: ev.Data})
+		}
 		p.tryTransfers()
 		p.checkValidation()
 	case escrow.EventCommitted, escrow.EventAborted:
@@ -420,14 +424,14 @@ func (p *Party) submitTx(c *chain.Chain, contract chain.Addr, method, label stri
 // performEscrows places the party's outgoing assets in escrow,
 // registering the deal with Dinfo info.
 func (p *Party) performEscrows(info any) {
-	round, ok := p.act(action{kind: actEscrow, info: info})
-	if !ok {
+	round := action{kind: actEscrow, info: info}
+	if !p.act(&round) {
 		return
 	}
 	p.escrowInfo = info // as proposed, so a re-drive passes the seam afresh
 	for _, ob := range p.mine.Obligations {
-		leg, ok := p.act(action{kind: actDeposit, leg: ob})
-		if !ok {
+		leg := action{kind: actDeposit, leg: ob}
+		if !p.act(&leg) {
 			continue
 		}
 		ob := leg.leg
@@ -471,7 +475,7 @@ func (p *Party) performEscrows(info any) {
 // tryTransfers submits any outgoing transfer whose tentative holdings are
 // in place. Spec order; failures re-enable retry on the next event.
 func (p *Party) tryTransfers() {
-	if _, ok := p.act(action{kind: actTransfer}); !ok {
+	if !p.act(&action{kind: actTransfer}) {
 		return
 	}
 	spec := p.cfg.Spec
@@ -733,8 +737,8 @@ func (p *Party) castVotes() {
 	if p.voted {
 		return
 	}
-	vote, ok := p.act(action{kind: actVote})
-	if !ok {
+	vote := action{kind: actVote}
+	if !p.act(&vote) {
 		return
 	}
 	p.voted = true

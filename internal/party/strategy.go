@@ -169,6 +169,7 @@ const (
 	actVote                       // the party's own vote
 	actForward                    // relaying another party's timelock vote
 	actClaim                      // presenting the CBC's decision
+	actGiveUp                     // the CBC abort vote once patience runs out
 	actRefund                     // arming the timelock refund poke
 )
 

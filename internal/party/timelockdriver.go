@@ -20,7 +20,7 @@ func (p *Party) startTimelock() {
 	}
 	p.performEscrows(info)
 
-	if _, ok := p.act(action{kind: actRefund}); ok {
+	if p.act(&action{kind: actRefund}) {
 		// One Δ past the contract refund floor T0 + D·Δ, where D is the
 		// deal digraph's actual relay depth rather than the static
 		// worst-case party count.
@@ -112,8 +112,8 @@ func (p *Party) forwardVote(vote sig.PathSig, seenAt string) {
 		if !ok {
 			continue
 		}
-		fw, ok := p.act(action{kind: actForward, on: c, tip: p.tipFor(c, LabelCommit)})
-		if !ok {
+		fw := action{kind: actForward, on: c, tip: p.tipFor(c, LabelCommit)}
+		if !p.act(&fw) {
 			continue
 		}
 		mark(p.forwarded, key, voter)
