@@ -34,7 +34,7 @@ func (p PhaseTimes) InDelta(t sim.Time, delta sim.Duration) float64 {
 // Result is the evaluated outcome of one deal execution.
 type Result struct {
 	Spec      *deal.Spec
-	Outcomes  map[string]escrow.Status // escrow key -> final status
+	Outcomes  map[string]escrow.Status // escrow key -> final status, one per escrow of the deal
 	Compliant map[chain.Addr]bool
 
 	// Property violations, empty when the protocol behaved correctly.

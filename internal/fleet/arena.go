@@ -300,7 +300,7 @@ func arenaRecord(globalIndex int, protocol string, out arena.DealOutcome, feesOn
 		Shape:        out.Shape,
 		Protocol:     protocol,
 		Parties:      len(out.Spec.Parties),
-		Escrows:      len(out.Spec.Escrows()),
+		Escrows:      len(r.Outcomes), // one outcome per escrow of the plan
 		Transfers:    len(out.Spec.Transfers),
 		Adversaries:  out.Adversaries,
 		Sequenceable: out.Sequenceable,

@@ -130,7 +130,7 @@ func record(job Job, r *engine.Result) Record {
 		Shape:        job.Shape,
 		Protocol:     job.Opts.Protocol.String(),
 		Parties:      len(job.Spec.Parties),
-		Escrows:      len(job.Spec.Escrows()),
+		Escrows:      len(r.Outcomes), // one outcome per escrow of the plan
 		Transfers:    len(job.Spec.Transfers),
 		Adversaries:  job.Adversaries,
 		Outage:       job.Outage,

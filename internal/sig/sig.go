@@ -300,22 +300,28 @@ func Hash(parts ...[]byte) [32]byte {
 	return sha256.Sum256(buf)
 }
 
-// HashStrings is Hash over string parts.
+// HashStrings is Hash over string parts: the same bytes in the same
+// stack buffer, so the same digest, without converting each part to a
+// []byte. It repeats Hash's loop rather than sharing a generic one,
+// which the compiler would inline into callers and make their
+// arguments escape.
 func HashStrings(parts ...string) [32]byte {
-	bs := make([][]byte, len(parts))
-	for i, s := range parts {
-		bs[i] = []byte(s)
+	var stack [256]byte
+	buf := stack[:0]
+	for _, p := range parts {
+		buf = binary.BigEndian.AppendUint64(buf, uint64(len(p)))
+		buf = append(buf, p...)
 	}
-	return Hash(bs...)
+	return sha256.Sum256(buf)
 }
 
-// voteMessage is the canonical byte encoding of a commit vote on deal d by
-// voter v. The deal identifier acts as a nonce (§5: "Since D is
+// voteMessage is the canonical encoding of a commit vote on deal d by
+// voter v: a digest callers keep on the stack and sign or verify as a
+// slice. The deal identifier acts as a nonce (§5: "Since D is
 // effectively a nonce, nothing extra is needed to guard against replay
 // attacks").
-func voteMessage(deal, voter string) []byte {
-	h := HashStrings("xdeal/vote", deal, voter)
-	return h[:]
+func voteMessage(deal, voter string) [32]byte {
+	return HashStrings("xdeal/vote", deal, voter)
 }
 
 // PathSig is a commit vote together with its forwarding chain.
@@ -337,11 +343,12 @@ func NewVote(deal, voter string, key KeyPair) PathSig {
 // NewVoteWith is NewVote with the signature made through memo (nil
 // signs plainly).
 func NewVoteWith(memo *Memo, deal, voter string, key KeyPair) PathSig {
+	msg := voteMessage(deal, voter)
 	return PathSig{
 		Deal:    deal,
 		Voter:   voter,
 		Signers: []string{voter},
-		Sigs:    [][]byte{memo.Sign(key, voteMessage(deal, voter))},
+		Sigs:    [][]byte{memo.Sign(key, msg[:])},
 	}
 }
 
@@ -408,7 +415,8 @@ func (p PathSig) VerifyWith(memo *Memo, keys map[string]ed25519.PublicKey, verif
 		}
 		seen[s] = true
 	}
-	msg := voteMessage(p.Deal, p.Voter)
+	vote := voteMessage(p.Deal, p.Voter)
+	msg := vote[:]
 	for i, signer := range p.Signers {
 		pub, ok := keys[signer]
 		if !ok {

@@ -72,6 +72,20 @@ func TestHashDeterministic(t *testing.T) {
 	}
 }
 
+// TestHashStringsAllocatesNothing pins HashStrings to Hash's stack
+// encoding: short parts hash without allocating, to the same digest as
+// Hash over the parts as bytes, so every vote message stays the same.
+func TestHashStringsAllocatesNothing(t *testing.T) {
+	parts := [3]string{"xdeal/vote", "deal-17", "alice"}
+	var sum [32]byte
+	if allocs := testing.AllocsPerRun(100, func() { sum = HashStrings(parts[0], parts[1], parts[2]) }); allocs != 0 {
+		t.Fatalf("HashStrings allocates %v times per call, want 0", allocs)
+	}
+	if want := Hash([]byte(parts[0]), []byte(parts[1]), []byte(parts[2])); sum != want {
+		t.Fatalf("HashStrings = %x, Hash over the same bytes = %x", sum, want)
+	}
+}
+
 func TestDirectVoteVerifies(t *testing.T) {
 	kps, pubs := keyring("alice")
 	v := NewVote("D1", "alice", kps["alice"])
