@@ -18,7 +18,9 @@ var allocBudgets = []struct {
 	ceiling int64
 	opts    xdeal.SweepOptions
 }{
-	// Isolated worlds: 88,019 bytes/deal (106,610 before deal.NewPlan
+	// Isolated worlds: 84,058 bytes/deal (88,167 before the refund floor
+	// went back to N, dropping the per-deal relay-depth derivation, and
+	// vote messages hashed without allocating; 106,610 before deal.NewPlan
 	// derived each deal in one pass and the scheduler wheel shrank to 256
 	// one-pointer slots, where later perf work had left the 109,543 measured
 	// here; 119,617 before DealGas stopped merging a second meter and
@@ -27,17 +29,18 @@ var allocBudgets = []struct {
 	// After events reused and the always-on attribution stopped building the
 	// span DAG; 150,371 before the gas meter went flat, After stopped
 	// returning a Cancel and mempool gossip was filtered).
-	{"isolated", 64, 102_000, xdeal.SweepOptions{Gen: xdeal.GenOptions{
+	{"isolated", 64, 97_000, xdeal.SweepOptions{Gen: xdeal.GenOptions{
 		Seed: 7, Protocol: "mixed", AdversaryRate: 0.3, DoSRate: 0.15,
 	}}},
 	// Shared arenas of 50 deals on 2 chains with fees, bundle auctions and
-	// hedging: 112,709 bytes/deal (115,250 before the deal plan and the
-	// wheel above, where later perf work had left the 130,889 measured here;
-	// 182,583 before each deal's meter became a layer over one chain-gas
-	// union per chain set and its receipts came from the index; 323,133
-	// before the notify grouping, the reused After events and the span-free
-	// attribution).
-	{"arena", 200, 130_000, xdeal.SweepOptions{
+	// hedging: 108,401 bytes/deal (112,771 before the N refund floor and
+	// the allocation-free vote hashing above; 115,250 before the deal plan
+	// and the wheel above, where later perf work had left the 130,889
+	// measured here; 182,583 before each deal's meter became a layer over
+	// one chain-gas union per chain set and its receipts came from the
+	// index; 323,133 before the notify grouping, the reused After events
+	// and the span-free attribution).
+	{"arena", 200, 125_000, xdeal.SweepOptions{
 		Gen: xdeal.GenOptions{Seed: 7, Protocol: "mixed", AdversaryRate: 0.3, Fees: &xdeal.FeeOptions{}},
 		Arena: &xdeal.ArenaOptions{
 			DealsPerArena: 50, Chains: 2, Bundles: true, Hedge: true,

@@ -12,7 +12,6 @@ import (
 // re-derive on every chain event — pure functions of (Spec, party),
 // computed once per deal and shared read-only.
 type Plan struct {
-	Depth        int      // Spec.VoteDepth()
 	TransferKeys []string // TransferKeys[i] is Spec.Transfers[i].Asset.Key()
 	// Escrows lists the distinct escrow contracts the deal touches, each
 	// as the asset of the first transfer naming it, sorted by key: the m
@@ -92,7 +91,6 @@ func (c *tally) add(s *Spec, f flow) {
 func NewPlan(s *Spec) *Plan {
 	n := len(s.Transfers)
 	pl := &Plan{
-		Depth:        s.VoteDepth(),
 		TransferKeys: make([]string, n),
 		addrs:        s.Parties,
 	}

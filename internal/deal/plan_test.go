@@ -18,9 +18,6 @@ import (
 // oracles), or "" when every field agrees.
 func planMismatch(s *deal.Spec) string {
 	pl := deal.NewPlan(s)
-	if pl.Depth != s.VoteDepth() {
-		return fmt.Sprintf("depth %d, spec says %d", pl.Depth, s.VoteDepth())
-	}
 	for i, tr := range s.Transfers {
 		if pl.TransferKeys[i] != tr.Asset.Key() {
 			return fmt.Sprintf("transfer %d keyed %q, want %q", i, pl.TransferKeys[i], tr.Asset.Key())

@@ -265,7 +265,10 @@ var twinEdges = []struct {
 // and scheduler step count to match the digest pinned in
 // testdata/deviation_twins.json — which was generated by this test
 // against the party drivers as they stood before deviations became
-// strategies, so the test needs no second copy of those drivers. Each
+// strategies, so the test needs no second copy of those drivers, and
+// regenerated once since, when the timelock refund floor went back to
+// t0 + N·Δ and moved the drain time of every deal with a shorter relay
+// depth. Each
 // edge case in twinEdges must be exercised by at least one deal.
 // -update rewrites the fixture.
 func TestDeviationTwins(t *testing.T) {

@@ -49,15 +49,15 @@ func escalate(lo, hi uint64, urgency float64) uint64 {
 	return lo + uint64(float64(hi-lo)*min(max(urgency, 0), 1)+0.5)
 }
 
-// timelockHorizon is the deal's overall timelock deadline t0 + (D+1)·Δ,
-// where D is the deal digraph's relay depth (Spec.VoteDepth) — the
-// contract refund floor plus one Δ of poke margin, past which protocol
-// work included on chain is worthless. The refund poke fires exactly
-// here, and both the fee/bid escalation (urgency) and the bundle
-// deadline reported to auctions measure against this one horizon.
+// timelockHorizon is the deal's overall timelock deadline t0 + (N+1)·Δ,
+// N the party count, as the hedge cover uses — the contract refund
+// floor t0 + N·Δ plus one Δ of poke margin, past which protocol work
+// included on chain is worthless. The refund poke fires exactly here,
+// and both the fee/bid escalation (urgency) and the bundle deadline
+// reported to auctions measure against this one horizon.
 func (p *Party) timelockHorizon() sim.Time {
 	spec := p.cfg.Spec
-	return spec.T0 + sim.Time(p.cfg.Plan.Depth+1)*spec.Delta
+	return spec.T0 + sim.Time(len(spec.Parties)+1)*spec.Delta
 }
 
 // urgency is the party's deadline pressure: how far it is through the

@@ -13,17 +13,11 @@ import (
 // forwarding. A refund poke is scheduled after the deal's overall timeout
 // so escrowed assets are never locked forever (weak liveness).
 func (p *Party) startTimelock() {
-	info := timelock.Info{
-		T0:    p.cfg.Spec.T0,
-		Delta: p.cfg.Spec.Delta,
-		Depth: p.cfg.Plan.Depth,
-	}
-	p.performEscrows(info)
+	p.performEscrows(timelock.Info{T0: p.cfg.Spec.T0, Delta: p.cfg.Spec.Delta})
 
 	if p.act(&action{kind: actRefund}) {
-		// One Δ past the contract refund floor T0 + D·Δ, where D is the
-		// deal digraph's actual relay depth rather than the static
-		// worst-case party count.
+		// One Δ past the contract refund floor T0 + N·Δ, N the party
+		// count: the last rung a late long-path vote may still need.
 		p.cfg.Sched.At(p.timelockHorizon(), func() { p.pokeRefunds() })
 	}
 }
@@ -31,14 +25,7 @@ func (p *Party) startTimelock() {
 // timelockInfoOK verifies the Dinfo registered at an escrow contract.
 func (p *Party) timelockInfoOK(info any) bool {
 	ti, ok := info.(timelock.Info)
-	if !ok || ti.T0 != p.cfg.Spec.T0 || ti.Delta != p.cfg.Spec.Delta {
-		return false
-	}
-	// Depth 0 is legacy/unset Dinfo — the contract then falls back to
-	// the looser N-party refund floor, which can only delay refunds,
-	// never misdirect assets. Any explicit depth must match the value
-	// this party derives from the spec itself.
-	return ti.Depth == 0 || ti.Depth == p.cfg.Plan.Depth
+	return ok && ti.T0 == p.cfg.Spec.T0 && ti.Delta == p.cfg.Spec.Delta
 }
 
 // sendTimelockVotes sends the party's own commit vote to the escrow

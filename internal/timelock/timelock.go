@@ -43,17 +43,11 @@ const (
 
 // Info is the timelock Dinfo stored with each deal registration: the
 // commit-phase start time and the synchrony bound. The party list is
-// stored alongside by the escrow layer.
+// stored alongside by the escrow layer, and its length N sets the refund
+// floor t0 + N·Δ (see handleRefund).
 type Info struct {
 	T0    sim.Time
 	Delta sim.Duration
-	// Depth is the timeout-ladder depth the refund floor uses: the deal
-	// digraph's actual relay depth (deal.Spec.VoteDepth) instead of the
-	// static worst case N = len(parties). Zero means unset (legacy
-	// registrations) and falls back to N; values above N clamp to N.
-	// Only the refund floor tightens — the per-vote acceptance rule is
-	// untouched, each forwarding hop still buys one Δ.
-	Depth int
 }
 
 // CommitArgs is the argument to MethodCommit.
@@ -212,11 +206,18 @@ func (m *Manager) handleCommit(env *chain.Env, a CommitArgs) error {
 }
 
 // handleRefund refunds escrowed assets once the overall deal timeout
-// t0 + D·Δ has passed without unanimous votes, where D is the
-// registered ladder depth (Info.Depth, defaulting to the worst case
-// N = len(parties) when unset). Anyone may poke it; in practice
-// compliant parties poke the contracts holding their assets (weak
-// liveness), and watchtowers may poke on behalf of others.
+// t0 + N·Δ has passed without unanimous votes, N = len(parties). Anyone
+// may poke it; in practice compliant parties poke the contracts holding
+// their assets (weak liveness), and watchtowers may poke on behalf of
+// others.
+//
+// The floor is N, not the deal digraph's relay depth D, because votes
+// are accepted until t0 + |p|·Δ and a path may carry up to N distinct
+// signers. A compliant party that sees a |p| = k vote accepted at its
+// outgoing escrow has until t0 + (k+1)·Δ to forward it to its incoming
+// ones, and k+1 can reach N. A floor at D < N lets colluders land
+// |p| = D votes at one escrow just before t0 + D·Δ and refund another at
+// t0 + D·Δ, before the forward can arrive (§5).
 func (m *Manager) handleRefund(env *chain.Env, a RefundArgs) error {
 	st := m.Deal(a.Deal)
 	if st == nil {
@@ -229,11 +230,7 @@ func (m *Manager) handleRefund(env *chain.Env, a RefundArgs) error {
 	if !ok {
 		return ErrBadInfo
 	}
-	depth := len(st.Parties)
-	if info.Depth > 0 && info.Depth < depth {
-		depth = info.Depth
-	}
-	deadline := info.T0 + sim.Time(depth)*info.Delta
+	deadline := info.T0 + sim.Time(len(st.Parties))*info.Delta
 	if env.Now() < deadline {
 		return fmt.Errorf("%w: now=%d deadline=%d", ErrTooEarlyRefund, env.Now(), deadline)
 	}

@@ -461,59 +461,3 @@ func TestAbortCostRangesFromFreeToNearCommit(t *testing.T) {
 		t.Fatal("deal did not abort")
 	}
 }
-
-// fundAndEscrowInfo is fundAndEscrow with an explicit Dinfo, for the
-// depth-laddered refund tests.
-func (w *world) fundAndEscrowInfo(t *testing.T, p chain.Addr, amount uint64, info Info) {
-	t.Helper()
-	w.call("bank", "coin", token.MethodMint, token.MintArgs{To: p, Amount: amount})
-	w.call(p, "coin", token.MethodApprove, token.ApproveArgs{Operator: "coin-escrow", Allowed: true})
-	r := w.call(p, "coin-escrow", escrow.MethodEscrow, escrow.EscrowArgs{
-		Deal: "D", Parties: parties, Info: info, Amount: amount,
-	})
-	if r.Err != nil {
-		t.Fatalf("escrow by %s failed: %v", p, r.Err)
-	}
-}
-
-// A registration carrying the deal digraph's actual relay depth tightens
-// the refund floor from t0 + N·Δ to t0 + D·Δ: with D = 2 of N = 3, the
-// refund opens a full Δ earlier than the static worst case.
-func TestRefundFloorUsesRegisteredDepth(t *testing.T) {
-	w := newWorld(t)
-	w.fundAndEscrowInfo(t, "alice", 100, Info{T0: t0, Delta: delta, Depth: 2})
-
-	// Before t0 + 2Δ = 400: still too early.
-	r := w.callAt(370, "alice", "coin-escrow", MethodRefund, RefundArgs{Deal: "D"})
-	if !errors.Is(r.Err, ErrTooEarlyRefund) {
-		t.Fatalf("refund before depth floor err = %v, want ErrTooEarlyRefund", r.Err)
-	}
-	// Past the depth floor but well before the legacy N floor (500).
-	r = w.callAt(420, "alice", "coin-escrow", MethodRefund, RefundArgs{Deal: "D"})
-	if r.Err != nil {
-		t.Fatalf("refund past depth floor rejected: %v", r.Err)
-	}
-	if w.mgr.Deal("D").Status != escrow.StatusAborted {
-		t.Fatalf("status = %s, want aborted", w.mgr.Deal("D").Status)
-	}
-	if w.coin.BalanceOf("alice") != 100 {
-		t.Fatalf("alice refund = %d, want 100", w.coin.BalanceOf("alice"))
-	}
-}
-
-// A depth wider than the party count cannot loosen the floor: it clamps
-// to N, the same bound legacy zero-depth registrations get.
-func TestRefundFloorDepthClampsToParties(t *testing.T) {
-	w := newWorld(t)
-	w.fundAndEscrowInfo(t, "alice", 100, Info{T0: t0, Delta: delta, Depth: 9})
-
-	// Before t0 + N·Δ = 500, a clamped ladder still refuses.
-	r := w.callAt(420, "alice", "coin-escrow", MethodRefund, RefundArgs{Deal: "D"})
-	if !errors.Is(r.Err, ErrTooEarlyRefund) {
-		t.Fatalf("refund before clamped floor err = %v, want ErrTooEarlyRefund", r.Err)
-	}
-	r = w.callAt(520, "alice", "coin-escrow", MethodRefund, RefundArgs{Deal: "D"})
-	if r.Err != nil {
-		t.Fatalf("refund past clamped floor rejected: %v", r.Err)
-	}
-}
