@@ -34,9 +34,10 @@ alloc-gate:
 
 # Profile one scenario's sweep: make profile S=scenarios/profile-timelock.json
 # writes prof/<name>.cpu.pprof and prof/<name>.mem.pprof (read alloc_space
-# with go tool pprof -sample_index=alloc_space) and the report beside them.
-# Exit 1 from dealsweep only flags violations in the population, so it
-# does not fail the target.
+# with go tool pprof -sample_index=alloc_space), the report, and
+# prof/<name>.allocs.txt: the top 30 allocation sites by objects, to paste
+# before/after lines from. Exit 1 from dealsweep only flags violations in
+# the population, so it does not fail the target.
 PROF ?= prof
 profile:
 	@test -n "$(S)" || { echo "usage: make profile S=<scenario.json>"; exit 2; }
@@ -45,4 +46,6 @@ profile:
 	@n=$$(basename $(S) .json); \
 	./bin/dealsweep -scenario $(S) -cpuprofile $(PROF)/$$n.cpu.pprof -memprofile $(PROF)/$$n.mem.pprof \
 		> $(PROF)/$$n.txt; rc=$$?; test $$rc -le 1 || exit $$rc; \
-	echo "wrote $(PROF)/$$n.cpu.pprof, $(PROF)/$$n.mem.pprof and $(PROF)/$$n.txt"
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=30 bin/dealsweep \
+		$(PROF)/$$n.mem.pprof > $(PROF)/$$n.allocs.txt || exit $$?; \
+	echo "wrote $(PROF)/$$n.cpu.pprof, $(PROF)/$$n.mem.pprof, $(PROF)/$$n.txt and $(PROF)/$$n.allocs.txt"

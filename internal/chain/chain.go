@@ -232,10 +232,15 @@ type Chain struct {
 	subs      subscribers[Event]     // contract-event observers
 	mpSubs    subscribers[PendingTx] // mempool-gossip observers
 	readEnv   *Env                   // the one Env every Query reads through
+	txEnv     *Env                   // the one Env every top-level transaction runs in
 	rcptSubs  []func(*Receipt)       // by subscription id; nil once unsubscribed
 	blockSet  bool                   // a block production event is scheduled
 	receipts  []*Receipt
 	mpHigh    int // mempool depth high-water, sampled at each arrival
+
+	// The calls the chain schedules per transaction and per block, built
+	// once in New so scheduling them allocates nothing.
+	arriveCall, blockCall func(any)
 
 	// fanOut's wanted deliveries — subscription ids and their delays —
 	// reused across fan-outs.
@@ -315,6 +320,9 @@ func New(cfg Config, sched *sim.Scheduler, rng *sim.RNG) *Chain {
 	// party-side validation "incurs no gas cost", §7.1): whatever a read
 	// charges goes to a meter nothing ever reports.
 	c.readEnv = &Env{chain: c, meter: gas.NewMeter(cfg.Schedule), label: "read"}
+	c.txEnv = &Env{chain: c, meter: c.meter, events: &c.blockEvents}
+	c.arriveCall = func(tx any) { c.arrive(tx.(*Tx)) }
+	c.blockCall = func(any) { c.produceBlock() }
 	return c
 }
 
@@ -377,6 +385,47 @@ type subscribers[T any] struct {
 	open   []int32            // ids of the untopiced subscriptions, ascending
 	topics map[string][]int32 // ids of each topic's subscriptions, ascending
 	gone   []int32            // ids no longer live, ascending
+
+	free    *delivery[T] // executed delivery nodes, linked through next
+	deliver func(any)    // runs a *delivery[T]; built on the first fan-out
+}
+
+// delivery is one scheduled fan-out event: the subscribers it calls, in
+// subscription order, and its copy of the item. Nodes go back to their
+// list's free list once run, so a steady-state fan-out allocates nothing.
+type delivery[T any] struct {
+	fns  []func(T) // starts in one, so a lone delivery needs no slice of its own
+	one  [1]func(T)
+	item T
+	next *delivery[T]
+}
+
+// node takes a delivery node for item from the free list, or makes one.
+func (l *subscribers[T]) node(item T) *delivery[T] {
+	n := l.free
+	if n == nil {
+		if l.deliver == nil {
+			l.deliver = l.run
+		}
+		n = &delivery[T]{item: item}
+		n.fns = n.one[:0]
+		return n
+	}
+	l.free, n.next = n.next, nil
+	n.item = item
+	return n
+}
+
+// run calls a delivery's subscribers, then frees its node. The node is
+// freed last, so a fan-out its calls start cannot take it while in use.
+func (l *subscribers[T]) run(a any) {
+	n := a.(*delivery[T])
+	for _, fn := range n.fns {
+		fn(n.item)
+	}
+	var zero T
+	clear(n.fns) // drop the references; the storage is reused
+	n.fns, n.item, n.next, l.free = n.fns[:0], zero, l.free, n
 }
 
 // add registers s under topic ("" for none) and returns the function that
@@ -445,10 +494,9 @@ func notify[T any](list *[]func(T), v T) {
 // state afterwards, are exactly those of drawing once per live subscriber
 // in subscription order, while the work is proportional to the
 // subscribers visited. The wanted deliveries are then scheduled as one
-// event per distinct delay, which calls its subscribers in subscription
-// order with one shared copy of the item; a delay with a single delivery
-// gets a plain one-call event. Grouping costs the wanted deliveries times
-// the distinct delays among them.
+// event per distinct delay, on a recycled delivery node holding a copy of
+// the item, which calls its subscribers in subscription order. Grouping
+// costs the wanted deliveries times the distinct delays among them.
 //
 // Grouping is exact. One fan-out schedules its deliveries back to back,
 // so one event per delivery would hold consecutive sequence numbers: no
@@ -493,35 +541,18 @@ func fanOut[T any](c *Chain, l *subscribers[T], topic string, item T) {
 	if len(ids) == 0 {
 		return
 	}
-	shared := new(T) // one heap copy for every delivery
-	*shared = item
 	for i, d := range delays {
 		if d < 0 {
 			continue // already scheduled with an earlier delivery
 		}
-		n := 1
-		for _, e := range delays[i+1:] {
-			if e == d {
-				n++
-			}
-		}
-		if n == 1 {
-			fn := l.all[ids[i]].fn
-			c.sched.After(d, func() { fn(*shared) })
-			continue
-		}
-		fns := make([]func(T), 0, n)
+		n := l.node(item)
 		for j := i; j < len(delays); j++ {
 			if delays[j] == d {
-				fns = append(fns, l.all[ids[j]].fn)
+				n.fns = append(n.fns, l.all[ids[j]].fn)
 				delays[j] = -1
 			}
 		}
-		c.sched.After(d, func() {
-			for _, fn := range fns {
-				fn(*shared)
-			}
-		})
+		c.sched.AfterCall(d, l.deliver, n)
 	}
 }
 
@@ -584,16 +615,20 @@ func (c *Chain) Submit(tx *Tx) {
 	tx.seq = c.txSeq
 	c.txSeq++
 	tx.submittedAt = c.sched.Now()
-	c.sched.After(c.delay(), func() {
-		tx.arrivedAt = c.sched.Now()
-		c.mempool = append(c.mempool, tx)
-		if len(c.mempool) > c.mpHigh {
-			c.mpHigh = len(c.mempool)
-		}
-		c.scheduleBlock()
-	})
+	c.sched.AfterCall(c.delay(), c.arriveCall, tx)
 	c.gossipTx(tx)
 	c.submitMu.Unlock()
+}
+
+// arrive puts a submitted transaction in the mempool, after its submit
+// delay, and arranges the block that will include it.
+func (c *Chain) arrive(tx *Tx) {
+	tx.arrivedAt = c.sched.Now()
+	c.mempool = append(c.mempool, tx)
+	if len(c.mempool) > c.mpHigh {
+		c.mpHigh = len(c.mempool)
+	}
+	c.scheduleBlock()
 }
 
 // gossipTx fans a published transaction out to the mempool observers it
@@ -638,13 +673,6 @@ func (c *Chain) SubscribeReceipts(fn func(*Receipt)) func() {
 	return register(&c.rcptSubs, fn)
 }
 
-// SubmitAfter publishes a transaction after an additional sender-side
-// delay (used by parties that deliberately wait, e.g. voting at the last
-// allowed moment).
-func (c *Chain) SubmitAfter(d sim.Duration, tx *Tx) {
-	c.sched.After(d, func() { c.Submit(tx) })
-}
-
 // scheduleBlock arranges block production at the next block boundary if
 // not already scheduled, deferring past any outage window.
 func (c *Chain) scheduleBlock() {
@@ -669,7 +697,7 @@ func (c *Chain) scheduleBlock() {
 	if c.cfg.OutageUntil > 0 && next >= c.cfg.OutageFrom && next < c.cfg.OutageUntil {
 		next = (c.cfg.OutageUntil/c.cfg.BlockInterval + 1) * c.cfg.BlockInterval
 	}
-	c.sched.After(next-now, c.produceBlock)
+	c.sched.AfterCall(next-now, c.blockCall, nil)
 }
 
 // inclusion is one slot of a block under construction: a transaction and
@@ -781,7 +809,7 @@ func (c *Chain) seal(block []inclusion, auc *auction) {
 		c.receipts = append(c.receipts, r)
 		notify(&c.rcptSubs, r)
 		if tx.OnReceipt != nil {
-			c.sched.After(c.delay(), func() { tx.OnReceipt(r) })
+			c.sched.AfterCall(c.delay(), deliverReceipt, r)
 		}
 	}
 	if c.fees != nil {
@@ -804,6 +832,12 @@ func (c *Chain) seal(block []inclusion, auc *auction) {
 	c.scheduleBlock() // txs may have arrived while producing
 }
 
+// deliverReceipt hands a receipt, scheduled by seal, to its sender.
+func deliverReceipt(a any) {
+	r := a.(*Receipt)
+	r.Tx.OnReceipt(r)
+}
+
 // execute runs one transaction against its target contract, writing the
 // outcome into r and appending the events it emitted to the block's —
 // none if it failed: a failed transaction's events are never published.
@@ -817,17 +851,11 @@ func (c *Chain) execute(r *Receipt, tx *Tx, now sim.Time) {
 		return
 	}
 	c.meter.Charge(tx.Label, gas.OpTxBase, 1)
-	env := &Env{
-		chain:  c,
-		meter:  c.meter,
-		label:  tx.Label,
-		origin: tx.Sender,
-		sender: tx.Sender,
-		self:   tx.Contract,
-		now:    now,
-		height: c.height,
-		events: &c.blockEvents,
-	}
+	// Top-level transactions never nest, so all run in one Env, re-aimed
+	// per transaction; a nested Call gets its own.
+	env := c.txEnv
+	env.label, env.origin, env.sender, env.self = tx.Label, tx.Sender, tx.Sender, tx.Contract
+	env.now, env.height = now, c.height
 	mark := len(c.blockEvents)
 	r.Result, r.Err = ct.Invoke(env, tx.Method, tx.Args)
 	if r.Err != nil {
@@ -843,12 +871,14 @@ func (c *Chain) dispatch(ev Event) { fanEvents(c, &c.subs, ev.Topic, ev) }
 
 // Env is the execution environment visible to contract code. All side
 // effects — storage charges, signature verification, events, cross-contract
-// calls — go through it so gas accounting matches §7.1.
+// calls — go through it so gas accounting matches §7.1. An Env is valid
+// only during the Invoke it is passed to: the chain re-aims it at the next
+// transaction or query, so a contract must not keep it.
 type Env struct {
 	chain  *Chain
 	meter  *gas.Meter
 	label  string
-	origin Addr // transaction sender
+	origin Addr // transaction sender, the Sender of emitted events
 	sender Addr // immediate caller (party, or calling contract)
 	self   Addr // executing contract
 	now    sim.Time
@@ -872,14 +902,8 @@ func (e *Env) Height() uint64 { return e.height }
 // Sender returns the immediate caller (msg.sender).
 func (e *Env) Sender() Addr { return e.sender }
 
-// Origin returns the original transaction sender (tx.origin).
-func (e *Env) Origin() Addr { return e.origin }
-
 // Self returns the executing contract's address.
 func (e *Env) Self() Addr { return e.self }
-
-// ChainID returns the hosting chain's identifier.
-func (e *Env) ChainID() ID { return e.chain.cfg.ID }
 
 // Write charges for n writes to long-lived storage.
 func (e *Env) Write(n int) { e.meter.Charge(e.label, gas.OpWrite, uint64(n)) }
@@ -889,14 +913,6 @@ func (e *Env) Read(n int) { e.meter.Charge(e.label, gas.OpRead, uint64(n)) }
 
 // Arith charges for n units of arithmetic / transient memory.
 func (e *Env) Arith(n int) { e.meter.Charge(e.label, gas.OpArith, uint64(n)) }
-
-// VerifySig verifies one signature, charging gas for it. Gas prices the
-// on-chain work (§7.1), so a verification the chain's memo answers costs
-// the same as one it computes.
-func (e *Env) VerifySig(pub ed25519.PublicKey, msg, s []byte) bool {
-	e.meter.Charge(e.label, gas.OpSigVerify, 1)
-	return e.chain.cfg.VerifyMemo.Verify(pub, msg, s)
-}
 
 // VerifyPath verifies a path signature against the chain's keyring,
 // charging gas per signature verification performed.
@@ -951,22 +967,13 @@ func (e *Env) Call(target Addr, method string, args any) (any, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownContract, target)
 	}
-	sub := &Env{
-		chain:  e.chain,
-		meter:  e.meter,
-		label:  e.label,
-		origin: e.origin,
-		sender: e.self,
-		self:   target,
-		now:    e.now,
-		height: e.height,
-		events: e.events,
-	}
+	sub := *e // the callee's own Env: nothing it does re-aims the caller's
+	sub.sender, sub.self = e.self, target
 	var mark int
 	if e.events != nil {
 		mark = len(*e.events)
 	}
-	res, err := ct.Invoke(sub, method, args)
+	res, err := ct.Invoke(&sub, method, args)
 	if err != nil && e.events != nil {
 		*e.events = (*e.events)[:mark] // a failed call's events are never published
 	}

@@ -253,6 +253,72 @@ func TestCrossContractEventsPublishedWithCallerTx(t *testing.T) {
 	}
 }
 
+// probe records the Env of every call it receives. With a target it
+// then calls the target and fails unless its own Env came back as it was.
+type probe struct {
+	target Addr
+	seen   []Env
+}
+
+func (p *probe) Invoke(env *Env, method string, args any) (any, error) {
+	p.seen = append(p.seen, *env)
+	if p.target == "" {
+		return nil, nil
+	}
+	before := *env
+	if _, err := env.Call(p.target, method, args); err != nil {
+		return nil, err
+	}
+	if *env != before {
+		return nil, errors.New("the nested call re-aimed its caller's Env")
+	}
+	return nil, nil
+}
+
+// TestEachTxSeesItsOwnEnv: the transactions of one block run in one
+// re-aimed Env, yet each contract sees its own transaction's sender,
+// address and label, and a nested call runs in an Env of its own.
+func TestEachTxSeesItsOwnEnv(t *testing.T) {
+	c, sched := testChain(t)
+	leaf, outer := &probe{}, &probe{target: "leaf"}
+	c.MustDeploy("leaf", leaf)
+	c.MustDeploy("outer", outer)
+	var rs []*Receipt
+	keep := func(r *Receipt) { rs = append(rs, r) }
+	c.Submit(&Tx{Sender: "alice", Contract: "outer", Method: "m", Label: "L1", OnReceipt: keep})
+	c.Submit(&Tx{Sender: "bob", Contract: "leaf", Method: "m", Label: "L2", OnReceipt: keep})
+	sched.Run()
+	if len(rs) != 2 || rs[0].Height != rs[1].Height {
+		t.Fatalf("want both transactions in one block, got %d receipts", len(rs))
+	}
+	for _, r := range rs {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Tx.Label, r.Err)
+		}
+	}
+	type view struct {
+		origin, sender, self Addr
+		label                string
+	}
+	var got []view
+	for _, e := range append(outer.seen, leaf.seen...) {
+		got = append(got, view{e.origin, e.sender, e.self, e.label})
+	}
+	want := map[view]bool{
+		{"alice", "alice", "outer", "L1"}: true,
+		{"alice", "outer", "leaf", "L1"}:  true, // the nested call
+		{"bob", "bob", "leaf", "L2"}:      true,
+	}
+	if len(got) != len(want) {
+		t.Fatalf("contracts saw %v, want the 3 of %v", got, want)
+	}
+	for _, v := range got {
+		if !want[v] {
+			t.Fatalf("contracts saw %v, want the 3 of %v", got, want)
+		}
+	}
+}
+
 func TestGasMetering(t *testing.T) {
 	c, sched := testChain(t)
 	c.MustDeploy("ctr", &counter{})
@@ -449,6 +515,12 @@ func TestChainTimestampsAreBlockGranular(t *testing.T) {
 			t.Fatalf("block time %d not on 10-tick boundary", tm)
 		}
 	}
+}
+
+// SubmitAfter publishes a transaction after an additional sender-side
+// delay, as a party that deliberately waits would.
+func (c *Chain) SubmitAfter(d sim.Duration, tx *Tx) {
+	c.sched.After(d, func() { c.Submit(tx) })
 }
 
 func TestSubmitAfterDelaysSubmission(t *testing.T) {

@@ -16,9 +16,9 @@ import (
 //     mustConsume may not be discarded: not by calling in statement
 //     position, not via go/defer, and not by assigning the final
 //     result to _;
-//   - a transaction submitted through Chain.Submit / SubmitAfter /
-//     SubmitBundled as an inline &Tx{...} literal must carry an
-//     OnReceipt callback: with no observer, the execution receipt —
+//   - a transaction submitted through Chain.Submit / SubmitBundled
+//     as an inline &Tx{...} literal must carry an OnReceipt
+//     callback: with no observer, the execution receipt —
 //     including its error — is unobservable. Transactions built
 //     elsewhere and passed as variables are assumed to have been
 //     wired by their builder (party.submitTx always attaches one).
@@ -57,7 +57,6 @@ var mustConsume = map[string]bool{
 // argument index of the transaction (or bundle) they publish.
 var submitFuncs = map[string]int{
 	"xdeal/internal/chain.Chain.Submit":        0,
-	"xdeal/internal/chain.Chain.SubmitAfter":   1,
 	"xdeal/internal/chain.Chain.SubmitBundled": 0,
 }
 

@@ -34,9 +34,8 @@ type PendingTx struct {
 
 type Chain struct{}
 
-func (c *Chain) Submit(tx *Tx)               {}
-func (c *Chain) SubmitAfter(d int64, tx *Tx) {}
-func (c *Chain) SubmitBundled(bt BundleTx)   {}
+func (c *Chain) Submit(tx *Tx)             {}
+func (c *Chain) SubmitBundled(bt BundleTx) {}
 
 func (c *Chain) BumpBundleBid(deal string, perSlot uint64) bool { return false }
 

@@ -36,7 +36,6 @@ func submits(c *chain.Chain, prewired *chain.Tx) {
 	c.Submit(&chain.Tx{Method: "m"})                                     // want `without an OnReceipt observer`
 	c.Submit(&chain.Tx{Method: "m", OnReceipt: func(*chain.Receipt) {}}) // ok: observed
 	c.Submit(prewired)                                                   // ok: wired by its builder
-	c.SubmitAfter(5, &chain.Tx{Method: "m"})                             // want `without an OnReceipt observer`
 	c.SubmitBundled(chain.BundleTx{Tx: &chain.Tx{Method: "m"}})          // want `without an OnReceipt observer`
 	c.SubmitBundled(chain.BundleTx{
 		Tx: &chain.Tx{Method: "m", OnReceipt: func(*chain.Receipt) {}}, // ok: observed

@@ -395,21 +395,23 @@ func (p *Party) submit(a deal.AssetRef, method, label string, args any, onReceip
 	p.submitTx(c, a.Escrow, method, label, args, p.tipFor(c, label), onReceipt)
 }
 
+// ignoreReceipt observes a receipt no one asked for.
+func ignoreReceipt(*chain.Receipt) {}
+
 // submitTx publishes with an explicit tip (the fee bidder's race path
 // overrides the estimator with its counterbid).
 func (p *Party) submitTx(c *chain.Chain, contract chain.Addr, method, label string, args any, tip uint64, onReceipt func(*chain.Receipt)) {
+	if onReceipt == nil {
+		onReceipt = ignoreReceipt // the delay stream draws for every observed receipt
+	}
 	tx := &chain.Tx{
-		Sender:   p.Addr,
-		Contract: contract,
-		Method:   method,
-		Args:     args,
-		Label:    p.cfg.LabelPrefix + label,
-		Tip:      tip,
-		OnReceipt: func(r *chain.Receipt) {
-			if onReceipt != nil {
-				onReceipt(r)
-			}
-		},
+		Sender:    p.Addr,
+		Contract:  contract,
+		Method:    method,
+		Args:      args,
+		Label:     p.cfg.LabelPrefix + label,
+		Tip:       tip,
+		OnReceipt: onReceipt,
 	}
 	if p.bundling(c) {
 		// Bundled worlds replace per-transaction tips with the deal

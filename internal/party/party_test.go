@@ -165,7 +165,8 @@ func TestTopicExtractsIDs(t *testing.T) {
 	c.Subscribe(func(ev chain.Event) { events = append(events, ev.Topic) })
 	c.SubscribeMempool("", nil, func(ptx chain.PendingTx) { gossip = append(gossip, ptx.Topic) })
 	for i, tc := range cases {
-		c.SubmitAfter(sim.Duration(100*i), &chain.Tx{Sender: "p", Contract: "emit", Method: "m", Args: tc.data})
+		tx := &chain.Tx{Sender: "p", Contract: "emit", Method: "m", Args: tc.data}
+		sched.After(sim.Duration(100*i), func() { c.Submit(tx) })
 	}
 	sched.Run()
 	if len(events) != len(cases) || len(gossip) != len(cases) {

@@ -20,9 +20,9 @@ func (q *heapQueue) remove(e *event) {
 	if e.loc != locFar {
 		return
 	}
-	heap.Remove(&q.h, e.hIdx)
+	heap.Remove(&q.h, int(e.hIdx))
 	e.loc = locNone
-	e.fn = nil
+	e.call, e.arg = nil, nil
 	q.h.maybeShrink()
 }
 

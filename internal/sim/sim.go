@@ -23,19 +23,20 @@ const (
 	locFar
 )
 
-// event is a scheduled callback. It is an intrusive node: prev/next link
-// it into a time-wheel slot, hIdx tracks its position in the far-future
-// heap, so cancellation truly unlinks it from either structure in O(1)
-// (wheel) or O(log n) (heap) instead of leaving a dead tombstone.
+// event is a scheduled call, call(arg). It is an intrusive node: prev/next
+// link it into a time-wheel slot, hIdx tracks its position in the
+// far-future heap, so cancellation truly unlinks it from either structure
+// in O(1) (wheel) or O(log n) (heap) instead of leaving a dead tombstone.
 type event struct {
 	at     Time
 	seq    uint64 // FIFO tie-break for events at the same instant
-	fn     func()
-	loc    int8
-	pooled bool   // scheduled by After: no Cancel reaches it, so Step recycles it
+	call   func(any)
+	arg    any
 	prev   *event // wheel slot list links
 	next   *event // also links the scheduler's free list
-	hIdx   int    // far-future heap index
+	hIdx   int32  // far-future heap index; with loc and pooled, keeps the node at 64 bytes
+	loc    int8
+	pooled bool // scheduled by After/AfterCall: no Cancel reaches it, so Step recycles it
 }
 
 // eventQueue is the priority structure under a Scheduler. The time-wheel
@@ -64,12 +65,12 @@ func (q farHeap) Less(i, j int) bool {
 }
 func (q farHeap) Swap(i, j int) {
 	q[i], q[j] = q[j], q[i]
-	q[i].hIdx = i
-	q[j].hIdx = j
+	q[i].hIdx = int32(i)
+	q[j].hIdx = int32(j)
 }
 func (q *farHeap) Push(x any) {
 	e := x.(*event)
-	e.hIdx = len(*q)
+	e.hIdx = int32(len(*q))
 	*q = append(*q, e)
 }
 func (q *farHeap) Pop() any {
@@ -129,7 +130,7 @@ func (s *Scheduler) At(t Time, fn func()) Cancel {
 	// A fresh node: the Cancel may be kept, and called, long after the
 	// event has run, so this node is never recycled.
 	e := &event{}
-	s.schedule(e, t, fn)
+	s.schedule(e, t, runThunk, fn)
 	return func() { s.q.remove(e) }
 }
 
@@ -137,21 +138,30 @@ func (s *Scheduler) At(t Time, fn func()) Cancel {
 // it returns no Cancel, so nothing can reach the event once it has run:
 // its node goes back to the scheduler's free list, and scheduling with a
 // prebuilt fn allocates nothing in steady state.
-func (s *Scheduler) After(d Duration, fn func()) {
+func (s *Scheduler) After(d Duration, fn func()) { s.AfterCall(d, runThunk, fn) }
+
+// AfterCall is After for fn(arg): a fn built once and a pointer arg
+// schedule a call that needs no closure, so it allocates nothing in
+// steady state.
+func (s *Scheduler) AfterCall(d Duration, fn func(any), arg any) {
 	e := s.free
 	if e != nil {
 		s.free, e.next = e.next, nil
 	} else {
 		e = &event{pooled: true}
 	}
-	s.schedule(e, s.now+d, fn)
+	s.schedule(e, s.now+d, fn, arg)
 }
 
-func (s *Scheduler) schedule(e *event, t Time, fn func()) {
+// runThunk runs a func() scheduled through At or After; a func value
+// fits in an interface without allocating.
+func runThunk(fn any) { fn.(func())() }
+
+func (s *Scheduler) schedule(e *event, t Time, call func(any), arg any) {
 	if t < s.now {
 		t = s.now
 	}
-	e.at, e.seq, e.fn = t, s.seq, fn
+	e.at, e.seq, e.call, e.arg = t, s.seq, call, arg
 	s.seq++
 	s.q.schedule(e)
 }
@@ -166,12 +176,12 @@ func (s *Scheduler) Step() bool {
 	s.now = e.at
 	s.q.advance(s.now)
 	s.steps++
-	fn := e.fn
+	call, arg := e.call, e.arg
 	if e.pooled {
-		// Free before running, so whatever fn schedules can reuse it.
-		e.fn, e.next, s.free = nil, s.free, e
+		// Free before running, so whatever the call schedules can reuse it.
+		e.call, e.arg, e.next, s.free = nil, nil, s.free, e
 	}
-	fn()
+	call(arg)
 	return true
 }
 

@@ -105,13 +105,13 @@ func (q *wheelQueue) remove(e *event) {
 	case locWheel:
 		q.unlinkSlot(e)
 	case locFar:
-		heap.Remove(&q.far, e.hIdx)
+		heap.Remove(&q.far, int(e.hIdx))
 		q.far.maybeShrink()
 	default:
 		return
 	}
 	e.loc = locNone
-	e.fn = nil
+	e.call, e.arg = nil, nil
 	q.live--
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 )
 
 // backends lists the two scheduler implementations; most regression tests
@@ -95,25 +96,48 @@ func TestAfterAllocatesOnlyTheEvent(t *testing.T) {
 	}
 }
 
-// TestAfterReusesExecutedEvents pins the steady state: once an After
-// event has run, its node serves the next After, so scheduling and
-// firing with a prebuilt fn allocates nothing.
+// TestAfterReusesExecutedEvents pins the steady state: once an After or
+// AfterCall event has run, its node serves the next one, so scheduling
+// and firing a prebuilt fn, or a call built once with a pointer argument,
+// allocates nothing.
 func TestAfterReusesExecutedEvents(t *testing.T) {
 	for _, b := range backends {
 		t.Run(b.name, func(t *testing.T) {
 			s := b.mk()
 			ran := 0
 			fn := func() { ran++ }
-			s.After(3, fn)
-			s.Step()
-			const runs = 100
-			if allocs := testing.AllocsPerRun(runs, func() { s.After(3, fn); s.Step() }); allocs != 0 {
-				t.Fatalf("After + Step allocates %v times per event in steady state, want 0", allocs)
-			}
-			if ran != runs+2 { // AllocsPerRun adds one warm-up run
-				t.Fatalf("%d events ran, want %d", ran, runs+2)
+			call := func(n any) { *n.(*int)++ }
+			for _, c := range []struct {
+				name     string
+				schedule func()
+			}{
+				{"After", func() { s.After(3, fn) }},
+				{"AfterCall", func() { s.AfterCall(3, call, &ran) }},
+			} {
+				ran = 0
+				c.schedule()
+				s.Step()
+				const runs = 100
+				if allocs := testing.AllocsPerRun(runs, func() { c.schedule(); s.Step() }); allocs != 0 {
+					t.Fatalf("%s + Step allocates %v times per event in steady state, want 0", c.name, allocs)
+				}
+				if ran != runs+2 { // AllocsPerRun adds one warm-up run
+					t.Fatalf("%s: %d events ran, want %d", c.name, ran, runs+2)
+				}
 			}
 		})
+	}
+}
+
+// TestEventNodeIs64Bytes: a scheduled call's node fills one 64-byte size
+// class on 64-bit platforms; one more word would put every event node in
+// the 80-byte class.
+func TestEventNodeIs64Bytes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	if n := unsafe.Sizeof(event{}); n != 64 {
+		t.Fatalf("an event node is %d bytes, want 64", n)
 	}
 }
 
@@ -248,36 +272,45 @@ type twinOp struct {
 	delay  Time // schedule: offset from now; RunUntil: offset from now
 	cancel int  // cancel: index into the handles issued so far
 	nest   bool // schedule: the event schedules a follow-up when it runs
-	after  bool // schedule: through After (no handle; its node is reused)
+	via    int  // schedule: 0 = At, 1 = After, 2 = AfterCall (no handle; node reused)
 }
 
 // runTwinScript drives one scheduler through a script and returns the
 // executed event trace as (event id, firing time) pairs. Cancels may hit
-// At events that have already run while After reuses executed nodes.
+// At events that have already run while After and AfterCall reuse
+// executed nodes. A nested follow-up goes through the next entry point.
 func runTwinScript(s *Scheduler, script []twinOp) []string {
+	type twinEvent struct {
+		id, via int
+		nest    bool
+	}
 	var trace []string
 	var handles []Cancel
 	nextID := 0
-	var schedule func(delay Time, nest, after bool)
-	schedule = func(delay Time, nest, after bool) {
-		id := nextID
+	var schedule func(delay Time, nest bool, via int)
+	fire := func(a any) {
+		ev := a.(*twinEvent)
+		trace = append(trace, fmt.Sprintf("%d@%d", ev.id, s.Now()))
+		if ev.nest {
+			schedule(Time(ev.id%211), false, (ev.via+1)%3)
+		}
+	}
+	schedule = func(delay Time, nest bool, via int) {
+		ev := &twinEvent{id: nextID, via: via, nest: nest}
 		nextID++
-		fn := func() {
-			trace = append(trace, fmt.Sprintf("%d@%d", id, s.Now()))
-			if nest {
-				schedule(Time(id%211), false, !after)
-			}
+		switch via {
+		case 0:
+			handles = append(handles, s.At(s.Now()+delay, func() { fire(ev) }))
+		case 1:
+			s.After(delay, func() { fire(ev) })
+		default:
+			s.AfterCall(delay, fire, ev)
 		}
-		if after {
-			s.After(delay, fn)
-			return
-		}
-		handles = append(handles, s.At(s.Now()+delay, fn))
 	}
 	for _, op := range script {
 		switch op.kind {
 		case 0:
-			schedule(op.delay, op.nest, op.after)
+			schedule(op.delay, op.nest, op.via)
 		case 1:
 			if len(handles) > 0 {
 				handles[op.cancel%len(handles)]()
@@ -297,9 +330,10 @@ func TestSchedulerTwinEquivalence(t *testing.T) {
 	// randomized schedule/cancel/RunUntil script in the identical
 	// (time, seq) order. Delays span slot reuse (multiples of the wheel
 	// size) and the far-future heap, cancels hit both structures, and
-	// half the events go through After, whose nodes are reused. Two
-	// classes follow the simulator's own traffic rather than the wheel's
-	// size: 1–250-tick notify delays and k·Δ timelock ladders (Δ = 1000).
+	// two thirds of the events go through After or AfterCall, whose
+	// nodes are reused. Two classes follow the simulator's own traffic
+	// rather than the wheel's size: 1–250-tick notify delays and k·Δ
+	// timelock ladders (Δ = 1000).
 	for seed := uint64(1); seed <= 8; seed++ {
 		rng := NewRNG(seed)
 		script := make([]twinOp, 4000)
@@ -323,7 +357,7 @@ func TestSchedulerTwinEquivalence(t *testing.T) {
 					op.delay = Time(1000 * (1 + rng.Intn(8))) // timelock ladders: k·Δ with Δ = 1000
 				}
 				op.nest = rng.Bool(0.2)
-				op.after = rng.Bool(0.5)
+				op.via = rng.Intn(3)
 			case k < 8:
 				op.kind = 1
 				op.cancel = rng.Intn(1 << 20)
