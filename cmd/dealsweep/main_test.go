@@ -638,3 +638,68 @@ func TestOneDealExitContract(t *testing.T) {
 		t.Fatal("-seed 2 does not run the deal as Seed 2 does")
 	}
 }
+
+// TestReplayNamesOutcomeAsSweepCountsIt: the word a replay prints for a
+// deal, in its summary and under -explain, is the bucket the sweep table
+// counted it in. It replays one deal of each outcome a small isolated
+// default population produced, and requires an unsettled one among them
+// (atomic, some escrow never decided), which replay used to call mixed.
+func TestReplayNamesOutcomeAsSweepCountsIt(t *testing.T) {
+	const deals, seed = 60, 3
+	gen := defaultScenario().Gen
+	gen.Seed = seed
+	g, err := fleet.NewGenerator(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := map[string]string{}
+	for _, rec := range fleet.RunJobs(g.Jobs(deals), 2) {
+		agg := fleet.NewAggregator()
+		agg.Add(rec)
+		var bucket string
+		switch c := agg.Report().Total; {
+		case c.Committed == 1:
+			bucket = "committed"
+		case c.Aborted == 1:
+			bucket = "aborted"
+		case c.Mixed == 1:
+			bucket = "mixed"
+		case c.Unsettled == 1:
+			bucket = "unsettled"
+		default:
+			continue
+		}
+		if _, seen := words[bucket]; seen {
+			continue
+		}
+		var stdout, stderr bytes.Buffer
+		run([]string{"-deals", fmt.Sprint(deals), "-seed", fmt.Sprint(seed),
+			"-replay", fmt.Sprint(rec.Index), "-explain"}, &stdout, &stderr)
+		var lines []string
+		for _, line := range strings.Split(stdout.String(), "\n") {
+			if strings.HasPrefix(line, "deal "+rec.SpecID+": ") {
+				lines = append(lines, strings.TrimPrefix(line, "deal "+rec.SpecID+": "))
+			}
+		}
+		if len(lines) != 2 || lines[0] != lines[1] {
+			t.Fatalf("deal %d: replay printed outcome lines %q, want one in the summary and one under -explain, equal\n%s",
+				rec.Index, lines, stderr.String())
+		}
+		words[bucket] = lines[0]
+	}
+	want := map[string]string{
+		"committed": "COMMITTED everywhere",
+		"aborted":   "ABORTED everywhere",
+		"mixed":     "MIXED outcomes",
+		"unsettled": "UNSETTLED (an escrow was never decided)",
+	}
+	if _, ok := words["unsettled"]; !ok {
+		t.Fatalf("population of %d deals at seed %d has no unsettled deal; outcomes replayed: %v", deals, seed, words)
+	}
+	t.Logf("replayed: %v", words)
+	for bucket, word := range words {
+		if word != want[bucket] {
+			t.Errorf("a deal the sweep counts %s replays as %q, want %q", bucket, word, want[bucket])
+		}
+	}
+}

@@ -98,9 +98,6 @@ func NewSigner(id string) Signer {
 	return Signer{Member: Member{ID: id, Public: kp.Public}, key: kp}
 }
 
-// Sign signs a statement.
-func (s Signer) Sign(statement []byte) []byte { return s.key.Sign(statement) }
-
 // NewCommittee builds a committee of 3f+1 fresh signers for an epoch,
 // with deterministic ids derived from the tag. It returns the committee
 // and its signers (the simulation's "validator machines").
@@ -202,15 +199,9 @@ type Reconfig struct {
 	Cert Certificate
 }
 
-// NewReconfig produces the handover certificate from the previous
-// committee's signers (at least a quorum must be supplied for the result
-// to verify).
-func NewReconfig(next Committee, prevEpoch int, prevSigners []Signer) Reconfig {
-	return NewReconfigWith(nil, next, prevEpoch, prevSigners)
-}
-
-// NewReconfigWith is NewReconfig with the handover certificate signed
-// through memo (nil signs plainly).
+// NewReconfigWith produces the handover certificate from the previous
+// committee's signers, signed through memo (nil signs plainly). At least
+// a quorum must be supplied for the result to verify.
 func NewReconfigWith(memo *sig.Memo, next Committee, prevEpoch int, prevSigners []Signer) Reconfig {
 	return Reconfig{
 		Next: next,

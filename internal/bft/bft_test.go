@@ -163,7 +163,7 @@ func TestCertificateForeignSignatureRejected(t *testing.T) {
 	cert := MakeCertificate([]byte("x"), 0, signers[:3])
 	// Swap in a signature from a different validator (valid key, wrong
 	// claimed identity).
-	cert.Sigs[0].Sig = signers[3].Sign([]byte("x"))
+	cert.Sigs[0].Sig = signers[3].key.Sign([]byte("x"))
 	if err := cert.Verify(c, nil); !errors.Is(err, ErrBadSignature) {
 		t.Fatalf("err = %v, want ErrBadSignature", err)
 	}
@@ -181,8 +181,8 @@ func TestReconfigChain(t *testing.T) {
 	c2, _ := NewCommittee("cbc", 2, 1)
 
 	chain := []Reconfig{
-		NewReconfig(c1, 0, s0[:3]),
-		NewReconfig(c2, 1, s1[:3]),
+		NewReconfigWith(nil, c1, 0, s0[:3]),
+		NewReconfigWith(nil, c2, 1, s1[:3]),
 	}
 	var n int
 	final, err := VerifyChain(c0, chain, plainVerify(&n))
@@ -206,7 +206,7 @@ func TestReconfigChainMemoisedMatchesPlain(t *testing.T) {
 	c0, s0 := NewCommittee("cbc/memo-twin", 0, 1)
 	c1, s1 := NewCommittee("cbc/memo-twin", 1, 1)
 	c2, _ := NewCommittee("cbc/memo-twin", 2, 1)
-	plain := []Reconfig{NewReconfig(c1, 0, s0[:3]), NewReconfig(c2, 1, s1[:3])}
+	plain := []Reconfig{NewReconfigWith(nil, c1, 0, s0[:3]), NewReconfigWith(nil, c2, 1, s1[:3])}
 	for i, memo := range []*sig.Memo{sig.NewMemo(), sig.NewMemo()} {
 		memoised := []Reconfig{NewReconfigWith(memo, c1, 0, s0[:3]), NewReconfigWith(memo, c2, 1, s1[:3])}
 		if !reflect.DeepEqual(memoised, plain) {
@@ -232,7 +232,7 @@ func TestReconfigChainEmptyIsInitial(t *testing.T) {
 func TestReconfigChainGapRejected(t *testing.T) {
 	c0, s0 := NewCommittee("cbc", 0, 1)
 	c2, _ := NewCommittee("cbc", 2, 1) // skips epoch 1
-	chain := []Reconfig{NewReconfig(c2, 0, s0[:3])}
+	chain := []Reconfig{NewReconfigWith(nil, c2, 0, s0[:3])}
 	if _, err := VerifyChain(c0, chain, plainVerify(nil)); !errors.Is(err, ErrBrokenChain) {
 		t.Fatalf("err = %v, want ErrBrokenChain", err)
 	}
@@ -243,7 +243,7 @@ func TestReconfigUnderQuorumRejected(t *testing.T) {
 	// pair of corrupt validators cannot install a fake committee.
 	c0, s0 := NewCommittee("cbc", 0, 1)
 	evil, _ := NewCommittee("evil", 1, 1)
-	chain := []Reconfig{NewReconfig(evil, 0, s0[:2])}
+	chain := []Reconfig{NewReconfigWith(nil, evil, 0, s0[:2])}
 	if _, err := VerifyChain(c0, chain, plainVerify(nil)); err == nil {
 		t.Fatal("under-quorum reconfiguration accepted")
 	}
@@ -255,7 +255,7 @@ func TestReconfigSubstitutedCommitteeRejected(t *testing.T) {
 	c0, s0 := NewCommittee("cbc", 0, 1)
 	c1, _ := NewCommittee("cbc", 1, 1)
 	evil, _ := NewCommittee("evil", 1, 1)
-	rc := NewReconfig(c1, 0, s0[:3])
+	rc := NewReconfigWith(nil, c1, 0, s0[:3])
 	rc.Next = evil // swap the installed committee, keep the cert
 	if _, err := VerifyChain(c0, []Reconfig{rc}, plainVerify(nil)); !errors.Is(err, ErrBrokenChain) {
 		t.Fatalf("err = %v, want ErrBrokenChain", err)

@@ -196,7 +196,11 @@ type CBC struct {
 	pending  []Entry
 	blockSet bool
 	deals    map[string]*DealState
-	subs     []func(*Block) // by subscription id; nil once unsubscribed
+	// subs holds each observer's delivery call, built once in Subscribe
+	// and scheduled with the block as its argument.
+	subs []func(any)
+	// blockCall produces the next block, built once in New.
+	blockCall func(any)
 
 	certsSigned uint64 // quorum certificates signed (see RegisterMetrics)
 }
@@ -210,7 +214,7 @@ func New(cfg Config, sched *sim.Scheduler, rng *sim.RNG) *CBC {
 		cfg.Delays = chain.SyncPolicy{Min: 1, Max: 5}
 	}
 	committee, signers := bft.NewCommittee(cfg.Tag, 0, cfg.F)
-	return &CBC{
+	c := &CBC{
 		cfg:       cfg,
 		sched:     sched,
 		rng:       rng.Fork(),
@@ -220,6 +224,8 @@ func New(cfg Config, sched *sim.Scheduler, rng *sim.RNG) *CBC {
 		initial:   committee,
 		deals:     make(map[string]*DealState),
 	}
+	c.blockCall = func(any) { c.produceBlock() }
+	return c
 }
 
 // InitialCommittee returns the epoch-0 committee, which parties pass to
@@ -227,9 +233,6 @@ func New(cfg Config, sched *sim.Scheduler, rng *sim.RNG) *CBC {
 // initial block as an extra argument to each of the deal's escrow
 // contracts").
 func (c *CBC) InitialCommittee() bft.Committee { return c.initial }
-
-// Committee returns the current committee.
-func (c *CBC) Committee() bft.Committee { return c.committee }
 
 // Meter returns the CBC's own gas meter (vote recording costs).
 func (c *CBC) Meter() *gas.Meter { return c.meter }
@@ -252,11 +255,9 @@ func (c *CBC) Height() uint64 { return uint64(len(c.blocks)) }
 func (c *CBC) Deal(id string) *DealState { return c.deals[id] }
 
 // Subscribe registers a block observer; delivery is delayed by the
-// notification latency. Returns an unsubscribe function.
-func (c *CBC) Subscribe(fn func(*Block)) func() {
-	id := len(c.subs)
-	c.subs = append(c.subs, fn)
-	return func() { c.subs[id] = nil }
+// notification latency.
+func (c *CBC) Subscribe(fn func(*Block)) {
+	c.subs = append(c.subs, func(b any) { fn(b.(*Block)) })
 }
 
 // delay draws one submit or notify delay from the service's delay stream.
@@ -286,7 +287,7 @@ func (c *CBC) scheduleBlock() {
 	if c.cfg.OutageUntil > 0 && next >= c.cfg.OutageFrom && next < c.cfg.OutageUntil {
 		next = (c.cfg.OutageUntil/c.cfg.BlockInterval + 1) * c.cfg.BlockInterval
 	}
-	c.sched.After(next-now, c.produceBlock)
+	c.sched.AfterCall(next-now, c.blockCall, nil)
 }
 
 func (c *CBC) produceBlock() {
@@ -325,10 +326,8 @@ func (c *CBC) produceBlock() {
 	c.blocks = append(c.blocks, b)
 	c.meter.Charge(LabelCBC, gas.OpWrite, uint64(len(accepted)))
 
-	for _, fn := range c.subs {
-		if fn != nil {
-			c.sched.After(c.delay(), func() { fn(b) })
-		}
+	for _, call := range c.subs {
+		c.sched.AfterCall(c.delay(), call, b)
 	}
 	c.scheduleBlock()
 }

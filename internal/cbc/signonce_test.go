@@ -82,7 +82,7 @@ func TestBlockProofFailureChargesChecksPerformed(t *testing.T) {
 		forged.Blocks = append([]*Block(nil), genuine.Blocks...)
 		bad := *genuine.Blocks[i]
 		bad.cert.Sigs = append([]bft.Signature(nil), bad.cert.Sigs...)
-		bad.cert.Sigs[1].Sig = signers[1].Sign([]byte("some other block"))
+		bad.cert.Sigs[1].Sig = bft.MakeCertificate([]byte("some other block"), 0, signers[1:2]).Sigs[0].Sig
 		forged.Blocks[i] = &bad
 
 		before := w.c.Meter().Snapshot()
@@ -127,7 +127,7 @@ func TestStatusCertificateSignedOncePerEpoch(t *testing.T) {
 	if third.Cert.Epoch != 1 || len(third.Reconfigs) != 1 {
 		t.Fatalf("after reconfiguration: cert epoch %d with %d handovers, want 1 and 1", third.Cert.Epoch, len(third.Reconfigs))
 	}
-	if err := third.Cert.Verify(w.cbc.Committee(), nil); err != nil {
+	if err := third.Cert.Verify(w.cbc.committee, nil); err != nil {
 		t.Fatalf("re-signed certificate does not verify under the new committee: %v", err)
 	}
 	fourth, _ := w.cbc.StatusProofFor("D")

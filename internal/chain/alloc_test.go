@@ -55,7 +55,7 @@ func TestTxCycleAllocations(t *testing.T) {
 	if allocs := testing.AllocsPerRun(runs, func() { c.Submit(tx); sched.Run() }); allocs != 1 {
 		t.Fatalf("a warm submit → arrival → block → receipt cycle allocates %v times, want 1 (the receipt slab)", allocs)
 	}
-	if want := runs + 2; receipts != want || c.Height() != uint64(want) {
-		t.Fatalf("%d receipts in %d blocks, want %d of each", receipts, c.Height(), want)
+	if want := runs + 2; receipts != want || c.height != uint64(want) {
+		t.Fatalf("%d receipts in %d blocks, want %d of each", receipts, c.height, want)
 	}
 }

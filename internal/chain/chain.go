@@ -329,20 +329,11 @@ func New(cfg Config, sched *sim.Scheduler, rng *sim.RNG) *Chain {
 // ID returns the chain identifier.
 func (c *Chain) ID() ID { return c.cfg.ID }
 
-// Height returns the number of blocks produced.
-func (c *Chain) Height() uint64 { return c.height }
-
 // Meter exposes the chain's gas meter.
 func (c *Chain) Meter() *gas.Meter { return c.meter }
 
 // FeeMarket exposes the chain's fee market, or nil on FIFO chains.
 func (c *Chain) FeeMarket() *feemarket.Market { return c.fees }
-
-// Scheduler returns the simulation scheduler the chain runs on.
-func (c *Chain) Scheduler() *sim.Scheduler { return c.sched }
-
-// Keys returns the public keyring known to contracts on this chain.
-func (c *Chain) Keys() map[string]ed25519.PublicKey { return c.cfg.Keys }
 
 // Receipts returns all transaction receipts in execution order.
 func (c *Chain) Receipts() []*Receipt { return c.receipts }
@@ -896,9 +887,6 @@ var (
 // Now returns the current block timestamp.
 func (e *Env) Now() sim.Time { return e.now }
 
-// Height returns the current block height.
-func (e *Env) Height() uint64 { return e.height }
-
 // Sender returns the immediate caller (msg.sender).
 func (e *Env) Sender() Addr { return e.sender }
 
@@ -933,12 +921,6 @@ func (e *Env) VerifyCertificate(cert bft.Certificate, committee bft.Committee) e
 		e.meter.Charge(e.label, gas.OpSigVerify, uint64(n))
 	}
 	return err
-}
-
-// Key returns the registered public key for a party, if any.
-func (e *Env) Key(party string) (ed25519.PublicKey, bool) {
-	k, ok := e.chain.cfg.Keys[party]
-	return k, ok
 }
 
 // Emit buffers an event; it is published only if the transaction succeeds.

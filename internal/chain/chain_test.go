@@ -85,8 +85,8 @@ func TestSubmitExecutesAtBlockBoundary(t *testing.T) {
 	if rcpt.Result.(int) != 1 {
 		t.Fatalf("result = %v, want 1", rcpt.Result)
 	}
-	if c.Height() != 1 {
-		t.Fatalf("height = %d, want 1", c.Height())
+	if c.height != 1 {
+		t.Fatalf("height = %d, want 1", c.height)
 	}
 }
 
@@ -446,7 +446,7 @@ func TestVerifyCertificateChargesChecksPerformed(t *testing.T) {
 	committee, signers := bft.NewCommittee("cbc", 0, 1)
 	valid := bft.MakeCertificate([]byte("stmt"), 0, signers[:3])
 	badSecond := bft.MakeCertificate([]byte("stmt"), 0, signers[:3])
-	badSecond.Sigs[1].Sig = signers[1].Sign([]byte("other"))
+	badSecond.Sigs[1].Sig = bft.MakeCertificate([]byte("other"), 0, signers[1:2]).Sigs[0].Sig
 	underQuorum := bft.MakeCertificate([]byte("stmt"), 0, signers[:2])
 
 	for _, memo := range []*sig.Memo{nil, sig.NewMemo()} {
@@ -541,7 +541,7 @@ func TestConfigDefaults(t *testing.T) {
 	c.MustDeploy("ctr", &counter{})
 	c.Submit(&Tx{Sender: "a", Contract: "ctr", Method: "inc", Label: "t"})
 	sched.Run()
-	if c.Height() != 1 {
+	if c.height != 1 {
 		t.Fatal("defaulted chain did not produce a block")
 	}
 }
@@ -738,7 +738,7 @@ func TestFeeMarketOrdersBlocksByTip(t *testing.T) {
 	if tot.Burned == 0 {
 		t.Fatal("no base fees burned")
 	}
-	if lt := fm.LabelTotals("t"); lt != tot {
+	if lt := fm.PrefixTotals("t"); lt != tot {
 		t.Fatalf("label ledger %+v != totals %+v", lt, tot)
 	}
 }

@@ -51,8 +51,6 @@ type Service struct {
 	// parties could improve their payoff by excluding free riders), so
 	// refusing at the clearing desk is the default.
 	Validate bool
-
-	announced []*deal.Spec
 }
 
 // New creates a clearing service on the given scheduler.
@@ -65,9 +63,6 @@ func New(sched *sim.Scheduler) *Service {
 func (s *Service) Register(p Participant) {
 	s.participants = append(s.participants, p)
 }
-
-// Announced returns the deals broadcast so far.
-func (s *Service) Announced() []*deal.Spec { return s.announced }
 
 // Announce validates the deal and delivers it to every participant at
 // the given time (or immediately if at ≤ now).
@@ -82,7 +77,6 @@ func (s *Service) Announce(spec *deal.Spec, at sim.Time) error {
 		free := spec.FreeRiders()
 		return fmt.Errorf("%w: free riders %v", ErrIllFormed, free)
 	}
-	s.announced = append(s.announced, spec)
 	s.sched.At(at, func() {
 		for _, p := range s.participants {
 			p.OnDeal(spec)

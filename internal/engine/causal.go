@@ -204,21 +204,11 @@ func (w *World) Causal(r *Result) *CausalReport {
 func (w *World) ExplainDeal(r *Result) (string, error) {
 	rep := w.Causal(r)
 	var b strings.Builder
-	fmt.Fprintf(&b, "deal %s: %s\n", r.Spec.ID, outcomeWord(r))
+	fmt.Fprintf(&b, "deal %s: %s\n", r.Spec.ID, r.Outcome())
 	if err := trace.FprintPath(&b, rep.Path, rep.Attribution); err != nil {
 		return "", err
 	}
 	return b.String(), nil
-}
-
-func outcomeWord(r *Result) string {
-	switch {
-	case r.AllCommitted:
-		return "COMMITTED everywhere"
-	case r.AllAborted:
-		return "ABORTED everywhere"
-	}
-	return "MIXED outcomes"
 }
 
 // attribute computes the always-on latency attribution for the result;

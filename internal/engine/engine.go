@@ -79,11 +79,6 @@ type Options struct {
 	// (setup and party phases), keeping gas attributable per deal when
 	// many deals share one substrate's chains. Empty outside arenas.
 	LabelPrefix string
-	// Fees is the tip strategy installed on every party; nil under a fee
-	// market (SubstrateConfig.FeeMarket) defaults to a DeadlineFee that
-	// escalates tips as the timelock deadline approaches. Ignored without
-	// a fee market.
-	Fees party.FeeEstimator
 	// Adaptive wires reactive adversary strategies (sore-loser,
 	// front-runner) to arena-level observable state: a market price
 	// oracle and metric callbacks. Nil outside arena runs.
@@ -522,8 +517,8 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 	if patience <= 0 {
 		patience = 10 * spec.Delta
 	}
-	fees := opts.Fees
-	if fees == nil && s.cfg.FeeMarket != nil {
+	var fees party.DeadlineFee
+	if s.cfg.FeeMarket != nil {
 		// Rational default under a fee market: escalate tips as the
 		// timelock deadline approaches — a vote stuck in a congested
 		// mempool past its deadline is worthless.

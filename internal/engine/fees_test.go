@@ -78,7 +78,7 @@ func TestTraceRecordsActualInclusionUnderCapacity(t *testing.T) {
 		t.Fatalf("capped deal did not commit:\n%s", r.Summary())
 	}
 
-	included := log.Filter("included")
+	included := eventsOf(log, "included")
 	if len(included) == 0 {
 		t.Fatal("trace has no inclusion records")
 	}

@@ -4,35 +4,46 @@ import (
 	"sort"
 
 	"xdeal/internal/chain"
-	"xdeal/internal/hedge"
 	"xdeal/internal/obs"
 	"xdeal/internal/sig"
 )
 
-// RegisterMetrics folds a world's substrate-level counters — chains,
-// fee markets, hedging pools, signature work — into a registry, walking
-// components in sorted-key order so the traversal itself is
-// deterministic. Used for isolated worlds; shared substrates register
-// once through Substrate.RegisterMetrics instead.
+// RegisterMetrics folds an isolated world's substrate-level counters —
+// chains, fee markets, hedging pools, signature work — into a registry.
+// The world owns its substrate alone, so this is the substrate's
+// registration; shared substrates register once through
+// Substrate.RegisterMetrics instead.
 func (w *World) RegisterMetrics(reg *obs.Registry) {
-	if reg == nil || w == nil {
+	if w == nil {
 		return
 	}
-	registerChains(reg, w.Chains)
-	registerHedges(reg, w.Hedges)
-	registerSigWork(reg, w.memo)
-	w.CBC.RegisterMetrics(reg)
+	w.sub.RegisterMetrics(reg)
 }
 
-// RegisterMetrics folds the shared substrate's counters into a
-// registry. Chains and hedging pools are shared by every deal on the
-// substrate, so arenas call this exactly once per substrate.
+// RegisterMetrics folds the substrate's counters into a registry,
+// walking components in sorted-key order so the traversal itself is
+// deterministic. Chains and hedging pools are shared by every deal on
+// the substrate, so arenas call this exactly once per substrate.
 func (s *Substrate) RegisterMetrics(reg *obs.Registry) {
 	if reg == nil || s == nil {
 		return
 	}
-	registerChains(reg, s.Chains)
-	registerHedges(reg, s.hedges)
+	ids := make([]string, 0, len(s.Chains))
+	for id := range s.Chains {
+		ids = append(ids, string(id))
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		s.Chains[chain.ID(id)].RegisterMetrics(reg)
+	}
+	keys := make([]string, 0, len(s.hedges))
+	for k := range s.hedges {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		s.hedges[k].RegisterMetrics(reg)
+	}
 	registerSigWork(reg, s.memo)
 	for _, c := range s.cbcs {
 		c.RegisterMetrics(reg)
@@ -46,26 +57,4 @@ func registerSigWork(reg *obs.Registry, memo *sig.Memo) {
 	verifications, hits := memo.Stats()
 	reg.Counter("sig.verifications").Add(verifications)
 	reg.Counter("sig.verify_memo_hits").Add(hits)
-}
-
-func registerChains(reg *obs.Registry, chains map[chain.ID]*chain.Chain) {
-	ids := make([]string, 0, len(chains))
-	for id := range chains {
-		ids = append(ids, string(id))
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		chains[chain.ID(id)].RegisterMetrics(reg)
-	}
-}
-
-func registerHedges(reg *obs.Registry, hedges map[string]*hedge.Manager) {
-	keys := make([]string, 0, len(hedges))
-	for k := range hedges {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		hedges[k].RegisterMetrics(reg)
-	}
 }

@@ -302,18 +302,58 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
+// Outcome classifies how a run ended. The sweep table counts runs by it
+// and a replay names it, so the two always agree.
+type Outcome int
+
+const (
+	// OutcomeCommitted: every escrow committed.
+	OutcomeCommitted Outcome = iota
+	// OutcomeAborted: every escrow aborted.
+	OutcomeAborted
+	// OutcomeMixed: one escrow committed and another aborted, so the run
+	// was not atomic.
+	OutcomeMixed
+	// OutcomeUnsettled: atomic, but some escrow was never decided.
+	OutcomeUnsettled
+)
+
+// Classify names a run's outcome from whether every escrow committed,
+// whether every escrow aborted, and whether the run was atomic.
+func Classify(allCommitted, allAborted, atomic bool) Outcome {
+	switch {
+	case allCommitted:
+		return OutcomeCommitted
+	case allAborted:
+		return OutcomeAborted
+	case !atomic:
+		return OutcomeMixed
+	}
+	return OutcomeUnsettled
+}
+
+// Outcome classifies the run.
+func (r *Result) Outcome() Outcome {
+	return Classify(r.AllCommitted, r.AllAborted, r.Atomic())
+}
+
+// String is the outcome as a replay's summary and explanation name it.
+func (o Outcome) String() string {
+	switch o {
+	case OutcomeCommitted:
+		return "COMMITTED everywhere"
+	case OutcomeAborted:
+		return "ABORTED everywhere"
+	case OutcomeMixed:
+		return "MIXED outcomes"
+	}
+	return "UNSETTLED (an escrow was never decided)"
+}
+
 // Summary renders a human-readable report of the run.
 func (r *Result) Summary() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "deal %s: ", r.Spec.ID)
-	switch {
-	case r.AllCommitted:
-		b.WriteString("COMMITTED everywhere\n")
-	case r.AllAborted:
-		b.WriteString("ABORTED everywhere\n")
-	default:
-		b.WriteString("MIXED outcomes\n")
-	}
+	fmt.Fprintf(&b, "deal %s: %s\n", r.Spec.ID, r.Outcome())
 	keys := make([]string, 0, len(r.Outcomes))
 	for k := range r.Outcomes {
 		keys = append(keys, k)

@@ -59,7 +59,7 @@ func TestSummaryShowsViolations(t *testing.T) {
 	spec := deal.BrokerSpec(2000, 1000)
 	r := &Result{
 		Spec:             spec,
-		Outcomes:         map[string]escrow.Status{"x": escrow.StatusCommitted},
+		Outcomes:         map[string]escrow.Status{"x": escrow.StatusCommitted, "y": escrow.StatusAborted},
 		Compliant:        map[chain.Addr]bool{"alice": true, "bob": false, "carol": true},
 		FungibleDelta:    map[chain.Addr]map[string]int64{"alice": {"x": 5}, "bob": {}, "carol": {}},
 		SafetyViolations: []string{"synthetic violation"},
@@ -132,15 +132,15 @@ func TestTraceCapturesProtocolFlow(t *testing.T) {
 	if !r.AllCommitted {
 		t.Fatal("deal did not commit")
 	}
-	if len(log.Filter("escrowed")) < 2 {
-		t.Fatalf("trace has %d escrowed events, want ≥ 2", len(log.Filter("escrowed")))
+	if len(eventsOf(log, "escrowed")) < 2 {
+		t.Fatalf("trace has %d escrowed events, want ≥ 2", len(eventsOf(log, "escrowed")))
 	}
-	if len(log.Filter("vote-accepted")) < 6 {
+	if len(eventsOf(log, "vote-accepted")) < 6 {
 		t.Fatalf("trace has %d vote events, want ≥ 6 (3 voters × 2 contracts)",
-			len(log.Filter("vote-accepted")))
+			len(eventsOf(log, "vote-accepted")))
 	}
-	if len(log.Filter("committed")) != 2 {
-		t.Fatalf("trace has %d committed events, want 2", len(log.Filter("committed")))
+	if len(eventsOf(log, "committed")) != 2 {
+		t.Fatalf("trace has %d committed events, want 2", len(eventsOf(log, "committed")))
 	}
 }
 
@@ -175,9 +175,7 @@ func TestConcurrentDealsCannotDoubleSellTicket(t *testing.T) {
 
 	// Wire dave into the shared world: key, funds, approval, party.
 	daveKeys := sig.GenerateKeyPair("dave")
-	for _, c := range w.Chains {
-		c.Keys()["dave"] = daveKeys.Public
-	}
+	w.sub.pubs["dave"] = daveKeys.Public
 	coinChain := w.Chains["coinchain"]
 	coinChain.Submit(&chain.Tx{Sender: "mint-authority", Contract: "coin",
 		Method: token.MethodMint, Label: "setup", Args: token.MintArgs{To: "dave", Amount: 90}})
@@ -246,4 +244,15 @@ func TestConcurrentDealsCannotDoubleSellTicket(t *testing.T) {
 		t.Fatalf("bob kept the ticket yet collected %d coins", bobGain)
 	}
 	_ = sim.Time(0)
+}
+
+// eventsOf returns the log's events of one kind, in chronological order.
+func eventsOf(log *trace.Log, kind string) []trace.Event {
+	var out []trace.Event
+	for _, e := range log.Events() {
+		if e.Kind == kind {
+			out = append(out, e)
+		}
+	}
+	return out
 }

@@ -130,9 +130,6 @@ func New(cfg Config, maxBlockTxs int) *Market {
 // BaseFee returns the base fee the next block's transactions will burn.
 func (m *Market) BaseFee() uint64 { return m.baseFee }
 
-// Config returns the resolved configuration.
-func (m *Market) Config() Config { return m.cfg }
-
 // Charge records one included transaction: it burns the current base
 // fee and pays its tip, attributed to the transaction's label (the same
 // per-deal labels the gas meter uses). Failed transactions pay like
@@ -225,9 +222,6 @@ func (m *Market) at(i int) uint64 {
 	return m.history[(m.head+i)%len(m.history)]
 }
 
-// Blocks returns how many blocks the market has sealed in total.
-func (m *Market) Blocks() int { return m.sealed }
-
 // Volatility is the chain's realized base-fee volatility: the mean
 // absolute fractional per-block base-fee move over the last `window`
 // block transitions (fewer when the history is shorter). This is the
@@ -269,14 +263,6 @@ func (m *Market) Volatility(window int) float64 {
 
 // Totals returns the market-wide fee ledger.
 func (m *Market) Totals() Totals { return m.total }
-
-// LabelTotals returns the fees attributed to one exact label.
-func (m *Market) LabelTotals(label string) Totals {
-	if t := m.byLabel[label]; t != nil {
-		return *t
-	}
-	return Totals{}
-}
 
 // PrefixTotals sums the fees of every label sharing a prefix — how
 // engine.DealFees attributes fees per deal on substrates shared by many

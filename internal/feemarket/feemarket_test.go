@@ -4,18 +4,18 @@ import "testing"
 
 func TestDefaultsDeriveTargetFromCapacity(t *testing.T) {
 	m := New(Config{}, 8)
-	if got := m.Config().Target; got != 4 {
+	if got := m.cfg.Target; got != 4 {
 		t.Fatalf("target = %d, want half the block cap (4)", got)
 	}
 	if m.BaseFee() != 100 {
 		t.Fatalf("initial base fee = %d, want 100", m.BaseFee())
 	}
 	uncapped := New(Config{}, 0)
-	if got := uncapped.Config().Target; got != 4 {
+	if got := uncapped.cfg.Target; got != 4 {
 		t.Fatalf("uncapped target = %d, want default 4", got)
 	}
 	tiny := New(Config{}, 1)
-	if got := tiny.Config().Target; got != 1 {
+	if got := tiny.cfg.Target; got != 1 {
 		t.Fatalf("cap-1 target = %d, want 1 (never below one tx)", got)
 	}
 }
@@ -99,4 +99,12 @@ func TestMarketTrajectoryDeterministic(t *testing.T) {
 	if a.Totals() != b.Totals() {
 		t.Fatalf("ledgers diverge: %+v vs %+v", a.Totals(), b.Totals())
 	}
+}
+
+// LabelTotals returns the fees attributed to one exact label.
+func (m *Market) LabelTotals(label string) Totals {
+	if t := m.byLabel[label]; t != nil {
+		return *t
+	}
+	return Totals{}
 }

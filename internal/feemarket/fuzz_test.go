@@ -26,7 +26,7 @@ func checkSealStep(t *testing.T, m *Market, included int) uint64 {
 	before := m.BaseFee()
 	m.Seal(included)
 	after := m.BaseFee()
-	quot := m.Config().AdjustQuotient
+	quot := m.cfg.AdjustQuotient
 	bound := before / quot
 	if bound < 1 {
 		bound = 1
@@ -43,10 +43,10 @@ func checkSealStep(t *testing.T, m *Market, included int) uint64 {
 		t.Fatalf("base fee moved %d -> %d (|Δ|=%d) past the ±max(1, fee/%d)=%d bound at fullness %d",
 			before, after, move, quot, bound, included)
 	}
-	if after < m.Config().Min {
-		t.Fatalf("base fee %d fell below the floor %d", after, m.Config().Min)
+	if after < m.cfg.Min {
+		t.Fatalf("base fee %d fell below the floor %d", after, m.cfg.Min)
 	}
-	if included == m.Config().Target && after != before {
+	if included == m.cfg.Target && after != before {
 		t.Fatalf("on-target block moved the base fee %d -> %d", before, after)
 	}
 	return after
@@ -79,7 +79,7 @@ func driveMarket(t *testing.T, cfg Config, maxBlockTxs int, script []byte) {
 			m.Charge(label, tip)
 		}
 		checkSealStep(t, m, included)
-		if i > 64 && m.BaseFee() == m.Config().Min && included == 0 {
+		if i > 64 && m.BaseFee() == m.cfg.Min && included == 0 {
 			// Long idle tails add no new information.
 			break
 		}
@@ -197,8 +197,8 @@ func TestVolatilityKnownTrajectory(t *testing.T) {
 	if v := m.Volatility(100); v != want {
 		t.Fatalf("window-100 volatility = %v, want %v", v, want)
 	}
-	if m.Blocks() != 4 {
-		t.Fatalf("sealed blocks = %d, want 4", m.Blocks())
+	if m.sealed != 4 {
+		t.Fatalf("sealed blocks = %d, want 4", m.sealed)
 	}
 	h := m.History()
 	if len(h) != 4 || h[0] != 800 || h[1] != 900 || h[2] != 1012 || h[3] != 1012 {
@@ -219,8 +219,8 @@ func TestHistoryBounded(t *testing.T) {
 	if n := len(m.History()); n != maxHistory {
 		t.Fatalf("history holds %d entries, want exactly %d", n, maxHistory)
 	}
-	if m.Blocks() != maxHistory+50 {
-		t.Fatalf("sealed count = %d, want %d", m.Blocks(), maxHistory+50)
+	if m.sealed != maxHistory+50 {
+		t.Fatalf("sealed count = %d, want %d", m.sealed, maxHistory+50)
 	}
 	h := m.History()
 	if h[len(h)-1] != m.History()[len(h)-1] || h[0] >= h[len(h)-1] {

@@ -289,36 +289,16 @@ func ReplayArenaDeal(opts Options, index int) (*arena.DealOutcome, error) {
 
 // arenaRecord converts one arena deal outcome into the fleet's
 // aggregation currency. Index is population-global so a flagged deal
-// maps straight back to (arena, deal) for replay; gas is the deal's
-// label-attributed share of the shared chains.
+// maps straight back to (arena, deal) for replay.
 func arenaRecord(globalIndex int, protocol string, out arena.DealOutcome, feesOn bool) Record {
-	r := out.Result
-	rec := Record{
+	rec := withResult(Record{
 		Index:        globalIndex,
 		Seed:         out.Seed,
-		SpecID:       out.Spec.ID,
 		Shape:        out.Shape,
 		Protocol:     protocol,
-		Parties:      len(out.Spec.Parties),
-		Escrows:      len(r.Outcomes), // one outcome per escrow of the plan
-		Transfers:    len(out.Spec.Transfers),
 		Adversaries:  out.Adversaries,
 		Sequenceable: out.Sequenceable,
-
-		Committed: r.AllCommitted,
-		Aborted:   r.AllAborted,
-		Atomic:    r.Atomic(),
-
-		SafetyViolations:   r.SafetyViolations,
-		LivenessViolations: r.LivenessViolations,
-
-		Gas:       r.DealGas,
-		CBCGas:    r.CBCGas,
-		DeltaTime: out.ArenaDelta,
-		EndedAt:   int64(r.EndedAt),
-		Spans:     newPhaseSpans(r.Phases, out.Spec.Delta),
-		CritPath:  newCritPathRecord(r.Attribution),
-	}
+	}, out.Result)
 	if feesOn {
 		// Per-deal fee attribution only; world totals, samples, and
 		// race counters fold once per arena from the arena result.

@@ -9,57 +9,6 @@ import (
 	"xdeal/internal/trace"
 )
 
-// CritPathRecord is one deal's decision-latency attribution in sim
-// ticks — the fleet currency of engine/trace causal analysis. Integer
-// ticks keep the conservation invariant exact: the five buckets sum to
-// Total with no rounding.
-type CritPathRecord struct {
-	ProtocolWait  int64 `json:"protocol_wait"`
-	BlockQueueing int64 `json:"block_queueing"`
-	PricedOut     int64 `json:"fee_priced_out"`
-	Adversary     int64 `json:"adversary"`
-	Slack         int64 `json:"scheduling_slack"`
-	Total         int64 `json:"total"`
-}
-
-// newCritPathRecord converts the engine's attribution; nil in, nil out
-// (a deal that never decided attributes nothing).
-func newCritPathRecord(a *trace.Attribution) *CritPathRecord {
-	if a == nil || a.Total <= 0 {
-		return nil
-	}
-	return &CritPathRecord{
-		ProtocolWait:  int64(a.ProtocolWait),
-		BlockQueueing: int64(a.BlockQueueing),
-		PricedOut:     int64(a.PricedOut),
-		Adversary:     int64(a.Adversary),
-		Slack:         int64(a.Slack),
-		Total:         int64(a.Total),
-	}
-}
-
-// critBucketNames is the fixed bucket order of the CriticalPath block.
-var critBucketNames = []string{
-	"protocol-wait", "block-queueing", "fee-priced-out", "adversary", "scheduling-slack",
-}
-
-// byName returns the named bucket's ticks.
-func (c *CritPathRecord) byName(name string) int64 {
-	switch name {
-	case "protocol-wait":
-		return c.ProtocolWait
-	case "block-queueing":
-		return c.BlockQueueing
-	case "fee-priced-out":
-		return c.PricedOut
-	case "adversary":
-		return c.Adversary
-	case "scheduling-slack":
-		return c.Slack
-	}
-	return 0
-}
-
 // BucketShare is one bucket's share-of-decision-latency distribution
 // within a (protocol, mix) slice. Shares are per-deal fractions in
 // [0, 1]; mean is exact, p50/p99 are sketch estimates.
@@ -97,10 +46,10 @@ type critAgg struct {
 	sums     [5]float64
 }
 
-func (c *critAgg) add(r *CritPathRecord) {
+func (c *critAgg) add(a *trace.Attribution) {
 	c.deals++
-	for i, name := range critBucketNames {
-		share := float64(r.byName(name)) / float64(r.Total)
+	for i, b := range trace.Buckets {
+		share := float64(a.ByBucket(b)) / float64(a.Total)
 		c.sums[i] += share
 		if share > 0 {
 			c.sketches[i].Add(share)
@@ -112,8 +61,8 @@ func (c *critAgg) add(r *CritPathRecord) {
 // all-zero ones — the schema is fixed so diffs across sweeps line up.
 func (c *critAgg) slice(protocol, mix string) CritPathSlice {
 	out := CritPathSlice{Protocol: protocol, Mix: mix, Deals: c.deals}
-	for i, name := range critBucketNames {
-		b := BucketShare{Bucket: name, MeanShare: c.sums[i] / float64(c.deals)}
+	for i, bucket := range trace.Buckets {
+		b := BucketShare{Bucket: bucket.String(), MeanShare: c.sums[i] / float64(c.deals)}
 		if c.sketches[i].count > 0 {
 			d := c.sketches[i].Dist()
 			b.P50Share, b.P99Share = d.P50, d.P99

@@ -5,6 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"xdeal/internal/deal"
+	"xdeal/internal/engine"
+	"xdeal/internal/sim"
 	"xdeal/internal/trace"
 )
 
@@ -38,15 +41,16 @@ func TestCriticalPathBlockIndependentOfWorkerCount(t *testing.T) {
 				workers, want, workers, got)
 		}
 	}
-	for _, bucket := range critBucketNames {
-		if !strings.Contains(want, bucket) {
+	for _, bucket := range trace.Buckets {
+		if !strings.Contains(want, bucket.String()) {
 			t.Fatalf("rendered block lacks bucket %q:\n%s", bucket, want)
 		}
 	}
 }
 
-// TestCritPathRecordConservation: every decided deal's record conserves
-// its total exactly — the fleet-side restatement of the engine
+// TestCritPathRecordConservation: every decided deal's record carries
+// the engine's attribution, and it conserves its total exactly, bucket
+// by bucket in report order — the fleet-side restatement of the engine
 // invariant, checked across a mixed adversarial population.
 func TestCritPathRecordConservation(t *testing.T) {
 	opts := sweepOpts(60, 4)
@@ -62,9 +66,12 @@ func TestCritPathRecordConservation(t *testing.T) {
 		}
 		decided++
 		cp := rec.CritPath
-		sum := cp.ProtocolWait + cp.BlockQueueing + cp.PricedOut + cp.Adversary + cp.Slack
-		if sum != cp.Total {
-			t.Fatalf("deal %d: buckets sum to %d, total %d: %+v", rec.Index, sum, cp.Total, cp)
+		var sum sim.Duration
+		for _, b := range trace.Buckets {
+			sum += cp.ByBucket(b)
+		}
+		if sum != cp.Total || cp.Sum() != cp.Total {
+			t.Fatalf("deal %d: buckets sum to %d (Sum %d), total %d: %+v", rec.Index, sum, cp.Sum(), cp.Total, cp)
 		}
 		if cp.Total <= 0 {
 			t.Fatalf("deal %d: non-positive total: %+v", rec.Index, cp)
@@ -75,17 +82,18 @@ func TestCritPathRecordConservation(t *testing.T) {
 	}
 }
 
-// TestNewCritPathRecordNilSafe: undecided deals attribute nothing.
-func TestNewCritPathRecordNilSafe(t *testing.T) {
-	if rec := newCritPathRecord(nil); rec != nil {
-		t.Fatalf("nil attribution produced a record: %+v", rec)
-	}
-	if rec := newCritPathRecord(&trace.Attribution{}); rec != nil {
-		t.Fatalf("zero-total attribution produced a record: %+v", rec)
+// TestRecordCritPathNilSafe: undecided deals attribute nothing — a nil
+// or zero-total attribution leaves the record's CritPath nil — and a
+// decided deal's record carries its attribution as the engine made it.
+func TestRecordCritPathNilSafe(t *testing.T) {
+	spec := deal.BrokerSpec(100, 10)
+	for _, a := range []*trace.Attribution{nil, {}} {
+		if rec := withResult(Record{}, &engine.Result{Spec: spec, Attribution: a}); rec.CritPath != nil {
+			t.Fatalf("attribution %+v produced a record: %+v", a, rec.CritPath)
+		}
 	}
 	a := &trace.Attribution{ProtocolWait: 30, Adversary: 70, Total: 100}
-	rec := newCritPathRecord(a)
-	if rec == nil || rec.Total != 100 || rec.Adversary != 70 || rec.ProtocolWait != 30 {
-		t.Fatalf("record does not mirror the attribution: %+v", rec)
+	if rec := withResult(Record{}, &engine.Result{Spec: spec, Attribution: a}); rec.CritPath != a {
+		t.Fatalf("record does not carry the attribution: %+v", rec.CritPath)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"xdeal/internal/engine"
 	"xdeal/internal/feemarket"
 	"xdeal/internal/obs"
+	"xdeal/internal/trace"
 )
 
 // FeeOptions enables fee markets across a sweep: every generated world
@@ -112,7 +113,7 @@ type Record struct {
 	// CritPath is the deal's decision-latency attribution (sim ticks,
 	// buckets summing exactly to total); nil when the deal never
 	// reached a decision.
-	CritPath *CritPathRecord `json:"crit_path,omitempty"`
+	CritPath *trace.Attribution `json:"crit_path,omitempty"`
 
 	// Fee carries the run's fee-market outcome; nil without a fee
 	// market.
@@ -121,35 +122,38 @@ type Record struct {
 	Err string `json:"error,omitempty"`
 }
 
-// record evaluates one engine result into a Record.
+// withResult completes rec, which names the run, with what the engine
+// result r says about it. Gas is the deal's own: the whole world's in an
+// isolated run, its label-attributed share of the shared chains in an
+// arena.
+func withResult(rec Record, r *engine.Result) Record {
+	rec.SpecID = r.Spec.ID
+	rec.Parties = len(r.Spec.Parties)
+	rec.Escrows = len(r.Outcomes) // one outcome per escrow of the plan
+	rec.Transfers = len(r.Spec.Transfers)
+	rec.Committed, rec.Aborted, rec.Atomic = r.AllCommitted, r.AllAborted, r.Atomic()
+	rec.SafetyViolations, rec.LivenessViolations = r.SafetyViolations, r.LivenessViolations
+	rec.Gas, rec.CBCGas = r.DealGas, r.CBCGas
+	rec.DeltaTime = r.Phases.InDelta(r.Phases.DecisionEnd, r.Spec.Delta)
+	rec.EndedAt = int64(r.EndedAt)
+	rec.Spans = newPhaseSpans(r.Phases, r.Spec.Delta)
+	if a := r.Attribution; a != nil && a.Total > 0 {
+		rec.CritPath = a
+	}
+	return rec
+}
+
+// record evaluates one isolated run's engine result into a Record.
 func record(job Job, r *engine.Result) Record {
-	rec := Record{
+	rec := withResult(Record{
 		Index:        job.Index,
 		Seed:         job.Seed,
-		SpecID:       job.Spec.ID,
 		Shape:        job.Shape,
 		Protocol:     job.Opts.Protocol.String(),
-		Parties:      len(job.Spec.Parties),
-		Escrows:      len(r.Outcomes), // one outcome per escrow of the plan
-		Transfers:    len(job.Spec.Transfers),
 		Adversaries:  job.Adversaries,
 		Outage:       job.Outage,
 		Sequenceable: job.Sequenceable,
-
-		Committed: r.AllCommitted,
-		Aborted:   r.AllAborted,
-		Atomic:    r.Atomic(),
-
-		SafetyViolations:   r.SafetyViolations,
-		LivenessViolations: r.LivenessViolations,
-
-		Gas:       r.Gas.Used(),
-		CBCGas:    r.CBCGas,
-		DeltaTime: r.Phases.InDelta(r.Phases.DecisionEnd, job.Spec.Delta),
-		EndedAt:   int64(r.EndedAt),
-		Spans:     newPhaseSpans(r.Phases, job.Spec.Delta),
-		CritPath:  newCritPathRecord(r.Attribution),
-	}
+	}, r)
 	if r.Fees != nil {
 		fee := &FeeRecord{
 			DealFees: r.DealFees,
@@ -219,7 +223,7 @@ func runJobs(jobs []Job, workers int, reg *obs.Registry) []Record {
 // into the aggregate the moment its chunk completes, so memory is
 // constant in the population size (a chunk of records, not all of
 // them). Records fold in index order, which is why the streamed report
-// is byte-identical to Aggregate over RunJobs at any worker count.
+// is byte-identical to folding RunJobs' records at any worker count.
 func Sweep(opts Options) (*Report, error) {
 	if opts.Deals < 0 {
 		return nil, fmt.Errorf("fleet: negative deal count %d", opts.Deals)
@@ -243,8 +247,8 @@ func Sweep(opts Options) (*Report, error) {
 // stream synthesizes and executes jobs 0..n-1 from the generator in
 // bounded chunks across the worker pool, folding each record into agg
 // in index order. Memory is constant in n (one chunk of jobs and
-// records at a time); the fold is identical to
-// Aggregate(RunJobs(gen.Jobs(n), workers)) at any worker count. With
+// records at a time); the fold is identical to folding
+// RunJobs(gen.Jobs(n), workers) at once, at any worker count. With
 // the observability layer attached, per-chunk wall time is split into
 // generate / run / aggregate stages, and each world's metrics merge
 // into the registry in index order.

@@ -544,3 +544,43 @@ func TestSerializedSeedTwins(t *testing.T) {
 			meanP/deals, meanS/deals)
 	}
 }
+
+// Aggregate folds records into a report in one batch.
+func Aggregate(records []Record) *Report {
+	agg := NewAggregator()
+	for _, r := range records {
+		agg.Add(r)
+	}
+	return agg.Report()
+}
+
+// TestIsolatedDealGasIsWorldGas: in an isolated world the deal owns
+// every chain and the CBC, so its label-attributed gas equals the
+// merged meter's total. withResult records DealGas for isolated runs and
+// arena deals alike on the strength of this identity.
+func TestIsolatedDealGasIsWorldGas(t *testing.T) {
+	ran := 0
+	for _, fees := range []*FeeOptions{nil, {}} {
+		opts := sweepOpts(40, 1)
+		opts.Gen.Fees = fees
+		g, err := NewGenerator(opts.Gen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, job := range g.Jobs(opts.Deals) {
+			w, err := engine.Build(job.Spec, job.Opts)
+			if err != nil {
+				continue
+			}
+			r := w.Run()
+			ran++
+			if r.DealGas != r.Gas.Used() {
+				t.Fatalf("deal %d (%s, fees %v): DealGas %d != Gas.Used() %d",
+					job.Index, job.Opts.Protocol, fees != nil, r.DealGas, r.Gas.Used())
+			}
+		}
+	}
+	if ran == 0 {
+		t.Fatal("no deal built")
+	}
+}

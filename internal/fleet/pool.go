@@ -13,7 +13,7 @@
 //     spec shapes (rings, broker chains, auctions, dense matrices,
 //     random digraphs) crossed with adversary mixes, protocols, delay
 //     policies, and DoS outage windows;
-//   - Sweep/Aggregate: fleet execution and population statistics
+//   - Sweep/Aggregator: fleet execution and population statistics
 //     (commit/abort rates, gas and Δ-time percentiles, and Property 1–3
 //     violations flagged with the seed that reproduces them).
 package fleet

@@ -126,14 +126,16 @@ type Counts struct {
 
 func (c *Counts) add(r Record) {
 	c.Runs++
-	switch {
-	case r.Err != "":
+	if r.Err != "" {
 		c.Errored++
-	case r.Committed:
+		return
+	}
+	switch engine.Classify(r.Committed, r.Aborted, r.Atomic) {
+	case engine.OutcomeCommitted:
 		c.Committed++
-	case r.Aborted:
+	case engine.OutcomeAborted:
 		c.Aborted++
-	case !r.Atomic:
+	case engine.OutcomeMixed:
 		c.Mixed++
 	default:
 		c.Unsettled++
@@ -150,8 +152,8 @@ func (c Counts) CommitRate() float64 {
 
 // Report aggregates a fleet sweep into population statistics. It is a
 // pure function of the records folded into it, in fold order — so it is
-// identical for every worker count that produced them, and identical
-// between batch (Aggregate) and streaming (Aggregator) aggregation.
+// identical for every worker count that produced them, whether the
+// records were folded as they streamed in or all at once.
 type Report struct {
 	Total Counts `json:"total"`
 	// FullyCompliant covers runs with no adversaries and no outages —
@@ -876,15 +878,6 @@ func (a *Aggregator) Report() *Report {
 		a.rep.BundleAuctions = a.bundles.bundleAuctions()
 	}
 	return a.rep
-}
-
-// Aggregate folds records into a report (the batch face of Aggregator).
-func Aggregate(records []Record) *Report {
-	agg := NewAggregator()
-	for _, r := range records {
-		agg.Add(r)
-	}
-	return agg.Report()
 }
 
 func bucket(m map[string]*Counts, key string) *Counts {

@@ -297,9 +297,6 @@ func New(escrowAddr chain.Addr, params Params, vol func() float64) *Manager {
 	}
 }
 
-// Params returns the resolved configuration.
-func (m *Manager) Params() Params { return m.params }
-
 // SetStreakSource wires the hosting chain's realized bundle-loss
 // streak into premium pricing (see chain.BundleLossStreak): a bind for
 // a deal whose bundle has lost the last n block-space auctions pays
@@ -309,11 +306,6 @@ func (m *Manager) SetStreakSource(fn func(deal string) int) { m.streak = fn }
 
 // Totals returns the pool ledger.
 func (m *Manager) Totals() Totals { return m.totals }
-
-// Position returns the position for (deal, insured), or nil.
-func (m *Manager) Position(dealID string, insured chain.Addr) *Position {
-	return m.positions[posKey(dealID, insured)]
-}
 
 func posKey(dealID string, insured chain.Addr) string {
 	return dealID + "/" + string(insured)

@@ -371,3 +371,6 @@ func TestBindPricesLossStreak(t *testing.T) {
 		}
 	}
 }
+
+// Params returns the resolved configuration.
+func (m *Manager) Params() Params { return m.params }

@@ -125,21 +125,6 @@ func New(tok chain.Addr, kind deal.Kind) *Manager {
 	return &Manager{Token: tok, Kind: kind, locks: make(map[string]*lockState)}
 }
 
-// Lock returns the state of a lock id (inspection).
-func (m *Manager) Lock(id string) (LockArgs, bool) {
-	l, ok := m.locks[id]
-	if !ok {
-		return LockArgs{}, false
-	}
-	return l.LockArgs, true
-}
-
-// Settled reports whether a lock has been claimed or refunded.
-func (m *Manager) Settled(id string) bool {
-	l, ok := m.locks[id]
-	return ok && l.settled
-}
-
 // Invoke implements chain.Contract.
 func (m *Manager) Invoke(env *chain.Env, method string, args any) (any, error) {
 	switch method {

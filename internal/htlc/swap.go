@@ -84,7 +84,6 @@ type Swap struct {
 	locked  map[int]bool // transfer index -> lock observed
 	settled map[int]bool
 	crashed map[chain.Addr]bool
-	unsubs  []func()
 
 	// Outcome observability.
 	Claims  int
@@ -137,7 +136,7 @@ func (s *Swap) Start() {
 		}
 	}
 	for _, c := range s.chainSet() {
-		s.unsubs = append(s.unsubs, c.Subscribe(s.onEvent))
+		c.Subscribe(s.onEvent)
 	}
 	// The leader (owner of transfer 0) deploys first.
 	s.deployLock(0)
@@ -154,14 +153,6 @@ func (s *Swap) Start() {
 			s.submit(t, MethodRefund, party.LabelAbort, RefundArgs{ID: s.lockID(i)})
 		})
 	}
-}
-
-// Stop detaches the runner.
-func (s *Swap) Stop() {
-	for _, u := range s.unsubs {
-		u()
-	}
-	s.unsubs = nil
 }
 
 // chainSet returns the distinct chains of the swap, deterministically.

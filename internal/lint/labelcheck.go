@@ -34,15 +34,13 @@ var LabelCheck = &Analyzer{
 
 // labelArgSites maps funcKey to the index of the label argument.
 var labelArgSites = map[string]int{
-	"xdeal/internal/gas.Meter.Charge":             0,
-	"xdeal/internal/gas.Meter.UsedByLabel":        0,
-	"xdeal/internal/gas.Meter.CountByLabel":       0,
-	"xdeal/internal/feemarket.Market.Charge":      0,
-	"xdeal/internal/feemarket.Market.LabelTotals": 0,
-	"xdeal/internal/party.Party.submit":           2,
-	"xdeal/internal/party.Party.submitTx":         3,
-	"xdeal/internal/party.Party.tipFor":           1,
-	"xdeal/internal/party.Party.raceTip":          1,
+	"xdeal/internal/gas.Meter.Charge":        0,
+	"xdeal/internal/gas.Meter.UsedByLabel":   0,
+	"xdeal/internal/gas.Meter.CountByLabel":  0,
+	"xdeal/internal/feemarket.Market.Charge": 0,
+	"xdeal/internal/party.Party.submit":      2,
+	"xdeal/internal/party.Party.submitTx":    3,
+	"xdeal/internal/party.Party.raceTip":     1,
 }
 
 // labelFieldTypes names the struct types whose Label field is an

@@ -22,8 +22,6 @@ func (p *Party) submit(a any, method, label string, args any) {}
 
 func (p *Party) submitTx(c *chain.Chain, contract chain.Addr, method, label string, args any) {}
 
-func (p *Party) tipFor(c *chain.Chain, label string) uint64 { return 0 }
-
 func (p *Party) raceTip(c *chain.Chain, label string) uint64 { return 0 }
 
 func (p *Party) drive(c *chain.Chain) {
@@ -32,6 +30,5 @@ func (p *Party) drive(c *chain.Chain) {
 	p.submit(nil, "m", "commit", nil)                      // want `composed from the declared Label\* constant set`
 	p.submitTx(c, "c", "m", "deal/"+LabelCommit, nil)      // ok: constant is the rightmost operand
 	p.submitTx(c, "c", "m", LabelEscrow+"-x", nil)         // want `composed from the declared Label\* constant set`
-	_ = p.tipFor(c, LabelEscrow)                           // ok
 	_ = p.raceTip(c, "escrow")                             // want `composed from the declared Label\* constant set`
 }

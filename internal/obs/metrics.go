@@ -69,14 +69,6 @@ func (g *Gauge) Value() int64 {
 	return g.v
 }
 
-// High returns the high-water mark (0 on nil).
-func (g *Gauge) High() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.hi
-}
-
 // Histogram distributes observations over fixed buckets. Bounds are
 // upper edges (inclusive), ascending; observations above the last bound
 // land in the overflow count. Fixed buckets keep snapshots flat and
@@ -104,14 +96,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 	h.overflow++
-}
-
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count
 }
 
 // Registry holds named instruments. A registry belongs to one

@@ -269,3 +269,19 @@ func TestReadMemStats(t *testing.T) {
 		t.Fatalf("mem stats look empty: %+v", ms)
 	}
 }
+
+// High returns the high-water mark (0 on nil).
+func (g *Gauge) High() int64 {
+	if g == nil {
+		return 0
+	}
+	return g.hi
+}
+
+// Count returns the number of observations (0 on nil).
+func (h *Histogram) Count() uint64 {
+	if h == nil {
+		return 0
+	}
+	return h.count
+}

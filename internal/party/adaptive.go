@@ -118,9 +118,9 @@ func (p *Party) watchMempools() {
 		if !ok {
 			continue
 		}
-		p.unsubs = append(p.unsubs, c.SubscribeMempool(p.cfg.Spec.ID, p.wantsGossip, func(ptx chain.PendingTx) {
+		c.SubscribeMempool(p.cfg.Spec.ID, p.wantsGossip, func(ptx chain.PendingTx) {
 			p.observe(observation{kind: obsGossip, gossip: ptx})
-		}))
+		})
 	}
 }
 

@@ -87,10 +87,10 @@ func (p *Party) watchBundleBids() {
 		if !ok || !c.Bundled() {
 			continue
 		}
-		p.unsubs = append(p.unsubs, c.SubscribeBundleBids(func(g chain.BundleGossip) {
+		c.SubscribeBundleBids(func(g chain.BundleGossip) {
 			if g.Deal != p.cfg.Spec.ID {
 				p.observe(observation{kind: obsBid, bid: g})
 			}
-		}))
+		})
 	}
 }

@@ -49,12 +49,12 @@ type cbcState struct {
 func (p *Party) startCBC() {
 	p.cbcState = &cbcState{claimed: make(map[string]bool)}
 	hooks := p.cfg.CBCHooks
-	p.unsubs = append(p.unsubs, hooks.CBC.Subscribe(func(b *cbc.Block) {
+	hooks.CBC.Subscribe(func(b *cbc.Block) {
 		if !p.active() {
 			return
 		}
 		p.onCBCBlock(b)
-	}))
+	})
 	if hooks.PublishStart {
 		hooks.CBC.Publish(cbc.Entry{
 			Kind:    cbc.EntryStartDeal,
@@ -234,7 +234,7 @@ func (p *Party) claimOutcome(status escrow.Status) {
 		// Take the claim through the seam only once the proof is in
 		// hand, so a failed proof fetch cannot leak a fee bidder's budget
 		// on a never-submitted claim.
-		a := action{kind: actClaim, on: c, tip: p.tipFor(c, label)}
+		a := action{kind: actClaim, on: c, tip: p.tipFor(c)}
 		if !p.act(&a) {
 			return
 		}

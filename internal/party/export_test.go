@@ -35,12 +35,12 @@ func (p *Party) Repoll() {
 }
 
 // State renders every field the party can change as it runs (all but its
-// configuration and its unsubscribe hooks), for before/after comparison.
+// configuration), for before/after comparison.
 func (p *Party) State() string {
 	v := reflect.ValueOf(p).Elem()
 	var b strings.Builder
 	for i := 0; i < v.NumField(); i++ {
-		if name := v.Type().Field(i).Name; name != "cfg" && name != "unsubs" {
+		if name := v.Type().Field(i).Name; name != "cfg" {
 			fmt.Fprintf(&b, "%s=%+v\n", name, v.Field(i))
 		}
 	}

@@ -15,28 +15,20 @@ import (
 // closer its deadline looms. A fee-bidding adversary plays the same
 // game offensively — it outbids the specific transactions it races.
 
-// FeeEstimator decides the priority tip a party attaches to a protocol
-// transaction. Implementations must be pure functions of their inputs:
-// the estimator is consulted inside deterministic simulations.
-type FeeEstimator interface {
-	// Tip returns the tip for a transaction with phase label `label`,
-	// given the target chain's current base fee and the party's
-	// deadline pressure: urgency runs from 0 (deal just started) to 1
-	// (the deal's overall timelock deadline has arrived).
-	Tip(baseFee uint64, label string, urgency float64) uint64
-}
-
 // DeadlineFee escalates tips linearly with deadline pressure: Start at
 // deal start, Max as the timelock deadline arrives. This is the
 // compliant strategy — a party's vote is worth more than its tip the
-// moment missing one more block would time the vote out.
+// moment missing one more block would time the vote out. The zero value
+// tips nothing.
 type DeadlineFee struct {
 	Start uint64
 	Max   uint64
 }
 
-// Tip implements FeeEstimator.
-func (f DeadlineFee) Tip(_ uint64, _ string, urgency float64) uint64 {
+// Tip returns the tip at the party's deadline pressure: urgency runs
+// from 0 (deal just started) to 1 (the deal's overall timelock deadline
+// has arrived).
+func (f DeadlineFee) Tip(urgency float64) uint64 {
 	return escalate(f.Start, f.Max, urgency)
 }
 
@@ -77,18 +69,11 @@ func (p *Party) urgency() float64 {
 	return u
 }
 
-// tipFor consults the party's fee estimator for a transaction bound to
-// chain c. Parties without an estimator (or chains without a fee
-// market) tip nothing.
-func (p *Party) tipFor(c *chain.Chain, label string) uint64 {
-	if p.cfg.Fees == nil {
+// tipFor is the tip a party attaches to a protocol transaction bound to
+// chain c. Chains without a fee market take no tip.
+func (p *Party) tipFor(c *chain.Chain) uint64 {
+	if c.FeeMarket() == nil {
 		return 0
 	}
-	var base uint64
-	if fm := c.FeeMarket(); fm != nil {
-		base = fm.BaseFee()
-	} else {
-		return 0
-	}
-	return p.cfg.Fees.Tip(base, label, p.urgency())
+	return p.cfg.Fees.Tip(p.urgency())
 }

@@ -82,7 +82,7 @@ func (p *Party) bindHedge(key string, haddr chain.Addr, ob deal.Obligation) {
 		Collateral: collateral,
 		Depth:      len(spec.Parties) + 1, // the t0 + (N+1)·Δ horizon
 		MinLock:    sim.Duration(trigger) * spec.Delta,
-	}, p.tipFor(c, LabelHedge), func(r *chain.Receipt) {
+	}, p.tipFor(c), func(r *chain.Receipt) {
 		if r.Err != nil {
 			p.hedgeSubmitted[key] = false // allow retry
 			return
@@ -129,7 +129,7 @@ func (p *Party) claimHedge(a deal.AssetRef, key string) {
 	p.hedgeClaiming[key] = true
 	p.submitTx(c, haddr, hedge.MethodClaim, LabelHedge, hedge.ClaimArgs{
 		Deal: p.cfg.Spec.ID,
-	}, p.tipFor(c, LabelHedge), func(r *chain.Receipt) {
+	}, p.tipFor(c), func(r *chain.Receipt) {
 		p.hedgeClaiming[key] = false
 		if r.Err != nil {
 			return // e.g. raced the finalize; retried on the next event

@@ -85,11 +85,11 @@ type Config struct {
 	// LabelPrefix prefixes every transaction label the party emits, so
 	// gas stays attributable per deal on chains shared by many deals.
 	LabelPrefix string
-	// Fees decides the priority tip attached to each protocol
-	// transaction on chains with a fee market (see fees.go). Nil tips
-	// nothing; the engine installs a DeadlineFee default when the
-	// world's fee market is enabled.
-	Fees FeeEstimator
+	// Fees prices the priority tip attached to each protocol
+	// transaction on chains with a fee market (see fees.go). The zero
+	// value tips nothing; the engine installs {Start: 1, Max: 16} when
+	// the world's fee market is enabled.
+	Fees DeadlineFee
 	// CBCHooks is set for ProtoCBC parties (see cbcdriver.go).
 	CBCHooks *CBCHooks
 	// Adaptive wires reactive adversary strategies to arena-level state
@@ -170,8 +170,6 @@ type Party struct {
 	hedgeSettled   map[string]bool // position settled
 
 	startedAt sim.Time // deal start, anchors deadline urgency (fees.go)
-
-	unsubs []func()
 }
 
 // New creates a party. Call Start when the clearing phase delivers the
@@ -251,14 +249,6 @@ func (p *Party) wake() {
 	}
 }
 
-// Stop detaches the party from all chains (end of simulation cleanup).
-func (p *Party) Stop() {
-	for _, u := range p.unsubs {
-		u()
-	}
-	p.unsubs = nil
-}
-
 // active reports whether the party is currently acting: not crashed,
 // and not inside its offline window.
 func (p *Party) active() bool {
@@ -318,12 +308,12 @@ func (p *Party) subscribeChains() {
 		if !ok {
 			continue
 		}
-		p.unsubs = append(p.unsubs, c.SubscribeTopic(p.cfg.Spec.ID, p.wants, func(ev chain.Event) {
+		c.SubscribeTopic(p.cfg.Spec.ID, p.wants, func(ev chain.Event) {
 			if !p.active() {
 				return
 			}
 			p.onChainEvent(ev)
-		}))
+		})
 	}
 }
 
@@ -392,7 +382,7 @@ func (p *Party) submit(a deal.AssetRef, method, label string, args any, onReceip
 	if !ok {
 		return
 	}
-	p.submitTx(c, a.Escrow, method, label, args, p.tipFor(c, label), onReceipt)
+	p.submitTx(c, a.Escrow, method, label, args, p.tipFor(c), onReceipt)
 }
 
 // ignoreReceipt observes a receipt no one asked for.

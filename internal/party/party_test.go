@@ -108,7 +108,6 @@ func TestActiveRespectsCrashAndOffline(t *testing.T) {
 		Behavior: Behavior{OfflineFrom: 100, OfflineUntil: 200},
 	})
 	p.Start()
-	defer p.Stop()
 	if !p.active() {
 		t.Fatal("party inactive before offline window")
 	}
@@ -126,7 +125,6 @@ func TestActiveRespectsCrashAndOffline(t *testing.T) {
 		Behavior: Behavior{CrashAt: 300},
 	})
 	p2.Start()
-	defer p2.Stop()
 	sched.RunUntil(400)
 	if p2.active() {
 		t.Fatal("party active after crash")

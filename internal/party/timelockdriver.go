@@ -99,7 +99,7 @@ func (p *Party) forwardVote(vote sig.PathSig, seenAt string) {
 		if !ok {
 			continue
 		}
-		fw := action{kind: actForward, on: c, tip: p.tipFor(c, LabelCommit)}
+		fw := action{kind: actForward, on: c, tip: p.tipFor(c)}
 		if !p.act(&fw) {
 			continue
 		}

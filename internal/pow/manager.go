@@ -29,15 +29,6 @@ const (
 	MethodAbortProof  = "abort"
 )
 
-// Vote entry format inside PoW blocks: "vote:<deal>:<party>:<commit|abort>".
-func VoteEntry(dealID string, party chain.Addr, commit bool) string {
-	v := "abort"
-	if commit {
-		v = "commit"
-	}
-	return fmt.Sprintf("vote:%s:%s:%s", dealID, party, v)
-}
-
 // parseVote decodes a vote entry; ok is false for non-vote entries.
 func parseVote(entry string) (dealID string, party chain.Addr, commit, ok bool) {
 	parts := strings.Split(entry, ":")

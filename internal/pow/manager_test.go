@@ -2,6 +2,7 @@ package pow
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"xdeal/internal/chain"
@@ -205,4 +206,13 @@ func TestVoteEntryRoundTrip(t *testing.T) {
 	if _, _, _, ok := parseVote("vote:D:p:maybe"); ok {
 		t.Fatal("invalid vote kind accepted")
 	}
+}
+
+// Vote entry format inside PoW blocks: "vote:<deal>:<party>:<commit|abort>".
+func VoteEntry(dealID string, party chain.Addr, commit bool) string {
+	v := "abort"
+	if commit {
+		v = "commit"
+	}
+	return fmt.Sprintf("vote:%s:%s:%s", dealID, party, v)
 }

@@ -1,6 +1,7 @@
 package pow
 
 import (
+	"fmt"
 	"testing"
 
 	"xdeal/internal/sim"
@@ -199,5 +200,79 @@ func TestAttackScenarioFailureOmitsAbortProof(t *testing.T) {
 	}
 	if err := res.CommitProof.Valid(6); err != nil {
 		t.Fatalf("legitimate commit proof invalid: %v", err)
+	}
+}
+
+// Confirmations returns how many blocks on the best chain are descendants
+// of the block with the given hash (0 if it is the tip, -1 if not on the
+// best chain).
+func (c *Chain) Confirmations(h [32]byte) int {
+	b := c.Best()
+	depth := 0
+	for b != nil {
+		if b.Hash == h {
+			return depth
+		}
+		b = c.all[b.PrevHash]
+		depth++
+	}
+	return -1
+}
+
+// AttackScenario reproduces the §6.2 narrative concretely on chain
+// structures: Alice mines a private fork with her abort vote while the
+// public chain commits. It returns the two contradictory proofs when the
+// attack succeeds (attack=true), demonstrating that a PoW proof can be
+// contradicted by a later proof — the reason the paper prefers BFT
+// certificates.
+type AttackResult struct {
+	Succeeded   bool
+	CommitProof Proof // legitimate, from the public chain
+	AbortProof  Proof // fake, from the private fork (zero if failed)
+}
+
+// RunAttackScenario simulates the race and, on success, materializes the
+// private fork so callers can hand both proofs to verification code.
+func RunAttackScenario(rng *sim.RNG, p RaceParams) AttackResult {
+	c := NewChain()
+	genesis := c.Best()
+
+	// Public chain: vote blocks then confirmations.
+	public := genesis
+	var decisive *Block
+	for i := 0; i < p.VoteBlocks; i++ {
+		entries := []string{fmt.Sprintf("commit-vote-%d", i)}
+		public = NewBlock(public, "honest", entries)
+		if err := c.Extend(public); err != nil {
+			panic(err)
+		}
+	}
+	decisive = public
+	var confs []*Block
+	for i := 0; i < p.Confirmations; i++ {
+		public = NewBlock(public, "honest", nil)
+		if err := c.Extend(public); err != nil {
+			panic(err)
+		}
+		confs = append(confs, public)
+	}
+	commitProof := Proof{Decisive: decisive, Confirmations: confs}
+
+	if !RunRace(rng, p) {
+		return AttackResult{Succeeded: false, CommitProof: commitProof}
+	}
+
+	// Alice's private fork from genesis: her abort block + confirmations.
+	private := NewBlock(genesis, "alice", []string{"abort-vote-alice"})
+	abortDecisive := private
+	var abortConfs []*Block
+	for i := 0; i < p.Confirmations; i++ {
+		private = NewBlock(private, "alice", nil)
+		abortConfs = append(abortConfs, private)
+	}
+	return AttackResult{
+		Succeeded:   true,
+		CommitProof: commitProof,
+		AbortProof:  Proof{Decisive: abortDecisive, Confirmations: abortConfs},
 	}
 }

@@ -108,15 +108,6 @@ func New(book *escrow.Book) *Manager {
 	}
 }
 
-// Votes returns the set of accepted voters for a deal (test/inspection).
-func (m *Manager) Votes(dealID string) map[chain.Addr]bool {
-	out := make(map[chain.Addr]bool, len(m.votes[dealID]))
-	for v := range m.votes[dealID] {
-		out[v] = true
-	}
-	return out
-}
-
 // Invoke implements chain.Contract.
 func (m *Manager) Invoke(env *chain.Env, method string, args any) (any, error) {
 	switch method {

@@ -27,6 +27,7 @@ type world struct {
 	coin  *token.Fungible
 	mgr   *Manager
 	keys  map[string]sig.KeyPair
+	pubs  map[string]ed25519.PublicKey
 }
 
 func newWorld(t *testing.T) *world {
@@ -52,6 +53,7 @@ func newWorld(t *testing.T) *world {
 		coin:  token.NewFungible("coin", "bank"),
 		mgr:   New(escrow.NewBook("coin", deal.Fungible)),
 		keys:  keys,
+		pubs:  pubs,
 	}
 	c.MustDeploy("coin", w.coin)
 	c.MustDeploy("coin-escrow", w.mgr)
@@ -373,7 +375,7 @@ func TestVoteAcceptedEventCarriesPath(t *testing.T) {
 	}
 	// The carried path signature must itself verify, so observers can
 	// forward it.
-	if err := got[0].Vote.Verify(w.c.Keys(), nil); err != nil {
+	if err := got[0].Vote.Verify(w.pubs, nil); err != nil {
 		t.Fatalf("event vote does not verify: %v", err)
 	}
 }
@@ -460,4 +462,13 @@ func TestAbortCostRangesFromFreeToNearCommit(t *testing.T) {
 	if w.mgr.Deal("D").Status != escrow.StatusAborted {
 		t.Fatal("deal did not abort")
 	}
+}
+
+// Votes returns the set of accepted voters for a deal (test/inspection).
+func (m *Manager) Votes(dealID string) map[chain.Addr]bool {
+	out := make(map[chain.Addr]bool, len(m.votes[dealID]))
+	for v := range m.votes[dealID] {
+		out[v] = true
+	}
+	return out
 }

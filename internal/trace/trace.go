@@ -9,7 +9,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -54,13 +53,6 @@ func (l *Log) Addf(at sim.Time, source, kind, format string, args ...any) {
 	l.Add(at, source, kind, fmt.Sprintf(format, args...))
 }
 
-// Len returns the number of recorded events.
-func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.events)
-}
-
 // Events returns a copy of the events in chronological order (ties broken
 // by arrival).
 func (l *Log) Events() []Event {
@@ -77,49 +69,11 @@ func (l *Log) Events() []Event {
 	return out
 }
 
-// Filter returns the events whose kind matches any of the given kinds.
-func (l *Log) Filter(kinds ...string) []Event {
-	want := make(map[string]bool, len(kinds))
-	for _, k := range kinds {
-		want[k] = true
-	}
-	var out []Event
-	for _, e := range l.Events() {
-		if want[e.Kind] {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // Fprint renders the log as an aligned timeline. The first writer error
 // stops the rendering and is returned.
 func (l *Log) Fprint(w io.Writer) error {
 	for _, e := range l.Events() {
 		if _, err := fmt.Fprintf(w, "t=%6d  %-12s %-16s %s\n", e.At, e.Source, e.Kind, e.Detail); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// jsonEvent fixes the JSONL field order.
-type jsonEvent struct {
-	At     int64  `json:"at"`
-	Seq    int    `json:"seq"`
-	Source string `json:"source"`
-	Kind   string `json:"kind"`
-	Detail string `json:"detail"`
-}
-
-// WriteJSON streams the log as JSON Lines, one event per line in the
-// same chronological, seq-tiebroken order Events returns — the
-// machine-readable sibling of Fprint for external tooling.
-func (l *Log) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, e := range l.Events() {
-		ev := jsonEvent{At: int64(e.At), Seq: e.Seq, Source: e.Source, Kind: e.Kind, Detail: e.Detail}
-		if err := enc.Encode(ev); err != nil {
 			return err
 		}
 	}

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -31,20 +30,6 @@ func TestAddf(t *testing.T) {
 	l.Addf(5, "src", "kind", "n=%d s=%s", 7, "x")
 	if got := l.Events()[0].Detail; got != "n=7 s=x" {
 		t.Fatalf("detail = %q", got)
-	}
-}
-
-func TestFilter(t *testing.T) {
-	l := New()
-	l.Add(1, "a", "escrowed", "")
-	l.Add(2, "a", "transferred", "")
-	l.Add(3, "a", "escrowed", "")
-	got := l.Filter("escrowed")
-	if len(got) != 2 {
-		t.Fatalf("filtered = %d, want 2", len(got))
-	}
-	if len(l.Filter("nope")) != 0 {
-		t.Fatal("bogus filter matched")
 	}
 }
 
@@ -82,61 +67,9 @@ func TestLen(t *testing.T) {
 	}
 }
 
-// TestWriteJSONOrderAndFieldOrder: the JSONL export carries one event
-// per line in Events order (chronological, arrival-tiebroken) with a
-// byte-stable field order, so concatenated exports diff cleanly.
-func TestWriteJSONOrderAndFieldOrder(t *testing.T) {
-	l := New()
-	l.Add(30, "b", "x", "third")
-	l.Add(10, "a", "escrowed", `first "quoted"`)
-	l.Add(30, "a", "x", "fourth") // same tick as "third", added later
-	var buf bytes.Buffer
-	if err := l.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("lines = %d, want 3:\n%s", len(lines), buf.String())
-	}
-	if want := `{"at":10,"seq":1,"source":"a","kind":"escrowed","detail":"first \"quoted\""}`; lines[0] != want {
-		t.Fatalf("line 0 = %s\nwant      %s", lines[0], want)
-	}
-	var evs []struct {
-		At     int64  `json:"at"`
-		Seq    int    `json:"seq"`
-		Detail string `json:"detail"`
-	}
-	for _, line := range lines {
-		var ev struct {
-			At     int64  `json:"at"`
-			Seq    int    `json:"seq"`
-			Detail string `json:"detail"`
-		}
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("invalid JSONL line %q: %v", line, err)
-		}
-		evs = append(evs, ev)
-	}
-	for _, tc := range []struct {
-		i      int
-		detail string
-	}{{0, `first "quoted"`}, {1, "third"}, {2, "fourth"}} {
-		if evs[tc.i].Detail != tc.detail {
-			t.Fatalf("line %d detail = %q, want %q", tc.i, evs[tc.i].Detail, tc.detail)
-		}
-	}
-	if !(evs[1].At == evs[2].At && evs[1].Seq < evs[2].Seq) {
-		t.Fatalf("same-tick events not seq-tiebroken: %+v", evs)
-	}
-}
-
-// TestWriteJSONEmptyLog: an empty log exports zero bytes, not "null".
-func TestWriteJSONEmptyLog(t *testing.T) {
-	var buf bytes.Buffer
-	if err := New().WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != 0 {
-		t.Fatalf("empty log exported %q", buf.String())
-	}
+// Len returns the number of recorded events.
+func (l *Log) Len() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.events)
 }

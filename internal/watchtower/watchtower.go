@@ -84,14 +84,6 @@ func (t *Tower) Start() {
 	t.cfg.Sched.At(pokeAt, t.pokeRefunds)
 }
 
-// Stop detaches the tower.
-func (t *Tower) Stop() {
-	for _, u := range t.unsubs {
-		u()
-	}
-	t.unsubs = nil
-}
-
 // onEvent mirrors the compliant forwarding rule on the client's behalf.
 func (t *Tower) onEvent(ev chain.Event) {
 	if ev.Kind != timelock.EventVoteAccepted {

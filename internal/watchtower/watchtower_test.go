@@ -182,3 +182,11 @@ func TestTowerStopDetaches(t *testing.T) {
 	}
 	_ = sim.Time(0)
 }
+
+// Stop detaches the tower.
+func (t *Tower) Stop() {
+	for _, u := range t.unsubs {
+		u()
+	}
+	t.unsubs = nil
+}
