@@ -529,12 +529,13 @@ func replayArena(stdout, stderr io.Writer, opts fleet.Options, index int) int {
 		fmt.Fprintf(stderr, "dealsweep: %v\n", err)
 		return 2
 	}
+	r := out.Result
 	return dealView{
 		header: fmt.Sprintf("replay arena deal %d (seed %d): %s — shape %s, %d adversaries, %d sore-loser triggers, %d races",
 			index, out.Seed, out.Spec.ID, out.Shape, out.Adversaries, out.SoreLosers, out.FrontRuns),
-		spec: out.Spec, result: out.Result,
-		notes: fmt.Sprintf("  decision latency %.2fΔ in the arena\n", out.ArenaDelta),
-		p3:    fleet.StrongLivenessViolated(out.Adversaries, false, out.Sequenceable, out.Result.AllCommitted),
+		spec: out.Spec, result: r,
+		notes: fmt.Sprintf("  decision latency %.2fΔ in the arena\n", r.Phases.InDelta(r.Phases.DecisionEnd, out.Spec.Delta)),
+		p3:    fleet.StrongLivenessViolated(out.Adversaries, false, out.Sequenceable, r.AllCommitted),
 	}.print(stdout, stderr, false, "")
 }
 

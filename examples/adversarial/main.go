@@ -28,12 +28,15 @@ func run(title string, spec *xdeal.Spec, opts xdeal.Options) *xdeal.Result {
 	if len(r.SafetyViolations) > 0 {
 		verdict = "SAFETY VIOLATION"
 	}
-	outcome := "mixed"
-	switch {
-	case r.AllCommitted:
+	// The four names the sweep table counts outcomes under.
+	outcome := "unsettled"
+	switch r.Outcome() {
+	case engine.OutcomeCommitted:
 		outcome = "committed"
-	case r.AllAborted:
+	case engine.OutcomeAborted:
 		outcome = "aborted"
+	case engine.OutcomeMixed:
+		outcome = "mixed"
 	}
 	fmt.Printf("%-46s outcome=%-10s %s\n", title, outcome, verdict)
 	return r

@@ -10,7 +10,9 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -48,30 +50,7 @@ var exportAllowlist = map[string]string{
 // declares or imports is exempt, since its calls go through the
 // interface; so is every name in exportAllowlist.
 func TestEveryExportHasACaller(t *testing.T) {
-	l := &exportLoader{
-		fset: token.NewFileSet(),
-		pkgs: make(map[string]*exportPkg),
-	}
-	l.std = importer.ForCompiler(l.fset, "source", nil).(types.ImporterFrom)
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if base := d.Name(); path != "." && (base == "testdata" || strings.HasPrefix(base, ".") || base == "bin" || base == "prof") {
-			return filepath.SkipDir
-		}
-		if _, err := l.load(moduleImportPath(path)); err != nil {
-			if _, ok := err.(*build.NoGoError); ok {
-				return nil
-			}
-			return err
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	l := loadRepository(t)
 	used := make(map[types.Object]bool)
 	var ifaces []*types.Interface
 	for _, p := range l.sorted() {
@@ -180,6 +159,36 @@ func satisfiesInterface(fn *types.Func, ifaces []*types.Interface) bool {
 		}
 	}
 	return false
+}
+
+// loadRepository type-checks the non-test files of every package in the
+// main module, bench/ and examples/.
+func loadRepository(t *testing.T) *exportLoader {
+	t.Helper()
+	l := &exportLoader{
+		fset: token.NewFileSet(),
+		pkgs: make(map[string]*exportPkg),
+	}
+	l.std = importer.ForCompiler(l.fset, "source", nil).(types.ImporterFrom)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if base := d.Name(); path != "." && (base == "testdata" || strings.HasPrefix(base, ".") || base == "bin" || base == "prof") {
+			return filepath.SkipDir
+		}
+		if _, err := l.load(moduleImportPath(path)); err != nil {
+			if _, ok := err.(*build.NoGoError); ok {
+				return nil
+			}
+			return err
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
 }
 
 // moduleImportPath maps a directory relative to the repository root to
@@ -292,4 +301,190 @@ func (l *exportLoader) stdPackages() []*types.Package {
 		walk(p.pkg)
 	}
 	return out
+}
+
+// fieldAllowlist names the struct fields under internal/ that may stay
+// although no non-test code in the main module, bench/ or examples/
+// reads them, each with the reason it stays. A key is the package's
+// directory under internal/, then the struct type's name, then the
+// field's, joined by dots; a key that stops at the type's name covers
+// every field of the type.
+var fieldAllowlist = map[string]string{
+	"hedge.BoundEvent":   "event payload the trace prints whole (engine.renderEventData formats it with %v)",
+	"hedge.SettledEvent": "event payload the trace prints whole (engine.renderEventData formats it with %v)",
+	"htlc.ClaimedEvent":  "event payload the trace prints whole (engine.renderEventData formats it with %v)",
+	"htlc.LockedEvent":   "event payload the trace prints whole (engine.renderEventData formats it with %v)",
+	"htlc.RefundedEvent": "event payload the trace prints whole (engine.renderEventData formats it with %v)",
+
+	"harness.AblationRow":       "row of the §6.2 proof-format table; the harness tests assert its cells, and F and Reconfigs name the row",
+	"harness.AbortTimeRow":      "row of the abort-latency table; the harness tests assert Aborted",
+	"harness.GasRow":            "row of the gas table; the harness tests and the root benchmarks read its cells, and F and Protocol name the row",
+	"harness.SwapComparisonRow": "row of the swap comparison; the harness tests assert its verdicts, and N names the row",
+	"harness.TimeRow":           "row of the Figure 7 timing table; the harness tests name failing rows by N",
+	"harness.TransferDepthRow":  "row of the transfer-depth table; the harness tests assert both shapes committed",
+
+	"chain.Event.Height":                "block an event was published in; the chain and cbc tests check delivery against it",
+	"chain.Receipt.BaseFee":             "base fee a receipt's block charged; the chain, feemarket and fleet tests reconcile fee ledgers with it",
+	"chain.PendingTx.Chain":             "gossip call data a mempool observer sees; the chain tests check that the whole call leaks",
+	"chain.PendingTx.Contract":          "gossip call data a mempool observer sees; the chain tests check that the whole call leaks",
+	"chain.PendingTx.Label":             "gossip call data a mempool observer sees; the chain tests check that the whole call leaks",
+	"chain.BundleGossip.Bid":            "bundle-bid gossip an observer sees; the chain tests check that the aggregate bid leaks",
+	"chain.BundleGossip.Slots":          "bundle-bid gossip an observer sees; the chain tests check that the bundle size leaks",
+	"chain.BundleFate.Bid":              "auction record the chain's bundle tests check inclusion tips and deferral counts against",
+	"chain.BundleFate.Deferrals":        "auction record the chain's bundle tests check inclusion tips and deferral counts against",
+	"chain.BundleFate.Slots":            "auction record the chain's bundle tests check inclusion tips and deferral counts against",
+	"chain.AuctionRecord.LooseIncluded": "count of loose transactions in a bundled block, which only the chain's residual-capacity test reads",
+	"bundle.Outcome.Deferred":           "auction outcome the bundle fuzz test checks capacity, the revenue floor and deferral rounds against",
+	"bundle.Outcome.FIFORevenue":        "auction outcome the bundle fuzz test checks capacity, the revenue floor and deferral rounds against",
+	"bundle.Outcome.Revenue":            "auction outcome the bundle fuzz test checks capacity, the revenue floor and deferral rounds against",
+	"bundle.Outcome.SlotsUsed":          "auction outcome the bundle fuzz test checks capacity, the revenue floor and deferral rounds against",
+	"cbc.Block.Reconfig":                "committee change a CBC block carries; the cbc and sig tests check reconfiguration blocks by it",
+	"engine.Result.CBCGas":              "CBC service gas, a term of the deviation-twin digest the fleet test compares with its golden file",
+	"hedge.BindResult.Surcharge":        "bundle-loss surcharge a bind returns, which the hedge pricing test checks",
+	"arena.HedgeSample.Streak":          "bundle-loss streak at bind, which the arena surcharge test checks",
+	"incentive.View.Deposits":           "the deposit vault's query result, which its tests read",
+	"incentive.View.Forfeited":          "the deposit vault's query result, which its tests read",
+	"incentive.View.Settled":            "the deposit vault's query result, which its tests read",
+	"htlc.Swap.Refunds":                 "counter only the htlc tests read",
+	"sig.sharedTable.signRuns":          "counter only the sig tests read, to show the process-wide table answered",
+	"sig.sharedTable.verifyRuns":        "counter only the sig tests read, to show the process-wide table answered",
+}
+
+// TestEveryFieldIsRead fails on a struct field under internal/ that the
+// non-test code of the main module, bench/ and examples/ writes, or
+// names as a composite-literal key, but never reads. State nothing reads
+// costs a write per use, and a reader who must find out that it changes
+// nothing. A field with a json tag other than "-" is read by the
+// encoder, and an embedded field is read through what it promotes, so
+// both are exempt; so is every field fieldAllowlist covers.
+func TestEveryFieldIsRead(t *testing.T) {
+	l := loadRepository(t)
+	read := make(map[*types.Var]bool)
+	for _, p := range l.sorted() {
+		for _, f := range p.files {
+			writes := fieldWrites(p.info, f)
+			ast.Inspect(f, func(n ast.Node) bool {
+				id, ok := n.(*ast.Ident)
+				if !ok || writes[id] {
+					return true
+				}
+				if v, ok := p.info.Uses[id].(*types.Var); ok && v.IsField() {
+					read[v.Origin()] = true
+				}
+				return true
+			})
+		}
+	}
+
+	seen := make(map[string]bool)
+	for _, p := range l.sorted() {
+		if !strings.HasPrefix(p.path, "xdeal/internal/") {
+			continue
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok {
+					return true
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					return true
+				}
+				typeKey := strings.TrimPrefix(p.path, "xdeal/internal/") + "." + ts.Name.Name
+				for _, field := range st.Fields.List {
+					if field.Tag != nil {
+						tag, _ := strconv.Unquote(field.Tag.Value)
+						if name, ok := reflect.StructTag(tag).Lookup("json"); ok && name != "-" {
+							continue
+						}
+					}
+					for _, name := range field.Names {
+						if name.Name == "_" || read[p.info.Defs[name].(*types.Var)] {
+							continue
+						}
+						key := typeKey + "." + name.Name
+						if _, ok := fieldAllowlist[typeKey]; ok {
+							seen[typeKey] = true
+							continue
+						}
+						seen[key] = true
+						if _, ok := fieldAllowlist[key]; ok {
+							continue
+						}
+						t.Errorf("%s: field %s is never read outside tests; delete it, fold it into the value it restates, or allowlist it with a reason",
+							l.fset.Position(name.Pos()), key)
+					}
+				}
+				return true
+			})
+		}
+	}
+	for key, reason := range fieldAllowlist {
+		if !seen[key] {
+			t.Errorf("fieldAllowlist names %s, which has no unread struct field under internal/", key)
+		}
+		if strings.TrimSpace(reason) == "" {
+			t.Errorf("fieldAllowlist entry %s gives no reason", key)
+		}
+	}
+}
+
+// fieldWrites returns the field identifiers in f that only write their
+// field: the field an assignment or an increment stores to, directly or
+// through an index into it, and the field a composite-literal key names.
+// In x.f = append(x.f, …) the append's x.f is part of the write.
+func fieldWrites(info *types.Info, f *ast.File) map[*ast.Ident]bool {
+	writes := make(map[*ast.Ident]bool)
+	stored := func(e ast.Expr) *ast.Ident {
+		for {
+			switch x := e.(type) {
+			case *ast.IndexExpr:
+				e = x.X
+				continue
+			case *ast.SelectorExpr:
+				if v, ok := info.Uses[x.Sel].(*types.Var); ok && v.IsField() {
+					return x.Sel
+				}
+			}
+			return nil
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for i, lhs := range n.Lhs {
+				id := stored(lhs)
+				if id == nil {
+					continue
+				}
+				writes[id] = true
+				if len(n.Lhs) != len(n.Rhs) {
+					continue
+				}
+				call, ok := n.Rhs[i].(*ast.CallExpr)
+				if !ok || len(call.Args) == 0 {
+					continue
+				}
+				if fn, ok := call.Fun.(*ast.Ident); !ok || info.Uses[fn] != types.Universe.Lookup("append") {
+					continue
+				}
+				if sel, ok := call.Args[0].(*ast.SelectorExpr); ok && info.Uses[sel.Sel] == info.Uses[id] {
+					writes[sel.Sel] = true
+				}
+			}
+		case *ast.IncDecStmt:
+			if id := stored(n.X); id != nil {
+				writes[id] = true
+			}
+		case *ast.KeyValueExpr:
+			if id, ok := n.Key.(*ast.Ident); ok {
+				if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+					writes[id] = true
+				}
+			}
+		}
+		return true
+	})
+	return writes
 }

@@ -191,38 +191,19 @@ type DealOutcome struct {
 	DealSetup
 	Result *engine.Result
 
-	// ArenaDelta is decision latency inside the shared world, in Δ
-	// units from the deal's own start; BaselineDelta is the same deal
-	// alone in an isolated world; Inflation is their ratio (0 when
-	// either is unavailable).
-	ArenaDelta    float64
-	BaselineDelta float64
-	Inflation     float64
-
 	// SoreLosers counts sore-loser triggers among this deal's parties;
 	// FrontRuns counts front-run races its parties ran.
 	SoreLosers int
 	FrontRuns  int
-
-	// BundleWins and BundleDefers count this deal's bundle-auction
-	// participations won and lost (zero without Options.Bundles).
-	BundleWins   int
-	BundleDefers int
-
-	// Fees is the deal's fee-market spend (base fees burned plus tips
-	// paid by its transactions); zero without a fee market.
-	Fees uint64
 
 	// Stranded is the fungible capital the deal's compliant parties
 	// actually had locked in escrows that did not commit — read from
 	// the escrow books at the end of the run, so a deposit that never
 	// landed is never counted (no leak, no double-count).
 	Stranded uint64
-	// Premiums and Payouts are the deal's hedge flows: premiums its
-	// parties paid binding cover, and collateral payouts they claimed.
-	// Zero without Options.Hedge.
-	Premiums uint64
-	Payouts  uint64
+	// Payouts is the collateral the deal's parties claimed from hedge
+	// cover; zero without Options.Hedge.
+	Payouts uint64
 }
 
 // Interference aggregates the arena's cross-deal contention metrics.
@@ -384,7 +365,6 @@ func Run(opts Options, pop []DealSetup) (*Result, error) {
 			res.Interference.ExclusionAttempts++
 		},
 		OnHedgeBound: func(p chain.Addr, collateral, premium uint64, vol float64, streak int) {
-			res.Outcomes[owner[p]].Premiums += premium
 			res.Interference.HedgeBinds++
 			res.Interference.PremiumsPaid += premium
 			res.Interference.HedgeSamples = append(res.Interference.HedgeSamples, HedgeSample{
@@ -474,7 +454,6 @@ func Run(opts Options, pop []DealSetup) (*Result, error) {
 					if !ok {
 						continue
 					}
-					res.Outcomes[k].BundleWins++
 					res.Interference.BundleWins++
 					if w.Deadline > 0 {
 						slack := (int64(w.Deadline) - int64(rec.Time)) * 1000 /
@@ -484,11 +463,9 @@ func Run(opts Options, pop []DealSetup) (*Result, error) {
 					}
 				}
 				for _, d := range rec.Deferred {
-					k, ok := dealIdx[d.Deal]
-					if !ok {
+					if _, ok := dealIdx[d.Deal]; !ok {
 						continue
 					}
-					res.Outcomes[k].BundleDefers++
 					res.Interference.BundleDefers++
 					for _, w := range rec.Winners {
 						if w.Deal != d.Deal && griefTargets[rec.Chain][w.Deal][d.Deal] {
@@ -516,8 +493,6 @@ func Run(opts Options, pop []DealSetup) (*Result, error) {
 	for k, w := range worlds {
 		out := &res.Outcomes[k]
 		out.Result = w.Evaluate()
-		out.ArenaDelta = out.Result.Phases.InDelta(out.Result.Phases.DecisionEnd, w.Spec.Delta)
-		out.Fees = out.Result.DealFees
 	}
 	if opts.FeeMarket {
 		res.Fees = engine.CollectFees(sub.Chains)
@@ -636,7 +611,7 @@ func engineOptions(opts Options, setup DealSetup, hooks *party.AdaptiveHooks) en
 // of parallelism (the fleet spreads arenas across its worker pool).
 func runBaselines(opts Options, pop []DealSetup, res *Result) {
 	for k, setup := range pop {
-		out := &res.Outcomes[k]
+		shared := res.Outcomes[k].Result.Phases
 		sub := engine.NewSubstrate(setup.Seed, opts.world())
 		market := NewMarket(sub.Sched, sim.Mix64(opts.Seed^0xa5a5a5a5), opts.PriceTick, opts.Volatility)
 		hooks := &party.AdaptiveHooks{Oracle: market}
@@ -645,10 +620,10 @@ func runBaselines(opts Options, pop []DealSetup, res *Result) {
 			continue // recorded in the arena pass already if structural
 		}
 		r := w.Run()
-		out.BaselineDelta = r.Phases.InDelta(r.Phases.DecisionEnd, setup.Spec.Delta)
-		if out.BaselineDelta > 0 && out.ArenaDelta > 0 {
-			out.Inflation = out.ArenaDelta / out.BaselineDelta
-			res.Interference.InflationSamples = append(res.Interference.InflationSamples, out.Inflation)
+		alone := r.Phases.InDelta(r.Phases.DecisionEnd, setup.Spec.Delta)
+		inArena := shared.InDelta(shared.DecisionEnd, setup.Spec.Delta)
+		if alone > 0 && inArena > 0 {
+			res.Interference.InflationSamples = append(res.Interference.InflationSamples, inArena/alone)
 		}
 	}
 }

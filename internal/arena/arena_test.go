@@ -26,9 +26,9 @@ func testPop(t *testing.T, deals int, advRate float64) []DealSetup {
 func fingerprint(res *Result) string {
 	s := fmt.Sprintf("interference=%+v\n", res.Interference)
 	for _, out := range res.Outcomes {
-		s += fmt.Sprintf("deal %d seed %d %s adv=%d sore=%d races=%d delta=%.4f infl=%.4f\n%s",
+		s += fmt.Sprintf("deal %d seed %d %s adv=%d sore=%d races=%d decided=%d\n%s",
 			out.Index, out.Seed, out.Spec.ID, out.Adversaries, out.SoreLosers,
-			out.FrontRuns, out.ArenaDelta, out.Inflation, out.Result.Summary())
+			out.FrontRuns, out.Result.Phases.DecisionEnd, out.Result.Summary())
 	}
 	return s
 }
@@ -159,7 +159,7 @@ func TestFeeMarketArenaDeterministicAndAccounted(t *testing.T) {
 	}
 	var dealFees uint64
 	for _, out := range a.Outcomes {
-		dealFees += out.Fees
+		dealFees += out.Result.DealFees
 	}
 	if dealFees == 0 {
 		t.Fatal("no fees attributed to any deal")

@@ -16,9 +16,6 @@ func bundleFingerprint(res *Result) string {
 	for _, b := range i.BundleSamples {
 		s += fmt.Sprintf("%d/%d;", b.PerSlot, b.SlackMilli)
 	}
-	for _, out := range res.Outcomes {
-		s += fmt.Sprintf("deal %d bwins=%d bdefers=%d\n", out.Index, out.BundleWins, out.BundleDefers)
-	}
 	return s
 }
 

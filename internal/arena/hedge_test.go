@@ -164,8 +164,8 @@ func hedgeFingerprint(res *Result) string {
 		s += fmt.Sprintf("%d/%d/%d;", h.VolBps, h.Premium, h.Collateral)
 	}
 	for _, out := range res.Outcomes {
-		s += fmt.Sprintf("deal %d stranded=%d premiums=%d payouts=%d\n",
-			out.Index, out.Stranded, out.Premiums, out.Payouts)
+		s += fmt.Sprintf("deal %d stranded=%d payouts=%d\n",
+			out.Index, out.Stranded, out.Payouts)
 	}
 	return s
 }

@@ -33,9 +33,6 @@ import (
 // a loose transaction (Slots = 1, Bid = its priority tip). Seq is the
 // arrival sequence used for FIFO tie-breaks.
 type Candidate struct {
-	// Deal labels the owning deal for bundles; empty for loose
-	// transactions. The auction itself treats both uniformly.
-	Deal string
 	// Slots is how many block slots the candidate occupies (its
 	// transaction count); must be positive.
 	Slots int

@@ -43,11 +43,7 @@ func decodeCandidates(data []byte) []Candidate {
 		if b2&0x01 != 0 && len(cands) > 0 {
 			seq = cands[len(cands)-1].Seq // duplicate arrival seq
 		}
-		deal := ""
-		if slots > 1 {
-			deal = "d"
-		}
-		cands = append(cands, Candidate{Deal: deal, Slots: slots, Bid: bid, Seq: seq})
+		cands = append(cands, Candidate{Slots: slots, Bid: bid, Seq: seq})
 	}
 	return cands
 }
@@ -197,35 +193,35 @@ func TestWinnerDeterminationTable(t *testing.T) {
 	}{
 		{"empty", 8, nil},
 		{"uncapped", 0, []Candidate{
-			{Deal: "a", Slots: 3, Bid: 9, Seq: 0}, {Slots: 1, Bid: 1, Seq: 1},
+			{Slots: 3, Bid: 9, Seq: 0}, {Slots: 1, Bid: 1, Seq: 1},
 		}},
 		{"fifo-beats-greedy", 4, []Candidate{
 			// Density greed picks the small dense pair (revenue 3) and
 			// strands the big bundle; FIFO takes the bundle (revenue 5).
-			{Deal: "big", Slots: 4, Bid: 5, Seq: 0},
-			{Deal: "b", Slots: 1, Bid: 2, Seq: 1},
-			{Deal: "c", Slots: 3, Bid: 1, Seq: 2},
+			{Slots: 4, Bid: 5, Seq: 0},
+			{Slots: 1, Bid: 2, Seq: 1},
+			{Slots: 3, Bid: 1, Seq: 2},
 		}},
 		{"greedy-beats-fifo", 4, []Candidate{
-			{Deal: "cheap", Slots: 4, Bid: 1, Seq: 0},
-			{Deal: "rich", Slots: 4, Bid: 40, Seq: 1},
+			{Slots: 4, Bid: 1, Seq: 0},
+			{Slots: 4, Bid: 40, Seq: 1},
 		}},
 		{"equal-density-fifo-ties", 8, []Candidate{
-			{Deal: "a", Slots: 2, Bid: 10, Seq: 3},
-			{Deal: "b", Slots: 4, Bid: 20, Seq: 1},
-			{Deal: "c", Slots: 2, Bid: 10, Seq: 2},
+			{Slots: 2, Bid: 10, Seq: 3},
+			{Slots: 4, Bid: 20, Seq: 1},
+			{Slots: 2, Bid: 10, Seq: 2},
 		}},
 		{"wider-than-block", 4, []Candidate{
-			{Deal: "whale", Slots: 9, Bid: 1000, Seq: 0},
+			{Slots: 9, Bid: 1000, Seq: 0},
 			{Slots: 1, Bid: 1, Seq: 1},
 		}},
 		{"zero-slot-malformed", 4, []Candidate{
 			{Slots: 0, Bid: 999, Seq: 0},
-			{Deal: "a", Slots: 2, Bid: 4, Seq: 1},
+			{Slots: 2, Bid: 4, Seq: 1},
 		}},
 		{"huge-bids-no-overflow", 8, []Candidate{
-			{Deal: "a", Slots: 7, Bid: ^uint64(0), Seq: 0},
-			{Deal: "b", Slots: 2, Bid: ^uint64(0) - 1, Seq: 1},
+			{Slots: 7, Bid: ^uint64(0), Seq: 0},
+			{Slots: 2, Bid: ^uint64(0) - 1, Seq: 1},
 			{Slots: 1, Bid: ^uint64(0), Seq: 2},
 		}},
 	}
@@ -241,13 +237,13 @@ func TestWinnerDeterminationTable(t *testing.T) {
 // density descending, arrival-seq tie-break, all-or-nothing skip.
 func TestGreedyOrderPinned(t *testing.T) {
 	cands := []Candidate{
-		{Deal: "d0", Slots: 2, Bid: 8, Seq: 0},  // density 4
-		{Deal: "d1", Slots: 3, Bid: 15, Seq: 1}, // density 5: first
-		{Deal: "d2", Slots: 2, Bid: 8, Seq: 2},  // density 4, later arrival
-		{Slots: 1, Bid: 3, Seq: 3},              // loose tx, density 3
+		{Slots: 2, Bid: 8, Seq: 0},  // density 4
+		{Slots: 3, Bid: 15, Seq: 1}, // density 5: first
+		{Slots: 2, Bid: 8, Seq: 2},  // density 4, later arrival
+		{Slots: 1, Bid: 3, Seq: 3},  // loose tx, density 3
 	}
 	out := SelectWinners(6, cands)
-	want := []int{1, 0, 3} // d1, then d0 (earlier seq beats d2), d2 no longer fits, loose fills
+	want := []int{1, 0, 3} // 1, then 0 (earlier seq beats 2), 2 no longer fits, the loose 3 fills
 	if len(out.Winners) != len(want) {
 		t.Fatalf("winners %v, want %v", out.Winners, want)
 	}

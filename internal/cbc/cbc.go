@@ -129,15 +129,14 @@ func blockDigest(height uint64, prev [32]byte, entries []Entry) [32]byte {
 
 // DealState is the CBC-side view of one deal.
 type DealState struct {
+	// StartHash is the definitive startDeal entry's hash, which commits
+	// to its block height and index in the block (see StartHash).
 	StartHash [32]byte
 	Parties   []chain.Addr
 	Status    escrow.Status // Active until decided
 	Committed map[chain.Addr]bool
 	// DecidedAt is the block height of the decisive vote.
 	DecidedAt uint64
-	// StartHeight/StartIndex locate the definitive startDeal entry.
-	StartHeight uint64
-	StartIndex  int
 
 	// statusCert is the validators' certificate over the decided status,
 	// signed on the first StatusProofFor and again only under a new
@@ -347,11 +346,9 @@ func (c *CBC) applyEntry(e Entry, height uint64, index int) bool {
 			return true
 		}
 		st := &DealState{
-			Parties:     append([]chain.Addr(nil), e.Parties...),
-			Status:      escrow.StatusActive,
-			Committed:   make(map[chain.Addr]bool),
-			StartHeight: height,
-			StartIndex:  index,
+			Parties:   append([]chain.Addr(nil), e.Parties...),
+			Status:    escrow.StatusActive,
+			Committed: make(map[chain.Addr]bool),
 		}
 		st.StartHash = StartHash(e.Deal, e.Parties, height, index)
 		c.deals[e.Deal] = st

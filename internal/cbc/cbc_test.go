@@ -2,6 +2,7 @@ package cbc
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"xdeal/internal/bft"
@@ -42,7 +43,7 @@ func newWorldOn(sched *sim.Scheduler, rng *sim.RNG, service *CBC, id chain.ID, m
 	w := &world{
 		sched: sched,
 		cbc:   service,
-		coin:  token.NewFungible("coin", "bank"),
+		coin:  token.NewFungible("bank"),
 	}
 	w.c = chain.New(chain.Config{
 		ID: id, BlockInterval: 10,
@@ -480,28 +481,30 @@ func TestBlockProofSpanStartingAtDuplicateRejected(t *testing.T) {
 	w.sched.Run()
 	w.voteAll("D", h)
 
+	// The doctored span is the service's own block log from the
+	// duplicate onward, every block certified by its committee: a span
+	// whose only flaw is where it starts. BlockProofFor cannot build it,
+	// since it stops at the abort that decided the deal.
 	full, _ := w.cbc.BlockProofFor("D")
-	// Build the doctored span: drop blocks up to (and including) the
-	// abort; keep from the duplicate startDeal onward.
+	first := full.Blocks[0].Height
 	var span []*Block
-	for _, b := range full.Blocks {
-		keep := false
-		for _, e := range b.Entries {
-			if e.Kind == EntryStartDeal && e.Deal == "D" && b.Height > full.Blocks[0].Height {
-				keep = true
-			}
-		}
-		if keep || len(span) > 0 {
-			span = append(span, b)
+	for i, b := range w.cbc.blocks {
+		isStart := func(e Entry) bool { return e.Kind == EntryStartDeal && e.Deal == "D" }
+		if b.Height > first && slices.ContainsFunc(b.Entries, isStart) {
+			span = w.cbc.blocks[i:]
+			break
 		}
 	}
 	if len(span) == 0 {
-		t.Skip("duplicate startDeal landed in first block")
+		t.Fatal("the duplicate startDeal shares the definitive one's block: the span cannot start at it")
+	}
+	for _, b := range span {
+		w.cbc.certify(b)
 	}
 	doctored := BlockProof{Deal: "D", Blocks: span, Reconfigs: full.Reconfigs}
 	r := w.call("mallory", "coin-escrow", MethodCommitProof, ProofArgs{Deal: "D", Blocks: &doctored})
-	if r.Err == nil {
-		t.Fatal("span starting at duplicate startDeal accepted")
+	if !errors.Is(r.Err, ErrHashMismatch) {
+		t.Fatalf("span starting at the duplicate startDeal: err = %v, want ErrHashMismatch", r.Err)
 	}
 }
 

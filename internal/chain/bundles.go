@@ -72,19 +72,12 @@ type BundleFate struct {
 // like SubscribeReceipts — not a channel parties may react through).
 type AuctionRecord struct {
 	Chain    ID
-	Height   uint64
 	Time     sim.Time
-	Capacity int
 	Winners  []BundleFate // included bundles, in inclusion order
 	Deferred []BundleFate // bundles deferred intact, arrival order
 	// LooseIncluded counts unbundled transactions that filled residual
 	// capacity.
 	LooseIncluded int
-	// Revenue is the block's take (winning bundle bids plus included
-	// loose tips); FIFORevenue is the arrival-order baseline the
-	// auction is guaranteed to meet or beat.
-	Revenue     uint64
-	FIFORevenue uint64
 }
 
 // BlockSummary reports which transaction labels one block included and
@@ -94,9 +87,6 @@ type AuctionRecord struct {
 // metrics are computed from: a deal was excluded from a block when its
 // label sits in Deferred while a rival's sits in Included.
 type BlockSummary struct {
-	Chain  ID
-	Height uint64
-	Time   sim.Time
 	// Included holds the labels of the block's transactions, execution
 	// order; Deferred the labels of transactions that had arrived (in
 	// the mempool or in an arrived bundle) but were left for a later
@@ -251,29 +241,27 @@ func (c *Chain) BundleLossStreak(deal string) int { return c.bundleStreak[deal] 
 
 // SubscribeBundleBids registers a bundle-bid observer: fn receives
 // every subsequently published or raised bundle bid after the
-// observer's notification delay. The returned function unsubscribes.
-func (c *Chain) SubscribeBundleBids(fn func(BundleGossip)) func() {
-	return c.bbSubs.add("", subscription[BundleGossip]{fn: fn})
+// observer's notification delay.
+func (c *Chain) SubscribeBundleBids(fn func(BundleGossip)) {
+	c.bbSubs.add("", subscription[BundleGossip]{fn: fn})
 }
 
 // SubscribeAuctions registers a synchronous auction observer
-// (measurement apparatus; see AuctionRecord). The returned function
-// unsubscribes.
-func (c *Chain) SubscribeAuctions(fn func(*AuctionRecord)) func() {
-	return register(&c.aucSubs, fn)
+// (measurement apparatus; see AuctionRecord).
+func (c *Chain) SubscribeAuctions(fn func(*AuctionRecord)) {
+	c.aucSubs = append(c.aucSubs, fn)
 }
 
 // SubscribeBlocks registers a synchronous per-block observer
-// (measurement apparatus; see BlockSummary). The returned function
-// unsubscribes.
-func (c *Chain) SubscribeBlocks(fn func(*BlockSummary)) func() {
-	return register(&c.blkSubs, fn)
+// (measurement apparatus; see BlockSummary).
+func (c *Chain) SubscribeBlocks(fn func(*BlockSummary)) {
+	c.blkSubs = append(c.blkSubs, fn)
 }
 
 // gossipBundle fans a bundle's current bid out to bundle-bid
 // observers, each after its own notification delay (see fanOut).
 func (c *Chain) gossipBundle(b *pendingBundle) {
-	if c.bbSubs.live() == 0 {
+	if len(c.bbSubs.all) == 0 {
 		return
 	}
 	fanBids(c, &c.bbSubs, "", BundleGossip{
@@ -316,9 +304,7 @@ func (c *Chain) selectAuction() ([]inclusion, *auction) {
 	loose := c.mempool
 	cands := make([]bundle.Candidate, 0, len(ready)+len(loose))
 	for _, b := range ready {
-		cands = append(cands, bundle.Candidate{
-			Deal: b.deal, Slots: len(b.txs), Bid: b.bid(), Seq: b.seq,
-		})
+		cands = append(cands, bundle.Candidate{Slots: len(b.txs), Bid: b.bid(), Seq: b.seq})
 	}
 	for _, tx := range loose {
 		cands = append(cands, bundle.Candidate{Slots: 1, Bid: tx.Tip, Seq: tx.seq})
@@ -330,10 +316,7 @@ func (c *Chain) selectAuction() ([]inclusion, *auction) {
 
 	// Assemble the block in inclusion order, with each transaction's
 	// fee charge precomputed (bundle bids split per transaction).
-	rec := &AuctionRecord{
-		Chain: c.cfg.ID, Capacity: c.cfg.MaxBlockTxs,
-		Revenue: out.Revenue, FIFORevenue: out.FIFORevenue,
-	}
+	rec := &AuctionRecord{Chain: c.cfg.ID}
 	block := c.blockBuf[:0]
 	looseWon := make([]bool, len(loose))
 	for _, i := range out.Winners {
@@ -426,7 +409,7 @@ func (c *Chain) closeAuction(auc *auction, now sim.Time) {
 			rolled[b.deal] = true
 		}
 	}
-	auc.rec.Height, auc.rec.Time = c.height, now
+	auc.rec.Time = now
 	notify(&c.aucSubs, auc.rec)
 }
 
@@ -457,8 +440,8 @@ func (c *Chain) fate(b *pendingBundle) BundleFate {
 // emitBlockSummary reports the block just sealed to the block observers,
 // synchronously (measurement apparatus): what it included, and everything
 // that had arrived — in the mempool or in a bundle — and is still pending.
-func (c *Chain) emitBlockSummary(block []inclusion, now sim.Time) {
-	bs := &BlockSummary{Chain: c.cfg.ID, Height: c.height, Time: now}
+func (c *Chain) emitBlockSummary(block []inclusion) {
+	bs := &BlockSummary{}
 	bs.Included = make([]string, 0, len(block))
 	for _, in := range block {
 		bs.Included = append(bs.Included, in.tx.Label)

@@ -94,7 +94,7 @@ func TestBundleLossStreakAndBump(t *testing.T) {
 	sched.After(15, func() { routeBundle(c, "rival", 3, 5, nil) })
 	streaks := make(map[int]int)
 	c.SubscribeAuctions(func(r *AuctionRecord) {
-		streaks[int(r.Height)] = c.BundleLossStreak("victim")
+		streaks[int(c.height)] = c.BundleLossStreak("victim")
 	})
 	sched.After(25, func() {
 		if got := c.BundleLossStreak("victim"); got < 1 {

@@ -22,7 +22,6 @@ import (
 	"crypto/ed25519"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 
@@ -233,7 +232,7 @@ type Chain struct {
 	mpSubs    subscribers[PendingTx] // mempool-gossip observers
 	readEnv   *Env                   // the one Env every Query reads through
 	txEnv     *Env                   // the one Env every top-level transaction runs in
-	rcptSubs  []func(*Receipt)       // by subscription id; nil once unsubscribed
+	rcptSubs  []func(*Receipt)       // in subscription order
 	blockSet  bool                   // a block production event is scheduled
 	receipts  []*Receipt
 	mpHigh    int // mempool depth high-water, sampled at each arrival
@@ -367,15 +366,14 @@ type subscription[T any] struct {
 }
 
 // subscribers is one delivery channel's observers. A subscription's id is
-// its place in subscription order, kept for life; its slot is zeroed when
-// it unsubscribes, and ids are never reused. Each id is also listed once,
-// under its topic or among the untopiced, so a fan-out visits only the
-// subscriptions that may see its item.
+// its place in subscription order; a subscription lasts as long as the
+// chain. Each id is also listed once, under its topic or among the
+// untopiced, so a fan-out visits only the subscriptions that may see its
+// item.
 type subscribers[T any] struct {
-	all    []subscription[T]  // by id; fn nil once unsubscribed
+	all    []subscription[T]  // by id
 	open   []int32            // ids of the untopiced subscriptions, ascending
 	topics map[string][]int32 // ids of each topic's subscriptions, ascending
-	gone   []int32            // ids no longer live, ascending
 
 	free    *delivery[T] // executed delivery nodes, linked through next
 	deliver func(any)    // runs a *delivery[T]; built on the first fan-out
@@ -419,86 +417,52 @@ func (l *subscribers[T]) run(a any) {
 	n.fns, n.item, n.next, l.free = n.fns[:0], zero, l.free, n
 }
 
-// add registers s under topic ("" for none) and returns the function that
-// unsubscribes it.
-func (l *subscribers[T]) add(topic string, s subscription[T]) func() {
+// add registers s under topic ("" for none).
+func (l *subscribers[T]) add(topic string, s subscription[T]) {
 	id := int32(len(l.all))
 	l.all = append(l.all, s)
 	if topic == "" {
 		l.open = append(l.open, id)
-	} else {
-		if l.topics == nil {
-			l.topics = make(map[string][]int32)
-		}
-		l.topics[topic] = append(l.topics[topic], id)
+		return
 	}
-	return func() {
-		if l.all[id].fn == nil {
-			return
-		}
-		l.all[id] = subscription[T]{}
-		at, _ := slices.BinarySearch(l.gone, id)
-		l.gone = slices.Insert(l.gone, at, id)
+	if l.topics == nil {
+		l.topics = make(map[string][]int32)
 	}
+	l.topics[topic] = append(l.topics[topic], id)
 }
 
-// live is the number of live subscriptions.
-func (l *subscribers[T]) live() int { return len(l.all) - len(l.gone) }
-
-// rank is a live subscription's position among the live ones, in
-// subscription order: the number of live subscriptions before it.
-func (l *subscribers[T]) rank(id int32) int {
-	before, _ := slices.BinarySearch(l.gone, id)
-	return int(id) - before
-}
-
-// register appends an observer to list and returns the function that
-// unsubscribes it by zeroing its slot. Slots are never reused, so
-// observers keep their subscription order, and a zero slot is skipped.
-func register[S any](list *[]S, s S) func() {
-	id := len(*list)
-	*list = append(*list, s)
-	return func() {
-		var zero S
-		(*list)[id] = zero
-	}
-}
-
-// notify calls every live synchronous observer in subscription order. It
-// re-reads the list at each step, so an observer added or removed by an
-// earlier one's call is seen at once.
+// notify calls every synchronous observer in subscription order. It
+// re-reads the list at each step, so an observer added by an earlier
+// one's call is seen at once.
 func notify[T any](list *[]func(T), v T) {
 	for i := 0; i < len(*list); i++ {
-		if fn := (*list)[i]; fn != nil {
-			fn(v)
-		}
+		(*list)[i](v)
 	}
 }
 
-// fanOut delivers item to every live subscriber in l that may see it —
-// the untopiced ones and those of item's topic — and wants it, each after
-// its own notify delay. Every live subscriber, seeing the item or not,
-// owns one draw of the chain's delay stream per fan-out, addressed by its
-// rank among the live subscribers: the subscriber at rank r is delayed by
-// the r-th upcoming draw, read in place (sim.RNG.DurationAt), and the
-// stream then skips past all of them. So the delays, and the stream's
-// state afterwards, are exactly those of drawing once per live subscriber
-// in subscription order, while the work is proportional to the
-// subscribers visited. The wanted deliveries are then scheduled as one
-// event per distinct delay, on a recycled delivery node holding a copy of
-// the item, which calls its subscribers in subscription order. Grouping
-// costs the wanted deliveries times the distinct delays among them.
+// fanOut delivers item to every subscriber in l that may see it — the
+// untopiced ones and those of item's topic — and wants it, each after its
+// own notify delay. Every subscriber, seeing the item or not, owns one
+// draw of the chain's delay stream per fan-out, addressed by its id: the
+// subscriber with id r is delayed by the r-th upcoming draw, read in
+// place (sim.RNG.DurationAt), and the stream then skips past all of them.
+// So the delays, and the stream's state afterwards, are exactly those of
+// drawing once per subscriber in subscription order, while the work is
+// proportional to the subscribers visited. The wanted deliveries are then
+// scheduled as one event per distinct delay, on a recycled delivery node
+// holding a copy of the item, which calls its subscribers in subscription
+// order. Grouping costs the wanted deliveries times the distinct delays
+// among them.
 //
 // Grouping is exact. One fan-out schedules its deliveries back to back,
 // so one event per delivery would hold consecutive sequence numbers: no
 // other event could run between two deliveries of the same tick, and
 // anything a handler schedules runs after all of them in both schemes.
 // Only Scheduler.Steps sees the difference. This holds because wants and
-// Bounds never schedule anything; they must not start to. A delivery,
-// once scheduled, is not withdrawn by a later unsubscription.
+// Bounds never schedule anything; they must not start to.
 func fanOut[T any](c *Chain, l *subscribers[T], topic string, item T) {
-	live := l.live()
-	if live == 0 {
+	n := len(l.all)
+	if n == 0 {
 		return
 	}
 	lo, hi := c.cfg.Delays.Bounds(c.sched.Now())
@@ -518,15 +482,15 @@ func fanOut[T any](c *Chain, l *subscribers[T], topic string, item T) {
 			id, topical = topical[0], topical[1:]
 		}
 		s := l.all[id]
-		if s.fn == nil || s.wants != nil && !s.wants(item) {
+		if s.wants != nil && !s.wants(item) {
 			continue
 		}
 		ids = append(ids, id)
 		// After treats a negative delay as zero; so does the grouping.
-		delays = append(delays, max(c.rng.DurationAt(l.rank(id), lo, hi), 0))
+		delays = append(delays, max(c.rng.DurationAt(int(id), lo, hi), 0))
 	}
 	if lo != hi {
-		c.rng.Skip(live)
+		c.rng.Skip(n)
 	}
 	c.fanIDs, c.fanDelays = ids, delays
 	if len(ids) == 0 {
@@ -560,11 +524,10 @@ func (c *Chain) delay() sim.Duration {
 	return c.rng.Duration(c.cfg.Delays.Bounds(c.sched.Now()))
 }
 
-// Subscribe registers an observer for all of this chain's events. The
-// returned function unsubscribes. Events arrive after the chain's notify
-// delay.
-func (c *Chain) Subscribe(fn func(Event)) func() {
-	return c.SubscribeFiltered(nil, fn)
+// Subscribe registers an observer for all of this chain's events, for as
+// long as the chain lasts. Events arrive after the chain's notify delay.
+func (c *Chain) Subscribe(fn func(Event)) {
+	c.SubscribeFiltered(nil, fn)
 }
 
 // SubscribeFiltered registers an observer for the events wants accepts —
@@ -573,11 +536,11 @@ func (c *Chain) Subscribe(fn func(Event)) func() {
 // not when it is delivered, so it may depend only on the event and on
 // state fixed before subscribing, and it must not schedule anything. The
 // observer owns one position in the chain's delay stream for every event
-// published while it is live, whether or not it wants that event (the
+// published after it subscribes, whether or not it wants that event (the
 // stream is shared, so every position keeps its place); a rejected event
 // leaves its draw unread and schedules nothing.
-func (c *Chain) SubscribeFiltered(wants func(Event) bool, fn func(Event)) func() {
-	return c.subs.add("", subscription[Event]{wants: wants, fn: fn})
+func (c *Chain) SubscribeFiltered(wants func(Event) bool, fn func(Event)) {
+	c.subs.add("", subscription[Event]{wants: wants, fn: fn})
 }
 
 // SubscribeTopic is SubscribeFiltered for the events of one topic (see
@@ -586,8 +549,8 @@ func (c *Chain) SubscribeFiltered(wants func(Event) bool, fn func(Event)) func()
 // all). It costs nothing per event of other topics, yet, like every
 // observer, it owns one position in the delay stream per event. An empty
 // topic is no topic: the observer is offered every event.
-func (c *Chain) SubscribeTopic(topic string, wants func(Event) bool, fn func(Event)) func() {
-	return c.subs.add(topic, subscription[Event]{wants: wants, fn: fn})
+func (c *Chain) SubscribeTopic(topic string, wants func(Event) bool, fn func(Event)) {
+	c.subs.add(topic, subscription[Event]{wants: wants, fn: fn})
 }
 
 // Submit publishes a transaction. It reaches the mempool after the submit
@@ -625,7 +588,7 @@ func (c *Chain) arrive(tx *Tx) {
 // gossipTx fans a published transaction out to the mempool observers it
 // concerns, each after its own notification delay (see fanOut).
 func (c *Chain) gossipTx(tx *Tx) {
-	if c.mpSubs.live() == 0 {
+	if len(c.mpSubs.all) == 0 {
 		return
 	}
 	topic := topicOf(tx.Args)
@@ -648,20 +611,19 @@ func (c *Chain) gossipTx(tx *Tx) {
 // SubscribeFiltered, it may depend only on the transaction and on state
 // fixed before subscribing, and it must not schedule anything; like an
 // event observer, the mempool observer owns one position in the delay
-// stream per published transaction, seen or not. The returned function
-// unsubscribes. Observation is free (public gossip); reacting costs a
-// transaction like anything else.
-func (c *Chain) SubscribeMempool(topic string, wants func(PendingTx) bool, fn func(PendingTx)) func() {
-	return c.mpSubs.add(topic, subscription[PendingTx]{wants: wants, fn: fn})
+// stream per published transaction, seen or not. Observation is free
+// (public gossip); reacting costs a transaction like anything else.
+func (c *Chain) SubscribeMempool(topic string, wants func(PendingTx) bool, fn func(PendingTx)) {
+	c.mpSubs.add(topic, subscription[PendingTx]{wants: wants, fn: fn})
 }
 
 // SubscribeReceipts registers an omniscient receipt observer: fn is
 // invoked synchronously as each transaction executes, with no network
 // delay. This is measurement apparatus (tracing, metrics), not a channel
 // parties may react through — parties observe via Subscribe/OnReceipt,
-// which model latency. The returned function unsubscribes.
-func (c *Chain) SubscribeReceipts(fn func(*Receipt)) func() {
-	return register(&c.rcptSubs, fn)
+// which model latency.
+func (c *Chain) SubscribeReceipts(fn func(*Receipt)) {
+	c.rcptSubs = append(c.rcptSubs, fn)
 }
 
 // scheduleBlock arranges block production at the next block boundary if
@@ -809,8 +771,8 @@ func (c *Chain) seal(block []inclusion, auc *auction) {
 	if auc != nil {
 		c.closeAuction(auc, now)
 	}
-	if slices.ContainsFunc(c.blkSubs, func(fn func(*BlockSummary)) bool { return fn != nil }) {
-		c.emitBlockSummary(block, now)
+	if len(c.blkSubs) > 0 {
+		c.emitBlockSummary(block)
 	}
 	if auc != nil {
 		c.notifyBidders(auc)

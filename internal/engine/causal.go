@@ -170,42 +170,26 @@ func (w *World) DealSpans(r *Result) []trace.Span {
 	return spans
 }
 
-// CausalReport is the explain view of one deal: its full span DAG, the
-// critical path into the decision, and the exact latency attribution.
-type CausalReport struct {
-	Spans       []trace.Span
-	Path        []trace.Span
-	Attribution trace.Attribution
-}
-
-// Causal builds the deal's causal report from the evaluated result. The
-// terminal is the final phase milestone (the decision, when the deal
-// decided; the last completed phase otherwise).
-func (w *World) Causal(r *Result) *CausalReport {
+// ExplainDeal renders the deal's critical path and exact latency
+// attribution as the annotated timeline the -explain flags print. The
+// path runs into the final phase milestone: the decision, when the deal
+// decided; the last completed phase otherwise.
+func (w *World) ExplainDeal(r *Result) (string, error) {
 	spans := w.DealSpans(r)
-	rep := &CausalReport{Spans: spans}
-	terminal := -1
-	for i, s := range spans {
-		if s.Kind == trace.KindPhase {
-			terminal = i
+	var path []trace.Span
+	for i := len(spans) - 1; i >= 0; i-- {
+		if spans[i].Kind == trace.KindPhase {
+			path = trace.CriticalPath(spans, i)
+			break
 		}
 	}
-	if terminal >= 0 {
-		rep.Path = trace.CriticalPath(spans, terminal)
-	}
+	var attr trace.Attribution
 	if r.Phases.DecisionEnd > r.Phases.Start {
-		rep.Attribution = trace.Attribute(spans, r.Phases.Start, r.Phases.DecisionEnd)
+		attr = trace.Attribute(spans, r.Phases.Start, r.Phases.DecisionEnd)
 	}
-	return rep
-}
-
-// ExplainDeal renders the deal's critical path and attribution as the
-// annotated timeline the -explain flags print.
-func (w *World) ExplainDeal(r *Result) (string, error) {
-	rep := w.Causal(r)
 	var b strings.Builder
 	fmt.Fprintf(&b, "deal %s: %s\n", r.Spec.ID, r.Outcome())
-	if err := trace.FprintPath(&b, rep.Path, rep.Attribution); err != nil {
+	if err := trace.FprintPath(&b, path, attr); err != nil {
 		return "", err
 	}
 	return b.String(), nil

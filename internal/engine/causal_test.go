@@ -112,8 +112,9 @@ func TestDealSpansFormWellFormedDAG(t *testing.T) {
 	}
 }
 
-// TestCausalCriticalPathEndsAtDecision: the extracted path is
-// chronological and terminates at the decision milestone.
+// TestCausalCriticalPathEndsAtDecision: the path ExplainDeal extracts
+// into the final phase milestone is chronological and terminates at the
+// decision, and the attribution it prints is conserved.
 func TestCausalCriticalPathEndsAtDecision(t *testing.T) {
 	spec := deal.BrokerSpec(2000, 1000)
 	w, err := Build(spec, Options{Seed: 1, Protocol: party.ProtoTimelock})
@@ -121,25 +122,26 @@ func TestCausalCriticalPathEndsAtDecision(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := w.Run()
-	rep := w.Causal(r)
-	if len(rep.Path) == 0 {
+	spans := w.DealSpans(r)
+	path := trace.CriticalPath(spans, len(spans)-1) // the decision (TestDealSpansFormWellFormedDAG)
+	if len(path) == 0 {
 		t.Fatal("empty critical path")
 	}
-	last := rep.Path[len(rep.Path)-1]
+	last := path[len(path)-1]
 	if last.Kind != trace.KindPhase || last.Name != "decision" {
 		t.Fatalf("path ends at %s/%s, want phase/decision", last.Kind, last.Name)
 	}
 	// Causal order: each span completes no earlier than its predecessor
 	// (starts may rewind — a phase span opens at the previous milestone
 	// even when its causing inclusion landed later).
-	for i := 1; i < len(rep.Path); i++ {
-		if rep.Path[i].End < rep.Path[i-1].End {
+	for i := 1; i < len(path); i++ {
+		if path[i].End < path[i-1].End {
 			t.Fatalf("path not causally ordered at %d: ends %d after %d",
-				i, rep.Path[i].End, rep.Path[i-1].End)
+				i, path[i].End, path[i-1].End)
 		}
 	}
-	if rep.Attribution.Sum() != rep.Attribution.Total {
-		t.Fatalf("causal report attribution not conserved: %+v", rep.Attribution)
+	if a := trace.Attribute(spans, r.Phases.Start, r.Phases.DecisionEnd); a.Sum() != a.Total {
+		t.Fatalf("decision attribution not conserved: %+v", a)
 	}
 }
 

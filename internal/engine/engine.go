@@ -165,7 +165,7 @@ type SubstrateConfig struct {
 	// internal/bundle): every fee-market chain runs per-block winner
 	// determination over all-or-nothing deal bundles, and every party
 	// routes its protocol transactions through its deal's bundle,
-	// priced by a deadline-escalating BundleBidder. Requires FeeMarket;
+	// priced by a deadline-escalating per-slot bid. Requires FeeMarket;
 	// ignored without one.
 	Bundles bool
 }
@@ -374,7 +374,7 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 		if a.Kind == deal.Fungible {
 			f := s.fungibles[key]
 			if f == nil {
-				f = token.NewFungible(string(a.Token), "mint-authority")
+				f = token.NewFungible("mint-authority")
 				if c.Contract(a.Token) == nil {
 					c.MustDeploy(a.Token, f)
 				} else if existing, ok := c.Contract(a.Token).(*token.Fungible); ok {
@@ -388,7 +388,7 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 		} else {
 			n := s.nfts[key]
 			if n == nil {
-				n = token.NewNFT(string(a.Token), "mint-authority")
+				n = token.NewNFT("mint-authority")
 				if c.Contract(a.Token) == nil {
 					c.MustDeploy(a.Token, n)
 				} else if existing, ok := c.Contract(a.Token).(*token.NFT); ok {
@@ -517,21 +517,6 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 	if patience <= 0 {
 		patience = 10 * spec.Delta
 	}
-	var fees party.DeadlineFee
-	if s.cfg.FeeMarket != nil {
-		// Rational default under a fee market: escalate tips as the
-		// timelock deadline approaches — a vote stuck in a congested
-		// mempool past its deadline is worthless.
-		fees = party.DeadlineFee{Start: 1, Max: 16}
-	}
-	var bundleCfg *party.BundleConfig
-	if s.cfg.Bundles && s.cfg.FeeMarket != nil {
-		// The compliant bundle strategy mirrors the DeadlineFee default
-		// at bundle granularity: the deal's per-slot bid escalates as
-		// the timelock deadline approaches, and re-escalates on every
-		// auction the bundle loses.
-		bundleCfg = &party.BundleConfig{Bidder: party.BundleBidder{Start: 1, Max: 16}}
-	}
 	var hedgeCfg *party.HedgeConfig
 	if hp != nil && len(w.Hedges) > 0 {
 		resolved := hp.WithDefaults()
@@ -559,10 +544,8 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 			Patience:        patience,
 			SerializeRounds: opts.SerializeRounds,
 			LabelPrefix:     opts.LabelPrefix,
-			Fees:            fees,
 			Adaptive:        opts.Adaptive,
 			Hedge:           hedgeCfg,
-			Bundle:          bundleCfg,
 			OnValidated: func(p chain.Addr, at sim.Time) {
 				w.validatedAt[p] = at
 			},

@@ -39,8 +39,8 @@ func newWorldRaw() *world {
 	w := &world{
 		c:     c,
 		sched: sched,
-		coin:  token.NewFungible("coin", "bank"),
-		tix:   token.NewNFT("tickets", "theater"),
+		coin:  token.NewFungible("bank"),
+		tix:   token.NewNFT("theater"),
 	}
 	w.coinEs = NewManager(NewBook("coin", deal.Fungible))
 	w.tixEs = NewManager(NewBook("tix", deal.NonFungible))

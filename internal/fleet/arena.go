@@ -302,7 +302,7 @@ func arenaRecord(globalIndex int, protocol string, out arena.DealOutcome, feesOn
 	if feesOn {
 		// Per-deal fee attribution only; world totals, samples, and
 		// race counters fold once per arena from the arena result.
-		rec.Fee = &FeeRecord{DealFees: out.Fees}
+		rec.Fee = &FeeRecord{DealFees: out.Result.DealFees}
 	}
 	return rec
 }

@@ -119,8 +119,8 @@ func TestFleetArenaReplayDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fa := fmt.Sprintf("%d %d %s %v %s", a.Seed, a.Adversaries, a.Spec.ID, a.ArenaDelta, a.Result.Summary())
-		fb := fmt.Sprintf("%d %d %s %v %s", b.Seed, b.Adversaries, b.Spec.ID, b.ArenaDelta, b.Result.Summary())
+		fa := fmt.Sprintf("%d %d %s %v %s", a.Seed, a.Adversaries, a.Spec.ID, a.Result.Phases.DecisionEnd, a.Result.Summary())
+		fb := fmt.Sprintf("%d %d %s %v %s", b.Seed, b.Adversaries, b.Spec.ID, b.Result.Phases.DecisionEnd, b.Result.Summary())
 		if fa != fb {
 			t.Fatalf("replay of arena deal %d not deterministic:\n%s\n---\n%s", idx, fa, fb)
 		}
@@ -289,10 +289,10 @@ func TestZeroValuedArenaSweepEchoesResolvedDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	render := func(out *arena.DealOutcome) string {
-		return fmt.Sprintf("%s seed=%d adv=%d sore=%d races=%d bwins=%d bdefers=%d fees=%d stranded=%d premiums=%d payouts=%d gas=%d delta=%v\n%s",
+		return fmt.Sprintf("%s seed=%d adv=%d sore=%d races=%d fees=%d stranded=%d payouts=%d gas=%d decided=%d\n%s",
 			out.Spec.ID, out.Seed, out.Adversaries, out.SoreLosers, out.FrontRuns,
-			out.BundleWins, out.BundleDefers, out.Fees, out.Stranded, out.Premiums, out.Payouts,
-			out.Result.DealGas, out.ArenaDelta, out.Result.Summary())
+			out.Result.DealFees, out.Stranded, out.Payouts,
+			out.Result.DealGas, out.Result.Phases.DecisionEnd, out.Result.Summary())
 	}
 	if got, want := render(replayed), render(&explicit.Outcomes[0]); got != want {
 		t.Fatalf("replayed deal 0 differs from the explicit-default arena:\n--- replay ---\n%s\n--- explicit ---\n%s", got, want)

@@ -120,8 +120,8 @@ func TestBundleSweepExclusionBeatsFeeBidTwin(t *testing.T) {
 }
 
 // TestBundleArenaReplayBitForBit: replaying a deal from a bundled
-// sweep regenerates the identical outcome, auction tallies included —
-// twice over, and field-for-field.
+// sweep regenerates the identical outcome — twice over, and
+// field-for-field — in an arena that ran bundle auctions.
 func TestBundleArenaReplayBitForBit(t *testing.T) {
 	opts := bundledOpts(40, 4, true)
 	render := func(index int) string {
@@ -129,26 +129,30 @@ func TestBundleArenaReplayBitForBit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fmt.Sprintf("%s adv=%d sore=%d races=%d bwins=%d bdefers=%d fees=%d stranded=%d delta=%v summary=%s",
+		return fmt.Sprintf("%s adv=%d sore=%d races=%d fees=%d stranded=%d decided=%d summary=%s",
 			out.Spec.ID, out.Adversaries, out.SoreLosers, out.FrontRuns,
-			out.BundleWins, out.BundleDefers, out.Fees, out.Stranded,
-			out.ArenaDelta, out.Result.Summary())
+			out.Result.DealFees, out.Stranded,
+			out.Result.Phases.DecisionEnd, out.Result.Summary())
 	}
-	sawAuction := false
+	gen, err := NewGenerator(opts.Gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ao := *opts.Arena
+	if err := ao.defaults(); err != nil {
+		t.Fatal(err)
+	}
 	for _, index := range []int{3, 17, 28} {
 		a, b := render(index), render(index)
 		if a != b {
 			t.Fatalf("replay of deal %d not bit-for-bit:\n--- first ---\n%s\n--- second ---\n%s", index, a, b)
 		}
-		out, err := ReplayArenaDeal(opts, index)
+		res, err := runArena(gen, ao, index/ao.DealsPerArena, opts.Deals, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out.BundleWins+out.BundleDefers > 0 {
-			sawAuction = true
+		if i := res.Interference; i.BundleWins+i.BundleDefers == 0 {
+			t.Fatalf("the arena of deal %d ran no bundle auction", index)
 		}
-	}
-	if !sawAuction {
-		t.Fatal("no replayed deal ever participated in an auction")
 	}
 }

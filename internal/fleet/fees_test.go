@@ -150,9 +150,9 @@ func TestFleetFeeMarketArenaReplayDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		fa := fmt.Sprintf("%d %d %s %v fees=%d races=%d %s",
-			a.Seed, a.Adversaries, a.Spec.ID, a.ArenaDelta, a.Fees, a.FrontRuns, a.Result.Summary())
+			a.Seed, a.Adversaries, a.Spec.ID, a.Result.Phases.DecisionEnd, a.Result.DealFees, a.FrontRuns, a.Result.Summary())
 		fb := fmt.Sprintf("%d %d %s %v fees=%d races=%d %s",
-			b.Seed, b.Adversaries, b.Spec.ID, b.ArenaDelta, b.Fees, b.FrontRuns, b.Result.Summary())
+			b.Seed, b.Adversaries, b.Spec.ID, b.Result.Phases.DecisionEnd, b.Result.DealFees, b.FrontRuns, b.Result.Summary())
 		if fa != fb {
 			t.Fatalf("fee-market replay of arena deal %d not deterministic:\n%s\n---\n%s", idx, fa, fb)
 		}

@@ -38,20 +38,20 @@ func (f *FeeOptions) defaults() {
 // FeeRecord is the fee-market slice of one deal run's outcome.
 type FeeRecord struct {
 	// DealFees is the spend attributable to this deal (burn + tips).
-	DealFees uint64 `json:"deal_fees"`
+	DealFees uint64
 	// Burned/Tipped total the run's world-wide fee flows; only filled
 	// for isolated worlds (arena sweeps fold their shared worlds'
 	// totals once per arena instead).
-	Burned uint64 `json:"burned,omitempty"`
-	Tipped uint64 `json:"tipped,omitempty"`
+	Burned uint64
+	Tipped uint64
 	// Plain front-run races and fee-bid races run and won by this
 	// run's parties (isolated mode; arenas meter through Interference).
-	Races    int `json:"races,omitempty"`
-	RaceWins int `json:"race_wins,omitempty"`
-	Bids     int `json:"bids,omitempty"`
-	BidWins  int `json:"bid_wins,omitempty"`
+	Races    int
+	RaceWins int
+	Bids     int
+	BidWins  int
 	// Samples holds (tip, queuing delay) per included transaction.
-	Samples []engine.FeeSample `json:"-"`
+	Samples []engine.FeeSample
 }
 
 // Options configures a randomized fleet sweep. cmd/dealsweep reads it
@@ -80,46 +80,42 @@ type Options struct {
 // or replaying with this record's engine options reproduces the run
 // bit-for-bit.
 type Record struct {
-	Index       int    `json:"index"`
-	Seed        uint64 `json:"seed"`
-	SpecID      string `json:"spec"`
-	Shape       string `json:"shape"`
-	Protocol    string `json:"protocol"`
-	Parties     int    `json:"parties"`
-	Escrows     int    `json:"escrows"`
-	Transfers   int    `json:"transfers"`
-	Adversaries int    `json:"adversaries"`
-	Outage      bool   `json:"outage,omitempty"`
+	Index       int
+	Seed        uint64
+	SpecID      string
+	Shape       string
+	Protocol    string
+	Adversaries int
+	Outage      bool
 	// Sequenceable mirrors Job.Sequenceable: Property 3 is only
 	// asserted over sequenceable, fully compliant, outage-free runs.
-	Sequenceable bool `json:"sequenceable"`
+	Sequenceable bool
 
-	Committed bool `json:"committed"`
-	Aborted   bool `json:"aborted"`
-	Atomic    bool `json:"atomic"`
+	Committed bool
+	Aborted   bool
+	Atomic    bool
 
-	SafetyViolations   []string `json:"safety_violations,omitempty"`
-	LivenessViolations []string `json:"liveness_violations,omitempty"`
+	SafetyViolations   []string
+	LivenessViolations []string
 
-	Gas       uint64  `json:"gas"`
-	CBCGas    uint64  `json:"cbc_gas,omitempty"`
-	DeltaTime float64 `json:"delta_time"` // decision completion in Δ units
-	EndedAt   int64   `json:"ended_at"`
+	Gas       uint64
+	DeltaTime float64 // decision completion in Δ units
+	EndedAt   int64
 
 	// Spans is the deal's per-phase lifecycle timing in Δ units; nil
 	// when no phase completed (e.g. an errored build).
-	Spans *PhaseSpans `json:"spans,omitempty"`
+	Spans *PhaseSpans
 
 	// CritPath is the deal's decision-latency attribution (sim ticks,
 	// buckets summing exactly to total); nil when the deal never
 	// reached a decision.
-	CritPath *trace.Attribution `json:"crit_path,omitempty"`
+	CritPath *trace.Attribution
 
 	// Fee carries the run's fee-market outcome; nil without a fee
 	// market.
-	Fee *FeeRecord `json:"fee,omitempty"`
+	Fee *FeeRecord
 
-	Err string `json:"error,omitempty"`
+	Err string
 }
 
 // withResult completes rec, which names the run, with what the engine
@@ -128,12 +124,9 @@ type Record struct {
 // arena.
 func withResult(rec Record, r *engine.Result) Record {
 	rec.SpecID = r.Spec.ID
-	rec.Parties = len(r.Spec.Parties)
-	rec.Escrows = len(r.Outcomes) // one outcome per escrow of the plan
-	rec.Transfers = len(r.Spec.Transfers)
 	rec.Committed, rec.Aborted, rec.Atomic = r.AllCommitted, r.AllAborted, r.Atomic()
 	rec.SafetyViolations, rec.LivenessViolations = r.SafetyViolations, r.LivenessViolations
-	rec.Gas, rec.CBCGas = r.DealGas, r.CBCGas
+	rec.Gas = r.DealGas
 	rec.DeltaTime = r.Phases.InDelta(r.Phases.DecisionEnd, r.Spec.Delta)
 	rec.EndedAt = int64(r.EndedAt)
 	rec.Spans = newPhaseSpans(r.Phases, r.Spec.Delta)

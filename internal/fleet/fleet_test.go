@@ -275,37 +275,6 @@ func TestGeneratorSpecsValid(t *testing.T) {
 	}
 }
 
-// TestRecordCountsEveryEscrow: a record's escrow count, taken from the
-// run's outcomes, is the m Spec.Escrows derives, for isolated and arena
-// deals alike, adversaries and outages included.
-func TestRecordCountsEveryEscrow(t *testing.T) {
-	gen, err := NewGenerator(GenOptions{
-		Seed: 3, Protocol: "mixed", AdversaryRate: 0.5, DoSRate: 0.3, MaxParties: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := gen.Jobs(120)
-	for i, rec := range RunJobs(jobs, 2) {
-		if want := len(jobs[i].Spec.Escrows()); rec.Escrows != want || rec.Err != "" {
-			t.Fatalf("job %d: record counts %d escrows (err %q), spec has %d", i, rec.Escrows, rec.Err, want)
-		}
-	}
-	ao := ArenaOptions{DealsPerArena: 20, Chains: 3}
-	if err := ao.defaults(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := runArena(gen, ao, 0, 20, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, out := range res.Outcomes {
-		if got, want := arenaRecord(out.Index, "mixed", out, false).Escrows, len(out.Spec.Escrows()); got != want {
-			t.Fatalf("arena deal %d: record counts %d escrows, spec has %d", out.Index, got, want)
-		}
-	}
-}
-
 // TestGeneratorJobDeterminism: Job(i) is a pure function of (master
 // seed, i) — jobs can be rebuilt for replay from a flagged index alone.
 func TestGeneratorJobDeterminism(t *testing.T) {

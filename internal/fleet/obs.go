@@ -59,11 +59,11 @@ func (ob *ObsOptions) stages() *obs.StageTimer {
 // the whole start→decision interval (total). A phase whose milestone
 // never completed is left zero and skipped by aggregation.
 type PhaseSpans struct {
-	Escrow     float64 `json:"escrow,omitempty"`
-	Transfer   float64 `json:"transfer,omitempty"`
-	Validation float64 `json:"validation,omitempty"`
-	Decision   float64 `json:"decision,omitempty"`
-	Total      float64 `json:"total,omitempty"`
+	Escrow     float64
+	Transfer   float64
+	Validation float64
+	Decision   float64
+	Total      float64
 }
 
 // newPhaseSpans derives spans from the engine's phase milestones. Each

@@ -202,9 +202,6 @@ func RunTime(spec *deal.Spec, opts engine.Options, mode string) (TimeRow, error)
 	if opts.World.Delays == nil {
 		opts.World.Delays = chain.SyncPolicy{Min: delta / 3, Max: delta / 2}
 	}
-	if opts.CBCDelays == nil {
-		opts.CBCDelays = opts.World.Delays
-	}
 	if opts.World.BlockInterval <= 0 {
 		opts.World.BlockInterval = delta / 10
 	}
@@ -331,7 +328,6 @@ type AblationRow struct {
 	BlockSigVerifs   uint64
 	CertCommitGas    uint64
 	BlockCommitGas   uint64
-	BlocksInSpan     int
 	CertCommitted    bool
 	BlockIsCommitted bool
 }
@@ -366,7 +362,6 @@ func ProofAblation(f, reconfigs int, seed uint64) (AblationRow, error) {
 	row.BlockSigVerifs = r.Gas.CountByLabel(party.LabelCommit, gas.OpSigVerify)
 	row.BlockCommitGas = r.Gas.UsedByLabel(party.LabelCommit)
 	row.BlockIsCommitted = r.AllCommitted
-	row.BlocksInSpan = int(w.CBC.Height())
 	return row, nil
 }
 

@@ -15,11 +15,10 @@ import (
 	"xdeal/internal/token"
 )
 
-// htlcWorld wires chains, tokens and HTLC managers for a swap-shaped spec.
+// htlcWorld wires chains and HTLC managers for a swap-shaped spec.
 type htlcWorld struct {
 	sched    *sim.Scheduler
 	chains   map[chain.ID]*chain.Chain
-	tokens   map[string]*token.Fungible
 	managers map[string]chain.Addr
 }
 
@@ -30,7 +29,6 @@ func buildHTLCWorld(spec *deal.Spec, seed uint64) *htlcWorld {
 	w := &htlcWorld{
 		sched:    sched,
 		chains:   make(map[chain.ID]*chain.Chain),
-		tokens:   make(map[string]*token.Fungible),
 		managers: make(map[string]chain.Addr),
 	}
 	for _, a := range spec.Escrows() {
@@ -46,9 +44,7 @@ func buildHTLCWorld(spec *deal.Spec, seed uint64) *htlcWorld {
 		key := a.Key()
 		addr := chain.Addr("htlc-" + string(a.Escrow))
 		w.managers[key] = addr
-		f := token.NewFungible(string(a.Token), "bank")
-		w.tokens[key] = f
-		c.MustDeploy(a.Token, f)
+		c.MustDeploy(a.Token, token.NewFungible("bank"))
 		c.MustDeploy(addr, htlc.New(a.Token, a.Kind))
 	}
 	// A rejected funding transaction would skew the whole gas

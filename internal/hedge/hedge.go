@@ -251,11 +251,8 @@ type Position struct {
 	Insured    chain.Addr
 	Collateral uint64
 	Premium    uint64
-	Vol        float64 // realized volatility the premium was priced at
 	MinLock    sim.Duration
-	BoundAt    sim.Time
 	Settled    bool
-	PaidOut    bool
 }
 
 // Totals is the contract's pool ledger.
@@ -369,9 +366,7 @@ func (m *Manager) handleBind(env *chain.Env, a BindArgs) (any, error) {
 		Insured:    env.Sender(),
 		Collateral: a.Collateral,
 		Premium:    premium,
-		Vol:        vol,
 		MinLock:    minLock,
-		BoundAt:    env.Now(),
 	}
 	m.totals.Bound++
 	m.totals.Premiums += premium
@@ -415,7 +410,6 @@ func (m *Manager) handleClaim(env *chain.Env, a ClaimArgs) (any, error) {
 		// The sore-loser case: the insured's capital was locked past the
 		// trigger and the deal still died. The bond pays; the pool keeps
 		// the premium.
-		pos.PaidOut = true
 		out.Payout = true
 		out.Amount = pos.Collateral
 		m.totals.Payouts += pos.Collateral

@@ -69,7 +69,7 @@ func newHedgeWorld(t *testing.T, params Params, fees *feemarket.Config) *hedgeWo
 	w := &hedgeWorld{
 		sched: sched,
 		c:     c,
-		coin:  token.NewFungible("coin", "bank"),
+		coin:  token.NewFungible("bank"),
 		esc:   timelock.New(escrow.NewBook("coin", deal.Fungible)),
 	}
 	w.hedge = New("esc", params, func() float64 {

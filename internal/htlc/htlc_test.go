@@ -50,11 +50,11 @@ func buildWorld(t *testing.T, spec *deal.Spec, seed uint64) *world {
 		m := New(a.Token, a.Kind)
 		w.mgrObjs[key] = m
 		if a.Kind == deal.Fungible {
-			f := token.NewFungible(string(a.Token), "bank")
+			f := token.NewFungible("bank")
 			w.tokens[key] = f
 			c.MustDeploy(a.Token, f)
 		} else {
-			n := token.NewNFT(string(a.Token), "bank")
+			n := token.NewNFT("bank")
 			w.nfts[key] = n
 			c.MustDeploy(a.Token, n)
 		}
@@ -236,7 +236,7 @@ func TestHTLCContractDirect(t *testing.T) {
 	c := chain.New(chain.Config{ID: "c", BlockInterval: 10,
 		Delays: chain.SyncPolicy{Min: 1, Max: 2}, Schedule: gas.DefaultSchedule(),
 	}, sched, sim.NewRNG(9))
-	f := token.NewFungible("tok", "bank")
+	f := token.NewFungible("bank")
 	m := New("tok", deal.Fungible)
 	c.MustDeploy("tok", f)
 	c.MustDeploy("htlc", m)
@@ -313,7 +313,7 @@ func TestLateClaimAfterDeadlineRejected(t *testing.T) {
 	c := chain.New(chain.Config{ID: "c", BlockInterval: 10,
 		Delays: chain.SyncPolicy{Min: 1, Max: 2}, Schedule: gas.DefaultSchedule(),
 	}, sched, sim.NewRNG(10))
-	f := token.NewFungible("tok", "bank")
+	f := token.NewFungible("bank")
 	m := New("tok", deal.Fungible)
 	c.MustDeploy("tok", f)
 	c.MustDeploy("htlc", m)

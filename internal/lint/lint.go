@@ -53,8 +53,7 @@ type Analyzer struct {
 
 // A Pass provides one analyzer with one type-checked package.
 type Pass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
+	Fset *token.FileSet
 	// Files holds the package's parsed syntax trees, with comments.
 	// Test files (*_test.go) are not included: the analyzers guard
 	// the production report path, and the build systems driving them
@@ -92,7 +91,6 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
-			Analyzer:  a,
 			Fset:      pkg.Fset,
 			Files:     pkg.Syntax,
 			Pkg:       pkg.Types,

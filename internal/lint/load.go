@@ -64,7 +64,6 @@ type listPackage struct {
 	ImportPath string
 	Export     string
 	DepOnly    bool
-	Standard   bool
 	GoFiles    []string
 	Module     *struct{ GoVersion string }
 	Error      *struct{ Err string }
@@ -77,7 +76,7 @@ type listPackage struct {
 // consumed as compiled export data, mirroring how `go vet` drives a
 // vettool unit by unit.
 func LoadPatterns(dir string, patterns []string) ([]*Package, error) {
-	args := append([]string{"list", "-e", "-deps", "-export", "-json=Dir,ImportPath,Export,DepOnly,Standard,GoFiles,Module,Error"}, patterns...)
+	args := append([]string{"list", "-e", "-deps", "-export", "-json=Dir,ImportPath,Export,DepOnly,GoFiles,Module,Error"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer

@@ -15,30 +15,22 @@ import (
 // closer its deadline looms. A fee-bidding adversary plays the same
 // game offensively — it outbids the specific transactions it races.
 
-// DeadlineFee escalates tips linearly with deadline pressure: Start at
-// deal start, Max as the timelock deadline arrives. This is the
-// compliant strategy — a party's vote is worth more than its tip the
-// moment missing one more block would time the vote out. The zero value
-// tips nothing.
-type DeadlineFee struct {
-	Start uint64
-	Max   uint64
-}
+// The compliant bid escalates linearly with deadline pressure, from
+// bidStart at deal start to bidMax as the timelock deadline arrives: a
+// party's vote is worth more than its tip the moment missing one more
+// block would time the vote out. One scale prices both the priority tip
+// on a fee-market chain and a deal bundle's per-slot bid on a bundled
+// one.
+const (
+	bidStart = 1
+	bidMax   = 16
+)
 
-// Tip returns the tip at the party's deadline pressure: urgency runs
+// bid is the compliant price at deadline pressure urgency, which runs
 // from 0 (deal just started) to 1 (the deal's overall timelock deadline
-// has arrived).
-func (f DeadlineFee) Tip(urgency float64) uint64 {
-	return escalate(f.Start, f.Max, urgency)
-}
-
-// escalate interpolates linearly from lo to hi as urgency runs from 0 to
-// 1 (clamped), rounding to the nearest unit.
-func escalate(lo, hi uint64, urgency float64) uint64 {
-	if hi <= lo {
-		return lo
-	}
-	return lo + uint64(float64(hi-lo)*min(max(urgency, 0), 1)+0.5)
+// has arrived), clamped, rounded to the nearest unit.
+func bid(urgency float64) uint64 {
+	return bidStart + uint64(float64(bidMax-bidStart)*min(max(urgency, 0), 1)+0.5)
 }
 
 // timelockHorizon is the deal's overall timelock deadline t0 + (N+1)·Δ,
@@ -75,5 +67,5 @@ func (p *Party) tipFor(c *chain.Chain) uint64 {
 	if c.FeeMarket() == nil {
 		return 0
 	}
-	return p.cfg.Fees.Tip(p.urgency())
+	return bid(p.urgency())
 }

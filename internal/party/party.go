@@ -85,11 +85,6 @@ type Config struct {
 	// LabelPrefix prefixes every transaction label the party emits, so
 	// gas stays attributable per deal on chains shared by many deals.
 	LabelPrefix string
-	// Fees prices the priority tip attached to each protocol
-	// transaction on chains with a fee market (see fees.go). The zero
-	// value tips nothing; the engine installs {Start: 1, Max: 16} when
-	// the world's fee market is enabled.
-	Fees DeadlineFee
 	// CBCHooks is set for ProtoCBC parties (see cbcdriver.go).
 	CBCHooks *CBCHooks
 	// Adaptive wires reactive adversary strategies to arena-level state
@@ -103,11 +98,6 @@ type Config struct {
 	// contracts (see hedge.go); nil leaves the Hedged flag inert. The
 	// engine fills it when the world is built with hedging enabled.
 	Hedge *HedgeConfig
-	// Bundle wires the party to the world's combinatorial block-space
-	// auctions (see bundles.go): protocol transactions on bundled
-	// chains route into the deal's all-or-nothing bundle, priced by
-	// the Bidder. Nil keeps every submission on the loose mempool.
-	Bundle *BundleConfig
 	// OnValidated, when non-nil, is invoked when the party finishes its
 	// validation phase (engine timing metrics).
 	OnValidated func(p chain.Addr, at sim.Time)
@@ -121,12 +111,6 @@ type Party struct {
 	// dealArg is the deal id boxed once, so status queries do not
 	// allocate a fresh interface value per poll.
 	dealArg any
-
-	// BumpMisses counts lost bundle auctions where re-quoting could
-	// not raise the standing bid (bundle gone, or already at the
-	// bidder's price for the current deadline pressure) — the
-	// escalation path ran dry (observability).
-	BumpMisses int
 
 	validated bool
 	voted     bool
@@ -376,7 +360,7 @@ func (p *Party) escrowView(a deal.AssetRef) (escrow.View, bool) {
 }
 
 // submit publishes a transaction on the chain hosting the asset, tipped
-// by the party's fee estimator.
+// at the compliant bid (see tipFor).
 func (p *Party) submit(a deal.AssetRef, method, label string, args any, onReceipt func(*chain.Receipt)) {
 	c, ok := p.cfg.Chains[a.Chain]
 	if !ok {
@@ -389,7 +373,7 @@ func (p *Party) submit(a deal.AssetRef, method, label string, args any, onReceip
 func ignoreReceipt(*chain.Receipt) {}
 
 // submitTx publishes with an explicit tip (the fee bidder's race path
-// overrides the estimator with its counterbid).
+// overrides the compliant bid with its counterbid).
 func (p *Party) submitTx(c *chain.Chain, contract chain.Addr, method, label string, args any, tip uint64, onReceipt func(*chain.Receipt)) {
 	if onReceipt == nil {
 		onReceipt = ignoreReceipt // the delay stream draws for every observed receipt
@@ -403,8 +387,8 @@ func (p *Party) submitTx(c *chain.Chain, contract chain.Addr, method, label stri
 		Tip:       tip,
 		OnReceipt: onReceipt,
 	}
-	if p.bundling(c) {
-		// Bundled worlds replace per-transaction tips with the deal
+	if c.Bundled() {
+		// Bundled chains replace per-transaction tips with the deal
 		// bundle's aggregate bid (see bundles.go): the transaction
 		// joins the bundle and the bid is quoted per slot.
 		p.submitViaBundle(c, tx)

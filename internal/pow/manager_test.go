@@ -32,7 +32,7 @@ func newPowWorld(t *testing.T, k int) *powWorld {
 	}, sched, sim.NewRNG(13))
 	w := &powWorld{
 		sched: sched, c: c,
-		coin: token.NewFungible("coin", "bank"),
+		coin: token.NewFungible("bank"),
 		mgr:  NewManager(escrow.NewBook("coin", deal.Fungible), k),
 	}
 	c.MustDeploy("coin", w.coin)

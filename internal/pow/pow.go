@@ -31,15 +31,15 @@ type Block struct {
 	Height   int
 	PrevHash [32]byte
 	Hash     [32]byte
-	Miner    string
 	// Entries carries opaque vote payloads; the deal semantics live in
 	// the cbc package, here we only care about chain structure.
 	Entries []string
 }
 
-// NewBlock links a block onto a parent.
+// NewBlock links a block onto a parent. The miner's name goes into the
+// block's hash, so two miners' blocks over the same entries differ.
 func NewBlock(parent *Block, miner string, entries []string) *Block {
-	b := &Block{Miner: miner, Entries: append([]string(nil), entries...)}
+	b := &Block{Entries: append([]string(nil), entries...)}
 	if parent != nil {
 		b.Height = parent.Height + 1
 		b.PrevHash = parent.Hash

@@ -139,7 +139,7 @@ func newWorldQuick() *world {
 		sched: sched,
 		keys:  keys,
 		c:     c,
-		coin:  token.NewFungible("coin", "bank"),
+		coin:  token.NewFungible("bank"),
 		mgr:   New(escrow.NewBook("coin", deal.Fungible)),
 	}
 	c.MustDeploy("coin", w.coin)

@@ -62,7 +62,7 @@ func lateLongPathVotes(t *testing.T, escB func(*Manager) chain.Contract) map[cha
 		ID: "c", BlockInterval: 1, Delays: chain.SyncPolicy{Min: 2, Max: 2},
 		Schedule: gas.DefaultSchedule(), Keys: pubs,
 	}, sched, sim.NewRNG(7))
-	coin, bean := token.NewFungible("coin", "bank"), token.NewFungible("bean", "bank")
+	coin, bean := token.NewFungible("bank"), token.NewFungible("bank")
 	escA := New(escrow.NewBook("coin", deal.Fungible))
 	c.MustDeploy("coin", coin)
 	c.MustDeploy("bean", bean)

@@ -50,7 +50,7 @@ func newWorld(t *testing.T) *world {
 	w := &world{
 		c:     c,
 		sched: sched,
-		coin:  token.NewFungible("coin", "bank"),
+		coin:  token.NewFungible("bank"),
 		mgr:   New(escrow.NewBook("coin", deal.Fungible)),
 		keys:  keys,
 		pubs:  pubs,

@@ -67,7 +67,6 @@ type MintArgs struct {
 
 // Fungible is an ERC20-style token ledger.
 type Fungible struct {
-	Name      string
 	Minter    chain.Addr
 	balances  map[chain.Addr]uint64
 	operators map[chain.Addr]map[chain.Addr]bool // owner -> operator -> allowed
@@ -75,9 +74,8 @@ type Fungible struct {
 }
 
 // NewFungible creates an empty fungible ledger whose Minter may mint.
-func NewFungible(name string, minter chain.Addr) *Fungible {
+func NewFungible(minter chain.Addr) *Fungible {
 	return &Fungible{
-		Name:      name,
 		Minter:    minter,
 		balances:  make(map[chain.Addr]uint64),
 		operators: make(map[chain.Addr]map[chain.Addr]bool),
@@ -167,16 +165,14 @@ func (f *Fungible) move(env *chain.Env, from, to chain.Addr, amount uint64) erro
 
 // NFT is a registry of unique tokens (theater tickets).
 type NFT struct {
-	Name      string
 	Minter    chain.Addr
 	owners    map[string]chain.Addr
 	operators map[chain.Addr]map[chain.Addr]bool
 }
 
 // NewNFT creates an empty registry whose Minter may mint.
-func NewNFT(name string, minter chain.Addr) *NFT {
+func NewNFT(minter chain.Addr) *NFT {
 	return &NFT{
-		Name:      name,
 		Minter:    minter,
 		owners:    make(map[string]chain.Addr),
 		operators: make(map[chain.Addr]map[chain.Addr]bool),

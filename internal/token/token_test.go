@@ -39,7 +39,7 @@ func (w *world) call(sender chain.Addr, contract chain.Addr, method string, args
 
 func TestFungibleMintAndBalance(t *testing.T) {
 	w := newWorld(t)
-	f := NewFungible("coin", "bank")
+	f := NewFungible("bank")
 	w.c.MustDeploy("coin", f)
 
 	r := w.call("bank", "coin", MethodMint, MintArgs{To: "alice", Amount: 500})
@@ -56,7 +56,7 @@ func TestFungibleMintAndBalance(t *testing.T) {
 
 func TestFungibleMintOnlyByMinter(t *testing.T) {
 	w := newWorld(t)
-	w.c.MustDeploy("coin", NewFungible("coin", "bank"))
+	w.c.MustDeploy("coin", NewFungible("bank"))
 	r := w.call("mallory", "coin", MethodMint, MintArgs{To: "mallory", Amount: 1 << 60})
 	if r.Err == nil {
 		t.Fatal("non-minter minted tokens")
@@ -65,7 +65,7 @@ func TestFungibleMintOnlyByMinter(t *testing.T) {
 
 func TestFungibleTransfer(t *testing.T) {
 	w := newWorld(t)
-	f := NewFungible("coin", "bank")
+	f := NewFungible("bank")
 	w.c.MustDeploy("coin", f)
 	w.call("bank", "coin", MethodMint, MintArgs{To: "alice", Amount: 100})
 
@@ -80,7 +80,7 @@ func TestFungibleTransfer(t *testing.T) {
 
 func TestFungibleTransferInsufficient(t *testing.T) {
 	w := newWorld(t)
-	f := NewFungible("coin", "bank")
+	f := NewFungible("bank")
 	w.c.MustDeploy("coin", f)
 	w.call("bank", "coin", MethodMint, MintArgs{To: "alice", Amount: 10})
 	r := w.call("alice", "coin", MethodTransfer, TransferArgs{To: "bob", Amount: 11})
@@ -94,7 +94,7 @@ func TestFungibleTransferInsufficient(t *testing.T) {
 
 func TestFungibleTransferFromRequiresApproval(t *testing.T) {
 	w := newWorld(t)
-	f := NewFungible("coin", "bank")
+	f := NewFungible("bank")
 	w.c.MustDeploy("coin", f)
 	w.call("bank", "coin", MethodMint, MintArgs{To: "alice", Amount: 100})
 
@@ -117,7 +117,7 @@ func TestFungibleTransferFromRequiresApproval(t *testing.T) {
 
 func TestFungibleApprovalRevocation(t *testing.T) {
 	w := newWorld(t)
-	f := NewFungible("coin", "bank")
+	f := NewFungible("bank")
 	w.c.MustDeploy("coin", f)
 	w.call("bank", "coin", MethodMint, MintArgs{To: "alice", Amount: 100})
 	w.call("alice", "coin", MethodApprove, ApproveArgs{Operator: "escrow", Allowed: true})
@@ -132,7 +132,7 @@ func TestFungibleApprovalRevocation(t *testing.T) {
 func TestFungibleSelfTransferFromAllowed(t *testing.T) {
 	// The owner may always move its own funds via transferFrom.
 	w := newWorld(t)
-	f := NewFungible("coin", "bank")
+	f := NewFungible("bank")
 	w.c.MustDeploy("coin", f)
 	w.call("bank", "coin", MethodMint, MintArgs{To: "alice", Amount: 100})
 	r := w.call("alice", "coin", MethodTransferFrom,
@@ -148,7 +148,7 @@ func TestFungibleSelfTransferFromAllowed(t *testing.T) {
 func TestFungibleTransferCostsTwoWrites(t *testing.T) {
 	// §7.1 counts the inner token movement as 2 storage writes.
 	w := newWorld(t)
-	f := NewFungible("coin", "bank")
+	f := NewFungible("bank")
 	w.c.MustDeploy("coin", f)
 	w.call("bank", "coin", MethodMint, MintArgs{To: "alice", Amount: 100})
 
@@ -162,7 +162,7 @@ func TestFungibleTransferCostsTwoWrites(t *testing.T) {
 
 func TestFungibleBalanceOfMethod(t *testing.T) {
 	w := newWorld(t)
-	f := NewFungible("coin", "bank")
+	f := NewFungible("bank")
 	w.c.MustDeploy("coin", f)
 	w.call("bank", "coin", MethodMint, MintArgs{To: "alice", Amount: 77})
 	res, err := w.c.Query("coin", MethodBalanceOf, chain.Addr("alice"))
@@ -176,7 +176,7 @@ func TestFungibleBalanceOfMethod(t *testing.T) {
 
 func TestFungibleBadArgs(t *testing.T) {
 	w := newWorld(t)
-	w.c.MustDeploy("coin", NewFungible("coin", "bank"))
+	w.c.MustDeploy("coin", NewFungible("bank"))
 	r := w.call("alice", "coin", MethodTransfer, "wrong type")
 	if !errors.Is(r.Err, chain.ErrBadArgs) {
 		t.Fatalf("err = %v, want ErrBadArgs", r.Err)
@@ -189,7 +189,7 @@ func TestFungibleBadArgs(t *testing.T) {
 
 func TestNFTMintAndOwnership(t *testing.T) {
 	w := newWorld(t)
-	n := NewNFT("tickets", "theater")
+	n := NewNFT("theater")
 	w.c.MustDeploy("tix", n)
 	r := w.call("theater", "tix", MethodMint, MintArgs{To: "bob", Token: "seat-1A"})
 	if r.Err != nil {
@@ -202,7 +202,7 @@ func TestNFTMintAndOwnership(t *testing.T) {
 
 func TestNFTMintDuplicateRejected(t *testing.T) {
 	w := newWorld(t)
-	w.c.MustDeploy("tix", NewNFT("tickets", "theater"))
+	w.c.MustDeploy("tix", NewNFT("theater"))
 	w.call("theater", "tix", MethodMint, MintArgs{To: "bob", Token: "seat-1A"})
 	r := w.call("theater", "tix", MethodMint, MintArgs{To: "carol", Token: "seat-1A"})
 	if !errors.Is(r.Err, ErrExists) {
@@ -212,7 +212,7 @@ func TestNFTMintDuplicateRejected(t *testing.T) {
 
 func TestNFTTransferByOwner(t *testing.T) {
 	w := newWorld(t)
-	n := NewNFT("tickets", "theater")
+	n := NewNFT("theater")
 	w.c.MustDeploy("tix", n)
 	w.call("theater", "tix", MethodMint, MintArgs{To: "bob", Token: "seat-1A"})
 	r := w.call("bob", "tix", MethodTransfer, TransferArgs{To: "carol", Token: "seat-1A"})
@@ -226,7 +226,7 @@ func TestNFTTransferByOwner(t *testing.T) {
 
 func TestNFTTransferByNonOwnerRejected(t *testing.T) {
 	w := newWorld(t)
-	n := NewNFT("tickets", "theater")
+	n := NewNFT("theater")
 	w.c.MustDeploy("tix", n)
 	w.call("theater", "tix", MethodMint, MintArgs{To: "bob", Token: "seat-1A"})
 	r := w.call("mallory", "tix", MethodTransfer, TransferArgs{To: "mallory", Token: "seat-1A"})
@@ -240,7 +240,7 @@ func TestNFTTransferByNonOwnerRejected(t *testing.T) {
 
 func TestNFTTransferFromWithOperator(t *testing.T) {
 	w := newWorld(t)
-	n := NewNFT("tickets", "theater")
+	n := NewNFT("theater")
 	w.c.MustDeploy("tix", n)
 	w.call("theater", "tix", MethodMint, MintArgs{To: "bob", Token: "seat-1A"})
 
@@ -263,7 +263,7 @@ func TestNFTTransferFromWithOperator(t *testing.T) {
 
 func TestNFTTransferUnknownToken(t *testing.T) {
 	w := newWorld(t)
-	w.c.MustDeploy("tix", NewNFT("tickets", "theater"))
+	w.c.MustDeploy("tix", NewNFT("theater"))
 	r := w.call("bob", "tix", MethodTransfer, TransferArgs{To: "carol", Token: "ghost"})
 	if !errors.Is(r.Err, ErrUnknownToken) {
 		t.Fatalf("err = %v, want ErrUnknownToken", r.Err)
@@ -272,7 +272,7 @@ func TestNFTTransferUnknownToken(t *testing.T) {
 
 func TestNFTOwnerOfQuery(t *testing.T) {
 	w := newWorld(t)
-	w.c.MustDeploy("tix", NewNFT("tickets", "theater"))
+	w.c.MustDeploy("tix", NewNFT("theater"))
 	w.call("theater", "tix", MethodMint, MintArgs{To: "bob", Token: "seat-1A"})
 	res, err := w.c.Query("tix", MethodOwnerOf, "seat-1A")
 	if err != nil {
@@ -294,7 +294,7 @@ func TestQuickFungibleSupplyConserved(t *testing.T) {
 		Amount   uint16
 	}) bool {
 		w := newWorldQuick()
-		f := NewFungible("coin", "bank")
+		f := NewFungible("bank")
 		w.c.MustDeploy("coin", f)
 		holders := []chain.Addr{"a", "b", "c", "d"}
 		for _, h := range holders {
@@ -334,7 +334,7 @@ func TestQuickNFTSingleOwner(t *testing.T) {
 	// at a time").
 	prop := func(ops []struct{ Sender, To uint8 }) bool {
 		w := newWorldQuick()
-		n := NewNFT("tickets", "theater")
+		n := NewNFT("theater")
 		w.c.MustDeploy("tix", n)
 		holders := []chain.Addr{"a", "b", "c"}
 		w.call("theater", "tix", MethodMint, MintArgs{To: "a", Token: "T"})

@@ -46,16 +46,11 @@ type Tower struct {
 	mine       *deal.PartyPlan // the client's share of the deal
 	acceptedAt map[string]map[chain.Addr]bool
 	forwarded  map[string]map[chain.Addr]bool
-	unsubs     []func()
 
 	// Forwards counts votes the tower relayed (observability).
 	Forwards int
 	// Pokes counts refund transactions the tower submitted.
 	Pokes int
-	// Rejects counts tower transactions the chain executed with an
-	// error (e.g. a forward that raced the client's own vote, or a
-	// refund poke that lost to a concurrent finalize).
-	Rejects int
 }
 
 // New creates a tower; call Start to begin watching.
@@ -76,7 +71,7 @@ func (t *Tower) Start() {
 		if !ok {
 			continue
 		}
-		t.unsubs = append(t.unsubs, c.Subscribe(t.onEvent))
+		c.Subscribe(t.onEvent)
 	}
 
 	n := sim.Time(len(t.cfg.Spec.Parties))
@@ -154,14 +149,11 @@ func (t *Tower) pokeRefunds() {
 	}
 }
 
-// observeReceipt records rejected tower transactions. A rejected
-// forward or poke is benign (someone else acted first) but must stay
-// visible: a tower that is always rejected is a tower arriving late.
-func (t *Tower) observeReceipt(r *chain.Receipt) {
-	if r.Err != nil {
-		t.Rejects++
-	}
-}
+// observeReceipt receives the tower's receipts and ignores them: a
+// rejected forward or poke is benign (someone else acted first). It stays
+// non-nil because the chain draws a notify delay for every receipt it
+// delivers, so dropping it would shift every later draw.
+func (t *Tower) observeReceipt(*chain.Receipt) {}
 
 // mark sets a nested map flag.
 func (t *Tower) mark(m map[string]map[chain.Addr]bool, key string, voter chain.Addr) {

@@ -8,7 +8,6 @@ import (
 	"xdeal/internal/engine"
 	"xdeal/internal/escrow"
 	"xdeal/internal/party"
-	"xdeal/internal/sim"
 )
 
 // offlineScenario builds the §5.3 narrative: Bob votes at the last
@@ -72,7 +71,6 @@ func TestWatchtowerRescuesOfflineClient(t *testing.T) {
 		Sched:      w.Sched,
 	})
 	tower.Start()
-	defer tower.Stop()
 
 	r := w.Run()
 	if !r.AllCommitted {
@@ -162,31 +160,4 @@ func TestWatchtowerIdleWhenClientHealthy(t *testing.T) {
 	if tower.Pokes != 0 {
 		t.Fatalf("tower poked %d refunds on a committed deal", tower.Pokes)
 	}
-}
-
-func TestTowerStopDetaches(t *testing.T) {
-	spec := deal.BrokerSpec(2000, 1000)
-	w, err := engine.Build(spec, engine.Options{Seed: 34, Protocol: party.ProtoTimelock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tower := New(Config{
-		Client: "carol", ClientKeys: w.Keys("carol"),
-		Spec: w.Spec, Chains: w.Chains, Sched: w.Sched,
-	})
-	tower.Start()
-	tower.Stop()
-	w.Run()
-	if tower.Forwards != 0 {
-		t.Fatal("stopped tower still forwarded votes")
-	}
-	_ = sim.Time(0)
-}
-
-// Stop detaches the tower.
-func (t *Tower) Stop() {
-	for _, u := range t.unsubs {
-		u()
-	}
-	t.unsubs = nil
 }
