@@ -178,6 +178,13 @@ func TestGoldenJSONReportHedgedArena(t *testing.T) { goldenCheck(t, "golden_hedg
 // blocks it rides with.
 func TestGoldenJSONReportBundleArena(t *testing.T) { goldenCheck(t, "golden_bundle_arena") }
 
+// TestGoldenJSONReportFeeMarketIsolated pins an isolated fee-market
+// sweep: its ordering-games block counts the fee bidders' races per
+// deal world, where the two arena goldens count them per shared world.
+func TestGoldenJSONReportFeeMarketIsolated(t *testing.T) {
+	goldenCheck(t, "golden_feemarket_isolated")
+}
+
 // budgetGate runs an arena scenario twice, once under a tight budget
 // that must trip (exit 1, naming the breach) and once under a generous
 // one that must pass.
