@@ -213,29 +213,29 @@ type Interference struct {
 	// SoreLoserLoss totals the fungible value compliant counterparties
 	// had locked in those deals — capital timelocked for nothing, the
 	// cost the sore-loser attack imposes (Xue & Herlihy).
-	SoreLoserTriggers int    `json:"sore_loser_triggers"`
-	SoreLoserDeals    int    `json:"sore_loser_deals"`
-	SoreLoserLoss     uint64 `json:"sore_loser_loss"`
+	SoreLoserTriggers int
+	SoreLoserDeals    int
+	SoreLoserLoss     uint64
 	// FrontRunAttempts / FrontRunWins count mempool races run and won
 	// (the racer's transaction executed before the one it reacted to)
 	// by plain gossip racers; FeeBidAttempts / FeeBidWins count the
 	// races of fee bidders, which outbid their victims' tips. Disjoint,
 	// so the two strategies' win rates compare directly.
-	FrontRunAttempts int `json:"front_run_attempts"`
-	FrontRunWins     int `json:"front_run_wins"`
-	FeeBidAttempts   int `json:"fee_bid_attempts"`
-	FeeBidWins       int `json:"fee_bid_wins"`
+	FrontRunAttempts int
+	FrontRunWins     int
+	FeeBidAttempts   int
+	FeeBidWins       int
 	// Hedging defense metrics (all zero without Options.Hedge):
 	// positions bound and settled, premium and payout flows, and the
 	// residual sore-loser loss — SoreLoserLoss minus the payouts that
 	// compensated it, floored at zero per deal. A working defense shows
 	// residual shrinking toward zero while gross loss stays put.
-	HedgeBinds            int    `json:"hedge_binds,omitempty"`
-	HedgeSettles          int    `json:"hedge_settles,omitempty"`
-	PremiumsPaid          uint64 `json:"premiums_paid,omitempty"`
-	PremiumsRefunded      uint64 `json:"premiums_refunded,omitempty"`
-	PayoutsClaimed        uint64 `json:"payouts_claimed,omitempty"`
-	ResidualSoreLoserLoss uint64 `json:"residual_sore_loser_loss"`
+	HedgeBinds            int
+	HedgeSettles          int
+	PremiumsPaid          uint64
+	PremiumsRefunded      uint64
+	PayoutsClaimed        uint64
+	ResidualSoreLoserLoss uint64
 	// Combinatorial bundle-auction metrics (all zero without
 	// Options.Bundles): auctions run across the shared chains, bundle
 	// participations won and deferred, bundle-griefing raises
@@ -243,30 +243,46 @@ type Interference struct {
 	// was deferred while the griefer's won (successes). A raise is a
 	// standing bid, so one attempt can land exclusions in many
 	// consecutive blocks — successes may exceed attempts.
-	BundleAuctions     int `json:"bundle_auctions,omitempty"`
-	BundleWins         int `json:"bundle_wins,omitempty"`
-	BundleDefers       int `json:"bundle_defers,omitempty"`
-	ExclusionAttempts  int `json:"exclusion_attempts,omitempty"`
-	ExclusionSuccesses int `json:"exclusion_successes,omitempty"`
+	BundleAuctions     int
+	BundleWins         int
+	BundleDefers       int
+	ExclusionAttempts  int
+	ExclusionSuccesses int
 	// VictimExclusionBlocks counts blocks — in any fee-market arena,
 	// bundled or not — where an adversarial deal's work was included
 	// while a rival deal's arrived work (any deal other than the
 	// included adversaries themselves) was deferred past capacity. It
 	// is the uniform exclusion metric that makes tx-level fee bidding
 	// and bundle-level griefing comparable seed for seed.
-	VictimExclusionBlocks int `json:"victim_exclusion_blocks,omitempty"`
+	VictimExclusionBlocks int
 	// InflationSamples holds per-deal arena/baseline decision-latency
 	// ratios (present only when baselines ran).
-	InflationSamples []float64 `json:"-"`
+	InflationSamples []float64
 	// BundleSamples holds one observation per winning bundle: the
 	// per-slot bid it won at and its deadline slack at inclusion — the
 	// raw material for the slack-by-bid-decile report.
-	BundleSamples []BundleSample `json:"-"`
+	BundleSamples []BundleSample
 	// HedgeSamples holds one observation per bound position: the
 	// premium and collateral, and the realized base-fee volatility (in
 	// basis points) it was priced at — the raw material for the
 	// premium-by-volatility-decile report.
-	HedgeSamples []HedgeSample `json:"-"`
+	HedgeSamples []HedgeSample
+}
+
+// Race tallies one front-run race a party ran: a fee bidder's when it
+// bid a tip, a plain gossip racer's otherwise.
+func (i *Interference) Race(bid uint64, won bool) {
+	if bid > 0 {
+		i.FeeBidAttempts++
+		if won {
+			i.FeeBidWins++
+		}
+		return
+	}
+	i.FrontRunAttempts++
+	if won {
+		i.FrontRunWins++
+	}
 }
 
 // HedgeSample is one bound hedge position's pricing observation.
@@ -337,17 +353,7 @@ func Run(opts Options, pop []DealSetup) (*Result, error) {
 		},
 		OnFrontRun: func(p chain.Addr, method string, bid uint64, won bool) {
 			res.Outcomes[owner[p]].FrontRuns++
-			if bid > 0 {
-				res.Interference.FeeBidAttempts++
-				if won {
-					res.Interference.FeeBidWins++
-				}
-				return
-			}
-			res.Interference.FrontRunAttempts++
-			if won {
-				res.Interference.FrontRunWins++
-			}
+			res.Interference.Race(bid, won)
 		},
 		OnBundleGrief: func(p chain.Addr, ch chain.ID, victimDeal string, _ uint64) {
 			g := pop[owner[p]].Spec.ID

@@ -79,8 +79,8 @@ func (c Config) withDefaults(maxBlockTxs int) Config {
 
 // Totals is a burned/tipped fee pair.
 type Totals struct {
-	Burned uint64 `json:"burned"`
-	Tipped uint64 `json:"tipped"`
+	Burned uint64
+	Tipped uint64
 }
 
 // Add folds another pair in.

@@ -164,99 +164,40 @@ func runArena(gen *Generator, ao ArenaOptions, a, totalDeals int, metrics *obs.R
 	return arena.Run(ropts, pop)
 }
 
-// sweepArenas executes an arena-mode sweep: ceil(Deals/DealsPerArena)
-// shared worlds across the worker pool, folded into one report in arena
-// order. Each arena is a deterministic single-threaded simulation, so
-// the report never depends on the worker count.
-func sweepArenas(opts Options) (*Report, error) {
-	ao := *opts.Arena
+// arenaWorlds readies agg for an arena sweep of deals deals under ao:
+// it arms the blocks arena worlds report and returns the arena count
+// and the task that runs one arena into a slot.
+func arenaWorlds(gen *Generator, ao ArenaOptions, deals int, agg *Aggregator) (int, func(int, *world) error, error) {
 	if err := ao.defaults(); err != nil {
-		return nil, err
-	}
-	gen, err := NewGenerator(opts.Gen)
-	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	// Every arena resolves the same defaults; arena 0's are the ones the
 	// report echoes.
-	world, err := arenaRunOptions(gen.opts, ao, 0)
+	opts, err := arenaRunOptions(gen.opts, ao, 0)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
-	if world, err = world.WithDefaults(); err != nil {
-		return nil, err
+	if opts, err = opts.WithDefaults(); err != nil {
+		return 0, nil, err
 	}
-	nArenas := (opts.Deals + ao.DealsPerArena - 1) / ao.DealsPerArena
-	stages := opts.Obs.stages()
-	results := make([]*arena.Result, nArenas)
-	var shards []*obs.Registry
-	if opts.Obs.metrics() != nil {
-		shards = make([]*obs.Registry, nArenas)
-		for a := range shards {
-			shards[a] = obs.NewRegistry()
-		}
+	if opts.Hedge {
+		agg.EnableHedging(opts.HedgeCollateral, opts.PremiumVolWindow)
 	}
-	stopRun := stages.Start("run")
-	runErr := Pool{Workers: opts.Workers}.Map(nArenas, func(a int) error {
-		var reg *obs.Registry
-		if shards != nil {
-			reg = shards[a]
-		}
-		res, err := runArena(gen, ao, a, opts.Deals, reg)
+	if opts.Bundles {
+		agg.EnableBundles(opts.BundleBudget)
+	}
+	agg.inter = &Interference{Chains: ao.Chains}
+	run := func(a int, w *world) error {
+		res, err := runArena(gen, ao, a, deals, w.metrics)
 		if err != nil {
 			return err
 		}
-		results[a] = res
+		w.arena, w.first = res, a*ao.DealsPerArena
+		w.proto, _ = arenaProtocol(gen.opts.Protocol, a)
+		w.fees, w.inter = res.Fees, res.Interference
 		return nil
-	})
-	stopRun()
-	if runErr != nil {
-		return nil, runErr
 	}
-	for _, shard := range shards {
-		opts.Obs.metrics().Merge(shard)
-	}
-
-	stopAgg := stages.Start("aggregate")
-	defer stopAgg()
-	agg := NewAggregator()
-	feesOn := gen.opts.Fees != nil
-	if f := gen.opts.Fees; f != nil {
-		agg.EnableFees(f.BaseFee, f.TipBudget)
-	}
-	if world.Hedge {
-		agg.EnableHedging(world.HedgeCollateral, world.PremiumVolWindow)
-	}
-	if world.Bundles {
-		agg.EnableBundles(world.BundleBudget)
-	}
-	agg.EnableObs(opts.Obs.metrics(), opts.Obs.flight())
-	inter := &Interference{Arenas: nArenas, Chains: ao.Chains}
-	var inflation Sketch
-	for a, res := range results {
-		proto, _ := arenaProtocol(opts.Gen.Protocol, a)
-		for _, out := range res.Outcomes {
-			agg.Add(arenaRecord(a*ao.DealsPerArena+out.Index, proto, out, feesOn))
-		}
-		inter.SoreLoserTriggers += res.Interference.SoreLoserTriggers
-		inter.SoreLoserDeals += res.Interference.SoreLoserDeals
-		inter.SoreLoserLoss += res.Interference.SoreLoserLoss
-		inter.FrontRunAttempts += res.Interference.FrontRunAttempts
-		inter.FrontRunWins += res.Interference.FrontRunWins
-		inter.VictimExclusionBlocks += res.Interference.VictimExclusionBlocks
-		agg.AddFeeWorld(res.Fees)
-		agg.AddBundleArena(res.Interference)
-		agg.AddFeeRaces(res.Interference.FrontRunAttempts, res.Interference.FrontRunWins,
-			res.Interference.FeeBidAttempts, res.Interference.FeeBidWins)
-		agg.AddHedgeArena(res.Interference)
-		for _, x := range res.Interference.InflationSamples {
-			inflation.Add(x)
-		}
-	}
-	rep := agg.Report()
-	inter.LatencyInflation = inflation.Dist()
-	rep.Interference = inter
-	return rep, nil
+	return (deals + ao.DealsPerArena - 1) / ao.DealsPerArena, run, nil
 }
 
 // ReplayArenaDeal re-runs the arena containing population index under
@@ -290,8 +231,8 @@ func ReplayArenaDeal(opts Options, index int) (*arena.DealOutcome, error) {
 // arenaRecord converts one arena deal outcome into the fleet's
 // aggregation currency. Index is population-global so a flagged deal
 // maps straight back to (arena, deal) for replay.
-func arenaRecord(globalIndex int, protocol string, out arena.DealOutcome, feesOn bool) Record {
-	rec := withResult(Record{
+func arenaRecord(globalIndex int, protocol string, out arena.DealOutcome) Record {
+	return withResult(Record{
 		Index:        globalIndex,
 		Seed:         out.Seed,
 		Shape:        out.Shape,
@@ -299,10 +240,4 @@ func arenaRecord(globalIndex int, protocol string, out arena.DealOutcome, feesOn
 		Adversaries:  out.Adversaries,
 		Sequenceable: out.Sequenceable,
 	}, out.Result)
-	if feesOn {
-		// Per-deal fee attribution only; world totals, samples, and
-		// race counters fold once per arena from the arena result.
-		rec.Fee = &FeeRecord{DealFees: out.Result.DealFees}
-	}
-	return rec
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"xdeal/internal/arena"
+	"xdeal/internal/obs"
 	"xdeal/internal/sim"
 )
 
@@ -162,6 +163,78 @@ func TestFleetSweepStreamsIdenticalToBatch(t *testing.T) {
 	}
 	if a.String() != b.String() {
 		t.Fatalf("streamed and batch reports diverge:\n--- streamed ---\n%s\n--- batch ---\n%s", a.String(), b.String())
+	}
+}
+
+// TestArenaSweepStreamsIdenticalToBatch: an arena sweep long enough to
+// cross a chunk boundary (75 arenas of two deals, against chunks of 64
+// worlds below 8 workers), with fees, bundles, hedging and baselines
+// on, renders the same report and metrics snapshot at 1, 4 and 16
+// workers, and both equal a fold of every arena's runArena result, in
+// index order, through one aggregator, each arena's metrics shard
+// merged in the same order. Small enough for -short, so the
+// race run covers the shared chunk slots.
+func TestArenaSweepStreamsIdenticalToBatch(t *testing.T) {
+	const deals = 150
+	opts := arenaOpts(deals, 1)
+	opts.Gen.Fees = &FeeOptions{}
+	opts.Arena = &ArenaOptions{DealsPerArena: 2, Chains: 2, Baselines: true, Bundles: true, Hedge: true}
+	render := func(rep *Report, reg *obs.Registry) string {
+		var buf bytes.Buffer
+		rep.Fprint(&buf)
+		if err := rep.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.Snapshot().WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+
+	gen, err := NewGenerator(opts.Gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ao := *opts.Arena
+	agg, reg := NewAggregator(), obs.NewRegistry()
+	agg.EnableFees(gen.opts.Fees.BaseFee, gen.opts.Fees.TipBudget)
+	agg.EnableObs(reg, nil)
+	n, _, err := arenaWorlds(gen, ao, deals, agg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ao.defaults(); err != nil {
+		t.Fatal(err)
+	}
+	for a := 0; a < n; a++ {
+		shard := obs.NewRegistry()
+		res, err := runArena(gen, ao, a, deals, shard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg.Merge(shard)
+		proto, _ := arenaProtocol(opts.Gen.Protocol, a)
+		agg.addWorld(&world{arena: res, first: a * ao.DealsPerArena, proto: proto, fees: res.Fees, inter: res.Interference})
+	}
+	batch := agg.Report()
+	if batch.Interference.Arenas != 75 || batch.BundleAuctions == nil || batch.Hedging == nil ||
+		batch.Interference.LatencyInflation.Count == 0 {
+		t.Fatalf("batch fold lacks a block: %+v", batch.Interference)
+	}
+	want := render(batch, reg)
+
+	for _, workers := range []int{1, 4, 16} {
+		opts.Workers = workers
+		reg := obs.NewRegistry()
+		opts.Obs = &ObsOptions{Metrics: reg}
+		rep, err := Sweep(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := render(rep, reg); got != want {
+			t.Fatalf("streamed arena sweep at %d workers diverges from the batch fold:\n--- batch ---\n%s\n--- streamed ---\n%s",
+				workers, want, got)
+		}
 	}
 }
 

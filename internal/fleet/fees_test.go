@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"xdeal/internal/engine"
 )
 
 // feeSweepOpts is the canonical fee-market population used across these
@@ -192,5 +194,49 @@ func TestFleetFeeBidWinRateExceedsPlainRacer(t *testing.T) {
 		t.Fatalf("fee-bid win rate %.3f (%d/%d) does not exceed plain %.3f (%d/%d)",
 			bidRate, og.FeeBidWins, og.FeeBidAttempts,
 			plainRate, inf.FrontRunWins, inf.FrontRunAttempts)
+	}
+}
+
+// TestFeeMarketJobsReplayWithoutHooks: the isolated runner attaches the
+// race hook to fee-market jobs as it runs them, so a job rebuilt by
+// Generator.Job and run straight through engine.Build, as a replay or
+// a traced pass does, carries no hook. The hook draws no randomness:
+// each hookless run must match its RunJobs record.
+func TestFeeMarketJobsReplayWithoutHooks(t *testing.T) {
+	const deals = 30
+	opts := feeSweepOpts(deals, 4, false)
+	rep, err := Sweep(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if og := rep.OrderingGames; og.FeeBidAttempts == 0 {
+		t.Fatal("no fee-bid races in the population; the hook would never have fired")
+	}
+	gen, err := NewGenerator(opts.Gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := gen.Jobs(deals)
+	for i, rec := range RunJobs(jobs, 4) {
+		job := jobs[i]
+		if job.Opts.Adaptive != nil {
+			t.Fatalf("job %d: the generator attached adaptive hooks", i)
+		}
+		w, err := engine.Build(job.Spec, job.Opts)
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		r := w.Run()
+		type run struct {
+			Committed, Aborted bool
+			Gas                uint64
+			EndedAt            int64
+			DealFees           uint64
+		}
+		got := run{r.AllCommitted, r.AllAborted, r.DealGas, int64(r.EndedAt), r.DealFees}
+		want := run{rec.Committed, rec.Aborted, rec.Gas, rec.EndedAt, rec.DealFees}
+		if got != want {
+			t.Fatalf("job %d: hookless run %+v, RunJobs recorded %+v", i, got, want)
+		}
 	}
 }

@@ -4,9 +4,11 @@ import (
 	"fmt"
 
 	"xdeal/internal/arena"
+	"xdeal/internal/chain"
 	"xdeal/internal/engine"
 	"xdeal/internal/feemarket"
 	"xdeal/internal/obs"
+	"xdeal/internal/party"
 	"xdeal/internal/trace"
 )
 
@@ -33,25 +35,6 @@ func (f *FeeOptions) defaults() {
 	if f.TipBudget == 0 {
 		f.TipBudget = arena.DefaultTipBudget
 	}
-}
-
-// FeeRecord is the fee-market slice of one deal run's outcome.
-type FeeRecord struct {
-	// DealFees is the spend attributable to this deal (burn + tips).
-	DealFees uint64
-	// Burned/Tipped total the run's world-wide fee flows; only filled
-	// for isolated worlds (arena sweeps fold their shared worlds'
-	// totals once per arena instead).
-	Burned uint64
-	Tipped uint64
-	// Plain front-run races and fee-bid races run and won by this
-	// run's parties (isolated mode; arenas meter through Interference).
-	Races    int
-	RaceWins int
-	Bids     int
-	BidWins  int
-	// Samples holds (tip, queuing delay) per included transaction.
-	Samples []engine.FeeSample
 }
 
 // Options configures a randomized fleet sweep. cmd/dealsweep reads it
@@ -111,9 +94,10 @@ type Record struct {
 	// reached a decision.
 	CritPath *trace.Attribution
 
-	// Fee carries the run's fee-market outcome; nil without a fee
-	// market.
-	Fee *FeeRecord
+	// DealFees is the fee-market spend attributable to this deal (burn
+	// plus tips); zero without a fee market. The world's fee flows and
+	// race tallies fold once per world, not per record.
+	DealFees uint64
 
 	Err string
 }
@@ -129,6 +113,7 @@ func withResult(rec Record, r *engine.Result) Record {
 	rec.Gas = r.DealGas
 	rec.DeltaTime = r.Phases.InDelta(r.Phases.DecisionEnd, r.Spec.Delta)
 	rec.EndedAt = int64(r.EndedAt)
+	rec.DealFees = r.DealFees
 	rec.Spans = newPhaseSpans(r.Phases, r.Spec.Delta)
 	if a := r.Attribution; a != nil && a.Total > 0 {
 		rec.CritPath = a
@@ -136,9 +121,49 @@ func withResult(rec Record, r *engine.Result) Record {
 	return rec
 }
 
-// record evaluates one isolated run's engine result into a Record.
-func record(job Job, r *engine.Result) Record {
-	rec := withResult(Record{
+// world is one task of a sweep: one isolated deal or one arena. It
+// sits in a chunk slot from its run to its fold; only its own pool task
+// writes it, and the fold reads it after the pool has drained.
+type world struct {
+	rec Record // an isolated deal's record
+	// arena is an arena's result; its outcomes become records as they
+	// fold, numbered from first, the population index of its deal 0.
+	arena *arena.Result
+	first int
+	proto string
+	// fees and inter are the world's fee flows and interference tally;
+	// an isolated world tallies only its front-run races.
+	fees  *engine.FeeSummary
+	inter arena.Interference
+	// metrics is the world's private registry shard; nil unless the
+	// sweep collects metrics.
+	metrics *obs.Registry
+}
+
+// runJob runs one isolated deal into w. A fee-market job gets its race
+// hook here, not from the generator: the hook draws no randomness, so
+// the job Generator.Job rebuilds for a replay runs the same deal
+// without it.
+func (w *world) runJob(job Job) {
+	if job.Opts.World.FeeMarket != nil {
+		job.Opts.Adaptive = &party.AdaptiveHooks{
+			OnFrontRun: func(_ chain.Addr, _ string, bid uint64, won bool) { w.inter.Race(bid, won) },
+		}
+	}
+	e, err := engine.Build(job.Spec, job.Opts)
+	if err != nil {
+		// A failed build is a population observation: recorded, not
+		// fatal to the sweep.
+		w.rec = Record{
+			Index: job.Index, Seed: job.Seed, SpecID: job.Spec.ID,
+			Shape: job.Shape, Protocol: job.Opts.Protocol.String(),
+			Adversaries: job.Adversaries,
+			Err:         fmt.Sprintf("build: %v", err),
+		}
+		return
+	}
+	r := e.Run()
+	w.rec = withResult(Record{
 		Index:        job.Index,
 		Seed:         job.Seed,
 		Shape:        job.Shape,
@@ -147,20 +172,10 @@ func record(job Job, r *engine.Result) Record {
 		Outage:       job.Outage,
 		Sequenceable: job.Sequenceable,
 	}, r)
-	if r.Fees != nil {
-		fee := &FeeRecord{
-			DealFees: r.DealFees,
-			Burned:   r.Fees.Burned,
-			Tipped:   r.Fees.Tipped,
-			Samples:  r.Fees.Samples,
-		}
-		if t := job.races; t != nil {
-			fee.Races, fee.RaceWins = t.races, t.raceWins
-			fee.Bids, fee.BidWins = t.bids, t.bidWins
-		}
-		rec.Fee = fee
+	w.fees = r.Fees
+	if w.metrics != nil {
+		e.RegisterMetrics(w.metrics)
 	}
-	return rec
 }
 
 // RunJobs executes the jobs across the worker pool and returns one
@@ -168,43 +183,13 @@ func record(job Job, r *engine.Result) Record {
 // single-threaded simulation, so runs share nothing; the output is
 // identical for any worker count.
 func RunJobs(jobs []Job, workers int) []Record {
-	return runJobs(jobs, workers, nil)
-}
-
-// runJobs is RunJobs with an optional metrics registry: each job's
-// world registers into a private per-job registry, and the shards merge
-// into reg in job order once the pool drains. Shard merges are
-// commutative, so the merged registry is identical at any worker count.
-func runJobs(jobs []Job, workers int, reg *obs.Registry) []Record {
-	records := make([]Record, len(jobs))
-	var shards []*obs.Registry
-	if reg != nil {
-		shards = make([]*obs.Registry, len(jobs))
-	}
-	// Map's per-index error slot is unused: a failed build is itself a
-	// population observation, recorded rather than aborting the sweep.
-	_ = Pool{Workers: workers}.Map(len(jobs), func(i int) error {
-		job := jobs[i]
-		w, err := engine.Build(job.Spec, job.Opts)
-		if err != nil {
-			records[i] = Record{
-				Index: job.Index, Seed: job.Seed, SpecID: job.Spec.ID,
-				Shape: job.Shape, Protocol: job.Opts.Protocol.String(),
-				Adversaries: job.Adversaries,
-				Err:         fmt.Sprintf("build: %v", err),
-			}
-			return nil
-		}
-		records[i] = record(job, w.Run())
-		if shards != nil {
-			shards[i] = obs.NewRegistry()
-			w.RegisterMetrics(shards[i])
-		}
+	records := make([]Record, 0, len(jobs))
+	// runJob records a failed build rather than failing, so stream
+	// returns no error here.
+	_ = stream(len(jobs), workers, nil, func(i int, w *world) error {
+		w.runJob(jobs[i])
 		return nil
-	})
-	for _, shard := range shards {
-		reg.Merge(shard)
-	}
+	}, func(w *world) { records = append(records, w.rec) })
 	return records
 }
 
@@ -212,17 +197,15 @@ func runJobs(jobs []Job, workers int, reg *obs.Registry) []Record {
 // them across the worker pool, and aggregates population statistics.
 // The report depends only on (Gen, Deals, Arena) — never on Workers.
 //
-// Execution streams: jobs run in bounded chunks and each record folds
-// into the aggregate the moment its chunk completes, so memory is
-// constant in the population size (a chunk of records, not all of
-// them). Records fold in index order, which is why the streamed report
-// is byte-identical to folding RunJobs' records at any worker count.
+// Isolated and arena sweeps run through the same loop, one world (an
+// isolated deal, or an arena of DealsPerArena deals) per pool task, and
+// fold each world into one aggregate in index order. Worlds run in
+// bounded chunks, so memory is constant in the population size, and the
+// streamed report is byte-identical to folding every world at once at
+// any worker count.
 func Sweep(opts Options) (*Report, error) {
 	if opts.Deals < 0 {
 		return nil, fmt.Errorf("fleet: negative deal count %d", opts.Deals)
-	}
-	if opts.Arena != nil {
-		return sweepArenas(opts)
 	}
 	gen, err := NewGenerator(opts.Gen)
 	if err != nil {
@@ -233,43 +216,57 @@ func Sweep(opts Options) (*Report, error) {
 		agg.EnableFees(f.BaseFee, f.TipBudget)
 	}
 	agg.EnableObs(opts.Obs.metrics(), opts.Obs.flight())
-	stream(gen, opts.Deals, opts.Workers, agg, opts.Obs)
+	n, run := opts.Deals, func(i int, w *world) error {
+		w.runJob(gen.Job(i))
+		return nil
+	}
+	if opts.Arena != nil {
+		if n, run, err = arenaWorlds(gen, *opts.Arena, opts.Deals, agg); err != nil {
+			return nil, err
+		}
+	}
+	if err := stream(n, opts.Workers, opts.Obs, run, agg.addWorld); err != nil {
+		return nil, err
+	}
 	return agg.Report(), nil
 }
 
-// stream synthesizes and executes jobs 0..n-1 from the generator in
-// bounded chunks across the worker pool, folding each record into agg
-// in index order. Memory is constant in n (one chunk of jobs and
-// records at a time); the fold is identical to folding
-// RunJobs(gen.Jobs(n), workers) at once, at any worker count. With
-// the observability layer attached, per-chunk wall time is split into
-// generate / run / aggregate stages, and each world's metrics merge
-// into the registry in index order.
-func stream(gen *Generator, n, workers int, agg *Aggregator, ob *ObsOptions) {
-	stages := ob.stages()
-	chunk := Pool{Workers: workers}.Size(n) * 8
-	if chunk < 64 {
-		chunk = 64
-	}
-	jobs := make([]Job, 0, chunk)
+// stream runs worlds 0..n-1 across the worker pool in bounded chunks
+// and folds each, in index order, once its chunk's pool has drained.
+// Memory is constant in n: one chunk of slots, reused. Each world's
+// metrics shard merges into the sweep's registry in index order, and
+// merges commute, so the fold and the registry are identical at any
+// worker count. With a stage timer attached, each chunk's wall time
+// splits into run and aggregate stages. The first error, in index
+// order, stops the loop.
+func stream(n, workers int, ob *ObsOptions, run func(i int, w *world) error, fold func(*world)) error {
+	pool := Pool{Workers: workers}
+	chunk := max(pool.Size(n)*8, 64)
+	slots := make([]world, min(chunk, n))
+	stages, reg := ob.stages(), ob.metrics()
 	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		jobs = jobs[:0]
-		stopGen := stages.Start("generate")
-		for i := lo; i < hi; i++ {
-			jobs = append(jobs, gen.Job(i))
-		}
-		stopGen()
+		batch := slots[:min(chunk, n-lo)]
 		stopRun := stages.Start("run")
-		recs := runJobs(jobs, workers, ob.metrics())
+		err := pool.Map(len(batch), func(k int) error {
+			w := &batch[k]
+			*w = world{}
+			if reg != nil {
+				w.metrics = obs.NewRegistry()
+			}
+			return run(lo+k, w)
+		})
+		for k := range batch {
+			reg.Merge(batch[k].metrics)
+		}
 		stopRun()
+		if err != nil {
+			return err
+		}
 		stopAgg := stages.Start("aggregate")
-		for _, rec := range recs {
-			agg.Add(rec)
+		for k := range batch {
+			fold(&batch[k])
 		}
 		stopAgg()
 	}
+	return nil
 }

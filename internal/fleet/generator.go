@@ -68,16 +68,6 @@ type Job struct {
 	// transfer phase and aborts safely — a legitimate outcome, so
 	// Property 3 (strong liveness) is only asserted when Sequenceable.
 	Sequenceable bool
-
-	// races meters the run's front-run and fee-bid outcomes (fee-market
-	// sweeps only); the job's adaptive hooks write it during the run.
-	races *raceTally
-}
-
-// raceTally accumulates one run's race outcomes.
-type raceTally struct {
-	races, raceWins int
-	bids, bidWins   int
 }
 
 // Generator synthesizes randomized deal scenarios deterministically.
@@ -163,28 +153,10 @@ func (g *Generator) Job(i int) Job {
 	}
 
 	// Fee market: tip-ordered capped blocks, so queue position is won by
-	// bidding rather than arrival; the job meters its races for the
-	// ordering-games report.
+	// bidding rather than arrival.
 	if f := g.opts.Fees; f != nil {
 		opts.World.FeeMarket = &feemarket.Config{Initial: f.BaseFee}
 		opts.World.MaxBlockTxs = arena.DefaultMaxBlockTxs
-		tally := &raceTally{}
-		job.races = tally
-		opts.Adaptive = &party.AdaptiveHooks{
-			OnFrontRun: func(_ chain.Addr, _ string, bid uint64, won bool) {
-				if bid > 0 {
-					tally.bids++
-					if won {
-						tally.bidWins++
-					}
-					return
-				}
-				tally.races++
-				if won {
-					tally.raceWins++
-				}
-			},
-		}
 	}
 
 	// Adversary mix.

@@ -23,8 +23,8 @@ type ObsOptions struct {
 	// errored run, with the offending deal's index and seed — the
 	// evidence file a violation dump carries next to the replay seed.
 	Flight *obs.Recorder
-	// Stages accumulates wall-clock time per sweep stage (generate /
-	// run / aggregate). Wall-clock readings never reach the report.
+	// Stages accumulates wall-clock time per sweep stage (run /
+	// aggregate). Wall-clock readings never reach the report.
 	Stages *obs.StageTimer
 }
 

@@ -244,18 +244,21 @@ func TestFlightRecorderCapturesViolations(t *testing.T) {
 }
 
 // TestStageTimingCoversSweep: a swept StageTimer accumulates wall time
-// in each of the three pipeline stages (wall-clock readings stay inside
-// obs and never reach the report).
+// in both stages of the world loop, for isolated and arena sweeps alike
+// (wall-clock readings stay inside obs and never reach the report).
 func TestStageTimingCoversSweep(t *testing.T) {
-	opts := sweepOpts(40, 4)
-	stages := obs.NewStageTimer()
-	opts.Obs = &ObsOptions{Stages: stages}
-	if _, err := Sweep(opts); err != nil {
-		t.Fatal(err)
-	}
-	for _, stage := range []string{"generate", "run", "aggregate"} {
-		if stages.Seconds(stage) <= 0 {
-			t.Fatalf("stage %q accumulated %v s, want > 0", stage, stages.Seconds(stage))
+	for _, ao := range []*ArenaOptions{nil, {DealsPerArena: 10, Chains: 2}} {
+		opts := sweepOpts(40, 4)
+		opts.Arena = ao
+		stages := obs.NewStageTimer()
+		opts.Obs = &ObsOptions{Stages: stages}
+		if _, err := Sweep(opts); err != nil {
+			t.Fatal(err)
+		}
+		for _, stage := range []string{"run", "aggregate"} {
+			if stages.Seconds(stage) <= 0 {
+				t.Fatalf("arena %v: stage %q accumulated %v s, want > 0", ao != nil, stage, stages.Seconds(stage))
+			}
 		}
 	}
 }

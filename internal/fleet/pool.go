@@ -16,6 +16,15 @@
 //   - Sweep/Aggregator: fleet execution and population statistics
 //     (commit/abort rates, gas and Δ-time percentiles, and Property 1–3
 //     violations flagged with the seed that reproduces them).
+//
+// Sweep runs every population through one world runner. A world is one
+// isolated deal, or in arena mode one shared world of DealsPerArena
+// deals. Worlds run one per pool task, in chunks of max(8·workers, 64),
+// each into its own slot of the chunk; once the chunk's pool drains,
+// each world folds into the one Aggregator in index order: its records,
+// then its fee flows and its interference tally. Memory is constant in
+// the number of worlds, and the report is identical at any worker
+// count.
 package fleet
 
 import (

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"text/tabwriter"
 
-	"xdeal/internal/arena"
 	"xdeal/internal/engine"
 	"xdeal/internal/obs"
 )
@@ -377,30 +376,6 @@ func (a *Aggregator) EnableBundles(budget uint64) {
 	a.bundles.budget = budget
 }
 
-// AddBundleArena folds one arena's bundle metrics (arena order, so the
-// report stays byte-identical for any worker count).
-func (a *Aggregator) AddBundleArena(inter arena.Interference) {
-	if a.bundles == nil {
-		return
-	}
-	b := a.bundles
-	b.auctions += inter.BundleAuctions
-	b.wins += inter.BundleWins
-	b.defers += inter.BundleDefers
-	b.attempts += inter.ExclusionAttempts
-	b.successes += inter.ExclusionSuccesses
-	b.victimExclusionBlocks += inter.VictimExclusionBlocks
-	for _, s := range inter.BundleSamples {
-		agg := b.byBid[s.PerSlot]
-		if agg == nil {
-			agg = &bidSlackAgg{}
-			b.byBid[s.PerSlot] = agg
-		}
-		agg.wins++
-		agg.slackMilliSum += s.SlackMilli
-	}
-}
-
 // bundleAuctions finalizes the block.
 func (b *bundleAgg) bundleAuctions() *BundleAuctions {
 	return &BundleAuctions{
@@ -493,32 +468,6 @@ func (a *Aggregator) EnableHedging(collateral float64, volWindow int) {
 		a.hedge = &hedgeAgg{byVol: make(map[int]*volPremiumAgg)}
 	}
 	a.hedge.collateral, a.hedge.volWindow = collateral, volWindow
-}
-
-// AddHedgeArena folds one arena's hedge metrics (arena order, so the
-// report stays byte-identical for any worker count).
-func (a *Aggregator) AddHedgeArena(inter arena.Interference) {
-	if a.hedge == nil {
-		return
-	}
-	h := a.hedge
-	h.binds += inter.HedgeBinds
-	h.settles += inter.HedgeSettles
-	h.premiums += inter.PremiumsPaid
-	h.refunds += inter.PremiumsRefunded
-	h.payouts += inter.PayoutsClaimed
-	h.gross += inter.SoreLoserLoss
-	h.residual += inter.ResidualSoreLoserLoss
-	for _, s := range inter.HedgeSamples {
-		v := h.byVol[s.VolBps]
-		if v == nil {
-			v = &volPremiumAgg{}
-			h.byVol[s.VolBps] = v
-		}
-		v.binds++
-		v.premiumSum += s.Premium
-		v.collateralSum += s.Collateral
-	}
 }
 
 // hedging finalizes the block.
@@ -623,41 +572,6 @@ func (a *Aggregator) EnableFees(baseFee, tipBudget uint64) {
 	a.fees.baseFee, a.fees.tipBudget = baseFee, tipBudget
 }
 
-// AddFeeWorld folds one shared world's fee summary (arena mode: totals
-// and samples are per-substrate, not per-deal, so they fold once per
-// arena in arena order).
-func (a *Aggregator) AddFeeWorld(fees *engine.FeeSummary) {
-	if fees == nil || a.fees == nil {
-		return
-	}
-	a.fees.burned += fees.Burned
-	a.fees.tipped += fees.Tipped
-	a.fees.addSamples(fees.Samples)
-}
-
-// AddFeeRaces folds race counters metered outside records (arena mode).
-func (a *Aggregator) AddFeeRaces(races, raceWins, bids, bidWins int) {
-	if a.fees == nil {
-		return
-	}
-	a.fees.races += races
-	a.fees.raceWins += raceWins
-	a.fees.bids += bids
-	a.fees.bidWins += bidWins
-}
-
-func (f *feeAgg) addSamples(samples []engine.FeeSample) {
-	for _, s := range samples {
-		t := f.tipDelay[s.Tip]
-		if t == nil {
-			t = &tipDelayAgg{}
-			f.tipDelay[s.Tip] = t
-		}
-		t.count++
-		t.delaySum += s.Queued
-	}
-}
-
 // orderingGames finalizes the block.
 func (f *feeAgg) orderingGames() *OrderingGames {
 	o := &OrderingGames{
@@ -738,15 +652,18 @@ func (f *feeAgg) deciles() []TipDecile {
 // everything is on fire aggregates in constant memory.
 const maxViolations = 1000
 
-// Aggregator folds Records into a Report incrementally, in constant
-// memory: counters and sketches instead of sample slices. Fold order
-// defines the report (violation order), so fold in index order.
+// Aggregator folds Records, and in a sweep whole worlds, into a Report
+// incrementally, in constant memory: counters and sketches instead of
+// sample slices. Fold order defines the report (violation order), so
+// fold in index order.
 type Aggregator struct {
 	rep        *Report
 	gas, dtime Sketch
 	fees       *feeAgg              // nil unless EnableFees armed the ordering block
 	hedge      *hedgeAgg            // nil unless EnableHedging armed the hedging block
 	bundles    *bundleAgg           // nil unless EnableBundles armed the bundle block
+	inter      *Interference        // nil outside arena sweeps
+	inflation  Sketch               // arena/solo latency ratios, for inter
 	phases     map[string]*phaseAgg // protocol -> phase sketches, created on first span
 	crit       map[string]*critAgg  // protocol|mix -> attribution sketches, created on first decided deal
 	metrics    *obs.Registry        // nil unless EnableObs attached a registry
@@ -807,19 +724,9 @@ func (a *Aggregator) Add(r Record) {
 		p.add(r.Spans)
 	}
 	a.addCrit(r)
-	if r.Fee != nil && a.fees != nil {
-		f := a.fees
-		f.burned += r.Fee.Burned
-		f.tipped += r.Fee.Tipped
-		f.races += r.Fee.Races
-		f.raceWins += r.Fee.RaceWins
-		f.bids += r.Fee.Bids
-		f.bidWins += r.Fee.BidWins
-		f.addSamples(r.Fee.Samples)
-		if r.Committed {
-			f.commits++
-			f.commitFees += r.Fee.DealFees
-		}
+	if a.fees != nil && r.Committed {
+		a.fees.commits++
+		a.fees.commitFees += r.DealFees
 	}
 	for _, v := range r.SafetyViolations {
 		rep.flag(r, "safety (P1)", v)
@@ -845,6 +752,87 @@ func (a *Aggregator) Add(r Record) {
 		a.metrics.Counter("fleet.errors").Inc()
 	}
 	recordFlight(a.flight, r, p3)
+}
+
+// addWorld folds one finished world: its deals' records, then its fee
+// flows and its interference tally. Worlds fold in index order, so the
+// report is identical at any worker count.
+func (a *Aggregator) addWorld(w *world) {
+	if w.arena == nil {
+		a.Add(w.rec)
+	} else {
+		for _, out := range w.arena.Outcomes {
+			a.Add(arenaRecord(w.first+out.Index, w.proto, out))
+		}
+	}
+	in := &w.inter
+	if f := a.fees; f != nil {
+		if w.fees != nil {
+			f.burned += w.fees.Burned
+			f.tipped += w.fees.Tipped
+			for _, s := range w.fees.Samples {
+				t := f.tipDelay[s.Tip]
+				if t == nil {
+					t = &tipDelayAgg{}
+					f.tipDelay[s.Tip] = t
+				}
+				t.count++
+				t.delaySum += s.Queued
+			}
+		}
+		f.races += in.FrontRunAttempts
+		f.raceWins += in.FrontRunWins
+		f.bids += in.FeeBidAttempts
+		f.bidWins += in.FeeBidWins
+	}
+	if b := a.bundles; b != nil {
+		b.auctions += in.BundleAuctions
+		b.wins += in.BundleWins
+		b.defers += in.BundleDefers
+		b.attempts += in.ExclusionAttempts
+		b.successes += in.ExclusionSuccesses
+		b.victimExclusionBlocks += in.VictimExclusionBlocks
+		for _, s := range in.BundleSamples {
+			agg := b.byBid[s.PerSlot]
+			if agg == nil {
+				agg = &bidSlackAgg{}
+				b.byBid[s.PerSlot] = agg
+			}
+			agg.wins++
+			agg.slackMilliSum += s.SlackMilli
+		}
+	}
+	if h := a.hedge; h != nil {
+		h.binds += in.HedgeBinds
+		h.settles += in.HedgeSettles
+		h.premiums += in.PremiumsPaid
+		h.refunds += in.PremiumsRefunded
+		h.payouts += in.PayoutsClaimed
+		h.gross += in.SoreLoserLoss
+		h.residual += in.ResidualSoreLoserLoss
+		for _, s := range in.HedgeSamples {
+			v := h.byVol[s.VolBps]
+			if v == nil {
+				v = &volPremiumAgg{}
+				h.byVol[s.VolBps] = v
+			}
+			v.binds++
+			v.premiumSum += s.Premium
+			v.collateralSum += s.Collateral
+		}
+	}
+	if i := a.inter; i != nil {
+		i.Arenas++
+		i.SoreLoserTriggers += in.SoreLoserTriggers
+		i.SoreLoserDeals += in.SoreLoserDeals
+		i.SoreLoserLoss += in.SoreLoserLoss
+		i.FrontRunAttempts += in.FrontRunAttempts
+		i.FrontRunWins += in.FrontRunWins
+		i.VictimExclusionBlocks += in.VictimExclusionBlocks
+		for _, x := range in.InflationSamples {
+			a.inflation.Add(x)
+		}
+	}
 }
 
 // Report finalizes and returns the aggregate. The aggregator may keep
@@ -876,6 +864,10 @@ func (a *Aggregator) Report() *Report {
 	}
 	if a.bundles != nil {
 		a.rep.BundleAuctions = a.bundles.bundleAuctions()
+	}
+	if a.inter != nil {
+		a.inter.LatencyInflation = a.inflation.Dist()
+		a.rep.Interference = a.inter
 	}
 	return a.rep
 }

@@ -13,8 +13,8 @@ import (
 )
 
 // StageTimer accumulates wall-clock seconds per named stage of a sweep
-// (generate / run / aggregate). A nil StageTimer is a no-op, so the
-// fleet times stages unconditionally.
+// (run / aggregate). A nil StageTimer is a no-op, so the fleet times
+// stages unconditionally.
 type StageTimer struct {
 	mu      sync.Mutex
 	seconds map[string]float64
@@ -51,11 +51,10 @@ func (t *StageTimer) Seconds(stage string) float64 {
 }
 
 // MemStats is a sample of the allocator's cumulative counters: total
-// bytes ever allocated, cumulative heap objects, and GC cycles.
+// bytes ever allocated and cumulative heap objects.
 type MemStats struct {
-	TotalAllocBytes uint64 `json:"total_alloc_bytes"`
-	Mallocs         uint64 `json:"mallocs"`
-	NumGC           uint32 `json:"num_gc"`
+	TotalAllocBytes uint64
+	Mallocs         uint64
 }
 
 // ReadMemStats samples the Go runtime's allocator counters.
@@ -65,6 +64,5 @@ func ReadMemStats() MemStats {
 	return MemStats{
 		TotalAllocBytes: ms.TotalAlloc,
 		Mallocs:         ms.Mallocs,
-		NumGC:           ms.NumGC,
 	}
 }

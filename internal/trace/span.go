@@ -108,12 +108,12 @@ func (s Span) Duration() sim.Duration { return sim.Duration(s.End - s.Start) }
 // [start, decision], so they sum to Total exactly (integer arithmetic,
 // no rounding) — the conservation invariant the tests assert.
 type Attribution struct {
-	ProtocolWait  sim.Duration `json:"protocol_wait"`
-	BlockQueueing sim.Duration `json:"block_queueing"`
-	PricedOut     sim.Duration `json:"fee_priced_out"`
-	Adversary     sim.Duration `json:"adversary"`
-	Slack         sim.Duration `json:"scheduling_slack"`
-	Total         sim.Duration `json:"total"`
+	ProtocolWait  sim.Duration
+	BlockQueueing sim.Duration
+	PricedOut     sim.Duration
+	Adversary     sim.Duration
+	Slack         sim.Duration
+	Total         sim.Duration
 }
 
 // Sum returns the bucket total; conservation means Sum() == Total.
