@@ -346,8 +346,6 @@ var fieldAllowlist = map[string]string{
 	"incentive.View.Forfeited":          "the deposit vault's query result, which its tests read",
 	"incentive.View.Settled":            "the deposit vault's query result, which its tests read",
 	"htlc.Swap.Refunds":                 "counter only the htlc tests read",
-	"sig.sharedTable.signRuns":          "counter only the sig tests read, to show the process-wide table answered",
-	"sig.sharedTable.verifyRuns":        "counter only the sig tests read, to show the process-wide table answered",
 }
 
 // TestEveryFieldIsRead fails on a struct field under internal/ that the

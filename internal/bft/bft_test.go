@@ -79,13 +79,20 @@ func TestCommitteeEqualAgreesWithEncoding(t *testing.T) {
 	}
 }
 
+// schemes runs a signature check under both schemes: ed25519 (a nil
+// memo) and a world's facts (a fresh memo).
+func schemes(t *testing.T, check func(t *testing.T, memo *sig.Memo)) {
+	t.Run("ed25519", func(t *testing.T) { check(t, nil) })
+	t.Run("facts", func(t *testing.T) { check(t, sig.NewMemo()) })
+}
+
 // TestCertificateMemoisedAcrossVerifiers: the same certificate checked by
 // several contracts misses the memo 2f+1 times in total, while each
 // contract still counts (and pays for) its own 2f+1.
 func TestCertificateMemoisedAcrossVerifiers(t *testing.T) {
 	c, signers := NewCommittee("cbc", 0, 2)
-	cert := MakeCertificate([]byte("deal D committed"), 0, signers[:c.Quorum()])
 	memo := sig.NewMemo()
+	cert := MakeCertificateWith(memo, []byte("deal D committed"), 0, signers[:c.Quorum()])
 	var counted int
 	for i := 0; i < 3; i++ {
 		if err := cert.VerifyWith(memo, c, &counted); err != nil {
@@ -125,11 +132,13 @@ func TestCertificateUnderQuorumRejected(t *testing.T) {
 }
 
 func TestCertificateDuplicateSignerRejected(t *testing.T) {
-	c, signers := NewCommittee("cbc", 0, 1)
-	cert := MakeCertificate([]byte("x"), 0, []Signer{signers[0], signers[0], signers[1]})
-	if err := cert.Verify(c, nil); !errors.Is(err, ErrDuplicateValidator) {
-		t.Fatalf("err = %v, want ErrDuplicateValidator", err)
-	}
+	schemes(t, func(t *testing.T, memo *sig.Memo) {
+		c, signers := NewCommittee("cbc", 0, 1)
+		cert := MakeCertificateWith(memo, []byte("x"), 0, []Signer{signers[0], signers[0], signers[1]})
+		if err := cert.VerifyWith(memo, c, nil); !errors.Is(err, ErrDuplicateValidator) {
+			t.Fatalf("err = %v, want ErrDuplicateValidator", err)
+		}
+	})
 }
 
 func TestCertificateOutsiderRejected(t *testing.T) {
@@ -159,13 +168,30 @@ func TestCertificateTamperedStatementRejected(t *testing.T) {
 }
 
 func TestCertificateForeignSignatureRejected(t *testing.T) {
+	schemes(t, func(t *testing.T, memo *sig.Memo) {
+		c, signers := NewCommittee("cbc", 0, 1)
+		cert := MakeCertificateWith(memo, []byte("x"), 0, signers[:3])
+		// Swap in a signature from a different validator (valid key,
+		// wrong claimed identity).
+		cert.Sigs[0].Sig = memo.Sign(signers[3].key, []byte("x"))
+		if err := cert.VerifyWith(memo, c, nil); !errors.Is(err, ErrBadSignature) {
+			t.Fatalf("err = %v, want ErrBadSignature", err)
+		}
+	})
+}
+
+// TestCertificateOtherSchemeRejected: a certificate verifies only in the
+// scheme that signed it — an ed25519 certificate shown to a world's memo,
+// or a memo-signed one checked plainly, fails its first signature.
+func TestCertificateOtherSchemeRejected(t *testing.T) {
 	c, signers := NewCommittee("cbc", 0, 1)
-	cert := MakeCertificate([]byte("x"), 0, signers[:3])
-	// Swap in a signature from a different validator (valid key, wrong
-	// claimed identity).
-	cert.Sigs[0].Sig = signers[3].key.Sign([]byte("x"))
-	if err := cert.Verify(c, nil); !errors.Is(err, ErrBadSignature) {
-		t.Fatalf("err = %v, want ErrBadSignature", err)
+	plain := MakeCertificate([]byte("x"), 0, signers[:3])
+	facts := MakeCertificateWith(sig.NewMemo(), []byte("x"), 0, signers[:3])
+	if err := plain.VerifyWith(sig.NewMemo(), c, nil); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("ed25519 certificate through a memo: err = %v, want ErrBadSignature", err)
+	}
+	if err := facts.Verify(c, nil); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("memo-signed certificate checked plainly: err = %v, want ErrBadSignature", err)
 	}
 }
 
@@ -199,22 +225,36 @@ func TestReconfigChain(t *testing.T) {
 	}
 }
 
-// TestReconfigChainMemoisedMatchesPlain: handovers signed through memos
-// — the first filling the answer table, the second served from it — are
-// byte-identical to plainly signed ones and verify the same way.
+// TestReconfigChainMemoisedMatchesPlain: handovers signed through a
+// memo — and signed again through another, which makes the same facts —
+// verify through any memo exactly as plainly signed handovers verify
+// plainly, with the same count of checks, and not in the other scheme.
 func TestReconfigChainMemoisedMatchesPlain(t *testing.T) {
 	c0, s0 := NewCommittee("cbc/memo-twin", 0, 1)
 	c1, s1 := NewCommittee("cbc/memo-twin", 1, 1)
 	c2, _ := NewCommittee("cbc/memo-twin", 2, 1)
-	plain := []Reconfig{NewReconfigWith(nil, c1, 0, s0[:3]), NewReconfigWith(nil, c2, 1, s1[:3])}
-	for i, memo := range []*sig.Memo{sig.NewMemo(), sig.NewMemo()} {
-		memoised := []Reconfig{NewReconfigWith(memo, c1, 0, s0[:3]), NewReconfigWith(memo, c2, 1, s1[:3])}
-		if !reflect.DeepEqual(memoised, plain) {
-			t.Fatalf("memo %d: handovers differ from the plainly signed ones", i)
-		}
-		if final, err := VerifyChain(c0, memoised, plainVerify(nil)); err != nil || final.Epoch != 2 {
-			t.Fatalf("memo %d: VerifyChain = (epoch %d, %v), want epoch 2", i, final.Epoch, err)
-		}
+	handovers := func(memo *sig.Memo) []Reconfig {
+		return []Reconfig{NewReconfigWith(memo, c1, 0, s0[:3]), NewReconfigWith(memo, c2, 1, s1[:3])}
+	}
+	var plainN int
+	plain := handovers(nil)
+	if final, err := VerifyChain(c0, plain, plainVerify(&plainN)); err != nil || final.Epoch != 2 {
+		t.Fatalf("plain: VerifyChain = (epoch %d, %v), want epoch 2", final.Epoch, err)
+	}
+	first := handovers(sig.NewMemo())
+	if !reflect.DeepEqual(handovers(sig.NewMemo()), first) {
+		t.Fatal("two memos signed different handovers")
+	}
+	var n int
+	memoVerify := func(cert Certificate, c Committee) error { return cert.VerifyWith(sig.NewMemo(), c, &n) }
+	if final, err := VerifyChain(c0, first, memoVerify); err != nil || final.Epoch != 2 || n != plainN {
+		t.Fatalf("memoised: VerifyChain = (epoch %d, %v) after %d checks, want epoch 2 after %d", final.Epoch, err, n, plainN)
+	}
+	if _, err := VerifyChain(c0, first, plainVerify(nil)); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("memo-signed handovers checked plainly: err = %v, want ErrBadSignature", err)
+	}
+	if _, err := VerifyChain(c0, plain, memoVerify); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("plain handovers through a memo: err = %v, want ErrBadSignature", err)
 	}
 }
 
@@ -282,25 +322,26 @@ func TestQuickQuorumThreshold(t *testing.T) {
 }
 
 func TestQuickTamperedCertificateNeverVerifies(t *testing.T) {
-	c, signers := NewCommittee("q", 0, 1)
-	base := MakeCertificate([]byte("statement"), 0, signers[:3])
-	// A memo that has accepted the genuine certificate must not vouch
-	// for any tampered copy of it.
-	memo := sig.NewMemo()
-	if err := base.VerifyWith(memo, c, nil); err != nil {
-		t.Fatal(err)
-	}
-	prop := func(sigIdx, byteIdx uint16, bit uint8) bool {
-		cert := Certificate{Epoch: base.Epoch, Statement: append([]byte(nil), base.Statement...)}
-		for _, s := range base.Sigs {
-			cert.Sigs = append(cert.Sigs, Signature{Validator: s.Validator, Sig: append([]byte(nil), s.Sig...)})
+	schemes(t, func(t *testing.T, memo *sig.Memo) {
+		c, signers := NewCommittee("q", 0, 1)
+		base := MakeCertificateWith(memo, []byte("statement"), 0, signers[:3])
+		// A memo that has accepted the genuine certificate must not
+		// vouch for any tampered copy of it.
+		if err := base.VerifyWith(memo, c, nil); err != nil {
+			t.Fatal(err)
 		}
-		i := int(sigIdx) % len(cert.Sigs)
-		j := int(byteIdx) % len(cert.Sigs[i].Sig)
-		cert.Sigs[i].Sig[j] ^= 1 << (bit % 8)
-		return cert.Verify(c, nil) != nil && cert.VerifyWith(memo, c, nil) != nil
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
+		prop := func(sigIdx, byteIdx uint16, bit uint8) bool {
+			cert := Certificate{Epoch: base.Epoch, Statement: append([]byte(nil), base.Statement...)}
+			for _, s := range base.Sigs {
+				cert.Sigs = append(cert.Sigs, Signature{Validator: s.Validator, Sig: append([]byte(nil), s.Sig...)})
+			}
+			i := int(sigIdx) % len(cert.Sigs)
+			j := int(byteIdx) % len(cert.Sigs[i].Sig)
+			cert.Sigs[i].Sig[j] ^= 1 << (bit % 8)
+			return cert.Verify(c, nil) != nil && cert.VerifyWith(memo, c, nil) != nil
+		}
+		if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -12,15 +12,16 @@ import (
 )
 
 // TestStatusProofShownToThreeEscrowsVerifiedOnce: one deal with an
-// escrow on each of three chains sharing a verify memo. Every escrow is
-// shown the same 2f+1 certificate; ed25519 runs 2f+1 times in all, and
-// each chain still charges its own 2f+1.
+// escrow on each of three chains sharing a verify memo, which the
+// validators sign through too. Every escrow is shown the same 2f+1
+// certificate; the memo meets 2f+1 new signatures in all, and each chain
+// still charges its own 2f+1.
 func TestStatusProofShownToThreeEscrowsVerifiedOnce(t *testing.T) {
 	const f = 2
 	sched := sim.NewScheduler()
 	rng := sim.NewRNG(11)
-	service := New(Config{Tag: "cbc", F: f, BlockInterval: 10, Schedule: gas.DefaultSchedule()}, sched, rng)
 	memo := sig.NewMemo()
+	service := New(Config{Tag: "cbc", F: f, BlockInterval: 10, Schedule: gas.DefaultSchedule(), Memo: memo}, sched, rng)
 	var worlds []*world
 	for _, id := range []chain.ID{"c0", "c1", "c2"} {
 		worlds = append(worlds, newWorldOn(sched, rng, service, id, memo))

@@ -334,6 +334,10 @@ func (c *Chain) Meter() *gas.Meter { return c.meter }
 // FeeMarket exposes the chain's fee market, or nil on FIFO chains.
 func (c *Chain) FeeMarket() *feemarket.Market { return c.fees }
 
+// Memo returns the signature memo the chain's contracts verify through;
+// a vote bound for them must be signed through it (see sig.Memo).
+func (c *Chain) Memo() *sig.Memo { return c.cfg.VerifyMemo }
+
 // Receipts returns all transaction receipts in execution order.
 func (c *Chain) Receipts() []*Receipt { return c.receipts }
 

@@ -374,8 +374,8 @@ func (p *pathVerifier) Invoke(env *Env, method string, args any) (any, error) {
 }
 
 // TestSharedVerifyMemoChargesEveryCheck: a depth-4 path signature shown
-// to three escrows on three chains that share a memo costs four real
-// verifications, and each escrow is still charged its own four.
+// to three escrows on three chains that share a memo meets four new
+// signatures, and each escrow is still charged its own four.
 func TestSharedVerifyMemoChargesEveryCheck(t *testing.T) {
 	sched := sim.NewScheduler()
 	rng := sim.NewRNG(1)
@@ -386,12 +386,12 @@ func TestSharedVerifyMemoChargesEveryCheck(t *testing.T) {
 		pairs[n] = sig.GenerateKeyPair(n)
 		keys[n] = pairs[n].Public
 	}
-	vote := sig.NewVote("D", "alice", pairs["alice"])
+	memo := sig.NewMemo()
+	vote := sig.NewVoteWith(memo, "D", "alice", pairs["alice"])
 	for _, n := range names[1:] {
-		vote = vote.Forward(n, pairs[n])
+		vote = vote.ForwardWith(memo, n, pairs[n])
 	}
 
-	memo := sig.NewMemo()
 	var chains []*Chain
 	for _, id := range []ID{"c0", "c1", "c2"} {
 		c := New(Config{ID: id, Schedule: gas.DefaultSchedule(), Keys: keys, VerifyMemo: memo}, sched, rng)
@@ -429,12 +429,12 @@ func (v *certVerifier) Invoke(env *Env, method string, args any) (any, error) {
 // certificate before.
 func TestVerifyCertificateChargesChecksPerformed(t *testing.T) {
 	committee, signers := bft.NewCommittee("cbc", 0, 1)
-	valid := bft.MakeCertificate([]byte("stmt"), 0, signers[:3])
-	badSecond := bft.MakeCertificate([]byte("stmt"), 0, signers[:3])
-	badSecond.Sigs[1].Sig = bft.MakeCertificate([]byte("other"), 0, signers[1:2]).Sigs[0].Sig
-	underQuorum := bft.MakeCertificate([]byte("stmt"), 0, signers[:2])
-
 	for _, memo := range []*sig.Memo{nil, sig.NewMemo()} {
+		valid := bft.MakeCertificateWith(memo, []byte("stmt"), 0, signers[:3])
+		badSecond := bft.MakeCertificateWith(memo, []byte("stmt"), 0, signers[:3])
+		badSecond.Sigs[1].Sig = bft.MakeCertificateWith(memo, []byte("other"), 0, signers[1:2]).Sigs[0].Sig
+		underQuorum := bft.MakeCertificateWith(memo, []byte("stmt"), 0, signers[:2])
+
 		sched := sim.NewScheduler()
 		c := New(Config{ID: "c", Schedule: gas.DefaultSchedule(), VerifyMemo: memo}, sched, sim.NewRNG(1))
 		c.MustDeploy("v", &certVerifier{committee: committee})

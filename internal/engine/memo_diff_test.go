@@ -9,14 +9,12 @@ import (
 	"xdeal/internal/obs"
 )
 
-// TestVerifyMemoIsInvisibleInReports is the differential check behind
-// "verify once, sign once": a memo hit and a real verification return
-// the same boolean, a signature served from the answer table is the
-// bytes signing again makes, and gas is charged either way, so whole
-// seed-7 populations — timelock, CBC, mixed, and a shared-world arena —
-// must render byte-identical reports with the substrate memo present and
-// with every signature made and verified in full. Run twice in one
-// process (-count=2), the second run meets a warm answer table.
+// TestVerifyMemoIsInvisibleInReports is the ed25519-versus-facts twin:
+// under a substrate memo every signature is a fact (see sig.Memo), and
+// without one it is an ed25519 signature, but both schemes accept exactly
+// the signatures their signers made and gas is charged per check either
+// way, so whole seed-7 populations — timelock, CBC, mixed, and a
+// shared-world arena — must render byte-identical reports in both.
 func TestVerifyMemoIsInvisibleInReports(t *testing.T) {
 	deals := 48
 	if testing.Short() {

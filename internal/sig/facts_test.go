@@ -2,6 +2,7 @@ package sig_test
 
 import (
 	"crypto/ed25519"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -11,8 +12,10 @@ import (
 
 // TestMemoSignedTriplesNeedNoVerify: every signature a protocol makes
 // through a memo — votes, forwarded paths, a quorum certificate and a
-// committee handover — is accepted through a fresh memo without running
-// ed25519, while that memo still counts each check as a miss of its own.
+// committee handover — is accepted through a fresh memo with no ed25519
+// at all: each is a fact that plain ed25519 verification rejects. The
+// fresh memo still counts each check as a miss of its own, and signing
+// again through another memo makes the same certificate.
 func TestMemoSignedTriplesNeedNoVerify(t *testing.T) {
 	signer := sig.NewMemo()
 	names := []string{"nv/a", "nv/b", "nv/c", "nv/d"}
@@ -32,8 +35,6 @@ func TestMemoSignedTriplesNeedNoVerify(t *testing.T) {
 	next, _ := bft.NewCommittee("nv", 1, 1)
 	handover := bft.NewReconfigWith(signer, next, 0, signers)
 
-	verifiesBefore, signsBefore := sig.AnswerRuns()
-	// Signing again through another memo is served from the table.
 	again := bft.MakeCertificateWith(sig.NewMemo(), cert.Statement, 0, signers[:committee.Quorum()])
 	if !reflect.DeepEqual(again, cert) {
 		t.Fatal("re-signed certificate differs")
@@ -44,9 +45,15 @@ func TestMemoSignedTriplesNeedNoVerify(t *testing.T) {
 		if err := vote.VerifyWith(fresh, pubs, &asked); err != nil {
 			t.Fatalf("vote of length %d: %v", vote.Len(), err)
 		}
+		if err := vote.Verify(pubs, nil); !errors.Is(err, sig.ErrInvalidSignature) {
+			t.Fatalf("vote of length %d checked plainly: err = %v, want ErrInvalidSignature", vote.Len(), err)
+		}
 	}
 	if err := cert.VerifyWith(fresh, committee, &asked); err != nil {
 		t.Fatalf("certificate: %v", err)
+	}
+	if err := cert.Verify(committee, nil); !errors.Is(err, bft.ErrBadSignature) {
+		t.Fatalf("certificate checked plainly: err = %v, want ErrBadSignature", err)
 	}
 	verifyCert := func(c bft.Certificate, com bft.Committee) error { return c.VerifyWith(fresh, com, &asked) }
 	if _, err := bft.VerifyChain(committee, []bft.Reconfig{handover}, verifyCert); err != nil {
@@ -54,13 +61,6 @@ func TestMemoSignedTriplesNeedNoVerify(t *testing.T) {
 	}
 	if want := 1 + 4 + 3 + 4; asked != want {
 		t.Fatalf("checks asked = %d, want %d", asked, want)
-	}
-	verifiesAfter, signsAfter := sig.AnswerRuns()
-	if verifiesAfter != verifiesBefore {
-		t.Fatalf("ed25519 verified %d memo-signed triples, want 0", verifiesAfter-verifiesBefore)
-	}
-	if signsAfter != signsBefore {
-		t.Fatalf("ed25519 re-signed %d signatures the table held, want 0", signsAfter-signsBefore)
 	}
 	if v, hits := fresh.Stats(); v != uint64(asked) || hits != 0 {
 		t.Fatalf("fresh memo stats = (%d, %d), want (%d, 0): every check is a miss of its own", v, hits, asked)

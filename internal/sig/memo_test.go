@@ -10,8 +10,7 @@ import (
 )
 
 // realVerifications is how many of the checks asked of m missed its own
-// earlier acceptances: each ran ed25519 unless the process-wide answer
-// table already held the triple.
+// earlier acceptances.
 func realVerifications(m *Memo) uint64 {
 	verifications, hits := m.Stats()
 	return verifications - hits
@@ -23,30 +22,34 @@ func flipBit(b []byte) []byte {
 	return out
 }
 
+// TestMemoNeverAcceptsWhatVerifyRejects: a memo accepts a fact only
+// when it checks, never remembers a rejection, and lets no accepted fact
+// vouch for any neighbour of it. The two schemes do not mix: a fact is
+// rejected by plain Verify and an ed25519 signature by a memo.
 func TestMemoNeverAcceptsWhatVerifyRejects(t *testing.T) {
 	kp := GenerateKeyPair("alice")
 	other := GenerateKeyPair("bob")
 	msg := []byte("the certified statement")
-	s := kp.Sign(msg)
-
 	m := NewMemo()
+	s := m.Sign(kp, msg)
+
 	for i := 0; i < 2; i++ {
 		if !m.Verify(kp.Public, msg, s) {
-			t.Fatalf("valid signature rejected on check %d", i)
+			t.Fatalf("valid fact rejected on check %d", i)
 		}
 	}
 	if v, hits := m.Stats(); v != 2 || hits != 1 {
-		t.Fatalf("stats after two checks of one triple = (%d, %d), want (2, 1)", v, hits)
+		t.Fatalf("stats after two checks of one fact = (%d, %d), want (2, 1)", v, hits)
 	}
 
-	// One accepted triple must not vouch for any neighbour of it, and a
-	// rejection must not be remembered: each is re-checked, and rejected,
-	// every time.
 	forgeries := map[string][3][]byte{
-		"flipped signature bit": {kp.Public, msg, flipBit(s)},
-		"flipped message bit":   {kp.Public, flipBit(msg), s},
-		"another key":           {other.Public, msg, s},
-		"short key":             {kp.Public[:10], msg, s},
+		"flipped fact bit":    {kp.Public, msg, flipBit(s)},
+		"flipped key half":    {kp.Public, msg, append(flipBit(s[:32]), s[32:]...)},
+		"flipped message bit": {kp.Public, flipBit(msg), s},
+		"another key":         {other.Public, msg, s},
+		"short key":           {kp.Public[:10], msg, s},
+		"short fact":          {kp.Public, msg, s[:63]},
+		"ed25519 signature":   {kp.Public, msg, kp.Sign(msg)},
 	}
 	for name, triple := range forgeries {
 		for i := 0; i < 2; i++ {
@@ -54,58 +57,40 @@ func TestMemoNeverAcceptsWhatVerifyRejects(t *testing.T) {
 				t.Fatalf("%s accepted on check %d", name, i)
 			}
 		}
-	}
-	if len(m.accepted) != 1 {
-		t.Fatalf("memo holds %d triples, want only the accepted one", len(m.accepted))
-	}
-	if v, hits := m.Stats(); v != 10 || hits != 1 {
-		t.Fatalf("stats = (%d, %d), want (10, 1): rejections are never hits", v, hits)
-	}
-
-	// The valid twin is now in the process-wide answer table, yet a fresh
-	// memo still rejects every forgery, and none of them enters the table.
-	fresh := NewMemo()
-	for name, triple := range forgeries {
-		if fresh.Verify(triple[0], triple[1], triple[2]) {
+		if NewMemo().Verify(triple[0], triple[1], triple[2]) {
 			t.Fatalf("%s accepted through a fresh memo", name)
 		}
-		if answersHold(Hash(triple[0], triple[1], triple[2])) {
-			t.Fatalf("%s entered the answer table", name)
-		}
 	}
-	if !answersHold(Hash(kp.Public, msg, s)) {
-		t.Fatal("the accepted triple is not in the answer table")
+	if len(m.accepted) != 1 {
+		t.Fatalf("memo holds %d facts, want only the accepted one", len(m.accepted))
 	}
-
-	// A triple signed through a memo enters the table without ever being
-	// verified, and vouches for none of its neighbours either.
-	signedMsg := []byte("the memo-signed statement")
-	signed := NewMemo().Sign(kp, signedMsg)
-	if !answersHold(Hash(kp.Public, signedMsg, signed)) {
-		t.Fatal("the memo-signed triple is not in the answer table")
+	if v, hits := m.Stats(); v != 2+2*uint64(len(forgeries)) || hits != 1 {
+		t.Fatalf("stats = (%d, %d), want (%d, 1): rejections are never hits", v, hits, 2+2*len(forgeries))
 	}
-	for name, triple := range map[string][3][]byte{
-		"flipped signature bit": {kp.Public, signedMsg, flipBit(signed)},
-		"flipped message bit":   {kp.Public, flipBit(signedMsg), signed},
-		"another key":           {other.Public, signedMsg, signed},
-		"short key":             {kp.Public[:10], signedMsg, signed},
-	} {
-		if NewMemo().Verify(triple[0], triple[1], triple[2]) {
-			t.Fatalf("%s of a memo-signed triple accepted through a fresh memo", name)
-		}
-		if answersHold(Hash(triple[0], triple[1], triple[2])) {
-			t.Fatalf("%s of a memo-signed triple entered the answer table", name)
-		}
+	if Verify(kp.Public, msg, s) {
+		t.Fatal("a fact passed plain ed25519 Verify")
 	}
 }
 
-// answersHold reports whether the process-wide table holds an accepted
-// triple under key.
-func answersHold(key [32]byte) bool {
-	answers.mu.Lock()
-	defer answers.mu.Unlock()
-	_, ok := answers.accepted.get(key)
-	return ok
+// TestFactUnderAnotherKeysPublicHalfRejected: a holder of one fact who
+// swaps in another key's public half — the one move a forger can make
+// without the digest key — gets a fact its named signer never made, and
+// no memo accepts it under either key.
+func TestFactUnderAnotherKeysPublicHalfRejected(t *testing.T) {
+	alice, bob := GenerateKeyPair("alice"), GenerateKeyPair("bob")
+	msg := []byte("pay bob")
+	m := NewMemo()
+	genuine := m.Sign(alice, msg)
+	forged := append(append([]byte(nil), bob.Public...), genuine[32:]...)
+	if m.Verify(bob.Public, msg, forged) {
+		t.Fatal("alice's digest accepted under bob's public half")
+	}
+	if m.Verify(alice.Public, msg, forged) {
+		t.Fatal("a fact naming bob accepted under alice's key")
+	}
+	if !m.Verify(bob.Public, msg, m.Sign(bob, msg)) {
+		t.Fatal("bob's own fact rejected")
+	}
 }
 
 // TestHashMatchesStreamedEncoding pins Hash's input format — 8-byte
@@ -144,16 +129,16 @@ func TestNilMemoVerifiesPlainly(t *testing.T) {
 }
 
 // TestMemoVerifiesPathPrefixOnce: a vote forwarded hop by hop is shown
-// to a contract as p, p·q, p·q·r, …; with a memo each signature is
-// checked cryptographically once while every check is still counted.
+// to a contract as p, p·q, p·q·r, …; with a memo each signature is new
+// once while every check is still counted.
 func TestMemoVerifiesPathPrefixOnce(t *testing.T) {
 	kps, pubs := keyring("a", "b", "c", "d")
 	m := NewMemo()
-	vote := NewVote("D", "a", kps["a"])
+	vote := NewVoteWith(m, "D", "a", kps["a"])
 	asked := 0
 	for _, hop := range []string{"", "b", "c", "d"} {
 		if hop != "" {
-			vote = vote.Forward(hop, kps[hop])
+			vote = vote.ForwardWith(m, hop, kps[hop])
 		}
 		if err := vote.VerifyWith(m, pubs, &asked); err != nil {
 			t.Fatalf("path of length %d: %v", vote.Len(), err)
@@ -163,7 +148,7 @@ func TestMemoVerifiesPathPrefixOnce(t *testing.T) {
 		t.Fatalf("verifications counted = %d, want 10", asked)
 	}
 	if got := realVerifications(m); got != 4 {
-		t.Fatalf("real verifications = %d, want one per distinct signature = 4", got)
+		t.Fatalf("memo misses = %d, want one per distinct signature = 4", got)
 	}
 
 	// A forged last hop is still caught behind a fully memoised prefix.
@@ -180,13 +165,13 @@ func TestMemoVerifiesPathPrefixOnce(t *testing.T) {
 func TestMemoConcurrentUse(t *testing.T) {
 	const goroutines, distinct, rounds = 16, 8, 4
 	kp := GenerateKeyPair("alice")
+	m := NewMemo()
 	msgs := make([][]byte, distinct)
 	sigs := make([][]byte, distinct)
 	for i := range msgs {
 		msgs[i] = []byte(fmt.Sprintf("statement %d", i))
-		sigs[i] = kp.Sign(msgs[i])
+		sigs[i] = m.Sign(kp, msgs[i])
 	}
-	m := NewMemo()
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -246,142 +231,93 @@ func TestKeyTableStopsAdmittingWhenFull(t *testing.T) {
 	}
 }
 
-// TestMemoSignMatchesKeyPairSign: a signature made through a memo is the
-// one KeyPair.Sign makes, whether it is signed (memo A) or served from
-// the answer table (memo B), and every caller gets its own copy.
-func TestMemoSignMatchesKeyPairSign(t *testing.T) {
+// TestMemoSignMakesFacts: a signature made through a memo is a fact —
+// the signer's public key, then the digest of key and message — that
+// depends on neither the memo nor any earlier call, and every caller
+// gets its own copy. A nil memo signs with ed25519.
+func TestMemoSignMakesFacts(t *testing.T) {
 	kp := GenerateKeyPair("alice")
 	msg := []byte("memo-sign statement")
-	want := kp.Sign(msg)
 	a, b := NewMemo(), NewMemo()
 
-	got := a.Sign(kp, msg)
+	want := a.Sign(kp, msg)
+	if d := factDigest(kp.Public, msg); !bytes.Equal(want[:32], kp.Public) || !bytes.Equal(want[32:], d[:]) {
+		t.Fatal("memo signature is not the public key followed by the fact digest")
+	}
+	got := b.Sign(kp, msg)
 	if !bytes.Equal(got, want) {
-		t.Fatal("memo A's signature differs from KeyPair.Sign")
+		t.Fatal("two memos made different facts for one key and message")
 	}
-	answers.mu.Lock()
-	stored, ok := answers.signed.get(Hash(kp.Public, msg))
-	answers.mu.Unlock()
-	if !ok || !bytes.Equal(stored[:], want) {
-		t.Fatal("memo A's signature is not in the answer table")
-	}
-	got[0] ^= 0xff // a caller mutating a signed result
-	served := b.Sign(kp, msg)
-	if !bytes.Equal(served, want) {
-		t.Fatal("memo B's signature differs from KeyPair.Sign after A's result was mutated")
-	}
-	served[1] ^= 0xff // a caller mutating a served result
+	got[0] ^= 0xff // a caller mutating a returned fact
 	if !bytes.Equal(a.Sign(kp, msg), want) || !bytes.Equal(b.Sign(kp, msg), want) {
-		t.Fatal("mutating a returned signature changed later results")
+		t.Fatal("mutating a returned fact changed later results")
+	}
+	if !b.Verify(kp.Public, msg, a.Sign(kp, msg)) {
+		t.Fatal("memo b rejected memo a's fact")
 	}
 	var plain *Memo
-	if !bytes.Equal(plain.Sign(kp, msg), want) {
+	if s := plain.Sign(kp, msg); !bytes.Equal(s, kp.Sign(msg)) || bytes.Equal(s, want) {
 		t.Fatal("nil memo does not sign like KeyPair.Sign")
 	}
 }
 
 // TestMemoSignIgnoresReassignedPublic: KeyPair.Public is an exported
-// field, so a caller can give key b a's public key. The answer table
-// knows each key by its private half, so it never serves b a's
-// signature, and it vouches for b's signature only under b's real key.
+// field, so a caller can give key b a's public key. A fact names the
+// public half of the private key that made it, so b's fact is never a's
+// and is accepted only under b's real key.
 func TestMemoSignIgnoresReassignedPublic(t *testing.T) {
 	a, b := GenerateKeyPair("reassigned/a"), GenerateKeyPair("reassigned/b")
 	bPub := b.Public
 	b.Public = a.Public
 	msg := []byte("reassigned-key statement")
 	m := NewMemo()
-	if !bytes.Equal(m.Sign(a, msg), a.Sign(msg)) {
-		t.Fatal("memo signature for a differs from a.Sign")
-	}
 	got := m.Sign(b, msg)
-	if !bytes.Equal(got, b.Sign(msg)) {
-		t.Fatal("memo served another key's signature for b")
+	if bytes.Equal(got, m.Sign(a, msg)) {
+		t.Fatal("memo made a's fact for b")
 	}
 	if NewMemo().Verify(b.Public, msg, got) {
-		t.Fatal("b's signature accepted under the reassigned b.Public")
+		t.Fatal("b's fact accepted under the reassigned b.Public")
 	}
 	if !NewMemo().Verify(bPub, msg, got) {
-		t.Fatal("b's signature rejected under b's own public key")
+		t.Fatal("b's fact rejected under b's own public key")
 	}
 }
 
-// FuzzMemoSignVerifies: for any key seed and message, a signature made
-// through a memo is KeyPair.Sign's, verifies plainly, and with one bit
-// flipped is rejected through a fresh memo.
+// FuzzMemoSignVerifies: for any key seed and message, a fact made
+// through one memo verifies through a fresh one, and is rejected with
+// one bit flipped, under another key's public half, and by plain ed25519
+// Verify; an ed25519 signature of the same message is rejected by a memo.
 func FuzzMemoSignVerifies(f *testing.F) {
 	digest := sha256.Sum256([]byte("xdeal/fuzz"))
 	f.Add("alice", []byte{})
 	f.Add("bob", bytes.Repeat([]byte{0xa5}, 1024))
 	f.Add("validator/v0", digest[:])
+	other := GenerateKeyPair("xdeal/fuzz/other")
 	f.Fuzz(func(t *testing.T, seed string, msg []byte) {
 		kp := GenerateKeyPair(seed)
 		s := NewMemo().Sign(kp, msg)
-		if !bytes.Equal(s, kp.Sign(msg)) {
-			t.Fatal("memo signature differs from KeyPair.Sign")
-		}
-		if !Verify(kp.Public, msg, s) {
-			t.Fatal("memo signature rejected by Verify")
+		if !NewMemo().Verify(kp.Public, msg, s) {
+			t.Fatal("memo-made fact rejected through a fresh memo")
 		}
 		if NewMemo().Verify(kp.Public, msg, flipBit(s)) {
-			t.Fatal("bit-flipped memo signature accepted through a fresh memo")
+			t.Fatal("bit-flipped fact accepted through a fresh memo")
+		}
+		if seed != "xdeal/fuzz/other" && NewMemo().Verify(other.Public, msg, s) {
+			t.Fatal("fact accepted under another key's public half")
+		}
+		if Verify(kp.Public, msg, s) {
+			t.Fatal("fact accepted by plain Verify")
+		}
+		if NewMemo().Verify(kp.Public, msg, kp.Sign(msg)) {
+			t.Fatal("ed25519 signature accepted through a memo")
 		}
 	})
 }
 
-// TestSharedTableDropsOldestGeneration: a table of capacity 2 keeps at
-// most two generations of two entries, drops the oldest when the newest
-// fills, keeps an entry in use by moving it forward, and answers every
-// call correctly whatever it has dropped.
-func TestSharedTableDropsOldestGeneration(t *testing.T) {
-	tab := newSharedTable(2)
-	kp := GenerateKeyPair("alice")
-	msgs := make([][]byte, 5)
-	keys := make([][32]byte, len(msgs))
-	for i := range msgs {
-		msgs[i] = []byte(fmt.Sprintf("generation statement %d", i))
-		s := tab.sign(kp, msgs[i])
-		if !bytes.Equal(s, kp.Sign(msgs[i])) {
-			t.Fatalf("message %d: table signature differs from KeyPair.Sign", i)
-		}
-		keys[i] = Hash(kp.Public, msgs[i], s)
-		if !tab.verify(keys[i], kp.Public, msgs[i], s) {
-			t.Fatalf("message %d: valid signature rejected", i)
-		}
-		if i == 2 {
-			// Entry 1 sits in the older generation; using it moves it
-			// into the newer one, so the next turnover keeps it.
-			if _, ok := tab.accepted.get(keys[1]); !ok {
-				t.Fatal("entry 1 dropped after one turnover")
-			}
-		}
-	}
-	for name, g := range map[string]int{
-		"accepted": len(tab.accepted.cur) + len(tab.accepted.old),
-		"signed":   len(tab.signed.cur) + len(tab.signed.old),
-	} {
-		if g > 4 {
-			t.Fatalf("%s holds %d entries, want at most two generations of 2", name, g)
-		}
-	}
-	// Entries 0 and 1 aged together; the second turnover dropped entry 0
-	// but not entry 1, which was used in between.
-	for i, want := range []bool{false, true, true, true, true} {
-		_, inCur := tab.accepted.cur[keys[i]]
-		_, inOld := tab.accepted.old[keys[i]]
-		if held := inCur || inOld; held != want {
-			t.Fatalf("entry %d held = %t, want %t", i, held, want)
-		}
-	}
-	// Dropped entries are recomputed, not lost.
-	if !bytes.Equal(tab.sign(kp, msgs[0]), kp.Sign(msgs[0])) {
-		t.Fatal("re-signing a dropped entry differs from KeyPair.Sign")
-	}
-}
-
 // TestMemoSignAndVerifyConcurrent signs and verifies from 16 goroutines
-// through two memos sharing the answer table (run under -race): every
-// result matches the plain primitives, and each memo's counters come out
-// as if its checks had been made one at a time.
+// through two memos (run under -race): every fact matches the one signed
+// beforehand, and each memo's counters come out as if its checks had been
+// made one at a time.
 func TestMemoSignAndVerifyConcurrent(t *testing.T) {
 	const goroutines, distinct = 16, 8
 	kp := GenerateKeyPair("carol")
@@ -389,7 +325,7 @@ func TestMemoSignAndVerifyConcurrent(t *testing.T) {
 	want := make([][]byte, distinct)
 	for i := range msgs {
 		msgs[i] = []byte(fmt.Sprintf("concurrent statement %d", i))
-		want[i] = kp.Sign(msgs[i])
+		want[i] = NewMemo().Sign(kp, msgs[i])
 	}
 	memos := [2]*Memo{NewMemo(), NewMemo()}
 	var wg sync.WaitGroup
@@ -400,14 +336,14 @@ func TestMemoSignAndVerifyConcurrent(t *testing.T) {
 			for i := range msgs {
 				s := m.Sign(kp, msgs[i])
 				if !bytes.Equal(s, want[i]) {
-					t.Error("memo signature differs from KeyPair.Sign")
+					t.Error("memo fact differs from the one signed beforehand")
 				}
 				if !m.Verify(kp.Public, msgs[i], s) {
-					t.Error("valid signature rejected")
+					t.Error("valid fact rejected")
 				}
 				s[0] ^= 0xff
 				if m.Verify(kp.Public, msgs[i], s) {
-					t.Error("tampered signature accepted")
+					t.Error("tampered fact accepted")
 				}
 			}
 		}(memos[g%2])

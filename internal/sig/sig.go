@@ -9,9 +9,16 @@
 // path p only if it arrives before t0 + |p|·Δ, so the chain length is
 // load-bearing: it proves how many forwarding hops the vote took and
 // therefore how late it may legitimately be.
+//
+// Signatures come in two schemes. The plain forms (KeyPair.Sign, Verify,
+// PathSig.Forward and Verify, and a nil *Memo) run ed25519. A simulated
+// world signs and verifies through its own non-nil Memo instead, whose
+// signatures are facts only this package can make (see Memo): no claim
+// of the paper rests on the curve, only on signatures being unforgeable.
 package sig
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"crypto/sha256"
 	"encoding/binary"
@@ -92,19 +99,23 @@ func Verify(pub ed25519.PublicKey, msg, sig []byte) bool {
 	return ed25519.Verify(pub, msg, sig)
 }
 
-// Memo remembers the (key, message, signature) triples Verify has
-// accepted, so one world checks each distinct signature once however
-// many contracts are shown it: the same 2f+1 certificate at every escrow
-// of a deal, the prefix p of a path signature p·q at every hop. Its
-// counters score only those repeats within the world. A triple it has
-// not seen is answered by the process-wide answer table (see answers),
-// which runs ed25519 only for triples no world has had accepted or
-// signed yet. Only acceptances, and the table's own signatures, are
-// recorded — a rejected or tampered triple is verified for real every
-// time — so a memo never accepts what Verify would reject. Triples are kept as
-// Hash(pub, msg, sig), whose length prefixes keep distinct triples
-// distinct. It is safe for concurrent use, and a nil *Memo verifies and
-// signs plainly.
+// Memo is one world's signature scheme. Under a non-nil memo a
+// signature is a fact rather than an ed25519 signature: 64 bytes, the
+// signer's public key followed by the SHA-256 of a package-private key,
+// the public key and the message (see factDigest). Only this package can
+// compute that digest, and it computes one only for a caller holding the
+// private key, so outside sig a fact can be copied and replayed but never
+// made — the unforgeable signatures the paper's model (§3) assumes, read
+// the Dolev–Yao way, at the cost of one SHA-256 instead of curve
+// arithmetic. A fact verifies only through a memo and an ed25519
+// signature only without one, so every signer and verifier of one world
+// must share its memo.
+//
+// The memo also remembers the facts it has accepted, so its counters can
+// score the checks that repeat one within the world: the same 2f+1
+// certificate at every escrow of a deal, the prefix p of a path signature
+// p·q at every hop. A rejected fact is never remembered. It is safe for
+// concurrent use, and a nil *Memo signs and verifies with ed25519.
 type Memo struct {
 	mu            sync.Mutex
 	accepted      map[[32]byte]struct{}
@@ -117,43 +128,41 @@ func NewMemo() *Memo {
 	return &Memo{accepted: make(map[[32]byte]struct{})}
 }
 
-// Verify reports whether sig is a valid signature of msg under pub,
-// running the signature scheme only for triples not accepted before.
+// factKey is the package-private key every fact digest is taken under.
+var factKey = []byte("xdeal/sig/fact")
+
+// factDigest is the second half of the fact that pub's key pair makes
+// for msg.
+func factDigest(pub, msg []byte) [32]byte { return Hash(factKey, pub, msg) }
+
+// Verify reports whether sig is a fact of msg under pub: its first half
+// is pub and its second half is their digest.
 func (m *Memo) Verify(pub ed25519.PublicKey, msg, sig []byte) bool {
 	if m == nil {
 		return Verify(pub, msg, sig)
 	}
-	key := Hash(pub, msg, sig)
+	valid := len(sig) == ed25519.SignatureSize && bytes.Equal(sig[:ed25519.PublicKeySize], pub)
+	var d [32]byte
+	if valid {
+		d = factDigest(pub, msg)
+		valid = bytes.Equal(sig[ed25519.PublicKeySize:], d[:])
+	}
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.verifications++
-	_, hit := m.accepted[key]
-	if hit {
-		m.hits++
-	}
-	m.mu.Unlock()
-	if hit {
-		return true
-	}
-	if !answers.verify(key, pub, msg, sig) {
+	if !valid {
 		return false
 	}
-	m.mu.Lock()
-	if _, raced := m.accepted[key]; raced {
-		// Another goroutine accepted the same triple meanwhile. Count
-		// it as the hit it would have been one at a time, so the
-		// counters do not depend on goroutine timing.
+	if _, hit := m.accepted[d]; hit {
 		m.hits++
 	} else {
-		m.accepted[key] = struct{}{}
+		m.accepted[d] = struct{}{}
 	}
-	m.mu.Unlock()
 	return true
 }
 
 // Stats returns how many verifications were asked of the memo and how
-// many of them repeated a triple the memo had already accepted. Misses
-// the answer table serves still count as misses, so both figures are
-// the same whatever other worlds the process has run.
+// many of them repeated a fact the memo had already accepted.
 func (m *Memo) Stats() (verifications, hits uint64) {
 	if m == nil {
 		return 0, 0
@@ -163,127 +172,17 @@ func (m *Memo) Stats() (verifications, hits uint64) {
 	return m.verifications, m.hits
 }
 
-// Sign returns key's signature of msg, the bytes key.Sign returns. Under
-// a non-nil memo the signature comes from the process-wide answer table
-// when any world has asked for it before: ed25519 signing is
-// deterministic (RFC 8032), so the stored bytes are exactly what signing
-// again would produce. The table knows the signing key by its private
-// half, so reassigning key.Public cannot make it serve another key's
-// signature. Every call returns a fresh slice the caller may modify.
+// Sign returns key's fact of msg, or key.Sign(msg) under a nil memo. The
+// fact names the public half of key's private key, not key.Public, which
+// a caller may have reassigned. Every call returns a fresh slice the
+// caller may modify.
 func (m *Memo) Sign(key KeyPair, msg []byte) []byte {
 	if m == nil {
 		return key.Sign(msg)
 	}
-	return answers.sign(key, msg)
-}
-
-// answerTableCap bounds each generation of the answer table: a
-// population sweep reuses a few thousand distinct signatures, and a
-// stream of fresh ones must not grow the process.
-const answerTableCap = 32768
-
-// answers is the process-wide answer table under every memo. Unlike a
-// memo it counts nothing that reaches a metric, so it can be shared by
-// every world without letting one world's work show in another's: it
-// only saves re-running ed25519 on inputs whose answer some world already
-// computed. A triple is answered without ed25519 once any world has had
-// it accepted or signed it.
-var answers = newSharedTable(answerTableCap)
-
-// sharedTable holds what ed25519 computed for earlier inputs — accepted
-// (pub, msg, sig) triples and (pub, msg) signatures — for any number of
-// goroutines. A signature it makes is also recorded as accepted under
-// the signing key's own public half: ed25519 signatures always verify
-// under the key pair that made them, so the table still holds nothing
-// Verify would reject.
-type sharedTable struct {
-	mu       sync.Mutex
-	accepted generations[struct{}]
-	signed   generations[[ed25519.SignatureSize]byte]
-	// verifyRuns and signRuns count the table's calls to Verify and
-	// KeyPair.Sign, for tests; no metric reads them.
-	verifyRuns, signRuns uint64
-}
-
-func newSharedTable(max int) *sharedTable {
-	return &sharedTable{
-		accepted: newGenerations[struct{}](max),
-		signed:   newGenerations[[ed25519.SignatureSize]byte](max),
-	}
-}
-
-// verify is Verify for the triple that key hashes, run only if no
-// earlier call accepted it. Rejections are not recorded.
-func (t *sharedTable) verify(key [32]byte, pub ed25519.PublicKey, msg, sig []byte) bool {
-	t.mu.Lock()
-	_, ok := t.accepted.get(key)
-	t.mu.Unlock()
-	if ok {
-		return true
-	}
-	valid := Verify(pub, msg, sig)
-	t.mu.Lock()
-	t.verifyRuns++
-	if valid {
-		t.accepted.put(key, struct{}{})
-	}
-	t.mu.Unlock()
-	return valid
-}
-
-// sign is key.Sign(msg), signed only if no earlier call signed msg
-// under key, and always returned as a fresh slice. Both the signature
-// and the acceptance it implies are keyed by the public half of key's
-// private key, not by key.Public, which a caller may have reassigned.
-func (t *sharedTable) sign(key KeyPair, msg []byte) []byte {
 	pub := key.private[ed25519.SeedSize:]
-	h := Hash(pub, msg)
-	t.mu.Lock()
-	s, ok := t.signed.get(h)
-	t.mu.Unlock()
-	if ok {
-		return append([]byte(nil), s[:]...)
-	}
-	out := key.Sign(msg)
-	copy(s[:], out)
-	t.mu.Lock()
-	t.signRuns++
-	t.signed.put(h, s)
-	t.accepted.put(Hash(pub, msg, out), struct{}{})
-	t.mu.Unlock()
-	return out
-}
-
-// generations is a map bounded to two generations of at most max
-// entries each: when the newer one fills, the older one is dropped and
-// a fresh one begins. An entry found in the older generation moves to
-// the newer one, so entries in use survive the turnover. The caller
-// synchronises access.
-type generations[V any] struct {
-	max      int
-	cur, old map[[32]byte]V
-}
-
-func newGenerations[V any](max int) generations[V] {
-	return generations[V]{max: max, cur: make(map[[32]byte]V)}
-}
-
-func (g *generations[V]) get(k [32]byte) (V, bool) {
-	if v, ok := g.cur[k]; ok {
-		return v, true
-	}
-	v, ok := g.old[k]
-	if ok {
-		g.put(k, v)
-	}
-	return v, ok
-}
-
-func (g *generations[V]) put(k [32]byte, v V) {
-	if len(g.cur) >= g.max {
-		g.old, g.cur = g.cur, make(map[[32]byte]V)
-	}
-	g.cur[k] = v
+	d := factDigest(pub, msg)
+	return append(append(make([]byte, 0, ed25519.SignatureSize), pub...), d[:]...)
 }
 
 // Hash returns the SHA-256 hash of the concatenation of parts, with

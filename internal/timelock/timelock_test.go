@@ -28,9 +28,14 @@ type world struct {
 	mgr   *Manager
 	keys  map[string]sig.KeyPair
 	pubs  map[string]ed25519.PublicKey
+	memo  *sig.Memo // the chain verifies, and vote signs, through it
 }
 
-func newWorld(t *testing.T) *world {
+func newWorld(t *testing.T) *world { return newWorldIn(t, nil) }
+
+// newWorldIn is newWorld under memo's signature scheme: nil for ed25519,
+// a memo for a simulated world's facts.
+func newWorldIn(t *testing.T, memo *sig.Memo) *world {
 	t.Helper()
 	sched := sim.NewScheduler()
 	keys := make(map[string]sig.KeyPair)
@@ -46,6 +51,7 @@ func newWorld(t *testing.T) *world {
 		Delays:        chain.SyncPolicy{Min: 1, Max: 3},
 		Schedule:      gas.DefaultSchedule(),
 		Keys:          pubs,
+		VerifyMemo:    memo,
 	}, sched, sim.NewRNG(7))
 	w := &world{
 		c:     c,
@@ -54,6 +60,7 @@ func newWorld(t *testing.T) *world {
 		mgr:   New(escrow.NewBook("coin", deal.Fungible)),
 		keys:  keys,
 		pubs:  pubs,
+		memo:  memo,
 	}
 	c.MustDeploy("coin", w.coin)
 	c.MustDeploy("coin-escrow", w.mgr)
@@ -92,7 +99,13 @@ func (w *world) fundAndEscrow(t *testing.T, p chain.Addr, amount uint64) {
 }
 
 func (w *world) vote(p chain.Addr) sig.PathSig {
-	return sig.NewVote("D", string(p), w.keys[string(p)])
+	return sig.NewVoteWith(w.memo, "D", string(p), w.keys[string(p)])
+}
+
+// schemes runs check in a world of each signature scheme.
+func schemes(t *testing.T, check func(t *testing.T, w *world)) {
+	t.Run("ed25519", func(t *testing.T) { check(t, newWorldIn(t, nil)) })
+	t.Run("facts", func(t *testing.T) { check(t, newWorldIn(t, sig.NewMemo())) })
 }
 
 func TestUnanimousDirectVotesRelease(t *testing.T) {
@@ -213,27 +226,41 @@ func TestOutsiderSignerRejected(t *testing.T) {
 }
 
 func TestForgedVoteRejected(t *testing.T) {
-	// Bob fabricates "carol's vote" by signing it himself.
-	w := newWorld(t)
-	w.fundAndEscrow(t, "alice", 100)
-	forged := sig.PathSig{
-		Deal: "D", Voter: "carol",
-		Signers: []string{"carol"},
-		Sigs:    [][]byte{w.keys["bob"].Sign([]byte("fake"))},
-	}
-	r := w.call("bob", "coin-escrow", MethodCommit, CommitArgs{Deal: "D", Vote: forged})
-	if r.Err == nil {
-		t.Fatal("forged vote accepted")
-	}
-	if w.mgr.Votes("D")["carol"] {
-		t.Fatal("forged vote recorded")
-	}
+	schemes(t, func(t *testing.T, w *world) {
+		// Bob fabricates "carol's vote": once by signing it himself, once
+		// by relabelling his own genuine vote as hers.
+		w.fundAndEscrow(t, "alice", 100)
+		own := w.vote("bob")
+		for name, forged := range map[string]sig.PathSig{
+			"signed by bob": {
+				Deal: "D", Voter: "carol",
+				Signers: []string{"carol"},
+				Sigs:    [][]byte{w.memo.Sign(w.keys["bob"], []byte("fake"))},
+			},
+			"bob's vote relabelled": {
+				Deal: "D", Voter: "carol",
+				Signers: []string{"carol"},
+				Sigs:    own.Sigs,
+			},
+		} {
+			r := w.call("bob", "coin-escrow", MethodCommit, CommitArgs{Deal: "D", Vote: forged})
+			if r.Err == nil {
+				t.Fatalf("%s: forged vote accepted", name)
+			}
+			if w.mgr.Votes("D")["carol"] {
+				t.Fatalf("%s: forged vote recorded", name)
+			}
+		}
+	})
 }
 
 func TestCrossDealReplayRejected(t *testing.T) {
 	// A vote for D cannot be replayed for D2 (§5: D is effectively a
 	// nonce). Register D2 and replay alice's D-vote against it.
-	w := newWorld(t)
+	schemes(t, testCrossDealReplay)
+}
+
+func testCrossDealReplay(t *testing.T, w *world) {
 	w.fundAndEscrow(t, "alice", 50)
 	w.call("bank", "coin", token.MethodMint, token.MintArgs{To: "bob", Amount: 10})
 	w.call("bob", "coin", token.MethodApprove, token.ApproveArgs{Operator: "coin-escrow", Allowed: true})

@@ -116,7 +116,7 @@ func (t *Tower) onEvent(ev chain.Event) {
 			Label:    party.LabelCommit,
 			Args: timelock.CommitArgs{
 				Deal: t.cfg.Spec.ID,
-				Vote: data.Vote.Forward(string(t.cfg.Client), t.cfg.ClientKeys),
+				Vote: data.Vote.ForwardWith(c.Memo(), string(t.cfg.Client), t.cfg.ClientKeys),
 			},
 			OnReceipt: t.observeReceipt,
 		})
