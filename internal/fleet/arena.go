@@ -107,10 +107,16 @@ func (g *Generator) ArenaPopulation(a, count int, ao ArenaOptions) ([]arena.Deal
 	if err != nil {
 		return nil, err
 	}
+	return g.arenaPopulation(a, count, ao.Chains, world)
+}
+
+// arenaPopulation is ArenaPopulation for options already resolved:
+// chains shared chains, and world, arena a's run options.
+func (g *Generator) arenaPopulation(a, count, chains int, world arena.Options) ([]arena.DealSetup, error) {
 	seed := sim.Mix64(g.opts.Seed ^ sim.Mix64(uint64(a)+0x51ed270b941a9e37))
 	return arena.NewPopulation(seed, arena.PopOptions{
 		Deals:         count,
-		Chains:        ao.Chains,
+		Chains:        chains,
 		MaxParties:    g.opts.MaxParties,
 		AdversaryRate: g.opts.AdversaryRate,
 	}, world)
@@ -143,20 +149,21 @@ func arenaRunOptions(gen GenOptions, ao ArenaOptions, arenaIdx int) (arena.Optio
 	return o, nil
 }
 
-// runArena synthesizes and executes arena a of a totalDeals population.
-// Both the sweep and the replay path go through here, so a flagged deal
-// is guaranteed to replay inside the identical world. A non-nil metrics
-// registry receives the arena's substrate and interference counters.
+// runArena synthesizes and executes arena a of a totalDeals population
+// under ao, whose defaults the caller has resolved. Both the sweep and
+// the replay path go through here, so a flagged deal is guaranteed to
+// replay inside the identical world. A non-nil metrics registry receives
+// the arena's substrate and interference counters.
 func runArena(gen *Generator, ao ArenaOptions, a, totalDeals int, metrics *obs.Registry) (*arena.Result, error) {
 	count := ao.DealsPerArena
 	if rest := totalDeals - a*ao.DealsPerArena; rest < count {
 		count = rest
 	}
-	pop, err := gen.ArenaPopulation(a, count, ao)
+	ropts, err := arenaRunOptions(gen.opts, ao, a)
 	if err != nil {
 		return nil, err
 	}
-	ropts, err := arenaRunOptions(gen.opts, ao, a)
+	pop, err := gen.arenaPopulation(a, count, ao.Chains, ropts)
 	if err != nil {
 		return nil, err
 	}

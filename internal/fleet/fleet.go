@@ -150,28 +150,25 @@ func (w *world) runJob(job Job) {
 			OnFrontRun: func(_ chain.Addr, _ string, bid uint64, won bool) { w.inter.Race(bid, won) },
 		}
 	}
-	e, err := engine.Build(job.Spec, job.Opts)
-	if err != nil {
-		// A failed build is a population observation: recorded, not
-		// fatal to the sweep.
-		w.rec = Record{
-			Index: job.Index, Seed: job.Seed, SpecID: job.Spec.ID,
-			Shape: job.Shape, Protocol: job.Opts.Protocol.String(),
-			Adversaries: job.Adversaries,
-			Err:         fmt.Sprintf("build: %v", err),
-		}
-		return
-	}
-	r := e.Run()
-	w.rec = withResult(Record{
+	w.rec = Record{
 		Index:        job.Index,
 		Seed:         job.Seed,
+		SpecID:       job.Spec.ID,
 		Shape:        job.Shape,
 		Protocol:     job.Opts.Protocol.String(),
 		Adversaries:  job.Adversaries,
 		Outage:       job.Outage,
 		Sequenceable: job.Sequenceable,
-	}, r)
+	}
+	e, err := engine.Build(job.Spec, job.Opts)
+	if err != nil {
+		// A failed build is a population observation: recorded, with
+		// the job's labels, not fatal to the sweep.
+		w.rec.Err = fmt.Sprintf("build: %v", err)
+		return
+	}
+	r := e.Run()
+	w.rec = withResult(w.rec, r)
 	w.fees = r.Fees
 	if w.metrics != nil {
 		e.RegisterMetrics(w.metrics)

@@ -227,6 +227,35 @@ func TestViolationCountingFlagsSeeds(t *testing.T) {
 	}
 }
 
+// TestFailedBuildKeepsJobLabels: a compliant deal with an outage window
+// whose world fails to build is recorded with the job's Outage and
+// Sequenceable labels, so the fully compliant slice does not count it.
+func TestFailedBuildKeepsJobLabels(t *testing.T) {
+	gen, err := NewGenerator(GenOptions{Seed: 42, Protocol: "timelock"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := gen.Job(0)
+	job.Adversaries, job.Outage, job.Sequenceable = 0, true, true
+	broken := *job.Spec
+	broken.Parties = nil
+	job.Spec = &broken
+
+	r := RunJobs([]Job{job}, 1)[0]
+	if !strings.HasPrefix(r.Err, "build: ") {
+		t.Fatalf("record error = %q, want a build error", r.Err)
+	}
+	if !r.Outage || !r.Sequenceable || r.SpecID != broken.ID {
+		t.Fatalf("failed build recorded as outage=%t sequenceable=%t spec=%q, want the job's labels",
+			r.Outage, r.Sequenceable, r.SpecID)
+	}
+	rep := Aggregate([]Record{r})
+	if rep.Total.Errored != 1 || rep.FullyCompliant.Runs != 0 {
+		t.Fatalf("total errored = %d, fully compliant runs = %d; want 1 and 0",
+			rep.Total.Errored, rep.FullyCompliant.Runs)
+	}
+}
+
 // TestGeneratorSpecsValid: every generated spec passes full validation
 // (structural, timelock params, strong connectivity), and every
 // generated behavior is genuinely non-compliant.
