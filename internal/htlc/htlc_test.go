@@ -2,6 +2,7 @@ package htlc
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"xdeal/internal/chain"
@@ -109,6 +110,64 @@ func TestSupportsSwapShapes(t *testing.T) {
 	}
 	if err := Supports(deal.AuctionSpec(1, 1, 100, 50)); err == nil {
 		t.Fatal("auction deal accepted: the seller forwards the loser's refund")
+	}
+}
+
+// TestSupportsRejectsArcOffTheCycle: random specs that draw a 4-cycle
+// plus one arc are swap-funded but not one simple cycle; with every
+// party compliant Swap would refund all five locks, so Supports rejects
+// them and names the extra arc.
+func TestSupportsRejectsArcOffTheCycle(t *testing.T) {
+	for seed, arc := range map[uint64]string{
+		164: "transfer 4 (p02→p01 at chain00/esc00)",
+		178: "transfer 4 (p03→p02 at chain01/esc01)",
+	} {
+		spec := deal.RandomSpec(sim.NewRNG(seed), 4, 2, 2, 1, 1)
+		err := Supports(spec)
+		if err == nil || !strings.Contains(err.Error(), arc) {
+			t.Fatalf("seed %d: Supports = %v, want a rejection naming %s", seed, err, arc)
+		}
+	}
+}
+
+// TestAcceptedSwapsPayEveryFollowerFirst is the static check behind
+// Swap's deadlines: in every spec Supports accepts, each incoming lock
+// of each party but the leader outlives each of its outgoing locks by at
+// least Δ, so a follower who learns the secret from its last possible
+// outgoing claim still claims every lock that pays it. The leader holds
+// the secret and claims first.
+func TestAcceptedSwapsPayEveryFollowerFirst(t *testing.T) {
+	const delta = 7
+	specs := []*deal.Spec{deal.SwapSpec(1, 1)}
+	for n := 2; n <= 8; n++ {
+		specs = append(specs, deal.RingSpec(n, 1, 1))
+	}
+	for seed := uint64(0); seed < 300; seed++ {
+		for extra := 0; extra <= 2; extra++ {
+			specs = append(specs, deal.RandomSpec(sim.NewRNG(seed), 2+int(seed%5), 2, extra, 1, 1))
+		}
+	}
+	accepted := 0
+	for _, spec := range specs {
+		if Supports(spec) != nil {
+			continue
+		}
+		accepted++
+		s, err := NewSwap(SwapConfig{Spec: spec, Delta: delta})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, out := range spec.Transfers {
+			for j, in := range spec.Transfers {
+				if out.From != s.leader && in.To == out.From && s.deadline(j) < s.deadline(i)+delta {
+					t.Fatalf("%s: %s is paid on lock %d (deadline %d), less than Δ after its own lock %d (deadline %d)",
+						spec.ID, out.From, j, s.deadline(j), i, s.deadline(i))
+				}
+			}
+		}
+	}
+	if accepted < 50 {
+		t.Fatalf("only %d of %d specs accepted; the check covers too few", accepted, len(specs))
 	}
 }
 

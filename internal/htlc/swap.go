@@ -16,7 +16,8 @@ import (
 // obligations must cover its outgoing transfers in full. A broker like
 // Alice — whose outgoing assets are funded by her incoming ones — fails
 // this check, which is the paper's central motivating example (§1.1, §8:
-// "Alice starts with nothing to swap").
+// "Alice starts with nothing to swap"). The transfers must also form the
+// one simple cycle Swap runs (see simpleCycle).
 func Supports(spec *deal.Spec) error {
 	plan := deal.NewPlan(spec)
 	for _, p := range spec.Parties {
@@ -40,6 +41,36 @@ func Supports(spec *deal.Spec) error {
 				return fmt.Errorf("htlc: party %s passes token %s through at %s; not swap-shaped", p, t.Asset.ID, key)
 			}
 		}
+	}
+	return simpleCycle(spec)
+}
+
+// simpleCycle checks that the transfers, in spec order, trace one simple
+// cycle from the leader, the sender of transfer 0, back to it. Swap's
+// single secret and its (2n − i)·Δ deadlines are right for that digraph
+// only: there every party but the leader is paid on a lock that outlives
+// its own by Δ. The error names the first transfer off the cycle.
+func simpleCycle(spec *deal.Spec) error {
+	if len(spec.Transfers) == 0 {
+		return nil // NewSwap rejects an empty swap
+	}
+	leader := spec.Transfers[0].From
+	off := func(i int) error {
+		t := spec.Transfers[i]
+		return fmt.Errorf("htlc: transfer %d (%s→%s at %s) is off the simple cycle through leader %s; not swap-shaped",
+			i, t.From, t.To, t.Asset.Key(), leader)
+	}
+	at := leader
+	sent := make(map[chain.Addr]bool, len(spec.Transfers))
+	for i, t := range spec.Transfers {
+		if t.From != at || sent[at] {
+			return off(i)
+		}
+		sent[at] = true
+		at = t.To
+	}
+	if at != leader {
+		return off(len(spec.Transfers) - 1)
 	}
 	return nil
 }
