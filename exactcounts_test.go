@@ -83,6 +83,33 @@ func TestExactCounts(t *testing.T) {
 		}
 		return
 	}
+	want := loadExactCounts(t)
+	for _, w := range exactWorkloads {
+		checkExactCounts(t, w.name, want[w.name], got[w.name])
+	}
+}
+
+// TestExactCountsIndependentOfProcessHistory runs the exact-count
+// workloads in one process in order and then in reverse: each must
+// reproduce its pinned digest and counts whatever the process ran
+// before it, so no state kept across worlds — the key table, or any
+// cache — reaches a report or a count.
+func TestExactCountsIndependentOfProcessHistory(t *testing.T) {
+	want := loadExactCounts(t)
+	for _, order := range []string{"forward", "reverse"} {
+		for k := range exactWorkloads {
+			w := exactWorkloads[k]
+			if order == "reverse" {
+				w = exactWorkloads[len(exactWorkloads)-1-k]
+			}
+			checkExactCounts(t, order+" "+w.name, want[w.name], measureExactCounts(t, w.opts))
+		}
+	}
+}
+
+// loadExactCounts reads the pinned fixture.
+func loadExactCounts(t *testing.T) map[string]exactCounts {
+	t.Helper()
 	raw, err := os.ReadFile(exactCountsPath)
 	if err != nil {
 		t.Fatalf("%v (run with -update to create it)", err)
@@ -91,10 +118,15 @@ func TestExactCounts(t *testing.T) {
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatalf("%s: %v", exactCountsPath, err)
 	}
-	for _, w := range exactWorkloads {
-		if moved := diffExactCounts(want[w.name], got[w.name]); len(moved) > 0 {
-			t.Errorf("%s: %d exact counts moved:\n\t%s", w.name, len(moved), strings.Join(moved, "\n\t"))
-		}
+	return want
+}
+
+// checkExactCounts reports every count of the run named name that
+// moved from want.
+func checkExactCounts(t *testing.T, name string, want, got exactCounts) {
+	t.Helper()
+	if moved := diffExactCounts(want, got); len(moved) > 0 {
+		t.Errorf("%s: %d exact counts moved:\n\t%s", name, len(moved), strings.Join(moved, "\n\t"))
 	}
 }
 
