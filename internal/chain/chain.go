@@ -183,11 +183,11 @@ type Config struct {
 	// Keys is the public keyring: every party's public key is known to
 	// all (§3), including to contracts, which need them to verify votes.
 	Keys map[string]ed25519.PublicKey
-	// VerifyMemo remembers the signatures contracts on this chain have
-	// already accepted, so a certificate or path prefix shown to many
-	// escrows is checked once per world (see sig.Memo). Gas is
-	// still charged per verification. The engine shares one memo among
-	// all chains of a substrate; nil verifies every signature in full.
+	// VerifyMemo is the world's signature scheme the chain's contracts
+	// verify in: they accept only facts signed through it, and it counts
+	// the checks that repeat one (see sig.Memo). Gas is still charged
+	// per verification. The engine shares one memo among all chains of a
+	// substrate; nil verifies ed25519 signatures.
 	VerifyMemo *sig.Memo
 	// OutageFrom/OutageUntil model a denial-of-service window during
 	// which the chain produces no blocks (§5.3, §9): transactions queue

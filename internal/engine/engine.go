@@ -108,14 +108,13 @@ type Substrate struct {
 	cfg  SubstrateConfig
 	rng  *sim.RNG
 	pubs map[string]ed25519.PublicKey
-	// memo is shared by every chain, party and CBC of the substrate, so
-	// a signature shown to many escrows of a deal (or of an arena) is
-	// checked once; it lives and dies with this world. Its counted hits
-	// are deliberately per world: the generator reuses deal ids and party
-	// names across a population, and a global count would score
+	// memo is the world's signature scheme, shared by every chain,
+	// party and CBC of the substrate: they sign facts through it and
+	// verify only its facts (see sig.Memo), so no ed25519 runs inside
+	// the world. It lives and dies with this world, and so do its
+	// counted hits, deliberately: the generator reuses deal ids and
+	// party names across a population, and a global count would score
 	// cross-deal hits a real deployment (deal id = nonce, §5) never sees.
-	// Beneath it, sig's uncounted process-wide answer table saves
-	// re-running ed25519 on inputs an earlier world already computed.
 	memo      *sig.Memo
 	cbcs      []*cbc.CBC // every deal's CBC service, in build order
 	fungibles map[string]*token.Fungible
@@ -251,7 +250,7 @@ type World struct {
 	// for evaluation.
 	plan *deal.Plan
 	keys map[string]sig.KeyPair
-	memo *sig.Memo // the substrate's verified-signature memo
+	memo *sig.Memo // the substrate's signature memo
 
 	// outageBeyondDelta is the longest configured DoS window on any of
 	// this deal's chains that exceeds the spec's Δ — the condition under

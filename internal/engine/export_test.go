@@ -6,7 +6,7 @@ import (
 )
 
 // WithoutVerifyMemo runs fn with every substrate created meanwhile
-// making and verifying each signature in full, as if no memo existed.
+// signing and verifying with ed25519, as if no memo existed.
 func WithoutVerifyMemo(fn func()) {
 	defer func(restore func() *sig.Memo) { newVerifyMemo = restore }(newVerifyMemo)
 	newVerifyMemo = func() *sig.Memo { return nil }

@@ -212,7 +212,8 @@ func TestRunLimitCutsOffEarly(t *testing.T) {
 // TestWholeSystemDeterminism: identical seeds must yield bit-identical
 // results — outcomes, balance deltas, phase times, and gas — across a
 // protocol execution involving multiple chains, adversaries, and the CBC.
-// This is the property every experiment in EXPERIMENTS.md leans on.
+// This is the property every experiment in README's "Reproducing the
+// paper's evaluation" leans on.
 func TestWholeSystemDeterminism(t *testing.T) {
 	run := func() *Result {
 		spec := deal.BrokerSpec(2000, 1000)

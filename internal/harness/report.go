@@ -11,8 +11,8 @@ import (
 // experiment at the given seed: Figure 4 with its sweeps, Figure 7 with
 // the commit- and transfer-scaling series, the PoW attack analysis, the
 // proof-format ablation, and the HTLC baseline comparison. cmd/benchtab
-// uses it for the `report` subcommand; EXPERIMENTS.md is its curated
-// twin.
+// uses it for the `report` subcommand; README's "Reproducing the
+// paper's evaluation" lists the per-table commands.
 func WriteReport(w io.Writer, seed uint64, trials int) error {
 	fmt.Fprintln(w, "# xdeal experiment report")
 	fmt.Fprintln(w)
