@@ -129,6 +129,8 @@ func NewMemo() *Memo {
 }
 
 // factKey is the package-private key every fact digest is taken under.
+// It is a constant so that runs repeat bit for bit; what keeps facts
+// unforgeable is that no code outside sig takes a digest under it.
 var factKey = []byte("xdeal/sig/fact")
 
 // factDigest is the second half of the fact that pub's key pair makes
