@@ -180,21 +180,6 @@ func TestCertificateForeignSignatureRejected(t *testing.T) {
 	})
 }
 
-// TestCertificateOtherSchemeRejected: a certificate verifies only in the
-// scheme that signed it — an ed25519 certificate shown to a world's memo,
-// or a memo-signed one checked plainly, fails its first signature.
-func TestCertificateOtherSchemeRejected(t *testing.T) {
-	c, signers := NewCommittee("cbc", 0, 1)
-	plain := MakeCertificate([]byte("x"), 0, signers[:3])
-	facts := MakeCertificateWith(sig.NewMemo(), []byte("x"), 0, signers[:3])
-	if err := plain.VerifyWith(sig.NewMemo(), c, nil); !errors.Is(err, ErrBadSignature) {
-		t.Fatalf("ed25519 certificate through a memo: err = %v, want ErrBadSignature", err)
-	}
-	if err := facts.Verify(c, nil); !errors.Is(err, ErrBadSignature) {
-		t.Fatalf("memo-signed certificate checked plainly: err = %v, want ErrBadSignature", err)
-	}
-}
-
 // plainVerify is the un-memoised certificate check VerifyChain is given
 // outside a chain.Env, counting into n when non-nil.
 func plainVerify(n *int) func(Certificate, Committee) error {
