@@ -27,7 +27,8 @@ bench:
 	done
 
 # CI's allocation-budget gate: fail if the isolated or the arena sweep in
-# allocbudget_test.go allocates more bytes/deal than its ceiling.
+# allocbudget_test.go allocates more bytes/deal or mallocs/deal than its
+# ceilings.
 .PHONY: alloc-gate
 alloc-gate:
 	$(GO) test -run TestAllocationBudgetPerDeal -v .

@@ -90,19 +90,26 @@ func TestExactCounts(t *testing.T) {
 }
 
 // TestExactCountsIndependentOfProcessHistory runs the exact-count
-// workloads in one process in order and then in reverse: each must
-// reproduce its pinned digest and counts whatever the process ran
-// before it, so no state kept across worlds — the key table, or any
-// cache — reaches a report or a count.
+// workloads in one process in order, then in reverse, then in order on
+// four workers: each must reproduce its pinned digest and counts whatever
+// the process ran before it, so no state kept across worlds — the key
+// table, a worker's reused substrate, or any cache — reaches a report or
+// a count. With four workers, which deal a worker's substrate ran before
+// another varies from run to run, so a leak across resets shows here as
+// flakiness.
 func TestExactCountsIndependentOfProcessHistory(t *testing.T) {
 	want := loadExactCounts(t)
-	for _, order := range []string{"forward", "reverse"} {
+	for _, pass := range []struct {
+		name    string
+		reverse bool
+		workers int
+	}{{"forward", false, 1}, {"reverse", true, 1}, {"workers-4", false, 4}} {
 		for k := range exactWorkloads {
 			w := exactWorkloads[k]
-			if order == "reverse" {
+			if pass.reverse {
 				w = exactWorkloads[len(exactWorkloads)-1-k]
 			}
-			checkExactCounts(t, order+" "+w.name, want[w.name], measureExactCounts(t, w.opts))
+			checkExactCounts(t, pass.name+" "+w.name, want[w.name], measureExactCountsOn(t, w.opts, pass.workers))
 		}
 	}
 }
@@ -136,7 +143,14 @@ func checkExactCounts(t *testing.T, name string, want, got exactCounts) {
 // scheduler steps and gas-op counts.
 func measureExactCounts(t *testing.T, opts fleet.Options) exactCounts {
 	t.Helper()
-	opts.Workers = 1
+	return measureExactCountsOn(t, opts, 1)
+}
+
+// measureExactCountsOn is measureExactCounts with the sweep on workers
+// workers.
+func measureExactCountsOn(t *testing.T, opts fleet.Options, workers int) exactCounts {
+	t.Helper()
+	opts.Workers = workers
 	opts.Gen.Seed = 7
 	reg := obs.NewRegistry()
 	opts.Obs = &fleet.ObsOptions{Metrics: reg}

@@ -27,6 +27,11 @@ type world struct {
 
 func newWorld(t *testing.T, f int) *world {
 	t.Helper()
+	return newWorldWith(f, NewManager(escrow.NewBook("coin", deal.Fungible)))
+}
+
+// newWorldWith is newWorld with mgr as the coin's escrow contract.
+func newWorldWith(f int, mgr *Manager) *world {
 	sched := sim.NewScheduler()
 	rng := sim.NewRNG(11)
 	service := New(Config{
@@ -34,12 +39,12 @@ func newWorld(t *testing.T, f int) *world {
 		Delays:   chain.SyncPolicy{Min: 1, Max: 3},
 		Schedule: gas.DefaultSchedule(),
 	}, sched, rng)
-	return newWorldOn(sched, rng, service, "coinchain", nil)
+	return newWorldOn(sched, rng, service, "coinchain", nil, mgr)
 }
 
-// newWorldOn hosts one more asset chain, with its own coin and CBC
-// escrow manager, beside an existing CBC service.
-func newWorldOn(sched *sim.Scheduler, rng *sim.RNG, service *CBC, id chain.ID, memo *sig.Memo) *world {
+// newWorldOn hosts one more asset chain, with its own coin and the CBC
+// escrow manager mgr, beside an existing CBC service.
+func newWorldOn(sched *sim.Scheduler, rng *sim.RNG, service *CBC, id chain.ID, memo *sig.Memo, mgr *Manager) *world {
 	w := &world{
 		sched: sched,
 		cbc:   service,
@@ -51,7 +56,7 @@ func newWorldOn(sched *sim.Scheduler, rng *sim.RNG, service *CBC, id chain.ID, m
 		Schedule:   gas.DefaultSchedule(),
 		VerifyMemo: memo,
 	}, sched, rng)
-	w.mgr = NewManager(escrow.NewBook("coin", deal.Fungible))
+	w.mgr = mgr
 	w.c.MustDeploy("coin", w.coin)
 	w.c.MustDeploy("coin-escrow", w.mgr)
 	return w

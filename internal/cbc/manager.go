@@ -7,6 +7,7 @@ import (
 
 	"xdeal/internal/bft"
 	"xdeal/internal/chain"
+	"xdeal/internal/deal"
 	"xdeal/internal/escrow"
 )
 
@@ -58,6 +59,14 @@ type Manager struct {
 // NewManager creates a CBC escrow manager over the given bookkeeping.
 func NewManager(book *escrow.Book) *Manager {
 	return &Manager{Manager: escrow.NewManager(book)}
+}
+
+// Reset empties the manager and its book, leaving what
+// NewManager(escrow.NewBook(tok, kind)) builds, with the storage of the
+// book's maps kept. The deal states are dropped, not reused.
+func (m *Manager) Reset(tok chain.Addr, kind deal.Kind) {
+	m.Book.Reset(tok, kind)
+	m.InfoEqual = nil
 }
 
 // Invoke implements chain.Contract.

@@ -6,6 +6,8 @@ import (
 
 	"xdeal/internal/bft"
 	"xdeal/internal/chain"
+	"xdeal/internal/deal"
+	"xdeal/internal/escrow"
 	"xdeal/internal/gas"
 	"xdeal/internal/sig"
 	"xdeal/internal/sim"
@@ -24,7 +26,7 @@ func TestStatusProofShownToThreeEscrowsVerifiedOnce(t *testing.T) {
 	service := New(Config{Tag: "cbc", F: f, BlockInterval: 10, Schedule: gas.DefaultSchedule(), Memo: memo}, sched, rng)
 	var worlds []*world
 	for _, id := range []chain.ID{"c0", "c1", "c2"} {
-		worlds = append(worlds, newWorldOn(sched, rng, service, id, memo))
+		worlds = append(worlds, newWorldOn(sched, rng, service, id, memo, NewManager(escrow.NewBook("coin", deal.Fungible))))
 	}
 	h := worlds[0].startDeal(t, "D")
 	for _, w := range worlds {

@@ -294,35 +294,96 @@ type PendingTx struct {
 // New creates a chain attached to the scheduler. The RNG is forked from
 // the provided source so each chain has an independent stream.
 func New(cfg Config, sched *sim.Scheduler, rng *sim.RNG) *Chain {
+	c := &Chain{
+		rng:          new(sim.RNG),
+		meter:        new(gas.Meter),
+		contracts:    make(map[Addr]Contract),
+		openBundles:  make(map[string]*pendingBundle),
+		bundleStreak: make(map[string]int),
+		// Public reads are free ("blockchains are publicly readable", §3;
+		// party-side validation "incurs no gas cost", §7.1): whatever a
+		// read charges goes to a meter nothing ever reports.
+		readEnv: &Env{meter: new(gas.Meter)},
+		txEnv:   new(Env),
+	}
+	c.arriveCall = func(tx any) { c.arrive(tx.(*Tx)) }
+	c.blockCall = func(any) { c.produceBlock() }
+	c.Reset(cfg, sched, rng)
+	return c
+}
+
+// defaultDelays is the network model of a chain configured without one,
+// boxed once.
+var defaultDelays DelayPolicy = SyncPolicy{Min: 1, Max: 5}
+
+// Reset returns the chain to the state New(cfg, sched, rng) builds,
+// drawing its stream from rng as New does, while keeping the storage of
+// its maps, buffers, subscriber lists and free delivery nodes. Contracts,
+// subscriptions, the mempool, receipts and the fee market are all
+// dropped. The receipts themselves are never reused, so a *Receipt handed
+// out before the reset stays valid; the slices Receipts returned are
+// reused, so none may be kept past it. The caller must reset sched too:
+// deliveries still queued would otherwise run against the reset chain.
+func (c *Chain) Reset(cfg Config, sched *sim.Scheduler, rng *sim.RNG) {
 	if cfg.BlockInterval <= 0 {
 		cfg.BlockInterval = 10
 	}
 	if cfg.Delays == nil {
-		cfg.Delays = SyncPolicy{Min: 1, Max: 5}
+		cfg.Delays = defaultDelays
 	}
 	if cfg.Keys == nil {
 		cfg.Keys = make(map[string]ed25519.PublicKey)
 	}
-	c := &Chain{
+	c.rng.Reset(rng.Uint64())
+	c.meter.Reset(cfg.Schedule)
+	c.readEnv.meter.Reset(cfg.Schedule)
+	var fees *feemarket.Market
+	if cfg.FeeMarket != nil {
+		fees = feemarket.New(*cfg.FeeMarket, cfg.MaxBlockTxs)
+	}
+	clear(c.contracts)
+	clear(c.openBundles)
+	clear(c.bundleStreak)
+	c.subs.reset()
+	c.mpSubs.reset()
+	c.bbSubs.reset()
+	*c = Chain{
 		cfg:          cfg,
 		sched:        sched,
-		rng:          rng.Fork(),
-		meter:        gas.NewMeter(cfg.Schedule),
-		contracts:    make(map[Addr]Contract),
-		openBundles:  make(map[string]*pendingBundle),
-		bundleStreak: make(map[string]int),
+		rng:          c.rng,
+		meter:        c.meter,
+		fees:         fees,
+		mempool:      emptied(c.mempool),
+		contracts:    c.contracts,
+		subs:         c.subs,
+		mpSubs:       c.mpSubs,
+		readEnv:      c.readEnv,
+		txEnv:        c.txEnv,
+		rcptSubs:     emptied(c.rcptSubs),
+		receipts:     emptied(c.receipts),
+		arriveCall:   c.arriveCall,
+		blockCall:    c.blockCall,
+		fanIDs:       c.fanIDs[:0],
+		fanDelays:    c.fanDelays[:0],
+		mpFree:       emptied(c.mpFree),
+		blockBuf:     emptied(c.blockBuf),
+		blockEvents:  emptied(c.blockEvents),
+		bundles:      emptied(c.bundles),
+		openBundles:  c.openBundles,
+		bundleStreak: c.bundleStreak,
+		bbSubs:       c.bbSubs,
+		aucSubs:      emptied(c.aucSubs),
+		blkSubs:      emptied(c.blkSubs),
 	}
-	if cfg.FeeMarket != nil {
-		c.fees = feemarket.New(*cfg.FeeMarket, cfg.MaxBlockTxs)
-	}
-	// Public reads are free ("blockchains are publicly readable", §3;
-	// party-side validation "incurs no gas cost", §7.1): whatever a read
-	// charges goes to a meter nothing ever reports.
-	c.readEnv = &Env{chain: c, meter: gas.NewMeter(cfg.Schedule), label: "read"}
-	c.txEnv = &Env{chain: c, meter: c.meter, events: &c.blockEvents}
-	c.arriveCall = func(tx any) { c.arrive(tx.(*Tx)) }
-	c.blockCall = func(any) { c.produceBlock() }
-	return c
+	*c.readEnv = Env{chain: c, meter: c.readEnv.meter, label: "read"}
+	*c.txEnv = Env{chain: c, meter: c.meter, events: &c.blockEvents}
+}
+
+// emptied returns s cut to length 0, its elements zeroed first so the
+// storage it keeps holds no reference.
+func emptied[S ~[]E, E any](s S) S {
+	clear(s)
+	return s[:0]
 }
 
 // ID returns the chain identifier.
@@ -381,6 +442,19 @@ type subscribers[T any] struct {
 
 	free    *delivery[T] // executed delivery nodes, linked through next
 	deliver func(any)    // runs a *delivery[T]; built on the first fan-out
+	spare   [][]int32    // emptied topic lists, for topics added after a reset
+}
+
+// reset drops every subscription, keeping the storage of the lists and
+// the free delivery nodes.
+func (l *subscribers[T]) reset() {
+	l.all = emptied(l.all)
+	l.open = l.open[:0]
+	//xdeal:unordered the spare lists are emptied storage: which one a later topic reuses cannot reach the simulation
+	for _, ids := range l.topics {
+		l.spare = append(l.spare, ids[:0])
+	}
+	clear(l.topics)
 }
 
 // delivery is one scheduled fan-out event: the subscribers it calls, in
@@ -432,7 +506,11 @@ func (l *subscribers[T]) add(topic string, s subscription[T]) {
 	if l.topics == nil {
 		l.topics = make(map[string][]int32)
 	}
-	l.topics[topic] = append(l.topics[topic], id)
+	ids, ok := l.topics[topic]
+	if n := len(l.spare); !ok && n > 0 {
+		ids, l.spare = l.spare[n-1], l.spare[:n-1]
+	}
+	l.topics[topic] = append(ids, id)
 }
 
 // notify calls every synchronous observer in subscription order. It

@@ -215,9 +215,13 @@ func isKey(key string, a *AssetRef) bool {
 		key[c] == '/' && key[c+1:] == string(a.Escrow)
 }
 
+// Index returns p's position in the deal's party list, or -1 if the deal
+// does not name it.
+func (pl *Plan) Index(p chain.Addr) int { return slices.Index(pl.addrs, p) }
+
 // index returns p's dense index, appending a party the spec's list lacks.
 func (pl *Plan) index(p chain.Addr) int {
-	if i := slices.Index(pl.addrs, p); i >= 0 {
+	if i := pl.Index(p); i >= 0 {
 		return i
 	}
 	pl.addrs = append(pl.addrs[:len(pl.addrs):len(pl.addrs)], p)
@@ -262,7 +266,7 @@ func (pl *Plan) obligation(s *Spec, pp *PartyPlan, e int, f flow) (Obligation, b
 // For returns p's share of the deal; a party the deal never mentions has
 // an empty one.
 func (pl *Plan) For(p chain.Addr) *PartyPlan {
-	if i := slices.Index(pl.addrs, p); i >= 0 {
+	if i := pl.Index(p); i >= 0 {
 		return &pl.parties[i]
 	}
 	return &PartyPlan{}

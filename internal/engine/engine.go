@@ -13,6 +13,12 @@
 // The engine is the measurement apparatus for the reproduction: it
 // tracks per-phase gas (Figure 4) and per-phase duration in Δ units
 // (Figure 7).
+//
+// A Substrate can be reset and built on again, so a fleet worker reuses
+// one world's scheduler, chains, contracts and parties across all its
+// isolated deals. Everything a substrate builds is valid only until its
+// next Reset; nothing that outlives a deal — a Result, a fleet record,
+// registered metrics — may alias it (see Substrate).
 package engine
 
 import (
@@ -100,7 +106,18 @@ type Outage struct {
 // so their transactions compete for the same mempools and block space
 // and their escrows coexist on the same contracts (the escrow Book and
 // the timelock vote ledger are keyed by deal id, so contract state stays
-// per-deal while congestion is shared).
+// per-deal while congestion is shared). A fleet worker keeps one
+// substrate for a whole sweep and resets it between its isolated deals
+// (see Reset).
+//
+// Ownership: everything a substrate builds — its scheduler and chains,
+// the contracts on them, each World and the parties in it — is the
+// substrate's, and is valid only until its next Reset, which takes it
+// back for reuse. So nothing that outlives a deal may alias any of it.
+// What the substrate hands out for keeps never aliases it: a Result
+// (its Gas meter and Fees summary included), the metrics
+// RegisterMetrics folds into a registry, and the receipts a chain
+// executes, which are never reused.
 type Substrate struct {
 	Sched  *sim.Scheduler
 	Chains map[chain.ID]*chain.Chain
@@ -115,6 +132,7 @@ type Substrate struct {
 	// counted hits, deliberately: the generator reuses deal ids and
 	// party names across a population, and a global count would score
 	// cross-deal hits a real deployment (deal id = nonce, §5) never sees.
+	// Reset empties it.
 	memo      *sig.Memo
 	cbcs      []*cbc.CBC // every deal's CBC service, in build order
 	fungibles map[string]*token.Fungible
@@ -128,6 +146,25 @@ type Substrate struct {
 	// strategy (party.Adversary), whichever deal it belongs to: a fee
 	// displacement by one is adversary-induced (see queueBucket).
 	adversaries map[chain.Addr]bool
+
+	// parts holds what the substrate builds, for Reset to take back and
+	// BuildOn to reset and reuse (see pool).
+	parts struct {
+		chains    pool[hostedChain]
+		fungibles pool[*token.Fungible]
+		nfts      pool[*token.NFT]
+		timelocks pool[*timelock.Manager]
+		cbcs      pool[*cbc.Manager]
+		worlds    pool[*World]
+		parties   pool[*party.Party]
+	}
+}
+
+// hostedChain is a substrate's chain with the receipt observer that files
+// its receipts into the substrate's index, built once with the chain.
+type hostedChain struct {
+	*chain.Chain
+	file func(*chain.Receipt)
 }
 
 // chainUnion is the merge of the meters of the chains ids names.
@@ -169,34 +206,155 @@ type SubstrateConfig struct {
 	Bundles bool
 }
 
-// newVerifyMemo makes each substrate's memo. It is a variable only so the
-// differential test can run whole populations without one (export_test.go).
+// newVerifyMemo makes a substrate's memo, the first time it needs one. It
+// is a variable only so the differential test can run whole populations
+// without one (export_test.go).
 var newVerifyMemo = sig.NewMemo
+
+// defaultDelays is the asset chains' network model when the config names
+// none, boxed once.
+var defaultDelays chain.DelayPolicy = chain.SyncPolicy{Min: 1, Max: 5}
 
 // NewSubstrate creates an empty shared world; seed drives its network
 // delays.
 func NewSubstrate(seed uint64, cfg SubstrateConfig) *Substrate {
+	return (&Substrate{}).Reset(seed, cfg)
+}
+
+// Reset empties the substrate into the state NewSubstrate(seed, cfg)
+// creates, and returns it. Its scheduler, memo and maps are emptied in
+// place; its chains, token and escrow contracts, worlds and parties become
+// spares, which BuildOn resets and reuses instead of building new ones. Everything the substrate handed out before is
+// invalid afterwards (see Substrate). Reset is for a substrate that ran
+// one isolated deal at a time; arenas never reset theirs.
+func (s *Substrate) Reset(seed uint64, cfg SubstrateConfig) *Substrate {
 	if cfg.BlockInterval <= 0 {
 		cfg.BlockInterval = 10
 	}
 	if cfg.Delays == nil {
-		cfg.Delays = chain.SyncPolicy{Min: 1, Max: 5}
+		cfg.Delays = defaultDelays
 	}
-	return &Substrate{
-		Sched:     sim.NewScheduler(),
-		Chains:    make(map[chain.ID]*chain.Chain),
-		cfg:       cfg,
-		rng:       sim.NewRNG(seed ^ 0x9e3779b9),
-		pubs:      make(map[string]ed25519.PublicKey),
-		memo:      newVerifyMemo(),
-		fungibles: make(map[string]*token.Fungible),
-		nfts:      make(map[string]*token.NFT),
-		managers:  make(map[string]EscrowInspector),
-		protocols: make(map[string]party.Protocol),
-		hedges:    make(map[string]*hedge.Manager),
-		receipts:  make(map[string][]dealReceipt),
+	if s.Sched == nil {
+		s.Sched, s.rng = sim.NewScheduler(), new(sim.RNG)
 	}
+	s.Sched.Reset()
+	s.rng.Reset(seed ^ 0x9e3779b9)
+	if s.memo == nil {
+		s.memo = newVerifyMemo()
+	}
+	s.memo.Reset()
+	p := &s.parts
+	p.chains.recycle()
+	p.fungibles.recycle()
+	p.nfts.recycle()
+	p.timelocks.recycle()
+	p.cbcs.recycle()
+	p.worlds.recycle()
+	p.parties.recycle()
+	s.cfg = cfg
+	s.Chains = cleared(s.Chains)
+	s.pubs = cleared(s.pubs)
+	s.fungibles = cleared(s.fungibles)
+	s.nfts = cleared(s.nfts)
+	s.managers = cleared(s.managers)
+	s.protocols = cleared(s.protocols)
+	s.hedges = cleared(s.hedges)
+	clear(s.adversaries)
+	s.cbcs = emptied(s.cbcs)
+	s.unions = emptied(s.unions)
+	if s.receipts == nil {
+		s.receipts = make(map[string][]dealReceipt)
+	}
+	for prefix, rs := range s.receipts {
+		s.receipts[prefix] = emptied(rs)
+	}
+	return s
 }
+
+// pool is one kind of part a substrate builds: the parts built since its
+// last Reset, and the spares earlier Resets took back.
+type pool[T any] struct{ built, spare []T }
+
+// get returns a spare made fresh by reset, or else a new part from build,
+// and records it as built.
+func (p *pool[T]) get(reset func(T), build func() T) T {
+	var t T
+	if n := len(p.spare); n > 0 {
+		t, p.spare[n-1] = p.spare[n-1], t
+		p.spare = p.spare[:n-1]
+		reset(t)
+	} else {
+		t = build()
+	}
+	p.built = append(p.built, t)
+	return t
+}
+
+// recycle makes every part built since the last Reset a spare.
+func (p *pool[T]) recycle() {
+	p.spare = append(p.spare, p.built...)
+	p.built = emptied(p.built)
+}
+
+// cleared returns m emptied, or a new map if m is nil.
+func cleared[M ~map[K]V, K comparable, V any](m M) M {
+	if m == nil {
+		return make(M)
+	}
+	clear(m)
+	return m
+}
+
+// emptied returns s cut to length 0, its elements zeroed first so the
+// storage it keeps holds no reference.
+func emptied[S ~[]E, E any](s S) S {
+	clear(s)
+	return s[:0]
+}
+
+// chain returns the substrate's chain for cfg, subscribed to the receipt
+// index.
+func (s *Substrate) chain(cfg chain.Config) *chain.Chain {
+	h := s.parts.chains.get(func(h hostedChain) { h.Reset(cfg, s.Sched, s.rng) }, func() hostedChain {
+		c := chain.New(cfg, s.Sched, s.rng)
+		return hostedChain{c, func(r *chain.Receipt) { s.fileReceipt(c, r) }}
+	})
+	h.SubscribeReceipts(h.file)
+	return h.Chain
+}
+
+// fungible returns an empty fungible ledger minted by the setup authority.
+func (s *Substrate) fungible() *token.Fungible {
+	return s.parts.fungibles.get(func(f *token.Fungible) { f.Reset(mintAuthority) },
+		func() *token.Fungible { return token.NewFungible(mintAuthority) })
+}
+
+// nft returns an empty NFT registry minted by the setup authority.
+func (s *Substrate) nft() *token.NFT {
+	return s.parts.nfts.get(func(n *token.NFT) { n.Reset(mintAuthority) },
+		func() *token.NFT { return token.NewNFT(mintAuthority) })
+}
+
+// manager returns an empty escrow manager of protocol proto for asset a.
+func (s *Substrate) manager(proto party.Protocol, a deal.AssetRef, fixedTimeout bool) EscrowInspector {
+	if proto != party.ProtoTimelock {
+		return s.parts.cbcs.get(func(m *cbc.Manager) { m.Reset(a.Token, a.Kind) },
+			func() *cbc.Manager { return cbc.NewManager(escrow.NewBook(a.Token, a.Kind)) })
+	}
+	tm := s.parts.timelocks.get(func(m *timelock.Manager) { m.Reset(a.Token, a.Kind) },
+		func() *timelock.Manager { return timelock.New(escrow.NewBook(a.Token, a.Kind)) })
+	tm.FixedTimeout = fixedTimeout
+	return tm
+}
+
+// party returns the party New(addr, cfg) builds.
+func (s *Substrate) party(addr chain.Addr, cfg party.Config) *party.Party {
+	return s.parts.parties.get(func(p *party.Party) { p.Reset(addr, cfg) },
+		func() *party.Party { return party.New(addr, cfg) })
+}
+
+// mintAuthority mints every deal's assets at setup.
+const mintAuthority chain.Addr = "mint-authority"
 
 // chainGas returns the merge of the meters of the chains ids names, shared
 // by every deal on those chains and merged again only once one changes.
@@ -227,7 +385,8 @@ func (s *Substrate) fileReceipt(c *chain.Chain, r *chain.Receipt) {
 }
 
 // World is a fully wired simulation of one deal, possibly sharing its
-// substrate with other deals.
+// substrate with other deals. It belongs to its substrate and is valid
+// until the substrate's next Reset (see Substrate).
 type World struct {
 	Spec    *deal.Spec
 	Sched   *sim.Scheduler
@@ -260,13 +419,70 @@ type World struct {
 	outageBeyondDelta sim.Duration
 
 	// Metrics.
-	initialFungible map[chain.Addr]map[string]uint64 // party -> escrow key -> balance
-	initialTokens   map[string]map[string]chain.Addr // escrow key -> token id -> owner
-	escrowedAt      map[string]sim.Time              // escrow key/party -> time
+	initialFungible map[holding]uint64     // balance per party and escrow key
+	initialTokens   map[tokenAt]chain.Addr // owner per escrow key and token id
+	escrowedAt      map[string]sim.Time    // escrow key/party -> time
 	transferredAt   []sim.Time
 	validatedAt     map[chain.Addr]sim.Time
 	outcomeAt       map[string]sim.Time
 	startAt         sim.Time
+
+	// The observer and the validation hook the world registers, built
+	// once with the world so that registering allocates nothing.
+	wantsFn     func(chain.Event) bool
+	observeFn   func(chain.Event)
+	onValidated func(chain.Addr, sim.Time)
+}
+
+// holding is a party's balance at one escrow key.
+type holding struct {
+	party chain.Addr
+	key   string
+}
+
+// tokenAt is one token id at one escrow key.
+type tokenAt struct {
+	key, id string
+}
+
+// world returns an empty world for spec on the substrate.
+func (s *Substrate) world(spec *deal.Spec, opts Options, plan *deal.Plan) *World {
+	return s.parts.worlds.get(func(w *World) { w.reset(s, spec, opts, plan) }, func() *World {
+		w := &World{}
+		w.wantsFn, w.observeFn = w.wantsEvent, w.observe
+		w.onValidated = func(p chain.Addr, at sim.Time) { w.validatedAt[p] = at }
+		w.reset(s, spec, opts, plan)
+		return w
+	})
+}
+
+// reset empties w into a world for spec on s, keeping its maps' storage
+// and its callbacks.
+func (w *World) reset(s *Substrate, spec *deal.Spec, opts Options, plan *deal.Plan) {
+	*w = World{
+		Spec:            spec,
+		Sched:           s.Sched,
+		Chains:          cleared(w.Chains),
+		Parties:         cleared(w.Parties),
+		Fungibles:       cleared(w.Fungibles),
+		NFTs:            cleared(w.NFTs),
+		Managers:        cleared(w.Managers),
+		Hedges:          cleared(w.Hedges),
+		sub:             s,
+		opts:            opts,
+		plan:            plan,
+		keys:            cleared(w.keys),
+		memo:            s.memo,
+		initialFungible: cleared(w.initialFungible),
+		initialTokens:   cleared(w.initialTokens),
+		escrowedAt:      cleared(w.escrowedAt),
+		transferredAt:   w.transferredAt[:0],
+		validatedAt:     cleared(w.validatedAt),
+		outcomeAt:       cleared(w.outcomeAt),
+		wantsFn:         w.wantsFn,
+		observeFn:       w.observeFn,
+		onValidated:     w.onValidated,
+	}
 }
 
 // EscrowInspector is what the engine needs from an escrow manager:
@@ -308,27 +524,7 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 	}
 	sched := s.Sched
 	plan := deal.NewPlan(spec)
-
-	w := &World{
-		Spec:            spec,
-		Sched:           sched,
-		Chains:          make(map[chain.ID]*chain.Chain),
-		Parties:         make(map[chain.Addr]*party.Party),
-		Fungibles:       make(map[string]*token.Fungible),
-		NFTs:            make(map[string]*token.NFT),
-		Managers:        make(map[string]EscrowInspector),
-		Hedges:          make(map[string]*hedge.Manager),
-		sub:             s,
-		opts:            opts,
-		plan:            plan,
-		keys:            make(map[string]sig.KeyPair),
-		memo:            s.memo,
-		initialFungible: make(map[chain.Addr]map[string]uint64),
-		initialTokens:   make(map[string]map[string]chain.Addr),
-		escrowedAt:      make(map[string]sim.Time),
-		validatedAt:     make(map[chain.Addr]sim.Time),
-		outcomeAt:       make(map[string]sim.Time),
-	}
+	w := s.world(spec, opts, plan)
 
 	// Record whether any DoS window on this deal's chains outlasts Δ —
 	// the synchrony-assumption breach checkSafety annotates (§5).
@@ -352,7 +548,7 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 		c, ok := s.Chains[a.Chain]
 		if !ok {
 			outage := s.cfg.Outages[a.Chain]
-			c = chain.New(chain.Config{
+			c = s.chain(chain.Config{
 				ID:            a.Chain,
 				BlockInterval: s.cfg.BlockInterval,
 				Delays:        s.cfg.Delays,
@@ -364,8 +560,7 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 				MaxBlockTxs:   s.cfg.MaxBlockTxs,
 				FeeMarket:     s.cfg.FeeMarket,
 				Bundles:       s.cfg.Bundles,
-			}, sched, s.rng)
-			c.SubscribeReceipts(func(r *chain.Receipt) { s.fileReceipt(c, r) })
+			})
 			s.Chains[a.Chain] = c
 		}
 		w.Chains[a.Chain] = c
@@ -373,12 +568,13 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 		if a.Kind == deal.Fungible {
 			f := s.fungibles[key]
 			if f == nil {
-				f = token.NewFungible("mint-authority")
-				if c.Contract(a.Token) == nil {
+				switch existing := c.Contract(a.Token).(type) {
+				case nil:
+					f = s.fungible()
 					c.MustDeploy(a.Token, f)
-				} else if existing, ok := c.Contract(a.Token).(*token.Fungible); ok {
+				case *token.Fungible:
 					f = existing
-				} else {
+				default:
 					return nil, fmt.Errorf("engine: %s on %s is not a fungible token contract", a.Token, a.Chain)
 				}
 				s.fungibles[key] = f
@@ -387,12 +583,13 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 		} else {
 			n := s.nfts[key]
 			if n == nil {
-				n = token.NewNFT("mint-authority")
-				if c.Contract(a.Token) == nil {
+				switch existing := c.Contract(a.Token).(type) {
+				case nil:
+					n = s.nft()
 					c.MustDeploy(a.Token, n)
-				} else if existing, ok := c.Contract(a.Token).(*token.NFT); ok {
+				case *token.NFT:
 					n = existing
-				} else {
+				default:
 					return nil, fmt.Errorf("engine: %s on %s is not an NFT contract", a.Token, a.Chain)
 				}
 				s.nfts[key] = n
@@ -407,15 +604,7 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 			w.Managers[key] = mgr
 			continue
 		}
-		book := escrow.NewBook(a.Token, a.Kind)
-		var mgr EscrowInspector
-		if opts.Protocol == party.ProtoTimelock {
-			tm := timelock.New(book)
-			tm.FixedTimeout = opts.FixedTimeout
-			mgr = tm
-		} else {
-			mgr = cbc.NewManager(book)
-		}
+		mgr := s.manager(opts.Protocol, a, opts.FixedTimeout)
 		s.managers[key] = mgr
 		s.protocols[key] = opts.Protocol
 		w.Managers[key] = mgr
@@ -487,25 +676,21 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 
 	// Record initial holdings.
 	for _, p := range spec.Parties {
-		w.initialFungible[p] = make(map[string]uint64)
+		//xdeal:unordered a keyed insert, one distinct key per visit
 		for key, f := range w.Fungibles {
-			w.initialFungible[p][key] = f.BalanceOf(p)
+			w.initialFungible[holding{p, key}] = f.BalanceOf(p)
 		}
 	}
-	for key, n := range w.NFTs {
-		owners := make(map[string]chain.Addr)
-		for i, t := range spec.Transfers {
-			if plan.TransferKeys[i] == key && t.Asset.Kind == deal.NonFungible {
-				owners[t.Asset.ID] = n.OwnerOf(t.Asset.ID)
-			}
+	for i, t := range spec.Transfers {
+		if key := plan.TransferKeys[i]; t.Asset.Kind == deal.NonFungible && w.NFTs[key] != nil {
+			w.initialTokens[tokenAt{key, t.Asset.ID}] = w.NFTs[key].OwnerOf(t.Asset.ID)
 		}
-		w.initialTokens[key] = owners
 	}
 
 	// Engine-side observation: outcome and phase timing events.
 	//xdeal:unordered each chain gains exactly one subscriber here, and chains are independent — subscription order across chains cannot reach any report
 	for _, c := range w.Chains {
-		c.SubscribeFiltered(w.wantsEvent, w.observe)
+		c.SubscribeFiltered(w.wantsFn, w.observeFn)
 	}
 	if opts.Trace != nil {
 		w.attachTrace(opts.Trace)
@@ -545,9 +730,7 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 			LabelPrefix:     opts.LabelPrefix,
 			Adaptive:        opts.Adaptive,
 			Hedge:           hedgeCfg,
-			OnValidated: func(p chain.Addr, at sim.Time) {
-				w.validatedAt[p] = at
-			},
+			OnValidated:     w.onValidated,
 		}
 		if opts.Protocol == party.ProtoCBC {
 			cfg.CBCHooks = &party.CBCHooks{
@@ -556,7 +739,7 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 				PublishStart: i == 0,
 			}
 		}
-		p := party.New(addr, cfg)
+		p := s.party(addr, cfg)
 		w.Parties[addr] = p
 		if p.Adversary() {
 			if s.adversaries == nil {
@@ -576,13 +759,13 @@ func (w *World) fund() {
 			a := ob.Asset
 			c := w.Chains[a.Chain]
 			if a.Kind == deal.Fungible {
-				c.Submit(&chain.Tx{Sender: "mint-authority", Contract: a.Token,
+				c.Submit(&chain.Tx{Sender: mintAuthority, Contract: a.Token,
 					Method: token.MethodMint, Label: label,
 					Args:      token.MintArgs{To: p, Amount: ob.Amount},
 					OnReceipt: setupReceipt})
 			} else {
 				for _, id := range ob.Tokens {
-					c.Submit(&chain.Tx{Sender: "mint-authority", Contract: a.Token,
+					c.Submit(&chain.Tx{Sender: mintAuthority, Contract: a.Token,
 						Method: token.MethodMint, Label: label,
 						Args:      token.MintArgs{To: p, Token: id},
 						OnReceipt: setupReceipt})

@@ -126,15 +126,19 @@ func (w *World) evaluate() *Result {
 	for _, p := range spec.Parties {
 		r.FungibleDelta[p] = make(map[string]int64)
 		for key, f := range w.Fungibles {
-			r.FungibleDelta[p][key] = int64(f.BalanceOf(p)) - int64(w.initialFungible[p][key])
+			r.FungibleDelta[p][key] = int64(f.BalanceOf(p))
 		}
 	}
-	for key, n := range w.NFTs {
-		owners := make(map[string]chain.Addr)
-		for id := range w.initialTokens[key] {
-			owners[id] = n.OwnerOf(id)
-		}
-		r.FinalTokenOwners[key] = owners
+	//xdeal:unordered each visit subtracts from its own party and key, once
+	for h, initial := range w.initialFungible {
+		r.FungibleDelta[h.party][h.key] -= int64(initial)
+	}
+	for key := range w.NFTs {
+		r.FinalTokenOwners[key] = make(map[string]chain.Addr)
+	}
+	//xdeal:unordered a keyed insert, one distinct key and token per visit
+	for t := range w.initialTokens {
+		r.FinalTokenOwners[t.key][t.id] = w.NFTs[t.key].OwnerOf(t.id)
 	}
 
 	w.checkSafety(r)
@@ -211,8 +215,8 @@ func (w *World) paidSomething(r *Result, p chain.Addr) bool {
 			return true
 		}
 		// Non-fungible: a token p initially owned now belongs to another.
-		for id, owner := range w.initialTokens[key] {
-			if owner == p && r.FinalTokenOwners[key][id] != p {
+		for t, owner := range w.initialTokens {
+			if t.key == key && owner == p && r.FinalTokenOwners[key][t.id] != p {
 				return true
 			}
 		}

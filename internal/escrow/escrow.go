@@ -137,12 +137,18 @@ type Book struct {
 
 // NewBook creates bookkeeping for the given token contract.
 func NewBook(tok chain.Addr, kind deal.Kind) *Book {
-	return &Book{
-		Token: tok,
-		Kind:  kind,
-		deals: make(map[string]*State),
-		held:  make(map[string]string),
-	}
+	b := &Book{deals: make(map[string]*State), held: make(map[string]string)}
+	b.Reset(tok, kind)
+	return b
+}
+
+// Reset empties the book, as NewBook(tok, kind) builds it, keeping its
+// maps' storage. The deal states it held are dropped, not reused, so a
+// State or View read before the reset stays as it was.
+func (b *Book) Reset(tok chain.Addr, kind deal.Kind) {
+	clear(b.deals)
+	clear(b.held)
+	*b = Book{Token: tok, Kind: kind, deals: b.deals, held: b.held}
 }
 
 // Deal returns the state for a deal id, or nil.

@@ -29,6 +29,11 @@ func newWorld(t *testing.T) *world {
 }
 
 func newWorldRaw() *world {
+	return newWorldOn(NewBook("coin", deal.Fungible), NewBook("tix", deal.NonFungible))
+}
+
+// newWorldOn is newWorldRaw with the escrow managers over the given books.
+func newWorldOn(coins, tickets *Book) *world {
 	sched := sim.NewScheduler()
 	c := chain.New(chain.Config{
 		ID:            "chain",
@@ -42,8 +47,8 @@ func newWorldRaw() *world {
 		coin:  token.NewFungible("bank"),
 		tix:   token.NewNFT("theater"),
 	}
-	w.coinEs = NewManager(NewBook("coin", deal.Fungible))
-	w.tixEs = NewManager(NewBook("tix", deal.NonFungible))
+	w.coinEs = NewManager(coins)
+	w.tixEs = NewManager(tickets)
 	c.MustDeploy("coin", w.coin)
 	c.MustDeploy("tix", w.tix)
 	c.MustDeploy("coin-escrow", w.coinEs)

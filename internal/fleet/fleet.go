@@ -138,6 +138,10 @@ type world struct {
 	// metrics is the world's private registry shard; nil unless the
 	// sweep collects metrics.
 	metrics *obs.Registry
+	// sub is the substrate of the worker running the world, which an
+	// isolated deal resets and builds on; what the deal leaves in the
+	// slot must not alias it.
+	sub *engine.Substrate
 }
 
 // runJob runs one isolated deal into w. A fee-market job gets its race
@@ -160,7 +164,7 @@ func (w *world) runJob(job Job) {
 		Outage:       job.Outage,
 		Sequenceable: job.Sequenceable,
 	}
-	e, err := engine.Build(job.Spec, job.Opts)
+	e, err := w.sub.Reset(job.Opts.Seed, job.Opts.World).BuildOn(job.Spec, job.Opts)
 	if err != nil {
 		// A failed build is a population observation: recorded, with
 		// the job's labels, not fatal to the sweep.
@@ -230,7 +234,8 @@ func Sweep(opts Options) (*Report, error) {
 
 // stream runs worlds 0..n-1 across the worker pool in bounded chunks
 // and folds each, in index order, once its chunk's pool has drained.
-// Memory is constant in n: one chunk of slots, reused. Each world's
+// Memory is constant in n: one chunk of slots, reused, and one substrate
+// per worker, handed to each world it runs. Each world's
 // metrics shard merges into the sweep's registry in index order, and
 // merges commute, so the fold and the registry are identical at any
 // worker count. With a stage timer attached, each chunk's wall time
@@ -240,13 +245,14 @@ func stream(n, workers int, ob *ObsOptions, run func(i int, w *world) error, fol
 	pool := Pool{Workers: workers}
 	chunk := max(pool.Size(n)*8, 64)
 	slots := make([]world, min(chunk, n))
+	subs := make([]engine.Substrate, pool.Size(n))
 	stages, reg := ob.stages(), ob.metrics()
 	for lo := 0; lo < n; lo += chunk {
 		batch := slots[:min(chunk, n-lo)]
 		stopRun := stages.Start("run")
-		err := pool.Map(len(batch), func(k int) error {
+		err := pool.mapOn(len(batch), func(worker, k int) error {
 			w := &batch[k]
-			*w = world{}
+			*w = world{sub: &subs[worker]}
 			if reg != nil {
 				w.metrics = obs.NewRegistry()
 			}

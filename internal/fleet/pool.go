@@ -24,7 +24,10 @@
 // each world folds into the one Aggregator in index order: its records,
 // then its fee flows and its interference tally. Memory is constant in
 // the number of worlds, and the report is identical at any worker
-// count.
+// count. Each worker keeps one engine.Substrate for the whole sweep and
+// resets it for each isolated deal it runs, so what one deal builds is
+// reused by the next; a record is complete before its worker's next
+// reset and aliases nothing the substrate reuses.
 package fleet
 
 import (
@@ -61,6 +64,12 @@ func (p Pool) Size(n int) int {
 // error at the lowest index is returned — deterministically, regardless
 // of scheduling.
 func (p Pool) Map(n int, fn func(i int) error) error {
+	return p.mapOn(n, func(_, i int) error { return fn(i) })
+}
+
+// mapOn is Map for a fn that also learns which worker, numbered from 0 up
+// to Size(n), runs each call; one worker's calls never overlap.
+func (p Pool) mapOn(n int, fn func(worker, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -68,7 +77,7 @@ func (p Pool) Map(n int, fn func(i int) error) error {
 	errs := make([]error, n)
 	if w == 1 {
 		for i := 0; i < n; i++ {
-			errs[i] = fn(i)
+			errs[i] = fn(0, i)
 		}
 	} else {
 		var next atomic.Int64
@@ -82,7 +91,7 @@ func (p Pool) Map(n int, fn func(i int) error) error {
 					if i >= n {
 						return
 					}
-					errs[i] = fn(i)
+					errs[i] = fn(k, i)
 				}
 			}()
 		}

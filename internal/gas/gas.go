@@ -122,7 +122,19 @@ type Meter struct {
 }
 
 // NewMeter returns an empty meter using the given schedule.
-func NewMeter(s Schedule) *Meter { return &Meter{schedule: s} }
+func NewMeter(s Schedule) *Meter {
+	m := &Meter{}
+	m.Reset(s)
+	return m
+}
+
+// Reset empties the meter, as NewMeter(s) builds it, keeping its label
+// table's storage. It must not be called on a meter that a live Layered
+// meter or Union still reads: what they read would change under them.
+func (m *Meter) Reset(s Schedule) {
+	clear(m.byLabel)
+	*m = Meter{schedule: s, byLabel: m.byLabel}
+}
 
 // Layered returns an empty meter over base: it reads as base plus what is
 // charged or merged into it, and never writes base, so layers can share it.

@@ -154,7 +154,7 @@ func (p *Party) race(ptx chain.PendingTx) {
 	switch args := ptx.Args.(type) {
 	case timelock.CommitArgs:
 		if !args.Vote.Contains(string(p.Addr)) { // else already signed on
-			p.forwardVote(args.Vote, "")
+			p.forwardVote(args.Vote, -1)
 		}
 	case cbc.ProofArgs:
 		status := escrow.StatusCommitted

@@ -35,13 +35,16 @@ func (p *Party) Repoll() {
 }
 
 // State renders every field the party can change as it runs (all but its
-// configuration), for before/after comparison.
+// configuration: cfg, the strategies built from it and the callbacks
+// built with the party), for before/after comparison and for comparing
+// two parties.
 func (p *Party) State() string {
 	v := reflect.ValueOf(p).Elem()
 	var b strings.Builder
 	for i := 0; i < v.NumField(); i++ {
-		if name := v.Type().Field(i).Name; name != "cfg" {
-			fmt.Fprintf(&b, "%s=%+v\n", name, v.Field(i))
+		f := v.Type().Field(i)
+		if f.Name != "cfg" && f.Name != "strategies" && f.Type.Kind() != reflect.Func {
+			fmt.Fprintf(&b, "%s=%+v\n", f.Name, v.Field(i))
 		}
 	}
 	return b.String()

@@ -139,10 +139,9 @@ type Party struct {
 	escrowSubmitted map[string]bool
 	escrowConfirmed map[string]bool
 
-	// Timelock: votes known accepted at each incoming escrow.
-	acceptedAt map[string]map[chain.Addr]bool
-	// Timelock: forwards already attempted, to avoid spamming duplicates.
-	forwarded map[string]map[chain.Addr]bool
+	// Timelock: votes known accepted at each incoming leg, and forwards
+	// already attempted there, to avoid spamming duplicates.
+	acceptedAt, forwarded voterSets
 
 	// CBC driver state (nil for timelock parties).
 	cbcState *cbcState
@@ -154,32 +153,79 @@ type Party struct {
 	hedgeSettled   map[string]bool // position settled
 
 	startedAt sim.Time // deal start, anchors deadline urgency (fees.go)
+
+	// The chain-event filter and handler subscribeChains registers,
+	// built once with the party so that subscribing allocates nothing.
+	wantsFn func(chain.Event) bool
+	onEvent func(chain.Event)
 }
 
 // New creates a party. Call Start when the clearing phase delivers the
 // deal (the engine does this).
 func New(addr chain.Addr, cfg Config) *Party {
-	if cfg.Plan == nil {
-		cfg.Plan = deal.NewPlan(cfg.Spec)
-	}
 	p := &Party{
-		Addr:            addr,
-		cfg:             cfg,
-		mine:            cfg.Plan.For(addr),
-		dealArg:         cfg.Spec.ID,
 		submitted:       make(map[int]bool),
 		confirmed:       make(map[int]bool),
 		escrowSubmitted: make(map[string]bool),
 		escrowConfirmed: make(map[string]bool),
-		acceptedAt:      make(map[string]map[chain.Addr]bool),
-		forwarded:       make(map[string]map[chain.Addr]bool),
 		hedgeSubmitted:  make(map[string]bool),
 		hedgeBound:      make(map[string]bool),
 		hedgeClaiming:   make(map[string]bool),
 		hedgeSettled:    make(map[string]bool),
 	}
-	p.adopt(cfg.Behavior)
+	p.wantsFn = p.wants
+	p.onEvent = func(ev chain.Event) {
+		if !p.active() {
+			return
+		}
+		p.onChainEvent(ev)
+	}
+	p.Reset(addr, cfg)
 	return p
+}
+
+// Reset makes p the party New(addr, cfg) builds, keeping the storage of
+// its maps and voter sets. Everything the party did before is dropped.
+// Nothing its run handed out may be kept past the reset, and the chains
+// and scheduler it ran on must be reset too, since their subscriptions
+// and timers still call into p.
+func (p *Party) Reset(addr chain.Addr, cfg Config) {
+	if cfg.Plan == nil {
+		cfg.Plan = deal.NewPlan(cfg.Spec)
+	}
+	dealArg := p.dealArg
+	if id, ok := dealArg.(string); !ok || id != cfg.Spec.ID {
+		dealArg = cfg.Spec.ID
+	}
+	for _, m := range [...]map[int]bool{p.submitted, p.confirmed} {
+		clear(m)
+	}
+	for _, m := range [...]map[string]bool{p.escrowSubmitted, p.escrowConfirmed,
+		p.hedgeSubmitted, p.hedgeBound, p.hedgeClaiming, p.hedgeSettled} {
+		clear(m)
+	}
+	*p = Party{
+		Addr:            addr,
+		cfg:             cfg,
+		mine:            cfg.Plan.For(addr),
+		dealArg:         dealArg,
+		submitted:       p.submitted,
+		confirmed:       p.confirmed,
+		escrowSubmitted: p.escrowSubmitted,
+		escrowConfirmed: p.escrowConfirmed,
+		acceptedAt:      p.acceptedAt,
+		forwarded:       p.forwarded,
+		hedgeSubmitted:  p.hedgeSubmitted,
+		hedgeBound:      p.hedgeBound,
+		hedgeClaiming:   p.hedgeClaiming,
+		hedgeSettled:    p.hedgeSettled,
+		wantsFn:         p.wantsFn,
+		onEvent:         p.onEvent,
+	}
+	legs, voters := len(p.mine.Incoming), len(cfg.Spec.Parties)
+	p.acceptedAt.reset(legs, voters)
+	p.forwarded.reset(legs, voters)
+	p.adopt(cfg.Behavior)
 }
 
 // Compliant reports whether this party follows the protocol (see
@@ -292,12 +338,7 @@ func (p *Party) subscribeChains() {
 		if !ok {
 			continue
 		}
-		c.SubscribeTopic(p.cfg.Spec.ID, p.wants, func(ev chain.Event) {
-			if !p.active() {
-				return
-			}
-			p.onChainEvent(ev)
-		})
+		c.SubscribeTopic(p.cfg.Spec.ID, p.wantsFn, p.onEvent)
 	}
 }
 

@@ -215,13 +215,21 @@ func TestInfoSatisfactoryChecksPlist(t *testing.T) {
 func TestMarkAcceptedTracksVoters(t *testing.T) {
 	spec := deal.BrokerSpec(2000, 1000)
 	p := New("alice", Config{Spec: spec, Protocol: ProtoTimelock})
-	p.markAccepted("k", "bob")
-	p.markAccepted("k", "carol")
-	if !p.acceptedAt["k"]["bob"] || !p.acceptedAt["k"]["carol"] {
+	if len(p.mine.Incoming) < 2 {
+		t.Fatalf("broker alice has %d incoming legs, want 2", len(p.mine.Incoming))
+	}
+	bob, carol := p.cfg.Plan.Index("bob"), p.cfg.Plan.Index("carol")
+	p.acceptedAt.add(0, bob)
+	p.acceptedAt.add(0, carol)
+	p.acceptedAt.add(0, p.cfg.Plan.Index("mallory")) // not a party: never recorded
+	if !p.acceptedAt.has(0, bob) || !p.acceptedAt.has(0, carol) {
 		t.Fatal("votes not recorded")
 	}
-	if p.acceptedAt["other"]["bob"] {
-		t.Fatal("cross-key contamination")
+	if p.acceptedAt.has(1, bob) || p.acceptedAt.has(0, p.cfg.Plan.Index("alice")) {
+		t.Fatal("cross-leg or cross-voter contamination")
+	}
+	if p.forwarded.has(0, bob) {
+		t.Fatal("an accepted vote marked forwarded")
 	}
 }
 

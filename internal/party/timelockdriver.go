@@ -34,20 +34,23 @@ func (p *Party) timelockInfoOK(info any) bool {
 // collapsing the commit phase to one Δ (Figure 7's footnote).
 func (p *Party) sendTimelockVotes(wide bool) {
 	vote := sig.NewVoteWith(p.cfg.Memo, p.cfg.Spec.ID, string(p.Addr), p.cfg.Keys)
-	send := func(a deal.AssetRef, key string) {
-		p.markAccepted(key, p.Addr) // optimistic; failures are harmless
+	self := p.cfg.Plan.Index(p.Addr)
+	for i := range p.mine.Incoming {
+		p.acceptedAt.add(i, self) // optimistic; failures are harmless
+	}
+	send := func(a deal.AssetRef) {
 		p.submit(a, timelock.MethodCommit, LabelCommit, timelock.CommitArgs{
 			Deal: p.cfg.Spec.ID, Vote: vote,
 		}, nil)
 	}
 	if wide {
-		for j, a := range p.cfg.Plan.Escrows {
-			send(a, p.cfg.Plan.EscrowKeys[j])
+		for _, a := range p.cfg.Plan.Escrows {
+			send(a)
 		}
 		return
 	}
 	for _, in := range p.mine.Incoming {
-		send(in.Asset, in.Key)
+		send(in.Asset)
 	}
 }
 
@@ -64,11 +67,12 @@ func (p *Party) onTimelockEvent(ev chain.Event) {
 	if !ok || data.Deal != p.cfg.Spec.ID {
 		return
 	}
-	seenAt := "" // the incoming escrow the vote was accepted at, if one of ours
+	voter := p.cfg.Plan.Index(data.Voter)
+	seenAt := -1 // the incoming leg the vote was accepted at, if one of ours
 	for i := range p.mine.Incoming {
 		if in := &p.mine.Incoming[i]; in.Asset.Chain == ev.Chain && in.Asset.Escrow == ev.Contract {
-			seenAt = in.Key
-			p.markAccepted(seenAt, data.Voter)
+			seenAt = i
+			p.acceptedAt.add(i, voter)
 		}
 	}
 	if data.Vote.Contains(string(p.Addr)) {
@@ -80,19 +84,22 @@ func (p *Party) onTimelockEvent(ev chain.Event) {
 }
 
 // forwardVote extends the vote with the party's signature and submits
-// it to every incoming escrow except seenAt (where it was just
-// accepted; "" skips none) that has not already accepted, or been
-// sent, the voter's vote. The extension is signed once and the same
-// call data goes to every target. Both the compliant forwarding path
-// (reacting to accepted-vote events) and the front-runner (reacting to
-// mempool gossip, see race) go through here.
-func (p *Party) forwardVote(vote sig.PathSig, seenAt string) {
-	voter := chain.Addr(vote.Voter)
+// it to every incoming leg except seenAt (where it was just accepted;
+// -1 skips none) that has not already accepted, or been sent, the
+// voter's vote. The extension is signed once and the same call data goes
+// to every target. Both the compliant forwarding path (reacting to
+// accepted-vote events) and the front-runner (reacting to mempool
+// gossip, see race) go through here. A vote by a voter the deal does not
+// name is never forwarded: every escrow rejects it (timelock.ErrNotVoter).
+func (p *Party) forwardVote(vote sig.PathSig, seenAt int) {
+	voter := p.cfg.Plan.Index(chain.Addr(vote.Voter))
+	if voter < 0 {
+		return
+	}
 	var args any // timelock.CommitArgs carrying the extended vote
 	for i := range p.mine.Incoming {
 		in := &p.mine.Incoming[i]
-		key := in.Key
-		if key == seenAt || p.acceptedAt[key][voter] || p.forwarded[key][voter] {
+		if i == seenAt || p.acceptedAt.has(i, voter) || p.forwarded.has(i, voter) {
 			continue
 		}
 		c, ok := p.cfg.Chains[in.Asset.Chain]
@@ -103,7 +110,7 @@ func (p *Party) forwardVote(vote sig.PathSig, seenAt string) {
 		if !p.act(&fw) {
 			continue
 		}
-		mark(p.forwarded, key, voter)
+		p.forwarded.add(i, voter)
 		if args == nil {
 			args = timelock.CommitArgs{
 				Deal: p.cfg.Spec.ID, Vote: vote.ForwardWith(p.cfg.Memo, string(p.Addr), p.cfg.Keys),
@@ -113,17 +120,32 @@ func (p *Party) forwardVote(vote sig.PathSig, seenAt string) {
 	}
 }
 
-// markAccepted records that an escrow contract has accepted a vote.
-func (p *Party) markAccepted(escrowKey string, voter chain.Addr) {
-	mark(p.acceptedAt, escrowKey, voter)
+// voterSets holds one set of voters per incoming leg of a party, as bits
+// indexed by the voter's position in the deal's party list (see
+// deal.Plan.Index).
+type voterSets struct {
+	words int      // 64-bit words per leg
+	bits  []uint64 // leg i's set is bits[i*words : (i+1)*words]
 }
 
-// mark records voter under escrowKey in a per-escrow voter set.
-func mark(sets map[string]map[chain.Addr]bool, escrowKey string, voter chain.Addr) {
-	if sets[escrowKey] == nil {
-		sets[escrowKey] = make(map[chain.Addr]bool)
+// reset empties the sets and sizes them for legs legs and voters voters,
+// keeping their storage.
+func (v *voterSets) reset(legs, voters int) {
+	v.words = (voters + 63) / 64
+	v.bits = append(v.bits[:0], make([]uint64, legs*v.words)...)
+}
+
+// has reports whether voter is in leg's set.
+func (v *voterSets) has(leg, voter int) bool {
+	return v.bits[leg*v.words+voter/64]&(1<<(voter%64)) != 0
+}
+
+// add puts voter in leg's set. A voter the deal does not name (-1) is
+// never recorded.
+func (v *voterSets) add(leg, voter int) {
+	if voter >= 0 {
+		v.bits[leg*v.words+voter/64] |= 1 << (voter % 64)
 	}
-	sets[escrowKey][voter] = true
 }
 
 // pokeRefunds asks the contracts holding the party's deposits to refund

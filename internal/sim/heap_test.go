@@ -47,6 +47,8 @@ func (q *heapQueue) advance(Time) {}
 
 func (q *heapQueue) len() int { return len(q.h) }
 
+func (q *heapQueue) rewind() {}
+
 // newHeapScheduler returns a scheduler backed by the binary heap.
 // It executes the exact same (at, seq) order as the time-wheel scheduler
 // NewScheduler returns, which the twin tests in wheel_test.go check.

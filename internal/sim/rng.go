@@ -9,8 +9,13 @@ type RNG struct {
 
 // NewRNG returns a generator seeded with seed.
 func NewRNG(seed uint64) *RNG {
-	return &RNG{state: seed}
+	r := &RNG{}
+	r.Reset(seed)
+	return r
 }
+
+// Reset reseeds the generator with seed, as NewRNG(seed) seeds a new one.
+func (r *RNG) Reset(seed uint64) { r.state = seed }
 
 // Mix64 is the SplitMix64 finalizer: a bijective avalanche mix used to
 // derive independent seeds from (master seed, index) pairs. Generators

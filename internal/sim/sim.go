@@ -50,6 +50,8 @@ type eventQueue interface {
 	pop() *event
 	advance(now Time)
 	len() int
+	// rewind moves an empty queue's window back to time 0.
+	rewind()
 }
 
 // farHeap implements heap.Interface ordered by (at, seq), maintaining
@@ -107,7 +109,26 @@ type Scheduler struct {
 // NewScheduler returns a scheduler with the clock at zero and no events,
 // backed by the hierarchical time-wheel.
 func NewScheduler() *Scheduler {
-	return &Scheduler{q: newWheelQueue()}
+	s := &Scheduler{q: newWheelQueue()}
+	s.Reset()
+	return s
+}
+
+// Reset returns the scheduler to its just-built state, the clock, the
+// sequence numbers and the step count at 0 and no events, while keeping
+// its wheel and its free list of event nodes. An event still queued is
+// dropped: its node lets go of its call and argument, so nothing reaches
+// into the run before, and a pooled node goes back to the free list. A
+// Cancel kept from before the reset is a no-op.
+func (s *Scheduler) Reset() {
+	for e := s.q.pop(); e != nil; e = s.q.pop() {
+		e.call, e.arg = nil, nil
+		if e.pooled {
+			e.next, s.free = s.free, e
+		}
+	}
+	s.q.rewind()
+	s.now, s.seq, s.steps = 0, 0, 0
 }
 
 // Now returns the current virtual time.

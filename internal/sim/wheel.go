@@ -10,9 +10,10 @@ import "container/heap"
 // on isolated deals (notify delays, block boundaries; 73–77 % under 64),
 // 0.9–1.3 % in [256, 1024) and 2.6–3.1 % at 1024 or beyond (timelock
 // ladders, GST horizons); shared arenas put 98.2 % under 256. Those
-// events are O(1) list surgery; the rest pay the heap's O(log n). Every
-// isolated deal builds its own scheduler, so the window is also 2 KB of
-// zeroed memory per deal.
+// events are O(1) list surgery; the rest pay the heap's O(log n). The
+// window is 2 KB of zeroed memory per scheduler; a fleet worker resets
+// one scheduler between its isolated deals rather than building a new
+// one per deal.
 //
 // Invariants, maintained by every operation:
 //
@@ -167,3 +168,5 @@ func (q *wheelQueue) advance(now Time) {
 }
 
 func (q *wheelQueue) len() int { return q.live }
+
+func (q *wheelQueue) rewind() { q.cursor, q.horizon = 0, wheelSlots }

@@ -22,6 +22,7 @@ import (
 	"fmt"
 
 	"xdeal/internal/chain"
+	"xdeal/internal/deal"
 	"xdeal/internal/escrow"
 	"xdeal/internal/sig"
 	"xdeal/internal/sim"
@@ -106,6 +107,15 @@ func New(book *escrow.Book) *Manager {
 		Manager: escrow.NewManager(book),
 		votes:   make(map[string]map[chain.Addr]bool),
 	}
+}
+
+// Reset empties the manager and its book, leaving what
+// New(escrow.NewBook(tok, kind)) builds, with the storage of its maps
+// kept. The vote ledger and the deal states are dropped, not reused.
+func (m *Manager) Reset(tok chain.Addr, kind deal.Kind) {
+	m.Book.Reset(tok, kind)
+	clear(m.votes)
+	m.InfoEqual, m.FixedTimeout = nil, false
 }
 
 // Invoke implements chain.Contract.

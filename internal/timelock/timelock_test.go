@@ -37,6 +37,11 @@ func newWorld(t *testing.T) *world { return newWorldIn(t, nil) }
 // a memo for a simulated world's facts.
 func newWorldIn(t *testing.T, memo *sig.Memo) *world {
 	t.Helper()
+	return newWorldWith(memo, New(escrow.NewBook("coin", deal.Fungible)))
+}
+
+// newWorldWith is newWorldIn with mgr as the escrow contract.
+func newWorldWith(memo *sig.Memo, mgr *Manager) *world {
 	sched := sim.NewScheduler()
 	keys := make(map[string]sig.KeyPair)
 	pubs := make(map[string]ed25519.PublicKey)
@@ -57,7 +62,7 @@ func newWorldIn(t *testing.T, memo *sig.Memo) *world {
 		c:     c,
 		sched: sched,
 		coin:  token.NewFungible("bank"),
-		mgr:   New(escrow.NewBook("coin", deal.Fungible)),
+		mgr:   mgr,
 		keys:  keys,
 		pubs:  pubs,
 		memo:  memo,

@@ -75,11 +75,21 @@ type Fungible struct {
 
 // NewFungible creates an empty fungible ledger whose Minter may mint.
 func NewFungible(minter chain.Addr) *Fungible {
-	return &Fungible{
-		Minter:    minter,
+	f := &Fungible{
 		balances:  make(map[chain.Addr]uint64),
 		operators: make(map[chain.Addr]map[chain.Addr]bool),
 	}
+	f.Reset(minter)
+	return f
+}
+
+// Reset empties the ledger, as NewFungible(minter) builds it, keeping its
+// maps' storage. Nothing read from the ledger before the reset may be
+// kept past it.
+func (f *Fungible) Reset(minter chain.Addr) {
+	clear(f.balances)
+	clear(f.operators)
+	*f = Fungible{Minter: minter, balances: f.balances, operators: f.operators}
 }
 
 // BalanceOf returns a holder's balance (for direct state reads in tests
@@ -172,11 +182,21 @@ type NFT struct {
 
 // NewNFT creates an empty registry whose Minter may mint.
 func NewNFT(minter chain.Addr) *NFT {
-	return &NFT{
-		Minter:    minter,
+	n := &NFT{
 		owners:    make(map[string]chain.Addr),
 		operators: make(map[chain.Addr]map[chain.Addr]bool),
 	}
+	n.Reset(minter)
+	return n
+}
+
+// Reset empties the registry, as NewNFT(minter) builds it, keeping its
+// maps' storage. Nothing read from the registry before the reset may be
+// kept past it.
+func (n *NFT) Reset(minter chain.Addr) {
+	clear(n.owners)
+	clear(n.operators)
+	*n = NFT{Minter: minter, owners: n.owners, operators: n.operators}
 }
 
 // OwnerOf returns the owner of a token id, or "" if unminted.
