@@ -193,7 +193,7 @@ func arenaWorlds(gen *Generator, ao ArenaOptions, deals int, agg *Aggregator) (i
 	if opts.Bundles {
 		agg.EnableBundles(opts.BundleBudget)
 	}
-	agg.inter = &Interference{Chains: ao.Chains}
+	agg.rep.Interference = &Interference{Chains: ao.Chains}
 	run := func(a int, w *world) error {
 		res, err := runArena(gen, ao, a, deals, w.metrics)
 		if err != nil {

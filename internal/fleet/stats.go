@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"text/tabwriter"
 
@@ -349,75 +350,13 @@ type BidDecile struct {
 	MeanSlackDelta float64 `json:"mean_slack_delta"`
 }
 
-// bundleAgg folds bundle observations in constant memory: counters
-// plus a per-slot-bid-keyed slack histogram (per-slot bids are small
-// integers bounded by the bidder escalation and griefer budgets, so
-// the key space stays tiny).
-type bundleAgg struct {
-	budget                uint64
-	auctions              int
-	wins, defers          int
-	attempts, successes   int
-	victimExclusionBlocks int
-	byBid                 map[uint64]*bidSlackAgg
-}
-
-type bidSlackAgg struct {
-	wins          int
-	slackMilliSum int64
-}
-
 // EnableBundles arms the bundle-auctions block: the report will carry
 // it even for an empty population, echoing the sweep's configuration.
 func (a *Aggregator) EnableBundles(budget uint64) {
-	if a.bundles == nil {
-		a.bundles = &bundleAgg{byBid: make(map[uint64]*bidSlackAgg)}
+	if a.rep.BundleAuctions == nil {
+		a.rep.BundleAuctions = &BundleAuctions{}
 	}
-	a.bundles.budget = budget
-}
-
-// bundleAuctions finalizes the block.
-func (b *bundleAgg) bundleAuctions() *BundleAuctions {
-	return &BundleAuctions{
-		Budget:                b.budget,
-		Auctions:              b.auctions,
-		Wins:                  b.wins,
-		Defers:                b.defers,
-		ExclusionAttempts:     b.attempts,
-		ExclusionSuccesses:    b.successes,
-		VictimExclusionBlocks: b.victimExclusionBlocks,
-		SlackByBidDecile:      b.bidDeciles(),
-	}
-}
-
-// bidDeciles splits the per-slot-bid-keyed slack histogram into
-// deciles of wins ranked by bid (foldDeciles carries the shared
-// whole-bucket assignment, so this table can never diverge from the
-// tip-delay and hedge-premium ones).
-func (b *bundleAgg) bidDeciles() []BidDecile {
-	bids := make([]uint64, 0, len(b.byBid))
-	total := 0
-	for bid, agg := range b.byBid {
-		bids = append(bids, bid)
-		total += agg.wins
-	}
-	if total == 0 {
-		return nil
-	}
-	sort.Slice(bids, func(i, j int) bool { return bids[i] < bids[j] })
-	var out []BidDecile
-	var slackSum int64
-	foldDeciles(bids, total,
-		func(bid uint64) int { return b.byBid[bid].wins },
-		func(bid uint64) { slackSum += b.byBid[bid].slackMilliSum },
-		func(decile int, maxBid uint64, wins int) {
-			out = append(out, BidDecile{
-				Decile: decile, MaxPerSlot: maxBid, Wins: wins,
-				MeanSlackDelta: float64(slackSum) / 1000 / float64(wins),
-			})
-			slackSum = 0
-		})
-	return out
+	a.rep.BundleAuctions.Budget = budget
 }
 
 // Absorbed is the fraction of the gross sore-loser loss the payouts
@@ -439,84 +378,13 @@ type VolDecile struct {
 	MeanPremiumPct float64 `json:"mean_premium_pct"`
 }
 
-// hedgeAgg folds hedge observations in constant memory: counters plus
-// a volatility-keyed histogram (volatilities arrive quantized to basis
-// points, so the key space stays tiny).
-type hedgeAgg struct {
-	collateral float64
-	volWindow  int
-	binds      int
-	settles    int
-	premiums   uint64
-	refunds    uint64
-	payouts    uint64
-	gross      uint64
-	residual   uint64
-	byVol      map[int]*volPremiumAgg
-}
-
-type volPremiumAgg struct {
-	binds         int
-	premiumSum    uint64
-	collateralSum uint64
-}
-
 // EnableHedging arms the hedging block: the report will carry it even
 // for an empty population, echoing the sweep's configuration.
 func (a *Aggregator) EnableHedging(collateral float64, volWindow int) {
-	if a.hedge == nil {
-		a.hedge = &hedgeAgg{byVol: make(map[int]*volPremiumAgg)}
+	if a.rep.Hedging == nil {
+		a.rep.Hedging = &Hedging{}
 	}
-	a.hedge.collateral, a.hedge.volWindow = collateral, volWindow
-}
-
-// hedging finalizes the block.
-func (h *hedgeAgg) hedging() *Hedging {
-	return &Hedging{
-		Collateral:            h.collateral,
-		VolWindow:             h.volWindow,
-		Binds:                 h.binds,
-		Settles:               h.settles,
-		PremiumsPaid:          h.premiums,
-		PremiumsRefunded:      h.refunds,
-		PayoutsClaimed:        h.payouts,
-		GrossSoreLoserLoss:    h.gross,
-		ResidualSoreLoserLoss: h.residual,
-		PremiumByVolDecile:    h.volDeciles(),
-	}
-}
-
-// volDeciles splits the volatility-keyed histogram into deciles of
-// binds ranked by realized volatility (foldDeciles carries the shared
-// whole-bucket assignment).
-func (h *hedgeAgg) volDeciles() []VolDecile {
-	vols := make([]int, 0, len(h.byVol))
-	total := 0
-	for v, agg := range h.byVol {
-		vols = append(vols, v)
-		total += agg.binds
-	}
-	if total == 0 {
-		return nil
-	}
-	sort.Ints(vols)
-	var out []VolDecile
-	var premiumSum, collateralSum uint64
-	foldDeciles(vols, total,
-		func(v int) int { return h.byVol[v].binds },
-		func(v int) {
-			premiumSum += h.byVol[v].premiumSum
-			collateralSum += h.byVol[v].collateralSum
-		},
-		func(decile int, maxVol int, binds int) {
-			vd := VolDecile{Decile: decile, MaxVolBps: maxVol, Binds: binds}
-			if collateralSum > 0 {
-				vd.MeanPremiumPct = 100 * float64(premiumSum) / float64(collateralSum)
-			}
-			out = append(out, vd)
-			premiumSum, collateralSum = 0, 0
-		})
-	return out
+	a.rep.Hedging.Collateral, a.rep.Hedging.VolWindow = collateral, volWindow
 }
 
 // WinRate returns wins/attempts (0 for none).
@@ -545,107 +413,71 @@ type TipDecile struct {
 	MeanDelay float64 `json:"mean_delay"` // mean ticks queued before inclusion
 }
 
-// feeAgg folds fee-market observations in constant memory: totals,
-// race counters, and a tip-keyed delay histogram (tips are small
-// integers bounded by the bid budget, so the key space stays tiny).
-type feeAgg struct {
-	baseFee, tipBudget uint64
-	burned, tipped     uint64
-	commitFees         uint64
-	commits            int
-	races, raceWins    int
-	bids, bidWins      int
-	tipDelay           map[uint64]*tipDelayAgg
-}
-
-type tipDelayAgg struct {
-	count    int
-	delaySum int64
-}
-
 // EnableFees arms the ordering-games block: the report will carry it
 // even for an empty population, echoing the sweep's fee configuration.
 func (a *Aggregator) EnableFees(baseFee, tipBudget uint64) {
-	if a.fees == nil {
-		a.fees = &feeAgg{tipDelay: make(map[uint64]*tipDelayAgg)}
+	if a.rep.OrderingGames == nil {
+		a.rep.OrderingGames = &OrderingGames{}
 	}
-	a.fees.baseFee, a.fees.tipBudget = baseFee, tipBudget
+	a.rep.OrderingGames.BaseFee, a.rep.OrderingGames.TipBudget = baseFee, tipBudget
 }
 
-// orderingGames finalizes the block.
-func (f *feeAgg) orderingGames() *OrderingGames {
-	o := &OrderingGames{
-		BaseFee:          f.baseFee,
-		TipBudget:        f.tipBudget,
-		FeesBurned:       f.burned,
-		FeesTipped:       f.tipped,
-		CommittedDeals:   f.commits,
-		FrontRunAttempts: f.races,
-		FrontRunWins:     f.raceWins,
-		FeeBidAttempts:   f.bids,
-		FeeBidWins:       f.bidWins,
-	}
-	if f.commits > 0 {
-		o.FeePerCommit = float64(f.commitFees) / float64(f.commits)
-	}
-	o.InclusionDelay = f.deciles()
-	return o
+// hist is a histogram over small integer keys — tips, per-slot bundle
+// bids, volatility in basis points, all bounded by the sweep's budgets,
+// so the key space stays tiny: per key, an item count and two payload
+// sums.
+type hist[K cmp.Ordered] map[K]*histBin
+
+type histBin struct {
+	n    int
+	a, b int64
 }
 
-// foldDeciles assigns whole histogram buckets (keys ascending) to
-// deciles of a total-item population: a bucket's items are consumed in
-// key order against ceil(d·total/10) boundaries, so equal keys never
-// straddle a boundary, and deciles left empty by a large bucket merge
-// into the one that swallowed them. absorb folds a bucket's payload
-// into the open decile; flush emits a finished decile (its index, the
-// largest key it swallowed, its item count) and must reset the
-// caller's payload accumulators. Shared by the tip-delay and
-// hedge-premium decile tables so the two can never diverge.
-func foldDeciles[K cmp.Ordered](keys []K, total int, count func(K) int, absorb func(K), flush func(decile int, maxKey K, items int)) {
-	cum, d, open, items := 0, 1, 1, 0
-	var maxKey K
-	boundary := func(d int) int { return (d*total + 9) / 10 } // ceil(d·total/10)
+func (h *hist[K]) add(k K, a, b int64) {
+	if *h == nil {
+		*h = make(hist[K])
+	}
+	bin := (*h)[k]
+	if bin == nil {
+		bin = &histBin{}
+		(*h)[k] = bin
+	}
+	bin.n++
+	bin.a += a
+	bin.b += b
+}
+
+// deciles assigns whole buckets (keys ascending) to deciles of the
+// items: a bucket's items are consumed in key order against
+// ceil(d·total/10) boundaries, so equal keys never straddle a boundary,
+// and deciles left empty by a large bucket merge into the one that
+// swallowed them. emit receives each finished decile's index, the
+// largest key it swallowed, its item count and its payload sums; with
+// no items it is never called.
+func (h hist[K]) deciles(emit func(decile int, maxKey K, n int, a, b int64)) {
+	keys := make([]K, 0, len(h))
+	total := 0
+	for k, bin := range h {
+		keys = append(keys, k)
+		total += bin.n
+	}
+	slices.Sort(keys)
+	cum, d, open := 0, 1, 1
+	var acc histBin
 	for _, k := range keys {
-		absorb(k)
-		items += count(k)
-		maxKey = k
-		cum += count(k)
-		for d <= 10 && cum >= boundary(d) {
+		bin := h[k]
+		acc.n += bin.n
+		acc.a += bin.a
+		acc.b += bin.b
+		cum += bin.n
+		for d <= 10 && cum >= (d*total+9)/10 {
 			d++
 		}
 		if d > open {
-			flush(open, maxKey, items)
-			open, items = d, 0
+			emit(open, k, acc.n, acc.a, acc.b)
+			open, acc = d, histBin{}
 		}
 	}
-}
-
-// deciles splits the tip-keyed histogram into deciles of included
-// transactions ranked by tip.
-func (f *feeAgg) deciles() []TipDecile {
-	tips := make([]uint64, 0, len(f.tipDelay))
-	total := 0
-	for tip, agg := range f.tipDelay {
-		tips = append(tips, tip)
-		total += agg.count
-	}
-	if total == 0 {
-		return nil
-	}
-	sort.Slice(tips, func(i, j int) bool { return tips[i] < tips[j] })
-	var out []TipDecile
-	var delaySum int64
-	foldDeciles(tips, total,
-		func(t uint64) int { return f.tipDelay[t].count },
-		func(t uint64) { delaySum += f.tipDelay[t].delaySum },
-		func(decile int, maxTip uint64, txs int) {
-			out = append(out, TipDecile{
-				Decile: decile, MaxTip: maxTip, Count: txs,
-				MeanDelay: float64(delaySum) / float64(txs),
-			})
-			delaySum = 0
-		})
-	return out
 }
 
 // maxViolations bounds the violation list so even a population where
@@ -659,11 +491,11 @@ const maxViolations = 1000
 type Aggregator struct {
 	rep        *Report
 	gas, dtime Sketch
-	fees       *feeAgg              // nil unless EnableFees armed the ordering block
-	hedge      *hedgeAgg            // nil unless EnableHedging armed the hedging block
-	bundles    *bundleAgg           // nil unless EnableBundles armed the bundle block
-	inter      *Interference        // nil outside arena sweeps
-	inflation  Sketch               // arena/solo latency ratios, for inter
+	inflation  Sketch               // arena/solo latency ratios, for rep.Interference
+	commitFees uint64               // committed deals' fees, for FeePerCommit
+	tipDelay   hist[uint64]         // tip -> included txs, ticks queued
+	bidSlack   hist[uint64]         // per-slot bid -> winning bundles, slack in milli-Δ
+	volPremium hist[int]            // volatility bps -> binds, premium, collateral
 	phases     map[string]*phaseAgg // protocol -> phase sketches, created on first span
 	crit       map[string]*critAgg  // protocol|mix -> attribution sketches, created on first decided deal
 	metrics    *obs.Registry        // nil unless EnableObs attached a registry
@@ -724,9 +556,9 @@ func (a *Aggregator) Add(r Record) {
 		p.add(r.Spans)
 	}
 	a.addCrit(r)
-	if a.fees != nil && r.Committed {
-		a.fees.commits++
-		a.fees.commitFees += r.DealFees
+	if og := rep.OrderingGames; og != nil && r.Committed {
+		og.CommittedDeals++
+		a.commitFees += r.DealFees
 	}
 	for _, v := range r.SafetyViolations {
 		rep.flag(r, "safety (P1)", v)
@@ -766,62 +598,43 @@ func (a *Aggregator) addWorld(w *world) {
 		}
 	}
 	in := &w.inter
-	if f := a.fees; f != nil {
+	if og := a.rep.OrderingGames; og != nil {
 		if w.fees != nil {
-			f.burned += w.fees.Burned
-			f.tipped += w.fees.Tipped
+			og.FeesBurned += w.fees.Burned
+			og.FeesTipped += w.fees.Tipped
 			for _, s := range w.fees.Samples {
-				t := f.tipDelay[s.Tip]
-				if t == nil {
-					t = &tipDelayAgg{}
-					f.tipDelay[s.Tip] = t
-				}
-				t.count++
-				t.delaySum += s.Queued
+				a.tipDelay.add(s.Tip, s.Queued, 0)
 			}
 		}
-		f.races += in.FrontRunAttempts
-		f.raceWins += in.FrontRunWins
-		f.bids += in.FeeBidAttempts
-		f.bidWins += in.FeeBidWins
+		og.FrontRunAttempts += in.FrontRunAttempts
+		og.FrontRunWins += in.FrontRunWins
+		og.FeeBidAttempts += in.FeeBidAttempts
+		og.FeeBidWins += in.FeeBidWins
 	}
-	if b := a.bundles; b != nil {
-		b.auctions += in.BundleAuctions
-		b.wins += in.BundleWins
-		b.defers += in.BundleDefers
-		b.attempts += in.ExclusionAttempts
-		b.successes += in.ExclusionSuccesses
-		b.victimExclusionBlocks += in.VictimExclusionBlocks
+	if b := a.rep.BundleAuctions; b != nil {
+		b.Auctions += in.BundleAuctions
+		b.Wins += in.BundleWins
+		b.Defers += in.BundleDefers
+		b.ExclusionAttempts += in.ExclusionAttempts
+		b.ExclusionSuccesses += in.ExclusionSuccesses
+		b.VictimExclusionBlocks += in.VictimExclusionBlocks
 		for _, s := range in.BundleSamples {
-			agg := b.byBid[s.PerSlot]
-			if agg == nil {
-				agg = &bidSlackAgg{}
-				b.byBid[s.PerSlot] = agg
-			}
-			agg.wins++
-			agg.slackMilliSum += s.SlackMilli
+			a.bidSlack.add(s.PerSlot, s.SlackMilli, 0)
 		}
 	}
-	if h := a.hedge; h != nil {
-		h.binds += in.HedgeBinds
-		h.settles += in.HedgeSettles
-		h.premiums += in.PremiumsPaid
-		h.refunds += in.PremiumsRefunded
-		h.payouts += in.PayoutsClaimed
-		h.gross += in.SoreLoserLoss
-		h.residual += in.ResidualSoreLoserLoss
+	if h := a.rep.Hedging; h != nil {
+		h.Binds += in.HedgeBinds
+		h.Settles += in.HedgeSettles
+		h.PremiumsPaid += in.PremiumsPaid
+		h.PremiumsRefunded += in.PremiumsRefunded
+		h.PayoutsClaimed += in.PayoutsClaimed
+		h.GrossSoreLoserLoss += in.SoreLoserLoss
+		h.ResidualSoreLoserLoss += in.ResidualSoreLoserLoss
 		for _, s := range in.HedgeSamples {
-			v := h.byVol[s.VolBps]
-			if v == nil {
-				v = &volPremiumAgg{}
-				h.byVol[s.VolBps] = v
-			}
-			v.binds++
-			v.premiumSum += s.Premium
-			v.collateralSum += s.Collateral
+			a.volPremium.add(s.VolBps, int64(s.Premium), int64(s.Collateral))
 		}
 	}
-	if i := a.inter; i != nil {
+	if i := a.rep.Interference; i != nil {
 		i.Arenas++
 		i.SoreLoserTriggers += in.SoreLoserTriggers
 		i.SoreLoserDeals += in.SoreLoserDeals
@@ -835,7 +648,8 @@ func (a *Aggregator) addWorld(w *world) {
 	}
 }
 
-// Report finalizes and returns the aggregate. The aggregator may keep
+// Report finishes the derived fields — distributions, fee per commit,
+// decile tables — and returns the aggregate. The aggregator may keep
 // folding afterwards; Report is cheap and repeatable.
 func (a *Aggregator) Report() *Report {
 	a.rep.Gas = a.gas.Dist()
@@ -856,18 +670,39 @@ func (a *Aggregator) Report() *Report {
 		a.rep.Phases = pb
 	}
 	a.rep.CriticalPath = a.criticalPath()
-	if a.fees != nil {
-		a.rep.OrderingGames = a.fees.orderingGames()
+	if og := a.rep.OrderingGames; og != nil {
+		og.FeePerCommit = 0
+		if og.CommittedDeals > 0 {
+			og.FeePerCommit = float64(a.commitFees) / float64(og.CommittedDeals)
+		}
+		og.InclusionDelay = nil
+		a.tipDelay.deciles(func(d int, tip uint64, txs int, delay, _ int64) {
+			og.InclusionDelay = append(og.InclusionDelay, TipDecile{
+				Decile: d, MaxTip: tip, Count: txs, MeanDelay: float64(delay) / float64(txs),
+			})
+		})
 	}
-	if a.hedge != nil {
-		a.rep.Hedging = a.hedge.hedging()
+	if b := a.rep.BundleAuctions; b != nil {
+		b.SlackByBidDecile = nil
+		a.bidSlack.deciles(func(d int, bid uint64, wins int, slackMilli, _ int64) {
+			b.SlackByBidDecile = append(b.SlackByBidDecile, BidDecile{
+				Decile: d, MaxPerSlot: bid, Wins: wins,
+				MeanSlackDelta: float64(slackMilli) / 1000 / float64(wins),
+			})
+		})
 	}
-	if a.bundles != nil {
-		a.rep.BundleAuctions = a.bundles.bundleAuctions()
+	if h := a.rep.Hedging; h != nil {
+		h.PremiumByVolDecile = nil
+		a.volPremium.deciles(func(d int, vol int, binds int, premium, collateral int64) {
+			vd := VolDecile{Decile: d, MaxVolBps: vol, Binds: binds}
+			if collateral > 0 {
+				vd.MeanPremiumPct = 100 * float64(premium) / float64(collateral)
+			}
+			h.PremiumByVolDecile = append(h.PremiumByVolDecile, vd)
+		})
 	}
-	if a.inter != nil {
-		a.inter.LatencyInflation = a.inflation.Dist()
-		a.rep.Interference = a.inter
+	if i := a.rep.Interference; i != nil {
+		i.LatencyInflation = a.inflation.Dist()
 	}
 	return a.rep
 }
