@@ -371,3 +371,37 @@ func TestZeroValuedArenaSweepEchoesResolvedDefaults(t *testing.T) {
 		t.Fatalf("replayed deal 0 differs from the explicit-default arena:\n--- replay ---\n%s\n--- explicit ---\n%s", got, want)
 	}
 }
+
+// TestArenaForwardsReachLateEscrows replays four deals of the
+// arena-congested benchmark population (2,000 mixed deals, 30%
+// adversaries, 50 per two-chain arena, fee markets, bundles and hedging)
+// whose only deviant, a bundle-griefing front-runner, once lost its
+// incoming asset: it raced a vote to an escrow not registered yet, and
+// the rejected forward was never sent again. Each must replay clean.
+func TestArenaForwardsReachLateEscrows(t *testing.T) {
+	for _, c := range []struct {
+		seed uint64
+		deal int
+	}{
+		{4839782808629744545, 123},
+		{10218048791621826925, 507},
+		{12172763028394216910, 935},
+		{3935774486848180498, 1519},
+	} {
+		opts := Options{
+			Deals:   2000,
+			Workers: 1,
+			Gen: GenOptions{
+				Seed: c.seed, Protocol: "mixed", AdversaryRate: 0.3, Fees: &FeeOptions{},
+			},
+			Arena: &ArenaOptions{DealsPerArena: 50, Chains: 2, Bundles: true, Hedge: true},
+		}
+		out, err := ReplayArenaDeal(opts, c.deal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := out.Result.SafetyViolations; len(v) > 0 {
+			t.Errorf("seed %d deal %d: %v", c.seed, c.deal, v)
+		}
+	}
+}

@@ -142,6 +142,9 @@ type Party struct {
 	// Timelock: votes known accepted at each incoming leg, and forwards
 	// already attempted there, to avoid spamming duplicates.
 	acceptedAt, forwarded voterSets
+	// held keeps the votes whose forward waits for an incoming escrow
+	// to be registered (see forwardVote), at most one per voter.
+	held []sig.PathSig
 
 	// CBC driver state (nil for timelock parties).
 	cbcState *cbcState
@@ -204,6 +207,7 @@ func (p *Party) Reset(addr chain.Addr, cfg Config) {
 		p.hedgeSubmitted, p.hedgeBound, p.hedgeClaiming, p.hedgeSettled} {
 		clear(m)
 	}
+	clear(p.held)
 	*p = Party{
 		Addr:            addr,
 		cfg:             cfg,
@@ -215,6 +219,7 @@ func (p *Party) Reset(addr chain.Addr, cfg Config) {
 		escrowConfirmed: p.escrowConfirmed,
 		acceptedAt:      p.acceptedAt,
 		forwarded:       p.forwarded,
+		held:            p.held[:0],
 		hedgeSubmitted:  p.hedgeSubmitted,
 		hedgeBound:      p.hedgeBound,
 		hedgeClaiming:   p.hedgeClaiming,
@@ -377,6 +382,9 @@ func (p *Party) onChainEvent(ev chain.Event) {
 		}
 		p.tryTransfers()
 		p.checkValidation()
+		if ev.Kind == escrow.EventEscrowed {
+			p.forwardHeld()
+		}
 	case escrow.EventCommitted, escrow.EventAborted:
 		p.hedgeOnOutcome(ev)
 	default:

@@ -91,6 +91,9 @@ func (p *Party) onTimelockEvent(ev chain.Event) {
 // accepted-vote events) and the front-runner (reacting to mempool
 // gossip, see race) go through here. A vote by a voter the deal does not
 // name is never forwarded: every escrow rejects it (timelock.ErrNotVoter).
+// A leg whose escrow is not registered yet would reject the vote too, and
+// its sent mark would then keep the vote from it for good: the vote is
+// held for that leg instead and sent on its escrowed event (forwardHeld).
 func (p *Party) forwardVote(vote sig.PathSig, seenAt int) {
 	voter := p.cfg.Plan.Index(chain.Addr(vote.Voter))
 	if voter < 0 {
@@ -106,6 +109,10 @@ func (p *Party) forwardVote(vote sig.PathSig, seenAt int) {
 		if !ok {
 			continue
 		}
+		if view, ok := p.escrowView(in.Asset); !ok || !view.Exists() {
+			p.hold(vote)
+			continue
+		}
 		fw := action{kind: actForward, on: c, tip: p.tipFor(c)}
 		if !p.act(&fw) {
 			continue
@@ -117,6 +124,26 @@ func (p *Party) forwardVote(vote sig.PathSig, seenAt int) {
 			}
 		}
 		p.submitTx(c, in.Asset.Escrow, timelock.MethodCommit, LabelCommit, args, fw.tip, fw.done)
+	}
+}
+
+// hold keeps vote for forwardHeld, one vote per voter: any of a voter's
+// votes serves, since the party extends it with its own signature.
+func (p *Party) hold(vote sig.PathSig) {
+	for i := range p.held {
+		if p.held[i].Voter == vote.Voter {
+			return
+		}
+	}
+	p.held = append(p.held, vote)
+}
+
+// forwardHeld offers every held vote to the incoming legs again, once an
+// escrow of the deal has been registered; forwardVote skips the legs
+// that have the vote and holds it anew for those still unregistered.
+func (p *Party) forwardHeld() {
+	for i := range p.held {
+		p.forwardVote(p.held[i], -1)
 	}
 }
 
