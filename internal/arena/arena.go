@@ -492,7 +492,7 @@ func Run(opts Options, pop []DealSetup) (*Result, error) {
 		w := w
 		startAt := base + sim.Time(pop[k].StartOffset)
 		w.Spec.T0 = startAt + leads[k]
-		sub.Sched.At(startAt, w.Start)
+		sub.Sched.After(startAt-base, w.Start)
 	}
 	sub.Sched.Run()
 

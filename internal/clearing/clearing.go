@@ -77,7 +77,7 @@ func (s *Service) Announce(spec *deal.Spec, at sim.Time) error {
 		free := spec.FreeRiders()
 		return fmt.Errorf("%w: free riders %v", ErrIllFormed, free)
 	}
-	s.sched.At(at, func() {
+	s.sched.After(at-s.sched.Now(), func() {
 		for _, p := range s.participants {
 			p.OnDeal(spec)
 		}

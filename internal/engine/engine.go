@@ -368,7 +368,7 @@ func (s *Substrate) chainGas(ids []chain.ID) *gas.Meter {
 	for i, id := range ids {
 		meters[i] = s.Chains[id].Meter()
 	}
-	u := chainUnion{ids, gas.NewUnion(gas.DefaultSchedule(), meters...)}
+	u := chainUnion{slices.Clone(ids), gas.NewUnion(gas.DefaultSchedule(), meters...)}
 	s.unions = append(s.unions, u)
 	return u.Meter()
 }
@@ -408,8 +408,11 @@ type World struct {
 	// plan indexes Spec per party once, for the parties' event loops and
 	// for evaluation.
 	plan *deal.Plan
-	keys map[string]sig.KeyPair
-	memo *sig.Memo // the substrate's signature memo
+	// chainIDs lists Chains' ids in ascending order, the order every
+	// per-chain loop of the world visits them in.
+	chainIDs []chain.ID
+	keys     map[string]sig.KeyPair
+	memo     *sig.Memo // the substrate's signature memo
 
 	// outageBeyondDelta is the longest configured DoS window on any of
 	// this deal's chains that exceeds the spec's Δ — the condition under
@@ -471,6 +474,7 @@ func (w *World) reset(s *Substrate, spec *deal.Spec, opts Options, plan *deal.Pl
 		sub:             s,
 		opts:            opts,
 		plan:            plan,
+		chainIDs:        w.chainIDs[:0],
 		keys:            cleared(w.keys),
 		memo:            s.memo,
 		initialFungible: cleared(w.initialFungible),
@@ -612,6 +616,10 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 			return nil, err
 		}
 	}
+	for id := range w.Chains {
+		w.chainIDs = append(w.chainIDs, id)
+	}
+	slices.Sort(w.chainIDs)
 
 	// Hedging contracts: premium-priced sore-loser insurance (see
 	// internal/hedge) paired with every fungible escrow manager this
@@ -819,7 +827,7 @@ func volSource(c *chain.Chain, window int) func() float64 {
 // the total, not an addition to it.
 func (w *World) DealGas() uint64 {
 	var g uint64
-	for _, id := range sortedChainIDs(w.Chains) {
+	for _, id := range w.chainIDs {
 		m := w.Chains[id].Meter()
 		if w.opts.LabelPrefix == "" {
 			g += m.Used()
@@ -841,7 +849,7 @@ func (w *World) DealGas() uint64 {
 // share on a shared one. Zero without a fee market.
 func (w *World) DealFees() uint64 {
 	var total feemarket.Totals
-	for _, id := range sortedChainIDs(w.Chains) {
+	for _, id := range w.chainIDs {
 		fm := w.Chains[id].FeeMarket()
 		if fm == nil {
 			continue
@@ -988,7 +996,7 @@ func (w *World) Run() *Result {
 // meter of the deal's own: a layer, holding the CBC's meter and whatever
 // the caller charges, over its chains' shared merge (see chainGas).
 func (w *World) GasMerged() *gas.Meter {
-	m := gas.Layered(w.sub.chainGas(sortedChainIDs(w.Chains)))
+	m := gas.Layered(w.sub.chainGas(w.chainIDs))
 	if w.CBC != nil {
 		m.Merge(w.CBC.Meter())
 	}
@@ -1017,7 +1025,7 @@ func (w *World) String() string {
 
 // attachTrace records all chain and CBC activity into the trace log.
 func (w *World) attachTrace(log *trace.Log) {
-	for _, id := range sortedChainIDs(w.Chains) {
+	for _, id := range w.chainIDs {
 		c := w.Chains[id]
 		src := string(c.ID())
 		c.Subscribe(func(ev chain.Event) {

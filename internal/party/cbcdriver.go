@@ -180,7 +180,7 @@ func (p *Party) scheduleGiveUp() {
 		if st.votedCommit {
 			earliest := st.votedCommitAt + sim.Time(p.cfg.Spec.Delta)
 			if p.cfg.Sched.Now() < earliest {
-				p.cfg.Sched.At(earliest, fire)
+				p.cfg.Sched.After(earliest-p.cfg.Sched.Now(), fire)
 				return
 			}
 		}

@@ -260,13 +260,13 @@ func (b Behavior) strategies() []strategy {
 	}
 	if b.CrashAt > 0 {
 		add(strategy{deviant: true, start: func(p *Party) {
-			p.cfg.Sched.At(b.CrashAt, func() { p.halted = true })
+			p.cfg.Sched.After(b.CrashAt-p.cfg.Sched.Now(), func() { p.halted = true })
 		}})
 	}
 	if b.OfflineFrom > 0 {
 		add(strategy{deviant: true, start: func(p *Party) {
 			p.sleepFrom, p.sleepUntil = b.OfflineFrom, b.OfflineUntil
-			p.cfg.Sched.At(b.OfflineUntil, p.wake)
+			p.cfg.Sched.After(b.OfflineUntil-p.cfg.Sched.Now(), p.wake)
 		}})
 	}
 	for _, d := range []struct {

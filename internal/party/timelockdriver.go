@@ -18,7 +18,7 @@ func (p *Party) startTimelock() {
 	if p.act(&action{kind: actRefund}) {
 		// One Δ past the contract refund floor T0 + N·Δ, N the party
 		// count: the last rung a late long-path vote may still need.
-		p.cfg.Sched.At(p.timelockHorizon(), func() { p.pokeRefunds() })
+		p.cfg.Sched.After(p.timelockHorizon()-p.cfg.Sched.Now(), func() { p.pokeRefunds() })
 	}
 }
 
