@@ -616,10 +616,12 @@ func (s *Substrate) BuildOn(spec *deal.Spec, opts Options) (*World, error) {
 			return nil, err
 		}
 	}
+	ids := w.chainIDs
 	for id := range w.Chains {
-		w.chainIDs = append(w.chainIDs, id)
+		ids = append(ids, id)
 	}
-	slices.Sort(w.chainIDs)
+	slices.Sort(ids)
+	w.chainIDs = ids
 
 	// Hedging contracts: premium-priced sore-loser insurance (see
 	// internal/hedge) paired with every fungible escrow manager this
