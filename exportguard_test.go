@@ -23,23 +23,25 @@ import (
 // is the package's directory under internal/, then the receiver's type
 // name for a method, then the name, joined by dots.
 var exportAllowlist = map[string]string{
-	"chain.Chain.TestEnv":         "fixture the contract packages' tests (escrow, timelock, cbc, htlc, token) invoke contracts through; a _test.go file cannot export it to them",
-	"escrow.State.TotalDeposited": "conservation reader kept for the reference-model oracle that will check escrow ledgers after every step",
-	"escrow.State.TotalOnCommit":  "conservation reader kept for the reference-model oracle that will check escrow ledgers after every step",
-	"token.Fungible.TotalSupply":  "conservation reader kept for the reference-model oracle that will check token ledgers after every step",
-	"gas.Meter.Labels":            "label listing the gas tests and engine's evaluation-twin test compare meters by",
-	"gas.Meter.Snapshot":          "phase snapshot the contract packages' tests (cbc, escrow, timelock, token) measure one call's gas with",
-	"gas.Snapshot.Sub":            "phase delta the contract packages' tests (cbc, escrow, timelock, token) measure one call's gas with",
-	"hedge.Manager.Totals":        "pool ledger the hedge and engine tests reconcile against the premiums parties paid",
-	"party.Behavior.Compliant":    "classifies a behaviour before any party is built; the arena and fleet tests check generated mixes with it",
-	"obs.Counter.Value":           "metric reader the obs, engine and fleet tests check what a run registered with",
-	"obs.Gauge.Value":             "metric reader the obs, engine and fleet tests check what a run registered with",
-	"sim.Scheduler.Pending":       "queue depth the sim and party tests check a drained world by",
-	"pow.NewManager":              "the paper's §6.2 PoW escrow contract, which the pow tests stage the private-fork attack against; no population deploys it",
-	"pow.NewChain":                "block tree of the §6.2 PoW contract's attack tests (see pow.NewManager)",
-	"pow.Chain.Extend":            "block tree of the §6.2 PoW contract's attack tests (see pow.NewManager)",
-	"pow.Chain.Best":              "block tree of the §6.2 PoW contract's attack tests (see pow.NewManager)",
-	"trace.Attribution.Sum":       "the conservation invariant (bucket sum equals Total) that the trace, engine and fleet tests assert",
+	"chain.Chain.TestEnv":                "fixture the contract packages' tests (escrow, timelock, cbc, htlc, token) invoke contracts through; a _test.go file cannot export it to them",
+	"escrow.State.TotalDeposited":        "conservation reader kept for the reference-model oracle that will check escrow ledgers after every step",
+	"escrow.State.TotalOnCommit":         "conservation reader kept for the reference-model oracle that will check escrow ledgers after every step",
+	"token.Fungible.TotalSupply":         "conservation reader kept for the reference-model oracle that will check token ledgers after every step",
+	"gas.Meter.Labels":                   "label listing the gas tests and engine's evaluation-twin test compare meters by",
+	"gas.Meter.Snapshot":                 "phase snapshot the contract packages' tests (cbc, escrow, timelock, token) measure one call's gas with",
+	"gas.Snapshot.Sub":                   "phase delta the contract packages' tests (cbc, escrow, timelock, token) measure one call's gas with",
+	"hedge.Manager.Totals":               "pool ledger the hedge and engine tests reconcile against the premiums parties paid",
+	"party.Behavior.Compliant":           "classifies a behaviour before any party is built; the arena and fleet tests check generated mixes with it",
+	"obs.Counter.Value":                  "metric reader the obs, engine and fleet tests check what a run registered with",
+	"obs.Gauge.Value":                    "metric reader the obs, engine and fleet tests check what a run registered with",
+	"sim.Scheduler.Pending":              "queue depth the sim and party tests check a drained world by",
+	"pow.NewManager":                     "the paper's §6.2 PoW escrow contract, which the pow tests stage the private-fork attack against; no population deploys it",
+	"pow.NewChain":                       "block tree of the §6.2 PoW contract's attack tests (see pow.NewManager)",
+	"pow.Chain.Extend":                   "block tree of the §6.2 PoW contract's attack tests (see pow.NewManager)",
+	"pow.Chain.Best":                     "block tree of the §6.2 PoW contract's attack tests (see pow.NewManager)",
+	"trace.Attribution.Sum":              "the conservation invariant (bucket sum equals Total) that the trace, engine and fleet tests assert",
+	"escrow.notActiveError.Unwrap":       "errors.Is reaches it through an anonymous interface, so a rejected call still matches ErrNotActive",
+	"timelock.duplicateVoteError.Unwrap": "errors.Is reaches it through an anonymous interface, so a repeated vote still matches ErrDuplicateVote",
 }
 
 // TestEveryExportHasACaller fails on an exported function or method

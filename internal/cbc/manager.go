@@ -96,7 +96,7 @@ func (m *Manager) handleOutcome(env *chain.Env, a ProofArgs, want escrow.Status)
 		return fmt.Errorf("%w: %s", escrow.ErrUnknownDeal, a.Deal)
 	}
 	if st.Status != escrow.StatusActive {
-		return fmt.Errorf("%w: %s is %s", escrow.ErrNotActive, a.Deal, st.Status)
+		return escrow.NotActive(a.Deal, st.Status)
 	}
 	info, ok := st.Info.(Info)
 	if !ok {

@@ -1068,8 +1068,12 @@ func renderEventData(data any) string {
 		return fmt.Sprintf("%s -> %s %d (tentative)", d.From, d.To, d.Amount)
 	case escrow.OutcomeEvent:
 		return fmt.Sprintf("deal %s %s", d.Deal, d.Status)
-	case timelock.VoteEvent:
-		return fmt.Sprintf("vote by %s, path %v", d.Voter, d.Vote.Signers)
+	case timelock.CommitArgs: // an accepted vote
+		signers := make([]string, len(d.Vote.Hops))
+		for i, h := range d.Vote.Hops {
+			signers[i] = h.Signer
+		}
+		return fmt.Sprintf("vote by %s, path %v", d.Vote.Voter, signers)
 	default:
 		return fmt.Sprintf("%v", data)
 	}

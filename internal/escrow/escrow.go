@@ -67,6 +67,23 @@ var (
 	ErrAlreadyFinalized = errors.New("escrow: deal already finalized")
 )
 
+// NotActive is ErrNotActive for deal id, whose status is s: the error
+// fmt.Errorf("%w: %s is %s", ErrNotActive, id, s) gives, with its text
+// built only when read. Every contract rejects a late vote, proof or
+// transfer with it, one per arrival after the deal finalized.
+func NotActive(id string, s Status) error { return &notActiveError{id, s} }
+
+type notActiveError struct {
+	deal   string
+	status Status
+}
+
+func (e *notActiveError) Error() string {
+	return ErrNotActive.Error() + ": " + e.deal + " is " + e.status.String()
+}
+
+func (e *notActiveError) Unwrap() error { return ErrNotActive }
+
 // State is the per-deal bookkeeping at one escrow contract.
 type State struct {
 	Parties []chain.Addr
@@ -392,7 +409,7 @@ func (b *Book) activeState(id string) (*State, error) {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownDeal, id)
 	}
 	if st.Status != StatusActive {
-		return nil, fmt.Errorf("%w: %s is %s", ErrNotActive, id, st.Status)
+		return nil, NotActive(id, st.Status)
 	}
 	return st, nil
 }

@@ -43,9 +43,7 @@ func everyEvent(own string, at deal.AssetRef, voter chain.Addr, keys sig.KeyPair
 		add(escrow.EventTransferred, escrow.TransferredEvent{Deal: id, From: voter, To: "x", Amount: 5})
 		add(escrow.EventCommitted, escrow.OutcomeEvent{Deal: id, Status: escrow.StatusCommitted})
 		add(escrow.EventAborted, escrow.OutcomeEvent{Deal: id, Status: escrow.StatusAborted})
-		add(timelock.EventVoteAccepted, timelock.VoteEvent{
-			Deal: id, Voter: voter, Vote: sig.NewVote(id, string(voter), keys),
-		})
+		add(timelock.EventVoteAccepted, timelock.CommitArgs{Deal: id, Vote: sig.NewVote(id, string(voter), keys)})
 		add(hedge.EventBound, hedge.BoundEvent{Deal: id, Insured: voter, Collateral: 9, Premium: 1})
 		add(hedge.EventSettled, hedge.SettledEvent{Deal: id, Insured: voter, Payout: true, Amount: 9})
 		// Right payload, wrong kind: the kind decides who handles it.
@@ -189,7 +187,7 @@ func TestFilterAdmitsOwnDealOnly(t *testing.T) {
 			"committed/escrow.OutcomeEvent": true, "aborted/escrow.OutcomeEvent": true,
 		}
 		if proto == party.ProtoTimelock {
-			want["vote-accepted/timelock.VoteEvent"] = true
+			want["vote-accepted/timelock.CommitArgs"] = true
 		}
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("%s: filter admits %v, want %v", proto, got, want)
@@ -239,7 +237,7 @@ func TestForwardedVoteSignedOncePerObservation(t *testing.T) {
 		c.SubscribeMempool("", nil, func(ptx chain.PendingTx) {
 			if args, ok := ptx.Args.(timelock.CommitArgs); ok && args.Vote.Len() >= 2 {
 				relays++
-				distinct[&args.Vote.Sigs[args.Vote.Len()-1][0]] = true
+				distinct[&args.Vote.Hops[args.Vote.Len()-1].Sig[0]] = true
 			}
 		})
 	}

@@ -150,7 +150,6 @@ func TestTopicExtractsIDs(t *testing.T) {
 		{escrow.EscrowedEvent{Deal: "D1"}, "D1"},
 		{escrow.TransferredEvent{Deal: "D2"}, "D2"},
 		{escrow.OutcomeEvent{Deal: "D3"}, "D3"},
-		{timelock.VoteEvent{Deal: "D4"}, "D4"},
 		{timelock.CommitArgs{Deal: "D5"}, "D5"},
 		{cbc.ProofArgs{Deal: "D6"}, "D6"},
 		{escrow.EscrowArgs{Deal: "D7"}, ""},

@@ -63,11 +63,11 @@ func (p *Party) onTimelockEvent(ev chain.Event) {
 	if ev.Kind != timelock.EventVoteAccepted {
 		return
 	}
-	data, ok := ev.Data.(timelock.VoteEvent)
+	data, ok := ev.Data.(timelock.CommitArgs)
 	if !ok || data.Deal != p.cfg.Spec.ID {
 		return
 	}
-	voter := p.cfg.Plan.Index(data.Voter)
+	voter := p.cfg.Plan.Index(chain.Addr(data.Vote.Voter))
 	seenAt := -1 // the incoming leg the vote was accepted at, if one of ours
 	for i := range p.mine.Incoming {
 		if in := &p.mine.Incoming[i]; in.Asset.Chain == ev.Chain && in.Asset.Escrow == ev.Contract {

@@ -101,7 +101,7 @@ func (m *Manager) handle(env *chain.Env, a ProofArgs, wantCommit bool) error {
 		return fmt.Errorf("%w: %s", escrow.ErrUnknownDeal, a.Deal)
 	}
 	if st.Status != escrow.StatusActive {
-		return fmt.Errorf("%w: %s is %s", escrow.ErrNotActive, a.Deal, st.Status)
+		return escrow.NotActive(a.Deal, st.Status)
 	}
 	if err := a.Proof.Valid(m.K); err != nil {
 		return fmt.Errorf("%w: %v", ErrConfirmations, err)

@@ -152,8 +152,8 @@ func TestMemoVerifiesPathPrefixOnce(t *testing.T) {
 	}
 
 	// A forged last hop is still caught behind a fully memoised prefix.
-	forged := vote.Clone()
-	forged.Sigs[3] = flipBit(forged.Sigs[3])
+	forged := tampered(vote)
+	copy(forged.Hops[3].Sig[:], flipBit(forged.Hops[3].Sig[:]))
 	if err := forged.VerifyWith(m, pubs, nil); err == nil {
 		t.Fatal("forged hop accepted behind a memoised prefix")
 	}

@@ -10,6 +10,12 @@
 // load-bearing: it proves how many forwarding hops the vote took and
 // therefore how late it may legitimately be.
 //
+// A PathSig is never written after it is built: NewVoteWith and
+// ForwardWith return a fresh path, and everything else only reads one.
+// A vote is therefore shared by value, without a copy, by the
+// transaction that carries it, the event that reports its acceptance
+// and every party that holds or forwards it.
+//
 // Signatures come in two schemes. The plain forms (KeyPair.Sign, Verify,
 // PathSig.Forward and Verify, and a nil *Memo) run ed25519. A simulated
 // world signs and verifies through its own non-nil Memo instead, whose
@@ -202,9 +208,22 @@ func (m *Memo) Sign(key KeyPair, msg []byte) []byte {
 	if m == nil {
 		return key.Sign(msg)
 	}
+	var s [ed25519.SignatureSize]byte
+	m.signInto(&s, key, msg)
+	return s[:]
+}
+
+// signInto writes what Sign returns into dst, without allocating under a
+// non-nil memo.
+func (m *Memo) signInto(dst *[ed25519.SignatureSize]byte, key KeyPair, msg []byte) {
+	if m == nil {
+		copy(dst[:], key.Sign(msg))
+		return
+	}
 	pub := key.private[ed25519.SeedSize:]
 	d := factDigest(pub, msg)
-	return append(append(make([]byte, 0, ed25519.SignatureSize), pub...), d[:]...)
+	copy(dst[:], pub)
+	copy(dst[ed25519.PublicKeySize:], d[:])
 }
 
 // Hash returns the SHA-256 hash of the concatenation of parts, with
@@ -247,13 +266,20 @@ func voteMessage(deal, voter string) [32]byte {
 
 // PathSig is a commit vote together with its forwarding chain.
 //
-// Signers[0] is the voter; Signers[i] for i > 0 forwarded the vote.
-// Sigs[0] signs the vote message; Sigs[i] signs Sigs[i-1].
+// Hops[0] is the voter's signature over the vote message; each later hop
+// is a forwarder's signature over the hop before it. A PathSig is never
+// written after it is built (see the package doc).
 type PathSig struct {
-	Deal    string
-	Voter   string
-	Signers []string
-	Sigs    [][]byte
+	Deal  string
+	Voter string
+	Hops  []Hop
+}
+
+// Hop is one signature of a path: ed25519 signatures and memo facts are
+// both ed25519.SignatureSize bytes.
+type Hop struct {
+	Signer string
+	Sig    [ed25519.SignatureSize]byte
 }
 
 // NewVote creates a direct (path length 1) commit vote by voter on deal.
@@ -265,12 +291,9 @@ func NewVote(deal, voter string, key KeyPair) PathSig {
 // signs plainly).
 func NewVoteWith(memo *Memo, deal, voter string, key KeyPair) PathSig {
 	msg := voteMessage(deal, voter)
-	return PathSig{
-		Deal:    deal,
-		Voter:   voter,
-		Signers: []string{voter},
-		Sigs:    [][]byte{memo.Sign(key, msg[:])},
-	}
+	hops := []Hop{{Signer: voter}}
+	memo.signInto(&hops[0].Sig, key, msg[:])
+	return PathSig{Deal: deal, Voter: voter, Hops: hops}
 }
 
 // Forward returns a copy of the vote extended with forwarder's signature.
@@ -280,26 +303,23 @@ func (p PathSig) Forward(forwarder string, key KeyPair) PathSig {
 }
 
 // ForwardWith is Forward with the signature made through memo (nil
-// signs plainly).
+// signs plainly). The result's hops are a new slice: it shares no
+// writable storage with the receiver.
 func (p PathSig) ForwardWith(memo *Memo, forwarder string, key KeyPair) PathSig {
-	signers := make([]string, len(p.Signers)+1)
-	copy(signers, p.Signers)
-	signers[len(p.Signers)] = forwarder
-
-	sigs := make([][]byte, len(p.Sigs)+1)
-	copy(sigs, p.Sigs)
-	sigs[len(p.Sigs)] = memo.Sign(key, p.Sigs[len(p.Sigs)-1])
-
-	return PathSig{Deal: p.Deal, Voter: p.Voter, Signers: signers, Sigs: sigs}
+	n := len(p.Hops)
+	hops := make([]Hop, n+1)
+	copy(hops, p.Hops)
+	hops[n].Signer = forwarder
+	memo.signInto(&hops[n].Sig, key, p.Hops[n-1].Sig[:])
+	return PathSig{Deal: p.Deal, Voter: p.Voter, Hops: hops}
 }
 
 // Len returns the path length |p| (number of signatures).
-func (p PathSig) Len() int { return len(p.Signers) }
+func (p PathSig) Len() int { return len(p.Hops) }
 
 // Errors returned by Verify.
 var (
 	ErrEmptyPath        = errors.New("sig: empty signature path")
-	ErrMalformedPath    = errors.New("sig: signer and signature counts differ")
 	ErrVoterMismatch    = errors.New("sig: first signer is not the voter")
 	ErrDuplicateSigner  = errors.New("sig: duplicate signer in path")
 	ErrUnknownSigner    = errors.New("sig: signer has no registered public key")
@@ -320,17 +340,15 @@ func (p PathSig) Verify(keys map[string]ed25519.PublicKey, verifications *int) e
 // verifies plainly). verifications counts every check the contract asked
 // for, memoised or not.
 func (p PathSig) VerifyWith(memo *Memo, keys map[string]ed25519.PublicKey, verifications *int) error {
-	if len(p.Signers) == 0 {
+	if len(p.Hops) == 0 {
 		return ErrEmptyPath
 	}
-	if len(p.Signers) != len(p.Sigs) {
-		return ErrMalformedPath
-	}
-	if p.Signers[0] != p.Voter {
+	if p.Hops[0].Signer != p.Voter {
 		return ErrVoterMismatch
 	}
-	seen := make(map[string]bool, len(p.Signers))
-	for _, s := range p.Signers {
+	seen := make(map[string]bool, len(p.Hops))
+	for i := range p.Hops {
+		s := p.Hops[i].Signer
 		if seen[s] {
 			return fmt.Errorf("%w: %s", ErrDuplicateSigner, s)
 		}
@@ -338,37 +356,27 @@ func (p PathSig) VerifyWith(memo *Memo, keys map[string]ed25519.PublicKey, verif
 	}
 	vote := voteMessage(p.Deal, p.Voter)
 	msg := vote[:]
-	for i, signer := range p.Signers {
-		pub, ok := keys[signer]
+	for i := range p.Hops {
+		h := &p.Hops[i]
+		pub, ok := keys[h.Signer]
 		if !ok {
-			return fmt.Errorf("%w: %s", ErrUnknownSigner, signer)
+			return fmt.Errorf("%w: %s", ErrUnknownSigner, h.Signer)
 		}
 		if verifications != nil {
 			*verifications++
 		}
-		if !memo.Verify(pub, msg, p.Sigs[i]) {
-			return fmt.Errorf("%w: position %d (%s)", ErrInvalidSignature, i, signer)
+		if !memo.Verify(pub, msg, h.Sig[:]) {
+			return fmt.Errorf("%w: position %d (%s)", ErrInvalidSignature, i, h.Signer)
 		}
-		msg = p.Sigs[i] // next signature covers this one
+		msg = h.Sig[:] // next signature covers this one
 	}
 	return nil
 }
 
-// Clone returns a deep copy of the path signature.
-func (p PathSig) Clone() PathSig {
-	signers := make([]string, len(p.Signers))
-	copy(signers, p.Signers)
-	sigs := make([][]byte, len(p.Sigs))
-	for i, s := range p.Sigs {
-		sigs[i] = append([]byte(nil), s...)
-	}
-	return PathSig{Deal: p.Deal, Voter: p.Voter, Signers: signers, Sigs: sigs}
-}
-
 // Contains reports whether party appears anywhere in the signer path.
 func (p PathSig) Contains(party string) bool {
-	for _, s := range p.Signers {
-		if s == party {
+	for i := range p.Hops {
+		if p.Hops[i].Signer == party {
 			return true
 		}
 	}

@@ -3,6 +3,8 @@ package sig
 import (
 	"crypto/ed25519"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -16,6 +18,13 @@ func keyring(names ...string) (map[string]KeyPair, map[string]ed25519.PublicKey)
 		pubs[n] = kp.Public
 	}
 	return kps, pubs
+}
+
+// tampered returns a copy of p whose hops a test may write: a PathSig is
+// otherwise never written after it is built.
+func tampered(p PathSig) PathSig {
+	p.Hops = slices.Clone(p.Hops)
+	return p
 }
 
 func TestGenerateKeyPairDeterministic(t *testing.T) {
@@ -117,7 +126,7 @@ func TestForwardedVoteVerifies(t *testing.T) {
 	if count != 3 {
 		t.Fatalf("verifications = %d, want 3", count)
 	}
-	if v.Voter != "carol" || v.Signers[0] != "carol" {
+	if v.Voter != "carol" || v.Hops[0].Signer != "carol" {
 		t.Fatal("voter not preserved through forwarding")
 	}
 }
@@ -146,12 +155,8 @@ func TestVerifyRejectsTamperedVoter(t *testing.T) {
 func TestVerifyRejectsForgedFirstSignature(t *testing.T) {
 	kps, pubs := keyring("alice", "mallory")
 	// Mallory fabricates a "vote by alice" signed with her own key.
-	forged := PathSig{
-		Deal:    "D1",
-		Voter:   "alice",
-		Signers: []string{"alice"},
-		Sigs:    [][]byte{kps["mallory"].Sign([]byte("whatever"))},
-	}
+	forged := PathSig{Deal: "D1", Voter: "alice", Hops: []Hop{{Signer: "alice"}}}
+	copy(forged.Hops[0].Sig[:], kps["mallory"].Sign([]byte("whatever")))
 	if err := forged.Verify(pubs, nil); !errors.Is(err, ErrInvalidSignature) {
 		t.Fatalf("forged vote error = %v, want ErrInvalidSignature", err)
 	}
@@ -161,7 +166,7 @@ func TestVerifyRejectsBrokenChain(t *testing.T) {
 	kps, pubs := keyring("alice", "bob", "carol")
 	v := NewVote("D1", "alice", kps["alice"]).Forward("bob", kps["bob"])
 	// Corrupt bob's forwarding signature.
-	v.Sigs[1][0] ^= 0xff
+	v.Hops[1].Sig[0] ^= 0xff
 	if err := v.Verify(pubs, nil); !errors.Is(err, ErrInvalidSignature) {
 		t.Fatalf("broken chain error = %v, want ErrInvalidSignature", err)
 	}
@@ -174,8 +179,7 @@ func TestVerifyRejectsDroppedLink(t *testing.T) {
 		Forward("bob", kps["bob"]).
 		Forward("carol", kps["carol"])
 	// Remove the middle hop: carol's signature no longer covers alice's.
-	v.Signers = []string{"alice", "carol"}
-	v.Sigs = [][]byte{v.Sigs[0], v.Sigs[2]}
+	v.Hops = []Hop{v.Hops[0], v.Hops[2]}
 	if err := v.Verify(pubs, nil); !errors.Is(err, ErrInvalidSignature) {
 		t.Fatalf("dropped-link error = %v, want ErrInvalidSignature", err)
 	}
@@ -200,14 +204,10 @@ func TestVerifyRejectsUnknownSigner(t *testing.T) {
 	}
 }
 
-func TestVerifyRejectsEmptyAndMalformed(t *testing.T) {
+func TestVerifyRejectsEmpty(t *testing.T) {
 	_, pubs := keyring("alice")
 	if err := (PathSig{}).Verify(pubs, nil); !errors.Is(err, ErrEmptyPath) {
 		t.Fatalf("empty path error = %v, want ErrEmptyPath", err)
-	}
-	bad := PathSig{Voter: "alice", Signers: []string{"alice"}, Sigs: nil}
-	if err := bad.Verify(pubs, nil); !errors.Is(err, ErrMalformedPath) {
-		t.Fatalf("malformed error = %v, want ErrMalformedPath", err)
 	}
 }
 
@@ -222,14 +222,27 @@ func TestVoteIsDealSpecific(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	kps, pubs := keyring("alice", "bob")
-	v := NewVote("D1", "alice", kps["alice"]).Forward("bob", kps["bob"])
-	c := v.Clone()
-	c.Sigs[0][0] ^= 0xff
-	c.Signers[0] = "mallory"
-	if err := v.Verify(pubs, nil); err != nil {
-		t.Fatalf("mutating clone corrupted original: %v", err)
+// TestForwardSharesNoWritableStorage: a forwarded path's hops are its
+// own, so writing them leaves the receiver intact, under either scheme.
+func TestForwardSharesNoWritableStorage(t *testing.T) {
+	kps, pubs := keyring("alice", "bob", "carol")
+	for _, memo := range []*Memo{nil, NewMemo()} {
+		v := NewVoteWith(memo, "D1", "alice", kps["alice"]).ForwardWith(memo, "bob", kps["bob"])
+		before := fmt.Sprint(v)
+		f := v.ForwardWith(memo, "carol", kps["carol"])
+		if &f.Hops[0] == &v.Hops[0] {
+			t.Fatal("forwarded path shares its hops with the receiver")
+		}
+		for i := range f.Hops {
+			f.Hops[i].Signer = "mallory"
+			f.Hops[i].Sig[0] ^= 0xff
+		}
+		if fmt.Sprint(v) != before {
+			t.Fatal("writing the forwarded path changed the receiver")
+		}
+		if err := v.VerifyWith(memo, pubs, nil); err != nil {
+			t.Fatalf("receiver invalid after its forward was written: %v", err)
+		}
 	}
 }
 
@@ -283,13 +296,81 @@ func TestQuickAnyBitFlipBreaksChain(t *testing.T) {
 		Forward("c", kps["c"]).
 		Forward("d", kps["d"])
 	prop := func(sigIdx, byteIdx uint16, bit uint8) bool {
-		v := base.Clone()
-		i := int(sigIdx) % len(v.Sigs)
-		j := int(byteIdx) % len(v.Sigs[i])
-		v.Sigs[i][j] ^= 1 << (bit % 8)
+		v := tampered(base)
+		i := int(sigIdx) % len(v.Hops)
+		j := int(byteIdx) % len(v.Hops[i].Sig)
+		v.Hops[i].Sig[j] ^= 1 << (bit % 8)
 		return v.Verify(pubs, nil) != nil
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzPathSigVerifies: a memo-signed path of k distinct hops verifies
+// through a fresh memo, and is rejected with one bit of any hop's
+// signature flipped, with a hop other than the last dropped, with two
+// hops swapped, with a hop repeated, and when forwarded by a signer the
+// keyring lacks. Forwarding never changes its receiver.
+func FuzzPathSigVerifies(f *testing.F) {
+	names := []string{"p0", "p1", "p2", "p3", "p4", "p5", "p6", "p7"}
+	kps, pubs := keyring(names...)
+	outsider := GenerateKeyPair("outsider")
+	f.Add(uint8(1), uint64(0), uint8(0), uint8(0), uint8(0))
+	f.Add(uint8(4), uint64(7), uint8(2), uint8(63), uint8(7))
+	f.Add(uint8(8), uint64(1<<40), uint8(7), uint8(31), uint8(3))
+	f.Fuzz(func(t *testing.T, hops uint8, perm uint64, at, byteIdx, bit uint8) {
+		k := int(hops)%len(names) + 1
+		order := slices.Clone(names)
+		for i := len(order) - 1; i > 0; i-- {
+			perm = perm*6364136223846793005 + 1442695040888963407
+			j := int(perm % uint64(i+1))
+			order[i], order[j] = order[j], order[i]
+		}
+		memo := NewMemo()
+		v := NewVoteWith(memo, "D", order[0], kps[order[0]])
+		for _, s := range order[1:k] {
+			before := tampered(v)
+			v = v.ForwardWith(memo, s, kps[s])
+			if !slices.Equal(before.Hops, v.Hops[:len(v.Hops)-1]) {
+				t.Fatal("forwarded path does not extend its receiver")
+			}
+		}
+		if err := v.VerifyWith(NewMemo(), pubs, nil); err != nil || v.Len() != k {
+			t.Fatalf("%d-hop path: len %d, err %v", k, v.Len(), err)
+		}
+		snapshot := tampered(v)
+		rejected := func(what string, p PathSig, want error) {
+			t.Helper()
+			err := p.VerifyWith(NewMemo(), pubs, nil)
+			if err == nil || (want != nil && !errors.Is(err, want)) {
+				t.Fatalf("%s in a %d-hop path: err = %v, want %v", what, k, err, want)
+			}
+		}
+		i := int(at) % k
+
+		flipped := tampered(v)
+		flipped.Hops[i].Sig[int(byteIdx)%len(flipped.Hops[i].Sig)] ^= 1 << (bit % 8)
+		rejected("a flipped bit", flipped, ErrInvalidSignature)
+
+		repeated := tampered(v)
+		repeated.Hops = slices.Insert(repeated.Hops, i+1, repeated.Hops[i])
+		rejected("a repeated hop", repeated, ErrDuplicateSigner)
+
+		rejected("an outside forwarder", v.ForwardWith(memo, "outsider", outsider), ErrUnknownSigner)
+
+		if k >= 2 {
+			dropped := tampered(v)
+			dropped.Hops = slices.Delete(dropped.Hops, i%(k-1), i%(k-1)+1)
+			rejected("a dropped hop", dropped, nil)
+
+			swapped := tampered(v)
+			j := (i + 1 + int(byteIdx)%(k-1)) % k
+			swapped.Hops[i], swapped.Hops[j] = swapped.Hops[j], swapped.Hops[i]
+			rejected("swapped hops", swapped, nil)
+		}
+		if !slices.Equal(v.Hops, snapshot.Hops) || v.Deal != snapshot.Deal || v.Voter != snapshot.Voter {
+			t.Fatal("forwarding or tampering with copies changed the path")
+		}
+	})
 }

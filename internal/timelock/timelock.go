@@ -37,8 +37,11 @@ const (
 // Event kinds.
 const (
 	// EventVoteAccepted is emitted when the contract accepts a vote; the
-	// data is a VoteEvent. Motivated parties observe these on their
-	// outgoing assets' chains and forward them to their incoming ones.
+	// data is the CommitArgs the accepted transaction carried, the very
+	// interface value, so observers can forward the full path signature
+	// (never written, see package sig). Motivated parties observe these
+	// on their outgoing assets' chains and forward them to their incoming
+	// ones.
 	EventVoteAccepted = "vote-accepted"
 )
 
@@ -66,16 +69,6 @@ type RefundArgs struct {
 	Deal string
 }
 
-// VoteEvent reports an accepted vote.
-type VoteEvent struct {
-	Deal  string
-	Voter chain.Addr
-	Vote  sig.PathSig // full path signature, so observers can forward it
-}
-
-// Topic names the vote's deal (see chain.Event.Topic).
-func (e VoteEvent) Topic() string { return e.Deal }
-
 // Errors specific to the timelock manager.
 var (
 	ErrVoteTooLate     = errors.New("timelock: vote arrived after its path timeout")
@@ -87,6 +80,18 @@ var (
 	ErrWrongDeal       = errors.New("timelock: vote is for a different deal")
 	ErrMissingTimeouts = errors.New("timelock: non-positive t0 or delta")
 )
+
+// duplicateVoteError rejects a second vote by voter. Its text, the one
+// fmt.Errorf("%w: %s", ErrDuplicateVote, voter) gives, is built only when
+// read: a vote relayed by several parties meets it at every escrow that
+// already holds the voter's vote.
+type duplicateVoteError struct{ voter chain.Addr }
+
+func (e *duplicateVoteError) Error() string {
+	return ErrDuplicateVote.Error() + ": " + string(e.voter)
+}
+
+func (e *duplicateVoteError) Unwrap() error { return ErrDuplicateVote }
 
 // Manager is the TimelockManager contract of Figure 5: an escrow manager
 // whose assets are released by unanimous path-signed votes and refunded
@@ -126,7 +131,7 @@ func (m *Manager) Invoke(env *chain.Env, method string, args any) (any, error) {
 		if !ok {
 			return nil, chain.ErrBadArgs
 		}
-		return nil, m.handleCommit(env, a)
+		return nil, m.handleCommit(env, a, args)
 	case MethodRefund:
 		a, ok := args.(RefundArgs)
 		if !ok {
@@ -138,14 +143,16 @@ func (m *Manager) Invoke(env *chain.Env, method string, args any) (any, error) {
 	}
 }
 
-// handleCommit is the commit function of Figure 5.
-func (m *Manager) handleCommit(env *chain.Env, a CommitArgs) error {
+// handleCommit is the commit function of Figure 5. args is the
+// interface value a came from: an accepted vote's event publishes it
+// unchanged rather than boxing a again.
+func (m *Manager) handleCommit(env *chain.Env, a CommitArgs, args any) error {
 	st := m.Deal(a.Deal)
 	if st == nil {
 		return fmt.Errorf("%w: %s", escrow.ErrUnknownDeal, a.Deal)
 	}
 	if st.Status != escrow.StatusActive {
-		return fmt.Errorf("%w: %s is %s", escrow.ErrNotActive, a.Deal, st.Status)
+		return escrow.NotActive(a.Deal, st.Status)
 	}
 	info, ok := st.Info.(Info)
 	if !ok {
@@ -176,11 +183,11 @@ func (m *Manager) handleCommit(env *chain.Env, a CommitArgs) error {
 		m.votes[a.Deal] = accepted
 	}
 	if accepted[voter] {
-		return fmt.Errorf("%w: %s", ErrDuplicateVote, voter)
+		return &duplicateVoteError{voter}
 	}
 	// require(checkUnique(signers)) and signers ⊆ plist.
-	for _, s := range vote.Signers {
-		if !containsAddr(st.Parties, chain.Addr(s)) {
+	for i := range vote.Hops {
+		if s := vote.Hops[i].Signer; !containsAddr(st.Parties, chain.Addr(s)) {
 			return fmt.Errorf("%w: %s", ErrSignerNotParty, s)
 		}
 	}
@@ -194,7 +201,7 @@ func (m *Manager) handleCommit(env *chain.Env, a CommitArgs) error {
 	// voted.push(voter) — remember who voted.
 	accepted[voter] = true
 	env.Write(1)
-	env.Emit(EventVoteAccepted, VoteEvent{Deal: a.Deal, Voter: voter, Vote: vote.Clone()})
+	env.Emit(EventVoteAccepted, args)
 
 	// Release when every party has voted.
 	if len(accepted) == len(st.Parties) {
@@ -225,7 +232,7 @@ func (m *Manager) handleRefund(env *chain.Env, a RefundArgs) error {
 		return fmt.Errorf("%w: %s", escrow.ErrUnknownDeal, a.Deal)
 	}
 	if st.Status != escrow.StatusActive {
-		return fmt.Errorf("%w: %s is %s", escrow.ErrNotActive, a.Deal, st.Status)
+		return escrow.NotActive(a.Deal, st.Status)
 	}
 	info, ok := st.Info.(Info)
 	if !ok {

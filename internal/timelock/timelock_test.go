@@ -3,6 +3,7 @@ package timelock
 import (
 	"crypto/ed25519"
 	"errors"
+	"fmt"
 	"testing"
 
 	"xdeal/internal/chain"
@@ -239,13 +240,11 @@ func TestForgedVoteRejected(t *testing.T) {
 		for name, forged := range map[string]sig.PathSig{
 			"signed by bob": {
 				Deal: "D", Voter: "carol",
-				Signers: []string{"carol"},
-				Sigs:    [][]byte{w.memo.Sign(w.keys["bob"], []byte("fake"))},
+				Hops: []sig.Hop{{Signer: "carol", Sig: [64]byte(w.memo.Sign(w.keys["bob"], []byte("fake")))}},
 			},
 			"bob's vote relabelled": {
 				Deal: "D", Voter: "carol",
-				Signers: []string{"carol"},
-				Sigs:    own.Sigs,
+				Hops: []sig.Hop{{Signer: "carol", Sig: own.Hops[0].Sig}},
 			},
 		} {
 			r := w.call("bob", "coin-escrow", MethodCommit, CommitArgs{Deal: "D", Vote: forged})
@@ -374,7 +373,7 @@ func TestCommitGasDominatedBySignatures(t *testing.T) {
 		w.vote("carol").Forward("alice", w.keys["alice"]).Forward("bob", w.keys["bob"]),
 	}
 	for _, v := range votes {
-		r := w.call(chain.Addr(v.Signers[len(v.Signers)-1]), "coin-escrow", MethodCommit,
+		r := w.call(chain.Addr(v.Hops[len(v.Hops)-1].Signer), "coin-escrow", MethodCommit,
 			CommitArgs{Deal: "D", Vote: v})
 		if r.Err != nil {
 			t.Fatal(r.Err)
@@ -392,17 +391,17 @@ func TestCommitGasDominatedBySignatures(t *testing.T) {
 func TestVoteAcceptedEventCarriesPath(t *testing.T) {
 	w := newWorld(t)
 	w.fundAndEscrow(t, "alice", 100)
-	var got []VoteEvent
+	var got []CommitArgs
 	w.c.Subscribe(func(ev chain.Event) {
 		if ev.Kind == EventVoteAccepted {
-			got = append(got, ev.Data.(VoteEvent))
+			got = append(got, ev.Data.(CommitArgs))
 		}
 	})
 	w.call("carol", "coin-escrow", MethodCommit, CommitArgs{Deal: "D", Vote: w.vote("carol")})
 	if len(got) != 1 {
 		t.Fatalf("vote events = %d, want 1", len(got))
 	}
-	if got[0].Voter != "carol" || got[0].Vote.Len() != 1 {
+	if got[0].Vote.Voter != "carol" || got[0].Vote.Len() != 1 {
 		t.Fatalf("event = %+v", got[0])
 	}
 	// The carried path signature must itself verify, so observers can
@@ -478,7 +477,7 @@ func TestAbortCostRangesFromFreeToNearCommit(t *testing.T) {
 		// carol never votes: the deal must abort.
 	}
 	for _, v := range votes {
-		if r := w.call(chain.Addr(v.Signers[len(v.Signers)-1]), "coin-escrow", MethodCommit,
+		if r := w.call(chain.Addr(v.Hops[len(v.Hops)-1].Signer), "coin-escrow", MethodCommit,
 			CommitArgs{Deal: "D", Vote: v}); r.Err != nil {
 			t.Fatal(r.Err)
 		}
@@ -503,4 +502,50 @@ func (m *Manager) Votes(dealID string) map[chain.Addr]bool {
 		out[v] = true
 	}
 	return out
+}
+
+// TestRejectionErrorsReadAsFormatted: the rejections made without
+// formatting read exactly as the fmt.Errorf they replace, so receipts
+// and reports keep every byte, and still match their sentinels.
+func TestRejectionErrorsReadAsFormatted(t *testing.T) {
+	cases := []struct {
+		err, want, sentinel error
+	}{
+		{escrow.NotActive("D", escrow.StatusCommitted),
+			fmt.Errorf("%w: %s is %s", escrow.ErrNotActive, "D", escrow.StatusCommitted), escrow.ErrNotActive},
+		{escrow.NotActive("ring-3", escrow.StatusAborted),
+			fmt.Errorf("%w: %s is %s", escrow.ErrNotActive, "ring-3", escrow.StatusAborted), escrow.ErrNotActive},
+		{escrow.NotActive("", escrow.StatusUnknown),
+			fmt.Errorf("%w: %s is %s", escrow.ErrNotActive, "", escrow.StatusUnknown), escrow.ErrNotActive},
+		{escrow.NotActive("D", escrow.Status(9)),
+			fmt.Errorf("%w: %s is %s", escrow.ErrNotActive, "D", escrow.Status(9)), escrow.ErrNotActive},
+		{&duplicateVoteError{"bob"},
+			fmt.Errorf("%w: %s", ErrDuplicateVote, chain.Addr("bob")), ErrDuplicateVote},
+		{&duplicateVoteError{""},
+			fmt.Errorf("%w: %s", ErrDuplicateVote, chain.Addr("")), ErrDuplicateVote},
+	}
+	for _, c := range cases {
+		if c.err.Error() != c.want.Error() {
+			t.Errorf("error reads %q, want %q", c.err, c.want)
+		}
+		if !errors.Is(c.err, c.sentinel) || errors.Is(c.err, ErrVoteTooLate) {
+			t.Errorf("%q: errors.Is matches the wrong sentinels", c.err)
+		}
+	}
+
+	// As the contract returns them, in receipts.
+	w := newWorld(t)
+	w.fundAndEscrow(t, "alice", 100)
+	w.call("alice", "coin-escrow", MethodCommit, CommitArgs{Deal: "D", Vote: w.vote("alice")})
+	r := w.call("alice", "coin-escrow", MethodCommit, CommitArgs{Deal: "D", Vote: w.vote("alice")})
+	if want := "timelock: vote from this party already accepted: alice"; r.Err == nil || r.Err.Error() != want {
+		t.Fatalf("repeated vote: err = %v, want %q", r.Err, want)
+	}
+	for _, p := range []chain.Addr{"bob", "carol"} {
+		w.call(p, "coin-escrow", MethodCommit, CommitArgs{Deal: "D", Vote: w.vote(p)})
+	}
+	r = w.call("bob", "coin-escrow", MethodCommit, CommitArgs{Deal: "D", Vote: w.vote("bob")})
+	if want := "escrow: deal is no longer active: D is committed"; r.Err == nil || r.Err.Error() != want {
+		t.Fatalf("vote after commit: err = %v, want %q", r.Err, want)
+	}
 }

@@ -84,15 +84,16 @@ func (t *Tower) onEvent(ev chain.Event) {
 	if ev.Kind != timelock.EventVoteAccepted {
 		return
 	}
-	data, ok := ev.Data.(timelock.VoteEvent)
+	data, ok := ev.Data.(timelock.CommitArgs)
 	if !ok || data.Deal != t.cfg.Spec.ID {
 		return
 	}
+	voter := chain.Addr(data.Vote.Voter)
 	seenAt := ""
 	for _, in := range t.mine.Incoming {
 		if in.Asset.Chain == ev.Chain && in.Asset.Escrow == ev.Contract {
 			seenAt = in.Key
-			t.mark(t.acceptedAt, seenAt, data.Voter)
+			t.mark(t.acceptedAt, seenAt, voter)
 		}
 	}
 	if data.Vote.Contains(string(t.cfg.Client)) {
@@ -100,10 +101,10 @@ func (t *Tower) onEvent(ev chain.Event) {
 	}
 	for _, in := range t.mine.Incoming {
 		a, key := in.Asset, in.Key
-		if key == seenAt || t.acceptedAt[key][data.Voter] || t.forwarded[key][data.Voter] {
+		if key == seenAt || t.acceptedAt[key][voter] || t.forwarded[key][voter] {
 			continue
 		}
-		t.mark(t.forwarded, key, data.Voter)
+		t.mark(t.forwarded, key, voter)
 		c, ok := t.cfg.Chains[a.Chain]
 		if !ok {
 			continue
