@@ -46,6 +46,7 @@ type Tower struct {
 	mine       *deal.PartyPlan // the client's share of the deal
 	acceptedAt map[string]map[chain.Addr]bool
 	forwarded  map[string]map[chain.Addr]bool
+	held       []sig.PathSig // votes waiting for an escrow's registration
 
 	// Forwards counts votes the tower relayed (observability).
 	Forwards int
@@ -79,49 +80,93 @@ func (t *Tower) Start() {
 	t.cfg.Sched.At(pokeAt, t.pokeRefunds)
 }
 
-// onEvent mirrors the compliant forwarding rule on the client's behalf.
+// onEvent mirrors the compliant forwarding rule on the client's behalf:
+// a vote accepted on one of the client's chains goes to the client's
+// incoming escrows that lack it, and each escrow registered for the deal
+// offers the votes held for escrows not registered yet again.
 func (t *Tower) onEvent(ev chain.Event) {
-	if ev.Kind != timelock.EventVoteAccepted {
+	if ev.Topic != t.cfg.Spec.ID {
 		return
 	}
-	data, ok := ev.Data.(timelock.CommitArgs)
-	if !ok || data.Deal != t.cfg.Spec.ID {
-		return
-	}
-	voter := chain.Addr(data.Vote.Voter)
-	seenAt := ""
-	for _, in := range t.mine.Incoming {
-		if in.Asset.Chain == ev.Chain && in.Asset.Escrow == ev.Contract {
-			seenAt = in.Key
-			t.mark(t.acceptedAt, seenAt, voter)
+	switch ev.Kind {
+	case escrow.EventEscrowed:
+		for _, v := range t.held {
+			t.forward(v, "")
+		}
+	case timelock.EventVoteAccepted:
+		data, ok := ev.Data.(timelock.CommitArgs)
+		if !ok || data.Deal != t.cfg.Spec.ID {
+			return
+		}
+		voter := chain.Addr(data.Vote.Voter)
+		seenAt := ""
+		for _, in := range t.mine.Incoming {
+			if in.Asset.Chain == ev.Chain && in.Asset.Escrow == ev.Contract {
+				seenAt = in.Key
+				t.mark(t.acceptedAt, seenAt, voter)
+			}
+		}
+		if !data.Vote.Contains(string(t.cfg.Client)) {
+			t.forward(data.Vote, seenAt)
 		}
 	}
-	if data.Vote.Contains(string(t.cfg.Client)) {
-		return
-	}
+}
+
+// forward extends vote with the client's signature and submits it to
+// every incoming escrow except seenAt that has neither accepted nor been
+// sent the voter's vote. An escrow whose deal is not registered yet would
+// reject the vote, and marking it sent would then keep the vote from it
+// for good: the vote is held for it instead (one per voter, since any of
+// a voter's votes serves) and offered again on the deal's next escrowed
+// event.
+func (t *Tower) forward(vote sig.PathSig, seenAt string) {
+	voter := chain.Addr(vote.Voter)
 	for _, in := range t.mine.Incoming {
 		a, key := in.Asset, in.Key
 		if key == seenAt || t.acceptedAt[key][voter] || t.forwarded[key][voter] {
 			continue
 		}
-		t.mark(t.forwarded, key, voter)
 		c, ok := t.cfg.Chains[a.Chain]
 		if !ok {
 			continue
 		}
+		if v, ok := t.view(c, a); !ok || !v.Exists() {
+			t.hold(vote)
+			continue
+		}
+		t.mark(t.forwarded, key, voter)
 		t.Forwards++
 		c.Submit(&chain.Tx{
-			Sender:   t.cfg.Client, // acting in the client's name
-			Contract: a.Escrow,
-			Method:   timelock.MethodCommit,
-			Label:    party.LabelCommit,
-			Args: timelock.CommitArgs{
-				Deal: t.cfg.Spec.ID,
-				Vote: data.Vote.ForwardWith(c.Memo(), string(t.cfg.Client), t.cfg.ClientKeys),
-			},
+			Sender:    t.cfg.Client, // acting in the client's name
+			Contract:  a.Escrow,
+			Method:    timelock.MethodCommit,
+			Label:     party.LabelCommit,
+			Args:      timelock.CommitArgs{Deal: t.cfg.Spec.ID, Vote: vote.ForwardWith(c.Memo(), string(t.cfg.Client), t.cfg.ClientKeys)},
 			OnReceipt: t.observeReceipt,
 		})
 	}
+}
+
+// hold keeps vote for a later escrowed event unless a vote by the same
+// voter is held already.
+func (t *Tower) hold(vote sig.PathSig) {
+	for _, v := range t.held {
+		if v.Voter == vote.Voter {
+			return
+		}
+	}
+	t.held = append(t.held, vote)
+}
+
+// view is the deal's state at the escrow holding a, if the contract
+// answers.
+func (t *Tower) view(c *chain.Chain, a deal.AssetRef) (escrow.View, bool) {
+	res, err := c.Query(a.Escrow, escrow.MethodStatus, t.cfg.Spec.ID)
+	if err != nil {
+		return escrow.View{}, false
+	}
+	v, ok := res.(escrow.View)
+	return v, ok
 }
 
 // pokeRefunds reclaims the client's deposits after the deal timeout.
@@ -131,11 +176,7 @@ func (t *Tower) pokeRefunds() {
 		if !ok {
 			continue
 		}
-		res, err := c.Query(ob.Asset.Escrow, escrow.MethodStatus, t.cfg.Spec.ID)
-		if err != nil {
-			continue
-		}
-		if v, ok := res.(escrow.View); !ok || v.Status() != escrow.StatusActive {
+		if v, ok := t.view(c, ob.Asset); !ok || v.Status() != escrow.StatusActive {
 			continue
 		}
 		t.Pokes++

@@ -1,6 +1,7 @@
 package watchtower
 
 import (
+	"fmt"
 	"testing"
 
 	"xdeal/internal/chain"
@@ -8,6 +9,8 @@ import (
 	"xdeal/internal/engine"
 	"xdeal/internal/escrow"
 	"xdeal/internal/party"
+	"xdeal/internal/sig"
+	"xdeal/internal/timelock"
 )
 
 // offlineScenario builds the §5.3 narrative: Bob votes at the last
@@ -160,4 +163,163 @@ func TestWatchtowerIdleWhenClientHealthy(t *testing.T) {
 	if tower.Pokes != 0 {
 		t.Fatalf("tower poked %d refunds on a committed deal", tower.Pokes)
 	}
+}
+
+// TestTowerForwardWaitsForIncomingEscrow: a vote the tower sees before
+// its client's incoming escrow is registered reaches that escrow once it
+// is. In a ring-3 the client p01 votes, but is offline while p02's vote
+// is accepted at its outgoing escrow (about t = 30 to 34), so only the
+// tower can carry that vote to the incoming one. The tower is shown the
+// vote before the deal starts; a forward sent then is rejected (escrow:
+// deal not registered), and had it marked the vote as sent, the later
+// sighting would be skipped: the client's incoming escrow would refund
+// while its outgoing one commits, and the client would lose its asset.
+func TestTowerForwardWaitsForIncomingEscrow(t *testing.T) {
+	spec := deal.RingSpec(3, 2000, 1000)
+	w, err := engine.Build(spec, engine.Options{
+		Protocol:  party.ProtoTimelock,
+		Behaviors: map[chain.Addr]party.Behavior{"p01": {OfflineFrom: 31, OfflineUntil: 35}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tower := New(Config{Client: "p01", ClientKeys: w.Keys("p01"), Spec: w.Spec, Chains: w.Chains, Sched: w.Sched})
+	tower.Start()
+	out := spec.Transfers[1].Asset // p01's outgoing escrow, where p02 votes
+	c := w.Chains[out.Chain]
+	vote := sig.NewVoteWith(c.Memo(), spec.ID, "p02", w.Keys("p02"))
+	tower.onEvent(chain.Event{
+		Chain: out.Chain, Contract: out.Escrow, Kind: timelock.EventVoteAccepted, Sender: "p02",
+		Data: timelock.CommitArgs{Deal: spec.ID, Vote: vote}, Topic: spec.ID,
+	})
+	r := w.Run()
+	if !r.AllCommitted || r.FungibleDelta["p01"]["chain00/esc00"] != 100 {
+		t.Fatalf("deal did not commit everywhere:\n%s", r.Summary())
+	}
+}
+
+// snapshots records what each commit transaction's call data and
+// receipt, each accepted-vote event and each vote a test adds read when
+// first seen, to check after the run that none of them changed. A write
+// made before a transaction's receipt is caught another way: each commit
+// transaction carries its sender's signature last (its own vote, or its
+// own forward; the tower signs as its client), so a path its forwarder
+// shares with another forwarder's would read the other's hop.
+type snapshots struct {
+	what    []string
+	value   []func() string
+	first   []string
+	signers []string // commit receipts whose last signer is not their sender
+}
+
+func (s *snapshots) add(what string, value func() string) {
+	s.what, s.value, s.first = append(s.what, what), append(s.value, value), append(s.first, value())
+}
+
+// watch records every commit receipt and accepted-vote event of w.
+func (s *snapshots) watch(w *engine.World) {
+	for _, c := range w.Chains {
+		c.SubscribeReceipts(func(r *chain.Receipt) {
+			if r.Tx.Method == timelock.MethodCommit {
+				hops := r.Tx.Args.(timelock.CommitArgs).Vote.Hops
+				if last := hops[len(hops)-1].Signer; last != string(r.Tx.Sender) {
+					s.signers = append(s.signers, fmt.Sprintf("%s sent a path signed last by %s", r.Tx.Sender, last))
+				}
+				s.add("receipt", func() string {
+					return fmt.Sprintf("%s %d %d %v %v %v", r.Tx.Sender, r.Height, r.Time, r.Tx.Args, r.Result, r.Err)
+				})
+			}
+		})
+		c.Subscribe(func(ev chain.Event) {
+			if ev.Kind == timelock.EventVoteAccepted {
+				s.add("event", func() string { return fmt.Sprint(ev) })
+			}
+		})
+	}
+}
+
+// check fails t if anything recorded reads differently now.
+func (s *snapshots) check(t *testing.T, min int) {
+	t.Helper()
+	if len(s.first) < min {
+		t.Fatalf("%d records: the run shows nothing", len(s.first))
+	}
+	if len(s.signers) > 0 {
+		t.Fatalf("commit call data written after it was built: %v", s.signers)
+	}
+	for i, f := range s.value {
+		if now := f(); now != s.first[i] {
+			t.Fatalf("%s changed after it was seen:\n was %s\n now %s", s.what[i], s.first[i], now)
+		}
+	}
+}
+
+// TestForwardedPathsLeaveOriginalsIntact: an accepted-vote event
+// carries the path its transaction carried (package sig never writes a
+// built path), so forwarding one must not write it. After each run,
+// every commit transaction's call data and receipt, every accepted-vote
+// event and each vote shown by hand read as they did when first seen.
+func TestForwardedPathsLeaveOriginalsIntact(t *testing.T) {
+	t.Run("held", func(t *testing.T) {
+		// A ring-3 where a front-runner holds a vote published before
+		// its incoming escrow exists, and the tower holds one for its
+		// client, shown to it before the deal starts.
+		spec := deal.RingSpec(3, 2000, 1000)
+		w, err := engine.Build(spec, engine.Options{
+			Protocol: party.ProtoTimelock,
+			Behaviors: map[chain.Addr]party.Behavior{
+				"p00": {FrontRun: true},
+				"p01": {OfflineFrom: 31, OfflineUntil: 35},
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tower := New(Config{Client: "p01", ClientKeys: w.Keys("p01"), Spec: w.Spec, Chains: w.Chains, Sched: w.Sched})
+		tower.Start()
+		var s snapshots
+		s.watch(w)
+
+		first, out := spec.Transfers[0].Asset, spec.Transfers[1].Asset // p00's and p01's outgoing
+		shown := sig.NewVoteWith(w.Chains[out.Chain].Memo(), spec.ID, "p02", w.Keys("p02"))
+		s.add("vote shown to the tower", func() string { return fmt.Sprint(shown) })
+		tower.onEvent(chain.Event{
+			Chain: out.Chain, Contract: out.Escrow, Kind: timelock.EventVoteAccepted, Sender: "p02",
+			Data: timelock.CommitArgs{Deal: spec.ID, Vote: shown}, Topic: spec.ID,
+		})
+		// p01's vote, published once the parties have started but
+		// before any escrow is registered: p00 races it from the mempool
+		// to its incoming escrow, which does not exist yet, and holds it.
+		early := sig.NewVoteWith(w.Chains[first.Chain].Memo(), spec.ID, "p01", w.Keys("p01"))
+		s.add("vote published early", func() string { return fmt.Sprint(early) })
+		w.Start()
+		w.Sched.After(1, func() {
+			w.Chains[first.Chain].Submit(&chain.Tx{
+				Sender: "p01", Contract: first.Escrow, Method: timelock.MethodCommit, Label: party.LabelCommit,
+				Args: timelock.CommitArgs{Deal: spec.ID, Vote: early},
+			})
+		})
+		w.Sched.Run()
+		if r := w.Evaluate(); !r.AllCommitted {
+			t.Fatalf("deal did not commit everywhere:\n%s", r.Summary())
+		}
+		if tower.Forwards == 0 {
+			t.Fatal("the tower forwarded nothing")
+		}
+		s.check(t, 20)
+	})
+	t.Run("shared", func(t *testing.T) {
+		// A dense deal: several parties watch each escrow, so several
+		// forward the path of one accepted-vote event.
+		w, err := engine.Build(deal.DenseSpec(4, 3, 5000, 1000), engine.Options{Seed: 3, Protocol: party.ProtoTimelock})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var s snapshots
+		s.watch(w)
+		if r := w.Run(); !r.AllCommitted {
+			t.Fatalf("deal did not commit everywhere:\n%s", r.Summary())
+		}
+		s.check(t, 40)
+	})
 }
