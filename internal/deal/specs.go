@@ -10,6 +10,60 @@ import (
 // This file provides canonical deal constructors used throughout the
 // tests, examples, and benchmark harness.
 
+// nameTable names the i-th party, chain, token or escrow of a built spec:
+// the prefix followed by i in at least two digits, as
+// fmt.Sprintf("%s%02d", prefix, i) gives. Indices below 100 are served
+// from a table, so a spec built for every deal does not format its names
+// anew.
+type nameTable struct {
+	prefix string
+	names  [100]string
+}
+
+func newNameTable(prefix string) *nameTable {
+	t := &nameTable{prefix: prefix}
+	for i := range t.names {
+		t.names[i] = fmt.Sprintf("%s%02d", prefix, i)
+	}
+	return t
+}
+
+func (t *nameTable) at(i int) string {
+	if i >= 0 && i < len(t.names) {
+		return t.names[i]
+	}
+	return fmt.Sprintf("%s%02d", t.prefix, i)
+}
+
+var (
+	partyNames  = newNameTable("p")
+	brokerNames = newNameTable("broker")
+	chainNames  = newNameTable("chain")
+	tokenNames  = newNameTable("tok")
+	escrowNames = newNameTable("esc")
+)
+
+// indexedParties names n parties p00, p01, ….
+func indexedParties(n int) []chain.Addr {
+	parties := make([]chain.Addr, n)
+	for i := range parties {
+		parties[i] = chain.Addr(partyNames.at(i))
+	}
+	return parties
+}
+
+// indexedAsset is amount units of the fungible token tokNN on chainNN,
+// held by escrow escNN, NN being i.
+func indexedAsset(i int, amount uint64) AssetRef {
+	return AssetRef{
+		Chain:  chain.ID(chainNames.at(i)),
+		Token:  chain.Addr(tokenNames.at(i)),
+		Escrow: chain.Addr(escrowNames.at(i)),
+		Kind:   Fungible,
+		Amount: amount,
+	}
+}
+
 // BrokerSpec is the paper's running example (§1.1, Figures 1 and 2):
 // Alice brokers Bob's tickets to Carol for a one-coin commission. Alice
 // enters with no assets; her outgoing transfers are funded by her
@@ -38,21 +92,11 @@ func BrokerSpec(t0 sim.Time, delta sim.Duration) *Spec {
 // escrow contracts (m = n, t = n). Rings are the worst case for vote
 // forwarding depth.
 func RingSpec(n int, t0 sim.Time, delta sim.Duration) *Spec {
-	parties := make([]chain.Addr, n)
-	for i := range parties {
-		parties[i] = chain.Addr(fmt.Sprintf("p%02d", i))
-	}
+	parties := indexedParties(n)
 	var transfers []Transfer
 	for i := range parties {
-		asset := AssetRef{
-			Chain:  chain.ID(fmt.Sprintf("chain%02d", i)),
-			Token:  chain.Addr(fmt.Sprintf("tok%02d", i)),
-			Escrow: chain.Addr(fmt.Sprintf("esc%02d", i)),
-			Kind:   Fungible,
-			Amount: 100,
-		}
 		transfers = append(transfers, Transfer{
-			From: parties[i], To: parties[(i+1)%n], Asset: asset,
+			From: parties[i], To: parties[(i+1)%n], Asset: indexedAsset(i, 100),
 		})
 	}
 	return &Spec{
@@ -82,7 +126,7 @@ func BrokerChainSpec(k int, basePrice, commission uint64, t0 sim.Time, delta sim
 	parties := make([]chain.Addr, 0, k+2)
 	parties = append(parties, "seller")
 	for i := 1; i <= k; i++ {
-		parties = append(parties, chain.Addr(fmt.Sprintf("broker%02d", i)))
+		parties = append(parties, chain.Addr(brokerNames.at(i)))
 	}
 	parties = append(parties, "buyer")
 	var transfers []Transfer
@@ -135,19 +179,10 @@ func DenseSpec(n, m int, t0 sim.Time, delta sim.Duration) *Spec {
 	if m < 2 {
 		m = 2
 	}
-	parties := make([]chain.Addr, n)
-	for i := range parties {
-		parties[i] = chain.Addr(fmt.Sprintf("p%02d", i))
-	}
+	parties := indexedParties(n)
 	var transfers []Transfer
 	for j := 0; j < m; j++ {
-		asset := AssetRef{
-			Chain:  chain.ID(fmt.Sprintf("chain%02d", j)),
-			Token:  chain.Addr(fmt.Sprintf("tok%02d", j)),
-			Escrow: chain.Addr(fmt.Sprintf("esc%02d", j)),
-			Kind:   Fungible,
-			Amount: 10,
-		}
+		asset := indexedAsset(j, 10)
 		start := j % n
 		for i := 0; i < n-1; i++ {
 			transfers = append(transfers, Transfer{
@@ -173,25 +208,13 @@ func RandomSpec(rng *sim.RNG, n, chains, extraArcs int, t0 sim.Time, delta sim.D
 	if chains < 1 {
 		chains = 1
 	}
-	parties := make([]chain.Addr, n)
-	for i := range parties {
-		parties[i] = chain.Addr(fmt.Sprintf("p%02d", i))
-	}
-	asset := func(c int, amount uint64) AssetRef {
-		return AssetRef{
-			Chain:  chain.ID(fmt.Sprintf("chain%02d", c)),
-			Token:  chain.Addr(fmt.Sprintf("tok%02d", c)),
-			Escrow: chain.Addr(fmt.Sprintf("esc%02d", c)),
-			Kind:   Fungible,
-			Amount: amount,
-		}
-	}
+	parties := indexedParties(n)
 	var transfers []Transfer
 	for i := range parties {
 		transfers = append(transfers, Transfer{
 			From:  parties[i],
 			To:    parties[(i+1)%n],
-			Asset: asset(rng.Intn(chains), uint64(10+rng.Intn(90))),
+			Asset: indexedAsset(rng.Intn(chains), uint64(10+rng.Intn(90))),
 		})
 	}
 	for k := 0; k < extraArcs; k++ {
@@ -203,7 +226,7 @@ func RandomSpec(rng *sim.RNG, n, chains, extraArcs int, t0 sim.Time, delta sim.D
 		transfers = append(transfers, Transfer{
 			From:  parties[i],
 			To:    parties[j],
-			Asset: asset(rng.Intn(chains), uint64(1+rng.Intn(50))),
+			Asset: indexedAsset(rng.Intn(chains), uint64(1+rng.Intn(50))),
 		})
 	}
 	return &Spec{
