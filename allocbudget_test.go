@@ -20,9 +20,15 @@ var allocBudgets = []struct {
 	mallocCeiling float64 // mallocs per deal
 	opts          xdeal.SweepOptions
 }{
-	// Isolated worlds: 41,223 bytes and 419.2 mallocs per deal (78,231
-	// bytes and 761.5 mallocs before each sweep worker reset one substrate
-	// between its deals instead of building a world per deal; 79,649 bytes
+	// Isolated worlds: 39,441 bytes and 367.4 mallocs per deal (40,849
+	// bytes and 410.6 mallocs before an accepted vote's event shared the
+	// path its transaction carried instead of a clone, rejected votes
+	// stopped formatting their errors and the spec builders took their
+	// names from a table; 41,223 bytes and 419.2 mallocs before per-deal
+	// timers were scheduled with After and a world sorted its chain ids
+	// once; 78,231 bytes and 761.5 mallocs before each sweep worker reset
+	// one substrate between its deals instead of building a world per
+	// deal; 79,649 bytes
 	// before the chain scheduled its arrivals, blocks, receipts and fan-out
 	// deliveries without a closure each and ran top-level transactions in
 	// one re-aimed Env; 84,058 before the refund floor went back to N,
@@ -36,11 +42,14 @@ var allocBudgets = []struct {
 	// reused and the always-on attribution stopped building the span DAG;
 	// 140,989 before the gas meter went flat, After stopped returning a
 	// Cancel and mempool gossip was filtered; 150,371 before that).
-	{"isolated", 64, 48_000, 490, xdeal.SweepOptions{Gen: xdeal.GenOptions{
+	{"isolated", 64, 46_000, 430, xdeal.SweepOptions{Gen: xdeal.GenOptions{
 		Seed: 7, Protocol: "mixed", AdversaryRate: 0.3, DoSRate: 0.15,
 	}}},
 	// Shared arenas of 50 deals on 2 chains with fees, bundle auctions and
-	// hedging: 81,843 bytes and 945.5 mallocs per deal (84,372 bytes and
+	// hedging: 80,325 bytes and 887.5 mallocs per deal (81,823 bytes and
+	// 938.2 mallocs before the shared votes, unformatted rejections and
+	// tabled names above; 81,843 bytes and 945.5 mallocs before the After
+	// timers and once-sorted chain ids above; 84,372 bytes and
 	// 976.4 mallocs before parties kept their vote sets as bitsets and
 	// built their chain-event handlers once, since arenas never reset their
 	// substrate; 86,545 bytes when the bytes ceiling was set; 108,401
@@ -53,7 +62,7 @@ var allocBudgets = []struct {
 	// chain set and its receipts came from the index; 323,133 before the
 	// notify grouping, the reused After events and the span-free
 	// attribution).
-	{"arena", 200, 95_000, 1_090, xdeal.SweepOptions{
+	{"arena", 200, 93_000, 1_030, xdeal.SweepOptions{
 		Gen: xdeal.GenOptions{Seed: 7, Protocol: "mixed", AdversaryRate: 0.3, Fees: &xdeal.FeeOptions{}},
 		Arena: &xdeal.ArenaOptions{
 			DealsPerArena: 50, Chains: 2, Bundles: true, Hedge: true,
