@@ -41,6 +41,8 @@ var exportAllowlist = map[string]string{
 	"pow.Chain.Best":                     "block tree of the §6.2 PoW contract's attack tests (see pow.NewManager)",
 	"trace.Attribution.Sum":              "the conservation invariant (bucket sum equals Total) that the trace, engine and fleet tests assert",
 	"escrow.notActiveError.Unwrap":       "errors.Is reaches it through an anonymous interface, so a rejected call still matches ErrNotActive",
+	"escrow.namedError.Unwrap":           "errors.Is reaches it through an anonymous interface, so an unknown deal or a non-party still matches ErrUnknownDeal or ErrNotParty",
+	"escrow.insufficientError.Unwrap":    "errors.Is reaches it through an anonymous interface, so a short transfer still matches ErrInsufficient",
 	"timelock.duplicateVoteError.Unwrap": "errors.Is reaches it through an anonymous interface, so a repeated vote still matches ErrDuplicateVote",
 }
 

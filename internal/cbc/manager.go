@@ -93,10 +93,10 @@ func (m *Manager) Invoke(env *chain.Env, method string, args any) (any, error) {
 func (m *Manager) handleOutcome(env *chain.Env, a ProofArgs, want escrow.Status) error {
 	st := m.Deal(a.Deal)
 	if st == nil {
-		return fmt.Errorf("%w: %s", escrow.ErrUnknownDeal, a.Deal)
+		return escrow.UnknownDeal(a.Deal)
 	}
 	if st.Status != escrow.StatusActive {
-		return escrow.NotActive(a.Deal, st.Status)
+		return st.NotActive(a.Deal)
 	}
 	info, ok := st.Info.(Info)
 	if !ok {

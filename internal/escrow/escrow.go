@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 
 	"xdeal/internal/chain"
 	"xdeal/internal/deal"
@@ -69,8 +70,8 @@ var (
 
 // NotActive is ErrNotActive for deal id, whose status is s: the error
 // fmt.Errorf("%w: %s is %s", ErrNotActive, id, s) gives, with its text
-// built only when read. Every contract rejects a late vote, proof or
-// transfer with it, one per arrival after the deal finalized.
+// built only when read. A contract rejects a late vote, proof or transfer
+// with its deal's State.NotActive, which builds this error once.
 func NotActive(id string, s Status) error { return &notActiveError{id, s} }
 
 type notActiveError struct {
@@ -83,6 +84,52 @@ func (e *notActiveError) Error() string {
 }
 
 func (e *notActiveError) Unwrap() error { return ErrNotActive }
+
+// UnknownDeal is ErrUnknownDeal for deal id: the error
+// fmt.Errorf("%w: %s", ErrUnknownDeal, id) gives, with its text built
+// only when read.
+func UnknownDeal(id string) error { return &namedError{ErrUnknownDeal, "", id} }
+
+// notParty is ErrNotParty for sender p, or for recipient p: the error
+// fmt.Errorf("%w: %s", ErrNotParty, p) gives, or with "recipient " before
+// p, with its text built only when read.
+func notParty(p chain.Addr, recipient bool) error {
+	if recipient {
+		return &namedError{ErrNotParty, "recipient ", string(p)}
+	}
+	return &namedError{ErrNotParty, "", string(p)}
+}
+
+// namedError is a sentinel error about one deal or party: its text is the
+// sentinel's, ": ", then the name with an optional qualifier before it.
+type namedError struct {
+	sentinel        error
+	qualifier, name string
+}
+
+func (e *namedError) Error() string { return e.sentinel.Error() + ": " + e.qualifier + e.name }
+
+func (e *namedError) Unwrap() error { return e.sentinel }
+
+// insufficient is ErrInsufficient for a sender that commit-owns has but
+// moves need: the error fmt.Errorf("%w: %s has %d on commit, needs %d",
+// ErrInsufficient, sender, has, need) gives, with its text built only
+// when read.
+func insufficient(sender chain.Addr, has, need uint64) error {
+	return &insufficientError{sender, has, need}
+}
+
+type insufficientError struct {
+	sender    chain.Addr
+	has, need uint64
+}
+
+func (e *insufficientError) Error() string {
+	return ErrInsufficient.Error() + ": " + string(e.sender) + " has " + strconv.FormatUint(e.has, 10) +
+		" on commit, needs " + strconv.FormatUint(e.need, 10)
+}
+
+func (e *insufficientError) Unwrap() error { return ErrInsufficient }
 
 // State is the per-deal bookkeeping at one escrow contract.
 type State struct {
@@ -111,6 +158,21 @@ type State struct {
 	// escrow (plist and t0/Δ for timelock; plist, start hash and
 	// validators for CBC). Later escrow calls must supply equal info.
 	Info any
+
+	// notActive is the error every call after finalization is rejected
+	// with (see NotActive), built on the first.
+	notActive error
+}
+
+// NotActive is the error a contract rejects a call on this deal, id, with
+// once it has finalized: NotActive(id, s.Status), built on the first
+// rejection and returned again for every later one, since the status is
+// final by then.
+func (s *State) NotActive(id string) error {
+	if s.notActive == nil {
+		s.notActive = NotActive(id, s.Status)
+	}
+	return s.notActive
 }
 
 // hasParty reports whether p is in the registered party list.
@@ -211,7 +273,7 @@ func (b *Book) EscrowFungible(env *chain.Env, id string, amount uint64) error {
 	}
 	sender := env.Sender()
 	if !st.hasParty(sender) {
-		return fmt.Errorf("%w: %s", ErrNotParty, sender)
+		return notParty(sender, false)
 	}
 	if amount == 0 {
 		return ErrNothingEscrowed
@@ -244,7 +306,7 @@ func (b *Book) EscrowTokens(env *chain.Env, id string, ids []string) error {
 	}
 	sender := env.Sender()
 	if !st.hasParty(sender) {
-		return fmt.Errorf("%w: %s", ErrNotParty, sender)
+		return notParty(sender, false)
 	}
 	if len(ids) == 0 {
 		return ErrNothingEscrowed
@@ -283,14 +345,14 @@ func (b *Book) TransferFungible(env *chain.Env, id string, to chain.Addr, amount
 	}
 	sender := env.Sender()
 	if !st.hasParty(sender) {
-		return fmt.Errorf("%w: %s", ErrNotParty, sender)
+		return notParty(sender, false)
 	}
 	if !st.hasParty(to) {
-		return fmt.Errorf("%w: recipient %s", ErrNotParty, to)
+		return notParty(to, true)
 	}
 	// Pre: OwnsC(P, a).
 	if st.OnCommit[sender] < amount {
-		return fmt.Errorf("%w: %s has %d on commit, needs %d", ErrInsufficient, sender, st.OnCommit[sender], amount)
+		return insufficient(sender, st.OnCommit[sender], amount)
 	}
 	// Post: OwnsC(Q, a).
 	st.OnCommit[sender] -= amount
@@ -310,10 +372,10 @@ func (b *Book) TransferTokens(env *chain.Env, id string, to chain.Addr, ids []st
 	}
 	sender := env.Sender()
 	if !st.hasParty(sender) {
-		return fmt.Errorf("%w: %s", ErrNotParty, sender)
+		return notParty(sender, false)
 	}
 	if !st.hasParty(to) {
-		return fmt.Errorf("%w: recipient %s", ErrNotParty, to)
+		return notParty(to, true)
 	}
 	for _, tid := range ids {
 		if st.CommitOwner[tid] != sender {
@@ -406,10 +468,10 @@ func sortedKeys(m map[string]chain.Addr) []string {
 func (b *Book) activeState(id string) (*State, error) {
 	st, ok := b.deals[id]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownDeal, id)
+		return nil, UnknownDeal(id)
 	}
 	if st.Status != StatusActive {
-		return nil, NotActive(id, st.Status)
+		return nil, st.NotActive(id)
 	}
 	return st, nil
 }

@@ -2,6 +2,7 @@ package escrow
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -688,4 +689,66 @@ func TestDepositAndFinalizeTimesRecorded(t *testing.T) {
 		t.Fatalf("view reports a deposit time %d for carol, who never deposited", at)
 	}
 	assertViewReadOnly(t) // the timestamps cannot be rewritten through the view
+}
+
+// TestRejectionsReadAsFormatted: the rejections made without formatting
+// read exactly as the fmt.Errorf they replace, so receipts and reports
+// keep every byte, and still match their sentinels. A finalized deal
+// rejects every later call with the one error it built on the first.
+func TestRejectionsReadAsFormatted(t *testing.T) {
+	sentinels := []error{ErrUnknownDeal, ErrNotParty, ErrNotActive, ErrInsufficient}
+	cases := []struct {
+		err, want, sentinel error
+	}{
+		{UnknownDeal("D"), fmt.Errorf("%w: %s", ErrUnknownDeal, "D"), ErrUnknownDeal},
+		{UnknownDeal(""), fmt.Errorf("%w: %s", ErrUnknownDeal, ""), ErrUnknownDeal},
+		{notParty("mallory", false), fmt.Errorf("%w: %s", ErrNotParty, chain.Addr("mallory")), ErrNotParty},
+		{notParty("mallory", true), fmt.Errorf("%w: recipient %s", ErrNotParty, chain.Addr("mallory")), ErrNotParty},
+		{notParty("", true), fmt.Errorf("%w: recipient %s", ErrNotParty, chain.Addr("")), ErrNotParty},
+		{insufficient("alice", 50, 51),
+			fmt.Errorf("%w: %s has %d on commit, needs %d", ErrInsufficient, chain.Addr("alice"), uint64(50), uint64(51)), ErrInsufficient},
+		{insufficient("bob", 0, 1<<63),
+			fmt.Errorf("%w: %s has %d on commit, needs %d", ErrInsufficient, chain.Addr("bob"), uint64(0), uint64(1<<63)), ErrInsufficient},
+	}
+	for _, c := range cases {
+		if c.err.Error() != c.want.Error() {
+			t.Errorf("error reads %q, want %q", c.err, c.want)
+		}
+		for _, s := range sentinels {
+			if got := errors.Is(c.err, s); got != (s == c.sentinel) {
+				t.Errorf("%q: errors.Is(err, %q) = %v", c.err, s, got)
+			}
+		}
+	}
+
+	// As the contract returns them, in receipts.
+	w := newWorld(t)
+	w.fund("alice", 100)
+	w.call("alice", "coin-escrow", MethodEscrow, escrowCoins("D", 50))
+	for _, c := range []struct {
+		sender chain.Addr
+		args   TransferArgs
+		want   string
+	}{
+		{"alice", TransferArgs{Deal: "E", To: "bob", Amount: 1}, "escrow: deal not registered: E"},
+		{"mallory", TransferArgs{Deal: "D", To: "bob", Amount: 1}, "escrow: sender not in the deal's party list: mallory"},
+		{"alice", TransferArgs{Deal: "D", To: "mallory", Amount: 1}, "escrow: sender not in the deal's party list: recipient mallory"},
+		{"alice", TransferArgs{Deal: "D", To: "bob", Amount: 51}, "escrow: insufficient tentative ownership: alice has 50 on commit, needs 51"},
+	} {
+		r := w.call(c.sender, "coin-escrow", MethodTransfer, c.args)
+		if r.Err == nil || r.Err.Error() != c.want {
+			t.Errorf("%s transfers %+v: err = %v, want %q", c.sender, c.args, r.Err, c.want)
+		}
+	}
+	env := testEnv(w, "coin-escrow")
+	if err := w.coinEs.FinalizeCommit(env, "D"); err != nil {
+		t.Fatal(err)
+	}
+	first := w.coinEs.FinalizeAbort(env, "D")
+	if want := NotActive("D", StatusCommitted); first == nil || first.Error() != want.Error() {
+		t.Fatalf("finalizing twice: err = %v, want %q", first, want)
+	}
+	if again := w.coinEs.FinalizeCommit(env, "D"); again != first {
+		t.Errorf("a later rejection built a new error %v, want the first, %v", again, first)
+	}
 }

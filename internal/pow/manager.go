@@ -98,10 +98,10 @@ func (m *Manager) Invoke(env *chain.Env, method string, args any) (any, error) {
 func (m *Manager) handle(env *chain.Env, a ProofArgs, wantCommit bool) error {
 	st := m.Deal(a.Deal)
 	if st == nil {
-		return fmt.Errorf("%w: %s", escrow.ErrUnknownDeal, a.Deal)
+		return escrow.UnknownDeal(a.Deal)
 	}
 	if st.Status != escrow.StatusActive {
-		return escrow.NotActive(a.Deal, st.Status)
+		return st.NotActive(a.Deal)
 	}
 	if err := a.Proof.Valid(m.K); err != nil {
 		return fmt.Errorf("%w: %v", ErrConfirmations, err)

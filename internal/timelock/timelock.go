@@ -149,10 +149,10 @@ func (m *Manager) Invoke(env *chain.Env, method string, args any) (any, error) {
 func (m *Manager) handleCommit(env *chain.Env, a CommitArgs, args any) error {
 	st := m.Deal(a.Deal)
 	if st == nil {
-		return fmt.Errorf("%w: %s", escrow.ErrUnknownDeal, a.Deal)
+		return escrow.UnknownDeal(a.Deal)
 	}
 	if st.Status != escrow.StatusActive {
-		return escrow.NotActive(a.Deal, st.Status)
+		return st.NotActive(a.Deal)
 	}
 	info, ok := st.Info.(Info)
 	if !ok {
@@ -229,10 +229,10 @@ func (m *Manager) handleCommit(env *chain.Env, a CommitArgs, args any) error {
 func (m *Manager) handleRefund(env *chain.Env, a RefundArgs) error {
 	st := m.Deal(a.Deal)
 	if st == nil {
-		return fmt.Errorf("%w: %s", escrow.ErrUnknownDeal, a.Deal)
+		return escrow.UnknownDeal(a.Deal)
 	}
 	if st.Status != escrow.StatusActive {
-		return escrow.NotActive(a.Deal, st.Status)
+		return st.NotActive(a.Deal)
 	}
 	info, ok := st.Info.(Info)
 	if !ok {
