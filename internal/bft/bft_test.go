@@ -330,3 +330,45 @@ func TestQuickTamperedCertificateNeverVerifies(t *testing.T) {
 		}
 	})
 }
+
+var committeeSink Committee
+
+// TestNewCommitteeDerivesOnce: a repeated NewCommittee call is served
+// from the table without allocating, and returns what a fresh derivation
+// gives, signers included.
+func TestNewCommitteeDerivesOnce(t *testing.T) {
+	c, signers := NewCommittee("cbc/derive-once", 3, 1)
+	if n := testing.AllocsPerRun(100, func() { committeeSink, _ = NewCommittee("cbc/derive-once", 3, 1) }); n != 0 {
+		t.Errorf("a repeated NewCommittee makes %v allocations, want 0", n)
+	}
+	fresh := derive(committeeKey{tag: "cbc/derive-once", epoch: 3, f: 1})
+	if !c.Equal(fresh.committee) || !committeeSink.Equal(fresh.committee) {
+		t.Errorf("the table's committee %+v differs from a fresh derivation %+v", c, fresh.committee)
+	}
+	if !reflect.DeepEqual(signers, fresh.signers) {
+		t.Error("the table's signers differ from a fresh derivation's")
+	}
+}
+
+// TestCommitteeTableCap: a full table admits no more keys but still
+// returns the committee every key names.
+func TestCommitteeTableCap(t *testing.T) {
+	tab := newCommitteeTable(2)
+	keys := []committeeKey{{"a", 0, 1}, {"a", 1, 1}, {"b", 0, 2}, {"c", 0, 1}}
+	for round := 0; round < 2; round++ {
+		for _, k := range keys {
+			got, want := tab.get(k), derive(k)
+			if !got.committee.Equal(want.committee) || !reflect.DeepEqual(got.signers, want.signers) {
+				t.Errorf("round %d, key %+v: the table returns another committee than a fresh derivation", round, k)
+			}
+		}
+		if len(tab.derived) != 2 {
+			t.Fatalf("round %d: the table holds %d committees, want its cap, 2", round, len(tab.derived))
+		}
+		for _, k := range keys[:2] {
+			if _, ok := tab.derived[k]; !ok {
+				t.Errorf("round %d: the table dropped %+v, admitted before the cap", round, k)
+			}
+		}
+	}
+}

@@ -23,6 +23,7 @@
 package cbc
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -74,21 +75,20 @@ type Entry struct {
 	Hash    [32]byte     // hash of the definitive startDeal, votes only
 }
 
-// encode serializes an entry deterministically for block digests.
-func (e Entry) encode() []byte {
-	var b []byte
-	var tmp [8]byte
-	binary.BigEndian.PutUint64(tmp[:], uint64(e.Kind))
-	b = append(b, tmp[:]...)
+// appendEncoding appends the entry's encoding to b as one sig.Hash part:
+// its length as 8 big-endian bytes, then the kind as 8 bytes, the deal,
+// the party and each plist member 0-terminated, and the start hash.
+func (e *Entry) appendEncoding(b []byte) []byte {
+	at := len(b)
+	b = binary.BigEndian.AppendUint64(b, 0) // the length, set below
+	b = binary.BigEndian.AppendUint64(b, uint64(e.Kind))
 	b = append(b, e.Deal...)
 	b = append(b, 0)
 	b = append(b, e.Party...)
 	b = append(b, 0)
-	for _, p := range e.Parties {
-		b = append(b, p...)
-		b = append(b, 0)
-	}
+	b = appendAddrs(b, e.Parties)
 	b = append(b, e.Hash[:]...)
+	binary.BigEndian.PutUint64(b[at:], uint64(len(b)-at-8))
 	return b
 }
 
@@ -115,16 +115,24 @@ type Block struct {
 	quorum []bft.Signer
 }
 
-// digest computes the block hash over parent, height and entries.
+// digestStack is the size of the stack buffer blockDigest and StartHash
+// encode their input into: a block of a dozen votes or a startDeal of a
+// few dozen parties fits, and a longer input grows onto the heap.
+const digestStack = 1024
+
+// blockDigest computes the block hash over parent, height and entries:
+// sig.Hash of the height, the parent hash and each entry's encoding,
+// encoded the way sig.Hash encodes its parts but on the stack.
 func blockDigest(height uint64, prev [32]byte, entries []Entry) [32]byte {
-	var parts [][]byte
-	var tmp [8]byte
-	binary.BigEndian.PutUint64(tmp[:], height)
-	parts = append(parts, tmp[:], prev[:])
-	for _, e := range entries {
-		parts = append(parts, e.encode())
+	var stack [digestStack]byte
+	b := binary.BigEndian.AppendUint64(stack[:0], 8)
+	b = binary.BigEndian.AppendUint64(b, height)
+	b = binary.BigEndian.AppendUint64(b, 32)
+	b = append(b, prev[:]...)
+	for i := range entries {
+		b = entries[i].appendEncoding(b)
 	}
-	return sig.Hash(parts...)
+	return sha256.Sum256(b)
 }
 
 // DealState is the CBC-side view of one deal.
@@ -143,6 +151,10 @@ type DealState struct {
 	// committee: a decision is final and signatures are deterministic,
 	// so every claimant of one epoch is handed the same bytes.
 	statusCert *bft.Certificate
+	// span is the decided deal's certified block span, assembled on the
+	// first BlockProofFor: a decided span never changes, so every later
+	// claimant is handed the same read-only slice.
+	span []*Block
 }
 
 // StartHash computes the definitive hash of a startDeal entry from its
@@ -150,10 +162,21 @@ type DealState struct {
 // must not be mistakable for the definitive one when contracts replay
 // block-subsequence proofs.
 func StartHash(dealID string, parties []chain.Addr, height uint64, index int) [32]byte {
-	var tmp [16]byte
-	binary.BigEndian.PutUint64(tmp[:8], height)
-	binary.BigEndian.PutUint64(tmp[8:], uint64(index))
-	return sig.Hash([]byte("startDeal"), []byte(dealID), encodeAddrs(parties), tmp[:])
+	// sig.Hash("startDeal", dealID, the 0-terminated plist, height and
+	// index), encoded on the stack.
+	var stack [digestStack]byte
+	b := binary.BigEndian.AppendUint64(stack[:0], uint64(len("startDeal")))
+	b = append(b, "startDeal"...)
+	b = binary.BigEndian.AppendUint64(b, uint64(len(dealID)))
+	b = append(b, dealID...)
+	at := len(b)
+	b = binary.BigEndian.AppendUint64(b, 0) // the plist's length, set below
+	b = appendAddrs(b, parties)
+	binary.BigEndian.PutUint64(b[at:], uint64(len(b)-at-8))
+	b = binary.BigEndian.AppendUint64(b, 16)
+	b = binary.BigEndian.AppendUint64(b, height)
+	b = binary.BigEndian.AppendUint64(b, uint64(index))
+	return sha256.Sum256(b)
 }
 
 // Config parameterizes the CBC service.
@@ -297,9 +320,10 @@ func (c *CBC) produceBlock() {
 		return
 	}
 	// Validators validate entries before ordering them: malformed votes
-	// (unknown deal, non-party voter, wrong hash) are dropped.
+	// (unknown deal, non-party voter, wrong hash) are dropped. The block
+	// takes the pending entries' storage, so they are filtered in place.
 	height := uint64(len(c.blocks) + 1)
-	var accepted []Entry
+	accepted := entries[:0]
 	for _, e := range entries {
 		if c.applyEntry(e, height, len(accepted)) {
 			accepted = append(accepted, e)
@@ -479,7 +503,8 @@ type BlockProof struct {
 	Reconfigs []bft.Reconfig
 }
 
-// BlockProofFor assembles the naive proof for a decided deal.
+// BlockProofFor assembles the naive proof for a decided deal. Every
+// proof of one deal shares its Blocks slice, which must not be written.
 func (c *CBC) BlockProofFor(id string) (BlockProof, error) {
 	st, ok := c.deals[id]
 	if !ok {
@@ -488,6 +513,19 @@ func (c *CBC) BlockProofFor(id string) (BlockProof, error) {
 	if st.Status == escrow.StatusActive {
 		return BlockProof{}, fmt.Errorf("%w: %s", ErrUndecided, id)
 	}
+	if st.span == nil {
+		st.span = c.decidedSpan(id, st.DecidedAt)
+	}
+	return BlockProof{
+		Deal:      id,
+		Blocks:    st.span,
+		Reconfigs: append([]bft.Reconfig(nil), c.reconfigs...),
+	}, nil
+}
+
+// decidedSpan certifies and returns the blocks from the one holding
+// deal id's first startDeal through the one at height decidedAt.
+func (c *CBC) decidedSpan(id string, decidedAt uint64) []*Block {
 	var span []*Block
 	started := false
 	for _, b := range c.blocks {
@@ -503,15 +541,11 @@ func (c *CBC) BlockProofFor(id string) (BlockProof, error) {
 			c.certify(b)
 			span = append(span, b)
 		}
-		if b.Height == st.DecidedAt {
+		if b.Height == decidedAt {
 			break
 		}
 	}
-	return BlockProof{
-		Deal:      id,
-		Blocks:    span,
-		Reconfigs: append([]bft.Reconfig(nil), c.reconfigs...),
-	}, nil
+	return span
 }
 
 func containsAddr(list []chain.Addr, a chain.Addr) bool {
@@ -523,8 +557,8 @@ func containsAddr(list []chain.Addr, a chain.Addr) bool {
 	return false
 }
 
-func encodeAddrs(as []chain.Addr) []byte {
-	var b []byte
+// appendAddrs appends each address to b, 0-terminated.
+func appendAddrs(b []byte, as []chain.Addr) []byte {
 	for _, a := range as {
 		b = append(b, a...)
 		b = append(b, 0)

@@ -464,8 +464,9 @@ func TestBlockProofWithGapRejected(t *testing.T) {
 	if len(proof.Blocks) < 3 {
 		t.Skip("need multi-block span")
 	}
-	// Remove a middle block: the hash chain breaks.
-	proof.Blocks = append(proof.Blocks[:1], proof.Blocks[2:]...)
+	// Remove a middle block: the hash chain breaks. Proofs share the
+	// service's span, so the forgery is built in a copy.
+	proof.Blocks = append(append([]*Block(nil), proof.Blocks[:1]...), proof.Blocks[2:]...)
 	r := w.call("mallory", "coin-escrow", MethodCommitProof, ProofArgs{Deal: "D", Blocks: &proof})
 	if r.Err == nil {
 		t.Fatal("gapped block proof accepted")

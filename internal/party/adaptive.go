@@ -161,7 +161,7 @@ func (p *Party) race(ptx chain.PendingTx) {
 		if ptx.Method == cbc.MethodAbortProof {
 			status = escrow.StatusAborted
 		}
-		if st := p.cbcState; st != nil && st.started {
+		if p.cbcState.started {
 			if d := p.cfg.CBCHooks.CBC.Deal(p.cfg.Spec.ID); d != nil && d.Status == status {
 				p.claimOutcome(status)
 			}

@@ -29,7 +29,8 @@ type CBCHooks struct {
 	PublishStart bool
 }
 
-// cbcState is the CBC driver's bookkeeping.
+// cbcState is the CBC driver's bookkeeping. A party keeps it as a value,
+// with its claimed map built in New and cleared in Reset.
 type cbcState struct {
 	started   bool
 	startHash [32]byte
@@ -47,7 +48,6 @@ type cbcState struct {
 // the start hash and initial committee as Dinfo, transfer, validate, vote
 // on the CBC, and present proofs to escrow contracts once decided.
 func (p *Party) startCBC() {
-	p.cbcState = &cbcState{claimed: make(map[string]bool)}
 	hooks := p.cfg.CBCHooks
 	hooks.CBC.Subscribe(func(b *cbc.Block) {
 		if !p.active() {
@@ -68,7 +68,7 @@ func (p *Party) startCBC() {
 // onCBCBlock reacts to new certified blocks: learn the definitive
 // startDeal, then watch for the decision.
 func (p *Party) onCBCBlock(b *cbc.Block) {
-	st := p.cbcState
+	st := &p.cbcState
 	if !st.started {
 		for idx, e := range b.Entries {
 			if e.Kind != cbc.EntryStartDeal || e.Deal != p.cfg.Spec.ID {
@@ -111,8 +111,8 @@ func (p *Party) cbcInfoOK(info any) bool {
 	if !ok {
 		return false
 	}
-	st := p.cbcState
-	if st == nil || !st.started || ci.StartHash != st.startHash {
+	st := &p.cbcState
+	if !st.started || ci.StartHash != st.startHash {
 		return false
 	}
 	return ci.Committee.Equal(p.cfg.CBCHooks.CBC.InitialCommittee())
@@ -122,8 +122,8 @@ func (p *Party) cbcInfoOK(info any) bool {
 // vote was rewritten to an abort. A rescinding vote (rescind > 0) votes
 // abort that soon after committing, violating the wait-Δ rule when small.
 func (p *Party) sendCBCVote(vote action) {
-	st := p.cbcState
-	if st == nil || !st.started {
+	st := &p.cbcState
+	if !st.started {
 		return
 	}
 	if vote.abort {
@@ -152,7 +152,7 @@ func (p *Party) publishVote(kind cbc.EntryKind) {
 // withholding the commit vote suffices — the contracts refund everyone
 // at the horizon, and the refund poke is armed.
 func (p *Party) rescind() {
-	if st := p.cbcState; st != nil && st.started && !st.votedAbort {
+	if st := &p.cbcState; st.started && !st.votedAbort {
 		st.votedAbort = true
 		p.publishVote(cbc.EntryAbort)
 	}
@@ -169,7 +169,7 @@ func (p *Party) scheduleGiveUp() {
 	}
 	var fire func()
 	fire = func() {
-		st := p.cbcState
+		st := &p.cbcState
 		if st.gaveUp || !p.active() {
 			return
 		}
@@ -203,7 +203,7 @@ func (p *Party) scheduleGiveUp() {
 // diligence); abort proofs go to the contracts holding its deposits (it
 // wants its refund). A front-runner claims here too (see race).
 func (p *Party) claimOutcome(status escrow.Status) {
-	st := p.cbcState
+	st := &p.cbcState
 	spec := p.cfg.Spec
 	method, label := cbc.MethodCommitProof, LabelCommit
 	if status == escrow.StatusAborted {

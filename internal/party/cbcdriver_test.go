@@ -24,8 +24,8 @@ func TestGiveUpWaitsDeltaAfterTimeZeroCommitVote(t *testing.T) {
 	// The deal must be live on the CBC, or give-up sees it as decided.
 	c.Publish(cbc.Entry{Kind: cbc.EntryStartDeal, Deal: spec.ID, Party: "alice", Parties: spec.Parties})
 	// A commit vote published at t = 0: the zero-value timestamp case.
-	p.cbcState = &cbcState{claimed: make(map[string]bool), started: true,
-		votedCommit: true, votedCommitAt: 0}
+	p.cbcState.started = true
+	p.cbcState.votedCommit, p.cbcState.votedCommitAt = true, 0
 	p.scheduleGiveUp()
 
 	sched.RunUntil(sim.Time(spec.Delta) - 1)

@@ -146,8 +146,8 @@ type Party struct {
 	// to be registered (see forwardVote), at most one per voter.
 	held []sig.PathSig
 
-	// CBC driver state (nil for timelock parties).
-	cbcState *cbcState
+	// CBC driver state (never started for timelock parties).
+	cbcState cbcState
 
 	// Hedge driver state (see hedge.go), keyed by escrow key.
 	hedgeSubmitted map[string]bool // bind published, receipt pending
@@ -175,6 +175,7 @@ func New(addr chain.Addr, cfg Config) *Party {
 		hedgeBound:      make(map[string]bool),
 		hedgeClaiming:   make(map[string]bool),
 		hedgeSettled:    make(map[string]bool),
+		cbcState:        cbcState{claimed: make(map[string]bool)},
 	}
 	p.wantsFn = p.wants
 	p.onEvent = func(ev chain.Event) {
@@ -204,7 +205,7 @@ func (p *Party) Reset(addr chain.Addr, cfg Config) {
 		clear(m)
 	}
 	for _, m := range [...]map[string]bool{p.escrowSubmitted, p.escrowConfirmed,
-		p.hedgeSubmitted, p.hedgeBound, p.hedgeClaiming, p.hedgeSettled} {
+		p.hedgeSubmitted, p.hedgeBound, p.hedgeClaiming, p.hedgeSettled, p.cbcState.claimed} {
 		clear(m)
 	}
 	clear(p.held)
@@ -224,6 +225,7 @@ func (p *Party) Reset(addr chain.Addr, cfg Config) {
 		hedgeBound:      p.hedgeBound,
 		hedgeClaiming:   p.hedgeClaiming,
 		hedgeSettled:    p.hedgeSettled,
+		cbcState:        cbcState{claimed: p.cbcState.claimed},
 		wantsFn:         p.wantsFn,
 		onEvent:         p.onEvent,
 	}
@@ -279,7 +281,7 @@ func (p *Party) wake() {
 	p.tryTransfers()
 	p.checkValidation()
 	p.maybeVote()
-	if st := p.cbcState; st != nil && st.started {
+	if p.cbcState.started {
 		p.claimDecided()
 	}
 }
@@ -731,8 +733,8 @@ func (p *Party) retryLive() bool {
 	case ProtoTimelock:
 		return p.cfg.Sched.Now() < p.timelockHorizon()
 	case ProtoCBC:
-		st := p.cbcState
-		if st == nil || !st.started || st.gaveUp || st.votedAbort {
+		st := &p.cbcState
+		if !st.started || st.gaveUp || st.votedAbort {
 			return false
 		}
 		d := p.cfg.CBCHooks.CBC.Deal(p.cfg.Spec.ID)
