@@ -710,3 +710,35 @@ func TestReplayNamesOutcomeAsSweepCountsIt(t *testing.T) {
 		}
 	}
 }
+
+// TestOneDealScenarioGoldens pins the stdout and exit code of each
+// one-deal example under scenarios/, run with -trace and -explain,
+// against testdata/<name>.trace.txt (regenerate with `go test -update`).
+func TestOneDealScenarioGoldens(t *testing.T) {
+	for _, name := range []string{
+		"broker-bob-skips-voting", "broker-carol-crashes-late", "broker-cbc-censor-carol",
+		"broker-timelock", "ring5-cbc",
+	} {
+		t.Run(name, func(t *testing.T) {
+			args := []string{"-scenario", filepath.Join("..", "..", "scenarios", name+".json"), "-trace", "-explain"}
+			var stdout, stderr bytes.Buffer
+			if code := run(args, &stdout, &stderr); code != 0 {
+				t.Fatalf("run(%v) = %d, want 0\nstderr: %s", args, code, stderr.String())
+			}
+			path := filepath.Join("testdata", name+".trace.txt")
+			if *update {
+				if err := os.WriteFile(path, stdout.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(stdout.Bytes(), want) {
+				t.Fatalf("stdout of %v diverged from %s:\n--- got ---\n%s", args, path, stdout.String())
+			}
+		})
+	}
+}
