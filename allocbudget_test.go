@@ -20,7 +20,10 @@ var allocBudgets = []struct {
 	mallocCeiling float64 // mallocs per deal
 	opts          xdeal.SweepOptions
 }{
-	// Isolated worlds: 35,655 bytes and 299.2 mallocs per deal (39,443
+	// Isolated worlds: 33,363 bytes and 292.5 mallocs per deal (35,655
+	// bytes and 299.2 mallocs before a party's deviations became a list of
+	// kinds drawn from a fixed catalog, the CBC give-up timer a method
+	// value built once per party and spec ids concatenated; 39,443
 	// bytes and 367.4 mallocs before the CBC's block digests and start
 	// hashes were encoded on the stack, committees were derived once per
 	// process, block proofs shared their deal's span, a party kept its CBC
@@ -46,11 +49,12 @@ var allocBudgets = []struct {
 	// reused and the always-on attribution stopped building the span DAG;
 	// 140,989 before the gas meter went flat, After stopped returning a
 	// Cancel and mempool gossip was filtered; 150,371 before that).
-	{"isolated", 64, 42_000, 350, xdeal.SweepOptions{Gen: xdeal.GenOptions{
+	{"isolated", 64, 39_000, 340, xdeal.SweepOptions{Gen: xdeal.GenOptions{
 		Seed: 7, Protocol: "mixed", AdversaryRate: 0.3, DoSRate: 0.15,
 	}}},
 	// Shared arenas of 50 deals on 2 chains with fees, bundle auctions and
-	// hedging: 77,922 bytes and 843.8 mallocs per deal (80,325 bytes and
+	// hedging: 76,345 bytes and 842.4 mallocs per deal (77,922 bytes and
+	// 843.8 mallocs before the deviation kinds above; 80,325 bytes and
 	// 887.5 mallocs before the CBC work above; 81,823 bytes and
 	// 938.2 mallocs before the shared votes, unformatted rejections and
 	// tabled names above; 81,843 bytes and 945.5 mallocs before the After
@@ -67,7 +71,7 @@ var allocBudgets = []struct {
 	// chain set and its receipts came from the index; 323,133 before the
 	// notify grouping, the reused After events and the span-free
 	// attribution).
-	{"arena", 200, 90_000, 980, xdeal.SweepOptions{
+	{"arena", 200, 88_000, 970, xdeal.SweepOptions{
 		Gen: xdeal.GenOptions{Seed: 7, Protocol: "mixed", AdversaryRate: 0.3, Fees: &xdeal.FeeOptions{}},
 		Arena: &xdeal.ArenaOptions{
 			DealsPerArena: 50, Chains: 2, Bundles: true, Hedge: true,

@@ -138,7 +138,7 @@ func BenchmarkFig7TimelockAltruistic(b *testing.B) {
 				spec := deal.RingSpec(n, 40000, 1000)
 				behaviors := make(map[xdeal.Addr]party.Behavior)
 				for _, p := range spec.Parties {
-					behaviors[p] = party.Behavior{Altruistic: true}
+					behaviors[p] = party.Behavior{party.AltruisticVote{}}
 				}
 				return harness.RunTime(spec, engine.Options{
 					Seed: seed, Protocol: party.ProtoTimelock, Behaviors: behaviors,

@@ -31,9 +31,27 @@
 //   - Deal runs one deal instead of a population: a named Shape (broker,
 //     ring, swap, auction or dense, with N parties and M escrows) or an
 //     inline Spec, under Protocol (timelock or cbc) with CBC fault
-//     tolerance F and Seed, per-party deviations in Behaviors (party
-//     name → party.Behavior) and the parties whose CBC votes validators
-//     drop in Censor. A Deal scenario has no population fields.
+//     tolerance F and Seed, per-party deviations in Behaviors and the
+//     parties whose CBC votes validators drop in Censor. A Deal scenario
+//     has no population fields.
+//
+// Behaviors maps a party to the deviation kinds it runs (party.Behavior):
+// a list of one-key objects, each a kind's name over its parameters,
+// with absolute times. One example per kind:
+//
+//	"Behaviors": {"carol": [{"crash": {"at": 3000}}, {"skip-voting": {}}],
+//	  "bob": [{"offline": {"from": 2000, "until": 4000}}, {"skip-escrow": {}},
+//	    {"skip-transfers": {}}, {"skip-refund-poke": {}}, {"no-forwarding": {}},
+//	    {"corrupt-info": {}}, {"escrow-shortfall": {"amount": 3}}],
+//	  "alice": [{"altruistic-vote": {}}, {"vote-delay": {"by": 500}},
+//	    {"abort-immediately": {}}, {"commit-then-abort": {"after": 5}},
+//	    {"sore-loser": {"threshold": 0.05}}, {"front-run": {"bid": {"budget": 400}}},
+//	    {"grief": {}}, {"bundle-grief": {"budget": 400}}]}
+//
+// Front-running bids only under "bid"; a budget of 0, or none, is
+// unlimited. An unknown kind or parameter, a missing parameter, a kind
+// named twice for one party and a value out of range (see
+// party.Behavior.Validate) are rejected with exit 2, naming the party.
 //
 // The flags only select and override: -seed and -deals override the
 // scenario's, -workers sizes the pool, -replay I re-runs deal I of the
@@ -55,6 +73,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"slices"
 	"sort"
@@ -93,7 +112,7 @@ type oneDeal struct {
 	Protocol  string          // timelock | cbc
 	F         int             // CBC fault tolerance
 	Seed      uint64
-	Behaviors map[chain.Addr]party.Behavior
+	Behaviors map[chain.Addr]json.RawMessage // each a party.Behavior
 	Censor    []chain.Addr
 }
 
@@ -604,20 +623,20 @@ func (d *oneDeal) build() (*deal.Spec, engine.Options, error) {
 	default:
 		return nil, opts, fmt.Errorf("unknown Deal.Protocol %q (want timelock or cbc)", d.Protocol)
 	}
-	deviants := make([]chain.Addr, 0, len(d.Behaviors))
-	for p := range d.Behaviors {
-		deviants = append(deviants, p)
-	}
-	sort.Slice(deviants, func(i, j int) bool { return deviants[i] < deviants[j] })
+	deviants := slices.Sorted(maps.Keys(d.Behaviors))
 	for _, p := range deviants {
 		if !slices.Contains(spec.Parties, p) {
 			return nil, opts, fmt.Errorf("party %q in Deal.Behaviors is not in deal %s", p, spec.ID)
 		}
-		if err := d.Behaviors[p].Validate(); err != nil {
+		var b party.Behavior
+		if err := json.Unmarshal(d.Behaviors[p], &b); err != nil {
 			return nil, opts, fmt.Errorf("party %q in Deal.Behaviors: %v", p, err)
 		}
+		if opts.Behaviors == nil {
+			opts.Behaviors = make(map[chain.Addr]party.Behavior, len(deviants))
+		}
+		opts.Behaviors[p] = b
 	}
-	opts.Behaviors = d.Behaviors
 	if len(d.Censor) > 0 {
 		opts.Censor = make(map[chain.Addr]bool, len(d.Censor))
 	}

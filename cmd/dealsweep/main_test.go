@@ -55,17 +55,19 @@ func TestFlagValidationRejectsDegenerateSweeps(t *testing.T) {
 		{"trailing-scenario-data", `{"Deals": 3} {"Deals": 4}`, nil, "trailing data"},
 		{"deal-with-population-fields", `{"Deals": 3, "Budgets": {}, "Deal": {}}`, nil, "drop the population fields Budgets, Deals"},
 		{"deal-with-sweep-flag", `{"Deal": {}}`, []string{"-replay", "1"}, "-replay applies to a sweep"},
-		{"unknown-behaviors-party", `{"Deal": {"Behaviors": {"mallory": {"SkipVoting": true}}}}`, nil, `party "mallory" in Deal.Behaviors is not in deal broker`},
-		{"offline-without-until", `{"Deal": {"Behaviors": {"bob": {"OfflineFrom": 2000}}}}`, nil, `party "bob" in Deal.Behaviors: OfflineFrom 2000 needs a later OfflineUntil`},
-		{"offline-until-before-from", `{"Deal": {"Behaviors": {"bob": {"OfflineFrom": 2000, "OfflineUntil": 1500}}}}`, nil, `party "bob" in Deal.Behaviors: OfflineFrom 2000 needs a later OfflineUntil`},
-		{"negative-crash", `{"Deal": {"Behaviors": {"bob": {"CrashAt": -5}}}}`, nil, `party "bob" in Deal.Behaviors: CrashAt -5 is negative`},
-		{"negative-offline", `{"Deal": {"Behaviors": {"bob": {"OfflineFrom": -5, "OfflineUntil": 100}}}}`, nil, `party "bob" in Deal.Behaviors: OfflineFrom -5 is negative`},
-		{"negative-vote-delay", `{"Deal": {"Behaviors": {"bob": {"VoteDelay": -5}}}}`, nil, `party "bob" in Deal.Behaviors: VoteDelay -5 is negative`},
-		{"negative-commit-then-abort", `{"Deal": {"Protocol": "cbc", "Behaviors": {"bob": {"CommitThenAbort": -5}}}}`, nil, `party "bob" in Deal.Behaviors: CommitThenAbort -5 is negative`},
-		{"negative-sore-loser", `{"Deal": {"Behaviors": {"bob": {"SoreLoserThreshold": -0.1}}}}`, nil, `party "bob" in Deal.Behaviors: SoreLoserThreshold -0.1`},
-		{"fee-bid-without-front-run", `{"Deal": {"Behaviors": {"bob": {"FeeBid": true}}}}`, nil, `party "bob" in Deal.Behaviors: FeeBid needs FrontRun`},
-		{"fee-budget-without-fee-bid", `{"Deal": {"Behaviors": {"bob": {"FrontRun": true, "FeeBudget": 9}}}}`, nil, `party "bob" in Deal.Behaviors: FeeBudget 9 needs FeeBid`},
-		{"bundle-budget-without-grief", `{"Deal": {"Behaviors": {"bob": {"BundleBudget": 9}}}}`, nil, `party "bob" in Deal.Behaviors: BundleBudget 9 needs BundleGrief`},
+		{"unknown-behaviors-party", `{"Deal": {"Behaviors": {"mallory": [{"skip-voting": {}}]}}}`, nil, `party "mallory" in Deal.Behaviors is not in deal broker`},
+		{"offline-without-until", `{"Deal": {"Behaviors": {"bob": [{"offline": {"from": 2000}}]}}}`, nil, `party "bob" in Deal.Behaviors: offline: missing parameter "until"`},
+		{"offline-until-before-from", `{"Deal": {"Behaviors": {"bob": [{"offline": {"from": 2000, "until": 1500}}]}}}`, nil, `party "bob" in Deal.Behaviors: offline: until 1500 is not after from 2000`},
+		{"negative-crash", `{"Deal": {"Behaviors": {"bob": [{"crash": {"at": -5}}]}}}`, nil, `party "bob" in Deal.Behaviors: crash: at -5 is not positive`},
+		{"negative-offline", `{"Deal": {"Behaviors": {"bob": [{"offline": {"from": -5, "until": 100}}]}}}`, nil, `party "bob" in Deal.Behaviors: offline: from -5 is not positive`},
+		{"negative-vote-delay", `{"Deal": {"Behaviors": {"bob": [{"vote-delay": {"by": -5}}]}}}`, nil, `party "bob" in Deal.Behaviors: vote-delay: by -5 is not positive`},
+		{"negative-commit-then-abort", `{"Deal": {"Protocol": "cbc", "Behaviors": {"bob": [{"commit-then-abort": {"after": -5}}]}}}`, nil, `party "bob" in Deal.Behaviors: commit-then-abort: after -5 is not positive`},
+		{"negative-sore-loser", `{"Deal": {"Behaviors": {"bob": [{"sore-loser": {"threshold": -0.1}}]}}}`, nil, `party "bob" in Deal.Behaviors: sore-loser: threshold -0.1`},
+		{"fee-bid-without-front-run", `{"Deal": {"Behaviors": {"bob": [{"fee-bid": {}}]}}}`, nil, `party "bob" in Deal.Behaviors: unknown deviation kind "fee-bid"`},
+		{"fee-budget-without-fee-bid", `{"Deal": {"Behaviors": {"bob": [{"front-run": {"budget": 9}}]}}}`, nil, `party "bob" in Deal.Behaviors: front-run: unknown parameter "budget"`},
+		{"bundle-budget-without-grief", `{"Deal": {"Behaviors": {"bob": [{"bundle-budget": {"amount": 9}}]}}}`, nil, `party "bob" in Deal.Behaviors: unknown deviation kind "bundle-budget"`},
+		{"duplicate-kind", `{"Deal": {"Behaviors": {"bob": [{"crash": {"at": 700}}, {"skip-voting": {}}, {"crash": {"at": 900}}]}}}`, nil, `party "bob" in Deal.Behaviors: crash: named twice`},
+		{"flat-behavior", `{"Deal": {"Behaviors": {"bob": {"SkipVoting": true}}}}`, nil, `party "bob" in Deal.Behaviors: a behavior is a list of {"kind": {parameters}} objects`},
 		{"unknown-censor-party", `{"Deal": {"Protocol": "cbc", "Censor": ["mallory"]}}`, nil, `party "mallory" in Deal.Censor is not in deal broker`},
 		{"unknown-deal-shape", `{"Deal": {"Shape": "pentagon"}}`, nil, `unknown Deal.Shape "pentagon"`},
 		{"unknown-deal-protocol", `{"Deal": {"Protocol": "htlc"}}`, nil, `unknown Deal.Protocol "htlc"`},

@@ -50,12 +50,12 @@ func main() {
 		name string
 		b    xdeal.Behavior
 	}{
-		{"bob skips escrow", xdeal.Behavior{SkipEscrow: true}},
-		{"alice skips her transfers", xdeal.Behavior{SkipTransfers: true}},
-		{"carol never votes", xdeal.Behavior{SkipVoting: true}},
-		{"alice refuses to forward votes", xdeal.Behavior{NoForwarding: true}},
-		{"bob crashes mid-deal", xdeal.Behavior{CrashAt: 1000}},
-		{"carol votes after every deadline", xdeal.Behavior{VoteDelay: 20000}},
+		{"bob skips escrow", xdeal.Behavior{xdeal.SkipEscrow{}}},
+		{"alice skips her transfers", xdeal.Behavior{xdeal.SkipTransfers{}}},
+		{"carol never votes", xdeal.Behavior{xdeal.SkipVoting{}}},
+		{"alice refuses to forward votes", xdeal.Behavior{xdeal.NoForwarding{}}},
+		{"bob crashes mid-deal", xdeal.Behavior{xdeal.Crash{At: 1000}}},
+		{"carol votes after every deadline", xdeal.Behavior{xdeal.VoteDelay{By: 20000}}},
 	}
 
 	fmt.Println("--- timelock protocol ---")
@@ -77,8 +77,8 @@ func main() {
 		name string
 		b    xdeal.Behavior
 	}{
-		{"bob votes abort immediately", xdeal.Behavior{AbortImmediately: true}},
-		{"carol rescinds right after committing", xdeal.Behavior{CommitThenAbort: 1}},
+		{"bob votes abort immediately", xdeal.Behavior{xdeal.AbortImmediately{}}},
+		{"carol rescinds right after committing", xdeal.Behavior{xdeal.CommitThenAbort{After: 1}}},
 	}...)
 	cbcWho := append(who, "bob", "carol")
 	for i, d := range cbcDeviations {
@@ -107,7 +107,7 @@ func main() {
 					Protocol:     party.ProtoTimelock,
 					FixedTimeout: fixed,
 					Behaviors: map[chain.Addr]party.Behavior{
-						"p00": {VoteDelay: voteDelay},
+						"p00": {party.VoteDelay{By: voteDelay}},
 					},
 				})
 				if err != nil {

@@ -91,7 +91,7 @@ func main() {
 	r, err = xdeal.Run(spec, xdeal.Options{
 		Seed: 8, Protocol: xdeal.CBC, F: 1,
 		Behaviors: map[xdeal.Addr]xdeal.Behavior{
-			"loser": {AbortImmediately: true},
+			"loser": {xdeal.AbortImmediately{}},
 		},
 	})
 	if err != nil {

@@ -133,6 +133,6 @@ func main() {
 	fmt.Println()
 	runScenario("all parties compliant", nil)
 	runScenario("bob joins, then aborts immediately", map[xdeal.Addr]xdeal.Behavior{
-		"bob": {AbortImmediately: true},
+		"bob": {xdeal.AbortImmediately{}},
 	})
 }

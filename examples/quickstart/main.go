@@ -52,7 +52,7 @@ func main() {
 		Seed:     1,
 		Protocol: xdeal.Timelock,
 		Behaviors: map[xdeal.Addr]xdeal.Behavior{
-			"bob": {SkipVoting: true},
+			"bob": {xdeal.SkipVoting{}},
 		},
 	})
 	if err != nil {

@@ -29,9 +29,9 @@ func buildScenario() *engine.World {
 		Seed:     31,
 		Protocol: party.ProtoTimelock,
 		Behaviors: map[xdeal.Addr]xdeal.Behavior{
-			"bob":   {VoteDelay: 2750},                       // votes just before t0+Δ
-			"alice": {OfflineFrom: 2500, OfflineUntil: 6500}, // DoS window covers
-			"carol": {OfflineFrom: 2500, OfflineUntil: 6500}, // the forwarding deadline
+			"bob":   {xdeal.VoteDelay{By: 2750}},              // votes just before t0+Δ
+			"alice": {xdeal.Offline{From: 2500, Until: 6500}}, // DoS window covers
+			"carol": {xdeal.Offline{From: 2500, Until: 6500}}, // the forwarding deadline
 		},
 	})
 	if err != nil {

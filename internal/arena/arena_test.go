@@ -231,7 +231,7 @@ func TestSoreLoserAbortNeverViolatesSafety(t *testing.T) {
 			for k := range pop {
 				victim := pop[k].Spec.Parties[0]
 				pop[k].Behaviors = map[chain.Addr]party.Behavior{
-					victim: {SoreLoserThreshold: 0.0001},
+					victim: {party.SoreLoser{Threshold: 0.0001}},
 				}
 				pop[k].Adversaries = 1
 			}

@@ -2,7 +2,10 @@ package arena
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
+
+	"xdeal/internal/party"
 )
 
 // bundleFingerprint extends the hedge fingerprint with every bundle
@@ -122,23 +125,23 @@ func TestBundlePopulationIsSeedTwin(t *testing.T) {
 		}
 		for _, p := range a.Spec.Parties {
 			ab, bb := a.Behaviors[p], b.Behaviors[p]
-			if ab.BundleGrief {
+			if _, ok := kindIn[party.BundleGrief](ab); ok {
 				t.Fatalf("deal %d: tx-level population carries bundle griefer %s", k, p)
 			}
-			if bb.BundleGrief {
+			if grief, ok := kindIn[party.BundleGrief](bb); ok {
 				griefers++
-				if !ab.FeeBid || !ab.FrontRun {
+				if race, ok := kindIn[party.FrontRun](ab); !ok || race.Bid == nil {
 					t.Fatalf("deal %d: bundle griefer %s did not come from the fee-bid slot (%+v)", k, p, ab)
 				}
-				if bb.FeeBid {
+				if race, _ := kindIn[party.FrontRun](bb); race.Bid != nil {
 					t.Fatalf("deal %d: griefer %s still fee-bids single txs", k, p)
 				}
-				if bb.BundleBudget == 0 {
+				if grief.Budget == 0 {
 					t.Fatalf("deal %d: griefer %s has no budget", k, p)
 				}
 				continue
 			}
-			if ab != bb {
+			if !reflect.DeepEqual(ab, bb) {
 				t.Fatalf("deal %d party %s: behaviors diverged: %+v vs %+v", k, p, ab, bb)
 			}
 		}
@@ -229,4 +232,15 @@ func TestBundleLossStreakSurchargesPremiums(t *testing.T) {
 	if streaked == 0 {
 		t.Fatal("no bind ever priced a bundle-loss streak; the surcharge never engaged")
 	}
+}
+
+// kindIn returns b's deviation of kind D, if b names it.
+func kindIn[D party.Deviation](b party.Behavior) (D, bool) {
+	for _, d := range b {
+		if v, ok := d.(D); ok {
+			return v, true
+		}
+	}
+	var none D
+	return none, false
 }

@@ -141,7 +141,7 @@ func synthDeal(popSeed uint64, opts PopOptions, world Options, k int) DealSetup 
 	base.T0 += sim.Time(4 * delta)
 
 	setup.Spec = remap(base, k, opts.Chains, rng)
-	setup.Spec.ID = fmt.Sprintf("%s/%s", setup.Spec.ID, setup.Shape)
+	setup.Spec.ID += "/" + setup.Shape
 	// Remapping several of a deal's assets onto one shared escrow can
 	// create circular funding: obligations net per escrow (deposit =
 	// max(0, out − in)), so a ring squeezed onto one contract needs
@@ -151,26 +151,20 @@ func synthDeal(popSeed uint64, opts PopOptions, world Options, k int) DealSetup 
 	setup.Sequenceable = setup.Sequenceable && acyclicFunding(setup.Spec)
 
 	// Adversary mix: mostly adaptive strategies, some static deviations.
-	setup.Behaviors = make(map[chain.Addr]party.Behavior)
+	// A compliant slot draws nothing: in a hedged world it hedges its
+	// deposits (see party.Config.Hedge) and consumes no randomness, so a
+	// hedged population is the seed twin of its unhedged run — the same
+	// sore losers attack the same deals, and only the victims' cover
+	// differs, which is what makes residual loss comparable seed for seed.
 	for _, p := range setup.Spec.Parties {
 		if !rng.Bool(opts.AdversaryRate) {
-			if world.Hedge {
-				// The compliant slot hedges its deposits and does not
-				// count as an adversary. This consumes no randomness,
-				// so a hedged population is the seed twin of its
-				// unhedged run: the same sore losers attack the same
-				// deals, and only the victims' cover differs, which is
-				// what makes residual loss comparable seed for seed.
-				setup.Behaviors[p] = party.Behavior{Hedged: true}
-			}
 			continue
 		}
 		var b party.Behavior
 		switch q := rng.Float64(); {
 		case q < 0.40:
-			b = party.Behavior{SoreLoserThreshold: 0.02 + 0.10*rng.Float64()}
+			b = party.Behavior{party.SoreLoser{Threshold: 0.02 + 0.10*rng.Float64()}}
 		case q < 0.60:
-			b = party.Behavior{FrontRun: true}
 			// The fee-market and bundle upgrades of this slot consume
 			// no randomness, so the populations of a FIFO, a fee-market
 			// and a bundled world are seed twins: the same parties race,
@@ -178,21 +172,23 @@ func synthDeal(popSeed uint64, opts PopOptions, world Options, k int) DealSetup 
 			// griefing whole bundles. That is what makes the three
 			// strategies' win and exclusion rates comparable seed for
 			// seed.
-			if world.FeeMarket {
-				if world.Bundles {
-					b.BundleGrief = true
-					b.BundleBudget = world.BundleBudget
-				} else {
-					b.FeeBid = true
-					b.FeeBudget = world.TipBudget
-				}
+			switch {
+			case world.FeeMarket && world.Bundles:
+				b = party.Behavior{party.FrontRun{}, party.BundleGrief{Budget: world.BundleBudget}}
+			case world.FeeMarket:
+				b = party.Behavior{party.FrontRun{Bid: &party.FeeBid{Budget: world.TipBudget}}}
+			default:
+				b = party.Behavior{party.FrontRun{}}
 			}
 		case q < 0.80:
-			b = party.Behavior{Grief: true}
+			b = party.Behavior{party.Grief{}}
 		case q < 0.90:
-			b = party.Behavior{SkipVoting: true}
+			b = party.Behavior{party.SkipVoting{}}
 		default:
-			b = party.Behavior{VoteDelay: sim.Duration(base.T0) + 10*delta}
+			b = party.Behavior{party.VoteDelay{By: base.T0 + 10*delta}}
+		}
+		if setup.Behaviors == nil {
+			setup.Behaviors = make(map[chain.Addr]party.Behavior)
 		}
 		setup.Behaviors[p] = b
 		setup.Adversaries++

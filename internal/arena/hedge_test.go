@@ -2,6 +2,7 @@ package arena
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"xdeal/internal/chain"
@@ -10,9 +11,9 @@ import (
 
 // soreLoserPop builds a population with one hair-trigger sore loser per
 // deal (party 0 always carries an escrow obligation in every generated
-// shape). When hedged is set, every other party insures its deposits —
-// the twin differs only in the cover, never in the attack.
-func soreLoserPop(t *testing.T, deals int, hedged bool) []DealSetup {
+// shape). Run in a hedged world, every other party insures its deposits
+// — the twin differs only in the cover, never in the attack.
+func soreLoserPop(t *testing.T, deals int) []DealSetup {
 	t.Helper()
 	pop, err := NewPopulation(11, PopOptions{Deals: deals, Chains: 3, AdversaryRate: 0}, Options{})
 	if err != nil {
@@ -21,15 +22,7 @@ func soreLoserPop(t *testing.T, deals int, hedged bool) []DealSetup {
 	for k := range pop {
 		victim := pop[k].Spec.Parties[0]
 		pop[k].Behaviors = map[chain.Addr]party.Behavior{
-			victim: {SoreLoserThreshold: 0.0001},
-		}
-		if hedged {
-			for _, p := range pop[k].Spec.Parties {
-				if p == victim {
-					continue
-				}
-				pop[k].Behaviors[p] = party.Behavior{Hedged: true}
-			}
+			victim: {party.SoreLoser{Threshold: 0.0001}},
 		}
 		pop[k].Adversaries = 1
 	}
@@ -50,7 +43,7 @@ func TestHedgedTwinAbsorbsSoreLoserLoss(t *testing.T) {
 					Seed: 5, Protocol: protocol, Volatility: 0.05, PriceTick: 25,
 					FeeMarket: true, Hedge: hedged,
 				}
-				res, err := Run(opts, soreLoserPop(t, 8, hedged))
+				res, err := Run(opts, soreLoserPop(t, 8))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -102,7 +95,7 @@ func TestSoreLoserLossConservation(t *testing.T) {
 		t.Run(fmt.Sprintf("hedged=%v", hedged), func(t *testing.T) {
 			res, err := Run(Options{
 				Seed: 5, Volatility: 0.05, PriceTick: 25, FeeMarket: true, Hedge: hedged,
-			}, soreLoserPop(t, 10, hedged))
+			}, soreLoserPop(t, 10))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -204,9 +197,9 @@ func TestHedgedArenaDeterministic(t *testing.T) {
 }
 
 // TestHedgedPopulationIsSeedTwin: the Hedge option must not consume
-// randomness — the hedged population's shapes, specs, adversaries, and
-// start offsets are identical to its unhedged twin's, differing only in
-// Behavior.Hedged on the compliant slots.
+// randomness, nor write a behavior — the hedged population is its
+// unhedged twin, deal for deal, and hedging is derived from the world:
+// every slot that runs no strategy hedges there.
 func TestHedgedPopulationIsSeedTwin(t *testing.T) {
 	const seed = 13
 	base := PopOptions{Deals: 20, Chains: 4, AdversaryRate: 0.4}
@@ -218,31 +211,18 @@ func TestHedgedPopulationIsSeedTwin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hedgedParties := 0
-	for k := range bare {
-		a, b := bare[k], covered[k]
-		if a.Seed != b.Seed || a.Shape != b.Shape || a.StartOffset != b.StartOffset ||
-			a.Adversaries != b.Adversaries || a.Spec.ID != b.Spec.ID {
-			t.Fatalf("deal %d diverged from its twin: %+v vs %+v", k, a, b)
-		}
-		for _, p := range a.Spec.Parties {
-			ab, bb := a.Behaviors[p], b.Behaviors[p]
-			if ab.Hedged {
-				t.Fatalf("deal %d: unhedged population carries Hedged party %s", k, p)
-			}
-			if bb.Hedged {
-				hedgedParties++
-				if !ab.Compliant() {
-					t.Fatalf("deal %d: adversary slot %s got hedged", k, p)
-				}
-				continue
-			}
-			if ab != bb {
-				t.Fatalf("deal %d party %s: behaviors diverged: %+v vs %+v", k, p, ab, bb)
+	if !reflect.DeepEqual(bare, covered) {
+		t.Fatal("the hedged population diverged from its unhedged twin")
+	}
+	compliant := 0
+	for _, setup := range covered {
+		for _, p := range setup.Spec.Parties {
+			if len(setup.Behaviors[p]) == 0 {
+				compliant++
 			}
 		}
 	}
-	if hedgedParties == 0 {
-		t.Fatal("no hedged parties in the hedged twin")
+	if compliant == 0 {
+		t.Fatal("no compliant slot to hedge in the hedged twin")
 	}
 }

@@ -2,6 +2,7 @@ package deal
 
 import (
 	"fmt"
+	"strconv"
 
 	"xdeal/internal/chain"
 	"xdeal/internal/sim"
@@ -100,7 +101,7 @@ func RingSpec(n int, t0 sim.Time, delta sim.Duration) *Spec {
 		})
 	}
 	return &Spec{
-		ID:        fmt.Sprintf("ring-%d", n),
+		ID:        "ring-" + strconv.Itoa(n),
 		Parties:   parties,
 		Transfers: transfers,
 		T0:        t0,
@@ -141,7 +142,7 @@ func BrokerChainSpec(k int, basePrice, commission uint64, t0 sim.Time, delta sim
 		transfers = append(transfers, Transfer{From: parties[i], To: parties[i-1], Asset: coins(price)})
 	}
 	return &Spec{
-		ID:        fmt.Sprintf("brokerchain-%d", k),
+		ID:        "brokerchain-" + strconv.Itoa(k),
 		Parties:   parties,
 		Transfers: transfers,
 		T0:        t0,
@@ -193,7 +194,7 @@ func DenseSpec(n, m int, t0 sim.Time, delta sim.Duration) *Spec {
 		}
 	}
 	return &Spec{
-		ID:        fmt.Sprintf("dense-%dx%d", n, m),
+		ID:        "dense-" + strconv.Itoa(n) + "x" + strconv.Itoa(m),
 		Parties:   parties,
 		Transfers: transfers,
 		T0:        t0,
@@ -230,7 +231,7 @@ func RandomSpec(rng *sim.RNG, n, chains, extraArcs int, t0 sim.Time, delta sim.D
 		})
 	}
 	return &Spec{
-		ID:        fmt.Sprintf("random-%d-%d", n, extraArcs),
+		ID:        "random-" + strconv.Itoa(n) + "-" + strconv.Itoa(extraArcs),
 		Parties:   parties,
 		Transfers: transfers,
 		T0:        t0,

@@ -36,3 +36,21 @@ func TestIndexedNamesMatchSprintf(t *testing.T) {
 		t.Fatalf("random parties = %v", r.Parties)
 	}
 }
+
+// TestSpecIDsMatchSprintf: the sized builders' ids, built by
+// concatenation, are the ones fmt.Sprintf gave, at sizes 2–12.
+func TestSpecIDsMatchSprintf(t *testing.T) {
+	for n := 2; n <= 12; n++ {
+		m := n%3 + 2
+		for _, c := range []struct{ got, want string }{
+			{RingSpec(n, 3000, 1000).ID, fmt.Sprintf("ring-%d", n)},
+			{BrokerChainSpec(n, 100, 5, 3000, 1000).ID, fmt.Sprintf("brokerchain-%d", n)},
+			{DenseSpec(n, m, 3000, 1000).ID, fmt.Sprintf("dense-%dx%d", n, m)},
+			{RandomSpec(sim.NewRNG(uint64(n)), n, 2, n-2, 3000, 1000).ID, fmt.Sprintf("random-%d-%d", n, n-2)},
+		} {
+			if c.got != c.want {
+				t.Errorf("id %q, want %q", c.got, c.want)
+			}
+		}
+	}
+}

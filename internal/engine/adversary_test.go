@@ -69,18 +69,18 @@ func TestDenseDealCommitsBothProtocols(t *testing.T) {
 // singleDeviations enumerates every single-knob deviation worth testing.
 func singleDeviations(spec *deal.Spec) map[string]party.Behavior {
 	return map[string]party.Behavior{
-		"skip-escrow":       {SkipEscrow: true},
-		"skip-transfers":    {SkipTransfers: true},
-		"skip-voting":       {SkipVoting: true},
-		"no-forwarding":     {NoForwarding: true},
-		"crash-early":       {CrashAt: 50},
-		"crash-mid":         {CrashAt: spec.T0 / 2},
-		"crash-late":        {CrashAt: spec.T0 + spec.Delta},
-		"vote-too-late":     {VoteDelay: sim.Duration(spec.T0) + sim.Duration(len(spec.Parties)+2)*spec.Delta},
-		"offline-at-commit": {OfflineFrom: spec.T0 - 10, OfflineUntil: spec.T0 + 6*spec.Delta},
-		"skip-refund-poke":  {SkipRefundPoke: true},
-		"corrupt-info":      {CorruptInfo: true},
-		"escrow-shortfall":  {EscrowShortfall: 1},
+		"skip-escrow":       {party.SkipEscrow{}},
+		"skip-transfers":    {party.SkipTransfers{}},
+		"skip-voting":       {party.SkipVoting{}},
+		"no-forwarding":     {party.NoForwarding{}},
+		"crash-early":       {party.Crash{At: 50}},
+		"crash-mid":         {party.Crash{At: spec.T0 / 2}},
+		"crash-late":        {party.Crash{At: spec.T0 + spec.Delta}},
+		"vote-too-late":     {party.VoteDelay{By: sim.Duration(spec.T0) + sim.Duration(len(spec.Parties)+2)*spec.Delta}},
+		"offline-at-commit": {party.Offline{From: spec.T0 - 10, Until: spec.T0 + 6*spec.Delta}},
+		"skip-refund-poke":  {party.SkipRefundPoke{}},
+		"corrupt-info":      {party.CorruptInfo{}},
+		"escrow-shortfall":  {party.EscrowShortfall{Amount: 1}},
 	}
 }
 
@@ -117,8 +117,8 @@ func TestTimelockSafetyUnderEverySingleDeviation(t *testing.T) {
 func TestCBCSafetyUnderEverySingleDeviation(t *testing.T) {
 	base := deal.BrokerSpec(2000, 1000)
 	devs := singleDeviations(base)
-	devs["abort-immediately"] = party.Behavior{AbortImmediately: true}
-	devs["commit-then-abort-fast"] = party.Behavior{CommitThenAbort: 1}
+	devs["abort-immediately"] = party.Behavior{party.AbortImmediately{}}
+	devs["commit-then-abort-fast"] = party.Behavior{party.CommitThenAbort{After: 1}}
 	for name, b := range devs {
 		for _, who := range base.Parties {
 			t.Run(fmt.Sprintf("%s/%s", name, who), func(t *testing.T) {
@@ -158,10 +158,10 @@ func TestTimelockPairsOfDeviatorsStaySafe(t *testing.T) {
 	// be protected.
 	spec := deal.BrokerSpec(2000, 1000)
 	pairs := []map[chain.Addr]party.Behavior{
-		{"alice": {SkipVoting: true}, "bob": {SkipEscrow: true}},
-		{"bob": {NoForwarding: true}, "carol": {CrashAt: 500}},
-		{"alice": {CrashAt: 2100}, "carol": {SkipTransfers: true}},
-		{"bob": {SkipVoting: true}, "carol": {SkipVoting: true}},
+		{"alice": {party.SkipVoting{}}, "bob": {party.SkipEscrow{}}},
+		{"bob": {party.NoForwarding{}}, "carol": {party.Crash{At: 500}}},
+		{"alice": {party.Crash{At: 2100}}, "carol": {party.SkipTransfers{}}},
+		{"bob": {party.SkipVoting{}}, "carol": {party.SkipVoting{}}},
 	}
 	for i, behaviors := range pairs {
 		w, err := Build(deal.BrokerSpec(2000, 1000), Options{
@@ -186,18 +186,18 @@ func TestQuickRandomDealsRandomAdversaries(t *testing.T) {
 		t.Skip("property sweep is slow")
 	}
 	behaviors := []party.Behavior{
-		{SkipEscrow: true},
-		{SkipTransfers: true},
-		{SkipVoting: true},
-		{NoForwarding: true},
-		{CrashAt: 700},
-		{CrashAt: 2500},
-		{VoteDelay: 9000},
-		{OfflineFrom: 1900, OfflineUntil: 7000},
-		{AbortImmediately: true},
-		{CommitThenAbort: 5},
-		{CorruptInfo: true},
-		{EscrowShortfall: 3},
+		{party.SkipEscrow{}},
+		{party.SkipTransfers{}},
+		{party.SkipVoting{}},
+		{party.NoForwarding{}},
+		{party.Crash{At: 700}},
+		{party.Crash{At: 2500}},
+		{party.VoteDelay{By: 9000}},
+		{party.Offline{From: 1900, Until: 7000}},
+		{party.AbortImmediately{}},
+		{party.CommitThenAbort{After: 5}},
+		{party.CorruptInfo{}},
+		{party.EscrowShortfall{Amount: 3}},
 	}
 	rng := sim.NewRNG(12345)
 	for trial := 0; trial < 60; trial++ {
@@ -273,7 +273,7 @@ func TestNaiveTimeoutsViolateSafety(t *testing.T) {
 				Protocol:     party.ProtoTimelock,
 				FixedTimeout: true,
 				Behaviors: map[chain.Addr]party.Behavior{
-					"p00": {VoteDelay: voteDelay},
+					"p00": {party.VoteDelay{By: voteDelay}},
 				},
 			})
 			if err != nil {
@@ -298,7 +298,7 @@ func TestNaiveTimeoutsViolateSafety(t *testing.T) {
 				Seed:     seed,
 				Protocol: party.ProtoTimelock,
 				Behaviors: map[chain.Addr]party.Behavior{
-					"p00": {VoteDelay: voteDelay},
+					"p00": {party.VoteDelay{By: voteDelay}},
 				},
 			})
 			if err != nil {
@@ -497,7 +497,7 @@ func TestCorruptInfoDetectedByValidation(t *testing.T) {
 			spec := deal.BrokerSpec(2000, 1000)
 			w, err := Build(spec, Options{
 				Seed: 81, Protocol: proto, F: 1,
-				Behaviors: map[chain.Addr]party.Behavior{who: {CorruptInfo: true}},
+				Behaviors: map[chain.Addr]party.Behavior{who: {party.CorruptInfo{}}},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -521,7 +521,7 @@ func TestEscrowShortfallDetectedByValidation(t *testing.T) {
 		spec := deal.BrokerSpec(2000, 1000)
 		w, err := Build(spec, Options{
 			Seed: 82, Protocol: proto, F: 1,
-			Behaviors: map[chain.Addr]party.Behavior{"carol": {EscrowShortfall: 1}},
+			Behaviors: map[chain.Addr]party.Behavior{"carol": {party.EscrowShortfall{Amount: 1}}},
 		})
 		if err != nil {
 			t.Fatal(err)

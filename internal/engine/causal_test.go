@@ -67,7 +67,7 @@ func TestAttributionConservationUnderFeeMarket(t *testing.T) {
 // the attribution must cover that path too.
 func TestAttributionConservationOnAbort(t *testing.T) {
 	r := runBroker(t, Options{Seed: 3, Protocol: party.ProtoTimelock,
-		Behaviors: map[chain.Addr]party.Behavior{"bob": {SkipEscrow: true}}})
+		Behaviors: map[chain.Addr]party.Behavior{"bob": {party.SkipEscrow{}}}})
 	if r.AllCommitted {
 		t.Fatal("skip-escrow deal committed anyway")
 	}

@@ -195,7 +195,7 @@ type SubstrateConfig struct {
 	// Hedge, when non-nil, deploys a premium-priced sore-loser
 	// insurance contract (see internal/hedge) next to every fungible
 	// escrow manager, priced off each chain's realized base-fee
-	// volatility, and wires Behavior.Hedged parties to it.
+	// volatility, and every party that runs no strategy hedges with it.
 	Hedge *hedge.Params
 	// Bundles enables combinatorial block-space auctions (see
 	// internal/bundle): every fee-market chain runs per-block winner

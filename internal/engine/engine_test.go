@@ -20,14 +20,25 @@ func runBroker(t *testing.T, opts Options) *Result {
 	return w.Run()
 }
 
-// TestBuildRejectsInertBehavior: a Behavior a party could not act on is
-// a configuration error, not a silently compliant deviant.
+// TestBuildRejectsInertBehavior: a Behavior a party could not act on as
+// written — a parameter out of its range, a kind named twice — is a
+// configuration error naming the party, not a silently compliant
+// deviant.
 func TestBuildRejectsInertBehavior(t *testing.T) {
-	_, err := Build(deal.BrokerSpec(2000, 1000), Options{
-		Behaviors: map[chain.Addr]party.Behavior{"bob": {OfflineFrom: 1500}},
-	})
-	if err == nil || !strings.Contains(err.Error(), "party bob: OfflineFrom 1500 needs a later OfflineUntil") {
-		t.Fatalf("Build = %v, want the inert offline window rejected", err)
+	for _, c := range []struct {
+		b    party.Behavior
+		want string
+	}{
+		{party.Behavior{party.Offline{From: 1500}}, "party bob: offline: until 0 is not after from 1500"},
+		{party.Behavior{party.Crash{}}, "party bob: crash: at 0 is not positive"},
+		{party.Behavior{party.VoteDelay{By: -1}}, "party bob: vote-delay: by -1 is not positive"},
+		{party.Behavior{party.EscrowShortfall{}}, "party bob: escrow-shortfall: amount 0 is not positive"},
+		{party.Behavior{party.SkipVoting{}, party.SkipVoting{}}, "party bob: skip-voting: named twice"},
+	} {
+		_, err := Build(deal.BrokerSpec(2000, 1000), Options{Behaviors: map[chain.Addr]party.Behavior{"bob": c.b}})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Build(%+v) = %v, want %q", c.b, err, c.want)
+		}
 	}
 }
 
@@ -71,7 +82,7 @@ func TestBrokerDealCommitsCBC(t *testing.T) {
 
 func TestBrokerAbortsWhenBobSkipsEscrowTimelock(t *testing.T) {
 	r := runBroker(t, Options{Seed: 3, Protocol: party.ProtoTimelock,
-		Behaviors: map[chain.Addr]party.Behavior{"bob": {SkipEscrow: true}}})
+		Behaviors: map[chain.Addr]party.Behavior{"bob": {party.SkipEscrow{}}}})
 	if r.AllCommitted {
 		t.Fatalf("deal committed despite missing tickets:\n%s", r.Summary())
 	}
@@ -95,7 +106,7 @@ func TestBrokerAbortsWhenBobSkipsEscrowTimelock(t *testing.T) {
 
 func TestBrokerAbortsWhenCarolNeverVotesTimelock(t *testing.T) {
 	r := runBroker(t, Options{Seed: 4, Protocol: party.ProtoTimelock,
-		Behaviors: map[chain.Addr]party.Behavior{"carol": {SkipVoting: true}}})
+		Behaviors: map[chain.Addr]party.Behavior{"carol": {party.SkipVoting{}}}})
 	if r.AllCommitted {
 		t.Fatal("deal committed without carol's vote")
 	}
@@ -106,7 +117,7 @@ func TestBrokerAbortsWhenCarolNeverVotesTimelock(t *testing.T) {
 
 func TestBrokerAbortsWhenBobAbortsCBC(t *testing.T) {
 	r := runBroker(t, Options{Seed: 5, Protocol: party.ProtoCBC, F: 1,
-		Behaviors: map[chain.Addr]party.Behavior{"bob": {AbortImmediately: true}}})
+		Behaviors: map[chain.Addr]party.Behavior{"bob": {party.AbortImmediately{}}}})
 	if !r.AllAborted {
 		t.Fatalf("expected clean abort everywhere:\n%s", r.Summary())
 	}

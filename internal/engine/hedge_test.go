@@ -24,11 +24,9 @@ func TestHedgedDealPaysOutOnSoreLoserishAbort(t *testing.T) {
 	opts := Options{
 		Seed:  42,
 		World: SubstrateConfig{FeeMarket: &feemarket.Config{Initial: 100}, Hedge: &hedge.Params{}},
-		Behaviors: map[chain.Addr]party.Behavior{
-			spec.Parties[0]: {Hedged: true},
-			spec.Parties[1]: {Hedged: true},
-			spec.Parties[2]: {SkipVoting: true}, // the saboteur holds no cover
-		},
+		// The parties that run no strategy hedge; the saboteur, which
+		// does, holds no cover.
+		Behaviors: map[chain.Addr]party.Behavior{spec.Parties[2]: {party.SkipVoting{}}},
 		Adaptive: &party.AdaptiveHooks{
 			OnHedgeBound: func(p chain.Addr, collateral, premium uint64, vol float64, streak int) {
 				if !victims[p] {
@@ -105,15 +103,10 @@ func TestHedgedDealPaysOutOnSoreLoserishAbort(t *testing.T) {
 // must not perturb the protocol — and the unused cover refunds.
 func TestHedgedCommitRefundsAndStaysCorrect(t *testing.T) {
 	spec := deal.RingSpec(4, 3000, 500)
-	behaviors := make(map[chain.Addr]party.Behavior)
-	for _, p := range spec.Parties {
-		behaviors[p] = party.Behavior{Hedged: true}
-	}
 	refunds, payouts := 0, 0
 	opts := Options{
-		Seed:      7,
-		World:     SubstrateConfig{Hedge: &hedge.Params{}},
-		Behaviors: behaviors,
+		Seed:  7,
+		World: SubstrateConfig{Hedge: &hedge.Params{}},
 		Adaptive: &party.AdaptiveHooks{
 			OnHedgeSettled: func(_ chain.Addr, payout bool, _ uint64) {
 				if payout {

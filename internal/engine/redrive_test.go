@@ -71,7 +71,7 @@ func TestEscrowShortfallShortsEachLeg(t *testing.T) {
 		before[ob.Asset.Key()] = ob.Amount
 	}
 	w, err := Build(spec, Options{Seed: 12, Protocol: party.ProtoTimelock,
-		Behaviors: map[chain.Addr]party.Behavior{"alice": {EscrowShortfall: 3}}})
+		Behaviors: map[chain.Addr]party.Behavior{"alice": {party.EscrowShortfall{Amount: 3}}}})
 	if err != nil {
 		t.Fatal(err)
 	}

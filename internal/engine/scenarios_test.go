@@ -220,7 +220,7 @@ func TestWholeSystemDeterminism(t *testing.T) {
 		w, err := Build(spec, Options{
 			Seed: 1234, Protocol: party.ProtoCBC, F: 2,
 			Behaviors: map[chain.Addr]party.Behavior{
-				"bob": {VoteDelay: 500},
+				"bob": {party.VoteDelay{By: 500}},
 			},
 			Reconfigurations: 1,
 		})

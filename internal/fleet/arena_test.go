@@ -8,6 +8,7 @@ import (
 
 	"xdeal/internal/arena"
 	"xdeal/internal/obs"
+	"xdeal/internal/party"
 	"xdeal/internal/sim"
 )
 
@@ -333,10 +334,10 @@ func TestZeroValuedArenaSweepEchoesResolvedDefaults(t *testing.T) {
 	griefers := 0
 	for _, setup := range pop {
 		for _, b := range setup.Behaviors {
-			if b.BundleGrief {
+			if grief, ok := kindIn[party.BundleGrief](b); ok {
 				griefers++
-				if b.BundleBudget != 400 {
-					t.Fatalf("deal %d: bundle griefer budget %d, want 400", setup.Index, b.BundleBudget)
+				if grief.Budget != 400 {
+					t.Fatalf("deal %d: bundle griefer budget %d, want 400", setup.Index, grief.Budget)
 				}
 			}
 		}

@@ -28,20 +28,21 @@ const deviationTwinsPath = "testdata/deviation_twins.json"
 // twinDeals is how many seeded deals each cell runs.
 const twinDeals = 200
 
-// twinRows are the behaviours the twin test pins: every deviationCatalog
-// entry (the fee-market catalog, so the fee-bidding front-runner is
-// last), then two rows that reach edge cases no catalog entry does on
+// twinRows are the behaviours the twin test pins: every entry of the
+// generator's adversary mix (with fees, so the fee-bidding front-runner
+// is last), then two rows that reach edge cases no catalog entry does on
 // its own — a party that never pokes for its refund, and a late voter
 // whose delayed vote comes due while it is offline.
 func twinRows(job Job, fees *FeeOptions) []party.Behavior {
-	rows := deviationCatalog(job.Spec, fees)
+	g := &Generator{opts: GenOptions{Fees: fees}}
+	var rows []party.Behavior
+	for i := range g.catalogSize() {
+		rows = append(rows, g.deviation(i, job.Spec))
+	}
 	t0, delta := job.Spec.T0, job.Spec.Delta
 	return append(rows,
-		party.Behavior{SkipRefundPoke: true},
-		party.Behavior{
-			VoteDelay:   sim.Duration(t0) - 1000,
-			OfflineFrom: t0 - 1100, OfflineUntil: t0 + sim.Time(4*delta),
-		})
+		party.Behavior{party.SkipRefundPoke{}},
+		party.Behavior{party.Offline{From: t0 - 1100, Until: t0 + 4*delta}, party.VoteDelay{By: t0 - 1000}})
 }
 
 // twinJob is deal i of a cell: a generated job without sampled
@@ -59,7 +60,7 @@ func twinJob(t *testing.T, proto string, row, i int) (Job, chain.Addr, party.Beh
 		t.Fatal(err)
 	}
 	rows := twinRows(probe.Job(i), fees)
-	if row == len(deviationCatalog(probe.Job(i).Spec, fees))-1 || i%3 == 2 {
+	if row == len(deviationCatalog) || i%3 == 2 {
 		gen.Fees = fees
 	}
 	g, err := NewGenerator(gen)
@@ -142,19 +143,19 @@ var twinEdges = []struct {
 	witness func(t *testing.T, c twinCase) bool
 }{
 	{"SkipEscrow votes without waiting on the escrows it skips (pipelined)", func(_ *testing.T, c twinCase) bool {
-		return c.b.SkipEscrow && !c.job.Opts.SerializeRounds && votedCommit(c.w, c.dev)
+		return has[party.SkipEscrow](c.b) && !c.job.Opts.SerializeRounds && votedCommit(c.w, c.dev)
 	}},
 	{"SkipEscrow validates and votes under SerializeRounds", func(_ *testing.T, c twinCase) bool {
-		return c.b.SkipEscrow && c.job.Opts.SerializeRounds && votedCommit(c.w, c.dev)
+		return has[party.SkipEscrow](c.b) && c.job.Opts.SerializeRounds && votedCommit(c.w, c.dev)
 	}},
 	{"SkipTransfers votes without waiting on the transfers it skips (pipelined)", func(_ *testing.T, c twinCase) bool {
-		return c.b.SkipTransfers && !c.job.Opts.SerializeRounds && votedCommit(c.w, c.dev)
+		return has[party.SkipTransfers](c.b) && !c.job.Opts.SerializeRounds && votedCommit(c.w, c.dev)
 	}},
 	{"SkipTransfers validates and votes under SerializeRounds", func(_ *testing.T, c twinCase) bool {
-		return c.b.SkipTransfers && c.job.Opts.SerializeRounds && votedCommit(c.w, c.dev)
+		return has[party.SkipTransfers](c.b) && c.job.Opts.SerializeRounds && votedCommit(c.w, c.dev)
 	}},
 	{"CorruptInfo re-drives resubmit the same once-corrupted Dinfo", func(t *testing.T, c twinCase) bool {
-		if !c.b.CorruptInfo {
+		if !has[party.CorruptInfo](c.b) {
 			return false
 		}
 		var infos []any
@@ -178,7 +179,7 @@ var twinEdges = []struct {
 		return false
 	}},
 	{"EscrowShortfall transfers ride on its in-flight deposit", func(_ *testing.T, c twinCase) bool {
-		if c.b.EscrowShortfall == 0 || c.job.Opts.SerializeRounds {
+		if !has[party.EscrowShortfall](c.b) || c.job.Opts.SerializeRounds {
 			return false
 		}
 		firstDeposit := make(map[string]sim.Time)
@@ -201,7 +202,7 @@ var twinEdges = []struct {
 		return false
 	}},
 	{"NoForwarding sees others' votes accepted at its incoming escrows", func(_ *testing.T, c twinCase) bool {
-		if !c.b.NoForwarding || c.w.CBC != nil {
+		if !has[party.NoForwarding](c.b) || c.w.CBC != nil {
 			return false
 		}
 		incoming := make(map[chain.Addr]bool)
@@ -221,13 +222,15 @@ var twinEdges = []struct {
 		return false
 	}},
 	{"VoteDelay's delayed vote comes due while the party is offline", func(t *testing.T, c twinCase) bool {
-		if c.b.VoteDelay == 0 || c.b.OfflineFrom == 0 || c.w.CBC != nil {
+		delay, late := kindIn[party.VoteDelay](c.b)
+		window, offline := kindIn[party.Offline](c.b)
+		if !late || !offline || c.w.CBC != nil {
 			return false
 		}
 		// The same deal without the window shows when the vote was
 		// cast (submission minus delay) and when it came due.
 		job := c.job
-		job.Opts.Behaviors = map[chain.Addr]party.Behavior{c.dev: {VoteDelay: c.b.VoteDelay}}
+		job.Opts.Behaviors = map[chain.Addr]party.Behavior{c.dev: {delay}}
 		w, err := engine.Build(job.Spec, job.Opts)
 		if err != nil {
 			t.Fatal(err)
@@ -235,27 +238,29 @@ var twinEdges = []struct {
 		w.Run()
 		for _, r := range receiptsBy(w, c.dev) {
 			if a, ok := r.Tx.Args.(timelock.CommitArgs); ok && a.Vote.Voter == string(c.dev) {
-				cast := r.SubmittedAt - sim.Time(c.b.VoteDelay)
-				return cast < c.b.OfflineFrom && r.SubmittedAt >= c.b.OfflineFrom && r.SubmittedAt < c.b.OfflineUntil
+				cast := r.SubmittedAt - delay.By
+				return cast < window.From && r.SubmittedAt >= window.From && r.SubmittedAt < window.Until
 			}
 		}
 		return false
 	}},
 	{"AbortImmediately's abort vote decides the CBC deal", func(_ *testing.T, c twinCase) bool {
-		if !c.b.AbortImmediately || c.w.CBC == nil {
+		if !has[party.AbortImmediately](c.b) || c.w.CBC == nil {
 			return false
 		}
 		d := c.w.CBC.Deal(c.w.Spec.ID)
 		return d != nil && d.Status == escrow.StatusAborted && c.r.Phases.DecisionEnd < sim.Time(c.job.Opts.Patience)
 	}},
 	{"SkipRefundPoke arms no refund poke in a timelock deal", func(_ *testing.T, c twinCase) bool {
-		return c.b.SkipRefundPoke && c.w.CBC == nil
+		return has[party.SkipRefundPoke](c.b) && c.w.CBC == nil
 	}},
-	{"CrashAt's crash lands inside the run", func(_ *testing.T, c twinCase) bool {
-		return c.b.CrashAt > 0 && c.b.CrashAt < c.r.EndedAt
+	{"Crash's crash lands inside the run", func(_ *testing.T, c twinCase) bool {
+		crash, ok := kindIn[party.Crash](c.b)
+		return ok && crash.At < c.r.EndedAt
 	}},
 	{"the offline window opens and closes inside the run", func(_ *testing.T, c twinCase) bool {
-		return c.b.OfflineFrom > 0 && c.b.OfflineUntil < c.r.EndedAt
+		window, ok := kindIn[party.Offline](c.b)
+		return ok && window.Until < c.r.EndedAt
 	}},
 }
 
@@ -290,7 +295,7 @@ func TestDeviationTwins(t *testing.T) {
 			for i := 0; i < twinDeals; i++ {
 				job, dev, b := twinJob(t, proto, row, i)
 				if cell == "" {
-					cell = fmt.Sprintf("%s/%02d %s", proto, row, fieldNames(b))
+					cell = fmt.Sprintf("%s/%02d %s", proto, row, cellName(b))
 				}
 				w, err := engine.Build(job.Spec, job.Opts)
 				if err != nil {
@@ -347,14 +352,44 @@ func TestDeviationTwins(t *testing.T) {
 	}
 }
 
-// fieldNames names a behaviour's non-zero fields.
-func fieldNames(b party.Behavior) string {
-	v := reflect.ValueOf(b)
-	var names []string
-	for i := 0; i < v.NumField(); i++ {
-		if !v.Field(i).IsZero() {
-			names = append(names, v.Type().Field(i).Name)
+// cellName names a behaviour as the fixture's cells do: by the fields
+// of the flat struct its kinds replaced, in list order.
+func cellName(b party.Behavior) string {
+	names := make([]string, len(b))
+	for i, d := range b {
+		switch d := d.(type) {
+		case party.Crash:
+			names[i] = "CrashAt"
+		case party.Offline:
+			names[i] = "OfflineFrom+OfflineUntil"
+		case party.FrontRun:
+			names[i] = "FrontRun"
+			if d.Bid != nil {
+				names[i] += "+FeeBid"
+				if d.Bid.Budget > 0 {
+					names[i] += "+FeeBudget"
+				}
+			}
+		default:
+			names[i] = reflect.TypeOf(d).Name()
 		}
 	}
 	return strings.Join(names, "+")
+}
+
+// kindIn returns b's deviation of kind D, if b names it.
+func kindIn[D party.Deviation](b party.Behavior) (D, bool) {
+	for _, d := range b {
+		if v, ok := d.(D); ok {
+			return v, true
+		}
+	}
+	var none D
+	return none, false
+}
+
+// has reports whether b names kind D.
+func has[D party.Deviation](b party.Behavior) bool {
+	_, ok := kindIn[D](b)
+	return ok
 }

@@ -135,7 +135,7 @@ func TestFleetAllAdversarialNeverCommits(t *testing.T) {
 	for i := range jobs {
 		jobs[i].Opts.Behaviors = make(map[chain.Addr]party.Behavior)
 		for _, p := range jobs[i].Spec.Parties {
-			jobs[i].Opts.Behaviors[p] = party.Behavior{SkipVoting: true}
+			jobs[i].Opts.Behaviors[p] = party.Behavior{party.SkipVoting{}}
 		}
 		jobs[i].Adversaries = len(jobs[i].Spec.Parties)
 	}
@@ -175,7 +175,7 @@ func TestViolationCountingFlagsSeeds(t *testing.T) {
 					Protocol:     party.ProtoTimelock,
 					FixedTimeout: true,
 					Behaviors: map[chain.Addr]party.Behavior{
-						"p00": {VoteDelay: voteDelay},
+						"p00": {party.VoteDelay{By: voteDelay}},
 					},
 				},
 				Adversaries: 1,
@@ -285,7 +285,7 @@ func TestGeneratorSpecsValid(t *testing.T) {
 			// either an outright deviation, or a vote so late it can
 			// miss every deadline (engine-compliant but disruptive —
 			// which is why such runs are excluded from Property 3).
-			if b.Compliant() && b.VoteDelay == 0 {
+			if b.Compliant() && !has[party.VoteDelay](b) {
 				t.Fatalf("job %d: generated adversary behavior %+v cannot disrupt anything", i, b)
 			}
 			adv++
@@ -461,7 +461,7 @@ func TestFleetCBCDepositDischarge(t *testing.T) {
 		Behaviors: map[chain.Addr]party.Behavior{
 			// p01 votes commit then crashes: it never claims its
 			// incoming asset at p00's escrow.
-			"p01": {CrashAt: 6200},
+			"p01": {party.Crash{At: 6200}},
 		},
 	})
 	if err != nil {

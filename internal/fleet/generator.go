@@ -160,11 +160,13 @@ func (g *Generator) Job(i int) Job {
 	}
 
 	// Adversary mix.
-	catalog := deviationCatalog(job.Spec, g.opts.Fees)
-	opts.Behaviors = make(map[chain.Addr]party.Behavior)
+	n := g.catalogSize()
 	for _, p := range job.Spec.Parties {
 		if rng.Bool(g.opts.AdversaryRate) {
-			opts.Behaviors[p] = catalog[rng.Intn(len(catalog))]
+			if opts.Behaviors == nil {
+				opts.Behaviors = make(map[chain.Addr]party.Behavior)
+			}
+			opts.Behaviors[p] = g.deviation(rng.Intn(n), job.Spec)
 			job.Adversaries++
 		}
 	}
@@ -249,40 +251,57 @@ func (g *Generator) buildSpec(shape string, rng *sim.RNG, delta sim.Duration) *d
 		}
 	}
 	// Distinct IDs keep per-run records distinguishable in reports.
-	spec.ID = fmt.Sprintf("%s/%s", spec.ID, shape)
+	spec.ID += "/" + shape
 	return spec
 }
 
-// deviationCatalog lists the disruptive behaviors the generator
-// samples, time-scaled to the spec's timelock window. All but two report
-// Compliant() == false, so adversarial parties never count toward the
-// population's compliant-party property checks. The two keep every
-// protocol duty and stay engine-compliant: a very late voter (path-
-// scaled timeouts tolerate it) and the fee-bidding front-runner. Either
-// can still abort or slow a deal, so their runs are likewise excluded
-// from the strong-liveness (Property 3) slice via the Adversaries count.
-func deviationCatalog(spec *deal.Spec, fees *FeeOptions) []party.Behavior {
-	t0, delta := spec.T0, spec.Delta
-	catalog := []party.Behavior{
-		{SkipEscrow: true},
-		{SkipTransfers: true},
-		{SkipVoting: true},
-		{NoForwarding: true},
-		{CrashAt: sim.Time(700)},
-		{CrashAt: t0 - sim.Time(delta)/2},
-		{VoteDelay: sim.Duration(t0) + 10*delta},
-		{OfflineFrom: t0 - 1100, OfflineUntil: t0 + sim.Time(4*delta)},
-		{AbortImmediately: true},
-		{CommitThenAbort: 5},
-		{CorruptInfo: true},
-		{EscrowShortfall: 3},
+// deviationCatalog is the adversary mix the generator draws from, one
+// kind per entry. All but two entries report Compliant() == false, so
+// adversarial parties never count toward the population's compliant-
+// party property checks. The two keep every protocol duty and stay
+// engine-compliant: a very late voter (path-scaled timeouts tolerate it)
+// and the fee-bidding front-runner a fee-market sweep adds (see
+// deviation). Either can still abort or slow a deal, so their runs are
+// likewise excluded from the strong-liveness (Property 3) slice via the
+// Adversaries count. Three entries' times scale with the spec's timelock
+// window: scaled fills them in after the draw.
+var deviationCatalog = [...]struct {
+	fixed  party.Behavior
+	scaled func(t0, delta sim.Time) party.Deviation
+}{
+	{fixed: party.Behavior{party.SkipEscrow{}}},
+	{fixed: party.Behavior{party.SkipTransfers{}}},
+	{fixed: party.Behavior{party.SkipVoting{}}},
+	{fixed: party.Behavior{party.NoForwarding{}}},
+	{fixed: party.Behavior{party.Crash{At: 700}}},
+	{scaled: func(t0, delta sim.Time) party.Deviation { return party.Crash{At: t0 - delta/2} }},
+	{scaled: func(t0, delta sim.Time) party.Deviation { return party.VoteDelay{By: t0 + 10*delta} }},
+	{scaled: func(t0, delta sim.Time) party.Deviation { return party.Offline{From: t0 - 1100, Until: t0 + 4*delta} }},
+	{fixed: party.Behavior{party.AbortImmediately{}}},
+	{fixed: party.Behavior{party.CommitThenAbort{After: 5}}},
+	{fixed: party.Behavior{party.CorruptInfo{}}},
+	{fixed: party.Behavior{party.EscrowShortfall{Amount: 3}}},
+}
+
+// catalogSize is how many entries the generator draws from: the catalog,
+// plus the fee bidder in a fee-market sweep.
+func (g *Generator) catalogSize() int {
+	if g.opts.Fees != nil {
+		return len(deviationCatalog) + 1
 	}
-	if fees != nil {
-		// Fee-market sweeps add the ordering-game adversary: a
-		// front-runner that outbids the transactions it races.
-		catalog = append(catalog, party.Behavior{
-			FrontRun: true, FeeBid: true, FeeBudget: fees.TipBudget,
-		})
+	return len(deviationCatalog)
+}
+
+// deviation is entry i of the generator's adversary mix for spec. Past
+// the catalog is the ordering-game adversary of a fee-market sweep: a
+// front-runner that outbids the transactions it races.
+func (g *Generator) deviation(i int, spec *deal.Spec) party.Behavior {
+	if i == len(deviationCatalog) {
+		return party.Behavior{party.FrontRun{Bid: &party.FeeBid{Budget: g.opts.Fees.TipBudget}}}
 	}
-	return catalog
+	e := &deviationCatalog[i]
+	if e.scaled == nil {
+		return e.fixed
+	}
+	return party.Behavior{e.scaled(spec.T0, spec.Delta)}
 }

@@ -267,7 +267,7 @@ func Fig7Rows(n int, seed uint64) ([]TimeRow, error) {
 		case 1:
 			behaviors := make(map[chain.Addr]party.Behavior)
 			for _, p := range spec.Parties {
-				behaviors[p] = party.Behavior{Altruistic: true}
+				behaviors[p] = party.Behavior{party.AltruisticVote{}}
 			}
 			row, err = RunTime(spec, engine.Options{
 				Seed: seed, Protocol: party.ProtoTimelock, Behaviors: behaviors,
@@ -477,7 +477,7 @@ func RunAbortTime(n int, proto party.Protocol, patience sim.Duration, seed uint6
 		F:        1,
 		Patience: patience,
 		Behaviors: map[chain.Addr]party.Behavior{
-			spec.Parties[0]: {SkipVoting: true},
+			spec.Parties[0]: {party.SkipVoting{}},
 		},
 	}
 	w, err := engine.Build(spec, opts)

@@ -286,7 +286,7 @@ func TestRunTimeHandlesAborts(t *testing.T) {
 	spec := deal.RingSpec(3, 40000, 1000)
 	row, err := RunTime(spec, engine.Options{
 		Seed: 47, Protocol: party.ProtoTimelock,
-		Behaviors: map[chain.Addr]party.Behavior{"p00": {SkipEscrow: true}},
+		Behaviors: map[chain.Addr]party.Behavior{"p00": {party.SkipEscrow{}}},
 	}, "forwarded")
 	if err != nil {
 		t.Fatal(err)

@@ -99,7 +99,7 @@ func TestDepositsRefundedOnCommit(t *testing.T) {
 
 func TestFirstAborterForfeitsDeposit(t *testing.T) {
 	w, v := vaultWorld(t, map[chain.Addr]party.Behavior{
-		"bob": {AbortImmediately: true},
+		"bob": {party.AbortImmediately{}},
 	})
 	coin := w.Fungibles["coinchain/coin-escrow"]
 	before := map[chain.Addr]uint64{}

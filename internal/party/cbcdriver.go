@@ -160,38 +160,40 @@ func (p *Party) rescind() {
 
 // scheduleGiveUp arms the abort timer: if the deal is still undecided
 // after the party's patience, it votes abort so its assets cannot stay
-// locked (weak liveness). A compliant party that has voted commit waits
-// at least Δ after that vote before rescinding (§6).
+// locked (weak liveness).
 func (p *Party) scheduleGiveUp() {
 	patience := p.cfg.Patience
 	if patience <= 0 {
 		patience = 10 * p.cfg.Spec.Delta
 	}
-	var fire func()
-	fire = func() {
-		st := &p.cbcState
-		if st.gaveUp || !p.active() {
-			return
-		}
-		d := p.cfg.CBCHooks.CBC.Deal(p.cfg.Spec.ID)
-		if d == nil || d.Status != escrow.StatusActive {
-			return // decided; nothing to rescind
-		}
-		if st.votedCommit {
-			earliest := st.votedCommitAt + sim.Time(p.cfg.Spec.Delta)
-			if p.cfg.Sched.Now() < earliest {
-				p.cfg.Sched.After(earliest-p.cfg.Sched.Now(), fire)
-				return
-			}
-		}
-		if !p.act(&action{kind: actGiveUp}) {
-			return
-		}
-		st.gaveUp = true
-		st.votedAbort = true
-		p.publishVote(cbc.EntryAbort)
+	p.cfg.Sched.After(patience, p.giveUpFn)
+}
+
+// giveUp is the abort timer's body (p.giveUpFn, built once in New). A
+// compliant party that has voted commit waits at least Δ after that
+// vote before rescinding (§6), so early on it re-arms itself.
+func (p *Party) giveUp() {
+	st := &p.cbcState
+	if st.gaveUp || !p.active() {
+		return
 	}
-	p.cfg.Sched.After(patience, fire)
+	d := p.cfg.CBCHooks.CBC.Deal(p.cfg.Spec.ID)
+	if d == nil || d.Status != escrow.StatusActive {
+		return // decided; nothing to rescind
+	}
+	if st.votedCommit {
+		earliest := st.votedCommitAt + sim.Time(p.cfg.Spec.Delta)
+		if p.cfg.Sched.Now() < earliest {
+			p.cfg.Sched.After(earliest-p.cfg.Sched.Now(), p.giveUpFn)
+			return
+		}
+	}
+	if !p.act(&action{kind: actGiveUp}) {
+		return
+	}
+	st.gaveUp = true
+	st.votedAbort = true
+	p.publishVote(cbc.EntryAbort)
 }
 
 // claimOutcome presents the CBC's decision to escrow contracts: commit

@@ -20,7 +20,7 @@ func TestFrontRunnerSkipsNonPartyVote(t *testing.T) {
 	spec := deal.BrokerSpec(2000, 1000)
 	w, err := engine.Build(spec, engine.Options{
 		Protocol:  party.ProtoTimelock,
-		Behaviors: map[chain.Addr]party.Behavior{"alice": {FrontRun: true}},
+		Behaviors: map[chain.Addr]party.Behavior{"alice": {party.FrontRun{}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +76,7 @@ func TestForwardWaitsForIncomingEscrow(t *testing.T) {
 	spec := deal.RingSpec(3, 2000, 1000)
 	w, err := engine.Build(spec, engine.Options{
 		Protocol:  party.ProtoTimelock,
-		Behaviors: map[chain.Addr]party.Behavior{"p00": {FrontRun: true}},
+		Behaviors: map[chain.Addr]party.Behavior{"p00": {party.FrontRun{}}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -8,12 +8,16 @@ import (
 )
 
 // This file implements the party side of the sore-loser defense (Xue &
-// Herlihy, wired through internal/hedge): a Behavior.Hedged party binds
+// Herlihy, wired through internal/hedge): a hedged party binds
 // premium-priced cover at the hedging contract paired with each escrow
 // *before* locking its fungible deposit there — refusing to lock an
 // unhedged asset — and settles its positions once escrows finalize,
 // claiming the collateral payout when the deal aborted after its
-// capital had been locked past the sore-loser trigger.
+// capital had been locked past the sore-loser trigger. Hedging is a
+// defense, not a deviation: a hedged party keeps every protocol duty and
+// stays compliant. Which parties hedge is not configured but derived:
+// those of a world that deploys hedging contracts (Config.Hedge) that
+// run no strategy.
 
 // HedgeConfig wires a hedged party to the world's hedging contracts.
 type HedgeConfig struct {
@@ -29,9 +33,10 @@ type HedgeConfig struct {
 	TriggerDeltas int
 }
 
-// hedging reports whether the hedge driver is armed.
+// hedging reports whether the hedge driver is armed: the world deploys
+// hedging contracts and the party runs no strategy.
 func (p *Party) hedging() bool {
-	return p.hedged && p.cfg.Hedge != nil
+	return p.cfg.Hedge != nil && !p.Adversary()
 }
 
 // hedgeReady gates one escrow obligation on its cover: true means the
@@ -99,8 +104,8 @@ func (p *Party) bindHedge(key string, haddr chain.Addr, ob deal.Obligation) {
 // event): every bound position at that escrow settles — the payout
 // claim of a sore-loser victim, or the premium refund of cover that
 // went unused. Even a backed-out or griefing party would claim here
-// (settling is self-interested), but only compliant mixes are hedged
-// in practice.
+// (settling is self-interested), but only a party that runs no
+// strategy hedges.
 func (p *Party) hedgeOnOutcome(ev chain.Event) {
 	if !p.hedging() || !p.active() {
 		return

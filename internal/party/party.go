@@ -94,9 +94,10 @@ type Config struct {
 	// front-runners and griefers still act (on mempool gossip and
 	// escrow events) but go unmetered.
 	Adaptive *AdaptiveHooks
-	// Hedge wires a Behavior.Hedged party to the world's hedging
-	// contracts (see hedge.go); nil leaves the Hedged flag inert. The
-	// engine fills it when the world is built with hedging enabled.
+	// Hedge wires the party to the world's hedging contracts (see
+	// hedge.go): when it is set, a party that runs no strategy hedges its
+	// deposits. The engine fills it when the world is built with hedging
+	// enabled.
 	Hedge *HedgeConfig
 	// OnValidated, when non-nil, is invoked when the party finishes its
 	// validation phase (engine timing metrics).
@@ -116,11 +117,11 @@ type Party struct {
 	voted     bool
 
 	// strategies are the party's deviations (nil when compliant);
-	// shirks and hedged are fixed with them (see adopt). The strategies
+	// shirks is fixed with them (see adopt). The strategies
 	// take the party down (halted, or asleep in [sleepFrom,
 	// sleepUntil)) or back it out (quit).
 	strategies            []strategy
-	shirks, hedged        bool
+	shirks                bool
 	halted, quit          bool
 	sleepFrom, sleepUntil sim.Time
 
@@ -157,10 +158,12 @@ type Party struct {
 
 	startedAt sim.Time // deal start, anchors deadline urgency (fees.go)
 
-	// The chain-event filter and handler subscribeChains registers,
-	// built once with the party so that subscribing allocates nothing.
-	wantsFn func(chain.Event) bool
-	onEvent func(chain.Event)
+	// The chain-event filter and handler subscribeChains registers, and
+	// the CBC abort timer (giveUp), built once with the party so that
+	// subscribing and arming allocate nothing.
+	wantsFn  func(chain.Event) bool
+	onEvent  func(chain.Event)
+	giveUpFn func()
 }
 
 // New creates a party. Call Start when the clearing phase delivers the
@@ -178,6 +181,7 @@ func New(addr chain.Addr, cfg Config) *Party {
 		cbcState:        cbcState{claimed: make(map[string]bool)},
 	}
 	p.wantsFn = p.wants
+	p.giveUpFn = p.giveUp
 	p.onEvent = func(ev chain.Event) {
 		if !p.active() {
 			return
@@ -228,6 +232,7 @@ func (p *Party) Reset(addr chain.Addr, cfg Config) {
 		cbcState:        cbcState{claimed: p.cbcState.claimed},
 		wantsFn:         p.wantsFn,
 		onEvent:         p.onEvent,
+		giveUpFn:        p.giveUpFn,
 	}
 	legs, voters := len(p.mine.Incoming), len(cfg.Spec.Parties)
 	p.acceptedAt.reset(legs, voters)

@@ -21,17 +21,24 @@ func TestBehaviorComplianceClassification(t *testing.T) {
 		compliant bool
 	}{
 		{"zero value", Behavior{}, true},
-		{"altruistic", Behavior{Altruistic: true}, true},
-		{"vote delay", Behavior{VoteDelay: 100}, true}, // slow, not deviant
-		{"skip escrow", Behavior{SkipEscrow: true}, false},
-		{"skip transfers", Behavior{SkipTransfers: true}, false},
-		{"skip voting", Behavior{SkipVoting: true}, false},
-		{"no forwarding", Behavior{NoForwarding: true}, false},
-		{"crash", Behavior{CrashAt: 5}, false},
-		{"offline", Behavior{OfflineFrom: 1, OfflineUntil: 2}, false},
-		{"abort immediately", Behavior{AbortImmediately: true}, false},
-		{"commit then abort", Behavior{CommitThenAbort: 1}, false},
-		{"skip refund poke", Behavior{SkipRefundPoke: true}, false},
+		{"altruistic", Behavior{AltruisticVote{}}, true},
+		{"vote delay", Behavior{VoteDelay{By: 100}}, true}, // slow, not deviant
+		{"skip escrow", Behavior{SkipEscrow{}}, false},
+		{"skip transfers", Behavior{SkipTransfers{}}, false},
+		{"skip voting", Behavior{SkipVoting{}}, false},
+		{"no forwarding", Behavior{NoForwarding{}}, false},
+		{"crash", Behavior{Crash{At: 5}}, false},
+		{"offline", Behavior{Offline{From: 1, Until: 2}}, false},
+		{"abort immediately", Behavior{AbortImmediately{}}, false},
+		{"commit then abort", Behavior{CommitThenAbort{After: 1}}, false},
+		{"skip refund poke", Behavior{SkipRefundPoke{}}, false},
+		{"corrupt info", Behavior{CorruptInfo{}}, false},
+		{"escrow shortfall", Behavior{EscrowShortfall{Amount: 3}}, false},
+		{"sore loser", Behavior{SoreLoser{Threshold: 0.05}}, false},
+		{"grief", Behavior{Grief{}}, false},
+		{"front run", Behavior{FrontRun{Bid: &FeeBid{Budget: 9}}}, true},
+		{"bundle grief", Behavior{BundleGrief{Budget: 9}}, true},
+		{"front run and crash", Behavior{FrontRun{}, Crash{At: 5}}, false},
 	}
 	for _, c := range cases {
 		if got := c.b.Compliant(); got != c.compliant {
@@ -41,13 +48,15 @@ func TestBehaviorComplianceClassification(t *testing.T) {
 }
 
 // TestBehaviorValidate: Validate accepts every behavior a party can act
-// on and rejects, naming the field, each value that configures nothing.
+// on and rejects, naming the kind, a kind named twice and each parameter
+// outside its range.
 func TestBehaviorValidate(t *testing.T) {
 	valid := []Behavior{
-		{}, {Hedged: true}, {SkipVoting: true}, {CrashAt: 700}, {VoteDelay: 100},
-		{OfflineFrom: 1, OfflineUntil: 2}, {CommitThenAbort: 5}, {SoreLoserThreshold: 0.05},
-		{FrontRun: true}, {FrontRun: true, FeeBid: true}, {FrontRun: true, FeeBid: true, FeeBudget: 400},
-		{BundleGrief: true, BundleBudget: 400},
+		nil, {}, {SkipVoting{}}, {Crash{At: 700}}, {VoteDelay{By: 100}},
+		{Offline{From: 1, Until: 2}}, {CommitThenAbort{After: 5}}, {SoreLoser{Threshold: 0.05}},
+		{FrontRun{}}, {FrontRun{Bid: &FeeBid{}}}, {FrontRun{Bid: &FeeBid{Budget: 400}}},
+		{BundleGrief{}}, {BundleGrief{Budget: 400}}, {FrontRun{}, BundleGrief{Budget: 400}},
+		{VoteDelay{By: 1}, Offline{From: 1, Until: 2}}, {EscrowShortfall{Amount: 3}},
 	}
 	for _, b := range valid {
 		if err := b.Validate(); err != nil {
@@ -55,28 +64,30 @@ func TestBehaviorValidate(t *testing.T) {
 		}
 	}
 	invalid := []struct {
-		b     Behavior
-		field string
+		b    Behavior
+		want string
 	}{
-		{Behavior{OfflineFrom: 2000}, "OfflineFrom"},
-		{Behavior{OfflineFrom: 2000, OfflineUntil: 2000}, "OfflineFrom"},
-		{Behavior{OfflineUntil: 2000}, "OfflineUntil"},
-		{Behavior{CrashAt: -1}, "CrashAt"},
-		{Behavior{OfflineFrom: -1, OfflineUntil: 5}, "OfflineFrom"},
-		{Behavior{VoteDelay: -1}, "VoteDelay"},
-		{Behavior{CommitThenAbort: -1}, "CommitThenAbort"},
-		{Behavior{SoreLoserThreshold: -0.5}, "SoreLoserThreshold"},
-		{Behavior{SoreLoserThreshold: math.NaN()}, "SoreLoserThreshold"},
-		{Behavior{SoreLoserThreshold: math.Inf(1)}, "SoreLoserThreshold"},
-		{Behavior{SoreLoserThreshold: math.Inf(-1)}, "SoreLoserThreshold"},
-		{Behavior{FeeBid: true}, "FeeBid"},
-		{Behavior{FrontRun: true, FeeBudget: 9}, "FeeBudget"},
-		{Behavior{BundleBudget: 9}, "BundleBudget"},
+		{Behavior{Offline{From: 2000}}, "offline: until 0 is not after from 2000"},
+		{Behavior{Offline{From: 2000, Until: 2000}}, "offline: until 2000 is not after from 2000"},
+		{Behavior{Offline{Until: 2000}}, "offline: from 0 is not positive"},
+		{Behavior{Offline{From: -1, Until: 5}}, "offline: from -1 is not positive"},
+		{Behavior{Crash{At: -1}}, "crash: at -1 is not positive"},
+		{Behavior{Crash{}}, "crash: at 0 is not positive"},
+		{Behavior{VoteDelay{By: -1}}, "vote-delay: by -1 is not positive"},
+		{Behavior{CommitThenAbort{After: -1}}, "commit-then-abort: after -1 is not positive"},
+		{Behavior{EscrowShortfall{}}, "escrow-shortfall: amount 0 is not positive"},
+		{Behavior{SoreLoser{Threshold: -0.5}}, "sore-loser: threshold -0.5"},
+		{Behavior{SoreLoser{}}, "sore-loser: threshold 0"},
+		{Behavior{SoreLoser{Threshold: math.NaN()}}, "sore-loser: threshold NaN"},
+		{Behavior{SoreLoser{Threshold: math.Inf(1)}}, "sore-loser: threshold +Inf"},
+		{Behavior{SoreLoser{Threshold: math.Inf(-1)}}, "sore-loser: threshold -Inf"},
+		{Behavior{Crash{At: 5}, SkipVoting{}, Crash{At: 9}}, "crash: named twice"},
+		{Behavior{nil}, "<nil> is not a deviation"},
 	}
 	for _, c := range invalid {
 		err := c.b.Validate()
-		if err == nil || !strings.HasPrefix(err.Error(), c.field+" ") {
-			t.Errorf("%+v: Validate() = %v, want an error naming %s", c.b, err, c.field)
+		if err == nil || !strings.HasPrefix(err.Error(), c.want) {
+			t.Errorf("%+v: Validate() = %v, want %q", c.b, err, c.want)
 		}
 	}
 }
@@ -105,7 +116,7 @@ func TestActiveRespectsCrashAndOffline(t *testing.T) {
 	spec := deal.BrokerSpec(2000, 1000)
 	p := New("alice", Config{
 		Spec: spec, Protocol: ProtoTimelock, Sched: sched,
-		Behavior: Behavior{OfflineFrom: 100, OfflineUntil: 200},
+		Behavior: Behavior{Offline{From: 100, Until: 200}},
 	})
 	p.Start()
 	if !p.active() {
@@ -122,7 +133,7 @@ func TestActiveRespectsCrashAndOffline(t *testing.T) {
 
 	p2 := New("bob", Config{
 		Spec: spec, Protocol: ProtoTimelock, Sched: sched,
-		Behavior: Behavior{CrashAt: 300},
+		Behavior: Behavior{Crash{At: 300}},
 	})
 	p2.Start()
 	sched.RunUntil(400)

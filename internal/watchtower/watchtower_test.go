@@ -23,9 +23,9 @@ func offlineScenario(t *testing.T, seed uint64) *engine.World {
 		Seed:     seed,
 		Protocol: party.ProtoTimelock,
 		Behaviors: map[chain.Addr]party.Behavior{
-			"bob":   {VoteDelay: 2750},
-			"alice": {OfflineFrom: 2500, OfflineUntil: 6500},
-			"carol": {OfflineFrom: 2500, OfflineUntil: 6500},
+			"bob":   {party.VoteDelay{By: 2750}},
+			"alice": {party.Offline{From: 2500, Until: 6500}},
+			"carol": {party.Offline{From: 2500, Until: 6500}},
 		},
 	})
 	if err != nil {
@@ -97,7 +97,7 @@ func TestWatchtowerPokesRefundForCrashedClient(t *testing.T) {
 			Seed:     32,
 			Protocol: party.ProtoTimelock,
 			Behaviors: map[chain.Addr]party.Behavior{
-				"carol": {SkipVoting: true, SkipRefundPoke: true},
+				"carol": {party.SkipVoting{}, party.SkipRefundPoke{}},
 				// Bob keeps his refund poke; only carol is at risk.
 			},
 		})
@@ -178,7 +178,7 @@ func TestTowerForwardWaitsForIncomingEscrow(t *testing.T) {
 	spec := deal.RingSpec(3, 2000, 1000)
 	w, err := engine.Build(spec, engine.Options{
 		Protocol:  party.ProtoTimelock,
-		Behaviors: map[chain.Addr]party.Behavior{"p01": {OfflineFrom: 31, OfflineUntil: 35}},
+		Behaviors: map[chain.Addr]party.Behavior{"p01": {party.Offline{From: 31, Until: 35}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -268,8 +268,8 @@ func TestForwardedPathsLeaveOriginalsIntact(t *testing.T) {
 		w, err := engine.Build(spec, engine.Options{
 			Protocol: party.ProtoTimelock,
 			Behaviors: map[chain.Addr]party.Behavior{
-				"p00": {FrontRun: true},
-				"p01": {OfflineFrom: 31, OfflineUntil: 35},
+				"p00": {party.FrontRun{}},
+				"p01": {party.Offline{From: 31, Until: 35}},
 			},
 		})
 		if err != nil {

@@ -67,10 +67,34 @@ type (
 	// World is a fully wired simulation, for callers that need to attach
 	// watchtowers or observers before running.
 	World = engine.World
-	// Behavior configures a party's deviations from the protocol.
+	// Behavior configures a party's deviations from the protocol: a set
+	// of the deviation kinds below, such as Behavior{Crash{At: 700}}.
 	Behavior = party.Behavior
 	// Protocol selects the commit protocol.
 	Protocol = party.Protocol
+)
+
+// Deviation kinds: one named departure from the protocol each (see
+// party.Behavior).
+type (
+	Crash            = party.Crash
+	Offline          = party.Offline
+	SkipEscrow       = party.SkipEscrow
+	SkipTransfers    = party.SkipTransfers
+	SkipVoting       = party.SkipVoting
+	SkipRefundPoke   = party.SkipRefundPoke
+	NoForwarding     = party.NoForwarding
+	CorruptInfo      = party.CorruptInfo
+	EscrowShortfall  = party.EscrowShortfall
+	AltruisticVote   = party.AltruisticVote
+	VoteDelay        = party.VoteDelay
+	AbortImmediately = party.AbortImmediately
+	CommitThenAbort  = party.CommitThenAbort
+	SoreLoser        = party.SoreLoser
+	FrontRun         = party.FrontRun
+	FeeBid           = party.FeeBid
+	Grief            = party.Grief
+	BundleGrief      = party.BundleGrief
 )
 
 // Protocols.

@@ -43,7 +43,7 @@ func TestPublicAPIDeviations(t *testing.T) {
 		Seed:     3,
 		Protocol: xdeal.Timelock,
 		Behaviors: map[xdeal.Addr]xdeal.Behavior{
-			"carol": {SkipVoting: true},
+			"carol": {xdeal.SkipVoting{}},
 		},
 	})
 	if err != nil {
