@@ -111,7 +111,8 @@ func TestFlagValidationRejectsDegenerateSweeps(t *testing.T) {
 
 // TestScenarioFilesDecodeStrictly: every committed scenario — the CI
 // gates and examples under scenarios/, and the golden scenarios — decodes
-// strictly, and every golden scenario has its expected report beside it.
+// strictly, a Deal's behaviors included, and every golden scenario has
+// its expected report beside it.
 func TestScenarioFilesDecodeStrictly(t *testing.T) {
 	examples, err := filepath.Glob("../../scenarios/*.json")
 	if err != nil {
@@ -125,8 +126,12 @@ func TestScenarioFilesDecodeStrictly(t *testing.T) {
 		t.Fatalf("found %d scenarios under scenarios/ and %d under testdata/", len(examples), len(goldens))
 	}
 	for _, path := range append(examples, goldens...) {
-		if _, _, err := loadScenario(path); err != nil {
-			t.Errorf("%v", err)
+		_, d, err := loadScenario(path)
+		if err == nil && d != nil {
+			_, _, err = d.build() // decodes the Behaviors lists
+		}
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
 		}
 	}
 	for _, path := range goldens {

@@ -14,10 +14,9 @@ import (
 // unhedged asset — and settles its positions once escrows finalize,
 // claiming the collateral payout when the deal aborted after its
 // capital had been locked past the sore-loser trigger. Hedging is a
-// defense, not a deviation: a hedged party keeps every protocol duty and
-// stays compliant. Which parties hedge is not configured but derived:
-// those of a world that deploys hedging contracts (Config.Hedge) that
-// run no strategy.
+// defense, not a deviation, and it is derived rather than configured: a
+// party hedges when its world deploys hedging contracts (Config.Hedge)
+// and it runs no strategy.
 
 // HedgeConfig wires a hedged party to the world's hedging contracts.
 type HedgeConfig struct {
